@@ -18,24 +18,16 @@ package rdt_test
 // analyses follow.
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	rdt "github.com/rdt-go/rdt"
 	"github.com/rdt-go/rdt/internal/core"
 	"github.com/rdt-go/rdt/internal/experiments"
 	"github.com/rdt-go/rdt/internal/model"
 	"github.com/rdt-go/rdt/internal/rgraph"
-	"github.com/rdt-go/rdt/internal/service"
 	"github.com/rdt-go/rdt/internal/sim"
-	"github.com/rdt-go/rdt/internal/stream"
 	"github.com/rdt-go/rdt/internal/workload"
 )
 
@@ -365,206 +357,4 @@ func BenchmarkExhaustiveExploration(b *testing.B) {
 		execs = res.Executions
 	}
 	b.ReportMetric(float64(execs), "schedules")
-}
-
-// --- Macro-benchmarks: service ingest throughput ---
-
-// One op is one ingested event, pushed through the full service stack on
-// loopback — a few concurrent drivers, batched traffic, waiting for
-// application (not just acceptance) before the clock stops. Incremental
-// RDT checking gets more expensive as a session's checkpoint history
-// grows, so each driver rotates to a fresh session every
-// benchIngestPerSession events (and evicts the finished one): the
-// benchmark then measures the wire and ingest cost at a fixed, small
-// session size instead of the checker's superlinear tail. Besides ns/op,
-// each reports events/s; `rdtbench -mode throughput` gates that number
-// against results/BENCH_9.json so the binary wire's speed advantage over
-// JSON can't silently erode.
-const (
-	benchIngestDrivers    = 4
-	benchIngestProcs      = 8
-	benchIngestBatch      = 128
-	benchIngestPerSession = 2048
-)
-
-func BenchmarkIngestThroughputStream(b *testing.B) {
-	skipInShortBench(b)
-	svc, err := service.New(service.Config{QueueDepth: 1024})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer drainService(b, svc)
-	srv, err := stream.Serve("127.0.0.1:0", stream.Config{Service: svc})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	client, err := stream.Dial(srv.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-
-	b.ResetTimer()
-	forEachBenchDriver(b, func(d, events int) error {
-		return forEachBenchSession(d, events, func(id string, tr *stream.Traffic, n int) error {
-			ch, err := client.Open(id, benchIngestProcs, "bench")
-			if err != nil {
-				return err
-			}
-			for sent := 0; sent < n; {
-				c := min(benchIngestBatch, n-sent)
-				// The channel retains each batch until it is acked (for
-				// replay), so every Send gets a fresh slice.
-				if err := ch.Send(tr.Next(nil, c)); err != nil {
-					return err
-				}
-				sent += c
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			defer cancel()
-			if err := ch.Flush(ctx); err != nil {
-				return err
-			}
-			if err := ch.Close(); err != nil {
-				return err
-			}
-			svc.Evict(id, "bench")
-			return nil
-		})
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-func BenchmarkIngestThroughputJSON(b *testing.B) {
-	skipInShortBench(b)
-	svc, err := service.New(service.Config{QueueDepth: 1024})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer drainService(b, svc)
-	srv, err := service.Serve("127.0.0.1:0", svc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	base := "http://" + srv.Addr()
-	hc := &http.Client{Timeout: time.Minute}
-
-	b.ResetTimer()
-	forEachBenchDriver(b, func(d, events int) error {
-		var batch []service.Event
-		return forEachBenchSession(d, events, func(id string, tr *stream.Traffic, n int) error {
-			body, _ := json.Marshal(map[string]any{"id": id, "n": benchIngestProcs})
-			resp, err := hc.Post(base+"/v1/sessions", "application/json", bytes.NewReader(body))
-			if err != nil {
-				return err
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusCreated {
-				return fmt.Errorf("create %s: status %d", id, resp.StatusCode)
-			}
-			for sent := 0; sent < n; {
-				c := min(benchIngestBatch, n-sent)
-				batch = tr.Next(batch[:0], c)
-				payload, err := json.Marshal(batch)
-				if err != nil {
-					return err
-				}
-				for {
-					resp, err := hc.Post(base+"/v1/sessions/"+id+"/events", "application/json", bytes.NewReader(payload))
-					if err != nil {
-						return err
-					}
-					resp.Body.Close()
-					if resp.StatusCode == http.StatusAccepted {
-						break
-					}
-					if resp.StatusCode != http.StatusTooManyRequests {
-						return fmt.Errorf("ingest %s: status %d", id, resp.StatusCode)
-					}
-					time.Sleep(2 * time.Millisecond)
-				}
-				sent += c
-			}
-			// flush=1 blocks until every accepted batch has been applied,
-			// matching the stream benchmark's Flush.
-			resp, err = hc.Get(base + "/v1/sessions/" + id + "/verdict?flush=1")
-			if err != nil {
-				return err
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return fmt.Errorf("verdict %s: status %d", id, resp.StatusCode)
-			}
-			svc.Evict(id, "bench")
-			return nil
-		})
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-// forEachBenchDriver splits b.N events across benchIngestDrivers
-// concurrent drivers and fails the benchmark on the first driver error.
-func forEachBenchDriver(b *testing.B, drive func(d, events int) error) {
-	b.Helper()
-	var wg sync.WaitGroup
-	errs := make(chan error, benchIngestDrivers)
-	for d := 0; d < benchIngestDrivers; d++ {
-		events := (b.N*(d+1))/benchIngestDrivers - (b.N*d)/benchIngestDrivers
-		if events == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(d, events int) {
-			defer wg.Done()
-			errs <- drive(d, events)
-		}(d, events)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// forEachBenchSession carves one driver's event share into sessions of at
-// most benchIngestPerSession events each, with deterministic per-session
-// traffic.
-func forEachBenchSession(d, events int, run func(id string, tr *stream.Traffic, n int) error) error {
-	for i := 0; events > 0; i++ {
-		n := min(benchIngestPerSession, events)
-		tr, err := stream.NewTraffic("random", benchIngestProcs, int64(d*1_000_003+i))
-		if err != nil {
-			return err
-		}
-		if err := run(fmt.Sprintf("bench-%d-%d", d, i), tr, n); err != nil {
-			return err
-		}
-		events -= n
-	}
-	return nil
-}
-
-// skipInShortBench keeps the throughput benchmarks out of the ns/op
-// suite (scripts/bench.sh runs that with -short): they gate on events/s
-// separately, with the longer benchtime end-to-end rates need.
-func skipInShortBench(b *testing.B) {
-	b.Helper()
-	if testing.Short() {
-		b.Skip("ingest throughput gates separately; see scripts/bench.sh")
-	}
-}
-
-func drainService(b *testing.B, svc *service.Service) {
-	b.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := svc.Drain(ctx); err != nil {
-		b.Fatal(err)
-	}
 }

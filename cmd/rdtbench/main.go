@@ -5,24 +5,17 @@
 // (-out) or compares the fresh numbers against a previously written
 // record (-baseline), failing when any benchmark's ns/op regressed by
 // more than the tolerance (sub-nanosecond-scale benchmarks below -min-ns
-// are exempt). In the default mode only ns/op gates: B/op, allocs/op and
-// custom metrics (the R values the figure benchmarks report) are
-// recorded and printed for context but never fail the run, since the
-// repository treats them as tracked observables rather than hard
-// budgets.
-//
-// With -mode throughput the gate flips to the events/s custom metric
-// that the ingest benchmarks report (higher is better): a benchmark
-// regresses when its fresh rate drops more than the tolerance below the
-// baseline rate. Baselines below -min-rate never gate — at tiny rates
-// the denominator is a handful of events and scheduling jitter swamps
-// any real signal — mirroring what -min-ns does for ns/op.
+// are exempt). Only ns/op gates: B/op, allocs/op and custom metrics (the
+// R values the figure benchmarks report) are recorded and printed for
+// context but never fail the run, since the repository treats them as
+// tracked observables rather than hard budgets. End-to-end ingest
+// throughput is not measured here: bench/ drives the real daemon
+// (`bash bench/run.sh`, workloads mem-rotate and json-rotate).
 //
 // Usage:
 //
 //	go test -bench . -benchmem -run '^$' . | rdtbench -out results/BENCH_4.json
 //	go test -bench . -benchmem -run '^$' . | rdtbench -baseline results/BENCH_4.json -tolerance 0.15
-//	go test -bench IngestThroughput -run '^$' . | rdtbench -mode throughput -baseline results/BENCH_9.json
 package main
 
 import (
@@ -68,10 +61,8 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	var (
 		outPath   = fs.String("out", "", "write the parsed benchmarks as JSON to this path")
 		baseline  = fs.String("baseline", "", "compare against this previously written JSON record")
-		mode      = fs.String("mode", "ns", `what gates: "ns" (ns/op, lower is better) or "throughput" (events/s, higher is better)`)
 		tolerance = fs.Float64("tolerance", 0.15, "allowed fractional regression before failing")
-		minNs     = fs.Float64("min-ns", 100, "ns mode: baselines faster than this never gate (timer jitter dominates)")
-		minRate   = fs.Float64("min-rate", 1000, "throughput mode: baselines below this events/s never gate")
+		minNs     = fs.Float64("min-ns", 100, "baselines faster than this never gate (timer jitter dominates)")
 		note      = fs.String("note", "", "free-form note stored in the JSON record")
 
 		showVersion = fs.Bool("version", false, "print version and exit")
@@ -85,9 +76,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	}
 	if *outPath == "" && *baseline == "" {
 		return fmt.Errorf("nothing to do: pass -out and/or -baseline")
-	}
-	if *mode != "ns" && *mode != "throughput" {
-		return fmt.Errorf("unknown -mode %q (want ns or throughput)", *mode)
 	}
 
 	fresh, err := parse(in)
@@ -118,17 +106,10 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		if err := json.Unmarshal(data, &base); err != nil {
 			return fmt.Errorf("parse baseline %s: %w", *baseline, err)
 		}
-		if *mode == "throughput" {
-			return compareRate(out, base.Benchmarks, fresh, *tolerance, *minRate)
-		}
 		return compare(out, base.Benchmarks, fresh, *tolerance, *minNs)
 	}
 	return nil
 }
-
-// RateMetric is the custom metric name the throughput gate reads — what
-// the ingest benchmarks report via b.ReportMetric.
-const RateMetric = "events/s"
 
 // benchLine matches one benchmark result line, e.g.
 //
@@ -244,67 +225,5 @@ func compare(out io.Writer, base, fresh []Result, tolerance, minNs float64) erro
 			len(regressions), strings.Join(regressions, "\n  "))
 	}
 	fmt.Fprintf(out, "all %d benchmarks within %.0f%% ns/op tolerance\n", len(fresh), 100*tolerance)
-	return nil
-}
-
-// compareRate is the throughput gate: higher events/s is better, so a
-// benchmark regresses when its fresh rate falls more than tolerance
-// below the baseline rate. Only benchmarks reporting the events/s metric
-// participate; one-sided and sub-min-rate benchmarks are reported but
-// never fail, for the same reasons compare gives them.
-func compareRate(out io.Writer, base, fresh []Result, tolerance, minRate float64) error {
-	baseByName := make(map[string]Result, len(base))
-	for _, r := range base {
-		if r.Metrics[RateMetric] > 0 {
-			baseByName[r.Name] = r
-		}
-	}
-
-	var regressions []string
-	gated := 0
-	for _, f := range fresh {
-		rate := f.Metrics[RateMetric]
-		if rate == 0 {
-			continue
-		}
-		b, ok := baseByName[f.Name]
-		if !ok {
-			fmt.Fprintf(out, "new       %-45s %12.0f events/s (no baseline)\n", f.Name, rate)
-			continue
-		}
-		delete(baseByName, f.Name)
-		gated++
-		baseRate := b.Metrics[RateMetric]
-		delta := (rate - baseRate) / baseRate
-		status := "ok"
-		if baseRate < minRate {
-			status = "no-gate"
-		} else if delta < -tolerance {
-			status = "REGRESSED"
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %.0f -> %.0f events/s (%+.1f%%, tolerance %.0f%%)",
-					f.Name, baseRate, rate, 100*delta, 100*tolerance))
-		}
-		fmt.Fprintf(out, "%-9s %-45s %12.0f -> %-12.0f events/s (%+6.1f%%)\n",
-			status, f.Name, baseRate, rate, 100*delta)
-	}
-
-	var gone []string
-	for name := range baseByName {
-		gone = append(gone, name)
-	}
-	sort.Strings(gone)
-	for _, name := range gone {
-		fmt.Fprintf(out, "gone      %s (in baseline, not in fresh run)\n", name)
-	}
-
-	if len(regressions) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed beyond tolerance:\n  %s",
-			len(regressions), strings.Join(regressions, "\n  "))
-	}
-	if gated == 0 {
-		return fmt.Errorf("throughput gate matched no benchmarks: no name reporting %q on both sides", RateMetric)
-	}
-	fmt.Fprintf(out, "all %d throughput benchmarks within %.0f%% events/s tolerance\n", gated, 100*tolerance)
 	return nil
 }

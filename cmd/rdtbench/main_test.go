@@ -110,106 +110,6 @@ func TestWriteAndCompare(t *testing.T) {
 	}
 }
 
-const rateSample = `goos: linux
-BenchmarkIngestThroughputStream 	  430798	      3061 ns/op	    326668 events/s
-BenchmarkIngestThroughputJSON 	  147804	      8117 ns/op	    123203 events/s
-BenchmarkTinyRate 	  10	 1000 ns/op	       12 events/s
-BenchmarkNoRate 	  100	 500 ns/op
-PASS
-`
-
-func TestThroughputMode(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_9.json")
-	var out strings.Builder
-	if err := run([]string{"-out", path}, strings.NewReader(rateSample), &out); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-
-	// Identical rates pass; the rate-less benchmark is skipped silently.
-	out.Reset()
-	if err := run([]string{"-mode", "throughput", "-baseline", path},
-		strings.NewReader(rateSample), &out); err != nil {
-		t.Fatalf("identical compare failed: %v\n%s", err, out.String())
-	}
-	if strings.Contains(out.String(), "BenchmarkNoRate") {
-		t.Errorf("rate-less benchmark leaked into the throughput report:\n%s", out.String())
-	}
-
-	// Halving the stream rate fails the gate and names the benchmark.
-	slower := strings.Replace(rateSample, "326668 events/s", "160000 events/s", 1)
-	out.Reset()
-	err := run([]string{"-mode", "throughput", "-baseline", path}, strings.NewReader(slower), &out)
-	if err == nil {
-		t.Fatal("halved throughput passed the gate")
-	}
-	if !strings.Contains(err.Error(), "BenchmarkIngestThroughputStream") {
-		t.Errorf("regression error does not name the benchmark: %v", err)
-	}
-
-	// A drop within tolerance passes (-10% against the default 15%).
-	slightly := strings.Replace(rateSample, "326668 events/s", "294000 events/s", 1)
-	out.Reset()
-	if err := run([]string{"-mode", "throughput", "-baseline", path},
-		strings.NewReader(slightly), &out); err != nil {
-		t.Fatalf("-10%% failed the 15%% gate: %v\n%s", err, out.String())
-	}
-
-	// Faster than baseline is fine — the gate is one-sided.
-	faster := strings.Replace(rateSample, "326668 events/s", "900000 events/s", 1)
-	out.Reset()
-	if err := run([]string{"-mode", "throughput", "-baseline", path},
-		strings.NewReader(faster), &out); err != nil {
-		t.Fatalf("improvement failed the gate: %v", err)
-	}
-
-	// A 12 events/s baseline sits under the jitter floor: a collapse
-	// there reports no-gate instead of failing.
-	tiny := strings.Replace(rateSample, "12 events/s", "1 events/s", 1)
-	out.Reset()
-	if err := run([]string{"-mode", "throughput", "-baseline", path},
-		strings.NewReader(tiny), &out); err != nil {
-		t.Fatalf("sub-min-rate benchmark gated: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "no-gate") {
-		t.Errorf("missing no-gate status:\n%s", out.String())
-	}
-	// Lowering -min-rate re-enables it.
-	out.Reset()
-	if err := run([]string{"-mode", "throughput", "-baseline", path, "-min-rate", "1"},
-		strings.NewReader(tiny), &out); err == nil {
-		t.Error("rate collapse passed with -min-rate 1")
-	}
-
-	// ns/op changes never gate in throughput mode.
-	nsUp := strings.Replace(rateSample, "3061 ns/op", "306100 ns/op", 1)
-	out.Reset()
-	if err := run([]string{"-mode", "throughput", "-baseline", path},
-		strings.NewReader(nsUp), &out); err != nil {
-		t.Fatalf("ns/op growth failed the throughput gate: %v", err)
-	}
-
-	// A baseline with no rate metrics at all is a configuration error,
-	// not a silent pass.
-	out.Reset()
-	nsOnlyPath := filepath.Join(dir, "NS.json")
-	if err := run([]string{"-out", nsOnlyPath}, strings.NewReader(`BenchmarkNoRate 	  100	 500 ns/op
-`), &out); err != nil {
-		t.Fatalf("write ns-only: %v", err)
-	}
-	out.Reset()
-	if err := run([]string{"-mode", "throughput", "-baseline", nsOnlyPath},
-		strings.NewReader(rateSample), &out); err == nil {
-		t.Error("throughput gate with a rate-less baseline passed")
-	}
-
-	// Unknown modes are rejected.
-	if err := run([]string{"-mode", "sideways", "-baseline", path},
-		strings.NewReader(rateSample), &out); err == nil {
-		t.Error("unknown mode accepted")
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var out strings.Builder
 	if err := run(nil, strings.NewReader(sample), &out); err == nil {

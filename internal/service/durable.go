@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/rdt-go/rdt/internal/binenc"
-	"github.com/rdt-go/rdt/internal/model"
 	"github.com/rdt-go/rdt/internal/rgraph"
 	"github.com/rdt-go/rdt/internal/storage"
 	"github.com/rdt-go/rdt/internal/wal"
@@ -22,8 +21,8 @@ import (
 
 // Durability. With Config.DataDir set, every session is durable: each
 // mutating batch is appended to a per-session write-ahead log and
-// fsync'd before it is applied, and the combined builder + checker
-// state is snapshotted every SnapshotEvery events. A session directory
+// fsync'd before it is applied, and the checker's state is snapshotted
+// every SnapshotEvery events. A session directory
 //
 //	<DataDir>/sessions/<id>/
 //	    meta.json            process count, creation time
@@ -32,10 +31,12 @@ import (
 //
 // survives kill -9: Recover scans the tree, loads each session's
 // newest valid snapshot (a corrupt one is renamed *.corrupt and the
-// previous one used, at the price of a longer replay), replays the WAL
-// tail through the exact apply path live ingestion uses, truncates any
-// torn tail, and resumes the session with bit-identical verdicts —
-// sealed, failed, and applied-count state included.
+// previous one used, at the price of a longer replay), reads the whole
+// WAL back as the session's event log, replays the records past the
+// snapshot through the exact apply path live ingestion uses, truncates
+// any torn tail, and resumes the session with bit-identical verdicts —
+// sealed, failed, and applied-count state included. A snapshot holds only
+// the checker: the WAL is the pattern, never truncated below a snapshot.
 //
 // Failure is contained per session: a disk write error degrades only
 // that session to read-only (HTTP 507 on further mutation) and is
@@ -185,11 +186,12 @@ func decodeBatchRecord(payload []byte) (events []Event, seal bool, producer stri
 	return events, seal, producer, seq, nil
 }
 
-// Snapshot files: the full session state as of a WAL offset, with a
-// trailing CRC32C so disk rot is detected even though the write itself
-// was atomic. Revision 2 added the per-producer stream sequence
-// watermarks.
-var snapMagic = []byte("RDTSNAP2")
+// Snapshot files: a header (everything the session shell needs, and all
+// that comparing two copies of a session needs) followed by the checker
+// blob, with a trailing CRC32C so disk rot is detected even though the
+// write itself was atomic. Revision 3 dropped the model.Builder blob; an
+// older file fails the magic check and is quarantined like a corrupt one.
+var snapMagic = []byte("RDTSNAP3")
 
 func (s *Session) encodeSnapshotLocked() []byte {
 	buf := append([]byte(nil), snapMagic...)
@@ -209,10 +211,8 @@ func (s *Session) encodeSnapshotLocked() []byte {
 	sort.Ints(ids)
 	buf = binenc.AppendInt(buf, len(ids))
 	for _, id := range ids {
-		ref := s.msgs[id]
 		buf = binenc.AppendInt(buf, id)
-		buf = binenc.AppendInt(buf, ref.builder)
-		buf = binenc.AppendInt(buf, ref.inc)
+		buf = binenc.AppendInt(buf, s.msgs[id])
 	}
 	ids = ids[:0]
 	for id := range s.usedMsg {
@@ -230,81 +230,76 @@ func (s *Session) encodeSnapshotLocked() []byte {
 		buf = binenc.AppendString(buf, p)
 		buf = binenc.AppendUvarint(buf, s.prodSeq[p])
 	}
-	buf = binenc.AppendBytes(buf, s.builder.AppendBinary(nil))
 	buf = binenc.AppendBytes(buf, s.inc.AppendBinary(nil))
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crc32.MakeTable(crc32.Castagnoli)))
 }
 
-// snapState is a decoded snapshot, ready to be grafted onto a Session.
-type snapState struct {
+// snapHeader is a snapshot without its checker: what a Session's
+// fields are restored from, and all stateOfDir reads.
+type snapHeader struct {
 	walOffset int64
 	applied   int64
 	sealed    bool
 	failErr   error
-	msgs      map[int]msgRef
+	msgs      map[int]int
 	usedMsg   map[int]bool
 	prodSeq   map[string]uint64
-	builder   *model.Builder
-	inc       *rgraph.Incremental
 }
 
-func decodeSnapshot(data []byte) (*snapState, error) {
+// readSnapshotHeader reads a snapshot file, verifies its checksum and
+// decodes everything before the checker blob, which it returns undecoded
+// — rgraph.DecodeIncremental is the expensive part of a load.
+func readSnapshotHeader(path string) (*snapHeader, []byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
 	if len(data) < 4 {
-		return nil, fmt.Errorf("snapshot: %w: too short", binenc.ErrCorrupt)
+		return nil, nil, fmt.Errorf("snapshot: %w: too short", binenc.ErrCorrupt)
 	}
 	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
 	if crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)) != sum {
-		return nil, fmt.Errorf("snapshot: %w: checksum mismatch", binenc.ErrCorrupt)
+		return nil, nil, fmt.Errorf("snapshot: %w: checksum mismatch", binenc.ErrCorrupt)
 	}
 	r := binenc.NewReader(body)
 	r.Expect(snapMagic)
-	st := &snapState{
+	h := &snapHeader{
 		walOffset: int64(r.Uvarint()),
 		applied:   int64(r.Uvarint()),
 		sealed:    r.Bool(),
-		msgs:      make(map[int]msgRef),
+		msgs:      make(map[int]int),
 		usedMsg:   make(map[int]bool),
+		prodSeq:   make(map[string]uint64),
 	}
 	if r.Bool() {
-		st.failErr = errors.New(r.String())
+		h.failErr = errors.New(r.String())
 	}
 	msgCount := r.IntMax(wal.MaxRecord)
 	for k := 0; k < msgCount && r.Err() == nil; k++ {
 		id := r.Int()
-		ref := msgRef{builder: r.Int(), inc: r.Int()}
-		if _, dup := st.msgs[id]; dup {
-			return nil, fmt.Errorf("snapshot: duplicate in-flight message %d", id)
+		handle := r.Int()
+		if _, dup := h.msgs[id]; dup {
+			return nil, nil, fmt.Errorf("snapshot: duplicate in-flight message %d", id)
 		}
-		st.msgs[id] = ref
+		h.msgs[id] = handle
 	}
 	for _, id := range r.Ints(wal.MaxRecord) {
-		st.usedMsg[id] = true
+		h.usedMsg[id] = true
 	}
 	prodCount := r.IntMax(wal.MaxRecord)
-	if prodCount > 0 {
-		st.prodSeq = make(map[string]uint64, prodCount)
-	}
 	for k := 0; k < prodCount && r.Err() == nil; k++ {
 		p := r.String()
 		seq := r.Uvarint()
-		if _, dup := st.prodSeq[p]; dup {
-			return nil, fmt.Errorf("snapshot: duplicate producer %q", p)
+		if _, dup := h.prodSeq[p]; dup {
+			return nil, nil, fmt.Errorf("snapshot: duplicate producer %q", p)
 		}
-		st.prodSeq[p] = seq
+		h.prodSeq[p] = seq
 	}
-	builderBlob := r.Bytes()
 	incBlob := r.Bytes()
 	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
+		return nil, nil, fmt.Errorf("snapshot: %w", err)
 	}
-	var err error
-	if st.builder, err = model.DecodeBuilder(builderBlob); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	if st.inc, err = rgraph.DecodeIncremental(incBlob); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	return st, nil
+	return h, incBlob, nil
 }
 
 func snapName(seq uint64) string { return fmt.Sprintf("snap_%016d.bin", seq) }
@@ -323,13 +318,12 @@ func snapSeqOf(name string) (uint64, bool) {
 }
 
 // persistLocked makes a mutating batch durable before it is applied:
-// frame, append, fsync. Any failure degrades the session — the batch
+// append its record, fsync. Any failure degrades the session — the batch
 // is NOT applied, so memory never runs ahead of the medium. A stream
 // frame's watermark advances only here, once the record is on disk, so
 // the persisted dedup state never claims a frame the WAL lost.
-func (s *Session) persistLocked(events []Event, seal bool, producer string, seq uint64) error {
+func (s *Session) persistLocked(payload []byte, events int, producer string, seq uint64) error {
 	d := s.dur
-	payload := encodeBatchRecord(nil, events, seal, producer, seq)
 	start := time.Now()
 	err := d.wal.Append(payload)
 	if err == nil {
@@ -342,7 +336,7 @@ func (s *Session) persistLocked(events []Event, seal bool, producer string, seq 
 	s.svc.mWALAppends.Inc()
 	s.svc.mWALAppendBytes.Add(int64(len(payload)))
 	s.svc.hWALAppend.Observe(time.Since(start).Seconds())
-	d.sinceSnap += len(events)
+	d.sinceSnap += events
 	s.noteProducerLocked(producer, seq)
 	if testHookAppended != nil {
 		testHookAppended(s.ID)
@@ -372,6 +366,7 @@ func (s *Session) degradeLocked(err error) {
 	}
 	d.degraded = true
 	d.degradedErr = err
+	s.publishLocked()
 	d.closeLocked()
 	s.svc.mDegraded.Add(1)
 	s.svc.degradedCount.Add(1)
@@ -413,20 +408,10 @@ func (s *Session) snapshotLocked() error {
 // Failures are ignored: stale files cost disk, not correctness, and
 // the next prune retries.
 func (s *Session) pruneSnapshotsLocked() {
-	entries, err := os.ReadDir(s.dur.dir)
-	if err != nil {
+	seqs, err := snapSeqs(s.dur.dir)
+	if err != nil || len(seqs) <= 2 {
 		return
 	}
-	var seqs []uint64
-	for _, e := range entries {
-		if seq, ok := snapSeqOf(e.Name()); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	if len(seqs) <= 2 {
-		return
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
 	for _, seq := range seqs[2:] {
 		_ = os.Remove(filepath.Join(s.dur.dir, snapName(seq)))
 	}
@@ -579,10 +564,49 @@ type loadStats struct {
 	quarantinedSnaps int
 }
 
+// walHead scans a WAL from offset 0 to the first record boundary at or
+// past walOff — or as far as it reads — and returns that offset, handing
+// fn the payload of every record that starts below it. A result
+// equal to walOff says walOff is a record boundary, a larger one that it
+// lies inside a record, a smaller one that the WAL is damaged below it.
+func walHead(walPath string, walOff int64, fn func(payload []byte)) (off int64) {
+	_, _, _ = wal.ScanFrom(walPath, 0, func(payload []byte) error {
+		if off >= walOff {
+			return errors.New("far enough")
+		}
+		off += int64(wal.HeaderSize + len(payload))
+		fn(payload)
+		return nil
+	})
+	return off
+}
+
+// snapSeqs lists a session directory's snapshot sequence numbers,
+// newest first.
+func snapSeqs(dir string) ([]uint64, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var seqs []uint64
+	for _, e := range entries {
+		if seq, ok := snapSeqOf(e.Name()); ok {
+			seqs = append(seqs, seq)
+		}
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
+	return seqs, nil
+}
+
+// errLogDamaged is what a session's pattern queries report when its WAL
+// does not read back as far as the snapshot it was restored from.
+var errLogDamaged = errors.New("pattern unavailable: the session's WAL is damaged below its snapshot")
+
 // loadSession rebuilds one session from its directory: newest valid
-// snapshot (corrupt ones quarantined), then the WAL tail replayed
-// through the exact apply path live ingestion uses, then a torn tail
-// truncated. The returned session is not yet installed or running.
+// snapshot (corrupt ones quarantined) with the WAL below it read back as
+// the event log, then the WAL tail replayed through the exact apply path
+// live ingestion uses, then a torn tail truncated. The returned session
+// is not yet installed or running.
 func (s *Service) loadSession(id string) (*Session, loadStats, error) {
 	var ls loadStats
 	dir := s.sessionDir(id)
@@ -606,58 +630,64 @@ func (s *Service) loadSession(id string) (*Session, loadStats, error) {
 		sess.created = meta.Created
 	}
 
-	// Newest valid snapshot wins; invalid ones are renamed aside and the
-	// scan falls back to the previous (a longer replay, not data loss).
-	entries, err := os.ReadDir(dir)
+	// Newest valid snapshot wins; invalid ones — undecodable, of another
+	// revision, or claiming a WAL offset inside a record — are renamed
+	// aside and the scan falls back to the previous (a longer replay, not
+	// data loss).
+	seqs, err := snapSeqs(dir)
 	if err != nil {
 		return nil, ls, fmt.Errorf("load %q: %w", id, err)
 	}
-	var seqs []uint64
-	for _, e := range entries {
-		if seq, ok := snapSeqOf(e.Name()); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	var snap *snapState
 	nextSeq := uint64(1)
 	if len(seqs) > 0 {
 		nextSeq = seqs[0] + 1
 	}
+	walPath := filepath.Join(dir, "wal.log")
+	start := time.Now()
+	var from int64
 	for _, seq := range seqs {
 		path := filepath.Join(dir, snapName(seq))
-		data, err := os.ReadFile(path)
+		h, incBlob, err := readSnapshotHeader(path)
+		var head []byte // the log below the snapshot
+		var reach int64
 		if err == nil {
-			if snap, err = decodeSnapshot(data); err == nil && snap.builder.N() == meta.N && snap.inc.N() == meta.N {
-				break
+			reach = walHead(walPath, h.walOffset, func(payload []byte) { head = binenc.AppendBytes(head, payload) })
+			if reach > h.walOffset {
+				err = fmt.Errorf("snapshot: WAL offset %d is inside a record", h.walOffset)
 			}
-			snap = nil
+		}
+		var inc *rgraph.Incremental
+		if err == nil {
+			inc, err = rgraph.DecodeIncremental(incBlob)
+		}
+		if err == nil && inc.N() == meta.N {
+			sess.inc = inc
+			sess.msgs = h.msgs
+			sess.usedMsg = h.usedMsg
+			sess.prodSeq = h.prodSeq
+			sess.applied = h.applied
+			sess.sealed = h.sealed
+			sess.failErr = h.failErr
+			sess.publishLocked()
+			s.observeInc(sess.inc)
+			from = h.walOffset
+			if sess.log = head; reach < from {
+				// The snapshot passed its checksum, so the damage is in the WAL
+				// below it: that costs the pattern. The checker and the tail
+				// are read as always and no byte below the snapshot is touched.
+				sess.log, sess.logErr = nil, errLogDamaged
+			}
+			break
 		}
 		_ = os.Rename(path, path+".corrupt")
 		ls.quarantinedSnaps++
 		s.mSnapQuarantined.Inc()
 	}
 
-	var from int64
-	if snap != nil {
-		sess.builder = snap.builder
-		sess.inc = snap.inc
-		sess.msgs = snap.msgs
-		sess.usedMsg = snap.usedMsg
-		sess.prodSeq = snap.prodSeq
-		sess.applied = snap.applied
-		sess.sealed = snap.sealed
-		sess.failErr = snap.failErr
-		s.observeInc(sess.inc)
-		from = snap.walOffset
-	}
-
 	// Replay. The session is unpublished, so no lock is needed; apply
 	// errors are deterministic re-poisonings, not replay failures. A
 	// record that passes its CRC but does not decode is corruption the
 	// frame missed: replay stops before it and the tail is cut there.
-	walPath := filepath.Join(dir, "wal.log")
-	start := time.Now()
 	var replayed int64 // frame bytes consumed by decodable records
 	var badRecord bool
 	end, torn, err := wal.ScanFrom(walPath, from, func(payload []byte) error {
@@ -666,9 +696,10 @@ func (s *Service) loadSession(id string) (*Session, loadStats, error) {
 			badRecord = true
 			return derr
 		}
+		sess.log = binenc.AppendBytes(sess.log, payload)
 		sess.applyBatchLocked(events, seal)
 		sess.noteProducerLocked(producer, seq)
-		replayed += int64(8 + len(payload))
+		replayed += int64(wal.HeaderSize + len(payload))
 		ls.records++
 		ls.events += int64(len(events))
 		s.mWALReplayRecords.Inc()

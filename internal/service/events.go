@@ -1,7 +1,7 @@
 // Package service is the multi-session RDT checking service: it accepts
 // streaming checkpoint/send/deliver events from many concurrent client
 // sessions, maintains per-session incremental RDT state (an
-// rgraph.Incremental fed in lockstep with a model.Builder), and serves
+// rgraph.Incremental plus the log of events it was fed), and serves
 // live verdicts, recovery-line queries, and pattern dumps over HTTP.
 //
 // Sessions are sharded by id hash; each session owns a bounded ingestion

@@ -249,43 +249,30 @@ func (s *Session) durableState() imageState {
 }
 
 // stateOfDir peeks a passivated session directory's durable state
-// without installing it: the newest decodable snapshot, then the WAL
-// tail scanned (not applied) up to the first torn or undecodable
-// record — exactly the state activation would restore from the copy.
+// without installing it: the newest usable snapshot's header (the
+// checker behind it is not decoded), then the WAL tail scanned (not
+// applied) up to the first torn or undecodable record — exactly the
+// state activation would restore from the copy.
 func stateOfDir(dir string) (imageState, error) {
 	st := imageState{prodSeq: make(map[string]uint64)}
-	entries, err := os.ReadDir(dir)
+	seqs, err := snapSeqs(dir)
 	if err != nil {
 		return st, err
 	}
-	var seqs []uint64
-	for _, e := range entries {
-		if seq, ok := snapSeqOf(e.Name()); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
+	walPath := filepath.Join(dir, "wal.log")
 	var from int64
 	for _, seq := range seqs {
-		data, err := os.ReadFile(filepath.Join(dir, snapName(seq)))
-		if err != nil {
+		h, _, err := readSnapshotHeader(filepath.Join(dir, snapName(seq)))
+		if err != nil || walHead(walPath, h.walOffset, func([]byte) {}) > h.walOffset {
 			continue
 		}
-		snap, err := decodeSnapshot(data)
-		if err != nil {
-			continue
-		}
-		for p, q := range snap.prodSeq {
-			st.prodSeq[p] = q
-		}
-		st.applied = snap.applied
-		from = snap.walOffset
+		st.prodSeq, st.applied, from = h.prodSeq, h.applied, h.walOffset
 		break
 	}
 	// Scan errors (torn tail, undecodable record, missing WAL) end the
 	// scan where activation's replay would: the decodable prefix IS
 	// this copy's restorable state.
-	_, _, _ = wal.ScanFrom(filepath.Join(dir, "wal.log"), from, func(payload []byte) error {
+	_, _, _ = wal.ScanFrom(walPath, from, func(payload []byte) error {
 		events, _, producer, seq, derr := decodeBatchRecord(payload)
 		if derr != nil {
 			return derr

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/rdt-go/rdt/internal/binenc"
 	"github.com/rdt-go/rdt/internal/model"
 	"github.com/rdt-go/rdt/internal/obs"
 	"github.com/rdt-go/rdt/internal/recovery"
@@ -50,11 +51,11 @@ type batch struct {
 	seq      uint64
 }
 
-// Session is one tenant's live RDT analysis: a model.Builder and an
-// rgraph.Incremental fed the same events in lockstep, so the service
-// can serve both incremental verdicts and the full pattern-so-far. All
-// mutation flows through the queue and is applied by the single worker
-// goroutine; queries take the mutex directly.
+// Session is one tenant's live RDT analysis: an rgraph.Incremental (the
+// verdict) and an append-only log of the batches it was fed (the
+// pattern, materialized on demand by patternLocked). All mutation flows
+// through the queue and is applied by the single worker goroutine;
+// queries take the mutex directly.
 type Session struct {
 	// ID is the session identifier (immutable).
 	ID string
@@ -81,17 +82,31 @@ type Session struct {
 	strmMu  sync.Mutex
 	strmSeq map[string]uint64
 
+	// Admission state, apart from mu: the worker holds mu across WAL and
+	// snapshot fsyncs, and enqueue must never wait behind those. qmu
+	// guards closed and the queue's send/close; adm is the worker's last
+	// published view of sealed/failErr/degraded (nil: none of them).
+	qmu    sync.Mutex
+	closed bool // queue closed; no further enqueues
+	adm    atomic.Pointer[admission]
+
 	mu       sync.Mutex
-	closed   bool // queue closed; no further enqueues
 	sealed   bool
 	failErr  error // first apply error; poisons further ingestion
 	dropDisk bool  // explicit delete: the worker removes the directory
 	dur      *durableSession
-	builder  *model.Builder
 	inc      *rgraph.Incremental
-	msgs     map[int]msgRef // client message id -> handles, in flight
-	usedMsg  map[int]bool   // every client message id ever sent
-	applied  int64          // events applied
+	msgs     map[int]int  // client message id -> checker handle, in flight
+	usedMsg  map[int]bool // every client message id ever sent
+	applied  int64        // events applied
+	// log is every mutating batch in arrival order, each one its WAL
+	// record payload (encodeBatchRecord) behind a length prefix: the
+	// pattern's only stored form. Its first `applied` events are exactly
+	// the events the checker accepted. rec is the encode scratch. logErr
+	// is set by a load that could not restore the log: no pattern then.
+	log    []byte
+	rec    []byte
+	logErr error
 	// prodSeq mirrors strmSeq for the frames that made it into the WAL:
 	// the worker advances it after a successful append, snapshots carry
 	// it, and replay rebuilds it — which is what makes stream dedup
@@ -99,12 +114,21 @@ type Session struct {
 	prodSeq map[string]uint64
 }
 
-// msgRef pairs the two internal handles a client message id maps to.
-// Builder and Incremental assign handles in the same order, but keeping
-// both avoids relying on that coincidence.
-type msgRef struct {
-	builder int
-	inc     int
+// admission is what enqueue needs to know of the state mu guards.
+type admission struct {
+	sealed      bool
+	failErr     error
+	degradedErr error
+}
+
+// publishLocked refreshes the admission view; call it wherever sealed,
+// failErr or the degraded flag change.
+func (s *Session) publishLocked() {
+	a := &admission{sealed: s.sealed, failErr: s.failErr}
+	if s.dur != nil && s.dur.degraded {
+		a.degradedErr = s.dur.degradedErr
+	}
+	s.adm.Store(a)
 }
 
 func newSession(svc *Service, id string, n int) (*Session, error) {
@@ -119,9 +143,8 @@ func newSession(svc *Service, id string, n int) (*Session, error) {
 		queue:      make(chan batch, svc.cfg.QueueDepth),
 		workerDone: make(chan struct{}),
 		created:    svc.clock.Now(),
-		builder:    model.NewBuilder(n),
 		inc:        inc,
-		msgs:       make(map[int]msgRef),
+		msgs:       make(map[int]int),
 		usedMsg:    make(map[int]bool),
 	}
 	s.touch()
@@ -165,10 +188,24 @@ func (s *Session) run() {
 	s.retire()
 }
 
+// wellFormed is the prefix of events before the first one that fails
+// validateShape (the ingress decoders reject such a batch whole, an
+// in-process caller may not have): a record cannot hold that event,
+// applyOneLocked refuses it, and nothing after it is applied.
+func wellFormed(events []Event) []Event {
+	for i := range events {
+		if events[i].validateShape() != nil {
+			return events[:i]
+		}
+	}
+	return events
+}
+
 // process handles one batch with write-ahead ordering: a mutating
-// batch is framed, appended, and fsync'd before any of it is applied,
-// so the medium never lags memory. A persistence failure degrades the
-// session and the batch is NOT applied.
+// batch is encoded once, appended to the WAL and fsync'd (durable
+// sessions), and recorded in the log, all before any of it is applied,
+// so neither the medium nor the log ever lags the checker. A
+// persistence failure degrades the session and the batch is NOT applied.
 func (s *Session) process(b batch) {
 	if b.gate != nil {
 		<-b.gate
@@ -176,11 +213,16 @@ func (s *Session) process(b batch) {
 	s.mu.Lock()
 	var err error
 	mutates := (len(b.events) > 0 && !s.sealed && s.failErr == nil) || (b.seal && !s.sealed)
-	if s.dur != nil && mutates {
-		if s.dur.degraded {
-			err = fmt.Errorf("%w: %v", ErrDegraded, s.dur.degradedErr)
-		} else {
-			err = s.persistLocked(b.events, b.seal, b.producer, b.seq)
+	if mutates && s.dur != nil && s.dur.degraded {
+		err = fmt.Errorf("%w: %v", ErrDegraded, s.dur.degradedErr)
+	} else if mutates {
+		events := wellFormed(b.events)
+		s.rec = encodeBatchRecord(s.rec[:0], events, b.seal, b.producer, b.seq)
+		if s.dur != nil {
+			err = s.persistLocked(s.rec, len(events), b.producer, b.seq)
+		}
+		if err == nil {
+			s.log = binenc.AppendBytes(s.log, s.rec)
 		}
 	}
 	if err == nil {
@@ -219,14 +261,14 @@ func (s *Session) applyBatchLocked(events []Event, seal bool) error {
 	if err == nil && seal && !s.sealed {
 		s.inc.Seal()
 		s.sealed = true
+		s.publishLocked()
 	}
 	return err
 }
 
-// applyLocked applies one event to both the builder and the incremental
-// checker. The first error poisons the session: events already applied
-// cannot be unwound, so a partially applied stream must not pretend to
-// be a coherent run.
+// applyLocked applies one event to the incremental checker. The first
+// error poisons the session: events already applied cannot be unwound,
+// so a partially applied stream must not pretend to be a coherent run.
 func (s *Session) applyLocked(ev Event) error {
 	if s.sealed {
 		s.svc.reject(reasonSealed, 1)
@@ -238,6 +280,7 @@ func (s *Session) applyLocked(ev Event) error {
 	}
 	if err := s.applyOneLocked(ev); err != nil {
 		s.failErr = err
+		s.publishLocked()
 		s.svc.reject(reasonInvalid, 1)
 		return fmt.Errorf("%w: %v", ErrFailed, err)
 	}
@@ -247,24 +290,19 @@ func (s *Session) applyLocked(ev Event) error {
 }
 
 func (s *Session) applyOneLocked(ev Event) error {
+	if err := ev.validateShape(); err != nil {
+		return err
+	}
 	switch ev.Op {
 	case OpCheckpoint:
-		kind, err := ev.checkpointKind()
-		if err != nil {
-			return err
-		}
-		if int(ev.Proc) >= s.N {
+		if ev.Proc >= s.N {
 			return fmt.Errorf("checkpoint: process %d out of range [0,%d)", ev.Proc, s.N)
 		}
 		if s.inc.NumCheckpoints() >= s.svc.cfg.MaxCheckpoints {
 			return fmt.Errorf("checkpoint limit %d reached; seal the session", s.svc.cfg.MaxCheckpoints)
 		}
-		_, tdv, err := s.inc.Checkpoint(model.ProcID(ev.Proc))
-		if err != nil {
-			return err
-		}
-		s.builder.Checkpoint(model.ProcID(ev.Proc), kind, tdv)
-		return nil
+		_, _, err := s.inc.Checkpoint(model.ProcID(ev.Proc))
+		return err
 	case OpSend:
 		if ev.Proc >= s.N || ev.Peer >= s.N {
 			return fmt.Errorf("send %d -> %d: process out of range [0,%d)", ev.Proc, ev.Peer, s.N)
@@ -275,54 +313,58 @@ func (s *Session) applyOneLocked(ev Event) error {
 		if s.usedMsg[ev.Msg] {
 			return fmt.Errorf("send: message id %d already used", ev.Msg)
 		}
-		ih, err := s.inc.Send(model.ProcID(ev.Proc), model.ProcID(ev.Peer))
+		h, err := s.inc.Send(model.ProcID(ev.Proc), model.ProcID(ev.Peer))
 		if err != nil {
 			return err
 		}
-		bh := s.builder.Send(model.ProcID(ev.Proc), model.ProcID(ev.Peer))
 		s.usedMsg[ev.Msg] = true
-		s.msgs[ev.Msg] = msgRef{builder: bh, inc: ih}
+		s.msgs[ev.Msg] = h
 		return nil
 	case OpDeliver:
-		ref, ok := s.msgs[ev.Msg]
+		h, ok := s.msgs[ev.Msg]
 		if !ok {
 			return fmt.Errorf("deliver: message id %d unknown or already delivered", ev.Msg)
 		}
-		if err := s.inc.Deliver(ref.inc); err != nil {
+		if err := s.inc.Deliver(h); err != nil {
 			return err
 		}
 		delete(s.msgs, ev.Msg)
-		return s.builder.Deliver(ref.builder)
+		return nil
 	default:
 		return fmt.Errorf("unknown op %q", ev.Op)
 	}
 }
 
 // enqueue places a batch on the queue without ever blocking: a full
-// queue is backpressure the caller reports to the client. Holding mu
-// across the non-blocking send makes the close in closeQueue safe.
+// queue is backpressure the caller reports to the client, and it never
+// takes mu — the worker holds that across disk I/O — only qmu, which
+// makes the close in closeQueue safe against the non-blocking send.
+// The sealed/failed/degraded checks read the worker's published view;
+// a batch that slips past a concurrent change is rejected at apply time.
 func (s *Session) enqueue(b batch) error {
 	s.touch()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if len(b.events) > 0 {
-		if s.sealed {
-			s.svc.reject(reasonSealed, len(b.events))
-			return ErrSealed
+	if a := s.adm.Load(); a != nil {
+		if len(b.events) > 0 {
+			if a.sealed {
+				s.svc.reject(reasonSealed, len(b.events))
+				return ErrSealed
+			}
+			if a.failErr != nil {
+				s.svc.reject(reasonFailed, len(b.events))
+				return fmt.Errorf("%w: %v", ErrFailed, a.failErr)
+			}
 		}
-		if s.failErr != nil {
-			s.svc.reject(reasonFailed, len(b.events))
-			return fmt.Errorf("%w: %v", ErrFailed, s.failErr)
+		// A degraded session cannot make new mutations durable; reject them
+		// up front (pure barriers still pass — reads remain served).
+		if (len(b.events) > 0 || b.seal) && a.degradedErr != nil {
+			s.svc.reject(reasonDegraded, max(len(b.events), 1))
+			return fmt.Errorf("%w: %v", ErrDegraded, a.degradedErr)
 		}
-	}
-	// A degraded session cannot make new mutations durable; reject them
-	// up front (pure barriers still pass — reads remain served).
-	if (len(b.events) > 0 || b.seal) && s.dur != nil && s.dur.degraded {
-		s.svc.reject(reasonDegraded, max(len(b.events), 1))
-		return fmt.Errorf("%w: %v", ErrDegraded, s.dur.degradedErr)
 	}
 	select {
 	case s.queue <- b:
@@ -418,10 +460,7 @@ func (s *Session) Flush(ctx context.Context) error {
 // final checkpoints. Sealing is ordered through the queue, so every
 // previously acknowledged batch is applied first. Idempotent.
 func (s *Session) Seal(ctx context.Context) error {
-	s.mu.Lock()
-	sealed := s.sealed
-	s.mu.Unlock()
-	if sealed {
+	if a := s.adm.Load(); a != nil && a.sealed {
 		return nil
 	}
 	done := make(chan error, 1)
@@ -439,8 +478,8 @@ func (s *Session) Seal(ctx context.Context) error {
 // closeQueue stops ingestion permanently (eviction, drain). The worker
 // drains batches already accepted, then exits.
 func (s *Session) closeQueue() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
 	if !s.closed {
 		s.closed = true
 		close(s.queue)
@@ -570,21 +609,58 @@ func (s *Session) Info() Info {
 	}
 }
 
-// Snapshot finalizes a copy of the pattern-so-far (FinalizeLossy
-// semantics: final checkpoints close event-bearing intervals, in-flight
-// messages are reported as lost), leaving the session ingesting.
+// patternLocked materializes the pattern-so-far: a fresh builder fed
+// the first s.applied events of the log — exactly the accepted ones; a
+// poisoned batch's tail and anything after it are past the count — with
+// every checkpoint annotated by the vector the checker recorded for it,
+// then finalized with FinalizeLossy semantics (final checkpoints close
+// event-bearing intervals, in-flight messages are reported as lost).
+// Cost is one pass over the log, so the session limits bound it.
+func (s *Session) patternLocked() (*model.Pattern, []model.LostMessage, error) {
+	if s.logErr != nil {
+		return nil, nil, s.logErr
+	}
+	b := model.NewBuilder(s.N)
+	handles := make(map[int]int) // client message id -> builder handle
+	left := s.applied
+	for r := binenc.NewReader(s.log); left > 0; {
+		events, _, _, _, err := decodeBatchRecord(r.Bytes())
+		if err != nil {
+			return nil, nil, fmt.Errorf("session log: %w", err)
+		}
+		for i := 0; i < len(events) && left > 0; i, left = i+1, left-1 {
+			ev := &events[i]
+			switch ev.Op {
+			case OpCheckpoint:
+				kind, _ := ev.checkpointKind() // a decoded record's kind is "" or "forced"
+				p := model.ProcID(ev.Proc)
+				b.Checkpoint(p, kind, s.inc.TDVAt(model.CkptID{Proc: p, Index: b.NextIndex(p)}))
+			case OpSend:
+				handles[ev.Msg] = b.Send(model.ProcID(ev.Proc), model.ProcID(ev.Peer))
+			case OpDeliver:
+				if err := b.Deliver(handles[ev.Msg]); err != nil {
+					return nil, nil, fmt.Errorf("session log: %w", err)
+				}
+			}
+		}
+	}
+	return b.FinalizeLossy()
+}
+
+// Snapshot returns the pattern-so-far as if the run ended now (see
+// patternLocked), leaving the session ingesting.
 func (s *Session) Snapshot() (*model.Pattern, []model.LostMessage, error) {
 	s.touch()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.builder.Snapshot()
+	return s.patternLocked()
 }
 
-// Explain finalizes a lockstep snapshot of the pattern-so-far and
-// derives a minimal witness — the concrete non-causal zigzag chain —
-// for each of the incremental checker's violations (at most
-// maxViolations of them; <= 0 for the service default). The pattern is
-// returned with the witnesses so callers can render them (DOT, JSON).
+// Explain materializes the pattern-so-far and derives a minimal witness
+// — the concrete non-causal zigzag chain — for each of the incremental
+// checker's violations (at most maxViolations of them; <= 0 for the
+// service default). The pattern is returned with the witnesses so
+// callers can render them (DOT, JSON).
 func (s *Session) Explain(maxViolations int) (*model.Pattern, []*rgraph.Witness, error) {
 	if maxViolations <= 0 {
 		maxViolations = s.svc.cfg.MaxViolations
@@ -592,7 +668,7 @@ func (s *Session) Explain(maxViolations int) (*model.Pattern, []*rgraph.Witness,
 	s.touch()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, _, err := s.builder.Snapshot()
+	p, _, err := s.patternLocked()
 	if err != nil {
 		return nil, nil, err
 	}

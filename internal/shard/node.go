@@ -49,7 +49,12 @@ type Node struct {
 	pulls   map[string]chan struct{} // per-id pull singleflight
 	shipped map[string]time.Time     // ids whose copy left here; export answers 410, not 404
 
-	rebalances sync.WaitGroup
+	// In-flight rebalance and forward goroutines, counted under mu with a
+	// cond in place of a WaitGroup: they start at any moment, including
+	// while WaitRebalance or ensureLocal waits with the count at zero,
+	// which a WaitGroup forbids.
+	rebalancing int
+	idle        *sync.Cond
 
 	gEpoch    *obs.Gauge
 	gMembers  *obs.Gauge
@@ -94,6 +99,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cPulls:    reg.Counter("rdt_shard_pulls_total"),
 		hHandoff:  reg.Histogram("rdt_shard_handoff_seconds", obs.LatencyBuckets),
 	}
+	n.idle = sync.NewCond(&n.mu)
 	cfg.Service.SetGate(n.checkGate, n.healthInfo)
 	return n, nil
 }
@@ -167,21 +173,36 @@ func (n *Node) AdoptRing(r *Ring) (adopted bool, err error) {
 	}
 	n.hist = hist
 	n.ring = r
+	n.rebalancing++ // with the ring: whoever sees r waits for its rebalance
 	n.mu.Unlock()
 	n.gEpoch.Set(int64(r.Epoch))
 	n.gMembers.Set(int64(len(r.Members)))
 	n.logfSafe("shard: adopted ring epoch %d (%d members)", r.Epoch, len(r.Members))
-	n.rebalances.Add(1)
 	go func() {
-		defer n.rebalances.Done()
+		defer n.rebalanceDone()
 		n.rebalance(r)
 	}()
 	return true, nil
 }
 
+func (n *Node) rebalanceDone() {
+	n.mu.Lock()
+	if n.rebalancing--; n.rebalancing == 0 {
+		n.idle.Broadcast()
+	}
+	n.mu.Unlock()
+}
+
 // WaitRebalance blocks until every in-flight rebalance has finished
-// (tests and smoke scripts; ordinary operation never waits).
-func (n *Node) WaitRebalance() { n.rebalances.Wait() }
+// (tests, smoke scripts, and ensureLocal before it declares a session
+// new).
+func (n *Node) WaitRebalance() {
+	n.mu.Lock()
+	for n.rebalancing > 0 {
+		n.idle.Wait()
+	}
+	n.mu.Unlock()
+}
 
 // checkGate is the ownership gate the service runs on every session
 // lookup/create. nil means serve locally (pulling the session's state
@@ -351,7 +372,7 @@ func (n *Node) ensureLocal(id string, hist []*Ring) error {
 			// fresh create, let in-flight handoffs land: our own
 			// superseded rebalance may still be shipping the very state
 			// we looked for along the old owner chain.
-			n.rebalances.Wait()
+			n.WaitRebalance()
 			n.logfSafe("shard: session %q absent at every previous owner: treating as new", id)
 			return nil // whatever landed (or nothing did): the service looks again
 		}
@@ -425,9 +446,11 @@ func (n *Node) maybeForward(id string) {
 	if ring == nil || ring.Owner(id).Name == n.self {
 		return
 	}
-	n.rebalances.Add(1)
+	n.mu.Lock()
+	n.rebalancing++
+	n.mu.Unlock()
 	go func() {
-		defer n.rebalances.Done()
+		defer n.rebalanceDone()
 		var err error
 		for attempt := 0; attempt < 40; attempt++ {
 			if attempt > 0 {

@@ -31,7 +31,9 @@ import (
 )
 
 const (
-	headerSize = 8
+	// HeaderSize is the frame overhead of one record (length + CRC): a
+	// record with an n-byte payload occupies HeaderSize+n bytes of log.
+	HeaderSize = 8
 	// MaxRecord bounds one record payload. A length field beyond it is
 	// treated as corruption, so a flipped bit in the length cannot make
 	// the scanner attempt a multi-gigabyte allocation.
@@ -151,10 +153,10 @@ func ScanFrom(path string, from int64, fn func(payload []byte) error) (end int64
 		return from, true, nil
 	}
 	off := from
-	var header [headerSize]byte
+	var header [HeaderSize]byte
 	var payload []byte
 	for off < size {
-		if size-off < headerSize {
+		if size-off < HeaderSize {
 			return off, true, nil
 		}
 		if _, err := f.ReadAt(header[:], off); err != nil {
@@ -162,20 +164,20 @@ func ScanFrom(path string, from int64, fn func(payload []byte) error) (end int64
 		}
 		length := int64(binary.LittleEndian.Uint32(header[:4]))
 		want := binary.LittleEndian.Uint32(header[4:])
-		if length == 0 || length > MaxRecord || off+headerSize+length > size {
+		if length == 0 || length > MaxRecord || off+HeaderSize+length > size {
 			return off, true, nil
 		}
 		if int64(cap(payload)) < length {
 			payload = make([]byte, length)
 		}
 		payload = payload[:length]
-		if _, err := f.ReadAt(payload, off+headerSize); err != nil {
+		if _, err := f.ReadAt(payload, off+HeaderSize); err != nil {
 			return off, true, nil
 		}
 		if crc32.Checksum(payload, crcTable) != want {
 			return off, true, nil
 		}
-		off += headerSize + length
+		off += HeaderSize + length
 		if fn != nil {
 			if err := fn(payload); err != nil {
 				return off, false, err

@@ -11,26 +11,18 @@
 # benchmark that only reads slow inside the full-suite run (ambient load,
 # vCPU throttling) does not produce a false alarm.
 #
-# The ingest throughput benchmarks get their own baseline
-# (results/BENCH_9.json) and their own gate: rdtbench -mode throughput
-# fails the run when either path's events/s drops more than the
-# tolerance below its committed rate. They are excluded from the ns/op
-# suite (their ns/op is just the inverse of the gated rate) and run with
-# a longer benchtime so the rate isn't dominated by session setup.
+# End-to-end throughput is `bash bench/run.sh`'s business (real daemon,
+# workloads mem-rotate and json-rotate, bounds of its own).
 #
-#   scripts/bench.sh                  # compare against the baselines
-#   BENCH_UPDATE=1 scripts/bench.sh   # rewrite the baselines
+#   scripts/bench.sh                  # compare against the baseline
+#   BENCH_UPDATE=1 scripts/bench.sh   # rewrite the baseline
 #
 # Knobs: BENCH_TIME (go test -benchtime, default 100ms), BENCH_COUNT
 # (repetitions per benchmark — rdtbench keeps the fastest, default 5;
 # several repeats matter on throttled/shared hosts, where a run right
 # after a CPU-heavy benchmark can read 50%+ slow until the vCPU's burst
 # credit recovers), BENCH_TOLERANCE (fractional ns/op growth allowed,
-# default 0.15), BENCH_OUT (ns/op baseline path), BENCH_RATE_OUT
-# (throughput baseline path), BENCH_RATE_TOLERANCE (fractional events/s
-# drop allowed, default 0.30 — end-to-end rates swing more than
-# micro-benchmark ns/op), BENCH_RATE_TIME (throughput benchtime,
-# default 1s).
+# default 0.15), BENCH_OUT (baseline path).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,51 +30,28 @@ out="${BENCH_OUT:-results/BENCH_4.json}"
 time="${BENCH_TIME:-100ms}"
 count="${BENCH_COUNT:-5}"
 tolerance="${BENCH_TOLERANCE:-0.15}"
-rate_out="${BENCH_RATE_OUT:-results/BENCH_9.json}"
-rate_time="${BENCH_RATE_TIME:-1s}"
-rate_count="${BENCH_RATE_COUNT:-3}"
-rate_tolerance="${BENCH_RATE_TOLERANCE:-0.30}"
 
 tmp="$(mktemp)"
 cmp="$(mktemp)"
 trap 'rm -f "$tmp" "$cmp"' EXIT
 
-ns_suite() {
-    # -short skips the ingest throughput benchmarks: they gate on
-    # events/s below, and at the ns suite's short benchtime their ns/op
-    # would mostly measure session setup.
-    go test -bench . -benchmem -benchtime "$time" -count "$count" -run '^$' -short . | tee "$tmp"
+go test -bench . -benchmem -benchtime "$time" -count "$count" -run '^$' . | tee "$tmp"
 
-    if [ -f "$out" ] && [ "${BENCH_UPDATE:-0}" != "1" ]; then
-        if go run ./cmd/rdtbench -baseline "$out" -tolerance "$tolerance" < "$tmp" | tee "$cmp"; then
-            return 0
-        fi
-        # On a loaded or throttled host a full-suite run can make individual
-        # benchmarks read 20-50% slow. A real regression reproduces when the
-        # benchmark runs alone, so confirm the suspects in isolation before
-        # failing; their siblings from the baseline show as "gone" in the
-        # second comparison, which never gates.
-        suspects="$(awk '$1=="REGRESSED" {split($2,a,"/"); print a[1]}' "$cmp" | sort -u | paste -sd'|' -)"
-        [ -n "$suspects" ] || return 1
-        echo "gate tripped; re-running in isolation: $suspects"
-        go test -bench "^($suspects)\$" -benchmem -benchtime "$time" -count "$count" -run '^$' -short . | tee "$tmp"
-        go run ./cmd/rdtbench -baseline "$out" -tolerance "$tolerance" < "$tmp"
-    else
-        mkdir -p "$(dirname "$out")"
-        go run ./cmd/rdtbench -out "$out" -note "benchtime=$time" < "$tmp"
+if [ -f "$out" ] && [ "${BENCH_UPDATE:-0}" != "1" ]; then
+    if go run ./cmd/rdtbench -baseline "$out" -tolerance "$tolerance" < "$tmp" | tee "$cmp"; then
+        exit 0
     fi
-}
-
-rate_suite() {
-    go test -bench 'BenchmarkIngestThroughput' -benchtime "$rate_time" -count "$rate_count" -run '^$' . | tee "$tmp"
-
-    if [ -f "$rate_out" ] && [ "${BENCH_UPDATE:-0}" != "1" ]; then
-        go run ./cmd/rdtbench -mode throughput -baseline "$rate_out" -tolerance "$rate_tolerance" < "$tmp"
-    else
-        mkdir -p "$(dirname "$rate_out")"
-        go run ./cmd/rdtbench -out "$rate_out" -note "ingest throughput baseline, benchtime=$rate_time" < "$tmp"
-    fi
-}
-
-ns_suite
-rate_suite
+    # On a loaded or throttled host a full-suite run can make individual
+    # benchmarks read 20-50% slow. A real regression reproduces when the
+    # benchmark runs alone, so confirm the suspects in isolation before
+    # failing; their siblings from the baseline show as "gone" in the
+    # second comparison, which never gates.
+    suspects="$(awk '$1=="REGRESSED" {split($2,a,"/"); print a[1]}' "$cmp" | sort -u | paste -sd'|' -)"
+    [ -n "$suspects" ] || exit 1
+    echo "gate tripped; re-running in isolation: $suspects"
+    go test -bench "^($suspects)\$" -benchmem -benchtime "$time" -count "$count" -run '^$' . | tee "$tmp"
+    go run ./cmd/rdtbench -baseline "$out" -tolerance "$tolerance" < "$tmp"
+else
+    mkdir -p "$(dirname "$out")"
+    go run ./cmd/rdtbench -out "$out" -note "benchtime=$time" < "$tmp"
+fi

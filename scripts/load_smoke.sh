@@ -2,28 +2,20 @@
 # load_smoke.sh — boot a real rdtserved with both ingest wires and race
 # rdtload over each: the JSON API versus the RDTSTRM1 binary stream.
 #
-# Three assertions:
+# Two assertions:
 #   1. Parity: identical seeded traffic through either wire must produce
 #      identical verdicts (rdtload's digest canonicalizes the per-session
 #      verdict documents and hashes them in session order).
 #   2. Liveness: both wires report nonzero throughput.
-#   3. Speed: the stream sustains at least LOAD_SMOKE_MIN_RATIO (default
-#      5) times the JSON path's events/sec. The workload uses
-#      fine-grained batches — the granularity a live event stream
-#      naturally produces — which is exactly where the JSON path drowns
-#      in per-request overhead (HTTP framing, header parse, per-batch
-#      marshal/unmarshal) and the multiplexed, credit-windowed binary
-#      wire does not.
 #
-# Both throughput numbers are printed either way. Knobs:
-# LOAD_SMOKE_MIN_RATIO (stream/JSON floor, default 5), LOAD_SMOKE_BATCH
-# (events per batch, default 2), LOAD_SMOKE_EVENTS (events per session,
-# default 2000).
+# Both throughput numbers are printed, but how fast either wire is gets
+# measured by `bash bench/run.sh` (mem-rotate, json-rotate), not here.
+# Knobs: LOAD_SMOKE_BATCH (events per batch, default 2),
+# LOAD_SMOKE_EVENTS (events per session, default 2000).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-MIN_RATIO="${LOAD_SMOKE_MIN_RATIO:-5}"
 BATCH="${LOAD_SMOKE_BATCH:-2}"
 EVENTS="${LOAD_SMOKE_EVENTS:-2000}"
 
@@ -90,11 +82,4 @@ if [ -z "$json_digest" ] || [ "$json_digest" != "$stream_digest" ]; then
   exit 1
 fi
 echo "verdict digests identical across wires ($stream_digest)"
-
-ratio="$(awk "BEGIN{printf \"%.2f\", $stream_rate / $json_rate}")"
-echo "stream/json ratio: ${ratio}x (floor ${MIN_RATIO}x)"
-if ! awk "BEGIN{exit !($stream_rate >= $json_rate * $MIN_RATIO)}"; then
-  echo "stream ingest is not ${MIN_RATIO}x the JSON path" >&2
-  exit 1
-fi
 echo "load smoke: OK"
