@@ -13,12 +13,14 @@ import (
 // checking service's session snapshots. AppendBinary emits only the
 // primitive state — running vectors, in-flight stamps, interval
 // bookkeeping, node table, and the R-graph edge list (direct
-// predecessors in insertion order). DecodeIncremental re-inserts the
-// edges through addEdge, which rebuilds the transitive closure and,
-// because every node's taken flag and recorded vector are restored
-// first, re-judges every untrackable pair exactly once: the violation
-// count and first violation come out identical to the original
-// checker's without being stored. A decoded checker is behaviorally
+// predecessors in insertion order). The closure vectors (minReach) and
+// the violation accounting are derived state and are not stored:
+// DecodeIncremental re-inserts the edges through addEdge, which lowers
+// the vectors back to where they were and, because every node's taken
+// flag and recorded vector are restored first, re-judges every
+// untrackable pair exactly once, at about the cost the original
+// insertions had. So a corrupt image cannot plant a closure or a count
+// that disagrees with its edges, and a decoded checker is behaviorally
 // indistinguishable from one that consumed the original event stream.
 
 var incMagic = []byte("RDTINCR1")
@@ -28,6 +30,10 @@ const (
 	// snapshot can request.
 	maxDecodeProcs = 1 << 20
 	maxDecodeNodes = 1 << 24
+	// maxDecodeCount bounds the message counter, which a corrupt
+	// snapshot could otherwise park one Send short of wrapping negative
+	// (AppendInt panics on a negative).
+	maxDecodeCount = 1 << 56
 )
 
 // AppendBinary appends the checker's complete state to buf and returns
@@ -53,7 +59,7 @@ func (inc *Incremental) AppendBinary(buf []byte) []byte {
 		buf = binenc.AppendInt(buf, int(pe.from))
 		buf = binenc.AppendInt(buf, int(pe.to))
 		buf = binenc.AppendInt(buf, pe.sendInterval)
-		buf = appendVec(buf, inc.stamps[h])
+		buf = appendVec(buf, pe.stamp)
 	}
 	for i := 0; i < inc.n; i++ {
 		buf = binenc.AppendInt(buf, inc.nextIndex[i])
@@ -98,14 +104,13 @@ func DecodeIncremental(data []byte) (*Incremental, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("decode checker: %w", err)
 	}
-	if n < 1 {
+	if n < 1 || n > r.Remaining()/n { // the running vectors alone take n*n bytes
 		return nil, fmt.Errorf("decode checker: process count %d", n)
 	}
 	inc := &Incremental{
 		n:         n,
 		sealed:    r.Bool(),
 		cur:       make([]vclock.Vec, n),
-		stamps:    make(map[int]vclock.Vec),
 		flight:    make(map[int]pendingEdge),
 		ids:       make([][]int32, n),
 		nextIndex: make([]int, n),
@@ -114,25 +119,32 @@ func DecodeIncremental(data []byte) (*Incremental, error) {
 	for i := 0; i < n; i++ {
 		inc.cur[i] = readVec(r, n)
 	}
-	inc.nextMsg = r.Int()
-	flightCount := r.IntMax(maxDecodeNodes)
+	inc.nextMsg = r.IntMax(maxDecodeCount)
+	flightCount := r.IntMax(r.Remaining() / n) // each entry holds an n-entry stamp
 	for k := 0; k < flightCount && r.Err() == nil; k++ {
 		h := r.Int()
 		pe := pendingEdge{
 			from:         model.ProcID(r.IntMax(n - 1)),
 			to:           model.ProcID(r.IntMax(n - 1)),
 			sendInterval: r.Int(),
+			stamp:        readVec(r, n),
 		}
-		stamp := readVec(r, n)
 		if _, dup := inc.flight[h]; dup {
 			return nil, fmt.Errorf("decode checker: duplicate in-flight handle %d", h)
 		}
 		inc.flight[h] = pe
-		inc.stamps[h] = stamp
 	}
 	for i := 0; i < n; i++ {
 		inc.nextIndex[i] = r.Int()
-		inc.events[i] = r.Int()
+		inc.events[i] = r.IntMax(2 * inc.nextMsg) // sends + deliveries
+	}
+	// Deliver indexes the node table with an in-flight entry's send
+	// interval and hands out nextMsg as the next handle.
+	for h, pe := range inc.flight {
+		if h >= inc.nextMsg || pe.sendInterval > inc.nextIndex[pe.from] {
+			return nil, fmt.Errorf("decode checker: in-flight message %d (interval %d of process %d) was never sent",
+				h, pe.sendInterval, pe.from)
+		}
 	}
 	numNodes := r.IntMax(maxDecodeNodes)
 	for v := 0; v < numNodes && r.Err() == nil; v++ {
@@ -142,9 +154,9 @@ func DecodeIncremental(data []byte) (*Incremental, error) {
 		if r.Err() != nil {
 			break
 		}
-		if index != len(inc.ids[proc]) {
-			return nil, fmt.Errorf("decode checker: node %d is C{%d,%d}, want index %d",
-				v, proc, index, len(inc.ids[proc]))
+		if index != len(inc.ids[proc]) || index > inc.nextIndex[proc] || taken != (index < inc.nextIndex[proc]) {
+			return nil, fmt.Errorf("decode checker: node %d is C{%d,%d} taken=%v; process %d has %d nodes so far and its open interval is %d",
+				v, proc, index, taken, proc, len(inc.ids[proc]), inc.nextIndex[proc])
 		}
 		nv := inc.newNode(model.ProcID(proc), index)
 		if taken {
@@ -160,17 +172,12 @@ func DecodeIncremental(data []byte) (*Incremental, error) {
 			return nil, fmt.Errorf("decode checker: process %d has %d nodes, want %d",
 				i, len(inc.ids[i]), inc.nextIndex[i]+1)
 		}
-		for x, v := range inc.ids[i] {
-			if closed := x < inc.nextIndex[i]; inc.taken[v] != closed {
-				return nil, fmt.Errorf("decode checker: C{%d,%d} taken=%v, want %v",
-					i, x, inc.taken[v], closed)
-			}
-		}
 	}
 	// Re-inserting the edges rebuilds the closure; with every taken flag
-	// and recorded vector already in place, judge fires exactly once per
-	// untrackable pair, restoring the violation count and first
-	// violation. No callback is registered yet, so decoding is silent.
+	// and recorded vector already in place, grow convicts each
+	// untrackable pair exactly once, restoring the violation count and
+	// first violation. No callback is registered yet, so decoding is
+	// silent.
 	for v := 0; v < numNodes && r.Err() == nil; v++ {
 		degree := r.IntMax(maxDecodeNodes)
 		for k := 0; k < degree && r.Err() == nil; k++ {

@@ -2,6 +2,7 @@ package rgraph
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -147,6 +148,39 @@ func TestDecodeIncrementalRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := DecodeIncremental(append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
+	}
+	// An in-flight entry naming a send interval its sender has not
+	// reached (Deliver indexes the node table with it) or carrying a
+	// handle Send has yet to hand out, and an event count one delivery
+	// short of wrapping negative.
+	for name, corrupt := range map[string]func(c *Incremental, h int){
+		"send interval past the open one": func(c *Incremental, h int) {
+			pe := c.flight[h]
+			pe.sendInterval = c.nextIndex[pe.from] + 1
+			c.flight[h] = pe
+		},
+		"handle never handed out": func(c *Incremental, h int) {
+			c.flight[c.nextMsg] = c.flight[h]
+			delete(c.flight, h)
+		},
+		"event count near overflow": func(c *Incremental, h int) {
+			c.events[c.flight[h].to] = math.MaxInt
+		},
+	} {
+		c, err := DecodeIncremental(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.InFlight() == 0 {
+			t.Fatal("fixture has nothing in flight")
+		}
+		for h := range c.flight {
+			corrupt(c, h)
+			break
+		}
+		if _, err := DecodeIncremental(c.AppendBinary(nil)); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
 	}
 	// Bit flips must never panic; when they decode, the result must
 	// still re-encode (the structural invariants held).

@@ -2,7 +2,7 @@ package rgraph
 
 import (
 	"fmt"
-	"math/bits"
+	"math"
 	"sort"
 
 	"github.com/rdt-go/rdt/internal/model"
@@ -21,8 +21,9 @@ import (
 //   - the R-graph of the run so far, including one *pending* node per
 //     process for the checkpoint that will close its current interval
 //     (messages create edges between intervals before the checkpoints
-//     closing them exist), with its transitive closure maintained
-//     incrementally under edge insertions;
+//     closing them exist), with its reachability kept as one interval
+//     vector per node (minReach: the dual of the TDV), lowered under
+//     edge insertions;
 //   - the set of untrackable R-paths among closed checkpoints, which is
 //     monotone — a checkpoint's vector is immutable once taken and
 //     R-paths are never removed — so each violating pair is detected
@@ -42,8 +43,7 @@ type Incremental struct {
 	sealed bool
 
 	cur     []vclock.Vec        // running dependency vector per process
-	stamps  map[int]vclock.Vec  // send-time vector of each in-flight message
-	flight  map[int]pendingEdge // in-flight message -> future R-graph edge
+	flight  map[int]pendingEdge // in-flight message -> send stamp and future R-graph edge
 	nextMsg int
 
 	// R-graph over interval nodes. ids[i][x] is the node of C_{i,x};
@@ -57,21 +57,33 @@ type Incremental struct {
 	nodeIndex []int32
 	taken     []bool
 	tdvs      [][]int   // recorded vector per taken node
-	reach     []dynbits // transitive closure: reach[u] = nodes reachable from u by a path of length >= 1
 	preds     [][]int32 // direct predecessors, deduplicated
+
+	// Transitive closure. Every process's nodes form a chain C_{j,y} ->
+	// C_{j,y+1}, so what node u reaches in process j is a suffix of j's
+	// indexes: minReach[u*n+j] is its first index (paths of length >= 1),
+	// or noReach. Two monotonicity invariants carry the algorithm: along
+	// the chain of process k, minReach[C_{k,x}][j] is non-decreasing in x
+	// (an earlier node reaches whatever a later one does), and so is
+	// every entry of the recorded vectors (a running vector only grows).
+	minReach []int32
 
 	// Monotone violation accounting over closed checkpoints.
 	violations  int
 	first       *Violation
 	onViolation func(Violation)
 
-	scratch []int32 // newly-set bits during closure propagation
-	work    []int32 // propagation worklist
+	work       []int32 // propagation worklist
+	growVisits int     // grow calls so far; the scaling-guard test reads it
 }
+
+// noReach marks a process in which a node reaches no checkpoint.
+const noReach = math.MaxInt32
 
 type pendingEdge struct {
 	from, to     model.ProcID
 	sendInterval int
+	stamp        vclock.Vec // from's running vector at the send
 }
 
 // NewIncremental returns a checker for n processes, each starting with
@@ -84,7 +96,6 @@ func NewIncremental(n int) (*Incremental, error) {
 	inc := &Incremental{
 		n:         n,
 		cur:       make([]vclock.Vec, n),
-		stamps:    make(map[int]vclock.Vec),
 		flight:    make(map[int]pendingEdge),
 		ids:       make([][]int32, n),
 		nextIndex: make([]int, n),
@@ -108,7 +119,8 @@ func (inc *Incremental) N() int { return inc.n }
 
 // OnViolation registers a callback invoked once per untrackable R-path
 // between closed checkpoints, at the event that creates it. The callback
-// runs synchronously inside Checkpoint/Deliver/Seal.
+// runs synchronously inside Checkpoint/Deliver/Seal; the order in which
+// one event's violations are delivered is unspecified.
 func (inc *Incremental) OnViolation(fn func(Violation)) { inc.onViolation = fn }
 
 // Violations returns the number of untrackable R-paths detected so far
@@ -175,12 +187,18 @@ func (inc *Incremental) close(i model.ProcID) (model.CkptID, []int) {
 	inc.cur[i][i] = idx + 1
 
 	// Every R-path into C_{i,idx} is now judgeable, and no later event
-	// can add one whose detection this scan would miss: a future edge
-	// insertion that makes v newly reachable runs through propagate,
-	// which checks the pair then.
-	for a := int32(0); a < int32(len(inc.reach)); a++ {
-		if inc.reach[a].get(v) {
-			inc.judge(a, v)
+	// can add one whose detection this scan would miss: an edge insertion
+	// that makes v newly reachable runs through grow, which checks the
+	// pair then. Column i is non-decreasing along each chain, so the
+	// sources in process k are the indexes below hit, and of those the
+	// vector just recorded vouches for 0..tdv[k] (capped at hit so that
+	// the +1 cannot overflow on a vector that came out of a snapshot).
+	for k, col := range inc.ids {
+		hit := sort.Search(len(col), func(x int) bool {
+			return inc.minReach[int(col[x])*inc.n+int(i)] > int32(idx)
+		})
+		for x := min(tdv[k], hit) + 1; x < hit; x++ {
+			inc.violate(k, x, int(i), idx)
 		}
 	}
 
@@ -203,8 +221,7 @@ func (inc *Incremental) Send(from, to model.ProcID) (int, error) {
 	}
 	h := inc.nextMsg
 	inc.nextMsg++
-	inc.stamps[h] = inc.cur[from].Clone()
-	inc.flight[h] = pendingEdge{from: from, to: to, sendInterval: inc.nextIndex[from]}
+	inc.flight[h] = pendingEdge{from: from, to: to, sendInterval: inc.nextIndex[from], stamp: inc.cur[from].Clone()}
 	inc.events[from]++
 	return h, nil
 }
@@ -222,10 +239,8 @@ func (inc *Incremental) Deliver(handle int) error {
 		return fmt.Errorf("rgraph: deliver: unknown or already delivered message handle %d", handle)
 	}
 	delete(inc.flight, handle)
-	stamp := inc.stamps[handle]
-	delete(inc.stamps, handle)
 
-	inc.cur[pe.to].MaxInto(stamp)
+	inc.cur[pe.to].MaxInto(pe.stamp)
 	inc.events[pe.to]++
 	u := inc.ids[pe.from][pe.sendInterval]
 	v := inc.ids[pe.to][inc.nextIndex[pe.to]]
@@ -244,10 +259,7 @@ func (inc *Incremental) Seal() {
 	if inc.sealed {
 		return
 	}
-	for h := range inc.flight {
-		delete(inc.flight, h)
-		delete(inc.stamps, h)
-	}
+	clear(inc.flight)
 	for i := 0; i < inc.n; i++ {
 		if inc.events[i] > 0 {
 			inc.close(model.ProcID(i))
@@ -281,41 +293,51 @@ func (inc *Incremental) Report(maxViolations int) *Report {
 		maxViolations = 16
 	}
 	rep := &Report{RDT: true}
-	var viol []Violation
-	for a := int32(0); a < int32(len(inc.reach)); a++ {
-		if !inc.materialized(a) {
-			continue
-		}
-		aProc, aIdx := inc.nodeProc[a], int(inc.nodeIndex[a])
-		inc.scratch = inc.reach[a].appendBits(inc.scratch[:0])
-		for _, b := range inc.scratch {
-			if !inc.materialized(b) {
-				continue
-			}
-			rep.RPathPairs++
-			var tdvB []int
-			if inc.taken[b] {
-				tdvB = inc.tdvs[b]
-			} else {
-				tdvB = inc.cur[inc.nodeProc[b]]
-			}
-			if tdvB[aProc] >= aIdx {
-				rep.TrackablePairs++
-				continue
-			}
-			rep.RDT = false
-			viol = append(viol, Violation{
-				From: model.CkptID{Proc: model.ProcID(aProc), Index: aIdx},
-				To:   model.CkptID{Proc: model.ProcID(inc.nodeProc[b]), Index: int(inc.nodeIndex[b])},
-			})
+	// last[j] is the last index of process j in the seal-now pattern:
+	// every closed checkpoint exists there, and so does the pending one
+	// of an interval that contains an event (Seal would close it).
+	last := make([]int, inc.n)
+	for j := range last {
+		last[j] = inc.nextIndex[j] - 1
+		if inc.events[j] > 0 {
+			last[j]++
 		}
 	}
-	sort.Slice(viol, func(x, y int) bool { return lessViolation(viol[x], viol[y]) })
-	if len(viol) > maxViolations {
-		viol = viol[:maxViolations]
+	for k, col := range inc.ids {
+		for x := 0; x <= last[k]; x++ {
+			for j, m := range inc.minReach[int(col[x])*inc.n:][:inc.n] {
+				lo := int(m)
+				if lo > last[j] {
+					continue
+				}
+				// C_{k,x} reaches C_{j,lo..last[j]}, whose vectors are
+				// non-decreasing in the index: the untrackable targets are
+				// those before the first one that has seen C_{k,x}.
+				cut := lo + sort.Search(last[j]+1-lo, func(d int) bool { return inc.vectorAt(j, lo+d)[k] >= x })
+				rep.RPathPairs += last[j] + 1 - lo
+				rep.TrackablePairs += last[j] + 1 - cut
+				if cut > lo {
+					rep.RDT = false
+				}
+				for y := lo; y < cut && len(rep.Violations) < maxViolations; y++ {
+					rep.Violations = append(rep.Violations, Violation{
+						From: model.CkptID{Proc: model.ProcID(k), Index: x},
+						To:   model.CkptID{Proc: model.ProcID(j), Index: y},
+					})
+				}
+			}
+		}
 	}
-	rep.Violations = viol
 	return rep
+}
+
+// vectorAt returns the vector C_{j,y} records in the seal-now pattern:
+// the recorded one if it is closed, else j's running vector.
+func (inc *Incremental) vectorAt(j, y int) []int {
+	if y < inc.nextIndex[j] {
+		return inc.tdvs[inc.ids[j][y]]
+	}
+	return inc.cur[j]
 }
 
 func lessViolation(a, b Violation) bool {
@@ -331,28 +353,14 @@ func lessViolation(a, b Violation) bool {
 	return a.To.Index < b.To.Index
 }
 
-// materialized reports whether the node exists in the seal-now pattern:
-// every closed checkpoint does, and the pending checkpoint of an
-// interval that contains at least one event (Seal would close it).
-func (inc *Incremental) materialized(v int32) bool {
-	if inc.taken[v] {
-		return true
-	}
-	i := inc.nodeProc[v]
-	return int(inc.nodeIndex[v]) == inc.nextIndex[i] && inc.events[i] > 0
-}
-
-// judge checks the now-complete pair (a, closed b) against b's recorded
-// vector, accounting for a violation exactly once (each reach bit is set
-// exactly once, and closed nodes are scanned once, at close).
-func (inc *Incremental) judge(a, b int32) {
-	aProc, aIdx := inc.nodeProc[a], int(inc.nodeIndex[a])
-	if inc.tdvs[b][aProc] >= aIdx {
-		return
-	}
+// violate accounts for the untrackable pair C_{aProc,aIdx} -> closed
+// C_{bProc,bIdx}. Each pair gets here exactly once: from grow when the
+// source's vector drops onto an already closed target, from close for
+// the sources that reached the target while it was pending.
+func (inc *Incremental) violate(aProc, aIdx, bProc, bIdx int) {
 	v := Violation{
 		From: model.CkptID{Proc: model.ProcID(aProc), Index: aIdx},
-		To:   model.CkptID{Proc: model.ProcID(inc.nodeProc[b]), Index: int(inc.nodeIndex[b])},
+		To:   model.CkptID{Proc: model.ProcID(bProc), Index: bIdx},
 	}
 	inc.violations++
 	if inc.first == nil || lessViolation(v, *inc.first) {
@@ -364,21 +372,25 @@ func (inc *Incremental) judge(a, b int32) {
 	}
 }
 
-// newNode allocates the R-graph node of C_{i,x}.
+// newNode allocates the R-graph node of C_{i,x}, reaching nothing.
 func (inc *Incremental) newNode(i model.ProcID, x int) int32 {
 	v := int32(len(inc.nodeProc))
 	inc.nodeProc = append(inc.nodeProc, int32(i))
 	inc.nodeIndex = append(inc.nodeIndex, int32(x))
 	inc.taken = append(inc.taken, false)
 	inc.tdvs = append(inc.tdvs, nil)
-	inc.reach = append(inc.reach, nil)
 	inc.preds = append(inc.preds, nil)
+	for k := 0; k < inc.n; k++ {
+		inc.minReach = append(inc.minReach, noReach)
+	}
 	inc.ids[i] = append(inc.ids[i], v)
 	return v
 }
 
 // addEdge inserts u -> v and restores the transitive closure, judging
-// every pair (w, b) with b closed that the edge newly creates.
+// every pair (w, b) with b closed that the edge newly creates. A fresh
+// pending node costs nothing beyond its own chain edge: it lies inside
+// every suffix that reaches its predecessor.
 func (inc *Incremental) addEdge(u, v int32) {
 	for _, p := range inc.preds[v] {
 		if p == u {
@@ -387,8 +399,8 @@ func (inc *Incremental) addEdge(u, v int32) {
 	}
 	inc.preds[v] = append(inc.preds[v], u)
 
-	// Worklist propagation: a node is revisited whenever its reach set
-	// grows, and bits only ever get set, so the fixpoint terminates and
+	// Worklist propagation: a node is revisited whenever its vector
+	// drops, and entries only ever drop, so the fixpoint terminates and
 	// each (node, target) pair is reported as new at most once.
 	if !inc.grow(u, v) {
 		return
@@ -406,67 +418,32 @@ func (inc *Incremental) addEdge(u, v int32) {
 	inc.work = work
 }
 
-// grow merges {v} ∪ reach(v) into reach(p), judges the newly reachable
-// closed targets, and reports whether reach(p) changed.
+// grow lowers minReach[p] to what v and minReach[v] offer, judges the
+// newly reachable closed targets, and reports whether anything dropped.
 func (inc *Incremental) grow(p, v int32) bool {
-	inc.scratch = inc.reach[p].merge(inc.reach[v], v, inc.scratch[:0])
-	if len(inc.scratch) == 0 {
-		return false
-	}
-	for _, b := range inc.scratch {
-		if inc.taken[b] {
-			inc.judge(p, b)
+	inc.growVisits++
+	n := inc.n
+	dst, src := inc.minReach[int(p)*n:][:n], inc.minReach[int(v)*n:][:n]
+	pProc, pIdx := int(inc.nodeProc[p]), int(inc.nodeIndex[p])
+	vProc, vIdx := int(inc.nodeProc[v]), inc.nodeIndex[v]
+	changed := false
+	for k, m := range src {
+		if k == vProc {
+			m = min(m, vIdx)
 		}
-	}
-	return true
-}
-
-// dynbits is a growable bitset keyed by node id.
-type dynbits []uint64
-
-func (d dynbits) get(i int32) bool {
-	w := int(i >> 6)
-	return w < len(d) && d[w]&(1<<(uint(i)&63)) != 0
-}
-
-// merge ors src and the single bit v into d, appending every newly-set
-// bit position to newBits and returning it.
-func (d *dynbits) merge(src dynbits, v int32, newBits []int32) []int32 {
-	need := int(v>>6) + 1
-	if len(src) > need {
-		need = len(src)
-	}
-	for len(*d) < need {
-		*d = append(*d, 0)
-	}
-	dd := *d
-	for w := 0; w < len(src); w++ {
-		diff := src[w] &^ dd[w]
-		if diff == 0 {
+		old := dst[k]
+		if m >= old {
 			continue
 		}
-		dd[w] |= diff
-		base := int32(w << 6)
-		for diff != 0 {
-			newBits = append(newBits, base+int32(bits.TrailingZeros64(diff)))
-			diff &= diff - 1
+		dst[k] = m
+		changed = true
+		// New closed targets are C_{k,m} up to the old bound; recorded
+		// vectors are non-decreasing along the chain, so the untrackable
+		// ones are a prefix — one compare on RDT traffic.
+		col, end := inc.ids[k], min(int(old), inc.nextIndex[k])
+		for y := int(m); y < end && inc.tdvs[col[y]][pProc] < pIdx; y++ {
+			inc.violate(pProc, pIdx, k, y)
 		}
 	}
-	if w, bit := int(v>>6), uint64(1)<<(uint(v)&63); dd[w]&bit == 0 {
-		dd[w] |= bit
-		newBits = append(newBits, v)
-	}
-	return newBits
-}
-
-// appendBits appends every set bit position to out and returns it.
-func (d dynbits) appendBits(out []int32) []int32 {
-	for w, word := range d {
-		base := int32(w << 6)
-		for word != 0 {
-			out = append(out, base+int32(bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
-	}
-	return out
+	return changed
 }

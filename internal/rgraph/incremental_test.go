@@ -235,91 +235,241 @@ func TestIncrementalDifferentialRandom(t *testing.T) {
 	t.Logf("random differential: %d patterns, %d violating", patterns, violating)
 }
 
-// runRandomStream drives one random run and reports whether the final
-// pattern violated RDT.
-func runRandomStream(t *testing.T, rng *rand.Rand, n, steps int) bool {
+// lockstep feeds one event stream to a Builder and an Incremental, and
+// after every event holds the checker's interval vectors against the
+// bitset closure oracle when it has one.
+type lockstep struct {
+	t        *testing.T
+	b        *model.Builder
+	inc      *Incremental
+	oracle   *closureOracle // nil: no per-event closure check
+	handles  map[int]int    // builder handle -> incremental handle
+	inFlight []int          // undelivered builder handles, in send order
+}
+
+func newLockstep(t *testing.T, n int, oracle *closureOracle) *lockstep {
 	t.Helper()
-	b := model.NewBuilder(n)
 	inc, err := NewIncremental(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	handles := make(map[int]int) // builder handle -> incremental handle
-	var inFlight []int           // undelivered builder handles
+	l := &lockstep{t: t, b: model.NewBuilder(n), inc: inc, oracle: oracle, handles: make(map[int]int)}
+	l.checkClosure()
+	return l
+}
 
-	deliver := func(k int) {
-		bh := inFlight[k]
-		inFlight[k] = inFlight[len(inFlight)-1]
-		inFlight = inFlight[:len(inFlight)-1]
-		if err := b.Deliver(bh); err != nil {
-			t.Fatal(err)
-		}
-		if err := inc.Deliver(handles[bh]); err != nil {
-			t.Fatal(err)
-		}
+func (l *lockstep) checkClosure() {
+	l.t.Helper()
+	if l.oracle == nil {
+		return
 	}
+	l.oracle.sync(l.inc)
+	if err := l.oracle.check(l.inc); err != nil {
+		l.t.Fatalf("closure diverged from the bitset oracle: %v", err)
+	}
+}
 
+func (l *lockstep) checkpoint(i model.ProcID) {
+	l.t.Helper()
+	_, tdv, err := l.inc.Checkpoint(i)
+	if err != nil {
+		l.t.Fatal(err)
+	}
+	l.b.Checkpoint(i, model.KindBasic, tdv)
+	l.checkClosure()
+}
+
+func (l *lockstep) send(from, to model.ProcID) {
+	l.t.Helper()
+	bh := l.b.Send(from, to)
+	ih, err := l.inc.Send(from, to)
+	if err != nil {
+		l.t.Fatal(err)
+	}
+	l.handles[bh] = ih
+	l.inFlight = append(l.inFlight, bh)
+	l.checkClosure()
+}
+
+// deliver delivers the k-th oldest in-flight message.
+func (l *lockstep) deliver(k int) {
+	l.t.Helper()
+	bh := l.inFlight[k]
+	l.inFlight = append(l.inFlight[:k], l.inFlight[k+1:]...)
+	if err := l.b.Deliver(bh); err != nil {
+		l.t.Fatal(err)
+	}
+	if err := l.inc.Deliver(l.handles[bh]); err != nil {
+		l.t.Fatal(err)
+	}
+	delete(l.handles, bh)
+	l.checkClosure()
+}
+
+// comparePrefix holds the seal-now report against the batch checker on
+// the builder's snapshot.
+func (l *lockstep) comparePrefix() {
+	l.t.Helper()
+	snap, _, err := l.b.Snapshot()
+	if err != nil {
+		l.t.Fatalf("snapshot: %v", err)
+	}
+	batch, err := NewAnalyzer().CheckRDT(snap, 32)
+	if err != nil {
+		l.t.Fatalf("batch check on snapshot: %v", err)
+	}
+	compareReports(l.t, "prefix", batch, l.inc.Report(32))
+}
+
+// finish delivers what is in flight in random order, seals, and holds
+// the final report and the on-line accounting against the batch checker.
+func (l *lockstep) finish(rng *rand.Rand) *Report {
+	l.t.Helper()
+	for len(l.inFlight) > 0 {
+		l.deliver(rng.Intn(len(l.inFlight)))
+	}
+	p, err := l.b.Finalize()
+	if err != nil {
+		l.t.Fatal(err)
+	}
+	l.inc.Seal()
+	l.checkClosure()
+	batch, err := NewAnalyzer().CheckRDT(p, 32)
+	if err != nil {
+		l.t.Fatal(err)
+	}
+	compareReports(l.t, "final", batch, l.inc.Report(32))
+	if got, want := l.inc.Violations(), batch.RPathPairs-batch.TrackablePairs; got != want {
+		l.t.Fatalf("online violation count %d, batch says %d", got, want)
+	}
+	if !batch.RDT && (l.inc.FirstViolation() == nil || *l.inc.FirstViolation() != batch.Violations[0]) {
+		l.t.Fatalf("online first violation %v, batch first %v", l.inc.FirstViolation(), batch.Violations[0])
+	}
+	if err := VerifyRecordedTDVs(p); err != nil {
+		l.t.Fatalf("recorded TDVs diverge from offline ones: %v", err)
+	}
+	return batch
+}
+
+// runRandomStream drives one random run, checking the closure against
+// the oracle after every event, and reports whether the final pattern
+// violated RDT.
+func runRandomStream(t *testing.T, rng *rand.Rand, n, steps int) bool {
+	t.Helper()
+	l := newLockstep(t, n, &closureOracle{})
 	for s := 0; s < steps; s++ {
 		switch op := rng.Intn(10); {
 		case op < 3: // basic checkpoint
-			i := model.ProcID(rng.Intn(n))
-			if _, tdv, err := inc.Checkpoint(i); err != nil {
-				t.Fatal(err)
-			} else {
-				b.Checkpoint(i, model.KindBasic, tdv)
-			}
-		case op < 7 || len(inFlight) == 0: // send
+			l.checkpoint(model.ProcID(rng.Intn(n)))
+		case op < 7 || len(l.inFlight) == 0: // send
 			from := model.ProcID(rng.Intn(n))
 			to := model.ProcID(rng.Intn(n - 1))
 			if to >= from {
 				to++
 			}
-			bh := b.Send(from, to)
-			ih, err := inc.Send(from, to)
-			if err != nil {
-				t.Fatal(err)
-			}
-			handles[bh] = ih
-			inFlight = append(inFlight, bh)
+			l.send(from, to)
 		default: // deliver a random in-flight message
-			deliver(rng.Intn(len(inFlight)))
+			l.deliver(rng.Intn(len(l.inFlight)))
 		}
 		if s%17 == 11 {
-			snap, _, err := b.Snapshot()
-			if err != nil {
-				t.Fatalf("snapshot: %v", err)
-			}
-			batch, err := NewAnalyzer().CheckRDT(snap, 32)
-			if err != nil {
-				t.Fatalf("batch check on snapshot: %v", err)
-			}
-			compareReports(t, "prefix", batch, inc.Report(32))
+			l.comparePrefix()
 		}
 	}
-	for len(inFlight) > 0 {
-		deliver(rng.Intn(len(inFlight)))
-	}
+	return !l.finish(rng).RDT
+}
 
-	p, err := b.Finalize()
-	if err != nil {
-		t.Fatal(err)
+// TestIncrementalDifferentialAdversarial drives long eight-process runs
+// built to stress what the short random corpus cannot reach: a backlog
+// of messages delivered many sender checkpoints late (edges out of
+// long-closed nodes), processes that checkpoint rarely next to ones that
+// checkpoint all the time (long open intervals that close Z-cycles and
+// lower an entry that was already finite, again and again), and an
+// encode/decode in mid-run. The closure is held against the oracle and
+// the report against the batch checker at sampled prefixes and at seal.
+func TestIncrementalDifferentialAdversarial(t *testing.T) {
+	const n, steps = 8, 4096
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := newLockstep(t, n, nil)
+		oracle := &closureOracle{}
+		type sendInfo struct {
+			from  model.ProcID
+			index int // the sender's open interval at the send
+		}
+		sent := make(map[int]sendInfo) // by builder handle
+		late, lowered := 0, 0
+		var before []int32
+		for s := 0; s < steps; s++ {
+			before = append(before[:0], l.inc.minReach...)
+			switch op := rng.Intn(16); {
+			case op < 4:
+				// The upper half of the processes checkpoints 15 times less
+				// often than the lower half.
+				i := rng.Intn(n)
+				if i >= n/2 && rng.Intn(8) != 0 {
+					i -= n / 2
+				}
+				l.checkpoint(model.ProcID(i))
+			case len(l.inFlight) == 0 || op < 12 && len(l.inFlight) < 128 || op < 9 && len(l.inFlight) < 256:
+				// Sends outrun deliveries until the backlog is 128 deep.
+				from := model.ProcID(rng.Intn(n))
+				to := model.ProcID(rng.Intn(n - 1))
+				if to >= from {
+					to++
+				}
+				l.send(from, to)
+				sent[l.inFlight[len(l.inFlight)-1]] = sendInfo{from, l.inc.NextIndex(from)}
+			default:
+				k := 0 // the oldest in-flight message, or now and then a random one
+				if rng.Intn(4) == 0 {
+					k = rng.Intn(len(l.inFlight))
+				}
+				if m := sent[l.inFlight[k]]; l.inc.NextIndex(m.from)-m.index >= 8 {
+					late++
+				}
+				l.deliver(k)
+			}
+			for k, old := range before {
+				if old != noReach && l.inc.minReach[k] < old {
+					lowered++
+				}
+			}
+			if s%1024 == 1023 {
+				oracle.sync(l.inc)
+				if err := oracle.check(l.inc); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, s, err)
+				}
+				l.comparePrefix()
+			}
+			if s == steps/2 {
+				dec, err := DecodeIncremental(l.inc.AppendBinary(nil))
+				if err != nil {
+					t.Fatalf("seed %d: decode in mid-run: %v", seed, err)
+				}
+				if dec.Violations() != l.inc.Violations() {
+					t.Fatalf("seed %d: decoded checker counts %d violations, original %d", seed, dec.Violations(), l.inc.Violations())
+				}
+				l.inc = dec
+			}
+		}
+		batch := l.finish(rng)
+		oracle.sync(l.inc)
+		if err := oracle.check(l.inc); err != nil {
+			t.Fatalf("seed %d at seal: %v", seed, err)
+		}
+		if late < steps/16 || lowered == 0 || batch.RDT {
+			t.Fatalf("seed %d is not adversarial: %d late deliveries, %d finite entries lowered, RDT=%v", seed, late, lowered, batch.RDT)
+		}
+		t.Logf("seed %d: %d checkpoints, %d deliveries >= 8 sender checkpoints late, %d finite entries lowered, %d violations",
+			seed, l.inc.NumCheckpoints(), late, lowered, l.inc.Violations())
 	}
-	inc.Seal()
-	batch, err := NewAnalyzer().CheckRDT(p, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareReports(t, "final", batch, inc.Report(32))
-	if err := VerifyRecordedTDVs(p); err != nil {
-		t.Fatalf("recorded TDVs diverge from offline ones: %v", err)
-	}
-	return !batch.RDT
 }
 
 // TestIncrementalDifferentialSim streams simulator-generated patterns —
 // protocol-coordinated runs over the paper's workloads — through the
-// incremental checker. Together with the random streams this puts the
-// total differential corpus above 1000 patterns.
+// incremental checker. Together with the random streams
+// and the adversarial runs this puts the total differential corpus above
+// 1000 patterns.
 func TestIncrementalDifferentialSim(t *testing.T) {
 	protocols := []core.Kind{core.KindNone, core.KindBCS, core.KindBHMR, core.KindFDAS}
 	patterns := 0

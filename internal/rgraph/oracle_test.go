@@ -1,0 +1,119 @@
+package rgraph
+
+import "fmt"
+
+// closureOracle is the closure Incremental kept before the interval
+// vectors: one growable bitset per node over all nodes, restored under
+// edge insertions by a worklist through the predecessor lists. It knows
+// nothing about chains or suffixes, which is what makes it a reference
+// for minReach. It follows a checker by copying the edges that appeared
+// in its predecessor lists since the last sync.
+type closureOracle struct {
+	reach []dynbits // reach[u] = nodes reachable from u by a path of length >= 1
+	preds [][]int32
+
+	work []int32
+	// wordMerges counts the 64-bit words merge has or-ed: the unit of
+	// work whose growth per event the interval vectors removed.
+	wordMerges int
+}
+
+// sync inserts every edge inc has gained since the previous call.
+func (o *closureOracle) sync(inc *Incremental) {
+	for len(o.preds) < len(inc.preds) {
+		o.preds = append(o.preds, nil)
+		o.reach = append(o.reach, nil)
+	}
+	for v, ps := range inc.preds {
+		for _, u := range ps[len(o.preds[v]):] {
+			o.addEdge(u, int32(v))
+		}
+	}
+}
+
+func (o *closureOracle) addEdge(u, v int32) {
+	o.preds[v] = append(o.preds[v], u)
+	if !o.grow(u, v) {
+		return
+	}
+	work := append(o.work[:0], u)
+	for len(work) > 0 {
+		w := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, p := range o.preds[w] {
+			if o.grow(p, w) {
+				work = append(work, p)
+			}
+		}
+	}
+	o.work = work
+}
+
+func (o *closureOracle) grow(p, v int32) bool {
+	o.wordMerges += len(o.reach[v])
+	return o.reach[p].merge(o.reach[v], v)
+}
+
+// check compares the checker's interval vectors with the bitset rows —
+// every row must be, per process, exactly the suffix minReach names —
+// and asserts that each column is non-decreasing along each chain.
+func (o *closureOracle) check(inc *Incremental) error {
+	n := inc.n
+	if len(inc.minReach) != len(inc.nodeProc)*n {
+		return fmt.Errorf("minReach has %d entries for %d nodes of %d processes", len(inc.minReach), len(inc.nodeProc), n)
+	}
+	for u := range inc.nodeProc {
+		row := inc.minReach[u*n:][:n]
+		for j, col := range inc.ids {
+			for y, b := range col {
+				if got, want := o.reach[u].get(b), int32(y) >= row[j]; got != want {
+					return fmt.Errorf("C{%d,%d} -> C{%d,%d}: oracle says %v, minReach[%d] = %d",
+						inc.nodeProc[u], inc.nodeIndex[u], j, y, got, j, row[j])
+				}
+			}
+			if row[j] != noReach && int(row[j]) >= len(col) {
+				return fmt.Errorf("C{%d,%d}: minReach[%d] = %d names no node", inc.nodeProc[u], inc.nodeIndex[u], j, row[j])
+			}
+		}
+	}
+	for k, col := range inc.ids {
+		for x := 1; x < len(col); x++ {
+			for j := 0; j < n; j++ {
+				if prev, next := inc.minReach[int(col[x-1])*n+j], inc.minReach[int(col[x])*n+j]; prev > next {
+					return fmt.Errorf("column %d decreases along chain %d: C{%d,%d} has %d, C{%d,%d} has %d",
+						j, k, k, x-1, prev, k, x, next)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// dynbits is a growable bitset keyed by node id.
+type dynbits []uint64
+
+func (d dynbits) get(i int32) bool {
+	w := int(i >> 6)
+	return w < len(d) && d[w]&(1<<(uint(i)&63)) != 0
+}
+
+// merge ors src and the single bit v into d and reports whether d
+// changed.
+func (d *dynbits) merge(src dynbits, v int32) bool {
+	for need := max(len(src), int(v>>6)+1); len(*d) < need; {
+		*d = append(*d, 0)
+	}
+	dd := *d
+	changed := false
+	for w, word := range src {
+		if word&^dd[w] != 0 {
+			dd[w] |= word
+			changed = true
+		}
+	}
+	if w, bit := int(v>>6), uint64(1)<<(uint(v)&63); dd[w]&bit == 0 {
+		dd[w] |= bit
+		changed = true
+	}
+	return changed
+}

@@ -252,9 +252,9 @@ func Explain(p *model.Pattern, maxViolations int) (*Report, []*Witness, error) {
 
 // Explain extracts minimal witnesses for the incremental checker's
 // current violations, on demand. The checker does not retain message
-// metadata (its hot path keeps only vectors and closure bits), so the
-// caller supplies the pattern snapshot of the same event stream — the
-// lockstep Builder the service sessions already maintain. The report is
+// metadata (its hot path keeps only dependency and closure vectors), so
+// the caller supplies the pattern snapshot of the same event stream —
+// a service session materializes it from its event log. The report is
 // the seal-now Report(maxViolations).
 func (inc *Incremental) Explain(p *model.Pattern, maxViolations int) (*Report, []*Witness, error) {
 	rep := inc.Report(maxViolations)
