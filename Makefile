@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X github.com/rdt-go/rdt/internal/version.Version=$(VERSION) \
            -X github.com/rdt-go/rdt/internal/version.Commit=$(COMMIT)
 
-.PHONY: all build test bench-test race vet chaos chaos-supervise serve-smoke trace-smoke soak-smoke fuzz-smoke durability-smoke load-smoke shard-smoke check bench bench-baseline obs-bench clean
+.PHONY: all build test bench-test race vet chaos chaos-supervise serve-smoke trace-smoke soak-smoke fuzz-smoke durability-smoke load-smoke shard-smoke check bench clean
 
 all: test
 
@@ -127,17 +127,13 @@ shard-smoke:
 # Everything a change must pass before review.
 check: test bench-test race chaos chaos-supervise soak-smoke load-smoke shard-smoke
 
-# Run the micro-benchmark suite and gate ns/op against the committed
-# baseline (results/BENCH_4.json); bench-baseline rewrites the baseline.
+# The yardstick: build the daemons from this checkout and run every
+# bench/ workload briefly, checking each served verdict against batch
+# CheckRDT (`bash bench/run.sh -workload W -trace 1` for one workload
+# with the per-layer ladder; see bench/README.md). Layer benchmarks live
+# in their packages: go test -run '^$$' -bench . ./internal/...
 bench:
-	scripts/bench.sh
-
-bench-baseline:
-	BENCH_UPDATE=1 scripts/bench.sh
-
-# Measure observability overhead on the runtime hot path.
-obs-bench:
-	$(GO) test -bench 'BenchmarkObs' -benchmem -run '^$$' .
+	bash bench/run.sh -selfcheck
 
 clean:
 	$(GO) clean ./...

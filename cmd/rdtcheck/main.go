@@ -25,7 +25,11 @@ import (
 	"strings"
 	"time"
 
-	rdt "github.com/rdt-go/rdt"
+	"github.com/rdt-go/rdt/internal/model"
+	"github.com/rdt-go/rdt/internal/obs"
+	"github.com/rdt-go/rdt/internal/rgraph"
+	"github.com/rdt-go/rdt/internal/trace"
+	"github.com/rdt-go/rdt/internal/version"
 )
 
 func main() {
@@ -64,21 +68,21 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *showVersion {
-		fmt.Fprintf(out, "rdtcheck %s (%s)\n", rdt.BuildVersion, rdt.BuildCommit)
+		fmt.Fprintf(out, "rdtcheck %s\n", version.String())
 		return nil
 	}
 
 	var (
-		p   *rdt.Pattern
+		p   *model.Pattern
 		err error
 	)
 	switch {
 	case *fig1:
-		p, err = rdt.Figure1()
+		p, err = trace.Figure1()
 	case fs.NArg() == 1 && fs.Arg(0) == "-":
-		p, err = rdt.LoadTrace(stdin)
+		p, err = trace.Load(stdin)
 	case fs.NArg() == 1:
-		p, err = rdt.LoadTraceFile(fs.Arg(0))
+		p, err = trace.LoadFile(fs.Arg(0))
 	default:
 		return fmt.Errorf("expected exactly one trace file, \"-\" for stdin, or -figure1; got %d args", fs.NArg())
 	}
@@ -90,7 +94,7 @@ func run(args []string, out io.Writer) error {
 		if *explain {
 			// Highlight the first violation's witness chain in the diagram;
 			// a trackable pattern degrades to the plain diagram.
-			_, witnesses, err := rdt.ExplainRDT(p, *maxViol)
+			_, witnesses, err := rgraph.Explain(p, *maxViol)
 			if err != nil {
 				return err
 			}
@@ -104,7 +108,7 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 	if *rdot {
-		g, err := rdt.BuildRGraph(p)
+		g, err := rgraph.Build(p)
 		if err != nil {
 			return err
 		}
@@ -119,21 +123,21 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "pattern: %d processes, %d messages, checkpoints: %d initial + %d basic + %d forced + %d final\n",
 		s.Processes, s.Messages, s.Initial, s.Basic, s.Forced, s.Final)
 
-	report, err := rdt.CheckRDT(p, *maxViol)
+	report, err := rgraph.CheckRDT(p, *maxViol)
 	if err != nil {
 		return err
 	}
 
 	if *metricsAddr != "" || *events > 0 {
-		reg := rdt.NewMetricsRegistry()
-		tracer := rdt.NewEventTracer(rdt.DefaultEventCapacity)
+		reg := obs.NewRegistry()
+		tracer := obs.NewTracer(obs.DefaultTracerCapacity)
 		replayPattern(reg, tracer, p, len(report.Violations))
 		if *metricsAddr != "" {
-			var opts []rdt.ObsServerOption
+			var opts []obs.ServerOption
 			if *pprof {
-				opts = append(opts, rdt.WithProfiling())
+				opts = append(opts, obs.WithProfiling())
 			}
-			srv, err := rdt.ServeObs(*metricsAddr, reg, tracer, opts...)
+			srv, err := obs.Serve(*metricsAddr, reg, tracer, opts...)
 			if err != nil {
 				return err
 			}
@@ -153,7 +157,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  violation: %v\n", v)
 	}
 	if *explain && len(report.Violations) > 0 {
-		explainer, err := rdt.NewWitnessExplainer(p)
+		explainer, err := rgraph.NewExplainer(p)
 		if err != nil {
 			return err
 		}
@@ -166,21 +170,21 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	if err := rdt.VerifyRecordedTDVs(p); err != nil {
+	if err := rgraph.VerifyRecordedTDVs(p); err != nil {
 		fmt.Fprintf(out, "recorded dependency vectors: MISMATCH: %v\n", err)
 	} else {
 		fmt.Fprintln(out, "recorded dependency vectors: consistent with offline recomputation")
 	}
 
 	if *useless {
-		chains, err := rdt.NewChains(p)
+		chains, err := rgraph.NewChains(p)
 		if err != nil {
 			return err
 		}
 		count := 0
 		for i := 0; i < p.N; i++ {
-			for x := 0; x <= p.LastIndex(rdt.ProcID(i)); x++ {
-				id := rdt.CkptID{Proc: rdt.ProcID(i), Index: x}
+			for x := 0; x <= p.LastIndex(model.ProcID(i)); x++ {
+				id := model.CkptID{Proc: model.ProcID(i), Index: x}
 				if chains.Useless(id) {
 					fmt.Fprintf(out, "useless checkpoint: %v (on a zigzag cycle)\n", id)
 					count++
@@ -195,7 +199,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		g, err := rdt.MinConsistentGlobal(p, id)
+		g, err := rgraph.MinConsistentContaining(p, id)
 		if err != nil {
 			return err
 		}
@@ -206,7 +210,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		g, err := rdt.MaxConsistentGlobal(p, id)
+		g, err := rgraph.MaxConsistentContaining(p, id)
 		if err != nil {
 			return err
 		}
@@ -217,7 +221,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		line, err := rdt.TraceRecoveryLine(p, bounds)
+		line, err := rgraph.RecoveryLine(p, bounds)
 		if err != nil {
 			return err
 		}
@@ -230,22 +234,22 @@ func run(args []string, out io.Writer) error {
 // model: each checkpoint and message becomes the structured event and
 // counter increment the live runtime would have recorded, so the same
 // /metrics and /debug/events surface works on archived traces.
-func replayPattern(reg *rdt.MetricsRegistry, tracer *rdt.EventTracer, p *rdt.Pattern, violations int) {
+func replayPattern(reg *obs.Registry, tracer *obs.Tracer, p *model.Pattern, violations int) {
 	basic := reg.Counter("rdt_check_checkpoints_total", "kind", "basic")
 	forced := reg.Counter("rdt_check_checkpoints_total", "kind", "forced")
 	for _, cs := range p.Checkpoints {
 		for i := range cs {
 			cp := &cs[i]
 			switch cp.Kind {
-			case rdt.KindBasic:
+			case model.KindBasic:
 				basic.Inc()
-				tracer.Record(rdt.TraceEvent{
-					Type: rdt.EventBasicCheckpoint, Proc: int(cp.Proc), Value: cp.Index,
+				tracer.Record(obs.Event{
+					Type: obs.EventBasicCheckpoint, Proc: int(cp.Proc), Value: cp.Index,
 				})
-			case rdt.KindForced:
+			case model.KindForced:
 				forced.Inc()
-				tracer.Record(rdt.TraceEvent{
-					Type: rdt.EventForcedCheckpoint, Proc: int(cp.Proc), Value: cp.Index,
+				tracer.Record(obs.Event{
+					Type: obs.EventForcedCheckpoint, Proc: int(cp.Proc), Value: cp.Index,
 				})
 			}
 		}
@@ -253,18 +257,18 @@ func replayPattern(reg *rdt.MetricsRegistry, tracer *rdt.EventTracer, p *rdt.Pat
 	messages := reg.Counter("rdt_check_messages_total")
 	for _, m := range p.Messages {
 		messages.Inc()
-		tracer.Record(rdt.TraceEvent{
-			Type: rdt.EventSend, Proc: int(m.From), Peer: int(m.To), Value: m.ID,
+		tracer.Record(obs.Event{
+			Type: obs.EventSend, Proc: int(m.From), Peer: int(m.To), Value: m.ID,
 		})
-		tracer.Record(rdt.TraceEvent{
-			Type: rdt.EventDeliver, Proc: int(m.To), Peer: int(m.From), Value: m.ID,
+		tracer.Record(obs.Event{
+			Type: obs.EventDeliver, Proc: int(m.To), Peer: int(m.From), Value: m.ID,
 		})
 	}
 	reg.Counter("rdt_check_violations_total").Add(int64(violations))
 }
 
 // printEvents writes the tail of the replayed event trace, oldest first.
-func printEvents(out io.Writer, tracer *rdt.EventTracer, n int) {
+func printEvents(out io.Writer, tracer *obs.Tracer, n int) {
 	if tracer == nil || n <= 0 {
 		return
 	}
@@ -272,7 +276,7 @@ func printEvents(out io.Writer, tracer *rdt.EventTracer, n int) {
 	fmt.Fprintf(out, "events (last %d of %d replayed):\n", len(tail), tracer.Seq())
 	for _, ev := range tail {
 		fmt.Fprintf(out, "  #%-8d %-17s proc=%d", ev.Seq, ev.Type, ev.Proc)
-		if ev.Type == rdt.EventSend || ev.Type == rdt.EventDeliver {
+		if ev.Type == obs.EventSend || ev.Type == obs.EventDeliver {
 			fmt.Fprintf(out, " peer=%d", ev.Peer)
 		}
 		fmt.Fprintf(out, " value=%d\n", ev.Value)
@@ -280,29 +284,29 @@ func printEvents(out io.Writer, tracer *rdt.EventTracer, n int) {
 }
 
 // parseCkpt parses "proc,index".
-func parseCkpt(s string) (rdt.CkptID, error) {
+func parseCkpt(s string) (model.CkptID, error) {
 	parts := strings.Split(s, ",")
 	if len(parts) != 2 {
-		return rdt.CkptID{}, fmt.Errorf("checkpoint %q: want proc,index", s)
+		return model.CkptID{}, fmt.Errorf("checkpoint %q: want proc,index", s)
 	}
 	proc, err := strconv.Atoi(strings.TrimSpace(parts[0]))
 	if err != nil {
-		return rdt.CkptID{}, fmt.Errorf("checkpoint %q: %w", s, err)
+		return model.CkptID{}, fmt.Errorf("checkpoint %q: %w", s, err)
 	}
 	index, err := strconv.Atoi(strings.TrimSpace(parts[1]))
 	if err != nil {
-		return rdt.CkptID{}, fmt.Errorf("checkpoint %q: %w", s, err)
+		return model.CkptID{}, fmt.Errorf("checkpoint %q: %w", s, err)
 	}
-	return rdt.CkptID{Proc: rdt.ProcID(proc), Index: index}, nil
+	return model.CkptID{Proc: model.ProcID(proc), Index: index}, nil
 }
 
 // parseGlobal parses "x0,x1,...,xn-1".
-func parseGlobal(s string, n int) (rdt.GlobalCheckpoint, error) {
+func parseGlobal(s string, n int) (model.GlobalCheckpoint, error) {
 	parts := strings.Split(s, ",")
 	if len(parts) != n {
 		return nil, fmt.Errorf("bounds %q: want %d comma-separated indexes", s, n)
 	}
-	g := make(rdt.GlobalCheckpoint, n)
+	g := make(model.GlobalCheckpoint, n)
 	for i, part := range parts {
 		x, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {

@@ -6,17 +6,17 @@ import (
 	"strings"
 	"testing"
 
-	rdt "github.com/rdt-go/rdt"
+	"github.com/rdt-go/rdt/internal/trace"
 )
 
 func figureFile(t *testing.T) string {
 	t.Helper()
-	p, err := rdt.Figure1()
+	p, err := trace.Figure1()
 	if err != nil {
 		t.Fatalf("figure1: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "fig1.json")
-	if err := rdt.SaveTraceFile(path, p); err != nil {
+	if err := trace.SaveFile(path, p); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 	return path
@@ -70,16 +70,16 @@ func TestCheckVersionFlag(t *testing.T) {
 // TestCheckStdin feeds the trace through the "-" argument instead of a
 // file and expects the identical analysis.
 func TestCheckStdin(t *testing.T) {
-	p, err := rdt.Figure1()
+	p, err := trace.Figure1()
 	if err != nil {
 		t.Fatalf("figure1: %v", err)
 	}
-	var trace bytes.Buffer
-	if err := rdt.SaveTrace(&trace, p); err != nil {
+	var buf bytes.Buffer
+	if err := trace.Save(&buf, p); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 	oldStdin := stdin
-	stdin = &trace
+	stdin = &buf
 	defer func() { stdin = oldStdin }()
 
 	var out bytes.Buffer

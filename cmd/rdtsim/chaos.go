@@ -9,7 +9,11 @@ import (
 	"sync"
 	"time"
 
-	rdt "github.com/rdt-go/rdt"
+	"github.com/rdt-go/rdt/internal/cluster"
+	"github.com/rdt-go/rdt/internal/core"
+	"github.com/rdt-go/rdt/internal/obs"
+	"github.com/rdt-go/rdt/internal/rgraph"
+	"github.com/rdt-go/rdt/internal/transport"
 )
 
 // parseFaults turns a "-faults" spec like
@@ -17,8 +21,8 @@ import (
 //	drop=0.05,dup=0.05,reorder=0.1,err=0.02,delay=3ms
 //
 // into a fault mix. Keys may appear in any order; omitted ones are zero.
-func parseFaults(spec string) (rdt.FaultProbs, error) {
-	var p rdt.FaultProbs
+func parseFaults(spec string) (transport.FaultProbs, error) {
+	var p transport.FaultProbs
 	for _, field := range strings.Split(spec, ",") {
 		field = strings.TrimSpace(field)
 		if field == "" {
@@ -63,20 +67,20 @@ func parseFaults(spec string) (rdt.FaultProbs, error) {
 // simulator) over a fault-injected transport with the reliable delivery
 // layer on top, and reports delivery accounting, injected faults, retry
 // work, and the RDT verdict of the recorded pattern.
-func runChaos(out io.Writer, kind rdt.Protocol, n, rounds int, probs rdt.FaultProbs, seed int64, check bool, reg *rdt.MetricsRegistry, tracer *rdt.EventTracer) error {
+func runChaos(out io.Writer, kind core.Kind, n, rounds int, probs transport.FaultProbs, seed int64, check bool, reg *obs.Registry, tracer *obs.Tracer) error {
 	if n < 2 {
 		return fmt.Errorf("chaos: need at least 2 processes, have %d", n)
 	}
 	if reg == nil {
-		reg = rdt.NewMetricsRegistry() // accounting below needs the counters
+		reg = obs.NewRegistry() // accounting below needs the counters
 	}
-	faulty := rdt.WithFaults(rdt.NewLocalTransport(time.Millisecond), rdt.FaultConfig{
+	faulty := transport.WithFaults(transport.NewLocal(time.Millisecond), transport.FaultConfig{
 		Seed:    seed,
 		Default: probs,
 		Obs:     reg,
 		Tracer:  tracer,
 	})
-	rel := rdt.Reliable(faulty, rdt.ReliableConfig{
+	rel := transport.Reliable(faulty, transport.ReliableConfig{
 		Seed:       seed,
 		MaxRetries: 100,
 		Backoff:    time.Millisecond,
@@ -87,13 +91,13 @@ func runChaos(out io.Writer, kind rdt.Protocol, n, rounds int, probs rdt.FaultPr
 
 	var mu sync.Mutex
 	delivered := make(map[string]int)
-	c, err := rdt.NewCluster(rdt.ClusterConfig{
+	c, err := cluster.New(cluster.Config{
 		N:         n,
 		Protocol:  kind,
 		Transport: rel,
 		Obs:       reg,
 		Tracer:    tracer,
-		Handler: func(_ *rdt.Node, _ int, payload []byte) {
+		Handler: func(_ *cluster.Node, _ int, payload []byte) {
 			mu.Lock()
 			delivered[string(payload)]++
 			mu.Unlock()
@@ -164,7 +168,7 @@ func runChaos(out io.Writer, kind rdt.Protocol, n, rounds int, probs rdt.FaultPr
 	}
 
 	if check {
-		report, err := rdt.CheckRDT(pattern, 5)
+		report, err := rgraph.CheckRDT(pattern, 5)
 		if err != nil {
 			return err
 		}

@@ -44,8 +44,16 @@ import (
 	"strings"
 	"time"
 
-	rdt "github.com/rdt-go/rdt"
+	"github.com/rdt-go/rdt/internal/core"
+	"github.com/rdt-go/rdt/internal/model"
+	"github.com/rdt-go/rdt/internal/obs"
+	"github.com/rdt-go/rdt/internal/rgraph"
+	"github.com/rdt-go/rdt/internal/scenario"
+	"github.com/rdt-go/rdt/internal/sim"
 	"github.com/rdt-go/rdt/internal/stats"
+	"github.com/rdt-go/rdt/internal/trace"
+	"github.com/rdt-go/rdt/internal/version"
+	"github.com/rdt-go/rdt/internal/workload"
 )
 
 func main() {
@@ -59,11 +67,20 @@ func main() {
 // before the observability server shuts down, with the server's address.
 var metricsServed = func(addr string) {}
 
+// protocolNames lists every protocol's name, least conservative first.
+func protocolNames() string {
+	var names []string
+	for _, k := range core.Kinds() {
+		names = append(names, k.String())
+	}
+	return strings.Join(names, ", ")
+}
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rdtsim", flag.ContinueOnError)
 	var (
-		protocol    = fs.String("protocol", "bhmr", "checkpointing protocol ('all' for a comparison): "+strings.Join(rdt.ProtocolNames(), ", "))
-		env         = fs.String("workload", "random", "communication environment: "+strings.Join(rdt.WorkloadNames(), ", "))
+		protocol    = fs.String("protocol", "bhmr", "checkpointing protocol ('all' for a comparison): "+protocolNames())
+		env         = fs.String("workload", "random", "communication environment: "+strings.Join(workload.Names(), ", "))
 		n           = fs.Int("n", 8, "number of processes")
 		duration    = fs.Float64("duration", 1000, "simulated time horizon")
 		basic       = fs.Float64("basic", 10, "mean interval between basic checkpoints")
@@ -86,7 +103,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *showVersion {
-		fmt.Fprintf(out, "rdtsim %s (%s)\n", rdt.BuildVersion, rdt.BuildCommit)
+		fmt.Fprintf(out, "rdtsim %s\n", version.String())
 		return nil
 	}
 	if *scenarioIn != "" {
@@ -97,19 +114,19 @@ func run(args []string, out io.Writer) error {
 	}
 
 	var (
-		reg    *rdt.MetricsRegistry
-		tracer *rdt.EventTracer
+		reg    *obs.Registry
+		tracer *obs.Tracer
 	)
 	if *metricsAddr != "" || *events > 0 {
-		reg = rdt.NewMetricsRegistry()
-		tracer = rdt.NewEventTracer(rdt.DefaultEventCapacity)
+		reg = obs.NewRegistry()
+		tracer = obs.NewTracer(obs.DefaultTracerCapacity)
 	}
 	if *metricsAddr != "" {
-		var opts []rdt.ObsServerOption
+		var opts []obs.ServerOption
 		if *pprof {
-			opts = append(opts, rdt.WithProfiling())
+			opts = append(opts, obs.WithProfiling())
 		}
-		srv, err := rdt.ServeObs(*metricsAddr, reg, tracer, opts...)
+		srv, err := obs.Serve(*metricsAddr, reg, tracer, opts...)
 		if err != nil {
 			return err
 		}
@@ -134,7 +151,7 @@ func run(args []string, out io.Writer) error {
 		if *protocol == "all" {
 			return fmt.Errorf("-faults and -supervise run one protocol at a time")
 		}
-		kind, err := rdt.ParseProtocol(*protocol)
+		kind, err := core.ParseKind(*protocol)
 		if err != nil {
 			return err
 		}
@@ -146,15 +163,15 @@ func run(args []string, out io.Writer) error {
 	if *protocol == "all" {
 		return compareAll(out, *env, *n, *duration, *basic, *seed, reg, tracer)
 	}
-	kind, err := rdt.ParseProtocol(*protocol)
+	kind, err := core.ParseKind(*protocol)
 	if err != nil {
 		return err
 	}
-	w, err := rdt.WorkloadByName(*env)
+	w, err := workload.ByName(*env)
 	if err != nil {
 		return err
 	}
-	cfg := rdt.DefaultSimConfig(kind, *seed)
+	cfg := sim.DefaultConfig(kind, *seed)
 	cfg.N = *n
 	cfg.Duration = *duration
 	cfg.BasicMean = *basic
@@ -165,7 +182,7 @@ func run(args []string, out io.Writer) error {
 		return replicate(out, cfg, *env, *seeds)
 	}
 
-	res, err := rdt.Simulate(cfg, w)
+	res, err := sim.Run(cfg, w)
 	if err != nil {
 		return err
 	}
@@ -179,7 +196,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "piggyback          %8d bytes/message\n", res.WireBytesPerMessage)
 
 	if *check {
-		report, err := rdt.CheckRDT(res.Pattern, 5)
+		report, err := rgraph.CheckRDT(res.Pattern, 5)
 		if err != nil {
 			return err
 		}
@@ -191,7 +208,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *tracePath != "" {
-		if err := rdt.SaveTraceFile(*tracePath, res.Pattern); err != nil {
+		if err := trace.SaveFile(*tracePath, res.Pattern); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "trace written to %s\n", *tracePath)
@@ -208,11 +225,11 @@ func run(args []string, out io.Writer) error {
 // runScenario executes one .rdts chaos scenario and reports its
 // outcome; violated expectations make the command fail.
 func runScenario(out io.Writer, path string, transcript bool) error {
-	sc, err := rdt.ParseChaosFile(path)
+	sc, err := scenario.ParseFile(path)
 	if err != nil {
 		return err
 	}
-	res, err := rdt.RunChaos(sc)
+	res, err := scenario.Run(sc)
 	if err != nil {
 		return err
 	}
@@ -239,12 +256,12 @@ func runScenario(out io.Writer, path string, transcript bool) error {
 
 // writeTimelineFile renders the pattern's logical causal timeline as
 // Chrome trace-event JSON.
-func writeTimelineFile(path string, p *rdt.Pattern) error {
+func writeTimelineFile(path string, p *model.Pattern) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := rdt.WritePatternTimeline(f, p); err != nil {
+	if err := trace.WriteTimeline(f, p); err != nil {
 		f.Close()
 		return err
 	}
@@ -253,7 +270,7 @@ func writeTimelineFile(path string, p *rdt.Pattern) error {
 
 // printEvents writes the tail of the structured event trace, oldest
 // first. A nil tracer or n <= 0 prints nothing.
-func printEvents(out io.Writer, tracer *rdt.EventTracer, n int) {
+func printEvents(out io.Writer, tracer *obs.Tracer, n int) {
 	if tracer == nil || n <= 0 {
 		return
 	}
@@ -261,7 +278,7 @@ func printEvents(out io.Writer, tracer *rdt.EventTracer, n int) {
 	fmt.Fprintf(out, "events (last %d of %d recorded):\n", len(tail), tracer.Seq())
 	for _, ev := range tail {
 		fmt.Fprintf(out, "  #%-8d %-17s proc=%d", ev.Seq, ev.Type, ev.Proc)
-		if ev.Type == rdt.EventSend || ev.Type == rdt.EventDeliver || ev.Type == rdt.EventSendError {
+		if ev.Type == obs.EventSend || ev.Type == obs.EventDeliver || ev.Type == obs.EventSendError {
 			fmt.Fprintf(out, " peer=%d", ev.Peer)
 		}
 		if ev.Predicate != "" {
@@ -276,16 +293,16 @@ func printEvents(out io.Writer, tracer *rdt.EventTracer, n int) {
 
 // replicate runs the configuration over consecutive seeds and reports the
 // sampling distribution of the overhead ratio.
-func replicate(out io.Writer, cfg rdt.SimConfig, env string, seeds int) error {
+func replicate(out io.Writer, cfg sim.Config, env string, seeds int) error {
 	var rs, fpm stats.Sample
 	for k := 0; k < seeds; k++ {
-		w, err := rdt.WorkloadByName(env)
+		w, err := workload.ByName(env)
 		if err != nil {
 			return err
 		}
 		run := cfg
 		run.Seed = cfg.Seed + int64(k)
-		res, err := rdt.Simulate(run, w)
+		res, err := sim.Run(run, w)
 		if err != nil {
 			return err
 		}
@@ -303,26 +320,26 @@ func replicate(out io.Writer, cfg rdt.SimConfig, env string, seeds int) error {
 // compareAll runs every protocol on the same workload and seed and prints
 // a comparison table. All runs share the registry and tracer (may be
 // nil), with series distinguished by their protocol label.
-func compareAll(out io.Writer, env string, n int, duration, basic float64, seed int64, reg *rdt.MetricsRegistry, tracer *rdt.EventTracer) error {
+func compareAll(out io.Writer, env string, n int, duration, basic float64, seed int64, reg *obs.Registry, tracer *obs.Tracer) error {
 	fmt.Fprintf(out, "workload=%s n=%d duration=%g basic=%g seed=%d\n", env, n, duration, basic, seed)
 	fmt.Fprintf(out, "%-8s %9s %9s %9s %9s %10s %6s\n",
 		"protocol", "messages", "basic", "forced", "R=f/b", "piggyback", "RDT")
-	for _, kind := range rdt.Protocols() {
-		w, err := rdt.WorkloadByName(env)
+	for _, kind := range core.Kinds() {
+		w, err := workload.ByName(env)
 		if err != nil {
 			return err
 		}
-		cfg := rdt.DefaultSimConfig(kind, seed)
+		cfg := sim.DefaultConfig(kind, seed)
 		cfg.N = n
 		cfg.Duration = duration
 		cfg.BasicMean = basic
 		cfg.Obs = reg
 		cfg.Tracer = tracer
-		res, err := rdt.Simulate(cfg, w)
+		res, err := sim.Run(cfg, w)
 		if err != nil {
 			return err
 		}
-		report, err := rdt.CheckRDT(res.Pattern, 0)
+		report, err := rgraph.CheckRDT(res.Pattern, 0)
 		if err != nil {
 			return err
 		}

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	rdt "github.com/rdt-go/rdt"
+	"github.com/rdt-go/rdt/internal/trace"
 )
 
 func TestRunSimAndWriteTrace(t *testing.T) {
@@ -26,7 +26,7 @@ func TestRunSimAndWriteTrace(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, text)
 		}
 	}
-	p, err := rdt.LoadTraceFile(tracePath)
+	p, err := trace.LoadFile(tracePath)
 	if err != nil {
 		t.Fatalf("trace unreadable: %v", err)
 	}

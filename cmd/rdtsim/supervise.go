@@ -6,7 +6,12 @@ import (
 	"math/rand"
 	"time"
 
-	rdt "github.com/rdt-go/rdt"
+	"github.com/rdt-go/rdt/internal/cluster"
+	"github.com/rdt-go/rdt/internal/core"
+	"github.com/rdt-go/rdt/internal/obs"
+	"github.com/rdt-go/rdt/internal/rgraph"
+	"github.com/rdt-go/rdt/internal/storage"
+	"github.com/rdt-go/rdt/internal/transport"
 )
 
 // runSupervised drives the cluster runtime under supervision: the same
@@ -15,21 +20,21 @@ import (
 // run only proceeds once the supervisor has detected the failure and
 // brought up incarnation 2 on its own, and the report covers both
 // incarnations plus the supervisor's accounting.
-func runSupervised(out io.Writer, kind rdt.Protocol, n, rounds int, probs rdt.FaultProbs, seed int64, check bool, reg *rdt.MetricsRegistry, tracer *rdt.EventTracer) error {
+func runSupervised(out io.Writer, kind core.Kind, n, rounds int, probs transport.FaultProbs, seed int64, check bool, reg *obs.Registry, tracer *obs.Tracer) error {
 	if n < 2 {
 		return fmt.Errorf("supervise: need at least 2 processes, have %d", n)
 	}
 	if reg == nil {
-		reg = rdt.NewMetricsRegistry()
+		reg = obs.NewRegistry()
 	}
-	stack := func(transportSeed int64) rdt.Transport {
-		faulty := rdt.WithFaults(rdt.NewLocalTransport(time.Millisecond), rdt.FaultConfig{
+	stack := func(transportSeed int64) transport.Transport {
+		faulty := transport.WithFaults(transport.NewLocal(time.Millisecond), transport.FaultConfig{
 			Seed:    transportSeed,
 			Default: probs,
 			Obs:     reg,
 			Tracer:  tracer,
 		})
-		return rdt.Reliable(faulty, rdt.ReliableConfig{
+		return transport.Reliable(faulty, transport.ReliableConfig{
 			Seed:       transportSeed,
 			MaxRetries: 100,
 			Backoff:    time.Millisecond,
@@ -39,7 +44,7 @@ func runSupervised(out io.Writer, kind rdt.Protocol, n, rounds int, probs rdt.Fa
 		})
 	}
 
-	c1, err := rdt.NewCluster(rdt.ClusterConfig{
+	c1, err := cluster.New(cluster.Config{
 		N:           n,
 		Protocol:    kind,
 		Transport:   stack(seed),
@@ -50,18 +55,18 @@ func runSupervised(out io.Writer, kind rdt.Protocol, n, rounds int, probs rdt.Fa
 	if err != nil {
 		return err
 	}
-	recovered := make(chan *rdt.RecoverResult, 1)
+	recovered := make(chan *cluster.RecoverResult, 1)
 	escalated := make(chan error, 1)
-	sup, err := rdt.Supervise(c1, rdt.SupervisorConfig{
+	sup, err := cluster.Supervise(c1, cluster.SupervisorConfig{
 		Interval: 2 * time.Millisecond,
 		Seed:     seed,
-		Options: func(incarnation, attempt int) rdt.RecoverOptions {
-			return rdt.RecoverOptions{
-				Store:     rdt.NewMemoryStore(),
+		Options: func(incarnation, attempt int) cluster.RecoverOptions {
+			return cluster.RecoverOptions{
+				Store:     storage.NewMemory(),
 				Transport: stack(seed + 1000*int64(incarnation) + int64(attempt)),
 			}
 		},
-		OnRecover:  func(res *rdt.RecoverResult) { recovered <- res },
+		OnRecover:  func(res *cluster.RecoverResult) { recovered <- res },
 		OnEscalate: func(err error) { escalated <- err },
 	})
 	if err != nil {
@@ -69,7 +74,7 @@ func runSupervised(out io.Writer, kind rdt.Protocol, n, rounds int, probs rdt.Fa
 	}
 	defer sup.Stop()
 
-	traffic := func(c *rdt.Cluster, from, to int) (int, error) {
+	traffic := func(c *cluster.Cluster, from, to int) (int, error) {
 		sent := 0
 		for round := from; round < to; round++ {
 			for proc := 0; proc < n; proc++ {
@@ -106,7 +111,7 @@ func runSupervised(out io.Writer, kind rdt.Protocol, n, rounds int, probs rdt.Fa
 		probs.Drop, probs.Duplicate, probs.Reorder, probs.SendError, probs.MaxExtraDelay)
 	fmt.Fprintf(out, "injected crash     P%d after %d sends\n", victim, sent1)
 
-	var res *rdt.RecoverResult
+	var res *cluster.RecoverResult
 	select {
 	case res = <-recovered:
 	case err := <-escalated:
@@ -131,7 +136,7 @@ func runSupervised(out io.Writer, kind rdt.Protocol, n, rounds int, probs rdt.Fa
 
 	fmt.Fprintf(out, "messages sent      %8d (incarnation 1) + %d (incarnation 2)\n", sent1, sent2)
 	fmt.Fprintf(out, "incarnation 2      %8d delivered (replay + fresh traffic)\n", len(pattern2.Messages))
-	for _, reason := range []string{rdt.SuspectCrash, rdt.SuspectTimeout, rdt.SuspectUnreachable} {
+	for _, reason := range []string{cluster.SuspectCrash, cluster.SuspectTimeout, cluster.SuspectUnreachable} {
 		if v := reg.Counter("rdt_supervisor_suspicions_total", "reason", reason).Value(); v > 0 {
 			fmt.Fprintf(out, "suspicions         %8d reason=%s\n", v, reason)
 		}
@@ -141,7 +146,7 @@ func runSupervised(out io.Writer, kind rdt.Protocol, n, rounds int, probs rdt.Fa
 		reg.Counter("rdt_supervisor_recoveries_total", "outcome", "retry").Value())
 
 	if check {
-		report, err := rdt.CheckRDT(pattern2, 5)
+		report, err := rgraph.CheckRDT(pattern2, 5)
 		if err != nil {
 			return err
 		}

@@ -51,6 +51,15 @@
 //	report, err := rdt.CheckRDT(pattern, 0) // offline certification
 //
 // See the examples directory for complete programs: a quickstart, a
-// client/server request chain, failure recovery with rollback lines, and
-// causal distributed breakpoints.
+// client/server request chain, failure recovery with rollback lines, a
+// replicated key-value store, and causal distributed breakpoints.
+//
+// # Surface
+//
+// This package is the front door for programs: it re-exports the names
+// those examples use and nothing else (a test fails on an exported name
+// no example references). Values of types it does not name — reports,
+// builders, stores, supervisors — are used through inference. The
+// command-line tools and daemons under cmd/ import the internal packages
+// directly.
 package rdt

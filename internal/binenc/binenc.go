@@ -179,17 +179,25 @@ func (r *Reader) Ints(limit int) []int {
 	return out
 }
 
-// Bytes reads a length-prefixed byte string (a sub-slice of the
-// underlying buffer, not a copy).
-func (r *Reader) Bytes() []byte {
-	n := r.IntMax(r.Remaining())
+// Take reads n raw bytes with no length prefix (a sub-slice of the
+// underlying buffer, not a copy) — for fields whose size the caller
+// derives from an earlier one, like bit-packed vectors.
+func (r *Reader) Take(n int) []byte {
 	if r.err != nil {
+		return nil
+	}
+	if n < 0 || n > r.Remaining() {
+		r.fail("truncated")
 		return nil
 	}
 	b := r.data[r.off : r.off+n]
 	r.off += n
 	return b
 }
+
+// Bytes reads a length-prefixed byte string (a sub-slice of the
+// underlying buffer, not a copy).
+func (r *Reader) Bytes() []byte { return r.Take(r.IntMax(r.Remaining())) }
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes()) }

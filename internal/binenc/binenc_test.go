@@ -14,6 +14,7 @@ func TestRoundTrip(t *testing.T) {
 	buf = AppendString(buf, "hello")
 	buf = AppendBool(buf, true)
 	buf = AppendBool(buf, false)
+	buf = append(buf, 0xAA, 0xBB)
 
 	r := NewReader(buf)
 	if v := r.Uvarint(); v != 1<<60 {
@@ -35,6 +36,9 @@ func TestRoundTrip(t *testing.T) {
 	if !r.Bool() || r.Bool() {
 		t.Fatal("bools did not round-trip")
 	}
+	if b := r.Take(2); len(b) != 2 || b[1] != 0xBB {
+		t.Fatalf("take = %v", b)
+	}
 	if err := r.Done(); err != nil {
 		t.Fatalf("done: %v", err)
 	}
@@ -51,6 +55,8 @@ func TestReaderFailsClosed(t *testing.T) {
 		{"bad bool", func(r *Reader) { r.Bool() }, []byte{2}},
 		{"length out of range", func(r *Reader) { r.IntMax(3) }, AppendInt(nil, 4)},
 		{"bytes beyond buffer", func(r *Reader) { r.Bytes() }, AppendInt(nil, 100)},
+		{"take beyond buffer", func(r *Reader) { r.Take(3) }, []byte{1, 2}},
+		{"take negative", func(r *Reader) { r.Take(-1) }, []byte{1, 2}},
 		{"ints over limit", func(r *Reader) { r.Ints(2) }, AppendInts(nil, []int{1, 2, 3})},
 		{"bad magic", func(r *Reader) { r.Expect([]byte("AB")) }, []byte("AX")},
 		{"short magic", func(r *Reader) { r.Expect([]byte("AB")) }, []byte("A")},

@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"encoding/hex"
+	"math"
 	"testing"
 
+	"github.com/rdt-go/rdt/internal/binenc"
 	"github.com/rdt-go/rdt/internal/core"
+	"github.com/rdt-go/rdt/internal/vclock"
 )
 
 // bhmrPiggyback returns a full BHMR piggyback for an n-process system,
@@ -121,6 +125,75 @@ func TestDecodeMsgIntoMatchesFresh(t *testing.T) {
 			t.Errorf("frame %d: causal presence mismatch", i)
 		case want.Causal != nil && !want.Causal.Equal(got.Causal):
 			t.Errorf("frame %d: causal mismatch", i)
+		}
+	}
+}
+
+// TestWireGolden pins the frame bytes: three frames captured from the
+// encoder before it moved onto internal/binenc must still be produced,
+// byte for byte, and decode back to their fields.
+func TestWireGolden(t *testing.T) {
+	m := vclock.NewMatrix(3)
+	for _, cell := range [][2]int{{0, 0}, {0, 2}, {1, 1}, {2, 0}, {2, 2}} {
+		m.Set(cell[0], cell[1], true)
+	}
+	for _, c := range []struct {
+		name         string
+		from, handle int
+		payload      string
+		pb           core.Piggyback
+		tc           traceCtx
+		hex          string
+	}{
+		{"no piggyback", 1, 7, "hi", core.Piggyback{}, traceCtx{},
+			"52020107000268690000000000"},
+		{"tdv+simple", 2, 300, "tdv",
+			core.Piggyback{TDV: vclock.Vec{3, 0, 300, 1}, Simple: vclock.Bools{true, false, true, true}}, traceCtx{},
+			"520202ac020003746476040300ac0201040d000000"},
+		{"causal matrix+trace context", 0, 1 << 20, "",
+			core.Piggyback{SN: 5, TDV: vclock.Vec{1, 2, 70000}, Simple: vclock.Bools{false, true, false}, Causal: m},
+			traceCtx{trace: 0x1234, span: 77},
+			"5202008080400500030102f0a2040302035501b4244d"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			frame, err := encodeMsgTrace(c.from, c.handle, []byte(c.payload), c.pb, c.tc)
+			if err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			if got := hex.EncodeToString(frame); got != c.hex {
+				t.Fatalf("frame = %s, want %s", got, c.hex)
+			}
+			var s pbScratch
+			from, handle, payload, pb, err := decodeMsgInto(frame, &s)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if from != c.from || handle != c.handle || string(payload) != c.payload || s.tc != c.tc {
+				t.Errorf("header = %d %d %q %+v", from, handle, payload, s.tc)
+			}
+			if pb.SN != c.pb.SN || !pb.TDV.Equal(c.pb.TDV) || pb.Simple.String() != c.pb.Simple.String() {
+				t.Errorf("piggyback = %+v, want %+v", pb, c.pb)
+			}
+			if (pb.Causal == nil) != (c.pb.Causal == nil) || (pb.Causal != nil && !pb.Causal.Equal(c.pb.Causal)) {
+				t.Errorf("causal = %v, want %v", pb.Causal, c.pb.Causal)
+			}
+		})
+	}
+}
+
+// TestDecodeRejectsOversizedLengths feeds length fields no frame can
+// back: each must fail without allocating for it. A simple length of
+// MaxInt used to overflow the packed-size arithmetic and panic.
+func TestDecodeRejectsOversizedLengths(t *testing.T) {
+	header := []byte{wireMagic, wireVersion, 0, 0, 0, 0} // from, handle, sn, empty payload
+	huge := binenc.AppendUvarint(nil, math.MaxInt)
+	for name, tail := range map[string][]byte{
+		"tdv":    huge,
+		"simple": append([]byte{0}, huge...),
+		"matrix": append([]byte{0, 0}, binenc.AppendInt(nil, maxWireMatrixDim+1)...),
+	} {
+		if _, _, _, _, err := decodeMsg(append(header[:len(header):len(header)], tail...)); err == nil {
+			t.Errorf("%s length beyond the frame accepted", name)
 		}
 	}
 }

@@ -1,0 +1,114 @@
+package rgraph_test
+
+// Benchmarks of the offline analyses (the incremental checker's are in
+// scaling_test.go).
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/rdt-go/rdt/internal/core"
+	"github.com/rdt-go/rdt/internal/model"
+	"github.com/rdt-go/rdt/internal/rgraph"
+	"github.com/rdt-go/rdt/internal/sim"
+	"github.com/rdt-go/rdt/internal/workload"
+)
+
+// simulatedPattern runs BHMR under random traffic and returns the
+// annotated pattern.
+func simulatedPattern(b *testing.B, seed int64, n int, duration float64) *model.Pattern {
+	b.Helper()
+	cfg := sim.DefaultConfig(core.KindBHMR, seed)
+	cfg.N = n
+	cfg.Duration = duration
+	res, err := sim.Run(cfg, &workload.Random{MeanGap: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Pattern
+}
+
+// minGlobalFixture is the annotated BHMR trace of E6.
+func minGlobalFixture(b *testing.B) *model.Pattern {
+	b.Helper()
+	return simulatedPattern(b, 31, 6, 150)
+}
+
+// BenchmarkMinGlobalCheckpoint is E6: Corollary 4.5 on-the-fly against
+// the brute-force computation.
+func BenchmarkMinGlobalCheckpoint(b *testing.B) {
+	p := minGlobalFixture(b)
+	target := model.CkptID{Proc: 2, Index: len(p.Checkpoints[2]) / 2}
+	ck, err := p.Checkpoint(target)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	b.Run("on-the-fly", func(b *testing.B) {
+		// Corollary 4.5: the protocol already computed the answer; reading
+		// it is a vector copy.
+		for i := 0; i < b.N; i++ {
+			g := make(model.GlobalCheckpoint, len(ck.TDV))
+			copy(g, ck.TDV)
+		}
+	})
+	b.Run("brute-force", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := rgraph.MinConsistentContaining(p, target); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkRGraphBuild(b *testing.B) {
+	p := minGlobalFixture(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rgraph.Build(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkComputeTDVs(b *testing.B) {
+	p := minGlobalFixture(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rgraph.ComputeTDVs(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCheckRDT(b *testing.B) {
+	p := minGlobalFixture(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rgraph.CheckRDT(p, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRGraphScaling measures the offline analyses as trace size
+// grows (nodes here are checkpoints of the R-graph).
+func BenchmarkRGraphScaling(b *testing.B) {
+	for _, duration := range []float64{100, 400, 1600} {
+		p := simulatedPattern(b, 47, 8, duration)
+		b.Run(fmt.Sprintf("build/ckpts=%d", p.NumCheckpoints()), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := rgraph.Build(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("checkRDT/ckpts=%d", p.NumCheckpoints()), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := rgraph.CheckRDT(p, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

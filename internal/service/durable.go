@@ -762,64 +762,14 @@ func (s *Service) install(sess *Session) bool {
 }
 
 // activate brings a passivated session back from disk on first touch.
-// A singleflight per id prevents double loads; a session mid-retirement
-// is waited for (its final snapshot must land before the directory is
-// read).
 func (s *Service) activate(id string) (*Session, error) {
-	for {
-		if s.draining.Load() {
-			return nil, ErrDraining
-		}
-		sh := s.shardFor(id)
-		sh.mu.RLock()
-		if sess, ok := sh.sessions[id]; ok {
-			sh.mu.RUnlock()
-			return sess, nil
-		}
-		retiring := sh.retired[id]
-		sh.mu.RUnlock()
-		if retiring != nil {
-			<-retiring.workerDone
-			continue
-		}
-
-		s.loadMu.Lock()
-		ch, inFlight := s.loads[id]
-		if inFlight {
-			s.loadMu.Unlock()
-			<-ch
-			continue
-		}
-		ch = make(chan struct{})
-		s.loads[id] = ch
-		s.loadMu.Unlock()
-
-		sess, err := s.activateLocked(id)
-
-		s.loadMu.Lock()
-		delete(s.loads, id)
-		s.loadMu.Unlock()
-		close(ch)
-		if err != nil || sess != nil {
-			return sess, err
-		}
-		// Lost a race with a concurrent create/recover; retry the lookup.
-	}
-}
-
-// activateLocked runs under the id's singleflight: it re-checks
-// liveness, loads the directory, and installs the session.
-func (s *Service) activateLocked(id string) (*Session, error) {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	sess, ok := sh.sessions[id]
-	retiring := sh.retired[id]
-	sh.mu.RUnlock()
-	if ok {
+	sess, held := s.liveOrHold(id)
+	if sess != nil {
 		return sess, nil
 	}
-	if retiring != nil {
-		return nil, nil // retry outside the singleflight
+	defer s.releaseLoad(id, held)
+	if s.draining.Load() {
+		return nil, ErrDraining
 	}
 	if _, err := os.Stat(s.sessionDir(id)); err != nil {
 		return nil, fmt.Errorf("%w: %q", ErrNoSession, id)
@@ -829,55 +779,28 @@ func (s *Service) activateLocked(id string) (*Session, error) {
 		return nil, fmt.Errorf("%w: %q: unrecoverable: %v", ErrNoSession, id, err)
 	}
 	if !s.install(loaded) {
+		// Impossible under the singleflight; be safe anyway.
 		loaded.mu.Lock()
 		loaded.dur.closeLocked()
 		loaded.mu.Unlock()
-		return nil, nil // someone else won; retry
+		return nil, fmt.Errorf("activate %q: went live under its load singleflight", id)
 	}
 	s.mReactivated.Inc()
 	return loaded, nil
 }
 
 // dropPassivated deletes the on-disk state of a session that is not
-// live (explicit DELETE of a passivated session). It waits out an
-// in-flight retirement and holds the id's singleflight so it cannot
-// race a reactivation.
+// live (explicit DELETE of a passivated session).
 func (s *Service) dropPassivated(id string) bool {
-	for {
-		sh := s.shardFor(id)
-		sh.mu.RLock()
-		_, live := sh.sessions[id]
-		retiring := sh.retired[id]
-		sh.mu.RUnlock()
-		if live {
-			return false // re-appeared; caller's Evict already missed it
-		}
-		if retiring != nil {
-			<-retiring.workerDone
-			continue
-		}
-
-		s.loadMu.Lock()
-		ch, inFlight := s.loads[id]
-		if inFlight {
-			s.loadMu.Unlock()
-			<-ch
-			continue
-		}
-		ch = make(chan struct{})
-		s.loads[id] = ch
-		s.loadMu.Unlock()
-
-		_, err := os.Stat(s.sessionDir(id))
-		existed := err == nil
-		if existed {
-			_ = storage.RemoveDurable(s.sessionDir(id))
-		}
-
-		s.loadMu.Lock()
-		delete(s.loads, id)
-		s.loadMu.Unlock()
-		close(ch)
-		return existed
+	sess, held := s.liveOrHold(id)
+	if sess != nil {
+		return false // re-appeared; caller's Evict already missed it
 	}
+	defer s.releaseLoad(id, held)
+	dir := s.sessionDir(id)
+	if _, err := os.Stat(dir); err != nil {
+		return false
+	}
+	_ = storage.RemoveDurable(dir)
+	return true
 }

@@ -125,78 +125,45 @@ func (s *Service) ExportSession(id string) (map[string][]byte, error) {
 	if !validSessionID(id) {
 		return nil, fmt.Errorf("%w: %q", ErrNoSession, id)
 	}
-	for tries := 0; ; tries++ {
-		if tries > 8 {
-			return nil, fmt.Errorf("export %q: session keeps reactivating", id)
-		}
-		sh := s.shardFor(id)
-		sh.mu.RLock()
-		_, live := sh.sessions[id]
-		retiring := sh.retired[id]
-		sh.mu.RUnlock()
-		if live {
+	for tries := 0; tries <= 8; tries++ {
+		sess, held := s.liveOrHold(id)
+		if sess != nil {
 			s.Passivate(id, "handoff")
 			continue
 		}
-		if retiring != nil {
-			<-retiring.workerDone
-			continue
-		}
-
-		s.loadMu.Lock()
-		ch, inFlight := s.loads[id]
-		if inFlight {
-			s.loadMu.Unlock()
-			<-ch
-			continue
-		}
-		ch = make(chan struct{})
-		s.loads[id] = ch
-		s.loadMu.Unlock()
-
-		files, retry, err := s.readSessionDirLocked(id)
-
-		s.loadMu.Lock()
-		delete(s.loads, id)
-		s.loadMu.Unlock()
-		close(ch)
-		if retry {
-			continue
-		}
+		files, err := s.readSessionDir(id)
+		s.releaseLoad(id, held)
 		return files, err
 	}
+	return nil, fmt.Errorf("export %q: session keeps reactivating", id)
 }
 
-// readSessionDirLocked reads a passivated session's files under the
-// id's singleflight. retry means the session went live between the
-// shard check and here (an activation won the singleflight first).
-func (s *Service) readSessionDirLocked(id string) (files map[string][]byte, retry bool, err error) {
-	if s.Live(id) {
-		return nil, true, nil
-	}
+// readSessionDir reads a passivated session's files; the caller holds
+// the id's singleflight.
+func (s *Service) readSessionDir(id string) (map[string][]byte, error) {
 	dir := s.sessionDir(id)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return nil, false, fmt.Errorf("%w: %q", ErrNoSession, id)
+			return nil, fmt.Errorf("%w: %q", ErrNoSession, id)
 		}
-		return nil, false, fmt.Errorf("export %q: %w", id, err)
+		return nil, fmt.Errorf("export %q: %w", id, err)
 	}
-	files = make(map[string][]byte)
+	files := make(map[string][]byte)
 	for _, e := range entries {
 		if e.IsDir() || !exportableFile(e.Name()) {
 			continue
 		}
 		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
-			return nil, false, fmt.Errorf("export %q: %w", id, err)
+			return nil, fmt.Errorf("export %q: %w", id, err)
 		}
 		files[e.Name()] = data
 	}
 	if _, ok := files["meta.json"]; !ok {
-		return nil, false, fmt.Errorf("export %q: no meta.json", id)
+		return nil, fmt.Errorf("export %q: no meta.json", id)
 	}
-	return files, false, nil
+	return files, nil
 }
 
 // imageState is the comparable summary of one copy of a session's
@@ -286,10 +253,6 @@ func stateOfDir(dir string) (imageState, error) {
 	return st, nil
 }
 
-// errRetryImport asks ImportSession's outer loop to re-run its
-// live/retiring checks (an activation won the singleflight first).
-var errRetryImport = errors.New("retry import")
-
 // ImportSession installs a session directory shipped from another
 // daemon. The files land under a temporary name and are renamed into
 // place, so a crash mid-import leaves no half session; the session
@@ -346,60 +309,28 @@ func (s *Service) ImportSession(id string, files map[string][]byte) error {
 	}
 
 	for {
-		sh := s.shardFor(id)
-		sh.mu.RLock()
-		sess := sh.sessions[id]
-		retiring := sh.retired[id]
-		sh.mu.RUnlock()
-		if sess != nil {
-			if sess.durableState().covers(img) {
-				return fmt.Errorf("%w: %q is live", ErrSessionLive, id)
-			}
-			// The image holds state the live session's durable counters
-			// lack: either the live session is a stale incarnation of
-			// this state, or its queued batches have not drained into
-			// the counters yet. Passivating settles both — clients
-			// resume onto whichever copy the on-disk comparison below
-			// keeps.
-			s.Passivate(id, "superseded")
-			continue
+		sess, held := s.liveOrHold(id)
+		if sess == nil {
+			err := s.installImport(id, tmp, img)
+			s.releaseLoad(id, held)
+			return err
 		}
-		if retiring != nil {
-			<-retiring.workerDone
-			continue
+		if sess.durableState().covers(img) {
+			return fmt.Errorf("%w: %q is live", ErrSessionLive, id)
 		}
-
-		s.loadMu.Lock()
-		ch, inFlight := s.loads[id]
-		if inFlight {
-			s.loadMu.Unlock()
-			<-ch
-			continue
-		}
-		ch = make(chan struct{})
-		s.loads[id] = ch
-		s.loadMu.Unlock()
-
-		err := s.installImportLocked(id, tmp, img)
-
-		s.loadMu.Lock()
-		delete(s.loads, id)
-		s.loadMu.Unlock()
-		close(ch)
-		if errors.Is(err, errRetryImport) {
-			continue
-		}
-		return err
+		// The image holds state the live session's durable counters
+		// lack: either the live session is a stale incarnation of
+		// this state, or its queued batches have not drained into
+		// the counters yet. Passivating settles both — clients
+		// resume onto whichever copy the on-disk comparison keeps.
+		s.Passivate(id, "superseded")
 	}
 }
 
-// installImportLocked resolves the staged image against whatever is on
-// disk under the id's singleflight and renames it into place if it
-// wins.
-func (s *Service) installImportLocked(id, tmp string, img imageState) error {
-	if s.Live(id) {
-		return errRetryImport // an activation won; re-run the live comparison
-	}
+// installImport resolves the staged image against whatever is on disk
+// and renames it into place if it wins; the caller holds the id's
+// singleflight.
+func (s *Service) installImport(id, tmp string, img imageState) error {
 	dir := s.sessionDir(id)
 	if _, err := os.Stat(dir); err == nil {
 		cur, err := stateOfDir(dir)

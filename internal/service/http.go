@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/url"
+	"strconv"
 	"time"
 
 	"github.com/rdt-go/rdt/internal/obs"
@@ -230,14 +232,27 @@ func (a *api) verdict(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	maxViolations := 0
-	if v := q.Get("violations"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &maxViolations); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad violations: %w", err))
-			return
-		}
+	maxViolations, ok := violationsParam(w, q)
+	if !ok {
+		return
 	}
 	writeJSON(w, http.StatusOK, sess.Verdict(maxViolations))
+}
+
+// violationsParam parses the optional ?violations= cap on the listed
+// violations. Absent (or not positive) means the service default;
+// anything but a decimal integer is answered with 400 and ok false.
+func violationsParam(w http.ResponseWriter, q url.Values) (n int, ok bool) {
+	v := q.Get("violations")
+	if v == "" {
+		return 0, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad violations: %w", err))
+		return 0, false
+	}
+	return n, true
 }
 
 // witnessInfo renders one violation witness on the wire: the convicted
@@ -264,12 +279,9 @@ func (a *api) explain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	maxViolations := 0
-	if v := q.Get("violations"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &maxViolations); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad violations: %w", err))
-			return
-		}
+	maxViolations, ok := violationsParam(w, q)
+	if !ok {
+		return
 	}
 	p, witnesses, err := sess.Explain(maxViolations)
 	if err != nil {

@@ -449,6 +449,39 @@ func (s *Service) releaseLoad(id string, ch chan struct{}) {
 	close(ch)
 }
 
+// liveOrHold is the gate every disk↔memory transition of a durable
+// session goes through. It returns the id's live session, or — having
+// waited out an in-flight retirement (its final snapshot must land
+// before the directory is touched) — the id's load singleflight, held.
+// Every install of a running durable service happens under that
+// singleflight, so while it is held the id stays neither live nor
+// retiring and its directory is the caller's alone. The caller must
+// releaseLoad a held singleflight.
+func (s *Service) liveOrHold(id string) (live *Session, held chan struct{}) {
+	sh := s.shardFor(id)
+	lookup := func() (sess, retiring *Session) {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		return sh.sessions[id], sh.retired[id]
+	}
+	for {
+		sess, retiring := lookup()
+		if sess != nil {
+			return sess, nil
+		}
+		if retiring != nil {
+			<-retiring.workerDone
+			continue
+		}
+		held = s.acquireLoad(id)
+		// Whoever held it before us may have brought the session back.
+		if sess, retiring = lookup(); sess == nil && retiring == nil {
+			return nil, held
+		}
+		s.releaseLoad(id, held)
+	}
+}
+
 // Session looks a session up by id; on a durable service a passivated
 // session is transparently reactivated from disk. In shard mode the
 // ownership gate runs first: a session owned elsewhere fails with

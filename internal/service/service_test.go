@@ -765,3 +765,50 @@ func TestHTTPDifferentialRandom(t *testing.T) {
 		compareVerdict(t, &sealed, rep)
 	}
 }
+
+// TestHTTPViolationsParam pins the ?violations= cap on both endpoints
+// that take it: a decimal integer or nothing, never a prefix of one.
+func TestHTTPViolationsParam(t *testing.T) {
+	const serviceDefault = 4
+	c, _, _ := newTestServer(t, Config{MaxViolations: serviceDefault})
+	c.expect("POST", "/v1/sessions", createRequest{ID: "v", N: 2}, http.StatusCreated, nil)
+	// Each round is the two-process zigzag: an untrackable pair per
+	// round and more across rounds.
+	var events []Event
+	for round := 0; round < 4; round++ {
+		events = append(events,
+			Event{Op: OpSend, Proc: 1, Peer: 0, Msg: 2 * round},
+			Event{Op: OpDeliver, Proc: 0, Msg: 2 * round},
+			Event{Op: OpCheckpoint, Proc: 0},
+			Event{Op: OpSend, Proc: 0, Peer: 1, Msg: 2*round + 1},
+			Event{Op: OpDeliver, Proc: 1, Msg: 2*round + 1},
+			Event{Op: OpCheckpoint, Proc: 1},
+		)
+	}
+	c.expect("POST", "/v1/sessions/v/events", events, http.StatusAccepted, nil)
+	var all Verdict
+	c.expect("GET", "/v1/sessions/v/verdict?flush=1&violations=1000", nil, http.StatusOK, &all)
+	if len(all.Violations) <= serviceDefault {
+		t.Fatalf("fixture has %d violations, need more than the default %d", len(all.Violations), serviceDefault)
+	}
+
+	for _, tc := range []struct {
+		param string
+		code  int
+		want  int
+	}{
+		{"?violations=5x", http.StatusBadRequest, 0},
+		{"?violations=%207", http.StatusBadRequest, 0},
+		{"?violations=3", http.StatusOK, 3},
+		{"?violations=-1", http.StatusOK, serviceDefault},
+		{"", http.StatusOK, serviceDefault},
+	} {
+		var v Verdict
+		var ex explainResponse
+		c.expect("GET", "/v1/sessions/v/verdict"+tc.param, nil, tc.code, &v)
+		c.expect("GET", "/v1/sessions/v/explain"+tc.param, nil, tc.code, &ex)
+		if len(v.Violations) != tc.want || len(ex.Witnesses) != tc.want {
+			t.Errorf("%q: %d violations, %d witnesses listed, want %d", tc.param, len(v.Violations), len(ex.Witnesses), tc.want)
+		}
+	}
+}

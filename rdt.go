@@ -1,7 +1,12 @@
 package rdt
 
+// The facade re-exports exactly the names a program outside cmd/ uses
+// (examples/ and example_test.go); TestFacadeIsUsed fails on an
+// unreferenced one. Results whose types are not re-exported (reports,
+// builders, chains, stores) are used through inference. The binaries
+// under cmd/ import internal/ directly.
+
 import (
-	"io"
 	"time"
 
 	"github.com/rdt-go/rdt/internal/cluster"
@@ -11,154 +16,56 @@ import (
 	"github.com/rdt-go/rdt/internal/obs"
 	"github.com/rdt-go/rdt/internal/recovery"
 	"github.com/rdt-go/rdt/internal/rgraph"
-	"github.com/rdt-go/rdt/internal/scenario"
 	"github.com/rdt-go/rdt/internal/sim"
 	"github.com/rdt-go/rdt/internal/storage"
 	"github.com/rdt-go/rdt/internal/trace"
 	"github.com/rdt-go/rdt/internal/transport"
-	"github.com/rdt-go/rdt/internal/version"
 	"github.com/rdt-go/rdt/internal/workload"
 )
 
 // Protocol selects a communication-induced checkpointing protocol.
 type Protocol = core.Kind
 
-// The checkpointing protocols, least conservative first. All except None
-// guarantee the RDT property.
 const (
 	// None takes only basic checkpoints (uncoordinated baseline).
 	None = core.KindNone
-	// BCS is the Briatico–Ciuffoletti–Simoncini index-based protocol:
-	// Z-cycle freedom (no useless checkpoints) without full RDT.
-	BCS = core.KindBCS
 	// BHMR is the paper's protocol: condition C1 ∨ C2 with full causal
 	// sibling tracking — the least conservative of the family.
 	BHMR = core.KindBHMR
-	// BHMRNoSimple is published variant 1 (C1 ∨ C2', no simple vector).
-	BHMRNoSimple = core.KindBHMRNoSimple
-	// BHMRCausalOnly is published variant 2 (C1 alone, false diagonal).
-	BHMRCausalOnly = core.KindBHMRCausalOnly
-	// FDAS is Wang's Fixed-Dependency-After-Send.
-	FDAS = core.KindFDAS
-	// FDI is Wang's Fixed-Dependency-Interval.
-	FDI = core.KindFDI
-	// NRAS is Russell's No-Receive-After-Send.
-	NRAS = core.KindNRAS
-	// CBR is Checkpoint-Before-Receive.
-	CBR = core.KindCBR
-	// CAS is Wu–Fuchs Checkpoint-After-Send.
-	CAS = core.KindCAS
 )
 
-// Protocols returns every protocol, least conservative first.
-func Protocols() []Protocol { return core.Kinds() }
-
-// RDTProtocols returns the protocols that guarantee the RDT property.
+// RDTProtocols returns the protocols that guarantee the RDT property,
+// least conservative first: BHMR and its two published variants, FDAS,
+// FDI, NRAS, CBR and CAS.
 func RDTProtocols() []Protocol { return core.RDTKinds() }
-
-// ParseProtocol maps a protocol name ("bhmr", "fdas", ...) to its value.
-func ParseProtocol(name string) (Protocol, error) { return core.ParseKind(name) }
-
-// ProtocolNames lists every protocol's conventional name, least
-// conservative first — the single source the tools, metric labels, and
-// error messages draw from (each name is Protocol.String()).
-func ProtocolNames() []string {
-	kinds := core.Kinds()
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
-		names[i] = k.String()
-	}
-	return names
-}
-
-// ProtocolInstance is the per-process protocol state machine, for
-// embedding the protocols into an engine of your own. See NewCluster for
-// the ready-made runtime.
-type ProtocolInstance = core.Instance
-
-// CheckpointRecord and Sink carry checkpoint announcements out of a
-// protocol instance.
-type (
-	CheckpointRecord = core.CheckpointRecord
-	Sink             = core.Sink
-)
-
-// NewProtocolInstance creates a protocol state machine for process proc of
-// an n-process system; sink (may be nil) observes every checkpoint taken.
-func NewProtocolInstance(p Protocol, proc, n int, sink Sink) (ProtocolInstance, error) {
-	return core.New(p, proc, n, sink)
-}
 
 // Model types: checkpoint and communication patterns and their elements.
 type (
 	// Pattern is a recorded checkpoint and communication pattern.
 	Pattern = model.Pattern
-	// Checkpoint is one local checkpoint of a pattern.
-	Checkpoint = model.Checkpoint
 	// CkptID names a local checkpoint C_{proc,index}.
 	CkptID = model.CkptID
 	// GlobalCheckpoint holds one checkpoint index per process.
 	GlobalCheckpoint = model.GlobalCheckpoint
-	// PatternBuilder constructs patterns event by event.
-	PatternBuilder = model.Builder
-	// ProcID identifies a process (0..N-1).
-	ProcID = model.ProcID
-	// CheckpointKind classifies checkpoints (initial, basic, forced,
-	// final).
-	CheckpointKind = model.CheckpointKind
 )
 
-// Checkpoint kinds, re-exported for pattern inspection.
-const (
-	KindInitial = model.KindInitial
-	KindBasic   = model.KindBasic
-	KindForced  = model.KindForced
-	KindFinal   = model.KindFinal
-)
+// KindBasic marks a checkpoint the application took on its own.
+const KindBasic = model.KindBasic
 
 // NewPatternBuilder returns a builder for hand-constructing patterns.
-func NewPatternBuilder(n int) *PatternBuilder { return model.NewBuilder(n) }
+func NewPatternBuilder(n int) *model.Builder { return model.NewBuilder(n) }
 
 // Figure1 returns the reference pattern of Figure 1 of the paper.
 func Figure1() (*Pattern, error) { return trace.Figure1() }
 
-// SaveTrace and LoadTrace serialize patterns as JSON.
-func SaveTrace(w io.Writer, p *Pattern) error { return trace.Save(w, p) }
-
-// LoadTrace reads and validates a JSON pattern.
-func LoadTrace(r io.Reader) (*Pattern, error) { return trace.Load(r) }
-
-// SaveTraceFile writes a pattern to a JSON file.
-func SaveTraceFile(path string, p *Pattern) error { return trace.SaveFile(path, p) }
-
-// LoadTraceFile reads a pattern from a JSON file.
-func LoadTraceFile(path string) (*Pattern, error) { return trace.LoadFile(path) }
-
-// Analysis types from the rollback-dependency theory.
-type (
-	// RGraph is the rollback-dependency graph with its reachability
-	// relation.
-	RGraph = rgraph.Graph
-	// RDTReport is the outcome of an offline RDT check.
-	RDTReport = rgraph.Report
-	// RDTViolation is one untrackable R-path.
-	RDTViolation = rgraph.Violation
-	// Chains analyzes causal and zigzag message chains.
-	Chains = rgraph.Chains
-)
-
-// BuildRGraph constructs the R-graph of a pattern and precomputes its
-// reachability relation.
-func BuildRGraph(p *Pattern) (*RGraph, error) { return rgraph.Build(p) }
-
 // NewChains builds the message-chain (zigzag/causal) analysis of a
 // pattern.
-func NewChains(p *Pattern) (*Chains, error) { return rgraph.NewChains(p) }
+func NewChains(p *Pattern) (*rgraph.Chains, error) { return rgraph.NewChains(p) }
 
 // CheckRDT verifies the Rollback-Dependency Trackability property of a
 // pattern, reporting up to maxViolations untrackable R-paths (<= 0 for a
 // default cap).
-func CheckRDT(p *Pattern, maxViolations int) (*RDTReport, error) {
+func CheckRDT(p *Pattern, maxViolations int) (*rgraph.Report, error) {
 	return rgraph.CheckRDT(p, maxViolations)
 }
 
@@ -197,169 +104,102 @@ type (
 	ClusterConfig = cluster.Config
 	// Node is the handle of one cluster process.
 	Node = cluster.Node
-	// NodeStatus is a point-in-time view of a node's protocol state.
-	NodeStatus = cluster.Status
+	// RecoverOptions parameterizes Cluster.Recover.
+	RecoverOptions = cluster.RecoverOptions
+	// RecoverResult reports what one Cluster.Recover did.
+	RecoverResult = cluster.RecoverResult
+	// SupervisorConfig parameterizes Supervise.
+	SupervisorConfig = cluster.SupervisorConfig
 )
 
 // NewCluster builds and starts a cluster.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
 
-// Transport types: how frames move between cluster processes.
-type (
-	// Transport moves frames between processes.
-	Transport = transport.Transport
-	// Frame is one addressed, opaque message.
-	Frame = transport.Frame
-)
+// Resume starts the next incarnation after a rollback: a fresh cluster
+// into which the in-transit messages of the previous incarnation (see
+// ReplaySet) are replayed from the message log. The application must
+// have reinstalled the recovery line's state snapshots first.
+// Cluster.Recover packages the whole crash → line → restore → Resume
+// sequence.
+func Resume(cfg ClusterConfig, replay []recovery.ReplayMessage) (*Cluster, error) {
+	return cluster.Resume(cfg, replay)
+}
 
-// NewLocalTransport returns an in-process transport; maxDelay > 0 adds a
-// random delivery delay.
-func NewLocalTransport(maxDelay time.Duration) Transport { return transport.NewLocal(maxDelay) }
+// Supervise attaches a heartbeat failure detector and autonomous
+// recovery driver to a running cluster (which must log payloads). After
+// a failover, the supervisor's Cluster method returns the live
+// incarnation.
+func Supervise(c *Cluster, cfg SupervisorConfig) (*cluster.Supervisor, error) {
+	return cluster.Supervise(c, cfg)
+}
 
-// NewTCPTransport returns a loopback TCP transport for n processes.
-func NewTCPTransport(n int) (Transport, error) { return transport.NewTCP(n) }
-
-// Fault injection and reliable delivery: transport decorators for testing
-// and surviving lossy links. The canonical stacking is
+// Transport types: how frames move between cluster processes, and the
+// decorators for testing and surviving lossy links. The canonical
+// stacking is
 //
 //	rdt.Reliable(rdt.WithFaults(inner, faultCfg), reliableCfg)
 //
 // — retries above the faults they repair; the cluster adds its
 // observability decorator outermost.
 type (
-	// FaultyTransport injects seeded drop/duplicate/reorder/send-error
-	// faults and dynamic pair-wise partitions into any Transport.
-	FaultyTransport = transport.Faulty
+	// Transport moves frames between processes.
+	Transport = transport.Transport
 	// FaultConfig parameterizes WithFaults.
 	FaultConfig = transport.FaultConfig
 	// FaultProbs is one link's (or the default) fault mix.
 	FaultProbs = transport.FaultProbs
-	// TransportLink addresses one directed sender→receiver channel.
-	TransportLink = transport.Link
-	// ReliableTransport adds retransmission, acknowledgements, and
-	// receiver-side deduplication over an unreliable Transport, restoring
-	// exactly-once delivery.
-	ReliableTransport = transport.ReliableTransport
 	// ReliableConfig parameterizes Reliable.
 	ReliableConfig = transport.ReliableConfig
 )
 
-// WithFaults wraps a transport with the seeded fault injector.
-func WithFaults(inner Transport, cfg FaultConfig) *FaultyTransport {
+// NewLocalTransport returns an in-process transport; maxDelay > 0 adds a
+// random delivery delay.
+func NewLocalTransport(maxDelay time.Duration) Transport { return transport.NewLocal(maxDelay) }
+
+// WithFaults wraps a transport with the seeded injector of drop,
+// duplicate, reorder and send-error faults and pair-wise partitions.
+func WithFaults(inner Transport, cfg FaultConfig) *transport.Faulty {
 	return transport.WithFaults(inner, cfg)
 }
 
-// Reliable wraps an unreliable transport with retries, acks, and dedup.
-func Reliable(inner Transport, cfg ReliableConfig) *ReliableTransport {
+// Reliable wraps an unreliable transport with retransmission,
+// acknowledgements and receiver-side deduplication, restoring
+// exactly-once delivery.
+func Reliable(inner Transport, cfg ReliableConfig) *transport.ReliableTransport {
 	return transport.Reliable(inner, cfg)
 }
 
-// Transport error surfaces.
-var (
-	// ErrInjected is the transient send error the fault injector returns.
-	ErrInjected = transport.ErrInjected
-	// ErrGiveUp is reported through ReliableConfig.OnGiveUp when a frame
-	// exhausts its retries.
-	ErrGiveUp = transport.ErrGiveUp
-	// ErrCrashed is returned by operations on a crashed, not yet
-	// restarted process.
-	ErrCrashed = cluster.ErrCrashed
-	// ErrNotCrashed is returned by Cluster.Restart for a running process.
-	ErrNotCrashed = cluster.ErrNotCrashed
-	// ErrCheckpointCorrupt is wrapped into store read errors for a
-	// present-but-undecodable checkpoint; recovery quarantines such
-	// checkpoints and falls back one index.
-	ErrCheckpointCorrupt = storage.ErrCorrupt
-)
-
-// Storage types: checkpoint persistence.
-type (
-	// Store persists checkpoints.
-	Store = storage.Store
-	// StoredCheckpoint is one persisted checkpoint.
-	StoredCheckpoint = storage.Checkpoint
-)
+// StoredCheckpoint is one persisted checkpoint.
+type StoredCheckpoint = storage.Checkpoint
 
 // NewMemoryStore returns an in-memory checkpoint store.
-func NewMemoryStore() Store { return storage.NewMemory() }
+func NewMemoryStore() storage.Store { return storage.NewMemory() }
 
 // NewFileStore returns a file-backed checkpoint store rooted at dir.
-func NewFileStore(dir string) (Store, error) { return storage.NewFile(dir) }
+func NewFileStore(dir string) (storage.Store, error) { return storage.NewFile(dir) }
 
-// Recovery types: rollback from stored checkpoints.
-type (
-	// RecoveryManager computes recovery lines over a checkpoint store.
-	RecoveryManager = recovery.Manager
-	// RecoveryPlan is the outcome of a recovery-line computation.
-	RecoveryPlan = recovery.Plan
-	// RecoverOptions parameterizes Cluster.Recover.
-	RecoverOptions = cluster.RecoverOptions
-	// RecoverResult reports what one Cluster.Recover did.
-	RecoverResult = cluster.RecoverResult
-	// LostMessage is a send that was never delivered (crash or lossy
-	// link), reported by Cluster.StopLossy.
-	LostMessage = model.LostMessage
-)
-
-// NewRecoveryManager creates a recovery manager for n processes over a
-// store.
-func NewRecoveryManager(store Store, n int) (*RecoveryManager, error) {
+// NewRecoveryManager creates a recovery manager, which computes recovery
+// lines for n processes over a checkpoint store.
+func NewRecoveryManager(store storage.Store, n int) (*recovery.Manager, error) {
 	return recovery.NewManager(store, n)
 }
 
-// Simulation types: the deterministic discrete-event simulator.
-type (
-	// SimConfig parameterizes a simulation run.
-	SimConfig = sim.Config
-	// SimResult is the outcome of a run.
-	SimResult = sim.Result
-	// Workload drives the communication of a run.
-	Workload = sim.Workload
-	// SimEngine is the event loop handed to workloads.
-	SimEngine = sim.Engine
-)
+// ReplaySet computes the in-transit messages at a recovery line, with
+// payloads from the message log (for example Cluster.Payload).
+func ReplaySet(p *Pattern, line GlobalCheckpoint, payload func(id int) ([]byte, bool)) ([]recovery.ReplayMessage, error) {
+	return recovery.ReplaySet(p, line, payload)
+}
 
-// DefaultSimConfig returns the baseline simulation parameters.
-func DefaultSimConfig(p Protocol, seed int64) SimConfig { return sim.DefaultConfig(p, seed) }
+// DefaultSimConfig returns the baseline parameters of the deterministic
+// discrete-event simulator.
+func DefaultSimConfig(p Protocol, seed int64) sim.Config { return sim.DefaultConfig(p, seed) }
 
 // Simulate executes one deterministic simulation.
-func Simulate(cfg SimConfig, w Workload) (*SimResult, error) { return sim.Run(cfg, w) }
+func Simulate(cfg sim.Config, w sim.Workload) (*sim.Result, error) { return sim.Run(cfg, w) }
 
 // WorkloadByName constructs one of the named communication environments
 // ("random", "groups", "client-server", "ring", "burst").
-func WorkloadByName(name string) (Workload, error) { return workload.ByName(name) }
-
-// WorkloadNames lists the registered environments.
-func WorkloadNames() []string { return workload.Names() }
-
-// InTransit returns the messages in the channels at the cut g (sent at or
-// before the sender's entry, delivered after the receiver's) — the set a
-// message log must replay after rolling back to g.
-func InTransit(p *Pattern, g GlobalCheckpoint) ([]Message, error) { return rgraph.InTransit(p, g) }
-
-// Message is one application message of a pattern.
-type Message = model.Message
-
-// RollbackClosure returns every checkpoint discarded when rolling back
-// past the given ones: the targets plus everything R-path-reachable from
-// them.
-func RollbackClosure(g *RGraph, targets ...CkptID) []CkptID {
-	return g.RollbackClosure(targets...)
-}
-
-// PatternPrefix returns the sub-pattern as of the consistent cut g: the
-// history a recovered system keeps after rolling back to g (in-transit
-// messages dropped).
-func PatternPrefix(p *Pattern, g GlobalCheckpoint) (*Pattern, error) { return p.Prefix(g) }
-
-// ReplayMessage is one in-transit message to re-send after a rollback.
-type ReplayMessage = recovery.ReplayMessage
-
-// ReplaySet computes the in-transit messages at a recovery line, with
-// payloads from the message log (for example Cluster.Payload).
-func ReplaySet(p *Pattern, line GlobalCheckpoint, payload func(id int) ([]byte, bool)) ([]ReplayMessage, error) {
-	return recovery.ReplaySet(p, line, payload)
-}
+func WorkloadByName(name string) (sim.Workload, error) { return workload.ByName(name) }
 
 // Exhaustive exploration: verify protocol properties over every
 // interleaving of a small scripted scenario (model checking in miniature).
@@ -368,8 +208,6 @@ type (
 	ScenarioOp = explore.Op
 	// ScheduleChoice is one step of an explored schedule.
 	ScheduleChoice = explore.Choice
-	// ExploreResult summarizes an exhaustive exploration.
-	ExploreResult = explore.Result
 )
 
 // ScenarioSend returns a scripted send to the given process.
@@ -381,229 +219,30 @@ func ScenarioCheckpoint() ScenarioOp { return explore.Checkpoint() }
 // Explore enumerates every interleaving of the per-process scripts with
 // every admissible delivery order, replays the protocol over each, and
 // calls check on every complete execution.
-func Explore(p Protocol, scripts [][]ScenarioOp, check func(schedule []ScheduleChoice, pattern *Pattern) error) (*ExploreResult, error) {
+func Explore(p Protocol, scripts [][]ScenarioOp, check func(schedule []ScheduleChoice, pattern *Pattern) error) (*explore.Result, error) {
 	return explore.Run(p, scripts, check)
 }
 
-// Self-healing: heartbeat failure detection plus autonomous supervised
-// recovery over a running cluster.
-type (
-	// Supervisor watches a cluster through heartbeat probes and drives
-	// Cluster.Recover autonomously when a process crashes, wedges, or
-	// becomes unreachable.
-	Supervisor = cluster.Supervisor
-	// SupervisorConfig parameterizes Supervise.
-	SupervisorConfig = cluster.SupervisorConfig
-)
-
-// The suspicion reasons a supervisor reports (metric label values and
-// event details).
-const (
-	SuspectCrash       = cluster.SuspectCrash
-	SuspectTimeout     = cluster.SuspectTimeout
-	SuspectUnreachable = cluster.SuspectUnreachable
-)
-
-// Supervise attaches a failure detector and autonomous recovery driver
-// to a running cluster (which must log payloads). After a failover,
-// Supervisor.Cluster returns the live incarnation.
-func Supervise(c *Cluster, cfg SupervisorConfig) (*Supervisor, error) {
-	return cluster.Supervise(c, cfg)
-}
-
-// Resume starts the next incarnation after a rollback: a fresh cluster
-// into which the in-transit messages of the previous incarnation are
-// replayed from the message log. The application must have reinstalled
-// the recovery line's state snapshots first. Cluster.Recover packages
-// the whole crash → line → restore → Resume sequence.
-func Resume(cfg ClusterConfig, replay []ReplayMessage) (*Cluster, error) {
-	return cluster.Resume(cfg, replay)
-}
-
-// Observability types: metrics, structured event tracing, and live
-// introspection. A MetricsRegistry plugged into ClusterConfig.Obs or
-// SimConfig.Obs collects counters, gauges, and histograms from every
-// layer (protocols, runtime, transport, recovery); an EventTracer
-// records typed events (sends, deliveries, checkpoints with the
-// predicate that forced them, rollbacks, transport send errors) in a
+// Observability: a metrics registry plugged into ClusterConfig.Obs (or
+// the simulator's config) collects counters, gauges and histograms from
+// every layer; an event tracer records typed events (sends, deliveries,
+// checkpoints with the predicate that forced them, rollbacks) in a
 // bounded ring. ServeObs exposes both over HTTP.
-type (
-	// MetricsRegistry holds named counters, gauges, and histograms. A
-	// nil registry disables instrumentation at near-zero cost.
-	MetricsRegistry = obs.Registry
-	// MetricsSnapshot is a point-in-time copy of every series.
-	MetricsSnapshot = obs.Snapshot
-	// MetricSeries is one series of a snapshot.
-	MetricSeries = obs.Metric
-	// EventTracer is a bounded ring buffer of structured events with
-	// logical timestamps.
-	EventTracer = obs.Tracer
-	// TraceEvent is one structured event.
-	TraceEvent = obs.Event
-	// EventType classifies a structured trace event.
-	EventType = obs.EventType
-	// ObsServer serves /metrics (Prometheus text format),
-	// /debug/events (JSON tail), and /debug/vars (expvar).
-	ObsServer = obs.Server
-)
 
 // DefaultEventCapacity is the tracer ring size the cmd tools use.
 const DefaultEventCapacity = obs.DefaultTracerCapacity
 
-// The event types a tracer records.
-const (
-	EventSend             = obs.EventSend
-	EventDeliver          = obs.EventDeliver
-	EventBasicCheckpoint  = obs.EventBasicCheckpoint
-	EventForcedCheckpoint = obs.EventForcedCheckpoint
-	EventRollback         = obs.EventRollback
-	EventSendError        = obs.EventSendError
-	EventFault            = obs.EventFault
-	EventRetry            = obs.EventRetry
-	EventGiveUp           = obs.EventGiveUp
-	EventCrash            = obs.EventCrash
-	EventRestart          = obs.EventRestart
-	EventRecovery         = obs.EventRecovery
-	EventStoreError       = obs.EventStoreError
-	EventSuspicion        = obs.EventSuspicion
-	EventEscalation       = obs.EventEscalation
-	EventQuarantine       = obs.EventQuarantine
-	EventViolation        = obs.EventViolation
-)
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
+// NewMetricsRegistry returns an empty metrics registry. A nil registry
+// disables instrumentation at near-zero cost.
+func NewMetricsRegistry() *obs.Registry { return obs.NewRegistry() }
 
 // NewEventTracer returns a tracer retaining the last capacity events.
-func NewEventTracer(capacity int) *EventTracer { return obs.NewTracer(capacity) }
+func NewEventTracer(capacity int) *obs.Tracer { return obs.NewTracer(capacity) }
 
 // ServeObs starts an HTTP introspection server on addr (":0" picks an
-// ephemeral port; see ObsServer.Addr). Either argument may be nil.
-// Options add endpoints: WithProfiling mounts /debug/pprof and runtime
-// gauges, WithFlightRecorder mounts /debug/timeline.
-func ServeObs(addr string, reg *MetricsRegistry, tr *EventTracer, opts ...ObsServerOption) (*ObsServer, error) {
-	return obs.Serve(addr, reg, tr, opts...)
+// ephemeral port; see the server's Addr method) with /metrics
+// (Prometheus text format), /debug/events (JSON tail) and /debug/vars
+// (expvar). Either argument may be nil.
+func ServeObs(addr string, reg *obs.Registry, tr *obs.Tracer) (*obs.Server, error) {
+	return obs.Serve(addr, reg, tr)
 }
-
-// Violation witnesses: minimal concrete evidence for RDT violations.
-type (
-	// RDTWitness is a minimal message chain realizing one untrackable
-	// R-path: the zigzag a dependency vector cannot track.
-	RDTWitness = rgraph.Witness
-	// WitnessHop is one message of a witness chain.
-	WitnessHop = rgraph.Hop
-	// WitnessExplainer extracts minimal witnesses for the violations of
-	// one pattern (amortizing the chain-continuation precomputation).
-	WitnessExplainer = rgraph.Explainer
-)
-
-// ExplainRDT checks the RDT property and derives a minimal witness for
-// each violation found (up to maxViolations; <= 0 for a default cap).
-func ExplainRDT(p *Pattern, maxViolations int) (*RDTReport, []*RDTWitness, error) {
-	return rgraph.Explain(p, maxViolations)
-}
-
-// NewWitnessExplainer precomputes the chain-continuation relation of a
-// pattern for repeated witness extraction.
-func NewWitnessExplainer(p *Pattern) (*WitnessExplainer, error) { return rgraph.NewExplainer(p) }
-
-// VerifyWitness independently re-checks a witness against a pattern:
-// hops must be real messages forming a chain from the violation's source
-// to its target with at least one non-causal continuation, and the pair
-// must not be causally doubled.
-func VerifyWitness(p *Pattern, w *RDTWitness) error { return rgraph.VerifyWitness(p, w) }
-
-// Causal tracing: spans in a bounded flight recorder, exported as Chrome
-// trace-event JSON (chrome://tracing, Perfetto). A FlightRecorder in
-// ClusterConfig.Flight records one span per send, delivery, checkpoint
-// write, and recovery step, with deliveries parented to the send that
-// caused them across processes.
-type (
-	// FlightRecorder is a bounded ring of spans.
-	FlightRecorder = obs.FlightRecorder
-	// Span is one operation of a causal trace.
-	Span = obs.Span
-	// SpanKind classifies spans.
-	SpanKind = obs.SpanKind
-	// ObsServerOption configures ServeObs.
-	ObsServerOption = obs.ServerOption
-)
-
-// The span kinds a flight recorder holds.
-const (
-	SpanSend       = obs.SpanSend
-	SpanDeliver    = obs.SpanDeliver
-	SpanForced     = obs.SpanForced
-	SpanCheckpoint = obs.SpanCheckpoint
-	SpanRecovery   = obs.SpanRecovery
-	SpanRollback   = obs.SpanRollback
-	SpanSeal       = obs.SpanSeal
-)
-
-// DefaultFlightCapacity is the flight-recorder ring size the cmd tools
-// use.
-const DefaultFlightCapacity = obs.DefaultFlightCapacity
-
-// NewFlightRecorder returns a recorder retaining the last capacity spans
-// (<= 0 for DefaultFlightCapacity).
-func NewFlightRecorder(capacity int) *FlightRecorder { return obs.NewFlightRecorder(capacity) }
-
-// WriteChromeTrace renders spans as Chrome trace-event JSON.
-func WriteChromeTrace(w io.Writer, spans []Span) error { return obs.WriteChromeTrace(w, spans) }
-
-// PatternTimeline converts a recorded pattern into spans on a
-// deterministic logical clock — the offline twin of the live flight
-// recorder.
-func PatternTimeline(p *Pattern) []Span { return trace.Timeline(p) }
-
-// WritePatternTimeline renders a pattern's logical timeline as Chrome
-// trace-event JSON.
-func WritePatternTimeline(w io.Writer, p *Pattern) error { return trace.WriteTimeline(w, p) }
-
-// WithProfiling mounts /debug/pprof and periodic runtime gauges
-// (goroutines, heap, GC) on the observability server.
-func WithProfiling() ObsServerOption { return obs.WithProfiling() }
-
-// WithFlightRecorder mounts /debug/timeline serving the recorder's
-// spans as Chrome trace-event JSON.
-func WithFlightRecorder(f *FlightRecorder) ObsServerOption { return obs.WithFlight(f) }
-
-// Chaos scenarios: a line-oriented text format (.rdts) describing a
-// cluster run — topology, protocol, traffic, a fault schedule at virtual
-// timestamps, and expected outcomes — executed deterministically under a
-// virtual clock. The same file and seed replay the same run, byte for
-// byte, and every run cross-checks the batch verdict against an online
-// replay.
-type (
-	// ChaosScenario is one parsed .rdts scenario.
-	ChaosScenario = scenario.Scenario
-	// ChaosResult is what one scenario run produced: verdict, pattern,
-	// delivery and loss counts, recovered processes, and the transcript.
-	ChaosResult = scenario.Result
-)
-
-// ParseChaosFile reads one chaos scenario from a .rdts file.
-func ParseChaosFile(path string) (*ChaosScenario, error) { return scenario.ParseFile(path) }
-
-// ParseChaos reads one chaos scenario from r.
-func ParseChaos(r io.Reader) (*ChaosScenario, error) { return scenario.Parse(r) }
-
-// RunChaos executes a chaos scenario to completion under a virtual
-// clock. The error reports a harness failure; violated expectations are
-// listed in ChaosResult.Failures.
-func RunChaos(sc *ChaosScenario) (*ChaosResult, error) { return scenario.Run(sc) }
-
-// GenerateChaos builds a random but fully seed-determined chaos
-// scenario spanning the given stretch of virtual time.
-func GenerateChaos(seed int64, span time.Duration) *ChaosScenario {
-	return scenario.Generate(seed, span)
-}
-
-// Build identity, stamped by the Makefile at link time ("dev"/"unknown"
-// in plain go-build binaries).
-var (
-	// BuildVersion is the release tag of this build.
-	BuildVersion = version.Version
-	// BuildCommit is the git revision of this build.
-	BuildCommit = version.Commit
-)

@@ -15,13 +15,15 @@
 #   3. Spread: the newly-joined member ends the run owning at least one
 #      of the driven sessions.
 #
-# Knobs: SHARD_SMOKE_SESSIONS (default 10), SHARD_SMOKE_EVENTS (events
+# Knobs: SHARD_SMOKE_SESSIONS (default 100: at the ~250 k events/s a
+# three-member cluster ingests, fewer finish before the first membership
+# change half a second in), SHARD_SMOKE_EVENTS (events
 # per session, default 6000), SHARD_SMOKE_BATCH (default 32).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-SESSIONS="${SHARD_SMOKE_SESSIONS:-10}"
+SESSIONS="${SHARD_SMOKE_SESSIONS:-100}"
 EVENTS="${SHARD_SMOKE_EVENTS:-6000}"
 BATCH="${SHARD_SMOKE_BATCH:-32}"
 
