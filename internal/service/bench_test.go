@@ -1,0 +1,72 @@
+package service
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"github.com/rdt-go/rdt/internal/obs"
+)
+
+// BenchmarkDurableIngest is the durable session worker end to end —
+// enqueue, WAL append, fsync, apply, notify — over 2048-event sessions
+// cut into 32-event batches, at two queue depths: depth1 keeps one batch
+// in flight (every commit group is a group of one, an fsync per batch),
+// depth64 parks the whole session in the queue, as a closed-loop stream
+// client does, and lets the worker commit what it finds queued.
+// batches/sync is WAL records per fsync.
+func BenchmarkDurableIngest(b *testing.B) {
+	const perBatch = 32
+	events := genWorkload(rand.New(rand.NewSource(1)), 4, 2048)
+	for _, depth := range []int{1, 64} {
+		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
+			reg := obs.NewRegistry()
+			svc, err := New(Config{DataDir: b.TempDir(), Registry: reg})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() {
+				if err := svc.Drain(context.Background()); err != nil {
+					b.Error(err)
+				}
+			}()
+			slots := make(chan struct{}, depth) // batches in flight
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sess, err := svc.CreateSession(fmt.Sprintf("bench-%d", i), 4)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for rest := events; len(rest) > 0; rest = rest[min(perBatch, len(rest)):] {
+					slots <- struct{}{}
+					err := sess.EnqueueNotify(rest[:min(perBatch, len(rest))], func(err error) {
+						if err != nil {
+							b.Error(err)
+						}
+						<-slots
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				for k := 0; k < depth; k++ { // every slot free: the session is applied
+					slots <- struct{}{}
+				}
+				for k := 0; k < depth; k++ {
+					<-slots
+				}
+				b.StopTimer()
+				svc.Evict(sess.ID, "explicit")
+				b.StartTimer()
+			}
+			b.StopTimer()
+			snap := reg.Snapshot()
+			b.ReportMetric(float64(b.N*len(events))/b.Elapsed().Seconds(), "events/s")
+			b.ReportMetric(float64(snap.CounterValue("rdt_wal_appends_total"))/
+				float64(max(snap.CounterValue("rdt_wal_syncs_total"), 1)), "batches/sync")
+		})
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"github.com/rdt-go/rdt/internal/obs"
 	"github.com/rdt-go/rdt/internal/rgraph"
 	"github.com/rdt-go/rdt/internal/storage"
+	"github.com/rdt-go/rdt/internal/wal"
 )
 
 // newDurableService builds a durable service without auto-drain; the
@@ -78,26 +79,29 @@ func genWorkload(rng *rand.Rand, n, steps int) []Event {
 	return events
 }
 
-// feed pushes events through the session in irregular batches and
-// flushes, so everything is applied (and, on a durable service,
-// persisted) when it returns.
+// feed pushes events through the session in irregular batches, a few
+// at a time behind a gate the worker is parked on — so they are queued
+// together and the worker commits them as one group — and flushes, so
+// everything is applied (and, on a durable service, persisted) when it
+// returns.
 func feed(t *testing.T, rng *rand.Rand, sess *Session, events []Event) {
 	t.Helper()
 	for len(events) > 0 {
-		k := 1 + rng.Intn(6)
-		if k > len(events) {
-			k = len(events)
-		}
-		if err := sess.Enqueue(events[:k]); err != nil {
-			if errors.Is(err, ErrBackpressure) {
-				if err := flush(t, sess); err != nil {
-					t.Fatalf("flush under backpressure: %v", err)
-				}
-				continue
+		gate := make(chan struct{})
+		err := sess.enqueue(batch{gate: gate})
+		for n := 1 + rng.Intn(5); err == nil && n > 0 && len(events) > 0; n-- {
+			k := min(1+rng.Intn(6), len(events))
+			if err = sess.Enqueue(events[:k]); err == nil {
+				events = events[k:]
 			}
-			t.Fatalf("enqueue: %v", err)
 		}
-		events = events[k:]
+		close(gate)
+		if errors.Is(err, ErrBackpressure) {
+			err = flush(t, sess)
+		}
+		if err != nil {
+			t.Fatalf("feed: %v", err)
+		}
 	}
 	if err := flush(t, sess); err != nil {
 		t.Fatalf("flush: %v", err)
@@ -197,13 +201,26 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 	}
 }
 
-// crashModes are the injection points of the differential test.
+// crashModes are the injection points of the differential test: four
+// inside the worker's commit of a group, one inside a snapshot write.
 const (
-	crashAfterAppend = iota // WAL synced, batch not yet applied
+	crashBeforeSync  = iota // group's records appended, fsync not returned: any prefix of them is on disk
+	crashAfterAppend        // fsync returned, batch not yet applied
 	crashAfterApply         // batch applied, snapshot possibly pending
+	crashMidGroup           // batch applied, later records of its group on disk unapplied
 	crashMidSnapshot        // snapshot tmp written, rename not yet done
 	crashModes
 )
+
+// walSize is the length of a session directory's WAL.
+func walSize(t *testing.T, sessDir string) int64 {
+	t.Helper()
+	st, err := os.Stat(filepath.Join(sessDir, "wal.log"))
+	if err != nil {
+		t.Fatalf("stat wal: %v", err)
+	}
+	return st.Size()
+}
 
 // TestCrashPointDifferential is the heart of the durability story:
 // across 500+ seeded runs it crashes a durable session at a seeded
@@ -211,12 +228,19 @@ const (
 // image), restarts from the image, feeds the not-yet-applied suffix,
 // and requires the verdict, recovery line, and witness output to be
 // bit-identical to an uninterrupted reference run — which itself
-// matches the batch checker.
+// matches the batch checker. feed queues several batches at a time, so
+// the points fall inside multi-batch commit groups.
 func TestCrashPointDifferential(t *testing.T) {
 	seeds := 500
 	if testing.Short() {
 		seeds = 60
 	}
+	midGroup := 0 // images taken with unapplied records of the group on disk
+	defer func() {
+		if midGroup == 0 && !t.Failed() {
+			t.Fatal("no seed crashed inside a multi-batch group: feed no longer builds groups")
+		}
+	}()
 	for seed := 0; seed < seeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%03d", seed), func(t *testing.T) {
@@ -226,6 +250,10 @@ func TestCrashPointDifferential(t *testing.T) {
 			seal := rng.Intn(2) == 0
 			mode := rng.Intn(crashModes)
 			trigger := 1 + rng.Intn(8)
+			if mode == crashMidGroup {
+				trigger = 1 + trigger%3 // its points are rarer: one per batch that is not its group's last
+			}
+			tear := rng.Float64() // crashBeforeSync: the share of the unsynced tail that made it to disk
 			id := fmt.Sprintf("crash-%d", seed)
 
 			root := t.TempDir()
@@ -238,27 +266,64 @@ func TestCrashPointDifferential(t *testing.T) {
 			var hookMu sync.Mutex
 			fired := 0
 			captured := false
-			capture := func() {
+			var sess *Session
+			var appliedAtCrash int64 // what the live session had applied when the image was taken
+			liveSess := filepath.Join(liveDir, "sessions", id)
+			crashSess := filepath.Join(crashDir, "sessions", id)
+			capture := func() bool {
 				hookMu.Lock()
 				defer hookMu.Unlock()
 				if fired++; fired == trigger && !captured {
 					captured = true
-					copyDir(t, filepath.Join(liveDir, "sessions", id), filepath.Join(crashDir, "sessions", id))
+					appliedAtCrash = sess.applied // every hook runs under the session lock
+					copyDir(t, liveSess, crashSess)
+					return true
+				}
+				return false
+			}
+			forSession := func(fn func()) func(string) {
+				return func(sid string) {
+					if sid == id {
+						fn()
+					}
 				}
 			}
 			switch mode {
+			case crashBeforeSync:
+				// Whatever the WAL held when a batch was last about to be
+				// applied had been fsync'd; the records appended since have
+				// not, and a crash keeps any prefix of their bytes.
+				var synced int64
+				testHookAppended = forSession(func() { synced = walSize(t, liveSess) })
+				testHookLogged = forSession(func() {
+					if capture() {
+						keep := synced + int64(tear*float64(walSize(t, crashSess)-synced+1))
+						if err := os.Truncate(filepath.Join(crashSess, "wal.log"), keep); err != nil {
+							t.Errorf("tear wal: %v", err)
+						}
+					}
+				})
 			case crashAfterAppend:
-				testHookAppended = func(sid string) {
-					if sid == id {
-						capture()
-					}
-				}
+				testHookAppended = forSession(func() { capture() })
 			case crashAfterApply:
-				testHookApplied = func(sid string) {
-					if sid == id {
-						capture()
+				testHookApplied = forSession(func() { capture() })
+			case crashMidGroup:
+				// Every logged batch is one WAL record and one call here: more
+				// records than calls means records of this group wait unapplied.
+				calls := 0
+				testHookApplied = forSession(func() {
+					calls++
+					records := 0
+					if _, _, err := wal.ScanFrom(filepath.Join(liveSess, "wal.log"), 0, func([]byte) error {
+						records++
+						return nil
+					}); err != nil {
+						t.Errorf("scan wal: %v", err)
 					}
-				}
+					if records > calls && capture() {
+						midGroup++
+					}
+				})
 			case crashMidSnapshot:
 				marker := filepath.Join("sessions", id, "snap_")
 				storage.TestingBeforeRename = func(path string) {
@@ -267,11 +332,12 @@ func TestCrashPointDifferential(t *testing.T) {
 					}
 				}
 			}
-			defer func() {
-				testHookAppended, testHookApplied, storage.TestingBeforeRename = nil, nil, nil
-			}()
+			resetHooks := func() {
+				testHookLogged, testHookAppended, testHookApplied, storage.TestingBeforeRename = nil, nil, nil, nil
+			}
+			defer resetHooks()
 
-			sess := mustCreate(t, svc, id, n)
+			sess = mustCreate(t, svc, id, n)
 			feed(t, rng, sess, events)
 			if seal {
 				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -285,10 +351,11 @@ func TestCrashPointDifferential(t *testing.T) {
 				// The seeded point was past the end of the run; crash at the
 				// very end instead.
 				captured = true
-				copyDir(t, filepath.Join(liveDir, "sessions", id), filepath.Join(crashDir, "sessions", id))
+				appliedAtCrash = sess.Verdict(0).EventsApplied
+				copyDir(t, liveSess, crashSess)
 			}
 			hookMu.Unlock()
-			testHookAppended, testHookApplied, storage.TestingBeforeRename = nil, nil, nil
+			resetHooks()
 			drainNow(t, svc)
 
 			// Reference: the same stream, uninterrupted, in memory only.
@@ -316,6 +383,10 @@ func TestCrashPointDifferential(t *testing.T) {
 			applied := int(recSess.Verdict(0).EventsApplied)
 			if applied > len(events) {
 				t.Fatalf("recovered %d events, only %d were sent", applied, len(events))
+			}
+			if int64(applied) < appliedAtCrash {
+				t.Fatalf("mode %d: the image holds %d events but %d were applied when it was taken: memory ran ahead of the fsync",
+					mode, applied, appliedAtCrash)
 			}
 			feed(t, rng, recSess, events[applied:])
 			if seal {

@@ -8,9 +8,12 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/rdt-go/rdt/internal/binenc"
@@ -20,8 +23,9 @@ import (
 )
 
 // Durability. With Config.DataDir set, every session is durable: each
-// mutating batch is appended to a per-session write-ahead log and
-// fsync'd before it is applied, and the checker's state is snapshotted
+// mutating batch is appended to a per-session write-ahead log, and the
+// log fsync'd, before the batch is applied (Session.commit: one fsync
+// per group of queued batches), and the checker's state is snapshotted
 // every SnapshotEvery events. A session directory
 //
 //	<DataDir>/sessions/<id>/
@@ -52,12 +56,16 @@ const reasonDegraded = "degraded"
 // StateDegraded is reported by sessions whose persistence failed.
 const StateDegraded = "degraded"
 
-// Test hooks for crash-point injection: when non-nil they run while
-// the session lock is held, immediately after a WAL append was synced
-// and immediately after the batch was applied (before any snapshot).
-// The durability tests copy the session directory inside them — a
-// faithful image of kill -9 at that instant.
+// Test hooks for crash-point injection: when non-nil they run in
+// Session.commit while the session lock is held. Logged runs once per
+// group, after its records were appended and before the fsync; Appended
+// and Applied run once per logged batch, just before and just after it
+// is applied — so with the fsync behind them, the group's later records
+// on disk unapplied, and any snapshot still to come. The durability
+// tests copy the session directory inside them — a faithful image of
+// kill -9 at that instant.
 var (
+	testHookLogged   func(sessionID string)
 	testHookAppended func(sessionID string)
 	testHookApplied  func(sessionID string)
 )
@@ -125,7 +133,6 @@ func (s *Service) attachDurable(sess *Session) error {
 // WAL record payloads: one batch per record.
 const recBatch = 1
 
-var opBytes = map[string]byte{OpCheckpoint: 1, OpSend: 2, OpDeliver: 3}
 var opNames = map[byte]string{1: OpCheckpoint, 2: OpSend, 3: OpDeliver}
 
 // encodeBatchRecord frames the mutating content of a batch, including
@@ -141,7 +148,16 @@ func encodeBatchRecord(buf []byte, events []Event, seal bool, producer string, s
 	buf = binenc.AppendInt(buf, len(events))
 	for i := range events {
 		ev := &events[i]
-		buf = append(buf, opBytes[ev.Op])
+		var op byte // 0, which no reader accepts, for an op wellFormed would have cut
+		switch ev.Op {
+		case OpCheckpoint:
+			op = 1
+		case OpSend:
+			op = 2
+		case OpDeliver:
+			op = 3
+		}
+		buf = append(buf, op)
 		if ev.Kind == "forced" {
 			buf = append(buf, 1)
 		} else {
@@ -315,33 +331,6 @@ func snapSeqOf(name string) (uint64, bool) {
 		return 0, false
 	}
 	return seq, true
-}
-
-// persistLocked makes a mutating batch durable before it is applied:
-// append its record, fsync. Any failure degrades the session — the batch
-// is NOT applied, so memory never runs ahead of the medium. A stream
-// frame's watermark advances only here, once the record is on disk, so
-// the persisted dedup state never claims a frame the WAL lost.
-func (s *Session) persistLocked(payload []byte, events int, producer string, seq uint64) error {
-	d := s.dur
-	start := time.Now()
-	err := d.wal.Append(payload)
-	if err == nil {
-		err = d.wal.Sync()
-	}
-	if err != nil {
-		s.degradeLocked(err)
-		return fmt.Errorf("%w: %v", ErrDegraded, err)
-	}
-	s.svc.mWALAppends.Inc()
-	s.svc.mWALAppendBytes.Add(int64(len(payload)))
-	s.svc.hWALAppend.Observe(time.Since(start).Seconds())
-	d.sinceSnap += events
-	s.noteProducerLocked(producer, seq)
-	if testHookAppended != nil {
-		testHookAppended(s.ID)
-	}
-	return nil
 }
 
 // noteProducerLocked advances the persisted stream-dedup watermark.
@@ -528,32 +517,50 @@ func (s *Service) Recover() (RecoverStats, error) {
 	if err != nil {
 		return st, fmt.Errorf("recover: %w", err)
 	}
+	// Load on every core: a load is a snapshot decode plus a WAL replay,
+	// CPU-bound and independent per session directory.
+	var ids []string
 	for _, e := range entries {
-		if !e.IsDir() || !validSessionID(e.Name()) {
-			continue
+		if e.IsDir() && validSessionID(e.Name()) {
+			ids = append(ids, e.Name())
 		}
-		id := e.Name()
-		sess, ls, err := s.loadSession(id)
-		st.Truncations += ls.truncations
-		st.QuarantinedSnapshots += ls.quarantinedSnaps
-		if err != nil {
-			// Unrecoverable shell (bad meta.json): quarantine the whole
-			// directory so the bytes survive for forensics.
-			_ = os.Rename(filepath.Join(root, id), filepath.Join(root, id+".corrupt"))
-			st.QuarantinedSessions++
-			continue
-		}
-		if !s.install(sess) {
-			// Impossible during single-threaded startup; be safe anyway.
-			sess.mu.Lock()
-			sess.dur.closeLocked()
-			sess.mu.Unlock()
-			continue
-		}
-		st.Sessions++
-		st.Records += ls.records
-		st.Events += ls.events
 	}
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex // guards st
+		next atomic.Int64
+	)
+	for w := min(runtime.GOMAXPROCS(0), len(ids)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(ids)); i = next.Add(1) - 1 {
+				id := ids[i]
+				sess, ls, err := s.loadSession(id)
+				mu.Lock()
+				st.Truncations += ls.truncations
+				st.QuarantinedSnapshots += ls.quarantinedSnaps
+				switch {
+				case err != nil:
+					// Unrecoverable shell (bad meta.json): quarantine the whole
+					// directory so the bytes survive for forensics.
+					_ = os.Rename(filepath.Join(root, id), filepath.Join(root, id+".corrupt"))
+					st.QuarantinedSessions++
+				case s.install(sess):
+					st.Sessions++
+					st.Records += ls.records
+					st.Events += ls.events
+				default:
+					// Impossible before traffic is served; be safe anyway.
+					sess.mu.Lock()
+					sess.dur.closeLocked()
+					sess.mu.Unlock()
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
 	return st, nil
 }
 

@@ -382,10 +382,10 @@ func (s *Service) DropPassivated(id string) bool {
 }
 
 // SetCrashHooks installs the crash-point injection hooks (test use
-// only): appended runs right after a WAL record is fsync'd, applied
-// right after a batch is applied, both under the session lock. The
-// returned restore puts the previous hooks back. Not safe to call
-// while traffic is in flight.
+// only): appended runs once the fsync covering a batch's WAL record has
+// returned, just before the batch is applied, applied right after it is
+// applied, both under the session lock. The returned restore puts the
+// previous hooks back. Not safe to call while traffic is in flight.
 func SetCrashHooks(appended, applied func(sessionID string)) (restore func()) {
 	prevAppended, prevApplied := testHookAppended, testHookApplied
 	testHookAppended, testHookApplied = appended, applied

@@ -177,8 +177,13 @@ type Service struct {
 	mViolations   *obs.Counter
 	mBackpressure *obs.Counter
 
+	// The commit stages of Session.commit: appends counts records, syncs
+	// fsyncs, group the records one fsync covered, and append_seconds
+	// times a group's log + sync stage (encode, appends, the one fsync).
 	mWALAppends       *obs.Counter
 	mWALAppendBytes   *obs.Counter
+	mWALSyncs         *obs.Counter
+	hWALGroup         *obs.Histogram
 	hWALAppend        *obs.Histogram
 	mWALReplayRecords *obs.Counter
 	hWALReplay        *obs.Histogram
@@ -219,6 +224,8 @@ func New(cfg Config) (*Service, error) {
 
 		mWALAppends:       cfg.Registry.Counter("rdt_wal_appends_total"),
 		mWALAppendBytes:   cfg.Registry.Counter("rdt_wal_append_bytes_total"),
+		mWALSyncs:         cfg.Registry.Counter("rdt_wal_syncs_total"),
+		hWALGroup:         cfg.Registry.Histogram("rdt_wal_group_batches", obs.DepthBuckets),
 		hWALAppend:        cfg.Registry.Histogram("rdt_wal_append_seconds", obs.LatencyBuckets),
 		mWALReplayRecords: cfg.Registry.Counter("rdt_wal_replay_records_total"),
 		hWALReplay:        cfg.Registry.Histogram("rdt_wal_replay_seconds", obs.LatencyBuckets),

@@ -177,13 +177,32 @@ func (svc *Service) observeInc(inc *rgraph.Incremental) {
 // touch refreshes the idle-eviction clock.
 func (s *Session) touch() { s.lastActive.Store(s.svc.clock.Now().UnixNano()) }
 
-// run is the session worker: it drains the queue until the session is
-// closed, applying every batch in arrival order, then retires the
+// queued is one batch of a commit group: mutates is what the log stage
+// decided (its record is owed to the log), err what its caller is told.
+type queued struct {
+	batch
+	mutates bool
+	err     error
+}
+
+// run is the session worker: it commits the queue one group at a time,
+// in arrival order, until the session is closed, then retires the
 // session (for a durable one: final snapshot or directory removal).
 func (s *Session) run() {
 	defer s.svc.workers.Done()
-	for b := range s.queue {
-		s.process(b)
+	var next batch
+	held := false // next is a gated batch the last group's drain pulled
+	for {
+		if !held {
+			var open bool
+			if next, open = <-s.queue; !open {
+				break
+			}
+		}
+		if next.gate != nil {
+			<-next.gate
+		}
+		next, held = s.commit(next)
 	}
 	s.retire()
 }
@@ -201,62 +220,162 @@ func wellFormed(events []Event) []Event {
 	return events
 }
 
-// process handles one batch with write-ahead ordering: a mutating
-// batch is encoded once, appended to the WAL and fsync'd (durable
-// sessions), and recorded in the log, all before any of it is applied,
-// so neither the medium nor the log ever lags the checker. A
-// persistence failure degrades the session and the batch is NOT applied.
-func (s *Session) process(b batch) {
-	if b.gate != nil {
-		<-b.gate
-	}
+// commit handles one group — the batch the worker received and, on a
+// durable session, whatever is already queued behind it — with
+// write-ahead ordering and one fsync. Log: every mutating batch is
+// encoded once, recorded in the log and appended to the WAL. Sync: one
+// wal.Sync covers those records. Apply: each batch goes through
+// applyBatchLocked in queue order. Then one snapshot check, and
+// done/notify in queue order after the unlock. Nothing waits for a group
+// to fill — an empty queue gives a group of one. A group exists to share
+// an fsync, so a memory session's are all of one: batching there would
+// only hold early acks back for later applies. A group ends at a seal,
+// before a gated batch (handed back: it opens the next group), at the
+// batch that brings SnapshotEvery events together (snapshots stay at the
+// batch boundaries a batch-at-a-time worker takes them at, and the lock
+// hold is bounded), or when the queue is empty. What holds:
+//
+//	(a) no batch is applied, has its stream watermark advanced, or is
+//	    acked before the fsync covering its record returned; an append or
+//	    sync failure degrades the session, and every mutating batch of
+//	    the group reports ErrDegraded and is NOT applied;
+//	(b) a snapshot is taken only between groups, so the WAL offset in its
+//	    header never covers an unapplied record;
+//	(c) acks leave in queue order;
+//	(d) when a batch poisons the session the later records of its group
+//	    are already logged: applyLocked rejects them here as it does on
+//	    replay, so applied, the log's "first applied events" rule,
+//	    verdict, line and prodSeq agree between the two.
+func (s *Session) commit(first batch) (next batch, held bool) {
+	var buf [8]queued // most groups fit: no allocation, nothing kept between groups
+	group := append(buf[:0], queued{batch: first})
 	s.mu.Lock()
-	var err error
-	mutates := (len(b.events) > 0 && !s.sealed && s.failErr == nil) || (b.seal && !s.sealed)
-	if mutates && s.dur != nil && s.dur.degraded {
-		err = fmt.Errorf("%w: %v", ErrDegraded, s.dur.degradedErr)
-	} else if mutates {
-		events := wellFormed(b.events)
-		s.rec = encodeBatchRecord(s.rec[:0], events, b.seal, b.producer, b.seq)
-		if s.dur != nil {
-			err = s.persistLocked(s.rec, len(events), b.producer, b.seq)
-		}
-		if err == nil {
+	d := s.dur
+	var start time.Time
+	if d != nil {
+		start = time.Now()
+	}
+
+	// Log. mutates is judged against the state before the group: sealed
+	// cannot change inside one, failErr can — see (d).
+	var logErr error
+	mark, records, bytes, events := len(s.log), 0, 0, 0
+	if d != nil {
+		events = d.sinceSnap
+	}
+drain:
+	for i := 0; ; i++ {
+		q := &group[i]
+		q.mutates = (len(q.events) > 0 && !s.sealed && s.failErr == nil) || (q.seal && !s.sealed)
+		if q.mutates && (d == nil || !d.degraded) {
+			evs := wellFormed(q.events)
+			s.rec = encodeBatchRecord(s.rec[:0], evs, q.seal, q.producer, q.seq)
 			s.log = binenc.AppendBytes(s.log, s.rec)
+			records, bytes, events = records+1, bytes+len(s.rec), events+len(evs)
+			if d != nil {
+				if logErr = d.wal.Append(s.rec); logErr != nil {
+					break
+				}
+			}
+		}
+		if d == nil || q.seal || events >= s.svc.cfg.SnapshotEvery {
+			break
+		}
+		select {
+		case b, open := <-s.queue:
+			if !open {
+				break drain
+			}
+			if b.gate != nil {
+				next, held = b, true
+				break drain
+			}
+			group = append(group, queued{batch: b})
+		default:
+			break drain
 		}
 	}
-	if err == nil {
-		err = s.applyBatchLocked(b.events, b.seal)
-		if s.dur != nil {
-			if testHookApplied != nil && mutates {
+
+	// Sync.
+	if d != nil && records > 0 {
+		if logErr == nil {
+			if testHookLogged != nil {
+				testHookLogged(s.ID)
+			}
+			logErr = d.wal.Sync()
+		}
+		if logErr != nil {
+			s.degradeLocked(logErr)
+			s.log = s.log[:mark]
+		} else {
+			s.svc.mWALAppends.Add(int64(records))
+			s.svc.mWALAppendBytes.Add(int64(bytes))
+			s.svc.mWALSyncs.Inc()
+			s.svc.hWALGroup.Observe(float64(records))
+			s.svc.hWALAppend.Observe(time.Since(start).Seconds())
+			d.sinceSnap = events
+		}
+	}
+
+	// Apply. On a degraded session mutating batches are skipped, and every
+	// batch reports the failure — barriers (Flush, Seal) too, so async
+	// producers learn their earlier batches were dropped. A stream frame's
+	// watermark advances only here, once its record is on disk, so the
+	// persisted dedup state never claims a frame the WAL lost.
+	var degraded error
+	if d != nil && d.degraded {
+		degraded = fmt.Errorf("%w: %v", ErrDegraded, d.degradedErr)
+	}
+	sealedNow := false
+	for i := range group {
+		q := &group[i]
+		if degraded == nil || !q.mutates {
+			logged := q.mutates && d != nil // it has a record in the WAL
+			if logged {
+				s.noteProducerLocked(q.producer, q.seq)
+				if testHookAppended != nil {
+					testHookAppended(s.ID)
+				}
+			}
+			q.err = s.applyBatchLocked(q.events, q.seal)
+			if logged && testHookApplied != nil {
 				testHookApplied(s.ID)
 			}
-			s.maybeSnapshotLocked(mutates && b.seal && s.sealed)
+			sealedNow = sealedNow || (q.err == nil && q.mutates && q.seal)
+		}
+		if q.err == nil {
+			q.err = degraded
 		}
 	}
-	if err == nil && s.dur != nil && s.dur.degraded {
-		// Barriers (Flush, Seal) on a degraded session report the
-		// persistence failure even when the batch itself is a no-op, so
-		// async producers learn their earlier batches were dropped.
-		err = fmt.Errorf("%w: %v", ErrDegraded, s.dur.degradedErr)
+	if d != nil {
+		s.maybeSnapshotLocked(sealedNow)
 	}
 	s.mu.Unlock()
-	if b.done != nil {
-		b.done <- err
+
+	for i := range group {
+		q := &group[i]
+		if q.done != nil {
+			q.done <- q.err
+		}
+		if q.notify != nil {
+			q.notify(q.err)
+		}
 	}
-	if b.notify != nil {
-		b.notify(err)
-	}
+	return next, held
 }
 
 // applyBatchLocked is the single apply path, shared verbatim by live
 // ingestion and WAL replay — which is what makes replay bit-identical.
 func (s *Session) applyBatchLocked(events []Event, seal bool) error {
 	var err error
+	before := s.applied
 	for _, ev := range events {
 		if err = s.applyLocked(ev); err != nil {
 			break
 		}
+	}
+	if n := s.applied - before; n > 0 {
+		s.svc.mIngested.Add(n)
 	}
 	if err == nil && seal && !s.sealed {
 		s.inc.Seal()
@@ -285,7 +404,6 @@ func (s *Session) applyLocked(ev Event) error {
 		return fmt.Errorf("%w: %v", ErrFailed, err)
 	}
 	s.applied++
-	s.svc.mIngested.Inc()
 	return nil
 }
 

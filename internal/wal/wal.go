@@ -1,7 +1,8 @@
 // Package wal implements the per-session append-only write-ahead log
 // of the checking service: length-prefixed, CRC32C-checksummed records
-// fsync'd on append, with a replay scanner that stops at — and a
-// truncator that removes — any torn or corrupt tail.
+// made durable by a Sync that may cover many appends, with a replay
+// scanner that stops at — and a truncator that removes — any torn or
+// corrupt tail.
 //
 // The frame of one record is
 //
@@ -10,11 +11,11 @@
 //	n bytes  payload
 //
 // Payloads are opaque to this package; the service encodes event
-// batches and seal markers into them. A record is committed once
-// Append and Sync have both returned: the bytes are then on the
+// batches and seal markers into them. A record is committed once its
+// Append and a later Sync have both returned: the bytes are then on the
 // medium, and a later ScanFrom is guaranteed to return the record. A
-// crash between Append and Sync may leave the frame complete, partial,
-// or absent — all three are valid outcomes the scanner resolves by
+// crash between Append and Sync may leave each unsynced frame complete,
+// partial, or absent — all valid outcomes the scanner resolves by
 // returning the longest valid prefix.
 package wal
 

@@ -15,16 +15,17 @@
 #   3. Spread: the newly-joined member ends the run owning at least one
 #      of the driven sessions.
 #
-# Knobs: SHARD_SMOKE_SESSIONS (default 100: at the ~250 k events/s a
-# three-member cluster ingests, fewer finish before the first membership
-# change half a second in), SHARD_SMOKE_EVENTS (events
-# per session, default 6000), SHARD_SMOKE_BATCH (default 32).
+# Knobs: SHARD_SMOKE_SESSIONS (default 150) and SHARD_SMOKE_EVENTS
+# (events per session, default 8000): at the ~850 k events/s a
+# three-member durable cluster ingests since group commit, 1.2 M events
+# keep the producers streaming for well over a second, and both
+# membership changes land within 0.6 s; SHARD_SMOKE_BATCH (default 32).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-SESSIONS="${SHARD_SMOKE_SESSIONS:-100}"
-EVENTS="${SHARD_SMOKE_EVENTS:-6000}"
+SESSIONS="${SHARD_SMOKE_SESSIONS:-150}"
+EVENTS="${SHARD_SMOKE_EVENTS:-8000}"
 BATCH="${SHARD_SMOKE_BATCH:-32}"
 
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/rdt-shard.XXXXXX")"
@@ -105,16 +106,20 @@ echo "== rdtload against the cluster (rebalance mid-ingest) =="
 LOAD_PID="$!"
 PIDS+=("$LOAD_PID")
 
-sleep 0.5
-if ! kill -0 "$LOAD_PID" 2>/dev/null; then
-  echo "rdtload finished before the rebalance; raise SHARD_SMOKE_EVENTS" >&2
-  cat "$WORK/cluster.out" >&2
-  exit 1
-fi
+still_loading() {
+  if ! kill -0 "$LOAD_PID" 2>/dev/null; then
+    echo "rdtload finished before the rebalance; raise SHARD_SMOKE_EVENTS" >&2
+    cat "$WORK/cluster.out" >&2
+    exit 1
+  fi
+}
+sleep 0.3
+still_loading
 echo "== membership change: remove c =="
 curl -sf -X POST "http://$ROUTER/v1/shard/members" \
   -d '{"action":"remove","member":{"name":"c"}}' >/dev/null
-sleep 0.5
+sleep 0.3
+still_loading
 echo "== membership change: add d =="
 curl -sf -X POST "http://$ROUTER/v1/shard/members" \
   -d "{\"action\":\"add\",\"member\":{\"name\":\"d\",\"http\":\"$D_HTTP\",\"stream\":\"$D_STREAM\"}}" >/dev/null
