@@ -60,21 +60,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rdtserved", flag.ContinueOnError)
 	var (
 		addr      = fs.String("addr", ":8080", "HTTP listen address (:0 picks a port)")
-		queue     = fs.Int("queue", service.DefaultQueueDepth, "per-session ingestion queue depth, in batches")
-		shards    = fs.Int("shards", service.DefaultShards, "session-map shards")
-		maxBatch  = fs.Int("max-batch", service.DefaultMaxBatch, "maximum events per ingest request")
 		maxCkpts  = fs.Int("max-checkpoints", service.DefaultMaxCheckpoints, "maximum checkpoints per session")
-		maxViol   = fs.Int("violations", service.DefaultMaxViolations, "default violations listed per verdict")
 		idle      = fs.Duration("idle-timeout", 30*time.Minute, "evict sessions untouched this long (0 disables)")
-		sweep     = fs.Duration("sweep-interval", service.DefaultSweepInterval, "idle-eviction sweep period")
 		drain     = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget")
-		events    = fs.Int("events", obs.DefaultTracerCapacity, "violation/rollback trace ring capacity")
 		dataDir   = fs.String("data-dir", "", "durable session state directory: WAL + snapshots per session, crash recovery on start (empty disables durability)")
 		snapEvery = fs.Int("snapshot-every", service.DefaultSnapshotEvery, "events between session snapshots (with -data-dir)")
 
-		streamAddr  = fs.String("stream-addr", "", "binary streaming ingest (RDTSTRM1) listen address (:0 picks a port; empty disables)")
-		streamFrame = fs.Int("stream-max-frame", stream.DefaultMaxFrame, "maximum stream frame payload, in bytes")
-		streamWin   = fs.Int("stream-window", stream.DefaultWindow, "per-channel stream credit window, in events")
+		streamAddr = fs.String("stream-addr", "", "binary streaming ingest (RDTSTRM1) listen address (:0 picks a port; empty disables)")
 
 		shardSelf    = fs.String("shard-self", "", "this daemon's cluster member name (enables shard mode; requires -data-dir)")
 		shardMembers = fs.String("shard-members", "", "static membership seed: name=HTTPADDR[+STREAMADDR],... (adopted as ring epoch 1; empty waits for a config push)")
@@ -95,18 +87,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 
+	// Every limit without a flag is its package's default.
 	svc, err := service.New(service.Config{
-		Shards:         *shards,
-		QueueDepth:     *queue,
-		MaxBatch:       *maxBatch,
 		MaxCheckpoints: *maxCkpts,
-		MaxViolations:  *maxViol,
 		IdleTimeout:    *idle,
-		SweepInterval:  *sweep,
 		DataDir:        *dataDir,
 		SnapshotEvery:  *snapEvery,
 		Registry:       obs.NewRegistry(),
-		Tracer:         obs.NewTracer(*events),
+		Tracer:         obs.NewTracer(obs.DefaultTracerCapacity),
 	})
 	if err != nil {
 		return err
@@ -169,12 +157,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	var strmSrv *stream.Server
 	if *streamAddr != "" {
-		strmSrv, err = stream.Serve(*streamAddr, stream.Config{
-			Service:  svc,
-			Registry: svc.Config().Registry,
-			MaxFrame: *streamFrame,
-			Window:   *streamWin,
-		})
+		strmSrv, err = stream.Serve(*streamAddr, stream.Config{Service: svc, Registry: svc.Config().Registry})
 		if err != nil {
 			_ = srv.Close()
 			return err

@@ -134,37 +134,6 @@ func TestClusterRunsAreRDT(t *testing.T) {
 	}
 }
 
-func TestClusterOverTCP(t *testing.T) {
-	tr, err := transport.NewTCP(3)
-	if err != nil {
-		t.Fatalf("tcp: %v", err)
-	}
-	c, err := New(Config{N: 3, Protocol: core.KindBHMR, Transport: tr, Handler: echoApp})
-	if err != nil {
-		t.Fatalf("new: %v", err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := c.Node(i%3).Send((i+1)%3, []byte("ping")); err != nil {
-			t.Fatalf("send: %v", err)
-		}
-	}
-	c.Quiesce()
-	p, err := c.Stop()
-	if err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-	if len(p.Messages) != 20 {
-		t.Errorf("messages = %d, want 20", len(p.Messages))
-	}
-	rep, err := rgraph.CheckRDT(p, 4)
-	if err != nil {
-		t.Fatalf("check: %v", err)
-	}
-	if !rep.RDT {
-		t.Errorf("TCP cluster run violated RDT: %v", rep.Violations)
-	}
-}
-
 func TestClusterStoresCheckpoints(t *testing.T) {
 	store := storage.NewMemory()
 	c, err := New(Config{

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -33,7 +34,7 @@ import (
 //	    wal.log              framed, CRC32C-checksummed batches
 //	    snap_<seq>.bin       state snapshots (the last two are kept)
 //
-// survives kill -9: Recover scans the tree, loads each session's
+// survives kill -9: Recover scans the tree, reads each session's
 // newest valid snapshot (a corrupt one is renamed *.corrupt and the
 // previous one used, at the price of a longer replay), reads the whole
 // WAL back as the session's event log, replays the records past the
@@ -415,7 +416,7 @@ func (s *Session) retire() {
 	s.mu.Lock()
 	if d := s.dur; d != nil {
 		switch {
-		case s.dropDisk:
+		case s.dropDisk.Load():
 			d.closeLocked()
 			_ = storage.RemoveDurable(d.dir)
 		case d.degraded:
@@ -435,21 +436,7 @@ func (s *Session) retire() {
 		}
 	}
 	s.mu.Unlock()
-	if s.dur != nil {
-		s.svc.retiredDone(s)
-	}
-	close(s.workerDone)
-}
-
-// retiredDone removes the session from the shard's retiring set; a
-// waiting reactivation then finds the directory free to load.
-func (s *Service) retiredDone(sess *Session) {
-	sh := s.shardFor(sess.ID)
-	sh.mu.Lock()
-	if sh.retired[sess.ID] == sess {
-		delete(sh.retired, sess.ID)
-	}
-	sh.mu.Unlock()
+	s.svc.workerExited(s)
 }
 
 // RecoverStats summarizes a startup recovery scan.
@@ -513,18 +500,12 @@ func (s *Service) Recover() (RecoverStats, error) {
 			}
 		}
 	}
-	entries, err = os.ReadDir(root)
+	ids, err := s.SessionsOnDisk()
 	if err != nil {
 		return st, fmt.Errorf("recover: %w", err)
 	}
 	// Load on every core: a load is a snapshot decode plus a WAL replay,
 	// CPU-bound and independent per session directory.
-	var ids []string
-	for _, e := range entries {
-		if e.IsDir() && validSessionID(e.Name()) {
-			ids = append(ids, e.Name())
-		}
-	}
 	var (
 		wg   sync.WaitGroup
 		mu   sync.Mutex // guards st
@@ -536,25 +517,25 @@ func (s *Service) Recover() (RecoverStats, error) {
 			defer wg.Done()
 			for i := next.Add(1) - 1; i < int64(len(ids)); i = next.Add(1) - 1 {
 				id := ids[i]
+				live, held := s.liveOrHold(id)
+				if live != nil {
+					continue // impossible before traffic is served
+				}
 				sess, ls, err := s.loadSession(id)
 				mu.Lock()
 				st.Truncations += ls.truncations
 				st.QuarantinedSnapshots += ls.quarantinedSnaps
-				switch {
-				case err != nil:
+				if err != nil {
 					// Unrecoverable shell (bad meta.json): quarantine the whole
 					// directory so the bytes survive for forensics.
 					_ = os.Rename(filepath.Join(root, id), filepath.Join(root, id+".corrupt"))
 					st.QuarantinedSessions++
-				case s.install(sess):
+					s.release(id, held)
+				} else {
+					s.install(sess, held)
 					st.Sessions++
 					st.Records += ls.records
 					st.Events += ls.events
-				default:
-					// Impossible before traffic is served; be safe anyway.
-					sess.mu.Lock()
-					sess.dur.closeLocked()
-					sess.mu.Unlock()
 				}
 				mu.Unlock()
 			}
@@ -609,11 +590,92 @@ func snapSeqs(dir string) ([]uint64, error) {
 // does not read back as far as the snapshot it was restored from.
 var errLogDamaged = errors.New("pattern unavailable: the session's WAL is damaged below its snapshot")
 
-// loadSession rebuilds one session from its directory: newest valid
-// snapshot (corrupt ones quarantined) with the WAL below it read back as
-// the event log, then the WAL tail replayed through the exact apply path
-// live ingestion uses, then a torn tail truncated. The returned session
-// is not yet installed or running.
+// dirScan is what scanDir found in a session directory.
+type dirScan struct {
+	snap    *snapHeader         // newest usable snapshot; nil: none
+	from    int64               // the WAL offset it covers: where the tail starts
+	inc     *rgraph.Incremental // its checker and
+	head    []byte              // the log below it: both on a full scan only
+	damaged bool                // the WAL does not read back as far as snap: no head
+	passed  []string            // the unusable snapshot files passed over, newest first
+	nextSeq uint64              // sequence number of the next snapshot file
+	end     int64               // where the decodable WAL ends
+	torn    bool                // bytes follow end: a torn, corrupt or undecodable tail
+}
+
+// scanDir is the one way a session directory is read: the newest usable
+// snapshot's header — unusable means undecodable, of another revision, or
+// claiming a WAL offset inside a record; the scan falls back to the
+// previous one (a longer tail, not data loss) — then restore if there is
+// one, then the WAL tail past it, each record decoded and handed to replay up to the first
+// torn or undecodable one (one that passes its CRC but does not decode is
+// corruption the frame missed). n > 0 asks for a full scan, a load's: the
+// checker behind the header is decoded too, must be over n processes for
+// the snapshot to be usable, and the log below it is kept. n == 0 is the
+// peek stateOfDir compares copies with — by construction the prefix of a
+// load that decides which state the copy restores.
+func scanDir(dir string, n int, restore func(*dirScan), replay func(payload []byte, events []Event, seal bool, producer string, seq uint64)) (*dirScan, error) {
+	seqs, err := snapSeqs(dir)
+	if err != nil {
+		return nil, err
+	}
+	sc := &dirScan{nextSeq: 1}
+	if len(seqs) > 0 {
+		sc.nextSeq = seqs[0] + 1
+	}
+	walPath := filepath.Join(dir, "wal.log")
+	for _, seq := range seqs {
+		path := filepath.Join(dir, snapName(seq))
+		h, incBlob, err := readSnapshotHeader(path)
+		var head []byte
+		var reach int64
+		if err == nil {
+			reach = walHead(walPath, h.walOffset, func(payload []byte) {
+				if n > 0 {
+					head = binenc.AppendBytes(head, payload)
+				}
+			})
+			if reach > h.walOffset {
+				err = fmt.Errorf("snapshot: WAL offset %d is inside a record", h.walOffset)
+			}
+		}
+		var inc *rgraph.Incremental
+		if err == nil && n > 0 {
+			if inc, err = rgraph.DecodeIncremental(incBlob); err == nil && inc.N() != n {
+				err = fmt.Errorf("snapshot: checker over %d processes, want %d", inc.N(), n)
+			}
+		}
+		if err != nil {
+			sc.passed = append(sc.passed, path)
+			continue
+		}
+		sc.snap, sc.from, sc.inc, sc.head, sc.damaged = h, h.walOffset, inc, head, reach < h.walOffset
+		restore(sc)
+		break
+	}
+	var good int64 // frame bytes of the decodable records
+	bad := false
+	sc.end, sc.torn, err = wal.ScanFrom(walPath, sc.from, func(payload []byte) error {
+		events, seal, producer, seq, err := decodeBatchRecord(payload)
+		if err != nil {
+			bad = true
+			return err
+		}
+		replay(payload, events, seal, producer, seq)
+		good += int64(wal.HeaderSize + len(payload))
+		return nil
+	})
+	if bad {
+		sc.end, sc.torn, err = sc.from+good, true, nil
+	}
+	return sc, err
+}
+
+// loadSession rebuilds one session from its directory (scanDir): newest
+// usable snapshot, the unusable ones quarantined, with the WAL below it
+// read back as the event log, then the WAL tail replayed through the exact
+// apply path live ingestion uses, then a torn tail truncated. The returned
+// session is not yet installed or running.
 func (s *Service) loadSession(id string) (*Session, loadStats, error) {
 	var ls loadStats
 	dir := s.sessionDir(id)
@@ -637,89 +699,45 @@ func (s *Service) loadSession(id string) (*Session, loadStats, error) {
 		sess.created = meta.Created
 	}
 
-	// Newest valid snapshot wins; invalid ones — undecodable, of another
-	// revision, or claiming a WAL offset inside a record — are renamed
-	// aside and the scan falls back to the previous (a longer replay, not
-	// data loss).
-	seqs, err := snapSeqs(dir)
+	start := time.Now()
+	// The session is unpublished, so no lock is needed; apply errors on
+	// replay are deterministic re-poisonings, not replay failures.
+	sc, err := scanDir(dir, meta.N, func(sc *dirScan) {
+		h := sc.snap
+		sess.inc = sc.inc
+		sess.msgs = h.msgs
+		sess.usedMsg = h.usedMsg
+		sess.prodSeq = h.prodSeq
+		sess.applied = h.applied
+		sess.sealed = h.sealed
+		sess.failErr = h.failErr
+		sess.publishLocked()
+		s.observeInc(sess.inc)
+		if sess.log = sc.head; sc.damaged {
+			// The snapshot passed its checksum, so the damage is in the WAL
+			// below it: that costs the pattern. The checker and the tail
+			// are read as always and no byte below the snapshot is touched.
+			sess.log, sess.logErr = nil, errLogDamaged
+		}
+	}, func(payload []byte, events []Event, seal bool, producer string, seq uint64) {
+		sess.log = binenc.AppendBytes(sess.log, payload)
+		sess.applyBatchLocked(events, seal)
+		sess.noteProducerLocked(producer, seq)
+		ls.records++
+		ls.events += int64(len(events))
+		s.mWALReplayRecords.Inc()
+	})
 	if err != nil {
 		return nil, ls, fmt.Errorf("load %q: %w", id, err)
 	}
-	nextSeq := uint64(1)
-	if len(seqs) > 0 {
-		nextSeq = seqs[0] + 1
-	}
-	walPath := filepath.Join(dir, "wal.log")
-	start := time.Now()
-	var from int64
-	for _, seq := range seqs {
-		path := filepath.Join(dir, snapName(seq))
-		h, incBlob, err := readSnapshotHeader(path)
-		var head []byte // the log below the snapshot
-		var reach int64
-		if err == nil {
-			reach = walHead(walPath, h.walOffset, func(payload []byte) { head = binenc.AppendBytes(head, payload) })
-			if reach > h.walOffset {
-				err = fmt.Errorf("snapshot: WAL offset %d is inside a record", h.walOffset)
-			}
-		}
-		var inc *rgraph.Incremental
-		if err == nil {
-			inc, err = rgraph.DecodeIncremental(incBlob)
-		}
-		if err == nil && inc.N() == meta.N {
-			sess.inc = inc
-			sess.msgs = h.msgs
-			sess.usedMsg = h.usedMsg
-			sess.prodSeq = h.prodSeq
-			sess.applied = h.applied
-			sess.sealed = h.sealed
-			sess.failErr = h.failErr
-			sess.publishLocked()
-			s.observeInc(sess.inc)
-			from = h.walOffset
-			if sess.log = head; reach < from {
-				// The snapshot passed its checksum, so the damage is in the WAL
-				// below it: that costs the pattern. The checker and the tail
-				// are read as always and no byte below the snapshot is touched.
-				sess.log, sess.logErr = nil, errLogDamaged
-			}
-			break
-		}
+	for _, path := range sc.passed {
 		_ = os.Rename(path, path+".corrupt")
 		ls.quarantinedSnaps++
 		s.mSnapQuarantined.Inc()
 	}
-
-	// Replay. The session is unpublished, so no lock is needed; apply
-	// errors are deterministic re-poisonings, not replay failures. A
-	// record that passes its CRC but does not decode is corruption the
-	// frame missed: replay stops before it and the tail is cut there.
-	var replayed int64 // frame bytes consumed by decodable records
-	var badRecord bool
-	end, torn, err := wal.ScanFrom(walPath, from, func(payload []byte) error {
-		events, seal, producer, seq, derr := decodeBatchRecord(payload)
-		if derr != nil {
-			badRecord = true
-			return derr
-		}
-		sess.log = binenc.AppendBytes(sess.log, payload)
-		sess.applyBatchLocked(events, seal)
-		sess.noteProducerLocked(producer, seq)
-		replayed += int64(wal.HeaderSize + len(payload))
-		ls.records++
-		ls.events += int64(len(events))
-		s.mWALReplayRecords.Inc()
-		return nil
-	})
-	if err != nil && !badRecord {
-		return nil, ls, fmt.Errorf("load %q: replay: %w", id, err)
-	}
-	if badRecord {
-		end, torn = from+replayed, true
-	}
-	if torn {
-		if err := wal.Truncate(walPath, end); err != nil {
+	walPath := filepath.Join(dir, "wal.log")
+	if sc.torn {
+		if err := wal.Truncate(walPath, sc.end); err != nil {
 			return nil, ls, fmt.Errorf("load %q: %w", id, err)
 		}
 		ls.truncations++
@@ -734,38 +752,15 @@ func (s *Service) loadSession(id string) (*Session, loadStats, error) {
 	sess.dur = &durableSession{
 		dir:        dir,
 		wal:        l,
-		snapSeq:    nextSeq,
-		snapOffset: from,
+		snapSeq:    sc.nextSeq,
+		snapOffset: sc.from,
 		sinceSnap:  int(ls.events),
 	}
 	// Reseed the live dedup watermark from the persisted one: a
 	// resuming producer is told exactly where the durable record ends
 	// and replays from there, no more and no less.
-	if len(sess.prodSeq) > 0 {
-		sess.strmSeq = make(map[string]uint64, len(sess.prodSeq))
-		for p, seq := range sess.prodSeq {
-			sess.strmSeq[p] = seq
-		}
-	}
+	sess.strmSeq = maps.Clone(sess.prodSeq)
 	return sess, ls, nil
-}
-
-// install publishes a loaded session and starts its worker; it reports
-// false if the id is already live (the caller discards the loaded
-// copy).
-func (s *Service) install(sess *Session) bool {
-	sh := s.shardFor(sess.ID)
-	sh.mu.Lock()
-	if _, ok := sh.sessions[sess.ID]; ok {
-		sh.mu.Unlock()
-		return false
-	}
-	sh.sessions[sess.ID] = sess
-	sh.mu.Unlock()
-	s.workers.Add(1)
-	go sess.run()
-	s.mSessions.Add(1)
-	return true
 }
 
 // activate brings a passivated session back from disk on first touch.
@@ -774,40 +769,20 @@ func (s *Service) activate(id string) (*Session, error) {
 	if sess != nil {
 		return sess, nil
 	}
-	defer s.releaseLoad(id, held)
 	if s.draining.Load() {
+		s.release(id, held)
 		return nil, ErrDraining
 	}
 	if _, err := os.Stat(s.sessionDir(id)); err != nil {
+		s.release(id, held)
 		return nil, fmt.Errorf("%w: %q", ErrNoSession, id)
 	}
-	loaded, _, err := s.loadSession(id)
+	sess, _, err := s.loadSession(id)
 	if err != nil {
+		s.release(id, held)
 		return nil, fmt.Errorf("%w: %q: unrecoverable: %v", ErrNoSession, id, err)
 	}
-	if !s.install(loaded) {
-		// Impossible under the singleflight; be safe anyway.
-		loaded.mu.Lock()
-		loaded.dur.closeLocked()
-		loaded.mu.Unlock()
-		return nil, fmt.Errorf("activate %q: went live under its load singleflight", id)
-	}
+	s.install(sess, held)
 	s.mReactivated.Inc()
-	return loaded, nil
-}
-
-// dropPassivated deletes the on-disk state of a session that is not
-// live (explicit DELETE of a passivated session).
-func (s *Service) dropPassivated(id string) bool {
-	sess, held := s.liveOrHold(id)
-	if sess != nil {
-		return false // re-appeared; caller's Evict already missed it
-	}
-	defer s.releaseLoad(id, held)
-	dir := s.sessionDir(id)
-	if _, err := os.Stat(dir); err != nil {
-		return false
-	}
-	_ = storage.RemoveDurable(dir)
-	return true
+	return sess, nil
 }

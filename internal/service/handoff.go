@@ -3,12 +3,12 @@ package service
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"github.com/rdt-go/rdt/internal/storage"
-	"github.com/rdt-go/rdt/internal/wal"
 )
 
 // Shard handoff support. The cluster layer (internal/shard) moves a
@@ -16,10 +16,11 @@ import (
 // reactivate: ExportSession turns a live session back into its on-disk
 // form and returns the files, ImportSession installs those files under
 // a new owner's root, and DropPassivated deletes the old copy once the
-// new owner acknowledges. All three hold the session's load
-// singleflight, so they cannot interleave with a reactivation — and in
-// shard mode the ownership gate has already stopped routing traffic at
-// the exporting side, so nothing reactivates the session mid-move.
+// new owner acknowledges. All three hold the session's slot in the
+// lifecycle table (liveOrHold), so they cannot interleave with a
+// reactivation — and in shard mode the ownership gate has already stopped
+// routing traffic at the exporting side, so nothing reactivates the
+// session mid-move.
 
 // ErrSessionLive is returned by ImportSession when the local copy of
 // the session already covers the imported image: every producer
@@ -35,23 +36,12 @@ var ErrSessionLive = errors.New("session already present")
 var ErrStateDiverged = errors.New("session state diverged")
 
 // Live reports whether the session is currently in memory.
-func (s *Service) Live(id string) bool {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	_, ok := sh.sessions[id]
-	sh.mu.RUnlock()
-	return ok
-}
+func (s *Service) Live(id string) bool { return s.live(id) != nil }
 
 // HasLocal reports whether this daemon holds any state for the session:
-// live in memory, retiring, or passivated on disk.
+// live in memory, or — retiring or passivated — in its directory.
 func (s *Service) HasLocal(id string) bool {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	_, live := sh.sessions[id]
-	retiring := sh.retired[id] != nil
-	sh.mu.RUnlock()
-	if live || retiring {
+	if s.Live(id) {
 		return true
 	}
 	if !s.durable() || !validSessionID(id) {
@@ -90,10 +80,7 @@ func (s *Service) SessionsOnDisk() ([]string, error) {
 // closed when Passivate returns. It reports whether the session was
 // live. The reason labels the eviction counter.
 func (s *Service) Passivate(id, reason string) bool {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	sess := sh.sessions[id]
-	sh.mu.RUnlock()
+	sess := s.live(id)
 	if sess == nil {
 		return false
 	}
@@ -132,14 +119,14 @@ func (s *Service) ExportSession(id string) (map[string][]byte, error) {
 			continue
 		}
 		files, err := s.readSessionDir(id)
-		s.releaseLoad(id, held)
+		s.release(id, held)
 		return files, err
 	}
 	return nil, fmt.Errorf("export %q: session keeps reactivating", id)
 }
 
 // readSessionDir reads a passivated session's files; the caller holds
-// the id's singleflight.
+// the id.
 func (s *Service) readSessionDir(id string) (map[string][]byte, error) {
 	dir := s.sessionDir(id)
 	entries, err := os.ReadDir(dir)
@@ -187,20 +174,7 @@ func (a imageState) covers(b imageState) bool {
 }
 
 // strictlyCovers reports whether a covers b and holds more.
-func (a imageState) strictlyCovers(b imageState) bool {
-	if !a.covers(b) {
-		return false
-	}
-	if a.applied > b.applied {
-		return true
-	}
-	for p, seq := range a.prodSeq {
-		if seq > b.prodSeq[p] {
-			return true
-		}
-	}
-	return false
-}
+func (a imageState) strictlyCovers(b imageState) bool { return a.covers(b) && !b.covers(a) }
 
 // durableState snapshots the live session's durable watermarks — what
 // a passivation right now would persist (modulo queued batches, which
@@ -208,49 +182,24 @@ func (a imageState) strictlyCovers(b imageState) bool {
 func (s *Session) durableState() imageState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ps := make(map[string]uint64, len(s.prodSeq))
-	for p, q := range s.prodSeq {
-		ps[p] = q
-	}
-	return imageState{prodSeq: ps, applied: s.applied}
+	return imageState{prodSeq: maps.Clone(s.prodSeq), applied: s.applied}
 }
 
 // stateOfDir peeks a passivated session directory's durable state
-// without installing it: the newest usable snapshot's header (the
-// checker behind it is not decoded), then the WAL tail scanned (not
-// applied) up to the first torn or undecodable record — exactly the
+// without installing it: scanDir's header-only pass (the checker is not
+// decoded, nothing is applied, quarantined or truncated) — exactly the
 // state activation would restore from the copy.
 func stateOfDir(dir string) (imageState, error) {
 	st := imageState{prodSeq: make(map[string]uint64)}
-	seqs, err := snapSeqs(dir)
-	if err != nil {
-		return st, err
-	}
-	walPath := filepath.Join(dir, "wal.log")
-	var from int64
-	for _, seq := range seqs {
-		h, _, err := readSnapshotHeader(filepath.Join(dir, snapName(seq)))
-		if err != nil || walHead(walPath, h.walOffset, func([]byte) {}) > h.walOffset {
-			continue
-		}
-		st.prodSeq, st.applied, from = h.prodSeq, h.applied, h.walOffset
-		break
-	}
-	// Scan errors (torn tail, undecodable record, missing WAL) end the
-	// scan where activation's replay would: the decodable prefix IS
-	// this copy's restorable state.
-	_, _, _ = wal.ScanFrom(walPath, from, func(payload []byte) error {
-		events, _, producer, seq, derr := decodeBatchRecord(payload)
-		if derr != nil {
-			return derr
-		}
+	_, err := scanDir(dir, 0, func(sc *dirScan) {
+		st.prodSeq, st.applied = sc.snap.prodSeq, sc.snap.applied
+	}, func(_ []byte, events []Event, _ bool, producer string, seq uint64) {
 		if producer != "" && seq > st.prodSeq[producer] {
 			st.prodSeq[producer] = seq
 		}
 		st.applied += int64(len(events))
-		return nil
 	})
-	return st, nil
+	return st, err
 }
 
 // ImportSession installs a session directory shipped from another
@@ -312,7 +261,7 @@ func (s *Service) ImportSession(id string, files map[string][]byte) error {
 		sess, held := s.liveOrHold(id)
 		if sess == nil {
 			err := s.installImport(id, tmp, img)
-			s.releaseLoad(id, held)
+			s.release(id, held)
 			return err
 		}
 		if sess.durableState().covers(img) {
@@ -328,8 +277,7 @@ func (s *Service) ImportSession(id string, files map[string][]byte) error {
 }
 
 // installImport resolves the staged image against whatever is on disk
-// and renames it into place if it wins; the caller holds the id's
-// singleflight.
+// and renames it into place if it wins; the caller holds the id.
 func (s *Service) installImport(id, tmp string, img imageState) error {
 	dir := s.sessionDir(id)
 	if _, err := os.Stat(dir); err == nil {
@@ -372,13 +320,24 @@ func (s *Service) installImport(id, tmp string, img imageState) error {
 }
 
 // DropPassivated deletes the on-disk state of a session that is not
-// live — the old owner's cleanup once a handoff is acknowledged. It
-// reports whether anything was deleted; a live session is left alone.
+// live — the old owner's cleanup once a handoff is acknowledged, or the
+// explicit DELETE of a passivated session. It reports whether anything
+// was deleted; a live session is left alone.
 func (s *Service) DropPassivated(id string) bool {
 	if !s.durable() || !validSessionID(id) {
 		return false
 	}
-	return s.dropPassivated(id)
+	sess, held := s.liveOrHold(id)
+	if sess != nil {
+		return false
+	}
+	defer s.release(id, held)
+	dir := s.sessionDir(id)
+	if _, err := os.Stat(dir); err != nil {
+		return false
+	}
+	_ = storage.RemoveDurable(dir)
+	return true
 }
 
 // SetCrashHooks installs the crash-point injection hooks (test use

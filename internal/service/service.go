@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"sort"
 	"strings"
@@ -15,13 +14,11 @@ import (
 	"time"
 
 	"github.com/rdt-go/rdt/internal/obs"
-	"github.com/rdt-go/rdt/internal/storage"
 	"github.com/rdt-go/rdt/internal/vtime"
 )
 
 // Defaults for the zero Config.
 const (
-	DefaultShards         = 16
 	DefaultQueueDepth     = 256
 	DefaultMaxBatch       = 512
 	DefaultMaxBody        = 1 << 20 // 1 MiB per ingest request
@@ -35,8 +32,6 @@ const (
 // Config tunes a Service. The zero value is usable: every limit falls
 // back to its default and idle eviction is off.
 type Config struct {
-	// Shards is the number of session-map shards (lock striping).
-	Shards int
 	// QueueDepth bounds each session's ingestion queue, in batches; a
 	// full queue is backpressure.
 	QueueDepth int
@@ -76,9 +71,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = DefaultShards
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = DefaultQueueDepth
 	}
@@ -146,22 +138,24 @@ type gateFuncs struct {
 	info  func() any
 }
 
-// Service is the multi-session checker: sharded session state, one
-// worker goroutine per session, and a janitor evicting idle sessions.
+// Service is the multi-session checker: one lifecycle table of session
+// ids, one worker goroutine per live session, and a janitor evicting
+// idle sessions.
 type Service struct {
-	cfg       Config
-	clock     vtime.Clock
-	shards    []*shard
+	cfg   Config
+	clock vtime.Clock
+
+	// slots says where every session id this process knows of is. An id
+	// with no slot is absent: only the data directory knows of it.
+	mu    sync.RWMutex
+	slots map[string]slot
+
 	workers   sync.WaitGroup
 	janitor   sync.WaitGroup
 	stop      chan struct{}
 	draining  atomic.Bool
 	drainOne  sync.Once
 	unlockOne sync.Once
-
-	// Reactivation/deletion singleflight, keyed by session id.
-	loadMu sync.Mutex
-	loads  map[string]chan struct{}
 
 	// unlock releases the data-dir lock (durable services only).
 	unlock func()
@@ -195,12 +189,15 @@ type Service struct {
 	mReactivated      *obs.Counter
 }
 
-type shard struct {
-	mu       sync.RWMutex
-	sessions map[string]*Session
-	// retired holds durable sessions evicted from the map whose worker
-	// has not yet finished passivating; reactivation waits them out.
-	retired map[string]*Session
+// slot is one id's lifecycle state (DESIGN.md §8). Live: sess is set.
+// Held: one goroutine owns the id's disk↔memory transition — create,
+// load, export, import, drop — and closes busy when it is done.
+// Retiring: a durable session was evicted and busy is its workerDone,
+// closed once its final snapshot landed or its directory is gone. A
+// closed busy means free: whoever finds one may take the slot.
+type slot struct {
+	sess *Session
+	busy chan struct{}
 }
 
 // New starts a service. Call Drain to stop it, and — when DataDir is
@@ -213,9 +210,8 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:           cfg,
 		clock:         vtime.Or(cfg.Clock),
-		shards:        make([]*shard, cfg.Shards),
+		slots:         make(map[string]slot),
 		stop:          make(chan struct{}),
-		loads:         make(map[string]chan struct{}),
 		mSessions:     cfg.Registry.Gauge("rdt_service_sessions"),
 		mCreated:      cfg.Registry.Counter("rdt_service_sessions_created_total"),
 		mIngested:     cfg.Registry.Counter("rdt_service_events_ingested_total"),
@@ -235,12 +231,6 @@ func New(cfg Config) (*Service, error) {
 		mDegraded:         cfg.Registry.Gauge("rdt_service_degraded_sessions"),
 		mPassivated:       cfg.Registry.Counter("rdt_service_sessions_passivated_total"),
 		mReactivated:      cfg.Registry.Counter("rdt_service_sessions_reactivated_total"),
-	}
-	for i := range s.shards {
-		s.shards[i] = &shard{
-			sessions: make(map[string]*Session),
-			retired:  make(map[string]*Session),
-		}
 	}
 	if s.durable() {
 		if err := os.MkdirAll(s.sessionsRoot(), 0o755); err != nil {
@@ -300,12 +290,6 @@ func (s *Service) Config() Config { return s.cfg }
 
 func (s *Service) reject(reason string, n int) {
 	s.cfg.Registry.Counter("rdt_service_events_rejected_total", "reason", reason).Add(int64(n))
-}
-
-func (s *Service) shardFor(id string) *shard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(id))
-	return s.shards[h.Sum32()%uint32(len(s.shards))]
 }
 
 // validSessionID accepts ids safe to embed in URL paths and file
@@ -380,42 +364,23 @@ func (s *Service) CreateSession(id string, n int) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	var loadCh chan struct{}
+	// A session's birth is a disk↔memory transition like any other: the id
+	// is held across it, or a shard export could read (and ship) the
+	// half-born directory while the create goes on to win locally.
+	live, held := s.liveOrHold(id)
+	if live != nil {
+		return nil, fmt.Errorf("%w: %q", ErrSessionExists, id)
+	}
 	if s.durable() {
-		// A session's birth is a disk↔memory transition like any other:
-		// hold the id's load singleflight across it, or a shard export
-		// can read (and ship) the half-born directory while the create
-		// goes on to win locally.
-		loadCh = s.acquireLoad(id)
 		// The Mkdir inside doubles as the existence check: a passivated
-		// session owns its directory even while absent from the map.
+		// session owns its directory while its id is absent from the table.
 		if err := s.attachDurable(sess); err != nil {
-			s.releaseLoad(id, loadCh)
+			s.release(id, held)
 			return nil, err
 		}
 	}
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	if _, ok := sh.sessions[id]; ok {
-		sh.mu.Unlock()
-		if sess.dur != nil {
-			sess.dur.closeLocked()
-			_ = storage.RemoveDurable(sess.dur.dir)
-		}
-		if loadCh != nil {
-			s.releaseLoad(id, loadCh)
-		}
-		return nil, fmt.Errorf("%w: %q", ErrSessionExists, id)
-	}
-	sh.sessions[id] = sess
-	sh.mu.Unlock()
-	if loadCh != nil {
-		s.releaseLoad(id, loadCh)
-	}
-	s.workers.Add(1)
-	go sess.run()
+	s.install(sess, held)
 	s.mCreated.Inc()
-	s.mSessions.Add(1)
 	if s.durable() {
 		// The ring can reassign the id between the gate check at entry
 		// and the install above — and by now the new epoch's rebalance
@@ -430,63 +395,75 @@ func (s *Service) CreateSession(id string, n int) (*Session, error) {
 	return sess, nil
 }
 
-// acquireLoad takes the id's load singleflight, waiting out any
-// in-flight holder (activation, export, import, drop, or create).
-func (s *Service) acquireLoad(id string) chan struct{} {
-	s.loadMu.Lock()
-	for {
-		ch, inFlight := s.loads[id]
-		if !inFlight {
-			break
-		}
-		s.loadMu.Unlock()
-		<-ch
-		s.loadMu.Lock()
-	}
-	ch := make(chan struct{})
-	s.loads[id] = ch
-	s.loadMu.Unlock()
-	return ch
-}
-
-func (s *Service) releaseLoad(id string, ch chan struct{}) {
-	s.loadMu.Lock()
-	delete(s.loads, id)
-	s.loadMu.Unlock()
-	close(ch)
-}
-
-// liveOrHold is the gate every disk↔memory transition of a durable
-// session goes through. It returns the id's live session, or — having
-// waited out an in-flight retirement (its final snapshot must land
-// before the directory is touched) — the id's load singleflight, held.
-// Every install of a running durable service happens under that
-// singleflight, so while it is held the id stays neither live nor
-// retiring and its directory is the caller's alone. The caller must
-// releaseLoad a held singleflight.
+// liveOrHold is the gate every transition of an id goes through. It
+// returns the id's live session, or — having waited out whoever held the
+// id and any retirement in flight (its final snapshot must land before
+// the directory is touched) — the id held for the caller, who alone may
+// then touch its directory and must end the hold with install (the id
+// goes live) or release (it goes back to absent).
 func (s *Service) liveOrHold(id string) (live *Session, held chan struct{}) {
-	sh := s.shardFor(id)
-	lookup := func() (sess, retiring *Session) {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		return sh.sessions[id], sh.retired[id]
-	}
 	for {
-		sess, retiring := lookup()
-		if sess != nil {
-			return sess, nil
+		s.mu.Lock()
+		sl := s.slots[id]
+		// Every closer of a busy takes its slot out first, so a closed one
+		// should not be found; if one is, it is free, not a wait that spins.
+		if sl.sess == nil && (sl.busy == nil || isClosed(sl.busy)) {
+			held = make(chan struct{})
+			s.slots[id] = slot{busy: held}
 		}
-		if retiring != nil {
-			<-retiring.workerDone
-			continue
+		s.mu.Unlock()
+		if sl.sess != nil || held != nil {
+			return sl.sess, held
 		}
-		held = s.acquireLoad(id)
-		// Whoever held it before us may have brought the session back.
-		if sess, retiring = lookup(); sess == nil && retiring == nil {
-			return nil, held
-		}
-		s.releaseLoad(id, held)
+		<-sl.busy
 	}
+}
+
+func isClosed(ch chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// release ends a hold with the id absent again.
+func (s *Service) release(id string, held chan struct{}) {
+	s.mu.Lock()
+	delete(s.slots, id)
+	s.mu.Unlock()
+	close(held)
+}
+
+// install ends a hold with the id live as sess, and starts its worker.
+func (s *Service) install(sess *Session, held chan struct{}) {
+	s.workers.Add(1)
+	s.mu.Lock()
+	s.slots[sess.ID] = slot{sess: sess}
+	s.mu.Unlock()
+	close(held)
+	go sess.run()
+	s.mSessions.Add(1)
+}
+
+// workerExited is the last act of a session's worker: if the session was
+// retiring, its id is absent from here on. workerDone closes under the
+// table lock, so Evict sees a worker either still to come by here or gone.
+func (s *Service) workerExited(sess *Session) {
+	s.mu.Lock()
+	if s.slots[sess.ID].busy == sess.workerDone {
+		delete(s.slots, sess.ID)
+	}
+	close(sess.workerDone)
+	s.mu.Unlock()
+}
+
+// live returns the id's live session, nil when it has none.
+func (s *Service) live(id string) *Session {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.slots[id].sess
 }
 
 // Session looks a session up by id; on a durable service a passivated
@@ -499,11 +476,7 @@ func (s *Service) Session(id string) (*Session, error) {
 	if err := s.CheckGate(id); err != nil {
 		return nil, err
 	}
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	sess, ok := sh.sessions[id]
-	sh.mu.RUnlock()
-	if ok {
+	if sess := s.live(id); sess != nil {
 		return sess, nil
 	}
 	if s.durable() && validSessionID(id) {
@@ -522,47 +495,52 @@ func (s *Service) Session(id string) (*Session, error) {
 // writes a final snapshot and the state waits on disk for the next
 // touch.
 func (s *Service) Evict(id, reason string) bool {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	sess, ok := sh.sessions[id]
-	if ok {
-		delete(sh.sessions, id)
-		if sess.dur != nil {
-			sh.retired[id] = sess
-		}
+	drop := reason == "explicit" // of a durable session: its directory goes too
+	s.mu.Lock()
+	sess := s.slots[id].sess
+	if sess == nil {
+		s.mu.Unlock()
+		return drop && s.DropPassivated(id)
 	}
-	sh.mu.Unlock()
-	if !ok {
-		if reason == "explicit" && s.durable() && validSessionID(id) {
-			return s.dropPassivated(id)
-		}
-		return false
+	gone := isClosed(sess.workerDone) // Drain ran its worker out
+	if sess.dur != nil && !gone {
+		s.slots[id] = slot{busy: sess.workerDone} // retiring
+	} else {
+		delete(s.slots, id)
 	}
+	s.mu.Unlock()
 	if sess.dur != nil {
-		if reason == "explicit" {
-			sess.mu.Lock()
-			sess.dropDisk = true
-			sess.mu.Unlock()
+		if drop {
+			sess.dropDisk.Store(true)
 		} else {
 			s.mPassivated.Inc()
 		}
 	}
 	sess.closeQueue()
+	if gone && drop {
+		s.DropPassivated(id) // no worker is left to do it
+	}
 	s.mSessions.Add(-1)
 	s.cfg.Registry.Counter("rdt_service_sessions_evicted_total", "reason", reason).Inc()
 	return true
 }
 
+// liveSessions lists every live session, in no order.
+func (s *Service) liveSessions() []*Session {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	all := make([]*Session, 0, len(s.slots))
+	for _, sl := range s.slots {
+		if sl.sess != nil {
+			all = append(all, sl.sess)
+		}
+	}
+	return all
+}
+
 // Sessions lists every live session, sorted by id.
 func (s *Service) Sessions() []Info {
-	var all []*Session
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, sess := range sh.sessions {
-			all = append(all, sess)
-		}
-		sh.mu.RUnlock()
-	}
+	all := s.liveSessions()
 	out := make([]Info, 0, len(all))
 	for _, sess := range all {
 		out = append(out, sess.Info())
@@ -572,15 +550,7 @@ func (s *Service) Sessions() []Info {
 }
 
 // SessionCount returns the number of live sessions.
-func (s *Service) SessionCount() int {
-	total := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		total += len(sh.sessions)
-		sh.mu.RUnlock()
-	}
-	return total
-}
+func (s *Service) SessionCount() int { return len(s.liveSessions()) }
 
 // Draining reports whether Drain has begun.
 func (s *Service) Draining() bool { return s.draining.Load() }
@@ -602,18 +572,10 @@ func (s *Service) runJanitor(t vtime.Ticker) {
 // timeout.
 func (s *Service) sweep() {
 	cut := s.clock.Now().Add(-s.cfg.IdleTimeout).UnixNano()
-	var idle []string
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for id, sess := range sh.sessions {
-			if sess.lastActive.Load() < cut {
-				idle = append(idle, id)
-			}
+	for _, sess := range s.liveSessions() {
+		if sess.lastActive.Load() < cut {
+			s.Evict(sess.ID, "idle")
 		}
-		sh.mu.RUnlock()
-	}
-	for _, id := range idle {
-		s.Evict(id, "idle")
 	}
 }
 
@@ -627,16 +589,8 @@ func (s *Service) Drain(ctx context.Context) error {
 		close(s.stop)
 	})
 	s.janitor.Wait()
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		sessions := make([]*Session, 0, len(sh.sessions))
-		for _, sess := range sh.sessions {
-			sessions = append(sessions, sess)
-		}
-		sh.mu.RUnlock()
-		for _, sess := range sessions {
-			sess.closeQueue()
-		}
+	for _, sess := range s.liveSessions() {
+		sess.closeQueue()
 	}
 	done := make(chan struct{})
 	go func() {

@@ -31,16 +31,14 @@ var (
 )
 
 // batch is one unit of work on a session queue: a slice of events to
-// apply, a seal request, or a pure barrier (both nil/false). When done
-// is non-nil the worker reports completion on it (buffered, so the
-// worker never blocks on a caller that gave up); when notify is non-nil
-// the worker invokes it after processing — the async counterpart of
-// done, used by the ingest paths to release pooled event buffers and by
-// the stream layer to emit acks. notify must not block.
+// apply, a seal request, or a pure barrier (both nil/false). When notify
+// is non-nil the worker invokes it after processing, with the outcome:
+// the ingest paths release pooled event buffers in it, the stream layer
+// emits acks, and Flush and Seal (await) send on a buffered channel.
+// notify must not block.
 type batch struct {
 	events []Event
 	seal   bool
-	done   chan error
 	notify func(error)
 	gate   chan struct{} // test hook: the worker parks here before processing
 
@@ -72,33 +70,32 @@ type Session struct {
 	workerDone chan struct{}
 
 	lastActive atomic.Int64 // unix nanoseconds of the last API touch
-
-	// Stream-ingest dedup state: the highest frame sequence accepted per
-	// producer. Held outside mu so the check-and-enqueue of EnqueueSeq is
-	// atomic across concurrent connections without ordering against the
-	// apply lock. On a durable session the watermark is reseeded from
-	// prodSeq (the persisted mirror) at load, so a reconnecting producer
-	// resumes its numbering across passivation, restart, and handoff.
-	strmMu  sync.Mutex
-	strmSeq map[string]uint64
+	dropDisk   atomic.Bool  // explicit delete: the worker removes the directory
 
 	// Admission state, apart from mu: the worker holds mu across WAL and
 	// snapshot fsyncs, and enqueue must never wait behind those. qmu
-	// guards closed and the queue's send/close; adm is the worker's last
-	// published view of sealed/failErr/degraded (nil: none of them).
+	// guards closed, the queue's send/close and strmSeq; adm is the
+	// worker's last published view of sealed/failErr/degraded (nil: none
+	// of them).
 	qmu    sync.Mutex
 	closed bool // queue closed; no further enqueues
 	adm    atomic.Pointer[admission]
+	// strmSeq is the stream-ingest dedup state: the highest frame sequence
+	// accepted per producer. Under qmu the check-and-enqueue of EnqueueSeq
+	// is atomic across concurrent connections. On a durable session it is
+	// reseeded from prodSeq (the persisted mirror) at load, so a
+	// reconnecting producer resumes its numbering across passivation,
+	// restart, and handoff.
+	strmSeq map[string]uint64
 
-	mu       sync.Mutex
-	sealed   bool
-	failErr  error // first apply error; poisons further ingestion
-	dropDisk bool  // explicit delete: the worker removes the directory
-	dur      *durableSession
-	inc      *rgraph.Incremental
-	msgs     map[int]int  // client message id -> checker handle, in flight
-	usedMsg  map[int]bool // every client message id ever sent
-	applied  int64        // events applied
+	mu      sync.Mutex
+	sealed  bool
+	failErr error // first apply error; poisons further ingestion
+	dur     *durableSession
+	inc     *rgraph.Incremental
+	msgs    map[int]int  // client message id -> checker handle, in flight
+	usedMsg map[int]bool // every client message id ever sent
+	applied int64        // events applied
 	// log is every mutating batch in arrival order, each one its WAL
 	// record payload (encodeBatchRecord) behind a length prefix: the
 	// pattern's only stored form. Its first `applied` events are exactly
@@ -226,7 +223,7 @@ func wellFormed(events []Event) []Event {
 // encoded once, recorded in the log and appended to the WAL. Sync: one
 // wal.Sync covers those records. Apply: each batch goes through
 // applyBatchLocked in queue order. Then one snapshot check, and
-// done/notify in queue order after the unlock. Nothing waits for a group
+// notify in queue order after the unlock. Nothing waits for a group
 // to fill — an empty queue gives a group of one. A group exists to share
 // an fsync, so a memory session's are all of one: batching there would
 // only hold early acks back for later applies. A group ends at a seal,
@@ -354,9 +351,6 @@ drain:
 
 	for i := range group {
 		q := &group[i]
-		if q.done != nil {
-			q.done <- q.err
-		}
 		if q.notify != nil {
 			q.notify(q.err)
 		}
@@ -460,9 +454,13 @@ func (s *Session) applyOneLocked(ev Event) error {
 // The sealed/failed/degraded checks read the worker's published view;
 // a batch that slips past a concurrent change is rejected at apply time.
 func (s *Session) enqueue(b batch) error {
-	s.touch()
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
+	return s.enqueueLocked(b)
+}
+
+func (s *Session) enqueueLocked(b batch) error {
+	s.touch()
 	if s.closed {
 		return ErrClosed
 	}
@@ -518,8 +516,8 @@ func (s *Session) EnqueueNotify(events []Event, notify func(error)) error {
 // (0 before the first frame) — the value a resuming stream client
 // replays from.
 func (s *Session) ProducerSeq(producer string) uint64 {
-	s.strmMu.Lock()
-	defer s.strmMu.Unlock()
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
 	return s.strmSeq[producer]
 }
 
@@ -538,8 +536,8 @@ var ErrSeqGap = errors.New("sequence gap")
 // marks a seal frame (its events must be nil). notify follows
 // EnqueueNotify semantics and never runs for duplicates.
 func (s *Session) EnqueueSeq(producer string, seq uint64, events []Event, seal bool, notify func(error)) (dup bool, err error) {
-	s.strmMu.Lock()
-	defer s.strmMu.Unlock()
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
 	last := s.strmSeq[producer]
 	switch {
 	case seq <= last:
@@ -547,7 +545,7 @@ func (s *Session) EnqueueSeq(producer string, seq uint64, events []Event, seal b
 	case seq > last+1:
 		return false, fmt.Errorf("%w: producer %q sent seq %d after %d", ErrSeqGap, producer, seq, last)
 	}
-	if err := s.enqueue(batch{events: events, seal: seal, notify: notify, producer: producer, seq: seq}); err != nil {
+	if err := s.enqueueLocked(batch{events: events, seal: seal, notify: notify, producer: producer, seq: seq}); err != nil {
 		return false, err
 	}
 	if s.strmSeq == nil {
@@ -557,12 +555,11 @@ func (s *Session) EnqueueSeq(producer string, seq uint64, events []Event, seal b
 	return false, nil
 }
 
-// Flush waits until every batch enqueued before it has been applied: a
-// read barrier for verdict queries that must observe all acknowledged
-// events. The barrier itself is subject to backpressure.
-func (s *Session) Flush(ctx context.Context) error {
-	done := make(chan error, 1)
-	if err := s.enqueue(batch{done: done}); err != nil {
+// await enqueues b and waits for the worker's word on it, or for ctx.
+func (s *Session) await(ctx context.Context, b batch) error {
+	done := make(chan error, 1) // buffered: the worker never blocks on a caller that gave up
+	b.notify = func(err error) { done <- err }
+	if err := s.enqueue(b); err != nil {
 		return err
 	}
 	select {
@@ -573,6 +570,11 @@ func (s *Session) Flush(ctx context.Context) error {
 	}
 }
 
+// Flush waits until every batch enqueued before it has been applied: a
+// read barrier for verdict queries that must observe all acknowledged
+// events. The barrier itself is subject to backpressure.
+func (s *Session) Flush(ctx context.Context) error { return s.await(ctx, batch{}) }
+
 // Seal finalizes the session the way Builder.FinalizeLossy ends a run:
 // in-flight messages are dropped and event-bearing open intervals get
 // final checkpoints. Sealing is ordered through the queue, so every
@@ -581,16 +583,7 @@ func (s *Session) Seal(ctx context.Context) error {
 	if a := s.adm.Load(); a != nil && a.sealed {
 		return nil
 	}
-	done := make(chan error, 1)
-	if err := s.enqueue(batch{seal: true, done: done}); err != nil {
-		return err
-	}
-	select {
-	case err := <-done:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return s.await(ctx, batch{seal: true})
 }
 
 // closeQueue stops ingestion permanently (eviction, drain). The worker

@@ -187,51 +187,3 @@ func TestFaultyDeterministicSchedule(t *testing.T) {
 		t.Error("different seeds produced an identical fault schedule")
 	}
 }
-
-// TestTCPRedialsAfterConnDeath is the regression test for the cached-
-// connection bug: a dead connection used to stay in the cache, failing
-// every later send to that peer.
-func TestTCPRedialsAfterConnDeath(t *testing.T) {
-	tr, err := NewTCP(2)
-	if err != nil {
-		t.Fatalf("new tcp: %v", err)
-	}
-	defer tr.Close()
-	var sink collector
-	if err := tr.Register(1, sink.handler); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	if err := tr.Register(0, func(Frame) {}); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	if err := tr.Send(Frame{From: 0, To: 1, Data: []byte("a")}); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	sink.waitFor(t, 1)
-
-	// Kill the cached connection under the transport, as a peer crash or
-	// middlebox reset would.
-	tr.mu.Lock()
-	conn := tr.conns[1]
-	tr.mu.Unlock()
-	if conn == nil {
-		t.Fatal("no cached connection after a successful send")
-	}
-	if err := conn.conn.Close(); err != nil {
-		t.Fatalf("kill conn: %v", err)
-	}
-
-	// Sends eventually succeed again: the first failing send evicts the
-	// dead connection, the next one redials.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if err := tr.Send(Frame{From: 0, To: 1, Data: []byte("b")}); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sends never recovered after connection death")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	sink.waitFor(t, 2)
-}

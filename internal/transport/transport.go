@@ -1,8 +1,8 @@
-// Package transport provides the message transports of the concurrent
-// runtime: an in-process transport built on goroutines, and a TCP
-// transport over the loopback interface with gob-encoded frames. Both
-// deliver frames asynchronously and reliably with unpredictable (but
-// finite) delays, matching the channel model of the paper.
+// Package transport provides the message transport of the concurrent
+// runtime: an in-process transport built on goroutines that delivers
+// frames asynchronously and reliably with unpredictable (but finite)
+// delays, matching the channel model of the paper — and the fault,
+// reliability and instrumentation layers that wrap it.
 package transport
 
 import "errors"

@@ -133,16 +133,6 @@ func TestLocalTransportWithDelay(t *testing.T) {
 	testTransport(t, func(n int) Transport { return NewLocal(2 * time.Millisecond) })
 }
 
-func TestTCPTransport(t *testing.T) {
-	testTransport(t, func(n int) Transport {
-		tr, err := NewTCP(n)
-		if err != nil {
-			t.Fatalf("new tcp: %v", err)
-		}
-		return tr
-	})
-}
-
 func TestLocalSendToUnregistered(t *testing.T) {
 	tr := NewLocal(0)
 	defer tr.Close()
@@ -161,74 +151,6 @@ func TestLocalSendAfterClose(t *testing.T) {
 	}
 	if err := tr.Send(Frame{From: 1, To: 0}); err == nil {
 		t.Error("send accepted after close")
-	}
-}
-
-func TestTCPAddrAndBadDestination(t *testing.T) {
-	tr, err := NewTCP(2)
-	if err != nil {
-		t.Fatalf("new tcp: %v", err)
-	}
-	defer tr.Close()
-	if tr.Addr(0) == "" || tr.Addr(1) == "" {
-		t.Error("empty listen address")
-	}
-	if err := tr.Send(Frame{From: 0, To: 7}); err == nil {
-		t.Error("send to out-of-range process accepted")
-	}
-}
-
-func TestTCPSendAfterClose(t *testing.T) {
-	tr, err := NewTCP(2)
-	if err != nil {
-		t.Fatalf("new tcp: %v", err)
-	}
-	if err := tr.Register(0, func(Frame) {}); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if err := tr.Send(Frame{From: 1, To: 0}); err == nil {
-		t.Error("send accepted after close")
-	}
-}
-
-// TestTCPLargeFrames pushes frames the size of a big BHMR piggyback
-// (n=128 matrix ≈ 16 KiB gob-encoded) through TCP to catch framing bugs.
-func TestTCPLargeFrames(t *testing.T) {
-	tr, err := NewTCP(2)
-	if err != nil {
-		t.Fatalf("new tcp: %v", err)
-	}
-	defer tr.Close()
-	var sink collector
-	if err := tr.Register(1, sink.handler); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	if err := tr.Register(0, func(Frame) {}); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	big := make([]byte, 64<<10)
-	for i := range big {
-		big[i] = byte(i * 31)
-	}
-	const frames = 20
-	for i := 0; i < frames; i++ {
-		if err := tr.Send(Frame{From: 0, To: 1, Data: big}); err != nil {
-			t.Fatalf("send: %v", err)
-		}
-	}
-	sink.waitFor(t, frames)
-	for _, f := range sink.frames {
-		if len(f.Data) != len(big) {
-			t.Fatalf("frame truncated: %d bytes", len(f.Data))
-		}
-		for i := 0; i < len(big); i += 4096 {
-			if f.Data[i] != big[i] {
-				t.Fatal("frame corrupted")
-			}
-		}
 	}
 }
 
