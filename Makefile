@@ -108,7 +108,8 @@ fuzz-smoke:
 
 # Durability smoke: boot rdtserved with -data-dir, ingest a known
 # stream, kill -9, restart on the same directory, and require the
-# recovered verdict to be byte-identical (plus a real WAL replay). The
+# recovered verdict to be byte-identical (plus a real WAL replay); then
+# the same across a SIGTERM drain and a second restart. The
 # in-process counterpart is the crash-point differential test:
 # TestCrashPointDifferential in internal/service.
 durability-smoke:

@@ -59,12 +59,11 @@ var servingStream = func(addr string) {}
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rdtserved", flag.ContinueOnError)
 	var (
-		addr      = fs.String("addr", ":8080", "HTTP listen address (:0 picks a port)")
-		maxCkpts  = fs.Int("max-checkpoints", service.DefaultMaxCheckpoints, "maximum checkpoints per session")
-		idle      = fs.Duration("idle-timeout", 30*time.Minute, "evict sessions untouched this long (0 disables)")
-		drain     = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget")
-		dataDir   = fs.String("data-dir", "", "durable session state directory: WAL + snapshots per session, crash recovery on start (empty disables durability)")
-		snapEvery = fs.Int("snapshot-every", service.DefaultSnapshotEvery, "events between session snapshots (with -data-dir)")
+		addr     = fs.String("addr", ":8080", "HTTP listen address (:0 picks a port)")
+		maxCkpts = fs.Int("max-checkpoints", service.DefaultMaxCheckpoints, "maximum checkpoints per session")
+		idle     = fs.Duration("idle-timeout", 30*time.Minute, "evict sessions untouched this long (0 disables)")
+		drain    = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget")
+		dataDir  = fs.String("data-dir", "", "durable session state directory: one WAL per session, replayed on start (empty disables durability)")
 
 		streamAddr = fs.String("stream-addr", "", "binary streaming ingest (RDTSTRM1) listen address (:0 picks a port; empty disables)")
 
@@ -92,7 +91,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		MaxCheckpoints: *maxCkpts,
 		IdleTimeout:    *idle,
 		DataDir:        *dataDir,
-		SnapshotEvery:  *snapEvery,
 		Registry:       obs.NewRegistry(),
 		Tracer:         obs.NewTracer(obs.DefaultTracerCapacity),
 	})
@@ -108,10 +106,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return fmt.Errorf("recover %s: %w", *dataDir, err)
 		}
 		fmt.Fprintf(out,
-			"rdtserved: recovered %d sessions from %s in %s (%d records / %d events replayed, %d WAL tails truncated, %d snapshots quarantined, %d sessions quarantined)\n",
+			"rdtserved: recovered %d sessions from %s in %s (%d records / %d events replayed, %d WAL tails truncated, %d sessions quarantined)\n",
 			stats.Sessions, *dataDir, time.Since(start).Round(time.Millisecond),
-			stats.Records, stats.Events, stats.Truncations,
-			stats.QuarantinedSnapshots, stats.QuarantinedSessions)
+			stats.Records, stats.Events, stats.Truncations, stats.QuarantinedSessions)
 	}
 	var node *shard.Node
 	handler := service.NewHandler(svc)

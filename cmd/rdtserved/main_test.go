@@ -389,13 +389,13 @@ func startDaemonOut(t *testing.T, out io.Writer, args ...string) (string, contex
 }
 
 // TestServeDurableRestart is the daemon-level drain/restart cycle: a
-// SIGTERM-style drain passivates every session with a final snapshot,
-// so the restarted daemon logs a recovery with zero replayed records
-// and answers identical verdicts — sealed sessions stay sealed, open
-// sessions keep ingesting.
+// SIGTERM-style drain passivates every session, the restarted daemon
+// logs a recovery that replayed every WAL record, and it answers
+// identical verdicts — sealed sessions stay sealed, open sessions keep
+// ingesting.
 func TestServeDurableRestart(t *testing.T) {
 	dir := t.TempDir()
-	base, cancel, wait := startDaemon(t, "-data-dir", dir, "-snapshot-every", "8")
+	base, cancel, wait := startDaemon(t, "-data-dir", dir)
 
 	// One sealed session (driveSession seals at the end)...
 	if err := driveSession(base, "sealed", 3, 0xd00d, 90); err != nil {
@@ -425,9 +425,10 @@ func TestServeDurableRestart(t *testing.T) {
 	}
 
 	var out syncBuffer
-	base2, cancel2, wait2 := startDaemonOut(t, &out, "-data-dir", dir, "-snapshot-every", "8")
-	if m := regexp.MustCompile(`recovered 2 sessions .* \(0 records / 0 events replayed`).FindString(out.String()); m == "" {
-		t.Fatalf("recovery line missing or replayed records after a clean drain:\n%s", out.String())
+	base2, cancel2, wait2 := startDaemonOut(t, &out, "-data-dir", dir)
+	replayed := fmt.Sprintf(`recovered 2 sessions .* \([1-9][0-9]* records / %d events replayed`, sealedBefore.EventsApplied+openBefore.EventsApplied)
+	if m := regexp.MustCompile(replayed).FindString(out.String()); m == "" {
+		t.Fatalf("recovery line missing or not a full replay (want %q):\n%s", replayed, out.String())
 	}
 	var sealedAfter, openAfter service.Verdict
 	if err := getJSON(base2, "/v1/sessions/sealed/verdict", &sealedAfter); err != nil {

@@ -9,8 +9,10 @@ import (
 	"github.com/rdt-go/rdt/internal/vclock"
 )
 
-// Deterministic binary state codec for Incremental, used by the
-// checking service's session snapshots. AppendBinary emits only the
+// Deterministic binary state codec for Incremental. No served session
+// stores it — a session's durable form is its WAL, replayed on load —
+// so outside this package's tests its caller is the benchmark's
+// snapshot rung. AppendBinary emits only the
 // primitive state — running vectors, in-flight stamps, interval
 // bookkeeping, node table, and the R-graph edge list (direct
 // predecessors in insertion order). The closure vectors (minReach) and

@@ -11,26 +11,23 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/rdt-go/rdt/internal/obs"
 	"github.com/rdt-go/rdt/internal/rgraph"
-	"github.com/rdt-go/rdt/internal/storage"
 	"github.com/rdt-go/rdt/internal/wal"
 )
 
 // newDurableService builds a durable service without auto-drain; the
 // caller controls when it stops (durability tests restart services).
-func newDurableService(dataDir string, snapshotEvery int) (*Service, *obs.Registry) {
+func newDurableService(dataDir string) (*Service, *obs.Registry) {
 	reg := obs.NewRegistry()
 	svc, err := New(Config{
-		DataDir:       dataDir,
-		SnapshotEvery: snapshotEvery,
-		Registry:      reg,
-		Tracer:        obs.NewTracer(256),
+		DataDir:  dataDir,
+		Registry: reg,
+		Tracer:   obs.NewTracer(256),
 	})
 	if err != nil {
 		panic(err)
@@ -153,14 +150,14 @@ func sameVerdict(t *testing.T, a, b *Verdict) bool {
 
 // TestDurableRestartRoundTrip is the basic end-to-end: ingest, drain,
 // restart, and the recovered session answers with the identical
-// verdict, recovery line, and state — replaying zero WAL records,
-// because Drain passivates with a final snapshot.
+// verdict, recovery line, and state — by replaying its whole WAL, the
+// only thing a session keeps on disk.
 func TestDurableRestartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(41))
 	events := genWorkload(rng, 3, 120)
 
-	svc1, _ := newDurableService(dir, 16)
+	svc1, _ := newDurableService(dir)
 	sess := mustCreate(t, svc1, "alpha", 3)
 	feed(t, rng, sess, events)
 	want := sess.Verdict(0)
@@ -170,7 +167,7 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 	}
 	drainNow(t, svc1)
 
-	svc2, reg2 := newDurableService(dir, 16)
+	svc2, reg2 := newDurableService(dir)
 	stats, err := svc2.Recover()
 	if err != nil {
 		t.Fatalf("recover: %v", err)
@@ -179,8 +176,8 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 	if stats.Sessions != 1 {
 		t.Fatalf("recovered %d sessions, want 1", stats.Sessions)
 	}
-	if stats.Records != 0 {
-		t.Fatalf("drain must passivate with a final snapshot; replayed %d records, want 0", stats.Records)
+	if stats.Records == 0 || stats.Events != want.EventsApplied {
+		t.Fatalf("replayed %d records / %d events, want the whole WAL (%d events)", stats.Records, stats.Events, want.EventsApplied)
 	}
 	got, err := svc2.Session("alpha")
 	if err != nil {
@@ -196,19 +193,18 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(gotLine, wantLine) {
 		t.Fatalf("recovery line changed across restart: %+v != %+v", gotLine, wantLine)
 	}
-	if v := reg2.Snapshot().CounterValue("rdt_wal_replay_records_total"); v != 0 {
-		t.Fatalf("rdt_wal_replay_records_total = %d, want 0", v)
+	if v := reg2.Snapshot().CounterValue("rdt_wal_replay_records_total"); v != stats.Records {
+		t.Fatalf("rdt_wal_replay_records_total = %d, want %d", v, stats.Records)
 	}
 }
 
-// crashModes are the injection points of the differential test: four
-// inside the worker's commit of a group, one inside a snapshot write.
+// crashModes are the injection points of the differential test, all
+// inside the worker's commit of a group.
 const (
 	crashBeforeSync  = iota // group's records appended, fsync not returned: any prefix of them is on disk
 	crashAfterAppend        // fsync returned, batch not yet applied
-	crashAfterApply         // batch applied, snapshot possibly pending
+	crashAfterApply         // batch applied
 	crashMidGroup           // batch applied, later records of its group on disk unapplied
-	crashMidSnapshot        // snapshot tmp written, rename not yet done
 	crashModes
 )
 
@@ -259,7 +255,7 @@ func TestCrashPointDifferential(t *testing.T) {
 			root := t.TempDir()
 			liveDir := filepath.Join(root, "live")
 			crashDir := filepath.Join(root, "crash")
-			svc, _ := newDurableService(liveDir, 1+rng.Intn(6))
+			svc, _ := newDurableService(liveDir)
 
 			// The hooks run on the worker goroutine with the session lock
 			// held; the copy they take is exactly what kill -9 would leave.
@@ -324,16 +320,9 @@ func TestCrashPointDifferential(t *testing.T) {
 						midGroup++
 					}
 				})
-			case crashMidSnapshot:
-				marker := filepath.Join("sessions", id, "snap_")
-				storage.TestingBeforeRename = func(path string) {
-					if strings.Contains(path, marker) {
-						capture()
-					}
-				}
 			}
 			resetHooks := func() {
-				testHookLogged, testHookAppended, testHookApplied, storage.TestingBeforeRename = nil, nil, nil, nil
+				testHookLogged, testHookAppended, testHookApplied = nil, nil, nil
 			}
 			defer resetHooks()
 
@@ -371,7 +360,7 @@ func TestCrashPointDifferential(t *testing.T) {
 			}
 
 			// Restart from the crash image and finish the run.
-			rec, _ := newDurableService(crashDir, 4)
+			rec, _ := newDurableService(crashDir)
 			defer drainNow(t, rec)
 			if _, err := rec.Recover(); err != nil {
 				t.Fatalf("recover from crash image: %v", err)
@@ -442,9 +431,9 @@ func TestTornWALTailRecovers(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			events := genWorkload(rng, 2, 60)
 
-			// Build state with NO final snapshot: copy the tree mid-flight,
-			// like the crash harness, then damage the copy's WAL.
-			svc, _ := newDurableService(dir, 1<<20)
+			// Copy the tree mid-flight, like the crash harness, then damage
+			// the copy's WAL.
+			svc, _ := newDurableService(dir)
 			sess := mustCreate(t, svc, "torn", 2)
 			feed(t, rng, sess, events)
 			before := sess.Verdict(0)
@@ -472,7 +461,7 @@ func TestTornWALTailRecovers(t *testing.T) {
 				t.Fatalf("write damaged wal: %v", err)
 			}
 
-			rec, reg := newDurableService(crash, 1<<20)
+			rec, reg := newDurableService(crash)
 			defer drainNow(t, rec)
 			stats, err := rec.Recover()
 			if err != nil {
@@ -508,73 +497,6 @@ func TestTornWALTailRecovers(t *testing.T) {
 	}
 }
 
-// TestCorruptSnapshotQuarantined rots the newest snapshot and checks
-// recovery quarantines it (*.corrupt) and falls back to the previous
-// snapshot plus a longer replay — same verdict, nothing lost.
-func TestCorruptSnapshotQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(11))
-	events := genWorkload(rng, 3, 150)
-
-	svc, _ := newDurableService(dir, 8) // frequent snapshots: several on disk
-	sess := mustCreate(t, svc, "rot", 3)
-	feed(t, rng, sess, events)
-	want := sess.Verdict(0)
-	drainNow(t, svc)
-
-	sessDir := filepath.Join(dir, "sessions", "rot")
-	entries, err := os.ReadDir(sessDir)
-	if err != nil {
-		t.Fatalf("read session dir: %v", err)
-	}
-	var snaps []string
-	for _, e := range entries {
-		if _, ok := snapSeqOf(e.Name()); ok {
-			snaps = append(snaps, e.Name())
-		}
-	}
-	if len(snaps) < 2 {
-		t.Fatalf("want >= 2 snapshots on disk, have %v", snaps)
-	}
-	newest := snaps[len(snaps)-1]
-	path := filepath.Join(sessDir, newest)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read snapshot: %v", err)
-	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatalf("write rotted snapshot: %v", err)
-	}
-
-	rec, reg := newDurableService(dir, 8)
-	defer drainNow(t, rec)
-	stats, err := rec.Recover()
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if stats.QuarantinedSnapshots != 1 {
-		t.Fatalf("quarantined %d snapshots, want 1", stats.QuarantinedSnapshots)
-	}
-	if v := reg.Snapshot().CounterValue("rdt_wal_snapshots_quarantined_total"); v != 1 {
-		t.Fatalf("rdt_wal_snapshots_quarantined_total = %d, want 1", v)
-	}
-	if stats.Records == 0 {
-		t.Fatal("fallback to the previous snapshot must replay records")
-	}
-	if _, err := os.Stat(path + ".corrupt"); err != nil {
-		t.Fatalf("quarantined snapshot not preserved: %v", err)
-	}
-	got, err := rec.Session("rot")
-	if err != nil {
-		t.Fatalf("session: %v", err)
-	}
-	if gv := got.Verdict(0); verdictJSON(t, gv) != verdictJSON(t, want) {
-		t.Fatalf("verdict changed after snapshot fallback:\n  %s\n  %s",
-			verdictJSON(t, gv), verdictJSON(t, want))
-	}
-}
-
 // TestPassivationReactivation: idle eviction of a durable session keeps
 // its directory; the next lookup (as POST events would do) loads it
 // back with identical state; an explicit delete removes the directory
@@ -584,7 +506,7 @@ func TestPassivationReactivation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	events := genWorkload(rng, 2, 80)
 
-	svc, reg := newDurableService(dir, 16)
+	svc, reg := newDurableService(dir)
 	defer drainNow(t, svc)
 	sess := mustCreate(t, svc, "nap", 2)
 	feed(t, rng, sess, events)
@@ -665,7 +587,7 @@ func TestPassivationReactivation(t *testing.T) {
 func TestDegradedSession(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(13))
-	svc, reg := newDurableService(dir, 1<<20)
+	svc, reg := newDurableService(dir)
 	sess := mustCreate(t, svc, "sick", 2)
 	healthy := mustCreate(t, svc, "well", 2)
 	feed(t, rng, sess, genWorkload(rng, 2, 40))
@@ -725,7 +647,7 @@ func TestDegradedSession(t *testing.T) {
 
 	// Restart: the degraded session recovers clean at its last durable
 	// state — degradation is never persisted.
-	rec, _ := newDurableService(dir, 1<<20)
+	rec, _ := newDurableService(dir)
 	defer drainNow(t, rec)
 	if _, err := rec.Recover(); err != nil {
 		t.Fatalf("recover: %v", err)
@@ -754,7 +676,7 @@ func TestDegradedSession(t *testing.T) {
 // and healthz reports durability.
 func TestHTTPReactivation(t *testing.T) {
 	dir := t.TempDir()
-	c, svc, _ := newTestServer(t, Config{DataDir: dir, SnapshotEvery: 8})
+	c, svc, _ := newTestServer(t, Config{DataDir: dir})
 
 	c.expect("POST", "/v1/sessions", createRequest{ID: "web", N: 2}, http.StatusCreated, nil)
 	c.expect("POST", "/v1/sessions/web/events", []Event{
@@ -814,7 +736,7 @@ func TestHTTPReactivation(t *testing.T) {
 // rejected, and a quarantined directory is skipped by recovery.
 func TestDurableCreateCollisions(t *testing.T) {
 	dir := t.TempDir()
-	svc, _ := newDurableService(dir, 8)
+	svc, _ := newDurableService(dir)
 	sess := mustCreate(t, svc, "dot", 2)
 	feed(t, rand.New(rand.NewSource(1)), sess, genWorkload(rand.New(rand.NewSource(2)), 2, 10))
 	svc.Evict("dot", "idle")
@@ -844,7 +766,7 @@ func TestDurableCreateCollisions(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(badDir, "meta.json"), []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rec, _ := newDurableService(dir, 8)
+	rec, _ := newDurableService(dir)
 	defer drainNow(t, rec)
 	stats, err := rec.Recover()
 	if err != nil {

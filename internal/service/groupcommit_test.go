@@ -6,13 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"github.com/rdt-go/rdt/internal/rgraph"
-	"github.com/rdt-go/rdt/internal/storage"
 )
 
 // frame is one stream frame of a hand-built group.
@@ -53,7 +51,7 @@ func enqueueGroup(t *testing.T, sess *Session, frames []frame) []error {
 	return errs
 }
 
-// observables is everything invariant (d) says a live session and a
+// observables is everything invariant (c) says a live session and a
 // replay of its directory agree on.
 type observables struct {
 	verdict Verdict
@@ -77,14 +75,14 @@ func observe(t *testing.T, sess *Session) observables {
 	return o
 }
 
-// TestGroupCommitPoisonMidGroup pins invariant (d): a batch that poisons
+// TestGroupCommitPoisonMidGroup pins invariant (c): a batch that poisons
 // the session in the middle of a group leaves the group's later records
 // logged, and the live session must treat them exactly as a replay of
 // its directory does — same applied count, verdict, recovery line,
 // pattern and stream watermarks — and the batch checker must agree.
 func TestGroupCommitPoisonMidGroup(t *testing.T) {
 	dir := t.TempDir()
-	svc, reg := newDurableService(dir, 1<<20) // no snapshot: recovery replays every record
+	svc, reg := newDurableService(dir)
 	sess := mustCreate(t, svc, "poison", 2)
 	errs := enqueueGroup(t, sess, []frame{
 		{"p", 1, []Event{{Op: OpSend, Proc: 1, Peer: 0, Msg: 0}, {Op: OpDeliver, Msg: 0}, {Op: OpCheckpoint, Proc: 0}}},
@@ -118,7 +116,7 @@ func TestGroupCommitPoisonMidGroup(t *testing.T) {
 	sess.mu.Unlock()
 	drainNow(t, svc)
 
-	rec, _ := newDurableService(crash, 1<<20)
+	rec, _ := newDurableService(crash)
 	defer drainNow(t, rec)
 	stats, err := rec.Recover()
 	if err != nil || stats.Records != 4 {
@@ -143,71 +141,6 @@ func TestGroupCommitPoisonMidGroup(t *testing.T) {
 	compareVerdict(t, sess.Verdict(0), rep)
 }
 
-// TestGroupCommitSnapshotOffset pins invariant (b) with SnapshotEvery
-// smaller than what is queued: every snapshot written covers exactly the
-// records that were applied when it was taken — its header's applied
-// count is the event count of the WAL below its offset — and snapshots
-// fall at the batch boundaries a batch-at-a-time worker takes them at.
-func TestGroupCommitSnapshotOffset(t *testing.T) {
-	dir := t.TempDir()
-	const every, perBatch, batches = 8, 3, 12
-	svc, _ := newDurableService(dir, every)
-	defer drainNow(t, svc)
-	sess := mustCreate(t, svc, "snap", 2)
-
-	var snaps []int64 // applied count of each snapshot, in order
-	storage.TestingBeforeRename = func(path string) {
-		if !strings.Contains(path, filepath.Join("sessions", "snap", "snap_")) {
-			return
-		}
-		h, _, err := readSnapshotHeader(path + ".tmp")
-		if err != nil {
-			t.Errorf("snapshot %s: %v", path, err)
-			return
-		}
-		var below int64
-		reach := walHead(filepath.Join(dir, "sessions", "snap", "wal.log"), h.walOffset, func(payload []byte) {
-			events, _, _, _, err := decodeBatchRecord(payload)
-			if err != nil {
-				t.Errorf("wal record: %v", err)
-			}
-			below += int64(len(events))
-		})
-		if reach != h.walOffset || below != h.applied {
-			t.Errorf("snapshot at WAL offset %d (boundary %d) covers %d events but %d were applied",
-				h.walOffset, reach, below, h.applied)
-		}
-		snaps = append(snaps, h.applied)
-	}
-	defer func() { storage.TestingBeforeRename = nil }()
-
-	var frames []frame
-	for i := 0; i < batches; i++ {
-		frames = append(frames, frame{"p", uint64(i + 1), []Event{
-			{Op: OpSend, Proc: i % 2, Peer: 1 - i%2, Msg: i}, {Op: OpDeliver, Msg: i}, {Op: OpCheckpoint, Proc: 1 - i%2},
-		}})
-	}
-	for i, err := range enqueueGroup(t, sess, frames) {
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-	}
-	storage.TestingBeforeRename = nil
-
-	// A batch-at-a-time worker snapshots after the first batch that brings
-	// the count since the last snapshot to SnapshotEvery.
-	var want []int64
-	for applied, since := int64(0), 0; applied < perBatch*batches; {
-		applied, since = applied+perBatch, since+perBatch
-		if since >= every {
-			want, since = append(want, applied), 0
-		}
-	}
-	if !reflect.DeepEqual(snaps, want) {
-		t.Fatalf("snapshots at applied counts %v, want %v", snaps, want)
-	}
-}
-
 // TestGroupCommitSyncFailure pins invariant (a): when the fsync of a
 // group fails, every mutating batch of the group reports ErrDegraded,
 // none is applied or has its watermark advanced, the barrier behind them
@@ -215,7 +148,7 @@ func TestGroupCommitSnapshotOffset(t *testing.T) {
 // the last committed batch.
 func TestGroupCommitSyncFailure(t *testing.T) {
 	dir := t.TempDir()
-	svc, reg := newDurableService(dir, 1<<20)
+	svc, reg := newDurableService(dir)
 	sess := mustCreate(t, svc, "sick", 2)
 	if errs := enqueueGroup(t, sess, []frame{{"p", 1, []Event{{Op: OpCheckpoint, Proc: 0}, {Op: OpCheckpoint, Proc: 1}}}}); errs[0] != nil {
 		t.Fatalf("committed frame: %v", errs[0])
@@ -262,7 +195,7 @@ func TestGroupCommitSyncFailure(t *testing.T) {
 	}
 	drainNow(t, svc)
 
-	rec, _ := newDurableService(dir, 1<<20)
+	rec, _ := newDurableService(dir)
 	defer drainNow(t, rec)
 	if _, err := rec.Recover(); err != nil {
 		t.Fatalf("recover: %v", err)
@@ -284,11 +217,11 @@ func TestGroupCommitSyncFailure(t *testing.T) {
 // then the worker's retirement) while producers keep it full, so the
 // close lands inside a group's drain on some rounds. Every accepted
 // batch must be answered exactly once, each producer's answers in its
-// send order (invariant c), before Passivate returns; and what was
+// send order (invariant b), before Passivate returns; and what was
 // answered nil must be exactly what the reactivated session holds.
 func TestGroupCommitCloseMidDrain(t *testing.T) {
 	dir := t.TempDir()
-	svc, _ := newDurableService(dir, 64)
+	svc, _ := newDurableService(dir)
 	defer drainNow(t, svc)
 	rounds := 20
 	if testing.Short() {

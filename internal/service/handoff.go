@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"github.com/rdt-go/rdt/internal/storage"
 )
@@ -75,10 +76,10 @@ func (s *Service) SessionsOnDisk() ([]string, error) {
 	return ids, nil
 }
 
-// Passivate evicts a live session to disk (final snapshot) and waits
-// for the worker to finish retiring, so the directory is complete and
-// closed when Passivate returns. It reports whether the session was
-// live. The reason labels the eviction counter.
+// Passivate evicts a live session to disk and waits for the worker to
+// finish retiring, so the directory is complete and closed when
+// Passivate returns. It reports whether the session was live. The
+// reason labels the eviction counter.
 func (s *Service) Passivate(id, reason string) bool {
 	sess := s.live(id)
 	if sess == nil {
@@ -91,20 +92,16 @@ func (s *Service) Passivate(id, reason string) bool {
 	return true
 }
 
-// exportable file names inside a session directory.
-func exportableFile(name string) bool {
-	if name == "meta.json" || name == "wal.log" {
-		return true
-	}
-	_, ok := snapSeqOf(name)
-	return ok
-}
+// exportableFile names the two files of a session directory: the
+// handoff image is these and nothing else.
+func exportableFile(name string) bool { return name == "meta.json" || name == "wal.log" }
 
 // ExportSession passivates the session if it is live and returns its
-// directory's files, keyed by name. The caller must already have
-// stopped routing the session's traffic here (in shard mode the
-// ownership gate does); a session that keeps reactivating underneath
-// the export fails after a few attempts rather than looping.
+// directory's files (meta.json and wal.log), keyed by name. The caller
+// must already have stopped routing the session's traffic here (in
+// shard mode the ownership gate does); a session that keeps
+// reactivating underneath the export fails after a few attempts rather
+// than looping.
 func (s *Service) ExportSession(id string) (map[string][]byte, error) {
 	if !s.durable() {
 		return nil, errors.New("export: service is not durable")
@@ -186,14 +183,12 @@ func (s *Session) durableState() imageState {
 }
 
 // stateOfDir peeks a passivated session directory's durable state
-// without installing it: scanDir's header-only pass (the checker is not
-// decoded, nothing is applied, quarantined or truncated) — exactly the
-// state activation would restore from the copy.
+// without installing it: scanDir with the records counted, not applied
+// (nothing is truncated) — the state activation would restore from the
+// copy.
 func stateOfDir(dir string) (imageState, error) {
 	st := imageState{prodSeq: make(map[string]uint64)}
-	_, err := scanDir(dir, 0, func(sc *dirScan) {
-		st.prodSeq, st.applied = sc.snap.prodSeq, sc.snap.applied
-	}, func(_ []byte, events []Event, _ bool, producer string, seq uint64) {
+	_, _, err := scanDir(dir, func(_ []byte, events []Event, _ bool, producer string, seq uint64) {
 		if producer != "" && seq > st.prodSeq[producer] {
 			st.prodSeq[producer] = seq
 		}
@@ -233,8 +228,15 @@ func (s *Service) ImportSession(id string, files map[string][]byte) error {
 	if _, ok := files["meta.json"]; !ok {
 		return fmt.Errorf("import %q: no meta.json", id)
 	}
-	for name := range files {
-		if !exportableFile(name) {
+	image := make(map[string][]byte, 2)
+	for name, data := range files {
+		switch {
+		case exportableFile(name):
+			image[name] = data
+		case strings.HasPrefix(name, "snap_"):
+			// A snapshot shipped by a member on an earlier build: derived
+			// state the WAL beside it holds in full.
+		default:
 			return fmt.Errorf("import %q: unexpected file %q", id, name)
 		}
 	}
@@ -247,7 +249,7 @@ func (s *Service) ImportSession(id string, files map[string][]byte) error {
 		return fmt.Errorf("import %q: %w", id, err)
 	}
 	defer os.RemoveAll(tmp) //nolint:errcheck // no-op once renamed into place
-	for name, data := range files {
+	for name, data := range image {
 		if err := storage.WriteFileDurable(filepath.Join(tmp, name), data); err != nil {
 			return fmt.Errorf("import %q: %w", id, err)
 		}

@@ -82,7 +82,7 @@ func TestTransitionsAfterDrainReturn(t *testing.T) {
 	}
 	for name, transition := range cases {
 		t.Run(name, func(t *testing.T) {
-			svc, _ := newDurableService(t.TempDir(), 8)
+			svc, _ := newDurableService(t.TempDir())
 			sess := mustCreate(t, svc, id, 2)
 			feed(t, rand.New(rand.NewSource(1)), sess, genWorkload(rand.New(rand.NewSource(2)), 2, 20))
 			drainNow(t, svc)
@@ -113,7 +113,7 @@ func TestLifecycleChurn(t *testing.T) {
 		rounds = 50
 	}
 	ids := []string{"a", "b", "c"}
-	svc, _ := newDurableService(t.TempDir(), 8)
+	svc, _ := newDurableService(t.TempDir())
 	guard := make(map[string]*sync.RWMutex)
 	feeding := make(map[string]*sync.Mutex)
 	for _, id := range ids {

@@ -3,21 +3,18 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
-	"errors"
+	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"github.com/rdt-go/rdt/internal/binenc"
-	"github.com/rdt-go/rdt/internal/storage"
+	"github.com/rdt-go/rdt/internal/obs"
+	"github.com/rdt-go/rdt/internal/rgraph"
 	"github.com/rdt-go/rdt/internal/trace"
 	"github.com/rdt-go/rdt/internal/wal"
 )
@@ -35,183 +32,269 @@ func traceBytes(t *testing.T, sess *Session) []byte {
 	return buf.Bytes()
 }
 
-// resealSnapshot rewrites a snapshot file's body and recomputes the
-// trailing CRC, so the damage under test is the only thing wrong with it.
-func resealSnapshot(t *testing.T, path string, edit func(body []byte) []byte) {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read snapshot: %v", err)
-	}
-	body := edit(data[:len(data)-4])
-	body = binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
-	if err := os.WriteFile(path, body, 0o644); err != nil {
-		t.Fatalf("write snapshot: %v", err)
-	}
-}
-
-// TestUnusableSnapshotsFallBackToWAL: a snapshot of the previous file
-// revision, and one whose WAL offset points into the middle of a record,
-// are both quarantined like a corrupt file; the session comes back
-// through WAL replay with the verdict, recovery line and pattern of the
-// run that was never interrupted.
-func TestUnusableSnapshotsFallBackToWAL(t *testing.T) {
-	damages := map[string]func(body []byte) []byte{
-		"old-revision": func(body []byte) []byte {
-			return append([]byte("RDTSNAP2"), body[len(snapMagic):]...)
-		},
-		"mid-record": func(body []byte) []byte {
-			off, k := binary.Uvarint(body[len(snapMagic):])
-			out := binenc.AppendUvarint(append([]byte(nil), snapMagic...), off-3)
-			return append(out, body[len(snapMagic)+k:]...)
-		},
-	}
-	for name, damage := range damages {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			rng := rand.New(rand.NewSource(23))
-			events := genWorkload(rng, 3, 150)
-
-			svc, _ := newDurableService(dir, 8)
-			sess := mustCreate(t, svc, "snap", 3)
-			feed(t, rng, sess, events)
-			want := sess.Verdict(0)
-			wantLine, err := sess.Line()
-			if err != nil {
-				t.Fatalf("line: %v", err)
-			}
-			wantTrace := traceBytes(t, sess)
-			drainNow(t, svc)
-
-			sessDir := filepath.Join(dir, "sessions", "snap")
-			seqs, err := snapSeqs(sessDir)
-			if err != nil || len(seqs) == 0 {
-				t.Fatalf("snapshots on disk: %v, %v", seqs, err)
-			}
-			for _, seq := range seqs {
-				resealSnapshot(t, filepath.Join(sessDir, snapName(seq)), damage)
-			}
-
-			rec, _ := newDurableService(dir, 8)
-			defer drainNow(t, rec)
-			stats, err := rec.Recover()
-			if err != nil {
-				t.Fatalf("recover: %v", err)
-			}
-			if stats.QuarantinedSnapshots != len(seqs) {
-				t.Fatalf("quarantined %d snapshots, want %d", stats.QuarantinedSnapshots, len(seqs))
-			}
-			if stats.Records == 0 || stats.Events != want.EventsApplied {
-				t.Fatalf("replayed %d records / %d events, want the whole WAL (%d events)",
-					stats.Records, stats.Events, want.EventsApplied)
-			}
-			got, err := rec.Session("snap")
-			if err != nil {
-				t.Fatalf("session: %v", err)
-			}
-			if gv := got.Verdict(0); verdictJSON(t, gv) != verdictJSON(t, want) {
-				t.Fatalf("verdict changed:\n  %s\n  %s", verdictJSON(t, gv), verdictJSON(t, want))
-			}
-			gotLine, err := got.Line()
-			if err != nil || !reflect.DeepEqual(gotLine, wantLine) {
-				t.Fatalf("recovery line changed: %+v (%v) != %+v", gotLine, err, wantLine)
-			}
-			if gotTrace := traceBytes(t, got); !bytes.Equal(gotTrace, wantTrace) {
-				t.Fatalf("pattern changed:\n  %s\n  %s", gotTrace, wantTrace)
-			}
-		})
-	}
-}
-
-// TestWALRotBelowSnapshot: one flipped bit in a WAL record that a
-// snapshot already covers costs the session its pattern and nothing else.
-// The snapshot is not blamed for it, no byte of the WAL is cut, and the
-// verdict, recovery line, dedup watermarks and further ingestion carry on
-// from the snapshot and the records past it — across a second restart too.
-func TestWALRotBelowSnapshot(t *testing.T) {
-	live, crash := t.TempDir(), t.TempDir()
+// TestWALDamageRecoversPrefix: one flipped byte inside record k of a
+// multi-record WAL costs the session record k and everything after it,
+// and nothing before it. The session comes back holding exactly records
+// 0..k-1 — verdict, recovery line and pattern those of an uninterrupted
+// run of that prefix, which the batch checker agrees with — the damaged
+// suffix is cut and counted, and ingestion carries on from the prefix to
+// the verdict of the whole run.
+func TestWALDamageRecoversPrefix(t *testing.T) {
+	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(29))
 	events := genWorkload(rng, 3, 160)
-	before, after := events[:150], events[150:]
 
-	svc, _ := newDurableService(live, 8)
+	svc, _ := newDurableService(dir)
 	sess := mustCreate(t, svc, "rot", 3)
-	feed(t, rng, sess, before)
+	feed(t, rng, sess, events)
 	want := sess.Verdict(0)
-	wantLine, err := sess.Line()
-	if err != nil {
-		t.Fatalf("line: %v", err)
-	}
-	// A kill -9 image: snapshots behind, an un-snapshotted tail ahead.
-	image := filepath.Join(crash, "sessions", "rot")
-	sess.mu.Lock()
-	copyDir(t, filepath.Join(live, "sessions", "rot"), image)
-	sess.mu.Unlock()
-	feed(t, rng, sess, after)
-	wantAfter := sess.Verdict(0)
 	drainNow(t, svc)
 
-	walPath := filepath.Join(image, "wal.log")
-	rotten, err := os.ReadFile(walPath)
+	walPath := filepath.Join(dir, "sessions", "rot", "wal.log")
+	var offsets []int64 // where each record's frame starts
+	var counts []int    // its events
+	var off int64
+	if _, torn, err := wal.ScanFrom(walPath, 0, func(payload []byte) error {
+		evs, _, _, _, err := decodeBatchRecord(payload)
+		offsets, counts = append(offsets, off), append(counts, len(evs))
+		off += int64(wal.HeaderSize + len(payload))
+		return err
+	}); err != nil || torn {
+		t.Fatalf("scan wal: torn=%v %v", torn, err)
+	}
+	if len(offsets) < 4 {
+		t.Fatalf("the WAL holds %d records; the test needs several", len(offsets))
+	}
+	k := len(offsets) / 2
+	prefix := 0
+	for _, c := range counts[:k] {
+		prefix += c
+	}
+	data, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatalf("read wal: %v", err)
 	}
-	rotten[wal.HeaderSize+1] ^= 0x40 // inside the first record's payload
-	if err := os.WriteFile(walPath, rotten, 0o644); err != nil {
+	data[offsets[k]+wal.HeaderSize+1] ^= 0x40 // inside record k's payload
+	if err := os.WriteFile(walPath, data, 0o644); err != nil {
 		t.Fatalf("write wal: %v", err)
 	}
-	snaps, err := snapSeqs(image)
-	if err != nil || len(snaps) == 0 {
-		t.Fatalf("snapshots in the image: %v, %v", snaps, err)
-	}
-	peek, err := stateOfDir(image)
+
+	rec, reg := newDurableService(dir)
+	defer drainNow(t, rec)
+	stats, err := rec.Recover()
 	if err != nil {
-		t.Fatalf("stateOfDir: %v", err)
+		t.Fatalf("recover: %v", err)
+	}
+	if stats.Sessions != 1 || stats.Records != int64(k) || stats.Truncations != 1 {
+		t.Fatalf("recover stats %+v: want the session back with %d records and one truncation", stats, k)
+	}
+	if v := reg.Snapshot().CounterValue("rdt_wal_truncations_total"); v != 1 {
+		t.Fatalf("rdt_wal_truncations_total = %d, want 1", v)
+	}
+	if got := walSize(t, filepath.Dir(walPath)); got != offsets[k] {
+		t.Fatalf("the WAL is %d bytes, want it cut at record %d (%d bytes)", got, k, offsets[k])
+	}
+	got, err := rec.Session("rot")
+	if err != nil {
+		t.Fatalf("session: %v", err)
 	}
 
-	for restart, wantNow := range []*Verdict{want, wantAfter} {
-		rec, _ := newDurableService(crash, 8)
-		stats, err := rec.Recover()
+	ref, _ := testService(t, Config{})
+	refSess := mustCreate(t, ref, "rot", 3)
+	feed(t, rng, refSess, events[:prefix])
+	gv := got.Verdict(0)
+	if gv.EventsApplied != int64(prefix) || !sameVerdict(t, gv, refSess.Verdict(0)) {
+		t.Fatalf("verdict after the damage:\n  %s\n  want the prefix of %d events: %s",
+			verdictJSON(t, gv), prefix, verdictJSON(t, refSess.Verdict(0)))
+	}
+	gl, gerr := got.Line()
+	rl, rerr := refSess.Line()
+	if gerr != nil || rerr != nil || !reflect.DeepEqual(gl, rl) {
+		t.Fatalf("recovery line %+v (%v), want %+v (%v)", gl, gerr, rl, rerr)
+	}
+	if gt, rt := traceBytes(t, got), traceBytes(t, refSess); !bytes.Equal(gt, rt) {
+		t.Fatalf("pattern after the damage:\n  %s\n  want\n  %s", gt, rt)
+	}
+	p, _, err := got.Snapshot()
+	if err != nil {
+		t.Fatalf("pattern: %v", err)
+	}
+	rep, err := rgraph.CheckRDT(p, DefaultMaxViolations)
+	if err != nil {
+		t.Fatalf("batch check: %v", err)
+	}
+	compareVerdict(t, gv, rep)
+
+	feed(t, rng, got, events[prefix:])
+	if gv := got.Verdict(0); !sameVerdict(t, gv, want) {
+		t.Fatalf("ingestion after the damage diverged:\n  %s\n  %s", verdictJSON(t, gv), verdictJSON(t, want))
+	}
+}
+
+// tracedViolations counts the EventViolation records in a service's
+// tracer.
+func tracedViolations(t *testing.T, svc *Service) int {
+	t.Helper()
+	tr := svc.cfg.Tracer
+	if tr.Dropped() != 0 {
+		t.Fatalf("the tracer dropped %d events; the count would be short", tr.Dropped())
+	}
+	n := 0
+	for _, ev := range tr.Tail(tr.Len()) {
+		if ev.Type == obs.EventViolation {
+			n++
+		}
+	}
+	return n
+}
+
+// TestReplayIsSilent: loading a session replays its WAL through the live
+// apply path, but reports nothing — a violation is counted and traced
+// once, when it is first applied live, and a replayed event is not
+// ingested again — after a restart from a kill -9 image and after a
+// passivate→reactivate alike. New violating events then count exactly
+// once.
+func TestReplayIsSilent(t *testing.T) {
+	live, crash := t.TempDir(), t.TempDir()
+	rng := rand.New(rand.NewSource(5))
+	events := genWorkload(rng, 3, 120)
+	before, after := events[:60], events[60:]
+
+	svc, reg := newDurableService(live)
+	sess := mustCreate(t, svc, "quiet", 3)
+	feed(t, rng, sess, before)
+	sess.mu.Lock()
+	violations := sess.inc.Violations()
+	copyDir(t, filepath.Join(live, "sessions", "quiet"), filepath.Join(crash, "sessions", "quiet"))
+	sess.mu.Unlock()
+	want := sess.Verdict(0)
+	if violations == 0 {
+		t.Fatal("the workload has no violations; the test lost its coverage")
+	}
+	counters := func(reg *obs.Registry) [2]int64 {
+		snap := reg.Snapshot()
+		return [2]int64{snap.CounterValue("rdt_service_violations_total"), snap.CounterValue("rdt_service_events_ingested_total")}
+	}
+	if got, want := counters(reg), [2]int64{int64(violations), int64(len(before))}; got != want {
+		t.Fatalf("live counters (violations, ingested) = %v, want %v", got, want)
+	}
+	drainNow(t, svc)
+
+	rec, reg := newDurableService(crash)
+	defer drainNow(t, rec)
+	if stats, err := rec.Recover(); err != nil || stats.Events != int64(len(before)) {
+		t.Fatalf("recover: %+v, %v: want all %d events replayed", stats, err, len(before))
+	}
+	got, err := rec.Session("quiet")
+	if err != nil {
+		t.Fatalf("session: %v", err)
+	}
+	for step := range []string{"recover", "reactivate"} {
+		if step == 1 {
+			if !rec.Passivate("quiet", "idle") {
+				t.Fatal("passivate: session was not live")
+			}
+			if got, err = rec.Session("quiet"); err != nil {
+				t.Fatalf("reactivate: %v", err)
+			}
+		}
+		if c := counters(reg); c != [2]int64{} {
+			t.Fatalf("after load %d: counters (violations, ingested) = %v, want nothing counted", step, c)
+		}
+		if n := tracedViolations(t, rec); n != 0 {
+			t.Fatalf("after load %d: %d violations traced, want none", step, n)
+		}
+		if gv := got.Verdict(0); verdictJSON(t, gv) != verdictJSON(t, want) {
+			t.Fatalf("after load %d: verdict changed:\n  %s\n  %s", step, verdictJSON(t, gv), verdictJSON(t, want))
+		}
+	}
+
+	feed(t, rng, got, after)
+	got.mu.Lock()
+	fresh := got.inc.Violations() - violations
+	got.mu.Unlock()
+	if fresh == 0 {
+		t.Fatal("the second half has no violations; the test lost its coverage")
+	}
+	if c, want := counters(reg), [2]int64{int64(fresh), int64(len(after))}; c != want {
+		t.Fatalf("counters (violations, ingested) after new traffic = %v, want %v", c, want)
+	}
+	if n := tracedViolations(t, rec); n != fresh {
+		t.Fatalf("%d violations traced after new traffic, want %d", n, fresh)
+	}
+}
+
+// TestSnapshottedDataDirRecovers: testdata/snapshotted is a data
+// directory written by the last build that took snapshots — "passive"
+// passivated with a final snapshot and nothing past it, "killed" taken by
+// kill -9 with a WAL tail past its snapshot, "poisoned" poisoned mid-batch
+// and then sealed — and want/ holds the verdict, recovery line and trace
+// that build served after recovering it. Recovered from the WALs alone,
+// the snap_*.bin files beside them unread, or shipped in whole through
+// ImportSession, which skips them, every session serves the same bytes;
+// its export is the two files a session is.
+func TestSnapshottedDataDirRecovers(t *testing.T) {
+	const fixture = "testdata/snapshotted"
+	ids := []string{"killed", "passive", "poisoned"}
+	dir := t.TempDir()
+	copyDir(t, filepath.Join(fixture, "sessions"), filepath.Join(dir, "sessions"))
+	recovered, _ := newDurableService(dir)
+	defer drainNow(t, recovered)
+	stats, err := recovered.Recover()
+	// 4 + 3 + 4 records: every one replayed, none cut.
+	if err != nil || stats.Sessions != 3 || stats.Records != 11 || stats.Truncations != 0 || stats.QuarantinedSessions != 0 {
+		t.Fatalf("recover: %+v, %v", stats, err)
+	}
+	imported, _ := newDurableService(t.TempDir())
+	defer drainNow(t, imported)
+	for _, id := range ids {
+		files := map[string][]byte{}
+		entries, err := os.ReadDir(filepath.Join(fixture, "sessions", id))
 		if err != nil {
-			t.Fatalf("restart %d: recover: %v", restart, err)
+			t.Fatal(err)
 		}
-		if stats.Sessions != 1 || stats.Truncations != 0 || stats.QuarantinedSnapshots != 0 || stats.QuarantinedSessions != 0 {
-			t.Fatalf("restart %d: recover stats %+v: want the session back, nothing cut, nothing quarantined", restart, stats)
-		}
-		if restart == 0 && stats.Records == 0 {
-			t.Fatal("the image has no un-snapshotted tail; the test lost its coverage of the replay past the snapshot")
-		}
-		onDisk, err := os.ReadFile(walPath)
-		if err != nil || !bytes.HasPrefix(onDisk, rotten) {
-			t.Fatalf("restart %d: the WAL was rewritten (%d bytes, was %d): %v", restart, len(onDisk), len(rotten), err)
-		}
-		got, err := rec.Session("rot")
-		if err != nil {
-			t.Fatalf("restart %d: session: %v", restart, err)
-		}
-		if gv := got.Verdict(0); verdictJSON(t, gv) != verdictJSON(t, wantNow) {
-			t.Fatalf("restart %d: verdict changed:\n  %s\n  %s", restart, verdictJSON(t, gv), verdictJSON(t, wantNow))
-		}
-		if _, _, err := got.Snapshot(); !errors.Is(err, errLogDamaged) {
-			t.Fatalf("restart %d: Snapshot() error %v, want errLogDamaged", restart, err)
-		}
-		if _, _, err := got.Explain(0); !errors.Is(err, errLogDamaged) {
-			t.Fatalf("restart %d: Explain() error %v, want errLogDamaged", restart, err)
-		}
-		if restart == 0 {
-			gotLine, err := got.Line()
-			if err != nil || !reflect.DeepEqual(gotLine, wantLine) {
-				t.Fatalf("recovery line changed: %+v (%v) != %+v", gotLine, err, wantLine)
-			}
-			if full := got.durableState(); peek.applied != full.applied || !reflect.DeepEqual(peek.prodSeq, full.prodSeq) {
-				t.Fatalf("stateOfDir %+v, full load %+v", peek, full)
-			}
-			feed(t, rng, got, after)
-			if gv := got.Verdict(0); verdictJSON(t, gv) != verdictJSON(t, wantAfter) {
-				t.Fatalf("ingestion after the rot diverged:\n  %s\n  %s", verdictJSON(t, gv), verdictJSON(t, wantAfter))
+		for _, e := range entries {
+			if files[e.Name()], err = os.ReadFile(filepath.Join(fixture, "sessions", id, e.Name())); err != nil {
+				t.Fatal(err)
 			}
 		}
-		drainNow(t, rec)
+		if err := imported.ImportSession(id, files); err != nil {
+			t.Fatalf("import %s with its snapshots: %v", id, err)
+		}
+	}
+
+	for _, svc := range []*Service{recovered, imported} {
+		for _, id := range ids {
+			sess, err := svc.Session(id)
+			if err != nil {
+				t.Fatalf("session %s: %v", id, err)
+			}
+			line, err := sess.Line()
+			if err != nil {
+				t.Fatalf("line %s: %v", id, err)
+			}
+			lineJSON, err := json.Marshal(line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, got := range map[string][]byte{
+				"verdict": []byte(verdictJSON(t, sess.Verdict(0))),
+				"line":    lineJSON,
+				"trace":   traceBytes(t, sess),
+			} {
+				want, err := os.ReadFile(filepath.Join(fixture, "want", id+"."+name+".json"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s %s:\n  got  %s\n  want %s", id, name, got, want)
+				}
+			}
+		}
+	}
+	files, err := imported.ExportSession("killed")
+	if err != nil || len(files) != 2 || files["meta.json"] == nil || files["wal.log"] == nil {
+		t.Fatalf("export: %d files, %v: want meta.json and wal.log", len(files), err)
 	}
 }
 
@@ -221,7 +304,7 @@ func TestWALRotBelowSnapshot(t *testing.T) {
 // stream connection multiplexes many sessions through one read loop, so
 // an enqueue that waits on one session's fsync stalls them all.
 func TestEnqueueNeverWaitsOnPersistence(t *testing.T) {
-	svc, _ := newDurableService(t.TempDir(), 1<<20)
+	svc, _ := newDurableService(t.TempDir())
 	sess := mustCreate(t, svc, "parked", 2)
 	parked, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
@@ -262,7 +345,7 @@ func TestEnqueueNeverWaitsOnPersistence(t *testing.T) {
 }
 
 // TestStateOfDirMatchesLoad: on kill -9 images taken at the crash seams,
-// the header-only peek ImportSession compares copies with reports the
+// the counting peek ImportSession compares copies with reports the
 // watermarks and applied count a full load of the same image restores.
 func TestStateOfDirMatchesLoad(t *testing.T) {
 	seeds := 90
@@ -281,7 +364,7 @@ func TestStateOfDirMatchesLoad(t *testing.T) {
 			root := t.TempDir()
 			liveDir, crashDir := filepath.Join(root, "live"), filepath.Join(root, "crash")
 			image := filepath.Join(crashDir, "sessions", id)
-			svc, _ := newDurableService(liveDir, 1+rng.Intn(6))
+			svc, _ := newDurableService(liveDir)
 
 			// The worker is the only goroutine that reaches the hooks, so the
 			// counters need no lock; the copy runs under the session lock.
@@ -297,15 +380,9 @@ func TestStateOfDirMatchesLoad(t *testing.T) {
 				testHookAppended = capture
 			case crashAfterApply:
 				testHookApplied = capture
-			case crashMidSnapshot:
-				storage.TestingBeforeRename = func(path string) {
-					if strings.Contains(path, filepath.Join("sessions", id, "snap_")) {
-						capture(id)
-					}
-				}
 			}
 			defer func() {
-				testHookAppended, testHookApplied, storage.TestingBeforeRename = nil, nil, nil
+				testHookAppended, testHookApplied = nil, nil
 			}()
 
 			sess := mustCreate(t, svc, id, n)
@@ -324,7 +401,7 @@ func TestStateOfDirMatchesLoad(t *testing.T) {
 			if err := sess.Seal(ctx); err != nil {
 				t.Fatalf("seal: %v", err)
 			}
-			testHookAppended, testHookApplied, storage.TestingBeforeRename = nil, nil, nil
+			testHookAppended, testHookApplied = nil, nil
 			if !captured {
 				sess.mu.Lock()
 				copyDir(t, filepath.Join(liveDir, "sessions", id), image)
@@ -336,7 +413,7 @@ func TestStateOfDirMatchesLoad(t *testing.T) {
 			if err != nil {
 				t.Fatalf("stateOfDir: %v", err)
 			}
-			rec, _ := newDurableService(crashDir, 4)
+			rec, _ := newDurableService(crashDir)
 			defer drainNow(t, rec)
 			loaded, _, err := rec.loadSession(id)
 			if err != nil {

@@ -134,9 +134,9 @@ func protect(t *testing.T, n int, raw []service.Event) []service.Event {
 	return out
 }
 
-func newService(t *testing.T, dataDir string, snapshotEvery int) *service.Service {
+func newService(t *testing.T, dataDir string) *service.Service {
 	t.Helper()
-	svc, err := service.New(service.Config{DataDir: dataDir, SnapshotEvery: snapshotEvery})
+	svc, err := service.New(service.Config{DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +196,8 @@ func TestPatternParity(t *testing.T) {
 	if testing.Short() {
 		seeds = 60
 	}
-	memory := newService(t, "", 0)
-	durable := newService(t, t.TempDir(), 24)
+	memory := newService(t, "")
+	durable := newService(t, t.TempDir())
 
 	for seed := 0; seed < seeds; seed++ {
 		family := families[seed%len(families)]

@@ -26,7 +26,6 @@ const (
 	DefaultMaxViolations  = 16
 	DefaultMaxProcs       = 1024
 	DefaultSweepInterval  = 30 * time.Second
-	DefaultSnapshotEvery  = 4096
 )
 
 // Config tunes a Service. The zero value is usable: every limit falls
@@ -54,12 +53,10 @@ type Config struct {
 	// SweepInterval is how often the janitor looks for idle sessions.
 	SweepInterval time.Duration
 	// DataDir enables durability: every session keeps a write-ahead log
-	// and snapshots under DataDir/sessions/<id>/ and survives restarts
-	// (call Recover after New). Empty means in-memory only, with
-	// behavior identical to previous releases.
+	// under DataDir/sessions/<id>/ and survives restarts (call Recover
+	// after New). Empty means in-memory only, with behavior identical to
+	// previous releases.
 	DataDir string
-	// SnapshotEvery is the snapshot cadence in applied events.
-	SnapshotEvery int
 	// Registry and Tracer receive the service's metrics and violation
 	// events; either may be nil.
 	Registry *obs.Registry
@@ -91,9 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SweepInterval <= 0 {
 		c.SweepInterval = DefaultSweepInterval
-	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = DefaultSnapshotEvery
 	}
 	return c
 }
@@ -182,8 +176,6 @@ type Service struct {
 	mWALReplayRecords *obs.Counter
 	hWALReplay        *obs.Histogram
 	mWALTruncations   *obs.Counter
-	mSnapshots        *obs.Counter
-	mSnapQuarantined  *obs.Counter
 	mDegraded         *obs.Gauge
 	mPassivated       *obs.Counter
 	mReactivated      *obs.Counter
@@ -193,7 +185,7 @@ type Service struct {
 // Held: one goroutine owns the id's disk↔memory transition — create,
 // load, export, import, drop — and closes busy when it is done.
 // Retiring: a durable session was evicted and busy is its workerDone,
-// closed once its final snapshot landed or its directory is gone. A
+// closed once its WAL is closed or its directory is gone. A
 // closed busy means free: whoever finds one may take the slot.
 type slot struct {
 	sess *Session
@@ -226,8 +218,6 @@ func New(cfg Config) (*Service, error) {
 		mWALReplayRecords: cfg.Registry.Counter("rdt_wal_replay_records_total"),
 		hWALReplay:        cfg.Registry.Histogram("rdt_wal_replay_seconds", obs.LatencyBuckets),
 		mWALTruncations:   cfg.Registry.Counter("rdt_wal_truncations_total"),
-		mSnapshots:        cfg.Registry.Counter("rdt_wal_snapshots_total"),
-		mSnapQuarantined:  cfg.Registry.Counter("rdt_wal_snapshots_quarantined_total"),
 		mDegraded:         cfg.Registry.Gauge("rdt_service_degraded_sessions"),
 		mPassivated:       cfg.Registry.Counter("rdt_service_sessions_passivated_total"),
 		mReactivated:      cfg.Registry.Counter("rdt_service_sessions_reactivated_total"),
@@ -364,6 +354,7 @@ func (s *Service) CreateSession(id string, n int) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.observeInc(sess.inc)
 	// A session's birth is a disk↔memory transition like any other: the id
 	// is held across it, or a shard export could read (and ship) the
 	// half-born directory while the create goes on to win locally.
@@ -397,10 +388,10 @@ func (s *Service) CreateSession(id string, n int) (*Session, error) {
 
 // liveOrHold is the gate every transition of an id goes through. It
 // returns the id's live session, or — having waited out whoever held the
-// id and any retirement in flight (its final snapshot must land before
-// the directory is touched) — the id held for the caller, who alone may
-// then touch its directory and must end the hold with install (the id
-// goes live) or release (it goes back to absent).
+// id and any retirement in flight (its worker must be done with the WAL
+// before the directory is touched) — the id held for the caller, who
+// alone may then touch its directory and must end the hold with install
+// (the id goes live) or release (it goes back to absent).
 func (s *Service) liveOrHold(id string) (live *Session, held chan struct{}) {
 	for {
 		s.mu.Lock()
@@ -492,8 +483,8 @@ func (s *Service) Session(id string) (*Session, error) {
 // On a durable service the reason decides the disk's fate: "explicit"
 // deletes the session's directory (including that of a passivated
 // session no longer in memory), anything else passivates — the worker
-// writes a final snapshot and the state waits on disk for the next
-// touch.
+// applies what was accepted, closes the WAL, and the state waits on disk
+// for the next touch.
 func (s *Service) Evict(id, reason string) bool {
 	drop := reason == "explicit" // of a durable session: its directory goes too
 	s.mu.Lock()

@@ -65,18 +65,17 @@ type Session struct {
 	created time.Time
 
 	// workerDone closes when the worker has exited — for a durable
-	// session, after its final snapshot landed (or its directory was
-	// removed), so reactivation can safely wait on it.
+	// session, after its WAL was closed (or its directory removed), so
+	// reactivation can safely wait on it.
 	workerDone chan struct{}
 
 	lastActive atomic.Int64 // unix nanoseconds of the last API touch
 	dropDisk   atomic.Bool  // explicit delete: the worker removes the directory
 
-	// Admission state, apart from mu: the worker holds mu across WAL and
-	// snapshot fsyncs, and enqueue must never wait behind those. qmu
-	// guards closed, the queue's send/close and strmSeq; adm is the
-	// worker's last published view of sealed/failErr/degraded (nil: none
-	// of them).
+	// Admission state, apart from mu: the worker holds mu across the WAL
+	// fsync, and enqueue must never wait behind that. qmu guards closed,
+	// the queue's send/close and strmSeq; adm is the worker's last
+	// published view of sealed/failErr/degraded (nil: none of them).
 	qmu    sync.Mutex
 	closed bool // queue closed; no further enqueues
 	adm    atomic.Pointer[admission]
@@ -99,15 +98,13 @@ type Session struct {
 	// log is every mutating batch in arrival order, each one its WAL
 	// record payload (encodeBatchRecord) behind a length prefix: the
 	// pattern's only stored form. Its first `applied` events are exactly
-	// the events the checker accepted. rec is the encode scratch. logErr
-	// is set by a load that could not restore the log: no pattern then.
-	log    []byte
-	rec    []byte
-	logErr error
+	// the events the checker accepted. rec is the encode scratch.
+	log []byte
+	rec []byte
 	// prodSeq mirrors strmSeq for the frames that made it into the WAL:
-	// the worker advances it after a successful append, snapshots carry
-	// it, and replay rebuilds it — which is what makes stream dedup
-	// exactly-once across crash recovery and shard handoff.
+	// the worker advances it after a successful append and replay
+	// rebuilds it — which is what makes stream dedup exactly-once across
+	// crash recovery and shard handoff.
 	prodSeq map[string]uint64
 }
 
@@ -145,13 +142,12 @@ func newSession(svc *Service, id string, n int) (*Session, error) {
 		usedMsg:    make(map[int]bool),
 	}
 	s.touch()
-	svc.observeInc(inc)
 	return s, nil
 }
 
 // observeInc routes a checker's violations into the service's metrics
-// and tracer. Recovery calls it again for a checker decoded from a
-// snapshot (which replaces the one newSession wired up).
+// and tracer: CreateSession attaches it at birth, loadSession only after
+// the replay, so a violation is reported once, when it is first applied.
 func (svc *Service) observeInc(inc *rgraph.Incremental) {
 	inc.OnViolation(func(v rgraph.Violation) {
 		svc.mViolations.Inc()
@@ -184,7 +180,7 @@ type queued struct {
 
 // run is the session worker: it commits the queue one group at a time,
 // in arrival order, until the session is closed, then retires the
-// session (for a durable one: final snapshot or directory removal).
+// session (for a durable one: WAL close or directory removal).
 func (s *Session) run() {
 	defer s.svc.workers.Done()
 	var next batch
@@ -217,29 +213,30 @@ func wellFormed(events []Event) []Event {
 	return events
 }
 
+// groupEvents bounds a durable commit group: the group ends at the batch
+// that brings this many events together, which bounds how long one
+// group holds the session lock.
+const groupEvents = 4096
+
 // commit handles one group — the batch the worker received and, on a
 // durable session, whatever is already queued behind it — with
 // write-ahead ordering and one fsync. Log: every mutating batch is
 // encoded once, recorded in the log and appended to the WAL. Sync: one
 // wal.Sync covers those records. Apply: each batch goes through
-// applyBatchLocked in queue order. Then one snapshot check, and
-// notify in queue order after the unlock. Nothing waits for a group
-// to fill — an empty queue gives a group of one. A group exists to share
-// an fsync, so a memory session's are all of one: batching there would
-// only hold early acks back for later applies. A group ends at a seal,
-// before a gated batch (handed back: it opens the next group), at the
-// batch that brings SnapshotEvery events together (snapshots stay at the
-// batch boundaries a batch-at-a-time worker takes them at, and the lock
-// hold is bounded), or when the queue is empty. What holds:
+// applyBatchLocked in queue order. Then notify in queue order after the
+// unlock. Nothing waits for a group to fill — an empty queue gives a
+// group of one. A group exists to share an fsync, so a memory session's
+// are all of one: batching there would only hold early acks back for
+// later applies. A group ends at a seal, before a gated batch (handed
+// back: it opens the next group), at the batch that brings groupEvents
+// events together, or when the queue is empty. What holds:
 //
 //	(a) no batch is applied, has its stream watermark advanced, or is
 //	    acked before the fsync covering its record returned; an append or
 //	    sync failure degrades the session, and every mutating batch of
 //	    the group reports ErrDegraded and is NOT applied;
-//	(b) a snapshot is taken only between groups, so the WAL offset in its
-//	    header never covers an unapplied record;
-//	(c) acks leave in queue order;
-//	(d) when a batch poisons the session the later records of its group
+//	(b) acks leave in queue order;
+//	(c) when a batch poisons the session the later records of its group
 //	    are already logged: applyLocked rejects them here as it does on
 //	    replay, so applied, the log's "first applied events" rule,
 //	    verdict, line and prodSeq agree between the two.
@@ -254,12 +251,9 @@ func (s *Session) commit(first batch) (next batch, held bool) {
 	}
 
 	// Log. mutates is judged against the state before the group: sealed
-	// cannot change inside one, failErr can — see (d).
+	// cannot change inside one, failErr can — see (c).
 	var logErr error
 	mark, records, bytes, events := len(s.log), 0, 0, 0
-	if d != nil {
-		events = d.sinceSnap
-	}
 drain:
 	for i := 0; ; i++ {
 		q := &group[i]
@@ -275,7 +269,7 @@ drain:
 				}
 			}
 		}
-		if d == nil || q.seal || events >= s.svc.cfg.SnapshotEvery {
+		if d == nil || q.seal || events >= groupEvents {
 			break
 		}
 		select {
@@ -310,7 +304,6 @@ drain:
 			s.svc.mWALSyncs.Inc()
 			s.svc.hWALGroup.Observe(float64(records))
 			s.svc.hWALAppend.Observe(time.Since(start).Seconds())
-			d.sinceSnap = events
 		}
 	}
 
@@ -318,12 +311,13 @@ drain:
 	// batch reports the failure — barriers (Flush, Seal) too, so async
 	// producers learn their earlier batches were dropped. A stream frame's
 	// watermark advances only here, once its record is on disk, so the
-	// persisted dedup state never claims a frame the WAL lost.
+	// persisted dedup state never claims a frame the WAL lost. Only here
+	// are events counted as ingested: a replay applies them again.
 	var degraded error
 	if d != nil && d.degraded {
 		degraded = fmt.Errorf("%w: %v", ErrDegraded, d.degradedErr)
 	}
-	sealedNow := false
+	applied := s.applied
 	for i := range group {
 		q := &group[i]
 		if degraded == nil || !q.mutates {
@@ -338,14 +332,13 @@ drain:
 			if logged && testHookApplied != nil {
 				testHookApplied(s.ID)
 			}
-			sealedNow = sealedNow || (q.err == nil && q.mutates && q.seal)
 		}
 		if q.err == nil {
 			q.err = degraded
 		}
 	}
-	if d != nil {
-		s.maybeSnapshotLocked(sealedNow)
+	if n := s.applied - applied; n > 0 {
+		s.svc.mIngested.Add(n)
 	}
 	s.mu.Unlock()
 
@@ -362,14 +355,10 @@ drain:
 // ingestion and WAL replay — which is what makes replay bit-identical.
 func (s *Session) applyBatchLocked(events []Event, seal bool) error {
 	var err error
-	before := s.applied
 	for _, ev := range events {
 		if err = s.applyLocked(ev); err != nil {
 			break
 		}
-	}
-	if n := s.applied - before; n > 0 {
-		s.svc.mIngested.Add(n)
 	}
 	if err == nil && seal && !s.sealed {
 		s.inc.Seal()
@@ -728,9 +717,6 @@ func (s *Session) Info() Info {
 // event-bearing intervals, in-flight messages are reported as lost).
 // Cost is one pass over the log, so the session limits bound it.
 func (s *Session) patternLocked() (*model.Pattern, []model.LostMessage, error) {
-	if s.logErr != nil {
-		return nil, nil, s.logErr
-	}
 	b := model.NewBuilder(s.N)
 	handles := make(map[int]int) // client message id -> builder handle
 	left := s.applied

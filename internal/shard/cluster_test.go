@@ -32,7 +32,7 @@ type member struct {
 func startMember(t *testing.T, name, dir string) *member {
 	t.Helper()
 	reg := obs.NewRegistry()
-	svc, err := service.New(service.Config{DataDir: dir, SnapshotEvery: 16, Registry: reg})
+	svc, err := service.New(service.Config{DataDir: dir, Registry: reg})
 	if err != nil {
 		t.Fatalf("start %s: %v", name, err)
 	}

@@ -18,8 +18,8 @@ import (
 )
 
 // The handoff-seam differential tests: kill the session's owner at a
-// nasty moment — right after a WAL append, mid-snapshot rename, or in
-// the middle of a membership-change transfer — restart or fail over,
+// nasty moment — right after a WAL append, or in the middle of a
+// membership-change transfer — restart or fail over,
 // let the client resume over the stream wire, and demand the final
 // verdict, recovery line, and violation witnesses be bit-identical to
 // an uninterrupted single-service run of the same events, and that the
@@ -198,9 +198,9 @@ func referenceSession(t *testing.T, id string, procs int, events []service.Event
 	return sess, stop
 }
 
-// runRestartSeam is the single-owner crash shape shared by the
-// after-append and mid-snapshot kill points: capture the owner's data
-// directory at the crash instant (arm decides when), kill the owner,
+// runRestartSeam is the single-owner crash shape of the after-append
+// kill point: capture the owner's data directory at the crash instant
+// (arm decides when), kill the owner,
 // restart a replacement from the captured image under a new ring
 // epoch, and let the client resume and finish.
 //
@@ -343,23 +343,6 @@ func TestSeamKillAfterAppend(t *testing.T) {
 			once.Do(capture)
 		}, nil)
 		t.Cleanup(restore)
-		armed.Store(true)
-	})
-}
-
-func TestSeamKillMidSnapshot(t *testing.T) {
-	runRestartSeam(t, 202, func(t *testing.T, m *member, id, crashDir string, capture func()) {
-		dir := m.dir
-		var armed atomic.Bool
-		var once sync.Once
-		prev := storage.TestingBeforeRename
-		storage.TestingBeforeRename = func(path string) {
-			if !armed.Load() || !strings.HasPrefix(path, dir) || !strings.Contains(filepath.Base(path), "snap_") {
-				return
-			}
-			once.Do(capture)
-		}
-		t.Cleanup(func() { storage.TestingBeforeRename = prev })
 		armed.Store(true)
 	})
 }

@@ -8,8 +8,8 @@ import (
 
 // This file is the single implementation of the torn-write discipline
 // every durable artifact of the repo shares: checkpoint files
-// (File.Put), session snapshots and metadata (internal/service), and
-// the write-ahead log's truncation path (internal/wal). The rules:
+// (File.Put), session metadata and handoff imports (internal/service),
+// and the write-ahead log's truncation path (internal/wal). The rules:
 //
 //  1. write the new content to <path>.tmp;
 //  2. fsync the temp file, so the bytes are on the medium before any
@@ -33,7 +33,7 @@ var (
 // TestingBeforeRename, when non-nil, runs after the temp file of a
 // durable write has been synced and closed, immediately before the
 // rename publishes it — the window in which a crash leaves a .tmp
-// behind. Crash-point tests use it to capture mid-snapshot disk images;
+// behind. Crash-point tests use it to capture mid-import disk images;
 // production code must never set it.
 var TestingBeforeRename func(path string)
 

@@ -11,12 +11,7 @@ import (
 
 func poolTestService(t *testing.T, dir string) *service.Service {
 	t.Helper()
-	cfg := service.Config{}
-	if dir != "" {
-		cfg.DataDir = dir
-		cfg.SnapshotEvery = 8
-	}
-	svc, err := service.New(cfg)
+	svc, err := service.New(service.Config{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +92,7 @@ func TestPoolFollowsMoved(t *testing.T) {
 // event applied exactly once whether or not its ack survived the cut.
 func TestPoolResumeAfterRestart(t *testing.T) {
 	dir := t.TempDir()
-	svc1, err := service.New(service.Config{DataDir: dir, SnapshotEvery: 8})
+	svc1, err := service.New(service.Config{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

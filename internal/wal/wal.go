@@ -88,8 +88,7 @@ func OpenAppend(path string) (*Log, error) {
 func (l *Log) Path() string { return l.path }
 
 // Offset returns the current end of the log in bytes — the offset the
-// next record's frame will start at, and the offset a snapshot taken
-// now should record as covered.
+// next record's frame will start at.
 func (l *Log) Offset() int64 { return l.off }
 
 // Append writes one record frame. It does not sync; call Sync before
@@ -149,7 +148,7 @@ func ScanFrom(path string, from int64, fn func(payload []byte) error) (end int64
 	}
 	size := st.Size()
 	if from > size {
-		// The log claims fewer bytes than the snapshot said it covered;
+		// The log holds fewer bytes than the caller expected to skip;
 		// nothing sound to replay.
 		return from, true, nil
 	}

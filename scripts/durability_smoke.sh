@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
 # durability_smoke.sh — kill -9 a live rdtserved and verify the restart
-# answers the identical verdict from its WAL + snapshots.
+# answers the identical verdict from its WAL, then do the same across a
+# clean SIGTERM drain.
 #
 # The daemon is started with -data-dir, a session is created and fed a
 # known event stream (including the Figure 1 style exchange), the
-# verdict is captured, then the process is killed hard (no drain, no
-# final snapshot). A second daemon on the same data dir must log a
-# recovery and serve a bit-identical verdict, then keep ingesting.
+# verdict is captured, then the process is killed hard (no drain). A
+# second daemon on the same data dir must log a recovery that replayed
+# WAL records and serve a bit-identical verdict, then keep ingesting and
+# seal. It is then stopped with SIGTERM, and a third daemon must replay
+# the WAL again — a drain writes nothing a restart could load instead —
+# and serve the sealed verdict byte for byte.
 #
 # Usage: scripts/durability_smoke.sh [path-to-rdtserved]
 set -euo pipefail
@@ -33,7 +37,7 @@ ADDR="127.0.0.1:18474"
 BASE="http://$ADDR"
 
 start_daemon() {
-  "$BIN" -addr "$ADDR" -data-dir "$DATA" -snapshot-every 4 >"$WORK/$1.log" 2>&1 &
+  "$BIN" -addr "$ADDR" -data-dir "$DATA" >"$WORK/$1.log" 2>&1 &
   PID=$!
   for _ in $(seq 1 100); do
     if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
@@ -65,8 +69,6 @@ curl -fsS -X POST "$BASE/v1/sessions/smoke/events" -d '[
   {"op":"deliver","msg":2},
   {"op":"checkpoint","proc":1}
 ]' >/dev/null
-# A sub-threshold tail after the last snapshot, so the restart must
-# actually replay WAL records instead of just loading a snapshot.
 curl -fsS -X POST "$BASE/v1/sessions/smoke/events" -d '[{"op":"checkpoint","proc":2}]' >/dev/null
 curl -fsS -X POST "$BASE/v1/sessions/smoke/events" -d '[{"op":"send","proc":0,"peer":1,"msg":3}]' >/dev/null
 BEFORE="$(curl -fsS "$BASE/v1/sessions/smoke/verdict?flush=1")"
@@ -77,13 +79,18 @@ kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 PID=""
 
+# expect_replay LOG: the daemon logged a recovery that replayed records.
+expect_replay() {
+  grep "recovered" "$WORK/$1.log"
+  if grep -q "(0 records / 0 events replayed" "$WORK/$1.log"; then
+    echo "expected a nonzero WAL replay in $1" >&2
+    exit 1
+  fi
+}
+
 echo "== restart =="
 start_daemon restart
-grep "recovered" "$WORK/restart.log"
-if grep -q "(0 records / 0 events replayed" "$WORK/restart.log"; then
-  echo "expected a nonzero WAL replay after kill -9" >&2
-  exit 1
-fi
+expect_replay restart
 
 AFTER="$(curl -fsS "$BASE/v1/sessions/smoke/verdict")"
 if [ "$BEFORE" != "$AFTER" ]; then
@@ -98,11 +105,30 @@ echo "verdict identical after kill -9 + restart"
 curl -fsS -X POST "$BASE/v1/sessions/smoke/events" \
   -d '[{"op":"checkpoint","proc":1}]' >/dev/null
 curl -fsS -X POST "$BASE/v1/sessions/smoke/seal" >/dev/null
-STATE="$(curl -fsS "$BASE/v1/sessions/smoke/verdict" | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')"
+SEALED="$(curl -fsS "$BASE/v1/sessions/smoke/verdict")"
+STATE="$(echo "$SEALED" | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')"
 if [ "$STATE" != "sealed" ]; then
   echo "expected sealed state after recovery, got: $STATE" >&2
   exit 1
 fi
+
+echo "== SIGTERM =="
+kill -TERM "$PID"
+wait "$PID" 2>/dev/null || true
+PID=""
+grep -q "drained" "$WORK/restart.log"
+
+echo "== restart after drain =="
+start_daemon drained
+expect_replay drained
+AGAIN="$(curl -fsS "$BASE/v1/sessions/smoke/verdict")"
+if [ "$SEALED" != "$AGAIN" ]; then
+  echo "VERDICT MISMATCH after drain + restart" >&2
+  echo "  before: $SEALED" >&2
+  echo "  after:  $AGAIN" >&2
+  exit 1
+fi
+echo "verdict identical after SIGTERM + restart"
 
 kill -9 "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null || true
