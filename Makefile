@@ -96,12 +96,14 @@ soak-smoke:
 
 # Fuzz smoke: a short bounded run of every fuzz target over untrusted
 # decoder surfaces (cluster wire messages, trace JSON, service events,
-# WAL files fed back through the scanner, scenario files fed to the
-# parser, checker snapshots fed to the decoder and then driven on).
+# WAL records fed to the one event reader, WAL files fed back through
+# the scanner, scenario files fed to the parser, checker snapshots fed
+# to the decoder and then driven on).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeMsg' -fuzztime 10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz 'FuzzLoad' -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeEvents' -fuzztime 10s ./internal/service/
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRecord' -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzParse' -fuzztime 10s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeIncremental' -fuzztime 10s ./internal/rgraph/

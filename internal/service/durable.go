@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -25,7 +24,7 @@ import (
 //
 //	<DataDir>/sessions/<id>/
 //	    meta.json            process count, creation time
-//	    wal.log              framed, CRC32C-checksummed batches
+//	    wal.log              framed, CRC32C-checksummed records, one per batch
 //
 // survives kill -9. The WAL is the session: every record since its
 // birth, cut only at a torn or damaged record, and the checker's state
@@ -35,8 +34,8 @@ import (
 // uses, truncates any torn tail, and resumes the session with
 // bit-identical verdicts — sealed, failed, and applied-count state
 // included. Nothing derived is stored, so there is nothing to fall back
-// from and nothing to quarantine but a session whose meta.json is
-// unreadable.
+// from and nothing to quarantine but a session whose meta.json or WAL
+// record kind this build cannot read.
 //
 // Failure is contained per session: a disk write error degrades only
 // that session to read-only (HTTP 507 on further mutation) and is
@@ -122,91 +121,6 @@ func (s *Service) attachDurable(sess *Session) error {
 	return nil
 }
 
-// WAL record payloads: one batch per record.
-const recBatch = 1
-
-var opNames = map[byte]string{1: OpCheckpoint, 2: OpSend, 3: OpDeliver}
-
-// encodeBatchRecord frames the mutating content of a batch, including
-// the stream producer/seq watermark (empty/0 for HTTP batches) so
-// replay restores the dedup state alongside the events it guards. The
-// kind strings "" and "basic" are both KindBasic downstream, so one
-// byte suffices and replay is still behaviorally identical.
-func encodeBatchRecord(buf []byte, events []Event, seal bool, producer string, seq uint64) []byte {
-	buf = append(buf, recBatch)
-	buf = binenc.AppendBool(buf, seal)
-	buf = binenc.AppendString(buf, producer)
-	buf = binenc.AppendUvarint(buf, seq)
-	buf = binenc.AppendInt(buf, len(events))
-	for i := range events {
-		ev := &events[i]
-		var op byte // 0, which no reader accepts, for an op wellFormed would have cut
-		switch ev.Op {
-		case OpCheckpoint:
-			op = 1
-		case OpSend:
-			op = 2
-		case OpDeliver:
-			op = 3
-		}
-		buf = append(buf, op)
-		if ev.Kind == "forced" {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		buf = binenc.AppendInt(buf, ev.Proc)
-		buf = binenc.AppendInt(buf, ev.Peer)
-		buf = binenc.AppendInt(buf, ev.Msg)
-	}
-	return buf
-}
-
-func decodeBatchRecord(payload []byte) (events []Event, seal bool, producer string, seq uint64, err error) {
-	r := binenc.NewReader(payload)
-	if r.Byte() != recBatch {
-		return nil, false, "", 0, fmt.Errorf("wal record: unknown kind")
-	}
-	seal = r.Bool()
-	producer = r.String()
-	seq = r.Uvarint()
-	count := r.IntMax(wal.MaxRecord)
-	if r.Err() == nil && count > 0 {
-		events = make([]Event, count)
-		for i := range events {
-			ev := &events[i]
-			op, known := opNames[r.Byte()]
-			if r.Err() == nil && !known {
-				return nil, false, "", 0, fmt.Errorf("wal record: unknown op byte")
-			}
-			ev.Op = op
-			if r.Byte() == 1 {
-				ev.Kind = "forced"
-			}
-			ev.Proc = r.Int()
-			ev.Peer = r.Int()
-			ev.Msg = r.Int()
-		}
-	}
-	if err := r.Done(); err != nil {
-		return nil, false, "", 0, fmt.Errorf("wal record: %w", err)
-	}
-	return events, seal, producer, seq, nil
-}
-
-// noteProducerLocked advances the persisted stream-dedup watermark.
-func (s *Session) noteProducerLocked(producer string, seq uint64) {
-	if seq == 0 {
-		return
-	}
-	if s.prodSeq == nil {
-		s.prodSeq = make(map[string]uint64)
-	}
-	if seq > s.prodSeq[producer] {
-		s.prodSeq[producer] = seq
-	}
-}
-
 // degradeLocked poisons the session's persistence: it becomes
 // read-only until a restart recovers it from its last committed batch.
 func (s *Session) degradeLocked(err error) {
@@ -253,7 +167,8 @@ type RecoverStats struct {
 	// Truncations counts torn or corrupt WAL tails cut off.
 	Truncations int
 	// QuarantinedSessions counts session directories renamed *.corrupt
-	// because their meta.json was unreadable.
+	// because their meta.json was unreadable or their WAL holds a record
+	// of a kind this build does not know.
 	QuarantinedSessions int
 }
 
@@ -327,8 +242,8 @@ func (s *Service) Recover() (RecoverStats, error) {
 				mu.Lock()
 				st.Truncations += ls.truncations
 				if err != nil {
-					// Unrecoverable shell (bad meta.json): quarantine the whole
-					// directory so the bytes survive for forensics.
+					// Unrecoverable (bad meta.json, a record of an unknown kind):
+					// quarantine the whole directory so the bytes survive.
 					_ = os.Rename(filepath.Join(root, id), filepath.Join(root, id+".corrupt"))
 					st.QuarantinedSessions++
 					s.release(id, held)
@@ -356,20 +271,20 @@ type loadStats struct {
 // first byte, each record decoded and handed to replay, up to the first
 // torn or undecodable one (a record that passes its CRC but does not
 // decode is corruption the frame missed). It returns where the decodable
-// WAL ends and whether bytes follow it. A load is this scan with every
-// record applied, stateOfDir the same scan with the records counted — so
-// a peek reports, by construction, the state a load restores. A snap_*
-// file an earlier build left beside the WAL is never opened.
-func scanDir(dir string, replay func(payload []byte, events []Event, seal bool, producer string, seq uint64)) (end int64, torn bool, err error) {
+// WAL ends and whether bytes follow it; a record of an unknown kind fails
+// the scan instead. A load is this scan with every record applied,
+// stateOfDir the same scan with the records counted — so a peek reports,
+// by construction, the state a load restores.
+func scanDir(dir string, replay func(rec *record)) (end int64, torn bool, err error) {
 	var good int64 // frame bytes of the decodable records
 	bad := false
 	end, torn, err = wal.ScanFrom(filepath.Join(dir, "wal.log"), 0, func(payload []byte) error {
-		events, seal, producer, seq, err := decodeBatchRecord(payload)
+		rec, err := decodeRecord(payload)
 		if err != nil {
-			bad = true
-			return err
+			bad = !errors.Is(err, errUnknownKind)
+			return fmt.Errorf("wal record: %w", err)
 		}
-		replay(payload, events, seal, producer, seq)
+		replay(&rec)
 		good += int64(wal.HeaderSize + len(payload))
 		return nil
 	})
@@ -411,12 +326,12 @@ func (s *Service) loadSession(id string) (*Session, loadStats, error) {
 	start := time.Now()
 	// The session is unpublished, so no lock is needed; apply errors on
 	// replay are deterministic re-poisonings, not replay failures.
-	end, torn, err := scanDir(dir, func(payload []byte, events []Event, seal bool, producer string, seq uint64) {
-		sess.log = binenc.AppendBytes(sess.log, payload)
-		sess.applyBatchLocked(events, seal)
-		sess.noteProducerLocked(producer, seq)
+	st := imageState{prodSeq: make(map[string]uint64)}
+	end, torn, err := scanDir(dir, func(rec *record) {
+		sess.log = binenc.AppendBytes(sess.log, rec.raw)
+		sess.applyBatchLocked(rec)
+		st.add(rec)
 		ls.records++
-		ls.events += int64(len(events))
 		s.mWALReplayRecords.Inc()
 	})
 	if err != nil {
@@ -438,10 +353,11 @@ func (s *Service) loadSession(id string) (*Session, loadStats, error) {
 		return nil, ls, fmt.Errorf("load %q: %w", id, err)
 	}
 	sess.dur = &durableSession{dir: dir, wal: l}
-	// Reseed the live dedup watermark from the persisted one: a
-	// resuming producer is told exactly where the durable record ends
-	// and replays from there, no more and no less.
-	sess.strmSeq = maps.Clone(sess.prodSeq)
+	// Seed the live dedup watermark from the records: a resuming producer
+	// is told exactly where the durable record ends and replays from
+	// there, no more and no less.
+	sess.strmSeq = st.prodSeq
+	ls.events = st.events
 	return sess, ls, nil
 }
 

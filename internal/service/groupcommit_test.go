@@ -66,13 +66,7 @@ func observe(t *testing.T, sess *Session) observables {
 	if err != nil {
 		t.Fatalf("line: %v", err)
 	}
-	o := observables{verdict: *sess.Verdict(0), line: line, trace: traceBytes(t, sess), prodSeq: map[string]uint64{}}
-	sess.mu.Lock()
-	for p, seq := range sess.prodSeq {
-		o.prodSeq[p] = seq
-	}
-	sess.mu.Unlock()
-	return o
+	return observables{verdict: *sess.Verdict(0), line: line, trace: traceBytes(t, sess), prodSeq: sess.durableState().prodSeq}
 }
 
 // TestGroupCommitPoisonMidGroup pins invariant (c): a batch that poisons

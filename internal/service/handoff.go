@@ -3,12 +3,12 @@ package service
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
+	"github.com/rdt-go/rdt/internal/binenc"
 	"github.com/rdt-go/rdt/internal/storage"
 )
 
@@ -152,12 +152,21 @@ func (s *Service) readSessionDir(id string) (map[string][]byte, error) {
 
 // imageState is the comparable summary of one copy of a session's
 // durable state: the per-producer watermark of frames in the WAL plus
-// the total events the copy restores. Copies of the same lineage form
-// a prefix chain, so "covers" is a sound better-or-equal order; two
-// copies where neither covers the other have forked.
+// the events its records hold, applied or not. Copies of the same
+// lineage form a prefix chain of records, so "covers" is a sound
+// better-or-equal order; two copies where neither covers the other have
+// forked.
 type imageState struct {
 	prodSeq map[string]uint64
-	applied int64
+	events  int64
+}
+
+// add counts one record into the summary.
+func (st *imageState) add(rec *record) {
+	if rec.seq > st.prodSeq[rec.producer] { // seq 0: not a stream frame
+		st.prodSeq[rec.producer] = rec.seq
+	}
+	st.events += int64(rec.count)
 }
 
 // covers reports whether a holds everything b does.
@@ -167,33 +176,36 @@ func (a imageState) covers(b imageState) bool {
 			return false
 		}
 	}
-	return a.applied >= b.applied
+	return a.events >= b.events
 }
 
 // strictlyCovers reports whether a covers b and holds more.
 func (a imageState) strictlyCovers(b imageState) bool { return a.covers(b) && !b.covers(a) }
 
-// durableState snapshots the live session's durable watermarks — what
-// a passivation right now would persist (modulo queued batches, which
-// drain into both counters before any passivated comparison).
+// durableState summarizes the live session's records — what a
+// passivation right now would leave on disk (modulo queued batches,
+// which drain into the log before any passivated comparison).
 func (s *Session) durableState() imageState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return imageState{prodSeq: maps.Clone(s.prodSeq), applied: s.applied}
+	st := imageState{prodSeq: make(map[string]uint64)}
+	for r := binenc.NewReader(s.log); r.Remaining() > 0; {
+		rec, err := recordHeader(r.Bytes())
+		if err != nil {
+			break // unreachable: every logged record was checked
+		}
+		st.add(&rec)
+	}
+	return st
 }
 
 // stateOfDir peeks a passivated session directory's durable state
 // without installing it: scanDir with the records counted, not applied
-// (nothing is truncated) — the state activation would restore from the
-// copy.
+// (nothing is truncated) — by construction the summary of what
+// activation would restore from the copy.
 func stateOfDir(dir string) (imageState, error) {
 	st := imageState{prodSeq: make(map[string]uint64)}
-	_, _, err := scanDir(dir, func(_ []byte, events []Event, _ bool, producer string, seq uint64) {
-		if producer != "" && seq > st.prodSeq[producer] {
-			st.prodSeq[producer] = seq
-		}
-		st.applied += int64(len(events))
-	})
+	_, _, err := scanDir(dir, st.add)
 	return st, err
 }
 

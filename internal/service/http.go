@@ -205,15 +205,14 @@ func (a *api) ingest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// The scratch returns to the pool once the worker is done with the
-	// batch — notify fires after apply — never while the queue holds it.
-	n := len(events)
-	if err := sess.EnqueueNotify(events, func(error) { release() }); err != nil {
-		release()
+	// Admission encodes the events, so the scratch is free once it returns.
+	err = sess.Enqueue(events)
+	release()
+	if err != nil {
 		writeSessionError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, ingestResponse{Enqueued: n})
+	writeJSON(w, http.StatusAccepted, ingestResponse{Enqueued: len(events)})
 }
 
 func (a *api) verdict(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -55,8 +56,8 @@ func TestWALDamageRecoversPrefix(t *testing.T) {
 	var counts []int    // its events
 	var off int64
 	if _, torn, err := wal.ScanFrom(walPath, 0, func(payload []byte) error {
-		evs, _, _, _, err := decodeBatchRecord(payload)
-		offsets, counts = append(offsets, off), append(counts, len(evs))
+		rec, err := decodeRecord(payload)
+		offsets, counts = append(offsets, off), append(counts, rec.count)
 		off += int64(wal.HeaderSize + len(payload))
 		return err
 	}); err != nil || torn {
@@ -298,6 +299,111 @@ func TestSnapshottedDataDirRecovers(t *testing.T) {
 	}
 }
 
+// apiEvent is the API form of a typed event.
+func apiEvent(e event) Event {
+	switch e.op {
+	case opCheckpoint:
+		ev := Event{Op: OpCheckpoint, Proc: e.proc}
+		if e.forced {
+			ev.Kind = "forced"
+		}
+		return ev
+	case opSend:
+		return Event{Op: OpSend, Proc: e.proc, Peer: e.peer, Msg: e.msg}
+	default:
+		return Event{Op: OpDeliver, Msg: e.msg}
+	}
+}
+
+// TestMixedWALRecovers: the "killed" session of testdata/snapshotted,
+// whose WAL holds kind-1 records only, is recovered, ingests more — kind-2
+// records behind the old ones in the same WAL — and is recovered again.
+// Verdict, recovery line and trace then equal an in-memory run of every
+// event, old and new.
+func TestMixedWALRecovers(t *testing.T) {
+	const fixture = "testdata/snapshotted/sessions/killed"
+	var events []Event
+	old := 0
+	if _, torn, err := wal.ScanFrom(filepath.Join(fixture, "wal.log"), 0, func(payload []byte) error {
+		rec, err := decodeRecord(payload)
+		if err != nil || rec.kind != recordV1 {
+			return fmt.Errorf("fixture record %d: kind %d, %v", old, rec.kind, err)
+		}
+		var e event
+		for er := rec.reader(); er.next(&e); {
+			events = append(events, apiEvent(e))
+		}
+		old++
+		return nil
+	}); err != nil || torn {
+		t.Fatalf("scan fixture: torn=%v %v", torn, err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	more := genWorkload(rng, 3, 90)
+	for i := range more {
+		if more[i].Op != OpCheckpoint {
+			more[i].Msg += 1000 // clear of the fixture's message ids
+		}
+	}
+
+	dir := t.TempDir()
+	copyDir(t, fixture, filepath.Join(dir, "sessions", "killed"))
+	svc, _ := newDurableService(dir)
+	if stats, err := svc.Recover(); err != nil || stats.Sessions != 1 || stats.Records != int64(old) {
+		t.Fatalf("recover the fixture: %+v, %v", stats, err)
+	}
+	sess, err := svc.Session("killed")
+	if err != nil {
+		t.Fatalf("session: %v", err)
+	}
+	feed(t, rng, sess, more)
+	drainNow(t, svc)
+
+	var kinds []byte
+	if _, _, err := wal.ScanFrom(filepath.Join(dir, "sessions", "killed", "wal.log"), 0, func(payload []byte) error {
+		kinds = append(kinds, payload[0])
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(kinds) <= old {
+		t.Fatalf("the WAL holds %d records after ingesting more, the fixture %d", len(kinds), old)
+	}
+	for i, k := range kinds {
+		want := byte(recordV2)
+		if i < old {
+			want = recordV1
+		}
+		if k != want {
+			t.Fatalf("record %d is of kind %d: want %d kind-1 records, then kind 2 only", i, k, old)
+		}
+	}
+	rec, _ := newDurableService(dir)
+	defer drainNow(t, rec)
+	if stats, err := rec.Recover(); err != nil || stats.Records != int64(len(kinds)) || stats.Truncations != 0 {
+		t.Fatalf("recover the mixed WAL: %+v, %v", stats, err)
+	}
+	got, err := rec.Session("killed")
+	if err != nil {
+		t.Fatalf("session: %v", err)
+	}
+
+	ref, _ := testService(t, Config{})
+	refSess := mustCreate(t, ref, "killed", 3)
+	feed(t, rng, refSess, append(events, more...))
+	if gv, rv := got.Verdict(0), refSess.Verdict(0); !sameVerdict(t, gv, rv) || gv.EventsApplied != int64(len(events)+len(more)) {
+		t.Fatalf("verdict\n  %s\n  want %s", verdictJSON(t, gv), verdictJSON(t, rv))
+	}
+	gl, gerr := got.Line()
+	rl, rerr := refSess.Line()
+	if gerr != nil || rerr != nil || !reflect.DeepEqual(gl, rl) {
+		t.Fatalf("recovery line %+v (%v), want %+v (%v)", gl, gerr, rl, rerr)
+	}
+	if gt, rt := traceBytes(t, got), traceBytes(t, refSess); !bytes.Equal(gt, rt) {
+		t.Fatalf("trace\n  %s\n  want %s", gt, rt)
+	}
+}
+
 // TestEnqueueNeverWaitsOnPersistence parks the worker where it holds
 // the session lock across disk I/O (right after a WAL append) and
 // requires admission — accept or backpressure — to return regardless: a
@@ -346,7 +452,9 @@ func TestEnqueueNeverWaitsOnPersistence(t *testing.T) {
 
 // TestStateOfDirMatchesLoad: on kill -9 images taken at the crash seams,
 // the counting peek ImportSession compares copies with reports the
-// watermarks and applied count a full load of the same image restores.
+// watermarks and event count a full load of the same image restores —
+// also for a session poisoned by an unknown delivery, whose WAL holds
+// events the checker refused.
 func TestStateOfDirMatchesLoad(t *testing.T) {
 	seeds := 90
 	if testing.Short() {
@@ -359,6 +467,10 @@ func TestStateOfDirMatchesLoad(t *testing.T) {
 			events := genWorkload(rng, n, 10+rng.Intn(40))
 			mode := seed % crashModes
 			trigger := 1 + rng.Intn(8)
+			if seed%3 == 2 {
+				at := rng.Intn(len(events))
+				events = append(events[:at:at], append([]Event{{Op: OpDeliver, Msg: 1 << 30}}, events[at:]...)...)
+			}
 			id := fmt.Sprintf("peek-%d", seed)
 
 			root := t.TempDir()
@@ -391,7 +503,11 @@ func TestStateOfDirMatchesLoad(t *testing.T) {
 				k := min(1+rng.Intn(6), len(events))
 				producer := fmt.Sprintf("p%d", rng.Intn(2))
 				seqs[producer]++
-				if dup, err := retrySeq(sess, producer, seqs[producer], events[:k]); dup || err != nil {
+				dup, err := retrySeq(sess, producer, seqs[producer], events[:k])
+				if errors.Is(err, ErrFailed) {
+					break // poisoned: the session takes no more events
+				}
+				if dup || err != nil {
 					t.Fatalf("enqueue seq: dup=%v err=%v", dup, err)
 				}
 				events = events[k:]
@@ -421,7 +537,7 @@ func TestStateOfDirMatchesLoad(t *testing.T) {
 			}
 			defer loaded.dur.closeLocked()
 			full := loaded.durableState()
-			if peek.applied != full.applied || !reflect.DeepEqual(peek.prodSeq, full.prodSeq) {
+			if peek.events != full.events || !reflect.DeepEqual(peek.prodSeq, full.prodSeq) {
 				t.Fatalf("mode %d trigger %d: stateOfDir %+v, full load %+v", mode, trigger, peek, full)
 			}
 		})

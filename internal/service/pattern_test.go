@@ -46,14 +46,7 @@ func (l *lockstep) apply(t *testing.T, events []service.Event) {
 			return
 		}
 		switch ev.Op {
-		default:
-			l.poisoned = true // no such op
-			return
 		case service.OpCheckpoint:
-			if ev.Proc < 0 {
-				l.poisoned = true
-				return
-			}
 			kind := model.KindBasic
 			if ev.Kind == "forced" {
 				kind = model.KindForced
@@ -181,8 +174,8 @@ func feedBatches(t *testing.T, sess *service.Session, batches [][]service.Event)
 // log and the checker's vectors is, byte for byte in the trace format,
 // the pattern the lockstep builder mirror accumulated — across traffic
 // shapes, protected traffic, in-flight messages, sealing, a batch
-// poisoned mid-way, and a passivate→reactivate in the middle of the
-// run — and every witness derived over it verifies.
+// poisoned mid-way or refused at admission, and a passivate→reactivate
+// in the middle of the run — and every witness derived over it verifies.
 func TestPatternParity(t *testing.T) {
 	const (
 		plain = iota
@@ -223,22 +216,28 @@ func TestPatternParity(t *testing.T) {
 				batches = append(batches, rest[:k:k])
 				rest = rest[k:]
 			}
+			refused := -1 // the batch admission turns away whole
 			if variant == poisoned {
-				// An event the session must refuse — an unknown delivery, or one
-				// of the malformed events only an in-process caller can submit
-				// and no WAL record can hold — in the middle of a batch in the
-				// middle of the run: the batch's head is applied, its tail and
-				// every later batch are not.
+				// An event the session must refuse in the middle of a batch in
+				// the middle of the run. An unknown delivery poisons it: the
+				// batch's head is applied, its tail and every later batch are
+				// not. A malformed event, which only an in-process caller can
+				// submit, is refused at Enqueue with its whole batch, and the
+				// session carries on as if it had never been sent.
+				pick := rng.Intn(3)
 				poison := []service.Event{
 					{Op: service.OpDeliver, Msg: 1 << 30},
 					{Op: "bogus"},
 					{Op: service.OpCheckpoint, Proc: -1},
-				}[rng.Intn(3)]
+				}[pick]
 				at := len(batches) / 2
 				b := batches[at]
 				mid := len(b) / 2
 				bad := append(append(append([]service.Event(nil), b[:mid]...), poison), b[mid:]...)
 				batches[at] = bad
+				if pick > 0 {
+					refused = at
+				}
 			}
 
 			svc := memory
@@ -251,8 +250,10 @@ func TestPatternParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := newLockstep(t, n)
-			for _, b := range batches {
-				ref.apply(t, b)
+			for i, b := range batches {
+				if i != refused {
+					ref.apply(t, b)
+				}
 			}
 
 			if variant == reactivated {
@@ -269,8 +270,15 @@ func TestPatternParity(t *testing.T) {
 			if variant == poisoned {
 				// Enqueue refuses new batches once the poison is applied;
 				// the reference ignores them the same way.
-				for _, b := range batches {
-					if err := sess.Enqueue(b); err != nil && !errors.Is(err, service.ErrFailed) {
+				for i, b := range batches {
+					err := sess.Enqueue(b)
+					if i == refused {
+						if !errors.Is(err, service.ErrInvalidEvent) {
+							t.Fatalf("enqueue of a malformed event: %v, want ErrInvalidEvent", err)
+						}
+						continue
+					}
+					if err != nil && !errors.Is(err, service.ErrFailed) {
 						t.Fatalf("enqueue: %v", err)
 					}
 					flushSession(t, sess)
@@ -305,8 +313,8 @@ func TestPatternParity(t *testing.T) {
 			if !reflect.DeepEqual(gotLost, wantLost) {
 				t.Fatalf("lost messages differ: %+v != %+v", gotLost, wantLost)
 			}
-			if v := sess.Verdict(0); variant == poisoned && v.State != service.StateFailed {
-				t.Fatalf("state %q, want failed", v.State)
+			if v := sess.Verdict(0); (v.State == service.StateFailed) != ref.poisoned {
+				t.Fatalf("state %q, but the reference is poisoned=%v", v.State, ref.poisoned)
 			}
 			p, witnesses, err := sess.Explain(0)
 			if err != nil {

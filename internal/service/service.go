@@ -167,7 +167,7 @@ type Service struct {
 
 	// The commit stages of Session.commit: appends counts records, syncs
 	// fsyncs, group the records one fsync covered, and append_seconds
-	// times a group's log + sync stage (encode, appends, the one fsync).
+	// times a group's log + sync stage (appends and the one fsync).
 	mWALAppends       *obs.Counter
 	mWALAppendBytes   *obs.Counter
 	mWALSyncs         *obs.Counter

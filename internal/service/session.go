@@ -30,23 +30,16 @@ var (
 	ErrClosed = errors.New("session closed")
 )
 
-// batch is one unit of work on a session queue: a slice of events to
-// apply, a seal request, or a pure barrier (both nil/false). When notify
-// is non-nil the worker invokes it after processing, with the outcome:
-// the ingest paths release pooled event buffers in it, the stream layer
-// emits acks, and Flush and Seal (await) send on a buffered channel.
-// notify must not block.
+// batch is one unit of work on a session queue: its record, encoded and
+// checked once at admission — events to apply, a seal request, or with
+// the zero record a pure barrier — which the worker logs as it is and
+// applies. When notify is non-nil the worker invokes it after processing,
+// with the outcome: the stream layer emits acks in it, and Flush and
+// Seal (await) send on a buffered channel. notify must not block.
 type batch struct {
-	events []Event
-	seal   bool
+	record
 	notify func(error)
 	gate   chan struct{} // test hook: the worker parks here before processing
-
-	// producer/seq identify a stream frame (EnqueueSeq); they ride the
-	// WAL record so the dedup watermark is as durable as the events it
-	// guards. seq 0 means the batch did not come from the stream wire.
-	producer string
-	seq      uint64
 }
 
 // Session is one tenant's live RDT analysis: an rgraph.Incremental (the
@@ -81,8 +74,8 @@ type Session struct {
 	adm    atomic.Pointer[admission]
 	// strmSeq is the stream-ingest dedup state: the highest frame sequence
 	// accepted per producer. Under qmu the check-and-enqueue of EnqueueSeq
-	// is atomic across concurrent connections. On a durable session it is
-	// reseeded from prodSeq (the persisted mirror) at load, so a
+	// is atomic across concurrent connections. A load reseeds it from the
+	// WAL's records, which carry each frame's producer and sequence, so a
 	// reconnecting producer resumes its numbering across passivation,
 	// restart, and handoff.
 	strmSeq map[string]uint64
@@ -95,17 +88,11 @@ type Session struct {
 	msgs    map[int]int  // client message id -> checker handle, in flight
 	usedMsg map[int]bool // every client message id ever sent
 	applied int64        // events applied
-	// log is every mutating batch in arrival order, each one its WAL
-	// record payload (encodeBatchRecord) behind a length prefix: the
-	// pattern's only stored form. Its first `applied` events are exactly
-	// the events the checker accepted. rec is the encode scratch.
+	// log is every mutating batch in arrival order, each one its record
+	// — the WAL record payload — behind a length prefix: the pattern's
+	// only stored form. Its first `applied` events are exactly the events
+	// the checker accepted.
 	log []byte
-	rec []byte
-	// prodSeq mirrors strmSeq for the frames that made it into the WAL:
-	// the worker advances it after a successful append and replay
-	// rebuilds it — which is what makes stream dedup exactly-once across
-	// crash recovery and shard handoff.
-	prodSeq map[string]uint64
 }
 
 // admission is what enqueue needs to know of the state mu guards.
@@ -200,19 +187,6 @@ func (s *Session) run() {
 	s.retire()
 }
 
-// wellFormed is the prefix of events before the first one that fails
-// validateShape (the ingress decoders reject such a batch whole, an
-// in-process caller may not have): a record cannot hold that event,
-// applyOneLocked refuses it, and nothing after it is applied.
-func wellFormed(events []Event) []Event {
-	for i := range events {
-		if events[i].validateShape() != nil {
-			return events[:i]
-		}
-	}
-	return events
-}
-
 // groupEvents bounds a durable commit group: the group ends at the batch
 // that brings this many events together, which bounds how long one
 // group holds the session lock.
@@ -220,8 +194,8 @@ const groupEvents = 4096
 
 // commit handles one group — the batch the worker received and, on a
 // durable session, whatever is already queued behind it — with
-// write-ahead ordering and one fsync. Log: every mutating batch is
-// encoded once, recorded in the log and appended to the WAL. Sync: one
+// write-ahead ordering and one fsync. Log: every mutating batch's record,
+// encoded at admission, is appended to the log and to the WAL. Sync: one
 // wal.Sync covers those records. Apply: each batch goes through
 // applyBatchLocked in queue order. Then notify in queue order after the
 // unlock. Nothing waits for a group to fill — an empty queue gives a
@@ -231,15 +205,15 @@ const groupEvents = 4096
 // back: it opens the next group), at the batch that brings groupEvents
 // events together, or when the queue is empty. What holds:
 //
-//	(a) no batch is applied, has its stream watermark advanced, or is
-//	    acked before the fsync covering its record returned; an append or
-//	    sync failure degrades the session, and every mutating batch of
-//	    the group reports ErrDegraded and is NOT applied;
+//	(a) no batch is applied or acked before the fsync covering its record
+//	    returned; an append or sync failure degrades the session, and
+//	    every mutating batch of the group reports ErrDegraded, is NOT
+//	    applied and leaves the log, whose watermarks stay the WAL's;
 //	(b) acks leave in queue order;
 //	(c) when a batch poisons the session the later records of its group
 //	    are already logged: applyLocked rejects them here as it does on
 //	    replay, so applied, the log's "first applied events" rule,
-//	    verdict, line and prodSeq agree between the two.
+//	    verdict, line and watermarks agree between the two.
 func (s *Session) commit(first batch) (next batch, held bool) {
 	var buf [8]queued // most groups fit: no allocation, nothing kept between groups
 	group := append(buf[:0], queued{batch: first})
@@ -257,14 +231,12 @@ func (s *Session) commit(first batch) (next batch, held bool) {
 drain:
 	for i := 0; ; i++ {
 		q := &group[i]
-		q.mutates = (len(q.events) > 0 && !s.sealed && s.failErr == nil) || (q.seal && !s.sealed)
+		q.mutates = (q.count > 0 && !s.sealed && s.failErr == nil) || (q.seal && !s.sealed)
 		if q.mutates && (d == nil || !d.degraded) {
-			evs := wellFormed(q.events)
-			s.rec = encodeBatchRecord(s.rec[:0], evs, q.seal, q.producer, q.seq)
-			s.log = binenc.AppendBytes(s.log, s.rec)
-			records, bytes, events = records+1, bytes+len(s.rec), events+len(evs)
+			s.log = binenc.AppendBytes(s.log, q.raw)
+			records, bytes, events = records+1, bytes+len(q.raw), events+q.count
 			if d != nil {
-				if logErr = d.wal.Append(s.rec); logErr != nil {
+				if logErr = d.wal.Append(q.raw); logErr != nil {
 					break
 				}
 			}
@@ -309,10 +281,8 @@ drain:
 
 	// Apply. On a degraded session mutating batches are skipped, and every
 	// batch reports the failure — barriers (Flush, Seal) too, so async
-	// producers learn their earlier batches were dropped. A stream frame's
-	// watermark advances only here, once its record is on disk, so the
-	// persisted dedup state never claims a frame the WAL lost. Only here
-	// are events counted as ingested: a replay applies them again.
+	// producers learn their earlier batches were dropped. Only here are
+	// events counted as ingested: a replay applies them again.
 	var degraded error
 	if d != nil && d.degraded {
 		degraded = fmt.Errorf("%w: %v", ErrDegraded, d.degradedErr)
@@ -322,13 +292,10 @@ drain:
 		q := &group[i]
 		if degraded == nil || !q.mutates {
 			logged := q.mutates && d != nil // it has a record in the WAL
-			if logged {
-				s.noteProducerLocked(q.producer, q.seq)
-				if testHookAppended != nil {
-					testHookAppended(s.ID)
-				}
+			if logged && testHookAppended != nil {
+				testHookAppended(s.ID)
 			}
-			q.err = s.applyBatchLocked(q.events, q.seal)
+			q.err = s.applyBatchLocked(&q.record)
 			if logged && testHookApplied != nil {
 				testHookApplied(s.ID)
 			}
@@ -353,14 +320,15 @@ drain:
 
 // applyBatchLocked is the single apply path, shared verbatim by live
 // ingestion and WAL replay — which is what makes replay bit-identical.
-func (s *Session) applyBatchLocked(events []Event, seal bool) error {
+func (s *Session) applyBatchLocked(rec *record) error {
 	var err error
-	for _, ev := range events {
-		if err = s.applyLocked(ev); err != nil {
+	var ev event
+	for er := rec.reader(); er.next(&ev); {
+		if err = s.applyLocked(&ev); err != nil {
 			break
 		}
 	}
-	if err == nil && seal && !s.sealed {
+	if err == nil && rec.seal && !s.sealed {
 		s.inc.Seal()
 		s.sealed = true
 		s.publishLocked()
@@ -371,7 +339,7 @@ func (s *Session) applyBatchLocked(events []Event, seal bool) error {
 // applyLocked applies one event to the incremental checker. The first
 // error poisons the session: events already applied cannot be unwound,
 // so a partially applied stream must not pretend to be a coherent run.
-func (s *Session) applyLocked(ev Event) error {
+func (s *Session) applyLocked(ev *event) error {
 	if s.sealed {
 		s.svc.reject(reasonSealed, 1)
 		return ErrSealed
@@ -390,49 +358,44 @@ func (s *Session) applyLocked(ev Event) error {
 	return nil
 }
 
-func (s *Session) applyOneLocked(ev Event) error {
-	if err := ev.validateShape(); err != nil {
-		return err
-	}
-	switch ev.Op {
-	case OpCheckpoint:
-		if ev.Proc >= s.N {
-			return fmt.Errorf("checkpoint: process %d out of range [0,%d)", ev.Proc, s.N)
+func (s *Session) applyOneLocked(ev *event) error {
+	switch ev.op {
+	case opCheckpoint:
+		if ev.proc >= s.N {
+			return fmt.Errorf("checkpoint: process %d out of range [0,%d)", ev.proc, s.N)
 		}
 		if s.inc.NumCheckpoints() >= s.svc.cfg.MaxCheckpoints {
 			return fmt.Errorf("checkpoint limit %d reached; seal the session", s.svc.cfg.MaxCheckpoints)
 		}
-		_, _, err := s.inc.Checkpoint(model.ProcID(ev.Proc))
+		_, _, err := s.inc.Checkpoint(model.ProcID(ev.proc))
 		return err
-	case OpSend:
-		if ev.Proc >= s.N || ev.Peer >= s.N {
-			return fmt.Errorf("send %d -> %d: process out of range [0,%d)", ev.Proc, ev.Peer, s.N)
+	case opSend:
+		if ev.proc >= s.N || ev.peer >= s.N {
+			return fmt.Errorf("send %d -> %d: process out of range [0,%d)", ev.proc, ev.peer, s.N)
 		}
-		if ev.Proc == ev.Peer {
-			return fmt.Errorf("send %d -> %d: a process cannot message itself", ev.Proc, ev.Peer)
+		if ev.proc == ev.peer {
+			return fmt.Errorf("send %d -> %d: a process cannot message itself", ev.proc, ev.peer)
 		}
-		if s.usedMsg[ev.Msg] {
-			return fmt.Errorf("send: message id %d already used", ev.Msg)
+		if s.usedMsg[ev.msg] {
+			return fmt.Errorf("send: message id %d already used", ev.msg)
 		}
-		h, err := s.inc.Send(model.ProcID(ev.Proc), model.ProcID(ev.Peer))
+		h, err := s.inc.Send(model.ProcID(ev.proc), model.ProcID(ev.peer))
 		if err != nil {
 			return err
 		}
-		s.usedMsg[ev.Msg] = true
-		s.msgs[ev.Msg] = h
+		s.usedMsg[ev.msg] = true
+		s.msgs[ev.msg] = h
 		return nil
-	case OpDeliver:
-		h, ok := s.msgs[ev.Msg]
+	default: // opDeliver: a record holds no other op
+		h, ok := s.msgs[ev.msg]
 		if !ok {
-			return fmt.Errorf("deliver: message id %d unknown or already delivered", ev.Msg)
+			return fmt.Errorf("deliver: message id %d unknown or already delivered", ev.msg)
 		}
 		if err := s.inc.Deliver(h); err != nil {
 			return err
 		}
-		delete(s.msgs, ev.Msg)
+		delete(s.msgs, ev.msg)
 		return nil
-	default:
-		return fmt.Errorf("unknown op %q", ev.Op)
 	}
 }
 
@@ -454,20 +417,20 @@ func (s *Session) enqueueLocked(b batch) error {
 		return ErrClosed
 	}
 	if a := s.adm.Load(); a != nil {
-		if len(b.events) > 0 {
+		if b.count > 0 {
 			if a.sealed {
-				s.svc.reject(reasonSealed, len(b.events))
+				s.svc.reject(reasonSealed, b.count)
 				return ErrSealed
 			}
 			if a.failErr != nil {
-				s.svc.reject(reasonFailed, len(b.events))
+				s.svc.reject(reasonFailed, b.count)
 				return fmt.Errorf("%w: %v", ErrFailed, a.failErr)
 			}
 		}
 		// A degraded session cannot make new mutations durable; reject them
 		// up front (pure barriers still pass — reads remain served).
-		if (len(b.events) > 0 || b.seal) && a.degradedErr != nil {
-			s.svc.reject(reasonDegraded, max(len(b.events), 1))
+		if (b.count > 0 || b.seal) && a.degradedErr != nil {
+			s.svc.reject(reasonDegraded, max(b.count, 1))
 			return fmt.Errorf("%w: %v", ErrDegraded, a.degradedErr)
 		}
 	}
@@ -478,27 +441,33 @@ func (s *Session) enqueueLocked(b batch) error {
 		// Two series: the per-event rejection breakdown and the plain
 		// request-level backpressure counter alert rules key on.
 		s.svc.mBackpressure.Inc()
-		s.svc.reject(reasonBackpressure, max(len(b.events), 1))
+		s.svc.reject(reasonBackpressure, max(b.count, 1))
 		return ErrBackpressure
 	}
 }
 
-// Enqueue submits events for asynchronous application. It returns
-// ErrBackpressure when the queue is full, ErrSealed/ErrFailed/ErrClosed
-// when the session no longer ingests. Acceptance is not application: an
-// event racing a concurrent seal may still be rejected by the worker.
+// Enqueue submits events for asynchronous application; the caller's
+// slice is free on return. It returns ErrInvalidEvent (the batch refused
+// whole), ErrBackpressure when the queue is full, ErrSealed/ErrFailed/
+// ErrClosed when the session no longer ingests. Acceptance is not
+// application: an event racing a concurrent seal may still be rejected
+// by the worker.
 func (s *Session) Enqueue(events []Event) error {
-	return s.enqueue(batch{events: events})
+	return s.EnqueueNotify(events, nil)
 }
 
 // EnqueueNotify is Enqueue with a completion callback: when the batch
 // has been accepted (nil return), notify runs in the session worker
 // after the batch is applied (or rejected at apply time), with the apply
-// error. Callers use it to recycle the events slice — the session
-// retains it only until notify fires — and to order acks after
-// application. notify must not block; on a non-nil return it never runs.
+// error — which is how callers order acks after application. notify must
+// not block; on a non-nil return it never runs.
 func (s *Session) EnqueueNotify(events []Event, notify func(error)) error {
-	return s.enqueue(batch{events: events, notify: notify})
+	rec, err := encodeRecord(events, false, "", 0)
+	if err != nil {
+		s.svc.reject(reasonInvalid, len(events))
+		return err
+	}
+	return s.enqueue(batch{record: rec, notify: notify})
 }
 
 // ProducerSeq returns the highest frame sequence accepted from producer
@@ -525,22 +494,45 @@ var ErrSeqGap = errors.New("sequence gap")
 // marks a seal frame (its events must be nil). notify follows
 // EnqueueNotify semantics and never runs for duplicates.
 func (s *Session) EnqueueSeq(producer string, seq uint64, events []Event, seal bool, notify func(error)) (dup bool, err error) {
+	rec, err := encodeRecord(events, seal, producer, seq)
+	if err != nil {
+		s.svc.reject(reasonInvalid, len(events))
+		return false, err
+	}
+	return s.enqueueSeq(rec, notify)
+}
+
+// EnqueueEncoded is EnqueueSeq for count events in the binary encoding
+// (AppendEvent), an EVENTS frame's bytes: copied into the record as they
+// are, and refused with ErrInvalidEvent unless they are count events.
+func (s *Session) EnqueueEncoded(producer string, seq uint64, count int, events []byte, seal bool, notify func(error)) (dup bool, err error) {
+	rec := newRecord(seal, producer, seq, count, len(events))
+	rec.raw = append(rec.raw, events...)
+	if err := rec.check(); err != nil {
+		s.svc.reject(reasonInvalid, max(count, 1))
+		return false, fmt.Errorf("%w: %v", ErrInvalidEvent, err)
+	}
+	return s.enqueueSeq(rec, notify)
+}
+
+// enqueueSeq is the dedup check and enqueue of a checked stream frame.
+func (s *Session) enqueueSeq(rec record, notify func(error)) (dup bool, err error) {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
-	last := s.strmSeq[producer]
+	last := s.strmSeq[rec.producer]
 	switch {
-	case seq <= last:
+	case rec.seq <= last:
 		return true, nil
-	case seq > last+1:
-		return false, fmt.Errorf("%w: producer %q sent seq %d after %d", ErrSeqGap, producer, seq, last)
+	case rec.seq > last+1:
+		return false, fmt.Errorf("%w: producer %q sent seq %d after %d", ErrSeqGap, rec.producer, rec.seq, last)
 	}
-	if err := s.enqueueLocked(batch{events: events, seal: seal, notify: notify, producer: producer, seq: seq}); err != nil {
+	if err := s.enqueueLocked(batch{record: rec, notify: notify}); err != nil {
 		return false, err
 	}
 	if s.strmSeq == nil {
 		s.strmSeq = make(map[string]uint64)
 	}
-	s.strmSeq[producer] = seq
+	s.strmSeq[rec.producer] = rec.seq
 	return false, nil
 }
 
@@ -572,7 +564,7 @@ func (s *Session) Seal(ctx context.Context) error {
 	if a := s.adm.Load(); a != nil && a.sealed {
 		return nil
 	}
-	return s.await(ctx, batch{seal: true})
+	return s.await(ctx, batch{record: newRecord(true, "", 0, 0, 0)})
 }
 
 // closeQueue stops ingestion permanently (eviction, drain). The worker
@@ -720,22 +712,25 @@ func (s *Session) patternLocked() (*model.Pattern, []model.LostMessage, error) {
 	b := model.NewBuilder(s.N)
 	handles := make(map[int]int) // client message id -> builder handle
 	left := s.applied
+	var ev event
 	for r := binenc.NewReader(s.log); left > 0; {
-		events, _, _, _, err := decodeBatchRecord(r.Bytes())
+		rec, err := recordHeader(r.Bytes())
 		if err != nil {
 			return nil, nil, fmt.Errorf("session log: %w", err)
 		}
-		for i := 0; i < len(events) && left > 0; i, left = i+1, left-1 {
-			ev := &events[i]
-			switch ev.Op {
-			case OpCheckpoint:
-				kind, _ := ev.checkpointKind() // a decoded record's kind is "" or "forced"
-				p := model.ProcID(ev.Proc)
+		for er := rec.reader(); left > 0 && er.next(&ev); left-- {
+			switch ev.op {
+			case opCheckpoint:
+				kind := model.KindBasic
+				if ev.forced {
+					kind = model.KindForced
+				}
+				p := model.ProcID(ev.proc)
 				b.Checkpoint(p, kind, s.inc.TDVAt(model.CkptID{Proc: p, Index: b.NextIndex(p)}))
-			case OpSend:
-				handles[ev.Msg] = b.Send(model.ProcID(ev.Proc), model.ProcID(ev.Peer))
-			case OpDeliver:
-				if err := b.Deliver(handles[ev.Msg]); err != nil {
+			case opSend:
+				handles[ev.msg] = b.Send(model.ProcID(ev.proc), model.ProcID(ev.peer))
+			case opDeliver:
+				if err := b.Deliver(handles[ev.msg]); err != nil {
 					return nil, nil, fmt.Errorf("session log: %w", err)
 				}
 			}

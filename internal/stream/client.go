@@ -294,7 +294,7 @@ func (ch *Chan) Send(events []service.Event) error {
 	buf = binenc.AppendInt(buf, len(events))
 	var err error
 	for i := range events {
-		if buf, err = appendEvent(buf, &events[i]); err != nil {
+		if buf, err = service.AppendEvent(buf, &events[i]); err != nil {
 			ch.wbuf = buf[:0]
 			return fmt.Errorf("stream: encoding event %d: %w", i, err)
 		}

@@ -17,9 +17,9 @@ import (
 // Config tunes a stream Server. Service is required; everything else
 // falls back to a default.
 type Config struct {
-	// Service receives the decoded batches — through the exact same
-	// Session apply path the HTTP ingest uses, so durability and verdict
-	// semantics are shared.
+	// Service receives the frames' event bytes as they are, through the
+	// Session admission and apply path the HTTP ingest uses, so
+	// validation, durability and verdict semantics are shared.
 	Service *service.Service
 	// Registry receives the rdt_stream_* metrics; may be nil.
 	Registry *obs.Registry
@@ -219,10 +219,6 @@ type serverConn struct {
 	// Reader-goroutine state (no locking needed).
 	chans    map[uint64]*serverChan
 	nextChan uint64
-
-	// eventBufs recycles decoded event slices: a slice travels to the
-	// session queue and comes back through the batch's apply notify.
-	eventBufs sync.Pool
 }
 
 type serverChan struct {
@@ -406,19 +402,6 @@ func (sc *serverConn) handleOpen(r *binenc.Reader) bool {
 	return true
 }
 
-func (sc *serverConn) getEventBuf() []service.Event {
-	if v := sc.eventBufs.Get(); v != nil {
-		return (*(v.(*[]service.Event)))[:0]
-	}
-	return nil
-}
-
-func (sc *serverConn) putEventBuf(buf []service.Event) {
-	if buf != nil { // seal frames carry no buffer
-		sc.eventBufs.Put(&buf)
-	}
-}
-
 func (sc *serverConn) handleEvents(r *binenc.Reader) bool {
 	sc.srv.frames("events").Inc()
 	start := time.Now()
@@ -435,22 +418,13 @@ func (sc *serverConn) handleEvents(r *binenc.Reader) bool {
 		sc.abort(CodeUnknownChan, fmt.Sprintf("events for unopened channel %d", id))
 		return false
 	}
-	events := sc.getEventBuf()
-	for i := 0; i < count && r.Err() == nil; i++ {
-		var ev service.Event
-		if err := readEvent(r, &ev); err != nil {
-			sc.putEventBuf(events)
-			sc.abort(CodeMalformed, fmt.Sprintf("events frame, event %d: %v", i, err))
-			return false
-		}
-		events = append(events, ev)
-	}
-	if err := r.Done(); err != nil {
-		sc.putEventBuf(events)
+	if err := r.Err(); err != nil {
 		sc.abort(CodeMalformed, "events frame: "+err.Error())
 		return false
 	}
-	return sc.submit(ch, seq, events, false, start)
+	// The rest of the frame is the events, in the encoding the WAL record
+	// holds: admission checks them and copies them in as they are.
+	return sc.submit(ch, seq, count, r.Take(r.Remaining()), false, start)
 }
 
 func (sc *serverConn) handleSeal(r *binenc.Reader) bool {
@@ -467,31 +441,29 @@ func (sc *serverConn) handleSeal(r *binenc.Reader) bool {
 		sc.abort(CodeUnknownChan, fmt.Sprintf("seal for unopened channel %d", id))
 		return false
 	}
-	return sc.submit(ch, seq, nil, true, start)
+	return sc.submit(ch, seq, 0, nil, true, start)
 }
 
-// submit hands one mutating frame to the session, blocking — the
-// stream's backpressure is TCP pushback, not 429 — while the session
-// queue is full. Duplicate frames (replays of an accepted sequence) are
-// re-acked through a queue barrier so the ack orders after the original
-// application.
-func (sc *serverConn) submit(ch *serverChan, seq uint64, events []service.Event, seal bool, start time.Time) bool {
-	nEvents := len(events)
-	notify := sc.notifyFunc(ch.id, seq, events, nEvents, start)
+// submit hands one mutating frame — count events in their encoding, or
+// a seal — to the session, blocking — the stream's backpressure is TCP
+// pushback, not 429 — while the session queue is full. Duplicate frames
+// (replays of an accepted sequence) are re-acked through a queue barrier
+// so the ack orders after the original application.
+func (sc *serverConn) submit(ch *serverChan, seq uint64, count int, events []byte, seal bool, start time.Time) bool {
+	notify := sc.notifyFunc(ch.id, seq, count, start)
 	backoff := 200 * time.Microsecond
 	reresolved := 0
 	for {
-		dup, err := ch.sess.EnqueueSeq(ch.producer, seq, events, seal, notify)
+		dup, err := ch.sess.EnqueueEncoded(ch.producer, seq, count, events, seal, notify)
 		switch {
 		case dup:
 			// The original is (at least) still queued; ack behind it. The
 			// barrier carries the frame's event count as credit: the client
-			// spent window resending, and only an ack returns it.
+			// spent window resending, and only an ack returns it. notify
+			// never ran for the duplicate, so the barrier takes it over.
 			sc.srv.mDups.Inc()
-			sc.putEventBuf(events)
-			barrier := sc.notifyFunc(ch.id, seq, nil, nEvents, start)
 			for {
-				if err := ch.sess.EnqueueNotify(nil, barrier); !errors.Is(err, service.ErrBackpressure) {
+				if err := ch.sess.EnqueueNotify(nil, notify); !errors.Is(err, service.ErrBackpressure) {
 					if err != nil {
 						sc.chanError(ch.id, CodeSession, err.Error())
 					}
@@ -509,8 +481,10 @@ func (sc *serverConn) submit(ch *serverChan, seq uint64, events []service.Event,
 				return false
 			}
 			continue
+		case errors.Is(err, service.ErrInvalidEvent):
+			sc.abort(CodeMalformed, "events frame: "+err.Error())
+			return false
 		case errors.Is(err, service.ErrSeqGap):
-			sc.putEventBuf(events)
 			sc.abort(CodeSeqGap, err.Error())
 			return false
 		case errors.Is(err, service.ErrClosed):
@@ -525,21 +499,18 @@ func (sc *serverConn) submit(ch *serverChan, seq uint64, events []service.Event,
 					continue
 				}
 			} else if mv := (*service.MovedError)(nil); errors.As(rerr, &mv) {
-				sc.putEventBuf(events)
 				sc.chanError(ch.id, CodeMoved, mv.Stream)
 				return true
 			}
-			sc.putEventBuf(events)
 			sc.chanError(ch.id, CodeSession, err.Error())
 			return true
 		case err != nil:
 			// Sealed, failed, degraded, closed: the channel is done but
 			// the connection (and its other channels) lives on.
-			sc.putEventBuf(events)
 			sc.chanError(ch.id, CodeSession, err.Error())
 			return true
 		}
-		sc.srv.mEvents.Add(int64(nEvents))
+		sc.srv.mEvents.Add(int64(count))
 		return true
 	}
 }
@@ -559,16 +530,12 @@ func (sc *serverConn) sleep(backoff *time.Duration) bool {
 }
 
 // notifyFunc builds the apply-completion callback for one frame: it
-// recycles the event buffer and posts the ack note carrying credit
-// events of window back. It runs on the session worker goroutine and
-// must not block: a full ack channel (a client not reading acks while
-// pushing thousands of frames) closes the connection rather than
-// stalling the session worker.
-func (sc *serverConn) notifyFunc(ch, seq uint64, events []service.Event, credit int, start time.Time) func(error) {
+// posts the ack note carrying credit events of window back. It runs on
+// the session worker goroutine and must not block: a full ack channel (a
+// client not reading acks while pushing thousands of frames) closes the
+// connection rather than stalling the session worker.
+func (sc *serverConn) notifyFunc(ch, seq uint64, credit int, start time.Time) func(error) {
 	return func(err error) {
-		if events != nil {
-			sc.putEventBuf(events)
-		}
 		select {
 		case sc.acks <- ackNote{ch: ch, seq: seq, events: credit, err: err, start: start}:
 		case <-sc.closedCh:

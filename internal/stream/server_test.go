@@ -209,9 +209,7 @@ func TestStreamBatchLimitRejected(t *testing.T) {
 	buf = binenc.AppendUvarint(buf, 1)
 	buf = binenc.AppendInt(buf, 9) // one past the service's MaxBatch
 	for i := 0; i < 9; i++ {
-		buf = append(buf, evCheckpoint)
-		buf = binenc.AppendInt(buf, 0)
-		buf = append(buf, 0)
+		buf, _ = service.AppendEvent(buf, &service.Event{Op: service.OpCheckpoint})
 	}
 	if err := rc.fc.writeFrame(buf); err != nil {
 		t.Fatalf("write: %v", err)
@@ -230,9 +228,7 @@ func TestStreamSeqGapAborts(t *testing.T) {
 	buf = binenc.AppendUvarint(buf, ch)
 	buf = binenc.AppendUvarint(buf, 5) // skips 1..4
 	buf = binenc.AppendInt(buf, 1)
-	buf = append(buf, evCheckpoint)
-	buf = binenc.AppendInt(buf, 0)
-	buf = append(buf, 0)
+	buf, _ = service.AppendEvent(buf, &service.Event{Op: service.OpCheckpoint})
 	if err := rc.fc.writeFrame(buf); err != nil {
 		t.Fatalf("write: %v", err)
 	}

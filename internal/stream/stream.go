@@ -39,9 +39,6 @@ import (
 	"io"
 	"net"
 	"sync"
-
-	"github.com/rdt-go/rdt/internal/binenc"
-	"github.com/rdt-go/rdt/internal/service"
 )
 
 // Magic is the 8-byte string a client writes before any frame.
@@ -61,7 +58,7 @@ const (
 // Frame types. Client-to-server types have the high bit clear.
 const (
 	frameOpen    = 0x01 // id string, n, producer string
-	frameEvents  = 0x02 // chan, seq, count, events
+	frameEvents  = 0x02 // chan, seq, count, events (service.AppendEvent's encoding)
 	frameSeal    = 0x03 // chan, seq
 	frameClose   = 0x04 // chan
 	frameHello   = 0x81 // version, window, maxFrame
@@ -209,77 +206,3 @@ func (fc *frameConn) writeFrame(payload []byte) error {
 }
 
 func (fc *frameConn) Close() error { return fc.c.Close() }
-
-// Event encoding inside EVENTS frames: an op byte then the op's fields
-// as uvarints. Strings never cross the wire per event — ops and
-// checkpoint kinds are single bytes — which is what makes the decode
-// path allocation-free per event.
-const (
-	evCheckpoint = 1 // proc, kind byte (0 basic, 1 forced)
-	evSend       = 2 // proc, peer, msg
-	evDeliver    = 3 // msg
-)
-
-// appendEvent appends one event's wire form.
-func appendEvent(buf []byte, ev *service.Event) ([]byte, error) {
-	if ev.Proc < 0 || ev.Peer < 0 || ev.Msg < 0 {
-		return buf, fmt.Errorf("negative field in event %+v", *ev)
-	}
-	switch ev.Op {
-	case service.OpCheckpoint:
-		var kind byte
-		switch ev.Kind {
-		case "", "basic":
-		case "forced":
-			kind = 1
-		default:
-			return buf, fmt.Errorf("unknown checkpoint kind %q", ev.Kind)
-		}
-		buf = append(buf, evCheckpoint)
-		buf = binenc.AppendInt(buf, ev.Proc)
-		buf = append(buf, kind)
-	case service.OpSend:
-		buf = append(buf, evSend)
-		buf = binenc.AppendInt(buf, ev.Proc)
-		buf = binenc.AppendInt(buf, ev.Peer)
-		buf = binenc.AppendInt(buf, ev.Msg)
-	case service.OpDeliver:
-		buf = append(buf, evDeliver)
-		buf = binenc.AppendInt(buf, ev.Msg)
-	default:
-		return buf, fmt.Errorf("unknown op %q", ev.Op)
-	}
-	return buf, nil
-}
-
-// readEvent decodes one event in place; bounds failures latch in r,
-// domain failures (unknown op or kind byte) return an error.
-func readEvent(r *binenc.Reader, ev *service.Event) error {
-	*ev = service.Event{}
-	switch op := r.Byte(); op {
-	case evCheckpoint:
-		ev.Op = service.OpCheckpoint
-		ev.Proc = r.Int()
-		switch kind := r.Byte(); {
-		case kind == 0:
-			// Basic is the wire default; leave Kind empty.
-		case kind == 1:
-			ev.Kind = "forced"
-		case r.Err() == nil:
-			return fmt.Errorf("bad checkpoint kind byte %d", kind)
-		}
-	case evSend:
-		ev.Op = service.OpSend
-		ev.Proc = r.Int()
-		ev.Peer = r.Int()
-		ev.Msg = r.Int()
-	case evDeliver:
-		ev.Op = service.OpDeliver
-		ev.Msg = r.Int()
-	default:
-		if r.Err() == nil {
-			return fmt.Errorf("unknown event op byte %d", op)
-		}
-	}
-	return r.Err()
-}

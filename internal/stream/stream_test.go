@@ -1,7 +1,10 @@
 package stream
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"io"
 	"net"
 	"reflect"
 	"testing"
@@ -96,61 +99,78 @@ func TestFrameTooBigRejectedWithoutReading(t *testing.T) {
 	}
 }
 
-func TestEventCodecRoundTrip(t *testing.T) {
-	events := []service.Event{
-		{Op: service.OpCheckpoint, Proc: 0},
-		{Op: service.OpCheckpoint, Proc: 3, Kind: "basic"},
-		{Op: service.OpCheckpoint, Proc: 7, Kind: "forced"},
-		{Op: service.OpSend, Proc: 1, Peer: 2, Msg: 40},
-		{Op: service.OpDeliver, Msg: 40},
-		{Op: service.OpSend, Proc: 1023, Peer: 0, Msg: 1 << 40},
+// TestStreamWireGolden pins the client's OPEN, EVENTS (every op, both
+// checkpoint kinds) and SEAL frames — length, CRC and payload — to the
+// bytes the client wrote when the stream package still held its own
+// event codec: the codec moved into the service without moving a byte.
+func TestStreamWireGolden(t *testing.T) {
+	golden := []struct{ name, hex string }{
+		{"OPEN", "0e0000001da699f70106676f6c64656e030470726f64"},
+		{"EVENTS", "1e000000b0864a9502018180808080808080800005010000010201010100020102ac0203ac02"},
+		{"SEAL", "03000000898bd378030102"},
 	}
-	var buf []byte
-	var err error
-	for i := range events {
-		if buf, err = appendEvent(buf, &events[i]); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
 	}
-	r := binenc.NewReader(buf)
-	for i := range events {
-		var got service.Event
-		if err := readEvent(r, &got); err != nil {
-			t.Fatalf("read %d: %v", i, err)
+	defer ln.Close() //nolint:errcheck
+	frames := make(chan []byte, len(golden))
+	go func() {
+		defer close(frames)
+		c, err := ln.Accept()
+		if err != nil {
+			return
 		}
-		want := events[i]
-		if want.Kind == "basic" {
-			want.Kind = "" // basic is the wire default
+		defer c.Close() //nolint:errcheck
+		fc := newFrameConn(c, 0)
+		if _, err := io.ReadFull(c, make([]byte, len(Magic))); err != nil {
+			return
 		}
-		if got != want {
-			t.Fatalf("event %d: got %+v, want %+v", i, got, want)
+		hello := binenc.AppendInt(binenc.AppendInt(binenc.AppendInt([]byte{frameHello}, Version), DefaultWindow), DefaultMaxFrame)
+		_ = fc.writeFrame(hello)
+		for range golden {
+			frame := make([]byte, frameHeaderSize)
+			if _, err := io.ReadFull(c, frame); err != nil {
+				return
+			}
+			frame = append(frame, make([]byte, binary.LittleEndian.Uint32(frame))...)
+			if _, err := io.ReadFull(c, frame[frameHeaderSize:]); err != nil {
+				return
+			}
+			frames <- frame
+			if frame[frameHeaderSize] == frameOpen {
+				ok := binenc.AppendString(binenc.AppendUvarint([]byte{frameOpenOK}, 1), "golden")
+				ok = binenc.AppendInt(binenc.AppendUvarint(binenc.AppendInt(ok, 3), 1), DefaultWindow)
+				_ = fc.writeFrame(ok)
+			}
 		}
-	}
-	if err := r.Done(); err != nil {
-		t.Fatalf("trailing bytes: %v", err)
-	}
-}
+	}()
 
-func TestEventCodecRejects(t *testing.T) {
-	for _, ev := range []service.Event{
-		{Op: "reset", Proc: 1},
-		{Op: service.OpCheckpoint, Proc: -1},
-		{Op: service.OpCheckpoint, Proc: 1, Kind: "weird"},
-		{Op: service.OpSend, Proc: 0, Peer: 1, Msg: -7},
-	} {
-		if _, err := appendEvent(nil, &ev); err == nil {
-			t.Errorf("appendEvent accepted %+v", ev)
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close() //nolint:errcheck
+	ch, err := c.Open("golden", 3, "prod")
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if err := ch.Send([]service.Event{
+		{Op: service.OpCheckpoint, Proc: 0},
+		{Op: service.OpCheckpoint, Proc: 2, Kind: "forced"},
+		{Op: service.OpCheckpoint, Proc: 1, Kind: "basic"},
+		{Op: service.OpSend, Proc: 1, Peer: 2, Msg: 300},
+		{Op: service.OpDeliver, Msg: 300},
+	}); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if err := ch.Seal(); err != nil {
+		t.Fatalf("seal: %v", err)
+	}
+	for _, g := range golden {
+		if got := hex.EncodeToString(<-frames); got != g.hex {
+			t.Errorf("%s frame\n  got  %s\n  want %s", g.name, got, g.hex)
 		}
-	}
-	var got service.Event
-	if err := readEvent(binenc.NewReader([]byte{99}), &got); err == nil {
-		t.Error("readEvent accepted unknown op byte")
-	}
-	if err := readEvent(binenc.NewReader([]byte{evCheckpoint, 1, 9}), &got); err == nil {
-		t.Error("readEvent accepted unknown checkpoint kind byte")
-	}
-	if err := readEvent(binenc.NewReader([]byte{evSend, 1}), &got); err == nil {
-		t.Error("readEvent accepted truncated send")
 	}
 }
 
