@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"strconv"
+	"sync"
 
 	"github.com/rdt-go/rdt/internal/core"
 	"github.com/rdt-go/rdt/internal/model"
@@ -32,6 +33,12 @@ type instruments struct {
 	// execution in the node goroutine.
 	deliveryLatency *obs.Histogram
 	quiesceWait     *obs.Histogram
+
+	// forcedBy caches rdt_forced_checkpoints_total{protocol,predicate}:
+	// predicate string -> *obs.Counter. Node goroutines record
+	// concurrently, and CBR or NRAS force on nearly every arrival, so the
+	// registry is asked once per predicate, not once per checkpoint.
+	forcedBy sync.Map
 }
 
 // newInstruments creates the cluster's series. reg, tr, and fl may each
@@ -123,10 +130,7 @@ func (ins *instruments) checkpoint(rec core.CheckpointRecord) {
 		})
 	case model.KindForced:
 		ins.forced.Inc()
-		// Checkpoints are orders of magnitude rarer than messages, so
-		// the per-predicate series may take the registry lock here.
-		ins.reg.Counter("rdt_forced_checkpoints_total",
-			"protocol", ins.proto, "predicate", rec.Predicate).Inc()
+		ins.forcedPredicate(rec.Predicate).Inc()
 		ins.tracer.Record(obs.Event{
 			Type:      obs.EventForcedCheckpoint,
 			Proc:      rec.Proc,
@@ -134,4 +138,16 @@ func (ins *instruments) checkpoint(rec core.CheckpointRecord) {
 			Value:     rec.Index,
 		})
 	}
+}
+
+// forcedPredicate returns the forced-checkpoint series of one predicate,
+// asking the registry the first time the predicate fires. Two nodes
+// racing on a first sight both get the registry's one instrument.
+func (ins *instruments) forcedPredicate(predicate string) *obs.Counter {
+	if c, ok := ins.forcedBy.Load(predicate); ok {
+		return c.(*obs.Counter)
+	}
+	c := ins.reg.Counter("rdt_forced_checkpoints_total", "protocol", ins.proto, "predicate", predicate)
+	ins.forcedBy.Store(predicate, c)
+	return c
 }

@@ -499,8 +499,9 @@ func ConditionAttribution(cfg Config) (*stats.Table, error) {
 // the run satisfies RDT, and how many checkpoints are useless (belong to
 // no consistent global checkpoint), for the uncoordinated baseline, the
 // index-based BCS protocol (Z-cycle freedom only), the paper's protocol
-// and FDAS. It runs on a reduced horizon because the useless-checkpoint
-// oracle needs the O(M²) chain closure.
+// and FDAS. It runs on a fifth of the horizon because the useless-checkpoint
+// oracle's chain closure holds up to one M-bit row per message, M²/8
+// bytes for M messages, built in one pass over the continuation pairs.
 func Guarantees(cfg Config) (*stats.Table, error) {
 	type outcome struct {
 		forced       float64

@@ -129,13 +129,19 @@ func TestBuilderCopiesTDV(t *testing.T) {
 }
 
 func TestValidateRejectsCorruptPatterns(t *testing.T) {
+	// Messages[0] and [1] are sends of process 0 at seqs 1 and 2,
+	// Messages[2] is delivered to process 0 at seq 3, all in I_{0,1}.
 	valid := func() *Pattern {
 		b := NewBuilder(2)
-		m := b.Send(0, 1)
-		b.Checkpoint(0, KindBasic, nil)
-		if err := b.Deliver(m); err != nil {
-			t.Fatalf("deliver: %v", err)
+		m0 := b.Send(0, 1)
+		m1 := b.Send(0, 1)
+		m2 := b.Send(1, 0)
+		for _, m := range []int{m2, m0, m1} {
+			if err := b.Deliver(m); err != nil {
+				t.Fatalf("deliver: %v", err)
+			}
 		}
+		b.Checkpoint(0, KindBasic, nil)
 		b.Checkpoint(1, KindBasic, nil)
 		p, err := b.Finalize()
 		if err != nil {
@@ -147,20 +153,25 @@ func TestValidateRejectsCorruptPatterns(t *testing.T) {
 	tests := []struct {
 		name    string
 		corrupt func(p *Pattern)
+		want    string // a substring of the error, when the case pins one
 	}{
-		{"no processes", func(p *Pattern) { p.N = 0 }},
-		{"row mismatch", func(p *Pattern) { p.N = 3 }},
-		{"empty process", func(p *Pattern) { p.Checkpoints[0] = nil }},
-		{"bad index", func(p *Pattern) { p.Checkpoints[0][1].Index = 5 }},
-		{"bad proc", func(p *Pattern) { p.Checkpoints[0][1].Proc = 1 }},
-		{"non-increasing seq", func(p *Pattern) { p.Checkpoints[0][1].Seq = 0 }},
-		{"first not initial", func(p *Pattern) { p.Checkpoints[0][0].Kind = KindBasic }},
-		{"tdv length", func(p *Pattern) { p.Checkpoints[0][1].TDV = []int{1, 2, 3} }},
-		{"duplicate message id", func(p *Pattern) { p.Messages = append(p.Messages, p.Messages[0]) }},
-		{"message proc range", func(p *Pattern) { p.Messages[0].To = 9 }},
-		{"interval zero", func(p *Pattern) { p.Messages[0].SendInterval = 0 }},
-		{"interval beyond", func(p *Pattern) { p.Messages[0].DeliverInterval = 9 }},
-		{"send after interval checkpoint", func(p *Pattern) { p.Messages[0].SendSeq = 99 }},
+		{"no processes", func(p *Pattern) { p.N = 0 }, ""},
+		{"row mismatch", func(p *Pattern) { p.N = 3 }, ""},
+		{"empty process", func(p *Pattern) { p.Checkpoints[0] = nil }, ""},
+		{"bad index", func(p *Pattern) { p.Checkpoints[0][1].Index = 5 }, ""},
+		{"bad proc", func(p *Pattern) { p.Checkpoints[0][1].Proc = 1 }, ""},
+		{"non-increasing seq", func(p *Pattern) { p.Checkpoints[0][1].Seq = 0 }, ""},
+		{"first not initial", func(p *Pattern) { p.Checkpoints[0][0].Kind = KindBasic }, ""},
+		{"tdv length", func(p *Pattern) { p.Checkpoints[0][1].TDV = []int{1, 2, 3} }, ""},
+		{"duplicate message id", func(p *Pattern) { p.Messages = append(p.Messages, p.Messages[0]) }, ""},
+		{"message proc range", func(p *Pattern) { p.Messages[0].To = 9 }, ""},
+		{"interval zero", func(p *Pattern) { p.Messages[0].SendInterval = 0 }, ""},
+		{"interval beyond", func(p *Pattern) { p.Messages[0].DeliverInterval = 9 }, ""},
+		{"send after interval checkpoint", func(p *Pattern) { p.Messages[0].SendSeq = 99 }, ""},
+		{"two sends share a seq", func(p *Pattern) { p.Messages[1].SendSeq = 1 },
+			"process 0 has two events with seq 1"},
+		{"send and delivery share a seq", func(p *Pattern) { p.Messages[2].DeliverSeq = 2 },
+			"process 0 has two events with seq 2"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -175,6 +186,9 @@ func TestValidateRejectsCorruptPatterns(t *testing.T) {
 			}
 			if !errors.Is(err, ErrInvalidPattern) && !strings.Contains(err.Error(), "invalid pattern") {
 				t.Errorf("error %v does not wrap ErrInvalidPattern", err)
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("error %q does not say %q", err, tt.want)
 			}
 		})
 	}

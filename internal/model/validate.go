@@ -3,7 +3,7 @@ package model
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ErrInvalidPattern is wrapped by every validation failure so callers can
@@ -53,14 +53,6 @@ func (p *Pattern) Validate() error {
 	}
 
 	seen := make(map[int]bool, len(p.Messages))
-	type endpoint struct {
-		proc     ProcID
-		seq      int
-		interval int
-		what     string
-		id       int
-	}
-	var eps []endpoint
 	for i := range p.Messages {
 		m := &p.Messages[i]
 		if seen[m.ID] {
@@ -73,42 +65,83 @@ func (p *Pattern) Validate() error {
 		if err := p.checkProc(m.To); err != nil {
 			return fmt.Errorf("message %d to: %w", m.ID, err)
 		}
-		eps = append(eps,
-			endpoint{proc: m.From, seq: m.SendSeq, interval: m.SendInterval, what: "send", id: m.ID},
-			endpoint{proc: m.To, seq: m.DeliverSeq, interval: m.DeliverInterval, what: "delivery", id: m.ID},
-		)
 	}
 
-	for _, ep := range eps {
-		cs := p.Checkpoints[ep.proc]
-		if ep.interval < 1 {
-			return fmt.Errorf("%w: %s of message %d has interval %d < 1", ErrInvalidPattern, ep.what, ep.id, ep.interval)
+	// Once its interval is checked, an endpoint lies strictly between the
+	// checkpoints that delimit that interval, and checkpoint seqs increase,
+	// so a process's intervals split its endpoints in seq order: two can
+	// share a seq only inside one interval. A counting sort groups the
+	// seqs into bucket b = first[i]+x-1 per interval I_{i,x}: end[b+1]
+	// counts bucket b, the prefix sums turn end[b] into its start, and
+	// placing advances end[b] to its end. No allocation depends on a Seq
+	// value.
+	first := make([]int, p.N+1)
+	for i, cs := range p.Checkpoints {
+		first[i+1] = first[i] + len(cs)
+	}
+	end := make([]int, first[p.N]+1)
+	for i := range p.Messages {
+		m := &p.Messages[i]
+		if err := p.checkEndpoint("send", m.ID, m.From, m.SendSeq, m.SendInterval); err != nil {
+			return err
 		}
-		if ep.interval > len(cs) {
-			return fmt.Errorf("%w: %s of message %d in interval %d but process %d has only %d checkpoints",
-				ErrInvalidPattern, ep.what, ep.id, ep.interval, ep.proc, len(cs))
+		if err := p.checkEndpoint("delivery", m.ID, m.To, m.DeliverSeq, m.DeliverInterval); err != nil {
+			return err
 		}
-		if ep.seq <= cs[ep.interval-1].Seq {
-			return fmt.Errorf("%w: %s of message %d (seq %d) not after C{%d,%d} (seq %d)",
-				ErrInvalidPattern, ep.what, ep.id, ep.seq, ep.proc, ep.interval-1, cs[ep.interval-1].Seq)
-		}
-		if ep.interval < len(cs) && ep.seq >= cs[ep.interval].Seq {
-			return fmt.Errorf("%w: %s of message %d (seq %d) not before C{%d,%d} (seq %d)",
-				ErrInvalidPattern, ep.what, ep.id, ep.seq, ep.proc, ep.interval, cs[ep.interval].Seq)
-		}
+		end[first[m.From]+m.SendInterval]++
+		end[first[m.To]+m.DeliverInterval]++
+	}
+	for b := 1; b < len(end); b++ {
+		end[b] += end[b-1]
+	}
+	seqs := make([]int, 2*len(p.Messages))
+	for i := range p.Messages {
+		m := &p.Messages[i]
+		b := first[m.From] + m.SendInterval - 1
+		seqs[end[b]] = m.SendSeq
+		end[b]++
+		b = first[m.To] + m.DeliverInterval - 1
+		seqs[end[b]] = m.DeliverSeq
+		end[b]++
 	}
 
 	// Sequence numbers must be unique per process across all event types.
-	sort.Slice(eps, func(a, b int) bool {
-		if eps[a].proc != eps[b].proc {
-			return eps[a].proc < eps[b].proc
+	// Buckets run in (process, seq) order, so the duplicate reported is the
+	// lowest one of the lowest process that has one.
+	lo := 0
+	for i := 0; i < p.N; i++ {
+		for b := first[i]; b < first[i+1]; b++ {
+			bucket := seqs[lo:end[b]]
+			lo = end[b]
+			slices.Sort(bucket)
+			for k := 1; k < len(bucket); k++ {
+				if bucket[k] == bucket[k-1] {
+					return fmt.Errorf("%w: process %d has two events with seq %d", ErrInvalidPattern, i, bucket[k])
+				}
+			}
 		}
-		return eps[a].seq < eps[b].seq
-	})
-	for i := 1; i < len(eps); i++ {
-		if eps[i].proc == eps[i-1].proc && eps[i].seq == eps[i-1].seq {
-			return fmt.Errorf("%w: process %d has two events with seq %d", ErrInvalidPattern, eps[i].proc, eps[i].seq)
-		}
+	}
+	return nil
+}
+
+// checkEndpoint checks that the send or delivery (what) of message id, the
+// event with the given seq on process proc, lies in the interval it names.
+func (p *Pattern) checkEndpoint(what string, id int, proc ProcID, seq, interval int) error {
+	cs := p.Checkpoints[proc]
+	if interval < 1 {
+		return fmt.Errorf("%w: %s of message %d has interval %d < 1", ErrInvalidPattern, what, id, interval)
+	}
+	if interval > len(cs) {
+		return fmt.Errorf("%w: %s of message %d in interval %d but process %d has only %d checkpoints",
+			ErrInvalidPattern, what, id, interval, proc, len(cs))
+	}
+	if seq <= cs[interval-1].Seq {
+		return fmt.Errorf("%w: %s of message %d (seq %d) not after C{%d,%d} (seq %d)",
+			ErrInvalidPattern, what, id, seq, proc, interval-1, cs[interval-1].Seq)
+	}
+	if interval < len(cs) && seq >= cs[interval].Seq {
+		return fmt.Errorf("%w: %s of message %d (seq %d) not before C{%d,%d} (seq %d)",
+			ErrInvalidPattern, what, id, seq, proc, interval, cs[interval].Seq)
 	}
 	return nil
 }

@@ -91,6 +91,34 @@ func BenchmarkCheckRDT(b *testing.B) {
 	}
 }
 
+// BenchmarkNewChains builds the chain closures of the Guarantees table's
+// runs: 8 processes under random traffic at a fifth of the paper horizon,
+// about 2.4 k messages. The uncoordinated run has zigzag cycles; BHMR's
+// has none.
+func BenchmarkNewChains(b *testing.B) {
+	w, err := workload.ByName("random")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, kind := range []core.Kind{core.KindNone, core.KindBHMR} {
+		cfg := sim.DefaultConfig(kind, 17)
+		cfg.Duration = 300
+		cfg.BasicMean = 8
+		res, err := sim.Run(cfg, w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%v/msgs=%d", kind, len(res.Pattern.Messages)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := rgraph.NewChains(res.Pattern); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRGraphScaling measures the offline analyses as trace size
 // grows (nodes here are checkpoints of the R-graph).
 func BenchmarkRGraphScaling(b *testing.B) {

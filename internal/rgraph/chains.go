@@ -1,7 +1,10 @@
 package rgraph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sort"
 
 	"github.com/rdt-go/rdt/internal/model"
 )
@@ -17,16 +20,20 @@ type Chains struct {
 	// chain-continuation relation between messages.
 	chainReach  []bitset
 	causalReach []bitset
-	msgIndex    map[int]int // message ID -> position in p.Messages
 	// bySender[i] / byReceiver[i] index the messages sent by / delivered
 	// to process i, so endpoint queries touch only relevant messages.
 	bySender   [][]int
 	byReceiver [][]int
 }
 
-// NewChains builds the chain-closure structures. Cost is O(M^2/64) space
-// and O(M * E) time over the message graph, so it is meant for analysis of
-// test- and experiment-sized traces rather than for the hot path.
+// NewChains builds the chain-closure structures. A message's
+// continuations are the messages its receiver sends from the delivery's
+// interval on (chain) or after the delivery (causal); ordered by send,
+// both are a suffix of the receiver's sends, so the continuation graph
+// needs no edge list. Each closure is one pass over it: O(E·M/64) time
+// for E continuation pairs, and at most M rows of M bits. That still
+// makes it an analysis for test- and experiment-sized traces, not for
+// the hot path.
 func NewChains(p *model.Pattern) (*Chains, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("chains: %w", err)
@@ -34,68 +41,115 @@ func NewChains(p *model.Pattern) (*Chains, error) {
 	mcount := len(p.Messages)
 	c := &Chains{
 		p:          p,
-		msgIndex:   make(map[int]int, mcount),
 		bySender:   make([][]int, p.N),
 		byReceiver: make([][]int, p.N),
 	}
 	for i := range p.Messages {
 		m := &p.Messages[i]
-		c.msgIndex[m.ID] = i
 		c.bySender[m.From] = append(c.bySender[m.From], i)
 		c.byReceiver[m.To] = append(c.byReceiver[m.To], i)
 	}
+	sendSeq := func(a, b int) int { return cmp.Compare(p.Messages[a].SendSeq, p.Messages[b].SendSeq) }
+	for _, sends := range c.bySender {
+		slices.SortFunc(sends, sendSeq)
+	}
 
-	chainAdj := make([][]int, mcount)
-	causalAdj := make([][]int, mcount)
+	chainSucc := make([][]int, mcount)
+	causalSucc := make([][]int, mcount)
 	for a := range p.Messages {
 		ma := &p.Messages[a]
-		for b := range p.Messages {
-			mb := &p.Messages[b]
-			if ma.To != mb.From {
-				continue
-			}
-			// Chain condition: deliver(ma) in I_{k,s}, send(mb) in I_{k,t},
-			// s <= t.
-			if ma.DeliverInterval <= mb.SendInterval {
-				chainAdj[a] = append(chainAdj[a], b)
-				// Causal continuation: the delivery event precedes the send
-				// event on the shared process timeline.
-				if ma.DeliverSeq < mb.SendSeq {
-					causalAdj[a] = append(causalAdj[a], b)
-				}
-			}
-		}
+		sends := c.bySender[ma.To]
+		// Chain condition: deliver(ma) in I_{k,s}, send(mb) in I_{k,t},
+		// s <= t. Send intervals grow with the send's seq.
+		chainSucc[a] = sends[sort.Search(len(sends), func(k int) bool {
+			return p.Messages[sends[k]].SendInterval >= ma.DeliverInterval
+		}):]
+		// Causal continuation: the delivery precedes the send on the shared
+		// process timeline, which puts the send in the delivery's interval
+		// or a later one.
+		causalSucc[a] = sends[sort.Search(len(sends), func(k int) bool {
+			return p.Messages[sends[k]].SendSeq > ma.DeliverSeq
+		}):]
 	}
-	c.chainReach = closure(chainAdj, mcount)
-	c.causalReach = closure(causalAdj, mcount)
+	c.chainReach = closure(chainSucc)
+	c.causalReach = closure(causalSucc)
 	return c, nil
 }
 
-// closure computes reflexive-transitive closure rows of the message graph.
-func closure(adj [][]int, n int) []bitset {
-	rows := make([]bitset, n)
-	// Repeated DFS with memoization via Kahn-like iteration: the message
-	// graph can contain cycles only through... it cannot: a chain edge a->b
-	// implies deliver(a) happens in an interval <= send(b)'s interval, and
-	// following sends strictly advances the (process, position) order of
-	// events; cycles would need a message chain returning to an earlier
-	// send of the same message, which the happened-before relation on a
-	// single run forbids for the *causal* graph but not in general for the
-	// zigzag graph. Use an iterative fixpoint that is correct regardless.
-	for i := range rows {
-		rows[i] = newBitset(n)
-		rows[i].set(i)
+// closure computes the reflexive-transitive closure rows of the graph
+// with edges a -> succ[a]. The chain graph has cycles: a zigzag chain
+// can return to an earlier interval of the process it started on. (A
+// causal one cannot in a run that happened, but a trace file need not
+// be one.) An iterative Tarjan walk emits the strongly connected
+// components sinks first, so when a component is emitted the rows of
+// everything it reaches outside itself are final: its row is its
+// members' bits OR those rows, computed once and shared by its members.
+func closure(succ [][]int) []bitset {
+	n := len(succ)
+	rows := make([]bitset, n) // nil until the node's component is emitted
+	comp := make([]int, n)    // component of a node with a row
+	orred := make([]int, n)   // 1 + last component that OR'ed a component's row
+	index := make([]int, n)   // 1 + DFS discovery order; 0 is unvisited
+	low := make([]int, n)
+	var open []int // Tarjan's stack: visited nodes without a row
+	type frame struct{ v, next int }
+	var path []frame // the DFS recursion, unrolled
+	visited, comps := 0, 0
+	visit := func(v int) {
+		visited++
+		index[v], low[v] = visited, visited
+		open = append(open, v)
+		path = append(path, frame{v: v})
 	}
-	for changed := true; changed; {
-		changed = false
-		for a := 0; a < n; a++ {
-			before := rows[a].count()
-			for _, b := range adj[a] {
-				rows[a].or(rows[b])
+	for root := range succ {
+		if index[root] != 0 {
+			continue
+		}
+		visit(root)
+		for len(path) > 0 {
+			f := &path[len(path)-1]
+			v := f.v
+			if f.next < len(succ[v]) {
+				w := succ[v][f.next]
+				f.next++
+				switch {
+				case index[w] == 0:
+					visit(w)
+				case rows[w] == nil: // on the stack: same component
+					low[v] = min(low[v], index[w])
+				}
+				continue
 			}
-			if rows[a].count() != before {
-				changed = true
+			path = path[:len(path)-1]
+			if len(path) > 0 {
+				u := path[len(path)-1].v
+				low[u] = min(low[u], low[v])
 			}
+			if low[v] != index[v] {
+				continue
+			}
+			k := len(open) - 1
+			for open[k] != v {
+				k--
+			}
+			members := open[k:]
+			open = open[:k]
+			row := newBitset(n)
+			for _, m := range members {
+				row.set(m)
+			}
+			for _, m := range members {
+				for _, w := range succ[m] {
+					if rows[w] != nil && orred[comp[w]] != comps+1 {
+						orred[comp[w]] = comps + 1
+						row.or(rows[w])
+					}
+				}
+			}
+			for _, m := range members {
+				rows[m], comp[m] = row, comps
+			}
+			comps++
 		}
 	}
 	return rows

@@ -87,7 +87,7 @@ func (w *Witness) String() string {
 }
 
 // Explainer extracts minimal witnesses for the violations of a pattern.
-// Construction is O(M^2) over the messages (like Chains); each Explain
+// Construction is O(M^2) over the messages; each Explain
 // call is a breadth-first search, O(M + edges).
 type Explainer struct {
 	p *model.Pattern

@@ -201,19 +201,35 @@ type engineObs struct {
 	deliveries *obs.Counter
 	basic      *obs.Counter
 	forced     *obs.Counter
+	// byPredicate caches rdt_forced_checkpoints_total{protocol,predicate}
+	// per predicate. The engine is single-threaded, so a plain map does.
+	byPredicate map[string]*obs.Counter
 }
 
 func newEngineObs(reg *obs.Registry, tr *obs.Tracer, protocol core.Kind) *engineObs {
 	proto := protocol.String()
 	return &engineObs{
-		reg:        reg,
-		tracer:     tr,
-		proto:      proto,
-		messages:   reg.Counter("rdt_sim_messages_total", "protocol", proto),
-		deliveries: reg.Counter("rdt_sim_deliveries_total", "protocol", proto),
-		basic:      reg.Counter("rdt_checkpoints_total", "protocol", proto, "kind", "basic"),
-		forced:     reg.Counter("rdt_checkpoints_total", "protocol", proto, "kind", "forced"),
+		reg:         reg,
+		tracer:      tr,
+		proto:       proto,
+		messages:    reg.Counter("rdt_sim_messages_total", "protocol", proto),
+		deliveries:  reg.Counter("rdt_sim_deliveries_total", "protocol", proto),
+		basic:       reg.Counter("rdt_checkpoints_total", "protocol", proto, "kind", "basic"),
+		forced:      reg.Counter("rdt_checkpoints_total", "protocol", proto, "kind", "forced"),
+		byPredicate: make(map[string]*obs.Counter),
 	}
+}
+
+// forcedBy returns the forced-checkpoint series of one predicate. The
+// registry is asked the first time the predicate fires; after that a
+// forced checkpoint formats no series key and takes no registry lock.
+func (o *engineObs) forcedBy(predicate string) *obs.Counter {
+	c, ok := o.byPredicate[predicate]
+	if !ok {
+		c = o.reg.Counter("rdt_forced_checkpoints_total", "protocol", o.proto, "predicate", predicate)
+		o.byPredicate[predicate] = c
+	}
+	return c
 }
 
 // N returns the number of processes.
@@ -347,8 +363,7 @@ func (e *Engine) sink(rec core.CheckpointRecord) {
 		})
 	case model.KindForced:
 		e.obs.forced.Inc()
-		e.obs.reg.Counter("rdt_forced_checkpoints_total",
-			"protocol", e.obs.proto, "predicate", rec.Predicate).Inc()
+		e.obs.forcedBy(rec.Predicate).Inc()
 		e.obs.tracer.Record(obs.Event{
 			Type:      obs.EventForcedCheckpoint,
 			Proc:      rec.Proc,

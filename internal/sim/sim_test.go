@@ -8,6 +8,7 @@ import (
 
 	"github.com/rdt-go/rdt/internal/core"
 	"github.com/rdt-go/rdt/internal/model"
+	"github.com/rdt-go/rdt/internal/obs"
 	"github.com/rdt-go/rdt/internal/rgraph"
 	"github.com/rdt-go/rdt/internal/trace"
 )
@@ -262,5 +263,41 @@ func TestEngineAccessors(t *testing.T) {
 	}
 	if e.Rand() == nil {
 		t.Error("nil rng")
+	}
+}
+
+// TestForcedCheckpointAllocs: with a registry attached, recording a forced
+// checkpoint allocates the builder's copy of its TDV and nothing else; the
+// per-predicate series is resolved on the predicate's first checkpoint,
+// not formatted and looked up on every one.
+func TestForcedCheckpointAllocs(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := shortConfig(core.KindCBR, 3)
+	cfg.Obs = reg
+	if _, err := Run(cfg, &pingpong{gap: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	var predicates []string
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == "rdt_forced_checkpoints_total" {
+			predicates = append(predicates, m.Labels[1]) // sorted: predicate, protocol
+		}
+	}
+	if len(predicates) == 0 {
+		t.Fatal("the CBR run forced no checkpoint")
+	}
+	e := &Engine{cfg: cfg, builder: model.NewBuilder(cfg.N), obs: newEngineObs(reg, nil, cfg.Protocol)}
+	for _, pred := range predicates {
+		before := reg.Snapshot().CounterValue("rdt_forced_checkpoints_total", "protocol", "cbr", "predicate", pred)
+		rec := core.CheckpointRecord{Proc: 1, Kind: model.KindForced, TDV: make([]int, cfg.N), Predicate: pred}
+		const runs = 1000
+		if allocs := testing.AllocsPerRun(runs, func() { e.sink(rec) }); allocs > 1 {
+			t.Errorf("predicate %s: %.0f allocations per forced checkpoint, want 1 (the TDV copy)", pred, allocs)
+		}
+		// AllocsPerRun makes one warm-up call before its runs.
+		after := reg.Snapshot().CounterValue("rdt_forced_checkpoints_total", "protocol", "cbr", "predicate", pred)
+		if after-before != runs+1 {
+			t.Errorf("predicate %s: series advanced by %d, want %d", pred, after-before, runs+1)
+		}
 	}
 }

@@ -66,6 +66,8 @@ type Server struct {
 	mDups         *obs.Counter
 	mBackpressure *obs.Counter
 	hApply        *obs.Histogram
+	// rdt_stream_frames_total{type}, one series per frame type.
+	mFramesOpen, mFramesEvents, mFramesSeal, mFramesClose *obs.Counter
 }
 
 // Serve starts a stream server on addr (":0" picks a port).
@@ -93,6 +95,11 @@ func Serve(addr string, cfg Config) (*Server, error) {
 		// Stream latencies live in the µs-to-ms band; the decade-wide
 		// LatencyBuckets would flatten them into two bars.
 		hApply: reg.Histogram("rdt_stream_batch_apply_seconds", obs.MicroLatencyBuckets),
+
+		mFramesOpen:   reg.Counter("rdt_stream_frames_total", "type", "open"),
+		mFramesEvents: reg.Counter("rdt_stream_frames_total", "type", "events"),
+		mFramesSeal:   reg.Counter("rdt_stream_frames_total", "type", "seal"),
+		mFramesClose:  reg.Counter("rdt_stream_frames_total", "type", "close"),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -101,10 +108,6 @@ func Serve(addr string, cfg Config) (*Server, error) {
 
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-func (s *Server) frames(kind string) *obs.Counter {
-	return s.cfg.Registry.Counter("rdt_stream_frames_total", "type", kind)
-}
 
 func (s *Server) protoErrors(code int) *obs.Counter {
 	return s.cfg.Registry.Counter("rdt_stream_errors_total", "code", codeString(code))
@@ -325,7 +328,7 @@ func (sc *serverConn) readLoop() {
 		case frameSeal:
 			ok = sc.handleSeal(r)
 		case frameClose:
-			sc.srv.frames("close").Inc()
+			sc.srv.mFramesClose.Inc()
 			delete(sc.chans, r.Uvarint())
 			ok = true
 		default:
@@ -349,7 +352,7 @@ func (sc *serverConn) chanError(ch uint64, code int, detail string) {
 }
 
 func (sc *serverConn) handleOpen(r *binenc.Reader) bool {
-	sc.srv.frames("open").Inc()
+	sc.srv.mFramesOpen.Inc()
 	id := r.String()
 	n := r.Int()
 	producer := r.String()
@@ -403,7 +406,7 @@ func (sc *serverConn) handleOpen(r *binenc.Reader) bool {
 }
 
 func (sc *serverConn) handleEvents(r *binenc.Reader) bool {
-	sc.srv.frames("events").Inc()
+	sc.srv.mFramesEvents.Inc()
 	start := time.Now()
 	id := r.Uvarint()
 	seq := r.Uvarint()
@@ -428,7 +431,7 @@ func (sc *serverConn) handleEvents(r *binenc.Reader) bool {
 }
 
 func (sc *serverConn) handleSeal(r *binenc.Reader) bool {
-	sc.srv.frames("seal").Inc()
+	sc.srv.mFramesSeal.Inc()
 	start := time.Now()
 	id := r.Uvarint()
 	seq := r.Uvarint()
