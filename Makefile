@@ -36,13 +36,14 @@ bench-test:
 # So do the service's lifecycle table's — which of eight goroutines finds
 # an id live, held or retiring is the scheduler's choice — so its churn,
 # after-Drain and create-collision tests run again on one, two and eight
-# cores. So does what the session worker finds queued when it drains a
+# cores, with the test that reads the violation trace while four sessions
+# write it. So does what the session worker finds queued when it drains a
 # commit group (a close mid-drain, a retirement after a partial group):
 # those tests run again on one core and on two.
 race: vet
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/shard
-	$(GO) test -race -count=5 -cpu=1,2,8 -run 'LifecycleChurn|TransitionsAfterDrain|DurableCreateCollisions' ./internal/service
+	$(GO) test -race -count=5 -cpu=1,2,8 -run 'LifecycleChurn|TransitionsAfterDrain|DurableCreateCollisions|ViolationTraceConcurrentReads' ./internal/service
 	$(GO) test -race -count=3 -cpu=1,2 -short -run 'CrashPointDifferential|GroupCommit' ./internal/service
 
 vet:

@@ -68,9 +68,8 @@ type CkptID struct {
 }
 
 // String renders the checkpoint as C{proc,index}. Hand-rolled rather
-// than fmt.Sprintf: the online checker formats an id per violation, and
-// on violation-dense workloads the formatter otherwise shows up ahead of
-// the checker itself in ingest profiles.
+// than fmt.Sprintf: a violation's text is two of these, and violation
+// lists run to thousands.
 func (c CkptID) String() string {
 	buf := make([]byte, 0, 16)
 	buf = append(buf, 'C', '{')

@@ -132,6 +132,14 @@ type Event struct {
 	Predicate string    `json:"predicate,omitempty"`
 	Detail    string    `json:"detail,omitempty"`
 	Value     int       `json:"value,omitempty"`
+	// Target is a second index next to Value (a violation's target
+	// checkpoint), read only by Format.
+	Target int `json:"-"`
+	// Format, when set, renders Detail from the other fields when the
+	// event is read: Tail fills Detail with it and returns the event
+	// without it. A hot path records fields and leaves the text to
+	// whoever reads the ring — most events are overwritten unread.
+	Format func(Event) string `json:"-"`
 }
 
 // Tracer is a bounded ring buffer of events. When full, new events
@@ -164,25 +172,57 @@ func NewTracer(capacity int) *Tracer {
 // Record appends an event, assigning its logical timestamp. The
 // caller's Seq field is ignored. Safe on a nil receiver.
 func (t *Tracer) Record(ev Event) {
-	if t == nil {
+	t.RecordN(1, func(_ int, slots []Event) { slots[0] = ev })
+}
+
+// RecordN appends n events under one lock, as n Records in a row would:
+// event i (0-based) gets the timestamp Seq()+i+1 at entry. fill(i,
+// slots) writes events i, i+1, ... whole into slots, a run of adjacent
+// ring slots; it is called once per run (at most twice: the ring wraps),
+// and the tracer then stamps the events' Seq. An event a later one of
+// the same call overwrites is never filled, but still advances Seq and
+// counts as dropped. fill runs under the tracer's lock and must not call
+// the tracer. Safe on a nil receiver.
+func (t *Tracer) RecordN(n int, fill func(i int, slots []Event)) {
+	if t == nil || n <= 0 {
 		return
 	}
 	t.mu.Lock()
-	t.seq++
-	ev.Seq = t.seq
+	size := len(t.buf)
+	// Slots holding a retained event that this call writes into: the
+	// writes land in the free slots first, then in the oldest events.
+	free := size - t.next
 	if t.full {
-		// The slot still holds the oldest retained event; writing into
-		// it discards history.
-		t.dropped++
-		t.drops.Inc()
+		free = 0
 	}
-	t.buf[t.next] = ev
-	t.next++
-	if t.next == len(t.buf) {
-		t.next = 0
+	if lost := n - free; lost > 0 {
+		t.dropped += uint64(lost)
+		t.drops.Add(int64(lost))
+	}
+	for i := max(0, n-size); i < n; { // events before it are overwritten in this call
+		j := (t.next + i) % size
+		run := t.buf[j:min(size, j+n-i)]
+		fill(i, run)
+		for k := range run {
+			run[k].Seq = t.seq + uint64(i+k) + 1
+		}
+		i += len(run)
+	}
+	t.seq += uint64(n)
+	if t.next+n >= size {
 		t.full = true
 	}
+	t.next = (t.next + n) % size
 	t.mu.Unlock()
+}
+
+// Cap returns the number of events the ring retains. Safe on a nil
+// receiver (0).
+func (t *Tracer) Cap() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.buf)
 }
 
 // Dropped returns how many events were overwritten before they could be
@@ -232,14 +272,14 @@ func (t *Tracer) Len() int {
 	return t.next
 }
 
-// Tail returns up to n of the most recent events, oldest first. n <= 0
-// returns every retained event. Safe on a nil receiver (nil slice).
+// Tail returns up to n of the most recent events, oldest first, each
+// with its Detail rendered (see Event.Format). n <= 0 returns every
+// retained event. Safe on a nil receiver (nil slice).
 func (t *Tracer) Tail(n int) []Event {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	size := t.next
 	if t.full {
 		size = len(t.buf)
@@ -256,6 +296,14 @@ func (t *Tracer) Tail(n int) []Event {
 	}
 	for i := 0; i < n; i++ {
 		out = append(out, t.buf[(start+i)%len(t.buf)])
+	}
+	t.mu.Unlock()
+	// Render outside the lock: the copies are the caller's, and writers
+	// need not wait for the formatting.
+	for i := range out {
+		if ev := &out[i]; ev.Format != nil {
+			ev.Detail, ev.Format = ev.Format(*ev), nil
+		}
 	}
 	return out
 }

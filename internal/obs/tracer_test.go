@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -84,6 +87,71 @@ func TestTracerConcurrent(t *testing.T) {
 	}
 	if len(seen) != 64 {
 		t.Errorf("retained %d events, want 64", len(seen))
+	}
+}
+
+// TestTracerRecordNMatchesRecord: one RecordN of n events leaves the
+// ring, Seq, Dropped and the drops counter exactly as n Records do —
+// into free slots, across the wrap, and when the call overwrites its own
+// first events, which it then never fills.
+func TestTracerRecordNMatchesRecord(t *testing.T) {
+	for _, tc := range []struct{ capacity, before, n int }{
+		{8, 0, 0}, {8, 0, 3}, {8, 6, 5}, {8, 8, 1}, {8, 3, 8}, {8, 2, 21}, {1, 0, 4}, {1, 3, 1},
+	} {
+		one, many := NewTracer(tc.capacity), NewTracer(tc.capacity)
+		oneReg, manyReg := NewRegistry(), NewRegistry()
+		one.ObserveDrops(oneReg)
+		many.ObserveDrops(manyReg)
+		for i := 0; i < tc.before; i++ {
+			one.Record(Event{Type: EventSend, Proc: i})
+			many.Record(Event{Type: EventSend, Proc: i})
+		}
+		for i := 0; i < tc.n; i++ {
+			one.Record(Event{Type: EventDeliver, Proc: i, Value: 7})
+		}
+		filled := 0
+		many.RecordN(tc.n, func(i int, slots []Event) {
+			for k := range slots {
+				filled++
+				slots[k] = Event{Seq: 99, Type: EventDeliver, Proc: i + k, Value: 7}
+			}
+		})
+		drops := func(reg *Registry) int64 { return reg.Snapshot().CounterValue("rdt_obs_events_dropped_total") }
+		if !reflect.DeepEqual(one.Tail(0), many.Tail(0)) || one.Seq() != many.Seq() ||
+			one.Dropped() != many.Dropped() || drops(oneReg) != drops(manyReg) {
+			t.Errorf("%+v: RecordN left tail %+v seq %d dropped %d (counter %d), Record %+v seq %d dropped %d (counter %d)",
+				tc, many.Tail(0), many.Seq(), many.Dropped(), drops(manyReg), one.Tail(0), one.Seq(), one.Dropped(), drops(oneReg))
+		}
+		if filled != min(tc.n, tc.capacity) {
+			t.Errorf("%+v: filled %d slots, want %d", tc, filled, min(tc.n, tc.capacity))
+		}
+	}
+}
+
+// TestTracerFormatsOnRead: an event recorded with a Format is stored as
+// fields and comes out of Tail with its Detail rendered, without the
+// Format, and its JSON carries neither Target nor Format.
+func TestTracerFormatsOnRead(t *testing.T) {
+	tr := NewTracer(4)
+	calls := 0
+	format := func(ev Event) string {
+		calls++
+		return fmt.Sprintf("%d.%d-%d.%d", ev.Proc, ev.Value, ev.Peer, ev.Target)
+	}
+	tr.Record(Event{Type: EventViolation, Proc: 1, Value: 2, Peer: 3, Target: 4, Format: format})
+	if calls != 0 {
+		t.Fatalf("Record formatted the event %d times", calls)
+	}
+	tail := tr.Tail(0)
+	if len(tail) != 1 || tail[0].Detail != "1.2-3.4" || tail[0].Format != nil {
+		t.Fatalf("tail = %+v", tail)
+	}
+	data, err := json.Marshal(tail[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"seq":1,"type":"violation","proc":1,"peer":3,"detail":"1.2-3.4","value":2}`; string(data) != want {
+		t.Fatalf("JSON %s, want %s", data, want)
 	}
 }
 

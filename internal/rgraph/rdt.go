@@ -14,9 +14,8 @@ type Violation struct {
 }
 
 // String renders the violation as "C{i,x} ~> C{j,y} untrackable". Built
-// by concatenation, not fmt: the service formats every violation it
-// traces, and on untrackable-heavy traffic Sprintf dominated the ingest
-// profile.
+// by concatenation, not fmt: a read of the service's event tail renders
+// up to a whole ring of violations with it.
 func (v Violation) String() string {
 	return v.From.String() + " ~> " + v.To.String() + " untrackable"
 }

@@ -70,3 +70,68 @@ func BenchmarkDurableIngest(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkIngestViolating is a memory session's commit path on
+// unprotected traffic — 2048-event sessions of 8 processes in 128-event
+// batches, the mem-rotate shape, queued whole and flushed — with the
+// service's violation tracer (traced) and without one (untraced): the
+// difference is what reporting the violations costs. violations/event is
+// rdt_service_violations_total over the events applied.
+func BenchmarkIngestViolating(b *testing.B) {
+	const perBatch = 128
+	events := genWorkload(rand.New(rand.NewSource(1)), 8, 2048)
+	var records []record
+	for rest := events; len(rest) > 0; rest = rest[min(perBatch, len(rest)):] {
+		rec, err := encodeRecord(rest[:min(perBatch, len(rest))], false, "", 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		records = append(records, rec)
+	}
+	for _, traced := range []bool{true, false} {
+		name := "untraced"
+		if traced {
+			name = "traced"
+		}
+		b.Run(name, func(b *testing.B) {
+			reg := obs.NewRegistry()
+			cfg := Config{Registry: reg}
+			if traced {
+				cfg.Tracer = obs.NewTracer(obs.DefaultTracerCapacity)
+			}
+			svc, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() {
+				if err := svc.Drain(context.Background()); err != nil {
+					b.Error(err)
+				}
+			}()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sess, err := svc.CreateSession(fmt.Sprintf("bench-%d", i), 8)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for _, rec := range records {
+					if err := sess.enqueue(batch{record: rec}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := sess.Flush(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				svc.Evict(sess.ID, "explicit")
+				b.StartTimer()
+			}
+			b.StopTimer()
+			applied := float64(b.N * len(events))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/applied, "ns/event")
+			b.ReportMetric(float64(reg.Snapshot().CounterValue("rdt_service_violations_total"))/applied, "violations/event")
+		})
+	}
+}

@@ -337,7 +337,7 @@ func (s *Service) loadSession(id string) (*Session, loadStats, error) {
 	if err != nil {
 		return nil, ls, fmt.Errorf("load %q: %w", id, err)
 	}
-	s.observeInc(sess.inc)
+	sess.observe()
 	walPath := filepath.Join(dir, "wal.log")
 	if torn {
 		if err := wal.Truncate(walPath, end); err != nil {

@@ -354,7 +354,7 @@ func (s *Service) CreateSession(id string, n int) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.observeInc(sess.inc)
+	sess.observe()
 	// A session's birth is a disk↔memory transition like any other: the id
 	// is held across it, or a shard export could read (and ship) the
 	// half-born directory while the create goes on to win locally.

@@ -85,9 +85,10 @@ type Session struct {
 	failErr error // first apply error; poisons further ingestion
 	dur     *durableSession
 	inc     *rgraph.Incremental
-	msgs    map[int]int  // client message id -> checker handle, in flight
-	usedMsg map[int]bool // every client message id ever sent
-	applied int64        // events applied
+	msgs    map[int]int    // client message id -> checker handle, in flight
+	usedMsg map[int]bool   // every client message id ever sent
+	applied int64          // events applied
+	viol    violationStage // the current group's violations; the worker's alone
 	// log is every mutating batch in arrival order, each one its record
 	// — the WAL record payload — behind a length prefix: the pattern's
 	// only stored form. Its first `applied` events are exactly the events
@@ -132,26 +133,86 @@ func newSession(svc *Service, id string, n int) (*Session, error) {
 	return s, nil
 }
 
-// observeInc routes a checker's violations into the service's metrics
-// and tracer: CreateSession attaches it at birth, loadSession only after
+// violationStage holds what a commit group's applies found: n untrackable
+// R-paths, the last min(n, capacity) of them in buf, violation i at
+// index i%capacity — capacity being the tracer's, since its ring keeps
+// no more. buf is box's array, taken from stageBufs at the group's first
+// violation and put back when the group is reported: only a committing
+// worker holds one.
+type violationStage struct {
+	n   int
+	buf []rgraph.Violation
+	box *[]rgraph.Violation
+}
+
+// stageBufs starts a buffer at what a 128-event batch of unprotected
+// traffic (~5 violations per event) stages, so it rarely grows.
+var stageBufs = sync.Pool{New: func() any {
+	buf := make([]rgraph.Violation, 0, 1024)
+	return &buf
+}}
+
+// observe routes the checker's violations into the service's metrics and
+// tracer: it stages each one, and reportViolations publishes a group's
+// at once. CreateSession attaches it at birth, loadSession only after
 // the replay, so a violation is reported once, when it is first applied.
-func (svc *Service) observeInc(inc *rgraph.Incremental) {
-	inc.OnViolation(func(v rgraph.Violation) {
-		svc.mViolations.Inc()
-		if svc.cfg.Tracer == nil {
-			// Formatting the violation (v.String allocates) costs more
-			// than the rest of the callback; don't pay it to feed a
-			// discarded event.
-			return
+func (s *Session) observe() {
+	capacity := s.svc.cfg.Tracer.Cap()
+	s.inc.OnViolation(func(v rgraph.Violation) {
+		st := &s.viol
+		if st.n < capacity {
+			if st.box == nil {
+				st.box = stageBufs.Get().(*[]rgraph.Violation)
+				st.buf = *st.box
+			}
+			st.buf = append(st.buf, v)
+		} else if capacity > 0 {
+			st.buf[st.n%capacity] = v
 		}
-		svc.cfg.Tracer.Record(obs.Event{
-			Type:   obs.EventViolation,
-			Proc:   int(v.From.Proc),
-			Peer:   int(v.To.Proc),
-			Value:  v.From.Index,
-			Detail: v.String(),
-		})
+		st.n++
 	})
+}
+
+// reportViolations publishes what the group's applies staged: one Add to
+// rdt_service_violations_total and one RecordN into the tracer, which
+// stores each violation as fields and formats it only when it is read.
+func (s *Session) reportViolations() {
+	st := &s.viol
+	if st.n == 0 {
+		return
+	}
+	s.svc.mViolations.Add(int64(st.n))
+	if st.box != nil {
+		buf := st.buf
+		s.svc.cfg.Tracer.RecordN(st.n, func(i int, slots []obs.Event) {
+			i %= len(buf)
+			for k := range slots {
+				v, slot := &buf[i], &slots[k]
+				// Field by field: a composite literal is built on the stack
+				// and copied in with write barriers, which cost more.
+				slot.Type = obs.EventViolation
+				slot.Proc, slot.Value = int(v.From.Proc), v.From.Index
+				slot.Peer, slot.Target = int(v.To.Proc), v.To.Index
+				slot.Predicate, slot.Detail = "", ""
+				slot.Format = formatViolation
+				if i++; i == len(buf) {
+					i = 0
+				}
+			}
+		})
+		*st.box = buf[:0]
+		stageBufs.Put(st.box)
+	}
+	*st = violationStage{}
+}
+
+// formatViolation renders a violation event's Detail: Violation.String of
+// the pair its fields name.
+func formatViolation(ev obs.Event) string {
+	return rgraph.Violation{
+		From: model.CkptID{Proc: model.ProcID(ev.Proc), Index: ev.Value},
+		To:   model.CkptID{Proc: model.ProcID(ev.Peer), Index: ev.Target},
+	}.String()
 }
 
 // touch refreshes the idle-eviction clock.
@@ -197,8 +258,8 @@ const groupEvents = 4096
 // write-ahead ordering and one fsync. Log: every mutating batch's record,
 // encoded at admission, is appended to the log and to the WAL. Sync: one
 // wal.Sync covers those records. Apply: each batch goes through
-// applyBatchLocked in queue order. Then notify in queue order after the
-// unlock. Nothing waits for a group to fill — an empty queue gives a
+// applyBatchLocked in queue order. Then, after the unlock, report the
+// group's violations and notify in queue order. Nothing waits for a group to fill — an empty queue gives a
 // group of one. A group exists to share an fsync, so a memory session's
 // are all of one: batching there would only hold early acks back for
 // later applies. A group ends at a seal, before a gated batch (handed
@@ -308,6 +369,7 @@ drain:
 		s.svc.mIngested.Add(n)
 	}
 	s.mu.Unlock()
+	s.reportViolations() // before the acks: an acked batch's violations are visible
 
 	for i := range group {
 		q := &group[i]
