@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/rdt-go/rdt/internal/obs"
@@ -132,6 +134,46 @@ func BenchmarkIngestViolating(b *testing.B) {
 			applied := float64(b.N * len(events))
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/applied, "ns/event")
 			b.ReportMetric(float64(reg.Snapshot().CounterValue("rdt_service_violations_total"))/applied, "violations/event")
+		})
+	}
+}
+
+// BenchmarkDecodeEvents is the JSON ingest decode of one body shaped as
+// bench's json-rotate posts them — 128 events of 8 processes — from the
+// body to the record admission enqueues: the one-pass scanner
+// (decodeBatch, the ingest handler's path) against the encoding/json
+// decoder it replaced followed by the admission's encodeRecord (oracle).
+func BenchmarkDecodeEvents(b *testing.B) {
+	body := jsonBody(b, 128)
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"scanner", func() error {
+			_, err := decodeBatch(bytes.NewReader(body), 0)
+			return err
+		}},
+		{"oracle", func() error {
+			events, err := oracleDecode(bytes.NewReader(body), 0)
+			if err == nil {
+				_, err = encodeRecord(events, false, "", 0)
+			}
+			return err
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tc.decode(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(128*b.N), "ns/event")
+			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N), "allocs/batch")
 		})
 	}
 }

@@ -13,13 +13,9 @@
 package service
 
 import (
-	"bytes"
 	"cmp"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"sync"
 
 	"github.com/rdt-go/rdt/internal/binenc"
 )
@@ -32,8 +28,9 @@ const (
 )
 
 // Event is one streamed session event in its JSON and API form, which
-// admission encodes (AppendEvent): nothing past admission reads it. The
-// ingest endpoint accepts a single event object or an array of them.
+// admission encodes (AppendEvent, or the JSON scanner as it decodes):
+// nothing past admission reads it. The ingest endpoint accepts a single
+// event object or an array of them.
 //
 //   - checkpoint: Proc takes a local checkpoint; Kind is "basic"
 //     (default) or "forced".
@@ -56,126 +53,6 @@ var ErrBatchTooLarge = errors.New("event batch too large")
 // ErrInvalidEvent means a batch holds an event no session could accept
 // whatever its state; admission refuses it whole, and it changes nothing.
 var ErrInvalidEvent = errors.New("invalid event")
-
-// decodeScratch is reusable per-request decode state: the body buffer
-// and the event slice. Pooling it removes the two allocations that
-// dominate the JSON ingest profile (io.ReadAll's growth chain and the
-// batch slice), leaving only encoding/json's own per-event work.
-type decodeScratch struct {
-	buf    []byte
-	events []Event
-}
-
-var decodePool = sync.Pool{New: func() any { return new(decodeScratch) }}
-
-// DecodeEvents parses an ingest request body: either one event object
-// or a JSON array of events, at most maxBatch of them (0 means the
-// DefaultMaxBatch). Only the shape is validated here, by the binary
-// encoding's rules (AppendEvent) — process ranges and message-id
-// bookkeeping need session state and are checked at apply time. Callers
-// bound the reader (the HTTP layer uses MaxBytesReader) so a hostile
-// body cannot exhaust memory.
-//
-// The returned slice is freshly owned by the caller; the hot ingest
-// path uses DecodeEventsPooled instead.
-func DecodeEvents(r io.Reader, maxBatch int) ([]Event, error) {
-	return decodeEventsInto(new(decodeScratch), r, maxBatch)
-}
-
-// DecodeEventsPooled is DecodeEvents over pooled scratch: the returned
-// events share a recycled backing array, and the caller must invoke
-// release — exactly when the events are no longer referenced (for the
-// ingest handler: right after admission, which encodes them) — to
-// return the scratch to the pool. release is idempotent; on error there
-// is nothing to release.
-func DecodeEventsPooled(r io.Reader, maxBatch int) (events []Event, release func(), err error) {
-	sc := decodePool.Get().(*decodeScratch)
-	events, err = decodeEventsInto(sc, r, maxBatch)
-	if err != nil {
-		decodePool.Put(sc)
-		return nil, nil, err
-	}
-	var once sync.Once
-	return events, func() { once.Do(func() { decodePool.Put(sc) }) }, nil
-}
-
-func decodeEventsInto(sc *decodeScratch, r io.Reader, maxBatch int) ([]Event, error) {
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-	var err error
-	sc.buf, err = readAllInto(sc.buf[:0], r)
-	if err != nil {
-		return nil, fmt.Errorf("decode events: %w", err)
-	}
-	trimmed := bytes.TrimSpace(sc.buf)
-	if len(trimmed) == 0 {
-		return nil, errors.New("decode events: empty body")
-	}
-	// json reuses existing elements when decoding into spare capacity,
-	// and absent keys (omitempty peers, message ids) would inherit the
-	// previous request's values — zero the recycled elements first.
-	clear(sc.events[:cap(sc.events)])
-	events := sc.events[:0]
-	if trimmed[0] == '[' {
-		if err := strictUnmarshal(trimmed, &events); err != nil {
-			return nil, fmt.Errorf("decode events: %w", err)
-		}
-	} else {
-		var ev Event
-		if err := strictUnmarshal(trimmed, &ev); err != nil {
-			return nil, fmt.Errorf("decode events: %w", err)
-		}
-		events = append(events, ev)
-	}
-	sc.events = events
-	if len(events) == 0 {
-		return nil, errors.New("decode events: empty batch")
-	}
-	if len(events) > maxBatch {
-		return nil, fmt.Errorf("decode events: %w: %d events, limit %d", ErrBatchTooLarge, len(events), maxBatch)
-	}
-	for i := range events {
-		if _, err := events[i].typed(); err != nil {
-			return nil, fmt.Errorf("decode events: event %d: %w", i, err)
-		}
-	}
-	return events, nil
-}
-
-// readAllInto is io.ReadAll reusing buf's capacity across requests.
-func readAllInto(buf []byte, r io.Reader) ([]byte, error) {
-	if cap(buf) == 0 {
-		buf = make([]byte, 0, 2048)
-	}
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
-}
-
-// strictUnmarshal decodes one JSON value and rejects trailing data, so
-// a concatenation of two bodies (a symptom of a confused client) is an
-// error instead of a silent half-ingest.
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("trailing data after events")
-	}
-	return nil
-}
 
 // The one binary event encoding: an RDTSTRM1 EVENTS frame carries it on
 // the wire (internal/stream) and a log/WAL record the same bytes behind

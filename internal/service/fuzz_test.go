@@ -9,40 +9,17 @@ import (
 	"github.com/rdt-go/rdt/internal/binenc"
 )
 
-// FuzzDecodeEvents hammers the ingest decoder with arbitrary bodies:
-// it must never panic, and anything it accepts must satisfy the
-// invariants the session apply path assumes (known ops, non-negative
-// identifiers, batch within the limit).
+// FuzzDecodeEvents is the JSON ingest decoder's differential under the
+// fuzzer: on any body the one-pass scanner and the encoding/json oracle
+// it replaced must both refuse, or both accept the same events, which the
+// scanner's record encodes as admission did (decodeDiff).
 func FuzzDecodeEvents(f *testing.F) {
-	f.Add(`{"op":"checkpoint","proc":0}`)
-	f.Add(`{"op":"checkpoint","proc":2,"kind":"forced"}`)
-	f.Add(`[{"op":"send","proc":0,"peer":1,"msg":0},{"op":"deliver","msg":0}]`)
-	f.Add(`[]`)
-	f.Add(`[{"op":"send","proc":0,"peer":1,"msg":0}`)
-	f.Add(`{"op":"send","proc":1e9,"peer":-3,"msg":0.5}`)
-	f.Add(`"checkpoint"`)
-	f.Add(`nope`)
+	for _, body := range jsonSeedCorpus {
+		f.Add(body)
+	}
 	f.Add("[" + strings.Repeat(`{"op":"checkpoint","proc":0},`, 32) + `{"op":"checkpoint","proc":0}]`)
-
-	const maxBatch = 16
 	f.Fuzz(func(t *testing.T, body string) {
-		events, err := DecodeEvents(strings.NewReader(body), maxBatch)
-		if err != nil {
-			return
-		}
-		if len(events) == 0 || len(events) > maxBatch {
-			t.Fatalf("accepted a batch of %d events (limit %d)", len(events), maxBatch)
-		}
-		for i, ev := range events {
-			if _, err := ev.typed(); err != nil {
-				t.Fatalf("accepted event %d fails shape validation: %v", i, err)
-			}
-			switch ev.Op {
-			case OpCheckpoint, OpSend, OpDeliver:
-			default:
-				t.Fatalf("accepted event %d has unknown op %q", i, ev.Op)
-			}
-		}
+		decodeDiff(t, []byte(body), 16)
 	})
 }
 

@@ -193,8 +193,9 @@ func (a *api) ingest(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("request body %d bytes exceeds limit %d", r.ContentLength, a.svc.cfg.MaxBody))
 		return
 	}
-	events, release, err := DecodeEventsPooled(
-		http.MaxBytesReader(w, r.Body, a.svc.cfg.MaxBody), a.svc.cfg.MaxBatch)
+	// The decode builds the batch's record, every event shape-checked, so
+	// admission only enqueues it.
+	rec, err := decodeBatch(http.MaxBytesReader(w, r.Body, a.svc.cfg.MaxBody), a.svc.cfg.MaxBatch)
 	if err != nil {
 		a.svc.reject(reasonInvalid, 1)
 		var tooBig *http.MaxBytesError
@@ -205,14 +206,11 @@ func (a *api) ingest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Admission encodes the events, so the scratch is free once it returns.
-	err = sess.Enqueue(events)
-	release()
-	if err != nil {
+	if err := sess.enqueue(batch{record: rec}); err != nil {
 		writeSessionError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, ingestResponse{Enqueued: len(events)})
+	writeJSON(w, http.StatusAccepted, ingestResponse{Enqueued: rec.count})
 }
 
 func (a *api) verdict(w http.ResponseWriter, r *http.Request) {

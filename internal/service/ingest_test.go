@@ -3,13 +3,18 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
-	"fmt"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/rdt-go/rdt/internal/obs"
 )
 
 // TestDecodeEventsPooledReuse exercises the dirty-scratch hazard: a
@@ -43,29 +48,27 @@ func TestDecodeEventsPooledReuse(t *testing.T) {
 	}
 }
 
-// TestJSONDecodeAllocBudget pins the pooled JSON path's allocations:
-// with the body buffer and batch slice recycled, what remains is
-// encoding/json's per-event work (roughly one string per op field), so
-// a 64-event batch must stay far below one-allocation-per-byte chaos.
-// The budget has headroom over the measured count to absorb runtime
-// changes without masking a lost pool.
+// jsonBody is a JSON ingest body of n events of 8 processes.
+func jsonBody(t testing.TB, n int) []byte {
+	body, err := json.Marshal(genWorkload(rand.New(rand.NewSource(int64(n))), 8, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestJSONDecodeAllocBudget pins the pooled JSON path's allocations: the
+// scanner interns op and kind and parses ids in place, and the body,
+// batch and encoding buffers are recycled, so a 64-event batch costs
+// what the call does — the release closure and its sync.Once — and
+// nothing per event. A lost pool costs at least three more.
 func TestJSONDecodeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; alloc counts are noise there")
 	}
-	var body bytes.Buffer
-	body.WriteByte('[')
-	for i := 0; i < 64; i++ {
-		if i > 0 {
-			body.WriteByte(',')
-		}
-		fmt.Fprintf(&body, `{"op":"send","proc":0,"peer":1,"msg":%d}`, i)
-	}
-	body.WriteByte(']')
-	raw := body.Bytes()
-
-	// Warm the pool so steady state is measured.
+	raw := jsonBody(t, 64)
 	r := bytes.NewReader(raw)
+	// Warm the pool so steady state is measured.
 	if _, release, err := DecodeEventsPooled(r, 128); err != nil {
 		t.Fatalf("warmup: %v", err)
 	} else {
@@ -79,13 +82,124 @@ func TestJSONDecodeAllocBudget(t *testing.T) {
 		}
 		release()
 	})
-	// Unpooled, the same decode costs ~90 allocations (body growth chain,
-	// batch slice growth, per-event strings). Pooled steady state
-	// measures ~70; gate at 80 to catch a regression to per-request
-	// buffers without flaking on runtime noise.
-	if avg > 80 {
-		t.Fatalf("pooled JSON decode costs %.1f allocs for 64 events, budget 80", avg)
+	if avg > 4 {
+		t.Fatalf("pooled JSON decode costs %.1f allocs for 64 events, budget 4", avg)
 	}
+}
+
+// TestIngestHandlerAllocs: one POST of events through the ingest handler
+// costs as many allocations for 128 events as for 8 — the request, the
+// response and the batch's record, never a share per event. The
+// session's worker is parked, so only the handler is counted.
+func TestIngestHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; alloc counts are noise there")
+	}
+	svc, _ := testService(t, Config{QueueDepth: 1024})
+	sess := mustCreate(t, svc, "allocs", 8)
+	gate := make(chan struct{})
+	defer close(gate)
+	if err := sess.enqueue(batch{gate: gate}); err != nil {
+		t.Fatalf("gate batch: %v", err)
+	}
+	waitFor(t, func() bool { return len(sess.queue) == 0 })
+	h := NewHandler(svc)
+	allocs := func(events int) float64 {
+		body := jsonBody(t, events)
+		return testing.AllocsPerRun(100, func() {
+			req := httptest.NewRequest(http.MethodPost, "/v1/sessions/allocs/events", bytes.NewReader(body))
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			if w.Code != http.StatusAccepted {
+				t.Fatalf("POST %d events: %d %s", events, w.Code, w.Body)
+			}
+		})
+	}
+	small, large := allocs(8), allocs(128)
+	if large > small {
+		t.Fatalf("ingest costs %.1f allocs for 8 events and %.1f for 128: it grows with the batch", small, large)
+	}
+	t.Logf("ingest costs %.1f allocs for 8 events, %.1f for 128", small, large)
+}
+
+// TestIngestRejectionsUnchanged: for bodies the ingest handler refuses,
+// the handler answers with the status, and counts the refused events
+// under the reasons, that the handler before the scanner did when fed by
+// the encoding/json oracle and Enqueue (oracleIngest).
+func TestIngestRejectionsUnchanged(t *testing.T) {
+	cfg := Config{MaxBatch: 4, MaxBody: 512}
+	type side struct {
+		reg *obs.Registry
+		h   http.Handler
+	}
+	var sides [2]side
+	for i := range sides {
+		svc, reg := testService(t, cfg)
+		mustCreate(t, svc, "s", 2)
+		sealed := mustCreate(t, svc, "sealed", 2)
+		if err := sealed.Seal(context.Background()); err != nil {
+			t.Fatalf("seal: %v", err)
+		}
+		h := NewHandler(svc)
+		if i == 1 {
+			mux := http.NewServeMux()
+			mux.HandleFunc("POST /v1/sessions/{id}/events", (&api{svc: svc}).oracleIngest)
+			h = mux
+		}
+		sides[i] = side{reg, h}
+	}
+	checkpoints := func(n int) string {
+		return "[" + strings.TrimSuffix(strings.Repeat(`{"op":"checkpoint","proc":0},`, n), ",") + "]"
+	}
+	for _, tc := range []struct {
+		name, session, body string
+		undeclared          bool // no Content-Length: MaxBytesReader finds the oversize
+	}{
+		{"syntax", "s", `[{"op":"checkpoint",`, false},
+		{"type", "s", `{"op":"checkpoint","proc":"1"}`, false},
+		{"empty", "s", ``, false},
+		{"blank", "s", " \n\t", false},
+		{"empty batch", "s", `[]`, false},
+		{"over MaxBatch", "s", checkpoints(5), false},
+		{"over MaxBody", "s", checkpoints(30), false},
+		{"over MaxBody undeclared", "s", checkpoints(30), true},
+		{"bad kind", "s", `{"op":"checkpoint","proc":0,"kind":"initial"}`, false},
+		{"bad op in a batch", "s", `[{"op":"checkpoint","proc":0},{"op":"reset","proc":0}]`, false},
+		{"negative id", "s", `{"op":"send","proc":0,"peer":1,"msg":-1}`, false},
+		{"sealed session", "sealed", checkpoints(3), false},
+		{"unknown session", "nobody", checkpoints(1), false},
+		{"accepted", "s", checkpoints(4), false},
+	} {
+		var status [2]int
+		var deltas [2]map[string]int64
+		for i, sd := range sides {
+			before := rejections(sd.reg)
+			req := httptest.NewRequest(http.MethodPost, "/v1/sessions/"+tc.session+"/events", strings.NewReader(tc.body))
+			if tc.undeclared {
+				req.ContentLength = -1
+			}
+			w := httptest.NewRecorder()
+			sd.h.ServeHTTP(w, req)
+			status[i], deltas[i] = w.Code, rejections(sd.reg)
+			for reason, n := range before {
+				deltas[i][reason] -= n
+			}
+		}
+		if status[0] != status[1] || !reflect.DeepEqual(deltas[0], deltas[1]) {
+			t.Errorf("%s: status %d, rejected %v; the oracle's handler: %d, %v",
+				tc.name, status[0], deltas[0], status[1], deltas[1])
+		}
+	}
+}
+
+// rejections reads rdt_service_events_rejected_total by reason.
+func rejections(reg *obs.Registry) map[string]int64 {
+	snap := reg.Snapshot()
+	out := make(map[string]int64)
+	for _, reason := range []string{reasonInvalid, reasonBackpressure, reasonSealed, reasonFailed, reasonDegraded} {
+		out[reason] = snap.CounterValue("rdt_service_events_rejected_total", "reason", reason)
+	}
+	return out
 }
 
 func TestIngestBodyLimit(t *testing.T) {

@@ -22,41 +22,77 @@ import (
 	"github.com/rdt-go/rdt/internal/vtime"
 )
 
+// TestDecodeEvents is the JSON ingest decoder's compatibility table: one
+// row per rule of encoding/json's that the scanner keeps. Each row's
+// outcome is the oracle's (the encoding/json decoder the scanner
+// replaced), and the scanner must agree with it on the events and the
+// record as well.
 func TestDecodeEvents(t *testing.T) {
 	cases := []struct {
-		name    string
-		body    string
-		want    int
-		wantErr bool
+		name string
+		body string
+		want int // events decoded; 0 for a refusal
 	}{
-		{"single object", `{"op":"checkpoint","proc":1}`, 1, false},
-		{"single send", `{"op":"send","proc":0,"peer":1,"msg":7}`, 1, false},
-		{"array", `[{"op":"send","proc":0,"peer":1,"msg":0},{"op":"deliver","msg":0,"proc":1}]`, 2, false},
-		{"forced kind", `{"op":"checkpoint","proc":0,"kind":"forced"}`, 1, false},
-		{"empty body", ``, 0, true},
-		{"empty array", `[]`, 0, true},
-		{"trailing garbage", `{"op":"checkpoint","proc":0} {"op":"checkpoint","proc":1}`, 0, true},
-		{"unknown op", `{"op":"rollback","proc":0}`, 0, true},
-		{"bad kind", `{"op":"checkpoint","proc":0,"kind":"initial"}`, 0, true},
-		{"kind on send", `{"op":"send","proc":0,"peer":1,"msg":0,"kind":"basic"}`, 0, true},
-		{"negative proc", `{"op":"checkpoint","proc":-1}`, 0, true},
-		{"negative msg", `{"op":"deliver","msg":-4}`, 0, true},
-		{"not json", `checkpoint please`, 0, true},
+		{"single object", `{"op":"checkpoint","proc":1}`, 1},
+		{"single send", `{"op":"send","proc":0,"peer":1,"msg":7}`, 1},
+		{"array", `[{"op":"send","proc":0,"peer":1,"msg":0},{"op":"deliver","msg":0,"proc":1}]`, 2},
+		{"forced kind", `{"op":"checkpoint","proc":0,"kind":"forced"}`, 1},
+		{"empty body", ``, 0},
+		{"empty array", `[]`, 0},
+		{"trailing garbage", `{"op":"checkpoint","proc":0} {"op":"checkpoint","proc":1}`, 0},
+		{"unknown op", `{"op":"rollback","proc":0}`, 0},
+		{"bad kind", `{"op":"checkpoint","proc":0,"kind":"initial"}`, 0},
+		{"kind on send", `{"op":"send","proc":0,"peer":1,"msg":0,"kind":"basic"}`, 0},
+		{"negative proc", `{"op":"checkpoint","proc":-1}`, 0},
+		{"negative msg", `{"op":"deliver","msg":-4}`, 0},
+		{"not json", `checkpoint please`, 0},
+
+		{"mixed-case keys", `{"OP":"send","Proc":0,"pEER":1,"MSG":2}`, 1},
+		{"Kind", `{"op":"checkpoint","proc":0,"Kind":"forced"}`, 1},
+		{"kind with a Kelvin sign", "{\"op\":\"checkpoint\",\"proc\":0,\"\u212aind\":\"forced\"}", 1},
+		{"kind with an escaped Kelvin sign", `{"op":"checkpoint","proc":0,"\u212aind":"forced"}`, 1},
+		{"msg with a long s", "{\"op\":\"deliver\",\"m\u017fg\":3}", 1},
+		{"unknown field holding nested arrays", `{"op":"checkpoint","x":[[1,[2.5e3,{"y":[null,true]}]],[]],"proc":0}`, 1},
+		{"unknown field with bad syntax", `{"op":"checkpoint","x":[[1,]],"proc":0}`, 0},
+		{"unknown field with every escape", `{"op":"checkpoint","x":"\"\\\/\b\f\n\r\t\u00e9","proc":0}`, 1},
+		{"unknown field with a bad escape", `{"op":"checkpoint","x":"a\qb","proc":0}`, 0},
+		{"unknown field with a raw tab", "{\"op\":\"checkpoint\",\"x\":\"a\tb\",\"proc\":0}", 0},
+		{"null field", `{"op":"send","proc":0,"peer":null,"msg":1}`, 1},
+		{"null op", `{"op":null,"proc":0}`, 0},
+		{"null element", `[{"op":"checkpoint","proc":0},null]`, 0},
+		{"null body", `null`, 0},
+		{"duplicate key", `{"op":"deliver","op":"checkpoint","proc":3}`, 1},
+		{"duplicate key then null", `{"op":"checkpoint","op":null,"proc":3}`, 1},
+		{"escaped send", `{"op":"\u0073end","proc":0,"peer":1,"msg":2}`, 1},
+		{"escaped forced", `{"op":"checkpoint","kind":"\u0066orced","proc":0}`, 1},
+		{"op with invalid UTF-8", "{\"op\":\"send\xff\",\"proc\":0}", 0},
+		{"id 1.0", `{"op":"checkpoint","proc":1.0}`, 0},
+		{"id 1e2", `{"op":"checkpoint","proc":1e2}`, 0},
+		{"id as a string", `{"op":"checkpoint","proc":"1"}`, 0},
+		{"id -0", `{"op":"checkpoint","proc":-0}`, 1},
+		{"id of 20 digits", `{"op":"deliver","msg":12345678901234567890}`, 0},
+		{"id at int64's max", `{"op":"deliver","msg":9223372036854775807}`, 1},
+		{"id past int64's max", `{"op":"deliver","msg":9223372036854775808}`, 0},
+		{"id with a leading zero", `{"op":"checkpoint","proc":01}`, 0},
+		{"id as a bool", `{"op":"checkpoint","proc":true}`, 0},
+		{"op as a number", `{"op":1,"proc":0}`, 0},
+		{"NBSP around the body", "\u00a0{\"op\":\"checkpoint\",\"proc\":0}\u00a0", 1},
+		{"NBSP inside the body", "{\"op\":\"checkpoint\",\u00a0\"proc\":0}", 0},
+		{"trailing comma in an array", `[{"op":"checkpoint","proc":0},]`, 0},
+		{"trailing comma in an object", `{"op":"checkpoint","proc":0,}`, 0},
+		{"trailing data after an array", `[{"op":"checkpoint","proc":0}] []`, 0},
+		{"element not an object", `[{"op":"checkpoint","proc":0},1]`, 0},
+		{"nested at the depth limit", deepJSON(maxJSONDepth - 1), 1},
+		{"nested past the depth limit", deepJSON(maxJSONDepth), 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			events, err := DecodeEvents(strings.NewReader(tc.body), 16)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("decoded %v, want error", events)
-				}
-				return
+			want, err := oracleDecode(strings.NewReader(tc.body), 16)
+			if len(want) != tc.want {
+				t.Fatalf("the oracle decodes %d events (%v), the row says %d", len(want), err, tc.want)
 			}
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if len(events) != tc.want {
-				t.Fatalf("decoded %d events, want %d", len(events), tc.want)
+			if accepted := decodeDiff(t, []byte(tc.body), 16); accepted != (tc.want > 0) {
+				t.Fatalf("accepted %v, want %v", accepted, tc.want > 0)
 			}
 		})
 	}
