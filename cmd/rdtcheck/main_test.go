@@ -129,23 +129,28 @@ func TestCheckDOT(t *testing.T) {
 
 func TestCheckErrors(t *testing.T) {
 	path := figureFile(t)
-	tests := [][]string{
-		{},                       // no file
-		{"a.json", "b.json"},     // too many
-		{"missing.json"},         // unreadable
-		{"-min", "zzz", path},    // bad checkpoint syntax
-		{"-min", "0", path},      // bad checkpoint arity
-		{"-min", "0,99", path},   // out of range
-		{"-max", "1,x", path},    // bad index
-		{"-line", "1,2", path},   // wrong arity
-		{"-line", "a,b,c", path}, // non-numeric
-		{"-line", "9,9,9", path}, // out of range
-		{"-unknown"},             // bad flag
+	tests := []struct {
+		args []string
+		want string // a substring of the error, when the case pins one
+	}{
+		{[]string{}, ""},                       // no file
+		{[]string{"a.json", "b.json"}, ""},     // too many
+		{[]string{"missing.json"}, ""},         // unreadable
+		{[]string{"-min", "zzz", path}, ""},    // bad checkpoint syntax
+		{[]string{"-min", "0", path}, ""},      // bad checkpoint arity
+		{[]string{"-min", "0,99", path}, ""},   // out of range
+		{[]string{"-max", "1,x", path}, ""},    // bad index
+		{[]string{"-line", "1,2", path}, ""},   // wrong arity
+		{[]string{"-line", "a,b,c", path}, ""}, // non-numeric
+		{[]string{"-line", "9,9,9", path}, ""}, // out of range
+		{[]string{"-unknown"}, ""},             // bad flag
+		// A message from P1 to P1: refused as the daemon refuses the send.
+		{[]string{"../../internal/trace/testdata/self_message.json"}, "message 1 from process 1 to itself"},
 	}
-	for _, args := range tests {
+	for _, tt := range tests {
 		var out bytes.Buffer
-		if err := run(args, &out); err == nil {
-			t.Errorf("args %v accepted", args)
+		if err := run(tt.args, &out); err == nil || !strings.Contains(err.Error(), tt.want) {
+			t.Errorf("args %v: %v, want an error saying %q", tt.args, err, tt.want)
 		}
 	}
 }

@@ -165,6 +165,8 @@ func TestValidateRejectsCorruptPatterns(t *testing.T) {
 		{"tdv length", func(p *Pattern) { p.Checkpoints[0][1].TDV = []int{1, 2, 3} }, ""},
 		{"duplicate message id", func(p *Pattern) { p.Messages = append(p.Messages, p.Messages[0]) }, ""},
 		{"message proc range", func(p *Pattern) { p.Messages[0].To = 9 }, ""},
+		{"self message", func(p *Pattern) { p.Messages[0].To = p.Messages[0].From },
+			"message 0 from process 0 to itself"},
 		{"interval zero", func(p *Pattern) { p.Messages[0].SendInterval = 0 }, ""},
 		{"interval beyond", func(p *Pattern) { p.Messages[0].DeliverInterval = 9 }, ""},
 		{"send after interval checkpoint", func(p *Pattern) { p.Messages[0].SendSeq = 99 }, ""},

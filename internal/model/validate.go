@@ -20,7 +20,7 @@ var ErrInvalidPattern = errors.New("invalid pattern")
 //     at least 1, and interval annotations consistent with the event
 //     sequence numbers: an event with sequence s in interval x must satisfy
 //     Seq(C_{i,x-1}) < s and, if C_{i,x} exists, s < Seq(C_{i,x});
-//   - message IDs are unique.
+//   - message IDs are unique, and no message goes to its own sender.
 func (p *Pattern) Validate() error {
 	if p.N <= 0 {
 		return fmt.Errorf("%w: no processes", ErrInvalidPattern)
@@ -64,6 +64,9 @@ func (p *Pattern) Validate() error {
 		}
 		if err := p.checkProc(m.To); err != nil {
 			return fmt.Errorf("message %d to: %w", m.ID, err)
+		}
+		if m.From == m.To {
+			return fmt.Errorf("%w: message %d from process %d to itself", ErrInvalidPattern, m.ID, m.From)
 		}
 	}
 

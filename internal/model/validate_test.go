@@ -64,6 +64,9 @@ func validateBySort(p *Pattern) error {
 		if err := p.checkProc(m.To); err != nil {
 			return fmt.Errorf("message %d to: %w", m.ID, err)
 		}
+		if m.From == m.To {
+			return fmt.Errorf("%w: message %d from process %d to itself", ErrInvalidPattern, m.ID, m.From)
+		}
 		eps = append(eps,
 			endpoint{proc: m.From, seq: m.SendSeq, interval: m.SendInterval, what: "send", id: m.ID},
 			endpoint{proc: m.To, seq: m.DeliverSeq, interval: m.DeliverInterval, what: "delivery", id: m.ID},
@@ -143,13 +146,13 @@ func builderPattern(tb testing.TB, rng *rand.Rand, n, steps int) *Pattern {
 }
 
 // corrupt applies one random damage to p: a field of a message or a
-// checkpoint set to a nearby, extreme or borrowed value, or a message
-// duplicated.
+// checkpoint set to a nearby, extreme or borrowed value, a message
+// duplicated or sent to its own process.
 func corrupt(rng *rand.Rand, p *Pattern) {
 	near := func(v int) int { return v + rng.Intn(5) - 2 }
 	m := &p.Messages[rng.Intn(len(p.Messages))]
 	other := &p.Messages[rng.Intn(len(p.Messages))]
-	switch rng.Intn(11) {
+	switch rng.Intn(12) {
 	case 0: // an event of the same process: the shared-seq branch
 		if m.From == other.To {
 			m.SendSeq = other.DeliverSeq
@@ -181,6 +184,8 @@ func corrupt(rng *rand.Rand, p *Pattern) {
 	case 10:
 		cs := p.Checkpoints[rng.Intn(p.N)]
 		cs[rng.Intn(len(cs))].Seq = near(cs[rng.Intn(len(cs))].Seq)
+	case 11:
+		m.To = m.From
 	}
 }
 

@@ -141,11 +141,11 @@ func DecodeIncremental(data []byte) (*Incremental, error) {
 		inc.events[i] = r.IntMax(2 * inc.nextMsg) // sends + deliveries
 	}
 	// Deliver indexes the node table with an in-flight entry's send
-	// interval and hands out nextMsg as the next handle.
+	// interval, and Send hands out nextMsg and never a self-message.
 	for h, pe := range inc.flight {
-		if h >= inc.nextMsg || pe.sendInterval > inc.nextIndex[pe.from] {
-			return nil, fmt.Errorf("decode checker: in-flight message %d (interval %d of process %d) was never sent",
-				h, pe.sendInterval, pe.from)
+		if h >= inc.nextMsg || pe.sendInterval > inc.nextIndex[pe.from] || pe.from == pe.to {
+			return nil, fmt.Errorf("decode checker: in-flight message %d (interval %d of process %d to %d) was never sent",
+				h, pe.sendInterval, pe.from, pe.to)
 		}
 	}
 	numNodes := r.IntMax(maxDecodeNodes)

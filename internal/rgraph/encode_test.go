@@ -150,9 +150,9 @@ func TestDecodeIncrementalRejectsCorrupt(t *testing.T) {
 		t.Fatal("trailing byte accepted")
 	}
 	// An in-flight entry naming a send interval its sender has not
-	// reached (Deliver indexes the node table with it) or carrying a
-	// handle Send has yet to hand out, and an event count one delivery
-	// short of wrapping negative.
+	// reached (Deliver indexes the node table with it), carrying a handle
+	// Send has yet to hand out or going from a process to itself, and an
+	// event count one delivery short of wrapping negative.
 	for name, corrupt := range map[string]func(c *Incremental, h int){
 		"send interval past the open one": func(c *Incremental, h int) {
 			pe := c.flight[h]
@@ -162,6 +162,11 @@ func TestDecodeIncrementalRejectsCorrupt(t *testing.T) {
 		"handle never handed out": func(c *Incremental, h int) {
 			c.flight[c.nextMsg] = c.flight[h]
 			delete(c.flight, h)
+		},
+		"self-message": func(c *Incremental, h int) {
+			pe := c.flight[h]
+			pe.to = pe.from
+			c.flight[h] = pe
 		},
 		"event count near overflow": func(c *Incremental, h int) {
 			c.events[c.flight[h].to] = math.MaxInt

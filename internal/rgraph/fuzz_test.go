@@ -47,6 +47,13 @@ func FuzzDecodeIncremental(f *testing.F) {
 	f.Add(violating.AppendBinary(nil))
 	violating.Seal()
 	f.Add(violating.AppendBinary(nil))
+	// A valid encoding whose one in-flight entry has its receiver
+	// rewritten to its sender: a self-message, which Send never records.
+	self, m := zigzag()
+	pe := self.flight[m]
+	pe.to = pe.from
+	self.flight[m] = pe
+	f.Add(self.AppendBinary(nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inc, err := DecodeIncremental(data)

@@ -211,13 +211,17 @@ func (inc *Incremental) close(i model.ProcID) (model.CkptID, []int) {
 
 // Send records that process from sent a message to process to in from's
 // open interval, stamping it with from's running vector. It returns a
-// handle to pass to Deliver exactly once.
+// handle to pass to Deliver exactly once. A send to itself is refused,
+// and like every refused event leaves the checker as it was.
 func (inc *Incremental) Send(from, to model.ProcID) (int, error) {
 	if inc.sealed {
 		return 0, fmt.Errorf("rgraph: incremental checker is sealed")
 	}
 	if int(from) < 0 || int(from) >= inc.n || int(to) < 0 || int(to) >= inc.n {
 		return 0, fmt.Errorf("rgraph: send %d -> %d: process out of range [0,%d)", from, to, inc.n)
+	}
+	if from == to {
+		return 0, fmt.Errorf("rgraph: send %d -> %d: a process cannot message itself", from, to)
 	}
 	h := inc.nextMsg
 	inc.nextMsg++

@@ -1,6 +1,7 @@
 package rgraph
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
@@ -161,6 +162,43 @@ func TestIncrementalErrors(t *testing.T) {
 	}
 	if err := inc.Deliver(0); err == nil {
 		t.Fatal("deliver after seal should fail")
+	}
+}
+
+// TestIncrementalRefusalChangesNothing: an event the checker refuses — a
+// self-message above all, which would put a self edge in its R-graph —
+// leaves it byte for byte as it was.
+func TestIncrementalRefusalChangesNothing(t *testing.T) {
+	inc, err := NewIncremental(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Send(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := inc.Checkpoint(2); err != nil {
+		t.Fatal(err)
+	}
+	before := inc.AppendBinary(nil)
+	for _, ev := range []struct {
+		name  string
+		apply func() error
+	}{
+		{"self-message", func() error { _, err := inc.Send(1, 1); return err }},
+		{"self-message of a process with one in flight", func() error { _, err := inc.Send(0, 0); return err }},
+		{"send to an out-of-range process", func() error { _, err := inc.Send(0, 3); return err }},
+		{"checkpoint of an out-of-range process", func() error { _, _, err := inc.Checkpoint(-1); return err }},
+		{"delivery of an unknown handle", func() error { return inc.Deliver(7) }},
+	} {
+		if err := ev.apply(); err == nil {
+			t.Fatalf("%s accepted", ev.name)
+		}
+		if !bytes.Equal(inc.AppendBinary(nil), before) {
+			t.Fatalf("refused %s changed the checker", ev.name)
+		}
+	}
+	if _, err := DecodeIncremental(before); err != nil {
+		t.Fatalf("the checker's bytes do not decode: %v", err)
 	}
 }
 

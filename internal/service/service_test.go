@@ -212,24 +212,69 @@ func compareVerdict(t *testing.T, v *Verdict, rep *rgraph.Report) {
 	}
 }
 
+// TestSessionFailurePoisons: an event the checker or the service
+// refuses poisons the session — a memory one, a durable one, and that
+// one after Recover — counts one invalid rejection, and leaves an error
+// the replay reproduces word for word. A process range and a self-send
+// are the checker's to refuse; a send reusing an id that is no longer
+// in flight, the service's.
 func TestSessionFailurePoisons(t *testing.T) {
-	svc, reg := testService(t, Config{})
-	sess := mustCreate(t, svc, "bad", 2)
-	if err := sess.Enqueue([]Event{{Op: OpCheckpoint, Proc: 5}}); err != nil {
-		t.Fatalf("enqueue: %v", err)
+	tests := []struct {
+		name   string
+		events []Event
+		want   string
+	}{
+		{"checkpoint out of range", []Event{{Op: OpCheckpoint, Proc: 5}},
+			"rgraph: checkpoint: process 5 out of range [0,2)"},
+		{"self send", []Event{{Op: OpCheckpoint, Proc: 0}, {Op: OpSend, Proc: 1, Peer: 1, Msg: 0}},
+			"rgraph: send 1 -> 1: a process cannot message itself"},
+		{"reuse of a delivered id", []Event{{Op: OpSend, Proc: 0, Peer: 1, Msg: 3}, {Op: OpDeliver, Msg: 3}, {Op: OpSend, Proc: 1, Peer: 0, Msg: 3}},
+			"send: message id 3 already used"},
 	}
-	if err := flush(t, sess); err != nil {
-		t.Fatalf("flush after poison: %v", err)
-	}
-	v := sess.Verdict(0)
-	if v.State != StateFailed || v.Error == "" {
-		t.Fatalf("state %q error %q, want failed with an error", v.State, v.Error)
-	}
-	if err := sess.Enqueue([]Event{{Op: OpCheckpoint, Proc: 0}}); !errors.Is(err, ErrFailed) {
-		t.Fatalf("ingest into failed session: %v, want ErrFailed", err)
-	}
-	if got := reg.Snapshot().CounterValue("rdt_service_events_rejected_total", "reason", "invalid"); got < 1 {
-		t.Fatalf("rejected{invalid} = %d, want >= 1", got)
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			dir := t.TempDir()
+			mem, memReg := testService(t, Config{})
+			dur, durReg := newDurableService(dir)
+			var errs []string
+			for _, c := range []struct {
+				svc *Service
+				reg *obs.Registry
+			}{{mem, memReg}, {dur, durReg}} {
+				sess := mustCreate(t, c.svc, "bad", 2)
+				if err := sess.Enqueue(tt.events); err != nil {
+					t.Fatalf("enqueue: %v", err)
+				}
+				if err := flush(t, sess); err != nil {
+					t.Fatalf("flush after poison: %v", err)
+				}
+				v := sess.Verdict(0)
+				if v.State != StateFailed || !strings.Contains(v.Error, tt.want) || v.EventsApplied != int64(len(tt.events)-1) {
+					t.Fatalf("state %q error %q after %d events, want failed with %q after %d",
+						v.State, v.Error, v.EventsApplied, tt.want, len(tt.events)-1)
+				}
+				if err := sess.Enqueue([]Event{{Op: OpCheckpoint, Proc: 0}}); !errors.Is(err, ErrFailed) {
+					t.Fatalf("ingest into failed session: %v, want ErrFailed", err)
+				}
+				if got := c.reg.Snapshot().CounterValue("rdt_service_events_rejected_total", "reason", "invalid"); got != 1 {
+					t.Fatalf("rejected{invalid} = %d, want 1", got)
+				}
+				errs = append(errs, v.Error)
+			}
+			drainNow(t, dur)
+			rec, _ := newDurableService(dir)
+			defer drainNow(t, rec)
+			if _, err := rec.Recover(); err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			sess, err := rec.Session("bad")
+			if err != nil {
+				t.Fatalf("session after recovery: %v", err)
+			}
+			if v := sess.Verdict(0); v.State != StateFailed || v.Error != errs[1] || errs[0] != errs[1] {
+				t.Fatalf("after replay: state %q error %q; live errors %q", v.State, v.Error, errs)
+			}
+		})
 	}
 }
 

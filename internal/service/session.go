@@ -81,7 +81,6 @@ type Session struct {
 	strmSeq map[string]uint64
 
 	mu      sync.Mutex
-	sealed  bool
 	failErr error // first apply error; poisons further ingestion
 	dur     *durableSession
 	inc     *rgraph.Incremental
@@ -103,10 +102,10 @@ type admission struct {
 	degradedErr error
 }
 
-// publishLocked refreshes the admission view; call it wherever sealed,
-// failErr or the degraded flag change.
+// publishLocked refreshes the admission view; call it wherever the
+// checker seals, failErr or the degraded flag change.
 func (s *Session) publishLocked() {
-	a := &admission{sealed: s.sealed, failErr: s.failErr}
+	a := &admission{sealed: s.inc.Sealed(), failErr: s.failErr}
 	if s.dur != nil && s.dur.degraded {
 		a.degradedErr = s.dur.degradedErr
 	}
@@ -292,7 +291,7 @@ func (s *Session) commit(first batch) (next batch, held bool) {
 drain:
 	for i := 0; ; i++ {
 		q := &group[i]
-		q.mutates = (q.count > 0 && !s.sealed && s.failErr == nil) || (q.seal && !s.sealed)
+		q.mutates = (q.count > 0 && !s.inc.Sealed() && s.failErr == nil) || (q.seal && !s.inc.Sealed())
 		if q.mutates && (d == nil || !d.degraded) {
 			s.log = binenc.AppendBytes(s.log, q.raw)
 			records, bytes, events = records+1, bytes+len(q.raw), events+q.count
@@ -390,9 +389,8 @@ func (s *Session) applyBatchLocked(rec *record) error {
 			break
 		}
 	}
-	if err == nil && rec.seal && !s.sealed {
+	if err == nil && rec.seal && !s.inc.Sealed() {
 		s.inc.Seal()
-		s.sealed = true
 		s.publishLocked()
 	}
 	return err
@@ -402,7 +400,7 @@ func (s *Session) applyBatchLocked(rec *record) error {
 // error poisons the session: events already applied cannot be unwound,
 // so a partially applied stream must not pretend to be a coherent run.
 func (s *Session) applyLocked(ev *event) error {
-	if s.sealed {
+	if s.inc.Sealed() {
 		s.svc.reject(reasonSealed, 1)
 		return ErrSealed
 	}
@@ -420,24 +418,17 @@ func (s *Session) applyLocked(ev *event) error {
 	return nil
 }
 
+// applyOneLocked keeps the service's own rules — client message ids and
+// the checkpoint cap — and leaves every other one to the checker.
 func (s *Session) applyOneLocked(ev *event) error {
 	switch ev.op {
 	case opCheckpoint:
-		if ev.proc >= s.N {
-			return fmt.Errorf("checkpoint: process %d out of range [0,%d)", ev.proc, s.N)
-		}
 		if s.inc.NumCheckpoints() >= s.svc.cfg.MaxCheckpoints {
 			return fmt.Errorf("checkpoint limit %d reached; seal the session", s.svc.cfg.MaxCheckpoints)
 		}
 		_, _, err := s.inc.Checkpoint(model.ProcID(ev.proc))
 		return err
 	case opSend:
-		if ev.proc >= s.N || ev.peer >= s.N {
-			return fmt.Errorf("send %d -> %d: process out of range [0,%d)", ev.proc, ev.peer, s.N)
-		}
-		if ev.proc == ev.peer {
-			return fmt.Errorf("send %d -> %d: a process cannot message itself", ev.proc, ev.peer)
-		}
 		if s.usedMsg[ev.msg] {
 			return fmt.Errorf("send: message id %d already used", ev.msg)
 		}
@@ -728,7 +719,7 @@ func (s *Session) stateLocked() string {
 		return StateFailed
 	case s.dur != nil && s.dur.degraded:
 		return StateDegraded
-	case s.sealed:
+	case s.inc.Sealed():
 		return StateSealed
 	default:
 		return StateActive

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -23,6 +24,11 @@ func FuzzLoad(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte(strings.Replace(buf.String(), `"sendSeq": 1`, `"sendSeq": -7`, 1)))
+	selfMessage, err := os.ReadFile("testdata/self_message.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(selfMessage)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Load(bytes.NewReader(data))

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -95,11 +96,21 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsInvalid(t *testing.T) {
-	if _, err := Load(strings.NewReader("{")); err == nil {
-		t.Error("accepted truncated JSON")
+	selfMessage, err := os.ReadFile("testdata/self_message.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Load(strings.NewReader(`{"n":0}`)); err == nil {
-		t.Error("accepted invalid pattern")
+	for _, tt := range []struct {
+		name, data, want string
+	}{
+		{"truncated JSON", "{", ""},
+		{"no processes", `{"n":0}`, "no processes"},
+		// A message from P1 to P1, well placed in every other respect.
+		{"self-message", string(selfMessage), "message 1 from process 1 to itself"},
+	} {
+		if _, err := Load(strings.NewReader(tt.data)); err == nil || !strings.Contains(err.Error(), tt.want) {
+			t.Errorf("%s: Load = %v, want an error saying %q", tt.name, err, tt.want)
+		}
 	}
 }
 
