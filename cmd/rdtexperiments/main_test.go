@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -42,6 +45,45 @@ func TestRunQuickWithCSV(t *testing.T) {
 		if len(data) == 0 || !strings.Contains(string(data), ",") {
 			t.Errorf("artifact %s malformed", file)
 		}
+	}
+	checkQuickGolden(t, dir)
+}
+
+// checkQuickGolden compares the SHA-256 of every CSV the reduced grid
+// wrote with testdata/quick_csv.sha256, in sha256sum's format. The grid is
+// deterministic, so any change to a simulated pattern or to the analyses
+// shows here in a tier-1 run; the paper-scale CSVs under results/ are
+// checked only by the benchmark. Floating-point results are pinned to
+// amd64, where the committed results were made. To regenerate after an
+// intended change:
+//
+//	go run ./cmd/rdtexperiments -quick -csv /tmp/q >/dev/null &&
+//	(cd /tmp/q && sha256sum *.csv) > cmd/rdtexperiments/testdata/quick_csv.sha256
+func checkQuickGolden(t *testing.T, dir string) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Logf("quick-grid golden is pinned to amd64, skipped on %s", runtime.GOARCH)
+		return
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "quick_csv.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(files)
+	var got strings.Builder
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256(data), filepath.Base(f))
+	}
+	if got.String() != string(want) {
+		t.Errorf("quick-grid CSVs differ from testdata/quick_csv.sha256:\ngot:\n%swant:\n%s", got.String(), want)
 	}
 }
 
