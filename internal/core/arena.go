@@ -1,0 +1,55 @@
+package core
+
+import "github.com/rdt-go/rdt/internal/vclock"
+
+// arena carves the copies an instance hands out — the vector of every
+// checkpoint record, the vectors and matrix of every piggyback snapshot —
+// from chunks it allocates, so that one copy costs a slice of a chunk
+// instead of an allocation of its own. Nothing carved is written again,
+// and a chunk lives as long as anything carved from it, so records and
+// snapshots use separate arenas: a pattern that keeps every checkpoint's
+// vector does not keep the snapshots' chunks alive.
+type arena struct {
+	ints  []int
+	bools []bool
+	mats  []vclock.Matrix
+}
+
+// arenaCopies is how many copies of the largest piece a chunk holds.
+const arenaCopies = 64
+
+func (a *arena) vec(src vclock.Vec) vclock.Vec {
+	n := len(src)
+	if len(a.ints) < n {
+		a.ints = make([]int, arenaCopies*n)
+	}
+	v := a.ints[:n:n]
+	a.ints = a.ints[n:]
+	copy(v, src)
+	return v
+}
+
+func (a *arena) boolSlice(n int) []bool {
+	if len(a.bools) < n {
+		a.bools = make([]bool, arenaCopies*n)
+	}
+	b := a.bools[:n:n]
+	a.bools = a.bools[n:]
+	return b
+}
+
+func (a *arena) flags(src vclock.Bools) vclock.Bools {
+	b := a.boolSlice(len(src))
+	copy(b, src)
+	return b
+}
+
+func (a *arena) matrix(src *vclock.Matrix) *vclock.Matrix {
+	if len(a.mats) == 0 {
+		a.mats = make([]vclock.Matrix, arenaCopies)
+	}
+	m := &a.mats[0]
+	a.mats = a.mats[1:]
+	n := src.N()
+	return src.CloneInto(m, a.boolSlice(n*n))
+}

@@ -32,6 +32,10 @@ type base struct {
 	// state mutation (recordPred, OnArrival) invalidates it.
 	pbSnap   Piggyback
 	pbSnapOK bool
+
+	// recs and snaps hold the copies handed out in checkpoint records and
+	// in piggyback snapshots.
+	recs, snaps arena
 }
 
 func newBase(kind Kind, proc, n int, sink Sink) base {
@@ -82,7 +86,7 @@ func (b *base) recordPred(kind model.CheckpointKind, predicate string) {
 			Proc:      b.proc,
 			Index:     b.tdv[b.proc],
 			Kind:      kind,
-			TDV:       b.tdv.Clone(),
+			TDV:       b.recs.vec(b.tdv),
 			Predicate: predicate,
 		})
 	}
@@ -130,7 +134,7 @@ func (v *vector) OnSend(to int) (Piggyback, bool) {
 	v.sentTo[to] = true
 	v.events++
 	if !v.pbSnapOK {
-		v.pbSnap = Piggyback{TDV: v.tdv.Clone()}
+		v.pbSnap = Piggyback{TDV: v.snaps.vec(v.tdv)}
 		if v.kind == KindBCS {
 			v.pbSnap.SN = v.sn
 		}

@@ -72,9 +72,9 @@ func (b *bhmr) OnSend(to int) (Piggyback, bool) {
 	b.sentTo[to] = true
 	b.events++
 	if !b.pbSnapOK {
-		b.pbSnap = Piggyback{TDV: b.tdv.Clone(), Causal: b.causal.Clone()}
+		b.pbSnap = Piggyback{TDV: b.snaps.vec(b.tdv), Causal: b.snaps.matrix(b.causal)}
 		if b.simple != nil {
-			b.pbSnap.Simple = b.simple.Clone()
+			b.pbSnap.Simple = b.snaps.flags(b.simple)
 		}
 		b.pbSnapOK = true
 	}

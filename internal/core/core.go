@@ -168,7 +168,9 @@ type CheckpointRecord struct {
 	Proc  int
 	Index int
 	Kind  model.CheckpointKind
-	TDV   vclock.Vec // the vector recorded with the checkpoint
+	// TDV is the vector recorded with the checkpoint: a copy made for
+	// the sink that nothing writes again, so the sink may keep it.
+	TDV vclock.Vec
 
 	// Predicate names the visible condition that fired, for forced
 	// checkpoints ("C1", "C2", "C2'", "fdas", "fdi", "nras", "cbr",

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"github.com/rdt-go/rdt/internal/binenc"
 )
 
 // randomBuilder drives b through ops random events and returns the
@@ -106,6 +108,35 @@ func TestDecodeBuilderRejectsCorrupt(t *testing.T) {
 	if _, err := DecodeBuilder(append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
+	// Message ids the next Send could re-issue, or that two entries
+	// share, are rejected: the builder keeps one entry per id.
+	for _, tc := range []struct {
+		name      string
+		delivered [][]int // id, from, to, send interval, send seq, deliver interval, deliver seq
+		inFlight  [][]int // id, from, to, send interval, send seq
+		nextID    int
+	}{
+		{"in flight at the next id", nil, [][]int{{0, 0, 1, 1, 1}}, 0},
+		{"in flight above the next id", nil, [][]int{{3, 0, 1, 1, 1}}, 2},
+		{"delivered above the next id", [][]int{{1, 0, 1, 1, 1, 1, 1}}, nil, 1},
+		{"in flight twice", nil, [][]int{{0, 0, 1, 1, 1}, {0, 1, 0, 1, 1}}, 1},
+		{"delivered twice", [][]int{{0, 0, 1, 1, 1, 1, 1}, {0, 0, 1, 1, 1, 1, 1}}, nil, 1},
+		{"delivered and in flight", [][]int{{0, 0, 1, 1, 1, 1, 1}}, [][]int{{0, 0, 1, 1, 2}}, 1},
+	} {
+		enc := rawBuilder(tc.delivered, tc.inFlight, tc.nextID)
+		if _, err := DecodeBuilder(enc); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// The same encoding with a next id above every listed one is fine,
+	// and a later Send issues that next id.
+	dec, err := DecodeBuilder(rawBuilder(nil, [][]int{{0, 0, 1, 1, 1}}, 1))
+	if err != nil {
+		t.Fatalf("valid hand-made encoding rejected: %v", err)
+	}
+	if id := dec.Send(0, 1); id != 1 || dec.InFlight() != 2 {
+		t.Errorf("Send after decode: id %d with %d in flight, want id 1 with 2", id, dec.InFlight())
+	}
 	// Single-byte corruption is either rejected or yields a builder that
 	// still re-encodes cleanly (a flip can land in a don't-care value,
 	// e.g. a seq number); it must never panic.
@@ -116,4 +147,29 @@ func TestDecodeBuilderRejectsCorrupt(t *testing.T) {
 			dec.AppendBinary(nil)
 		}
 	}
+}
+
+// rawBuilder encodes a two-process builder, each process at its initial
+// checkpoint with sequence counters at 3, holding the given message
+// entries and next id as AppendBinary lays them out.
+func rawBuilder(delivered, inFlight [][]int, nextID int) []byte {
+	buf := append([]byte(nil), builderMagic...)
+	buf = binenc.AppendInt(buf, 2)
+	buf = binenc.AppendInt(buf, 3)
+	buf = binenc.AppendInt(buf, 3)
+	for i := 0; i < 2; i++ {
+		buf = binenc.AppendInt(buf, 1)
+		buf = binenc.AppendInt(buf, 0)
+		buf = append(buf, byte(KindInitial))
+		buf = binenc.AppendBool(buf, false)
+	}
+	for _, list := range [][][]int{delivered, inFlight} {
+		buf = binenc.AppendInt(buf, len(list))
+		for _, m := range list {
+			for _, v := range m {
+				buf = binenc.AppendInt(buf, v)
+			}
+		}
+	}
+	return binenc.AppendInt(buf, nextID)
 }

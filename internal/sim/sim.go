@@ -12,11 +12,11 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"github.com/rdt-go/rdt/internal/core"
 	"github.com/rdt-go/rdt/internal/model"
@@ -107,6 +107,8 @@ type Workload interface {
 	Name() string
 	// Start schedules the workload's initial activity.
 	Start(e *Engine)
+	// OnWake runs a wake-up the workload scheduled with Engine.Wake.
+	OnWake(e *Engine, proc, tag int)
 	// OnDeliver is invoked after every message delivery, so request/reply
 	// workloads can react.
 	OnDeliver(e *Engine, d Delivery)
@@ -137,32 +139,21 @@ func Run(cfg Config, w Workload) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		builder: model.NewBuilder(cfg.N),
-		w:       w,
-	}
-	if cfg.Obs != nil || cfg.Tracer != nil {
-		e.obs = newEngineObs(cfg.Obs, cfg.Tracer, cfg.Protocol)
-	}
-	e.insts = make([]core.Instance, cfg.N)
+	e := newEngine(cfg, w)
+	defer e.release()
+	sink := e.sink
 	for i := 0; i < cfg.N; i++ {
-		inst, err := core.New(cfg.Protocol, i, cfg.N, e.sink)
+		inst, err := core.New(cfg.Protocol, i, cfg.N, sink)
 		if err != nil {
 			return nil, err
 		}
-		e.insts[i] = inst
+		e.insts = append(e.insts, inst)
 	}
 	w.Start(e)
 	for i := 0; i < cfg.N; i++ {
 		e.scheduleBasic(i)
 	}
-	for e.pq.Len() > 0 {
-		item := heap.Pop(&e.pq).(*eventItem)
-		e.now = item.at
-		e.dispatch(item)
-	}
+	e.loop()
 	pattern, err := e.builder.Finalize()
 	if err != nil {
 		return nil, fmt.Errorf("run %v/%s: %w", cfg.Protocol, w.Name(), err)
@@ -176,18 +167,45 @@ func Run(cfg Config, w Workload) (*Result, error) {
 	}, nil
 }
 
-// Engine is the event loop handed to workloads.
+// Engine is the event loop handed to workloads. It is valid only during
+// the run it is handed to: Run recycles it for later runs.
 type Engine struct {
 	cfg     Config
 	rng     *rand.Rand
 	now     float64
-	seq     int64
-	pq      eventHeap
-	free    []*eventItem // recycled event items (hot-path scratch)
+	q       eventQueue
 	builder *model.Builder
 	insts   []core.Instance
 	w       Workload
 	obs     *engineObs // nil when observability is off
+}
+
+// engines recycles engines across runs: a run's event slab and builder
+// buffers serve the next one, since Finalize copies what it returns.
+var engines sync.Pool
+
+func newEngine(cfg Config, w Workload) *Engine {
+	e, _ := engines.Get().(*Engine)
+	if e == nil {
+		e = &Engine{rng: rand.New(rand.NewSource(cfg.Seed)), builder: model.NewBuilder(cfg.N)}
+	} else {
+		e.rng.Seed(cfg.Seed)
+		e.builder.Reset(cfg.N)
+	}
+	e.cfg, e.w, e.now = cfg, w, 0
+	e.q.reset()
+	if cfg.Obs != nil || cfg.Tracer != nil {
+		e.obs = newEngineObs(cfg.Obs, cfg.Tracer, cfg.Protocol)
+	}
+	return e
+}
+
+// release drops the run's references and returns the engine to the pool.
+func (e *Engine) release() {
+	clear(e.insts)
+	e.insts = e.insts[:0]
+	e.cfg, e.w, e.obs = Config{}, nil, nil
+	engines.Put(e)
 }
 
 // engineObs bundles the pre-created series of one run, labeled by
@@ -255,47 +273,31 @@ func (e *Engine) Exp(mean float64) float64 {
 	return -mean * math.Log(1-e.rng.Float64())
 }
 
-// newItem takes an event item from the freelist (or allocates one) and
-// stamps its time and tie-breaking sequence number.
-func (e *Engine) newItem(at float64) *eventItem {
-	var item *eventItem
-	if n := len(e.free); n > 0 {
-		item = e.free[n-1]
-		e.free = e.free[:n-1]
-		*item = eventItem{}
-	} else {
-		item = &eventItem{}
-	}
-	e.seq++
-	item.at, item.seq = at, e.seq
-	return item
-}
-
-// dispatch runs a popped event and recycles its item. The item's fields
-// are read before the action runs, so the action can freely schedule new
-// events (which may reuse the item).
-func (e *Engine) dispatch(item *eventItem) {
-	kind, fn := item.kind, item.fn
-	handle, from, to := item.handle, item.from, item.to
-	pb, payload := item.pb, item.payload
-	item.fn, item.pb, item.payload = nil, core.Piggyback{}, nil
-	e.free = append(e.free, item)
-	switch kind {
-	case itemFn:
-		fn()
-	case itemArrive:
-		e.arrive(handle, from, to, pb, payload)
-	case itemBasic:
-		e.basicTick(from)
+// loop runs the scheduled events in (time, scheduling) order until none
+// is left.
+func (e *Engine) loop() {
+	for e.q.len() > 0 {
+		at, item := e.q.pop()
+		e.now = at
+		// Each case reads the item's fields before its action schedules
+		// anything, which may reuse the slot.
+		switch item.kind {
+		case itemArrive:
+			e.arrive(item.handle, item.from, item.to, item.pb, item.payload)
+		case itemBasic:
+			e.basicTick(item.from)
+		case itemWake:
+			e.w.OnWake(e, item.from, item.handle)
+		}
 	}
 }
 
-// At schedules fn to run after the given delay.
-func (e *Engine) At(delay float64, fn func()) {
-	item := e.newItem(e.now + delay)
-	item.kind = itemFn
-	item.fn = fn
-	heap.Push(&e.pq, item)
+// Wake schedules a call of the workload's OnWake(e, proc, tag) after the
+// given delay. Wake-ups at the same instant run in the order they were
+// scheduled, interleaved with the engine's own events by the same rule.
+func (e *Engine) Wake(delay float64, proc, tag int) {
+	item := e.q.push(e.now + delay)
+	item.kind, item.from, item.handle = itemWake, proc, tag
 }
 
 // Send emits an application message from one process to another: the
@@ -305,23 +307,19 @@ func (e *Engine) Send(from, to int, payload any) {
 	inst := e.insts[from]
 	pb, forceAfter := inst.OnSend(to)
 	handle := e.builder.Send(model.ProcID(from), model.ProcID(to))
-	if e.obs != nil {
-		e.obs.messages.Inc()
-		e.obs.tracer.Record(obs.Event{
-			Type: obs.EventSend, Proc: from, Peer: to, Value: handle,
-		})
+	if o := e.obs; o != nil {
+		o.messages.Inc()
+		if o.tracer != nil {
+			o.tracer.Record(obs.Event{Type: obs.EventSend, Proc: from, Peer: to, Value: handle})
+		}
 	}
 	if forceAfter {
 		inst.CheckpointAfterSend()
 	}
 	delay := e.Uniform(e.cfg.DelayMin, e.cfg.DelayMax)
-	// The arrival is a typed event rather than a closure: with one message
-	// per event this is the hottest allocation site of a run.
-	item := e.newItem(e.now + delay)
-	item.kind = itemArrive
-	item.handle, item.from, item.to = handle, from, to
+	item := e.q.push(e.now + delay)
+	item.kind, item.handle, item.from, item.to = itemArrive, handle, from, to
 	item.pb, item.payload = pb, payload
-	heap.Push(&e.pq, item)
 }
 
 func (e *Engine) arrive(handle, from, to int, pb core.Piggyback, payload any) {
@@ -335,50 +333,52 @@ func (e *Engine) arrive(handle, from, to int, pb core.Piggyback, payload any) {
 		// engine bug; surface it loudly during development.
 		panic(fmt.Sprintf("sim: %v", err))
 	}
-	if e.obs != nil {
-		e.obs.deliveries.Inc()
-		e.obs.tracer.Record(obs.Event{
-			Type: obs.EventDeliver, Proc: to, Peer: from, Value: handle,
-		})
+	if o := e.obs; o != nil {
+		o.deliveries.Inc()
+		if o.tracer != nil {
+			o.tracer.Record(obs.Event{Type: obs.EventDeliver, Proc: to, Peer: from, Value: handle})
+		}
 	}
 	e.w.OnDeliver(e, Delivery{From: from, To: to, Payload: payload})
 }
 
 // sink records protocol checkpoints into the trace. Initial checkpoints
 // are pre-recorded by the builder and skipped here (their dependency
-// vector is trivially all-zero).
+// vector is trivially all-zero). The record's vector is a copy the
+// protocol made for the sink, so the builder keeps it as it is.
 func (e *Engine) sink(rec core.CheckpointRecord) {
 	if rec.Kind == model.KindInitial {
 		return
 	}
-	e.builder.Checkpoint(model.ProcID(rec.Proc), rec.Kind, rec.TDV)
-	if e.obs == nil {
+	e.builder.CheckpointOwned(model.ProcID(rec.Proc), rec.Kind, rec.TDV)
+	o := e.obs
+	if o == nil {
 		return
 	}
 	switch rec.Kind {
 	case model.KindBasic:
-		e.obs.basic.Inc()
-		e.obs.tracer.Record(obs.Event{
-			Type: obs.EventBasicCheckpoint, Proc: rec.Proc, Value: rec.Index,
-		})
+		o.basic.Inc()
+		if o.tracer != nil {
+			o.tracer.Record(obs.Event{Type: obs.EventBasicCheckpoint, Proc: rec.Proc, Value: rec.Index})
+		}
 	case model.KindForced:
-		e.obs.forced.Inc()
-		e.obs.forcedBy(rec.Predicate).Inc()
-		e.obs.tracer.Record(obs.Event{
-			Type:      obs.EventForcedCheckpoint,
-			Proc:      rec.Proc,
-			Predicate: rec.Predicate,
-			Value:     rec.Index,
-		})
+		o.forced.Inc()
+		o.forcedBy(rec.Predicate).Inc()
+		if o.tracer != nil {
+			o.tracer.Record(obs.Event{
+				Type:      obs.EventForcedCheckpoint,
+				Proc:      rec.Proc,
+				Predicate: rec.Predicate,
+				Value:     rec.Index,
+			})
+		}
 	}
 }
 
 func (e *Engine) scheduleBasic(proc int) {
 	gap := e.Uniform(e.cfg.BasicMean*(1-e.cfg.BasicSpread), e.cfg.BasicMean*(1+e.cfg.BasicSpread))
-	item := e.newItem(e.now + gap)
-	item.kind = itemBasic
-	item.from = proc
-	heap.Push(&e.pq, item)
+	item := e.q.push(e.now + gap)
+	item.kind, item.from = itemBasic, proc
 }
 
 // basicTick is one basic-checkpoint attempt of a process.
@@ -390,49 +390,4 @@ func (e *Engine) basicTick(proc int) {
 		e.insts[proc].TakeBasicCheckpoint()
 	}
 	e.scheduleBasic(proc)
-}
-
-// itemKind selects the action of a scheduled event. Message arrivals and
-// basic-checkpoint ticks — the two per-event hot paths — are typed so
-// they need no closure allocation; everything a workload schedules via At
-// remains a generic function event.
-type itemKind int8
-
-const (
-	itemFn itemKind = iota
-	itemArrive
-	itemBasic
-)
-
-// eventItem is one scheduled action; seq breaks time ties deterministically.
-type eventItem struct {
-	at   float64
-	seq  int64
-	kind itemKind
-	fn   func() // itemFn
-
-	// itemArrive payload (from doubles as the process of an itemBasic).
-	handle, from, to int
-	pb               core.Piggyback
-	payload          any
-}
-
-type eventHeap []*eventItem
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(a, b int) bool {
-	if h[a].at != h[b].at {
-		return h[a].at < h[b].at
-	}
-	return h[a].seq < h[b].seq
-}
-func (h eventHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*eventItem)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return item
 }

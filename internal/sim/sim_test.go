@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"container/heap"
 	"math/rand"
 	"testing"
 
@@ -13,19 +12,31 @@ import (
 	"github.com/rdt-go/rdt/internal/trace"
 )
 
-// pingpong is a minimal in-package workload for engine unit tests.
+// pingpong is a minimal in-package workload for engine unit tests: a
+// wake-up's tag is the peer to send to.
 type pingpong struct{ gap float64 }
 
 func (w *pingpong) Name() string { return "pingpong" }
 func (w *pingpong) Start(e *Engine) {
-	e.At(w.gap, func() { e.Send(0, 1, "ping") })
+	e.Wake(w.gap, 0, 1)
+}
+func (w *pingpong) OnWake(e *Engine, proc, peer int) {
+	e.Send(proc, peer, "ping")
 }
 func (w *pingpong) OnDeliver(e *Engine, d Delivery) {
 	if !e.Active() {
 		return
 	}
-	e.At(w.gap, func() { e.Send(d.To, d.From, "pong") })
+	e.Wake(w.gap, d.To, d.From)
 }
+
+// wakeLog records the tags of its wake-ups in the order they run.
+type wakeLog struct{ tags []int }
+
+func (w *wakeLog) Name() string                 { return "wakelog" }
+func (w *wakeLog) Start(*Engine)                {}
+func (w *wakeLog) OnDeliver(*Engine, Delivery)  {}
+func (w *wakeLog) OnWake(_ *Engine, _, tag int) { w.tags = append(w.tags, tag) }
 
 func shortConfig(k core.Kind, seed int64) Config {
 	cfg := DefaultConfig(k, seed)
@@ -199,17 +210,13 @@ func newTestRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) 
 // insertion order; earlier times run first regardless of insertion order.
 func TestEngineEventOrdering(t *testing.T) {
 	cfg := shortConfig(core.KindNone, 1)
-	e := &Engine{cfg: cfg, rng: newTestRand(1), builder: model.NewBuilder(cfg.N), w: &pingpong{gap: 1}}
-	var got []int
-	e.At(2.0, func() { got = append(got, 3) })
-	e.At(1.0, func() { got = append(got, 1) })
-	e.At(1.0, func() { got = append(got, 2) }) // same instant, later insertion
-	for e.pq.Len() > 0 {
-		item := heap.Pop(&e.pq).(*eventItem)
-		e.now = item.at
-		item.fn()
-	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+	log := &wakeLog{}
+	e := &Engine{cfg: cfg, rng: newTestRand(1), builder: model.NewBuilder(cfg.N), w: log}
+	e.Wake(2.0, 0, 3)
+	e.Wake(1.0, 0, 1)
+	e.Wake(1.0, 0, 2) // same instant, later insertion
+	e.loop()
+	if got := log.tags; len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("execution order = %v, want [1 2 3]", got)
 	}
 	if e.Now() != 2.0 {
@@ -267,9 +274,9 @@ func TestEngineAccessors(t *testing.T) {
 }
 
 // TestForcedCheckpointAllocs: with a registry attached, recording a forced
-// checkpoint allocates the builder's copy of its TDV and nothing else; the
-// per-predicate series is resolved on the predicate's first checkpoint,
-// not formatted and looked up on every one.
+// checkpoint allocates nothing. The builder keeps the record's vector
+// instead of copying it, and the per-predicate series is resolved on the
+// predicate's first checkpoint, not formatted and looked up on every one.
 func TestForcedCheckpointAllocs(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := shortConfig(core.KindCBR, 3)
@@ -291,8 +298,10 @@ func TestForcedCheckpointAllocs(t *testing.T) {
 		before := reg.Snapshot().CounterValue("rdt_forced_checkpoints_total", "protocol", "cbr", "predicate", pred)
 		rec := core.CheckpointRecord{Proc: 1, Kind: model.KindForced, TDV: make([]int, cfg.N), Predicate: pred}
 		const runs = 1000
-		if allocs := testing.AllocsPerRun(runs, func() { e.sink(rec) }); allocs > 1 {
-			t.Errorf("predicate %s: %.0f allocations per forced checkpoint, want 1 (the TDV copy)", pred, allocs)
+		// AllocsPerRun averages over its runs, so the occasional growth of
+		// the builder's checkpoint list rounds away.
+		if allocs := testing.AllocsPerRun(runs, func() { e.sink(rec) }); allocs > 0 {
+			t.Errorf("predicate %s: %.2f allocations per forced checkpoint, want 0", pred, allocs)
 		}
 		// AllocsPerRun makes one warm-up call before its runs.
 		after := reg.Snapshot().CounterValue("rdt_forced_checkpoints_total", "protocol", "cbr", "predicate", pred)

@@ -164,6 +164,15 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
+// CloneInto makes dst a copy of m whose cells live in the given buffer,
+// which must hold n*n entries, and returns dst. It is Clone for callers
+// that carve matrices from storage of their own.
+func (m *Matrix) CloneInto(dst *Matrix, cells []bool) *Matrix {
+	copy(cells, m.cells)
+	*dst = Matrix{n: m.n, cells: cells[:len(m.cells):len(m.cells)]}
+	return dst
+}
+
 // Equal reports cellwise equality.
 func (m *Matrix) Equal(other *Matrix) bool {
 	if m.n != other.n {

@@ -33,17 +33,25 @@ func (w *Random) Start(e *sim.Engine) {
 func (w *Random) OnDeliver(*sim.Engine, sim.Delivery) {}
 
 func (w *Random) scheduleNext(e *sim.Engine, proc int) {
-	e.At(e.Exp(w.MeanGap), func() {
-		if !e.Active() {
-			return
-		}
-		dest := e.Rand().Intn(e.N() - 1)
-		if dest >= proc {
-			dest++
-		}
-		e.Send(proc, dest, nil)
-		w.scheduleNext(e, proc)
-	})
+	e.Wake(e.Exp(w.MeanGap), proc, 0)
+}
+
+// OnWake implements sim.Workload: proc's next send is due.
+func (w *Random) OnWake(e *sim.Engine, proc, _ int) {
+	if !e.Active() {
+		return
+	}
+	e.Send(proc, otherProc(e, proc), nil)
+	w.scheduleNext(e, proc)
+}
+
+// otherProc draws a process other than proc uniformly.
+func otherProc(e *sim.Engine, proc int) int {
+	dest := e.Rand().Intn(e.N() - 1)
+	if dest >= proc {
+		dest++
+	}
+	return dest
 }
 
 // Groups is the overlapping group communication environment: processes are
@@ -80,23 +88,23 @@ func (w *Groups) Start(e *sim.Engine) {
 func (w *Groups) OnDeliver(*sim.Engine, sim.Delivery) {}
 
 func (w *Groups) scheduleNext(e *sim.Engine, proc int) {
-	e.At(e.Exp(w.MeanGap), func() {
-		if !e.Active() {
-			return
-		}
-		var dest int
-		peers := w.peers[proc]
-		if len(peers) > 0 && e.Rand().Float64() < w.IntraBias {
-			dest = peers[e.Rand().Intn(len(peers))]
-		} else {
-			dest = e.Rand().Intn(e.N() - 1)
-			if dest >= proc {
-				dest++
-			}
-		}
-		e.Send(proc, dest, nil)
-		w.scheduleNext(e, proc)
-	})
+	e.Wake(e.Exp(w.MeanGap), proc, 0)
+}
+
+// OnWake implements sim.Workload: proc's next send is due.
+func (w *Groups) OnWake(e *sim.Engine, proc, _ int) {
+	if !e.Active() {
+		return
+	}
+	var dest int
+	peers := w.peers[proc]
+	if len(peers) > 0 && e.Rand().Float64() < w.IntraBias {
+		dest = peers[e.Rand().Intn(len(peers))]
+	} else {
+		dest = otherProc(e, proc)
+	}
+	e.Send(proc, dest, nil)
+	w.scheduleNext(e, proc)
 }
 
 // groupPeers computes, for each process, the distinct other processes that
@@ -172,9 +180,17 @@ var _ sim.Workload = (*ClientServer)(nil)
 // Name implements sim.Workload.
 func (w *ClientServer) Name() string { return "client-server" }
 
+// The wake-ups of the client/server environment.
+const (
+	wakeFirstRequest = iota // the client's first request
+	wakeRequest             // the client's next request, unless the run is over
+	wakeServe               // a server has served a request: forward or reply
+	wakeReply               // a server passes a reply down the chain
+)
+
 // Start implements sim.Workload.
 func (w *ClientServer) Start(e *sim.Engine) {
-	e.At(e.Exp(w.Think), func() { e.Send(0, 1, msgRequest) })
+	e.Wake(e.Exp(w.Think), 0, wakeFirstRequest)
 }
 
 // OnDeliver implements sim.Workload.
@@ -185,28 +201,37 @@ func (w *ClientServer) OnDeliver(e *sim.Engine, d sim.Delivery) {
 	}
 	switch kind {
 	case msgRequest:
-		server := d.To
-		e.At(e.Exp(w.Service), func() {
-			if server < e.N()-1 && e.Rand().Float64() < w.Forward {
-				e.Send(server, server+1, msgRequest)
-				return
-			}
-			e.Send(server, server-1, msgReply)
-		})
+		e.Wake(e.Exp(w.Service), d.To, wakeServe)
 	case msgReply:
 		if d.To == 0 {
 			// The client got its answer; think, then ask again.
 			if e.Active() {
-				e.At(e.Exp(w.Think), func() {
-					if e.Active() {
-						e.Send(0, 1, msgRequest)
-					}
-				})
+				e.Wake(e.Exp(w.Think), 0, wakeRequest)
 			}
 			return
 		}
-		server := d.To
-		e.At(e.Exp(w.Service), func() { e.Send(server, server-1, msgReply) })
+		e.Wake(e.Exp(w.Service), d.To, wakeReply)
+	}
+}
+
+// OnWake implements sim.Workload.
+func (w *ClientServer) OnWake(e *sim.Engine, proc, tag int) {
+	switch tag {
+	case wakeRequest:
+		if !e.Active() {
+			return
+		}
+		fallthrough
+	case wakeFirstRequest:
+		e.Send(0, 1, msgRequest)
+	case wakeServe:
+		if proc < e.N()-1 && e.Rand().Float64() < w.Forward {
+			e.Send(proc, proc+1, msgRequest)
+			return
+		}
+		e.Send(proc, proc-1, msgReply)
+	case wakeReply:
+		e.Send(proc, proc-1, msgReply)
 	}
 }
 
@@ -233,13 +258,16 @@ func (w *Ring) Start(e *sim.Engine) {
 func (w *Ring) OnDeliver(*sim.Engine, sim.Delivery) {}
 
 func (w *Ring) scheduleNext(e *sim.Engine, proc int) {
-	e.At(e.Exp(w.MeanGap), func() {
-		if !e.Active() {
-			return
-		}
-		e.Send(proc, (proc+1)%e.N(), nil)
-		w.scheduleNext(e, proc)
-	})
+	e.Wake(e.Exp(w.MeanGap), proc, 0)
+}
+
+// OnWake implements sim.Workload: proc's next send is due.
+func (w *Ring) OnWake(e *sim.Engine, proc, _ int) {
+	if !e.Active() {
+		return
+	}
+	e.Send(proc, (proc+1)%e.N(), nil)
+	w.scheduleNext(e, proc)
 }
 
 // Burst is an extension environment: processes alternate quiet phases with
@@ -268,19 +296,18 @@ func (w *Burst) Start(e *sim.Engine) {
 func (w *Burst) OnDeliver(*sim.Engine, sim.Delivery) {}
 
 func (w *Burst) scheduleNext(e *sim.Engine, proc int) {
-	e.At(e.Exp(w.MeanQuiet), func() {
-		if !e.Active() {
-			return
-		}
-		for b := 0; b < w.BurstLen; b++ {
-			dest := e.Rand().Intn(e.N() - 1)
-			if dest >= proc {
-				dest++
-			}
-			e.Send(proc, dest, nil)
-		}
-		w.scheduleNext(e, proc)
-	})
+	e.Wake(e.Exp(w.MeanQuiet), proc, 0)
+}
+
+// OnWake implements sim.Workload: proc's next burst is due.
+func (w *Burst) OnWake(e *sim.Engine, proc, _ int) {
+	if !e.Active() {
+		return
+	}
+	for b := 0; b < w.BurstLen; b++ {
+		e.Send(proc, otherProc(e, proc), nil)
+	}
+	w.scheduleNext(e, proc)
 }
 
 // ByName constructs the named environment with its default parameters; it
