@@ -52,6 +52,8 @@ vet:
 # Chaos tier: the seeded fault-injection suite (fixed seed matrix — the
 # fault schedules are reproducible) under the race detector: transport
 # faults, reliable delivery, crash/restart, and end-to-end recovery.
+# The rdtsim half runs `-faults`, which generates a scenario and replays
+# it on the virtual clock, byte for byte.
 chaos:
 	$(GO) test -race -run 'Chaos|Crash|Reliable|Faulty|GiveUp|Partition' \
 		./internal/transport/ ./internal/cluster/
@@ -60,6 +62,9 @@ chaos:
 # Supervised chaos tier: the self-healing suite under the race detector —
 # heartbeat failure detection, autonomous recovery with retries and
 # escalation, and the no-false-positive guarantee under injected delay.
+# The rdtsim half runs `-supervise`, a generated scenario on the virtual
+# clock whose seeded victim must be recovered with the same verdict on
+# every run.
 chaos-supervise:
 	$(GO) test -race -run 'Supervis' ./internal/cluster/ ./cmd/rdtsim/
 
@@ -87,12 +92,16 @@ trace-smoke:
 # detector — the full seed corpus of .rdts files, double-run transcript
 # reproducibility, the golden replay, and a generated soak covering over
 # an hour of simulated operation (virtual time makes the hour cost
-# seconds of wall clock).
+# seconds of wall clock) — then the binary on a corpus file and on the
+# README's supervised chaos example.
 soak-smoke:
 	$(GO) test -race -count=1 -run 'TestCorpus|TestGolden|TestSoak|TestGenerate|TestRun' \
 		./internal/scenario/
 	$(GO) run -ldflags "$(LDFLAGS)" ./cmd/rdtsim \
 		-scenario internal/scenario/corpus/ring-under-drops.rdts | \
+		grep -q 'all expectations held'
+	$(GO) run -ldflags "$(LDFLAGS)" ./cmd/rdtsim -protocol bhmr -n 4 -rounds 20 \
+		-seed 7 -supervise -faults drop=0.1,dup=0.1,reorder=0.15,err=0.05,delay=2ms | \
 		grep -q 'all expectations held'
 
 # Fuzz smoke: a short bounded run of every fuzz target over untrusted

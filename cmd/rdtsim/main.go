@@ -14,25 +14,23 @@
 //
 //	rdtsim -protocol bhmr -n 4 -trace-out timeline.json
 //
-// With -faults, rdtsim instead drives the concurrent cluster runtime over
-// a fault-injected transport with reliable delivery on top:
+// With -scenario, rdtsim instead executes a .rdts chaos-scenario file —
+// a scripted schedule of traffic, partitions, disconnects, crashes, and
+// recoveries at virtual timestamps — on the concurrent cluster runtime,
+// deterministically under a virtual clock, and fails if any of the
+// file's expectations are violated:
+//
+//	rdtsim -scenario ring-under-drops.rdts -transcript
+//
+// -faults and -supervise generate such a scenario from the flags: rounds
+// of sends and checkpoints over a fault-injected transport with reliable
+// delivery on top, and with -supervise a heartbeat failure detector that
+// must detect a seeded victim's mid-run crash and recover it on its own:
 //
 //	rdtsim -protocol bhmr -n 4 -rounds 20 -seed 7 \
 //	       -faults drop=0.1,dup=0.1,reorder=0.15,err=0.05,delay=2ms
-//
-// Adding -supervise puts the cluster under a heartbeat failure detector
-// with autonomous recovery: a seeded victim is crashed mid-run and the
-// supervisor must detect it and bring up the next incarnation on its own:
-//
 //	rdtsim -protocol bhmr -n 4 -rounds 20 -seed 7 -supervise \
 //	       -faults drop=0.1,dup=0.1,reorder=0.15,err=0.05,delay=2ms
-//
-// With -scenario, rdtsim executes a .rdts chaos-scenario file — a
-// scripted schedule of traffic, partitions, disconnects, crashes, and
-// recoveries at virtual timestamps — deterministically under a virtual
-// clock, and fails if any of the file's expectations are violated:
-//
-//	rdtsim -scenario ring-under-drops.rdts -transcript
 package main
 
 import (
@@ -90,13 +88,13 @@ func run(args []string, out io.Writer) error {
 		check       = fs.Bool("check", true, "verify the RDT property of the recorded pattern")
 		metricsAddr = fs.String("metrics-addr", "", "serve Prometheus /metrics, /debug/events, and /debug/vars on this address (:0 picks a port)")
 		events      = fs.Int("events", 0, "print the last N structured events after the run")
-		faults      = fs.String("faults", "", "run the cluster runtime under fault injection with this mix, e.g. drop=0.05,dup=0.05,reorder=0.1,err=0.02,delay=3ms")
-		rounds      = fs.Int("rounds", 10, "send rounds of the -faults chaos mode")
+		faults      = fs.String("faults", "", "run the cluster runtime for -rounds under this fault mix, e.g. drop=0.05,dup=0.05,reorder=0.1,err=0.02,delay=3ms")
+		rounds      = fs.Int("rounds", 10, "send rounds of -faults and -supervise")
 		supervise   = fs.Bool("supervise", false, "run the cluster runtime under a supervisor: a seeded crash is injected mid-run and must be detected and healed autonomously (combines with -faults)")
 		traceOut    = fs.String("trace-out", "", "write the run's causal timeline as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto)")
 		pprof       = fs.Bool("pprof", false, "also mount /debug/pprof and runtime gauges on the -metrics-addr server")
 		scenarioIn  = fs.String("scenario", "", "execute a .rdts chaos scenario file deterministically under a virtual clock and check its expectations")
-		transcript  = fs.Bool("transcript", false, "with -scenario, print the run's deterministic transcript")
+		transcript  = fs.Bool("transcript", false, "print the cluster run's deterministic transcript (-scenario, -faults, -supervise)")
 		showVersion = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -106,11 +104,30 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "rdtsim %s\n", version.String())
 		return nil
 	}
-	if *scenarioIn != "" {
-		return runScenario(out, *scenarioIn, *transcript)
-	}
-	if *transcript {
-		return fmt.Errorf("-transcript needs -scenario")
+	// -scenario, -faults and -supervise run the cluster runtime through
+	// one scenario; the flags alone pick a simulation.
+	var sc *scenario.Scenario
+	switch {
+	case *scenarioIn != "":
+		var err error
+		if sc, err = scenario.ParseFile(*scenarioIn); err != nil {
+			return err
+		}
+	case *faults != "" || *supervise:
+		if *protocol == "all" {
+			return fmt.Errorf("-faults and -supervise run one protocol at a time")
+		}
+		kind, err := core.ParseKind(*protocol)
+		if err != nil {
+			return err
+		}
+		if sc, err = scenario.Chaos(*n, kind, *seed, *rounds, *faults, *supervise, *check); err != nil {
+			return err
+		}
+	case *transcript:
+		return fmt.Errorf("-transcript needs a cluster run: -scenario, -faults or -supervise")
+	case *traceOut != "" && (*protocol == "all" || *seeds > 1):
+		return fmt.Errorf("-trace-out needs the single recorded pattern of one run")
 	}
 
 	var (
@@ -140,25 +157,16 @@ func run(args []string, out io.Writer) error {
 	}
 	defer printEvents(out, tracer, *events)
 
-	if *traceOut != "" && (*faults != "" || *supervise || *protocol == "all" || *seeds > 1) {
-		return fmt.Errorf("-trace-out needs the single recorded pattern of one simulation run")
-	}
-	if *faults != "" || *supervise {
-		probs, err := parseFaults(*faults)
+	if sc != nil {
+		res, err := scenario.Run(sc, reg, tracer)
 		if err != nil {
 			return err
 		}
-		if *protocol == "all" {
-			return fmt.Errorf("-faults and -supervise run one protocol at a time")
-		}
-		kind, err := core.ParseKind(*protocol)
-		if err != nil {
+		failed := reportScenario(out, sc, res, *transcript)
+		if err := writePattern(out, res.Pattern, *tracePath, *traceOut); err != nil {
 			return err
 		}
-		if *supervise {
-			return runSupervised(out, kind, *n, *rounds, probs, *seed, *check, reg, tracer)
-		}
-		return runChaos(out, kind, *n, *rounds, probs, *seed, *check, reg, tracer)
+		return failed
 	}
 	if *protocol == "all" {
 		return compareAll(out, *env, *n, *duration, *basic, *seed, reg, tracer)
@@ -207,37 +215,26 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	if *tracePath != "" {
-		if err := trace.SaveFile(*tracePath, res.Pattern); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "trace written to %s\n", *tracePath)
-	}
-	if *traceOut != "" {
-		if err := writeTimelineFile(*traceOut, res.Pattern); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "timeline written to %s\n", *traceOut)
-	}
-	return nil
+	return writePattern(out, res.Pattern, *tracePath, *traceOut)
 }
 
-// runScenario executes one .rdts chaos scenario and reports its
-// outcome; violated expectations make the command fail.
-func runScenario(out io.Writer, path string, transcript bool) error {
-	sc, err := scenario.ParseFile(path)
-	if err != nil {
-		return err
-	}
-	res, err := scenario.Run(sc)
-	if err != nil {
-		return err
-	}
+// reportScenario prints a cluster run's outcome; the error lists the
+// violated expectations.
+func reportScenario(out io.Writer, sc *scenario.Scenario, res *scenario.Result, transcript bool) error {
 	if transcript {
 		fmt.Fprint(out, res.Transcript)
 	}
-	fmt.Fprintf(out, "scenario=%s verdict=%s delivered=%d lost=%d sim=%v\n",
-		res.Name, res.Verdict, res.Delivered, res.Lost, res.SimTime)
+	fmt.Fprintf(out, "scenario=%s verdict=%s sent=%d delivered=%d lost=%d sim=%v\n",
+		res.Name, res.Verdict, res.Sent, res.Delivered, res.Lost, res.SimTime)
+	// A failover replays messages into the next incarnation, so only an
+	// unsupervised run's counts can show exactly-once delivery.
+	if !sc.Supervise {
+		if res.Delivered == res.Sent && res.Lost == 0 {
+			fmt.Fprintln(out, "delivery exactly-once: every message sent was delivered once")
+		} else {
+			fmt.Fprintln(out, "delivery not exactly-once: loss, duplication or a recovery's replay")
+		}
+	}
 	if len(res.Recovered) > 0 {
 		fmt.Fprintf(out, "recovered=%v\n", res.Recovered)
 	}
@@ -251,6 +248,25 @@ func runScenario(out io.Writer, path string, transcript bool) error {
 		return fmt.Errorf("scenario %s: %d expectation(s) failed", res.Name, len(res.Failures))
 	}
 	fmt.Fprintln(out, "all expectations held")
+	return nil
+}
+
+// writePattern writes the recorded pattern as trace JSON (-trace) and
+// its causal timeline as Chrome trace-event JSON (-trace-out); an empty
+// path skips that file.
+func writePattern(out io.Writer, p *model.Pattern, tracePath, timelinePath string) error {
+	if tracePath != "" {
+		if err := trace.SaveFile(tracePath, p); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "trace written to %s\n", tracePath)
+	}
+	if timelinePath != "" {
+		if err := writeTimelineFile(timelinePath, p); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "timeline written to %s\n", timelinePath)
+	}
 	return nil
 }
 

@@ -5,9 +5,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/rdt-go/rdt/internal/trace"
 )
 
 // httpGet fetches a URL and returns the body, failing the test on error.
@@ -191,5 +195,56 @@ func TestRunSimEvents(t *testing.T) {
 	}
 	if !strings.Contains(text, "proc=") {
 		t.Errorf("missing event lines:\n%s", text)
+	}
+}
+
+// TestRunClusterModesTraceAndMetrics: every cluster mode serves
+// /metrics, prints the event tail, and writes the final incarnation's
+// pattern with -trace and its timeline with -trace-out.
+func TestRunClusterModesTraceAndMetrics(t *testing.T) {
+	ring := writeScenario(t, "scenario obs-ring\nprocs 3\nat 0ms traffic ring rounds=2\nat 20ms settle\n")
+	modes := []struct {
+		name   string
+		args   []string
+		series string
+	}{
+		{"scenario", []string{"-scenario", ring}, "rdt_cluster_deliveries_total"},
+		{"faults", []string{"-n", "3", "-rounds", "4", "-faults", "drop=0.2,dup=0.2"}, "rdt_faults_injected_total"},
+		{"supervise", []string{"-n", "3", "-rounds", "4", "-supervise"}, `rdt_supervisor_recoveries_total{outcome="ok"}`},
+	}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			var metricsBody string
+			oldHook := metricsServed
+			metricsServed = func(addr string) { metricsBody = httpGet(t, "http://"+addr+"/metrics") }
+			defer func() { metricsServed = oldHook }()
+
+			dir := t.TempDir()
+			tracePath, timelinePath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "timeline.json")
+			var out bytes.Buffer
+			args := append([]string{"-metrics-addr", "127.0.0.1:0", "-events", "3",
+				"-trace", tracePath, "-trace-out", timelinePath}, m.args...)
+			if err := run(args, &out); err != nil {
+				t.Fatalf("run: %v\n%s", err, out.String())
+			}
+			if !strings.Contains(metricsBody, m.series) {
+				t.Errorf("/metrics missing %s:\n%s", m.series, metricsBody)
+			}
+			for _, want := range []string{"events (last 3 of ", "trace written", "timeline written"} {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("output missing %q:\n%s", want, out.String())
+				}
+			}
+			p, err := trace.LoadFile(tracePath)
+			if err != nil {
+				t.Fatalf("trace unreadable: %v", err)
+			}
+			if p.N != 3 {
+				t.Errorf("trace holds n=%d, want 3", p.N)
+			}
+			if data, err := os.ReadFile(timelinePath); err != nil || !bytes.Contains(data, []byte(`"traceEvents"`)) {
+				t.Errorf("timeline not written: %v", err)
+			}
+		})
 	}
 }

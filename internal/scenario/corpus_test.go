@@ -29,7 +29,7 @@ func TestCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(sc)
+			res, err := Run(sc, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -38,7 +38,7 @@ func TestCorpus(t *testing.T) {
 			}
 			if !sc.Supervise {
 				sc2, _ := ParseFile(file)
-				res2, err := Run(sc2)
+				res2, err := Run(sc2, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -63,7 +63,7 @@ func TestGoldenTranscript(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(sc)
+	res, err := Run(sc, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"github.com/rdt-go/rdt/internal/cluster"
 	"github.com/rdt-go/rdt/internal/model"
+	"github.com/rdt-go/rdt/internal/obs"
 	"github.com/rdt-go/rdt/internal/recovery"
 	"github.com/rdt-go/rdt/internal/rgraph"
 	"github.com/rdt-go/rdt/internal/storage"
@@ -27,6 +28,8 @@ type Result struct {
 	// Pattern is the final incarnation's communication-and-checkpoint
 	// pattern.
 	Pattern *model.Pattern
+	// Sent counts the sends the cluster accepted.
+	Sent int
 	// Delivered counts application deliveries across all incarnations.
 	Delivered int
 	// Lost counts messages lost across the run: per-recovery losses plus
@@ -54,9 +57,11 @@ func (r *Result) Passed() bool { return len(r.Failures) == 0 }
 
 // runner is the live state of one scenario execution.
 type runner struct {
-	sc    *Scenario
-	v     *vtime.Virtual
-	start time.Time
+	sc     *Scenario
+	v      *vtime.Virtual
+	start  time.Time
+	reg    *obs.Registry
+	tracer *obs.Tracer
 
 	faulty *transport.Faulty // current incarnation's injector, nil without faults
 	cur    *cluster.Cluster  // current incarnation (unsupervised)
@@ -68,6 +73,7 @@ type runner struct {
 	nextFault *transport.Faulty // injector built by the pending recovery attempt
 
 	msgSeq     int
+	sent       int
 	lost       int
 	recovered  []int
 	crashedNow []int
@@ -76,11 +82,13 @@ type runner struct {
 }
 
 // Run executes a parsed scenario to completion under a virtual clock and
-// checks its expectations. The returned error reports a harness failure
-// (the run could not be executed); expectation mismatches are reported
-// in Result.Failures instead.
-func Run(sc *Scenario) (*Result, error) {
-	r := &runner{sc: sc, v: vtime.NewVirtual(time.Time{})}
+// checks its expectations. The cluster, fault injector and
+// retransmission layer report into reg and tracer; nil means none. The
+// returned error reports a harness failure (the run could not be
+// executed); expectation mismatches are reported in Result.Failures
+// instead.
+func Run(sc *Scenario, reg *obs.Registry, tracer *obs.Tracer) (*Result, error) {
+	r := &runner{sc: sc, v: vtime.NewVirtual(time.Time{}), reg: reg, tracer: tracer}
 	r.start = r.v.Now()
 
 	trans, faulty := r.newStack(sc.Seed)
@@ -93,6 +101,8 @@ func Run(sc *Scenario) (*Result, error) {
 		LogPayloads: true,
 		Handler:     r.onDeliver,
 		OnError:     r.onError,
+		Obs:         reg,
+		Tracer:      tracer,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
@@ -139,13 +149,17 @@ func (r *runner) newStack(seed int64) (transport.Transport, *transport.Faulty) {
 			Seed:    seed,
 			Default: r.sc.Faults,
 			Clock:   r.v,
+			Obs:     r.reg,
+			Tracer:  r.tracer,
 		})
 		t = faulty
 	}
 	if r.sc.Reliable {
 		t = transport.Reliable(t, transport.ReliableConfig{
-			Seed:  seed,
-			Clock: r.v,
+			Seed:   seed,
+			Clock:  r.v,
+			Obs:    r.reg,
+			Tracer: r.tracer,
 			OnGiveUp: func(f transport.Frame, err error) {
 				if r.sup != nil {
 					r.sup.OnGiveUp(f, err)
@@ -353,6 +367,7 @@ func (r *runner) send(c *cluster.Cluster, from, to int) {
 		r.stepf("send %d %d rejected: %v", from, to, err)
 		return
 	}
+	r.sent++
 	r.stepf("send %d %d %s", from, to, tag)
 	c.Settle()
 }
@@ -503,6 +518,7 @@ func (r *runner) finish() (*Result, error) {
 	res := &Result{
 		Name:      r.sc.Name,
 		Pattern:   pattern,
+		Sent:      r.sent,
 		Recovered: r.recovered,
 		SimTime:   r.v.Now().Sub(r.start),
 	}

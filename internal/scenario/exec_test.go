@@ -26,7 +26,7 @@ func TestRunBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(sc)
+	res, err := Run(sc, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRunDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(sc)
+		res, err := Run(sc, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestRunFaultsReliable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Run(sc)
+	a, err := Run(sc, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRunFaultsReliable(t *testing.T) {
 		t.Fatalf("expectations failed: %v\ntranscript:\n%s", a.Failures, a.Transcript)
 	}
 	sc2, _ := Parse(strings.NewReader(chaosDrops))
-	b, err := Run(sc2)
+	b, err := Run(sc2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestRunCrashRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(sc)
+	res, err := Run(sc, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestRunSupervised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(sc)
+	res, err := Run(sc, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,24 +110,19 @@ func parseHeader(sc *Scenario, fields []string) error {
 			return fmt.Errorf("seed: %w", err)
 		}
 		sc.Seed = s
-	case "delay":
+	case "delay", "drain":
 		if err := want(1); err != nil {
 			return err
 		}
-		d, err := parseDur(fields[1])
+		d, err := parseSpan(fields[1])
 		if err != nil {
-			return fmt.Errorf("delay: %w", err)
+			return fmt.Errorf("%s: %w", key, err)
 		}
-		sc.Delay = d
-	case "drain":
-		if err := want(1); err != nil {
-			return err
+		if key == "delay" {
+			sc.Delay = d
+		} else {
+			sc.Drain = d
 		}
-		d, err := parseDur(fields[1])
-		if err != nil {
-			return fmt.Errorf("drain: %w", err)
-		}
-		sc.Drain = d
 	case "faults":
 		if err := want(1); err != nil {
 			return err
@@ -352,8 +347,18 @@ func parseDur(s string) (time.Duration, error) {
 	return time.ParseDuration(s)
 }
 
-// parseFaultMix parses "drop=0.05,dup=0.05,reorder=0.1,err=0.02,delay=3ms"
-// — the same mix syntax rdtsim's -faults flag uses.
+// parseSpan parses a duration that may not be negative: a delay or a
+// drain window, where zero means the default.
+func parseSpan(s string) (time.Duration, error) {
+	d, err := parseDur(s)
+	if err == nil && d < 0 {
+		err = fmt.Errorf("negative duration %v", d)
+	}
+	return d, err
+}
+
+// parseFaultMix parses "drop=0.05,dup=0.05,reorder=0.1,err=0.02,delay=3ms",
+// the header's mix and rdtsim's -faults flag alike.
 func parseFaultMix(s string) (transport.FaultProbs, error) {
 	var p transport.FaultProbs
 	for _, part := range strings.Split(s, ",") {
@@ -367,7 +372,7 @@ func parseFaultMix(s string) (transport.FaultProbs, error) {
 		}
 		key, val := kv[0], kv[1]
 		if key == "delay" {
-			d, err := parseDur(val)
+			d, err := parseSpan(val)
 			if err != nil {
 				return p, fmt.Errorf("faults delay: %w", err)
 			}

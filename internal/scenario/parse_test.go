@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/rdt-go/rdt/internal/core"
+	"github.com/rdt-go/rdt/internal/transport"
 )
 
 // TestParseFull: every header, directive, and expectation round-trips
@@ -50,8 +51,9 @@ expect lost 2
 	if sc.Delay != 3*time.Millisecond || sc.Drain != 100*time.Millisecond {
 		t.Fatalf("timing: delay=%v drain=%v", sc.Delay, sc.Drain)
 	}
-	if !sc.HasFaults || sc.Faults.Drop != 0.1 || sc.Faults.MaxExtraDelay != 4*time.Millisecond {
-		t.Fatalf("faults: %+v", sc.Faults)
+	want := transport.FaultProbs{Drop: 0.1, Duplicate: 0.2, Reorder: 0.3, SendError: 0.05, MaxExtraDelay: 4 * time.Millisecond}
+	if !sc.HasFaults || sc.Faults != want {
+		t.Fatalf("faults: %+v, want %+v", sc.Faults, want)
 	}
 	if !sc.Reliable || sc.Supervise {
 		t.Fatalf("flags: reliable=%v supervise=%v", sc.Reliable, sc.Supervise)
@@ -127,6 +129,13 @@ func TestParseErrors(t *testing.T) {
 		{"line arity", "scenario x\nprocs 3\nexpect line 1,2\n", "expect line has 2 entries"},
 		{"bad fault key", "scenario x\nprocs 2\nfaults lag=0.5\n", `unknown key "lag"`},
 		{"fault prob range", "scenario x\nprocs 2\nfaults drop=1.5\n", "out of [0,1]"},
+		{"fault bare key", "scenario x\nprocs 2\nfaults drop\n", "want key=value"},
+		{"fault prob syntax", "scenario x\nprocs 2\nfaults drop=x\n", "faults drop"},
+		{"fault unknown key", "scenario x\nprocs 2\nfaults warp=0.1\n", `unknown key "warp"`},
+		{"fault delay syntax", "scenario x\nprocs 2\nfaults delay=fast\n", "faults delay"},
+		{"neg fault delay", "scenario x\nprocs 2\nfaults reorder=1,delay=-3ms\n", "negative duration"},
+		{"neg delay", "scenario x\nprocs 2\ndelay -5ms\n", "delay: negative duration"},
+		{"neg drain", "scenario x\nprocs 2\ndrain -1ms\n", "drain: negative duration"},
 		{"zero window", "scenario x\nprocs 2\nat 0ms disconnect 1 for=0ms\n", "must be positive"},
 	}
 	for _, tc := range cases {
@@ -149,6 +158,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("scenario y\nprocs 2\nfaults drop=0.5\nreliable\nat 5ms send 0 1\nat 9 disconnect 1 for=3ms\n")
 	f.Add("scenario z\nprocs 4\nsupervise\nat 0ms crash 2\nat 1ms await-recovery\nexpect recovered 2\n")
 	f.Add("# comment\n\nscenario w\nprocs 2\nprotocol bcs\nseed -1\ndelay 250us\nat 0 settle\nexpect lost 0\n")
+	f.Add("scenario v\nprocs 2\ndelay -5ms\ndrain -1ms\nfaults reorder=1,delay=-3ms\nat 0 settle\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		sc, err := Parse(strings.NewReader(src))
 		if err != nil {
@@ -156,6 +166,10 @@ func FuzzParse(f *testing.F) {
 		}
 		if verr := sc.validate(); verr != nil {
 			t.Fatalf("Parse accepted a scenario its own validate rejects: %v", verr)
+		}
+		if sc.Delay < 0 || sc.Drain < 0 || sc.Faults.MaxExtraDelay < 0 {
+			t.Fatalf("Parse accepted a negative duration: delay=%v drain=%v faults delay=%v",
+				sc.Delay, sc.Drain, sc.Faults.MaxExtraDelay)
 		}
 	})
 }

@@ -85,3 +85,80 @@ func Generate(seed int64, span time.Duration) *Scenario {
 	}
 	return sc
 }
+
+// roundGap spaces the rounds of a Chaos scenario: longer than the
+// default delivery jitter plus the default fault delay, so a round's
+// deliveries land before the next round sends unless retransmission
+// holds them back.
+const roundGap = 10 * time.Millisecond
+
+// Chaos builds the scenario rdtsim's -faults and -supervise flags
+// describe: n processes running protocol over the retransmission layer
+// and the fault mix faults (empty means no injector), for the given
+// number of rounds. Each round every process sends, then process
+// round%n checkpoints. Unsupervised, process p sends to p+1 and p+2;
+// supervised, to p+1+round%(n-1), and after rounds/2 rounds a seeded
+// victim crashes and must be recovered by the supervisor before the
+// rest run. checkRDT adds 'expect verdict rdt'.
+func Chaos(n int, protocol core.Kind, seed int64, rounds int, faults string, supervise, checkRDT bool) (*Scenario, error) {
+	if rounds < 0 {
+		return nil, fmt.Errorf("scenario: rounds must be >= 0, have %d", rounds)
+	}
+	sc := &Scenario{Name: "faults", N: n, Protocol: protocol, Seed: seed, Reliable: true, Supervise: supervise}
+	if supervise {
+		sc.Name = "supervised"
+	}
+	if faults != "" {
+		probs, err := parseFaultMix(faults)
+		if err != nil {
+			return nil, err
+		}
+		sc.Faults, sc.HasFaults = probs, true
+	}
+	if checkRDT {
+		sc.Expect.Verdict = "rdt"
+	}
+	sc.withDefaults()
+	if err := sc.validate(); err != nil { // before the steps, which divide by n-1
+		return nil, err
+	}
+
+	add := func(at time.Duration, st Step) {
+		st.At, st.seq = at, len(sc.Steps)
+		sc.Steps = append(sc.Steps, st)
+	}
+	round := func(r int, at time.Duration) {
+		for p := 0; p < n; p++ {
+			dests := []int{(p + 1) % n, (p + 2) % n}
+			if supervise {
+				dests = []int{(p + 1 + r%(n-1)) % n}
+			}
+			for _, to := range dests {
+				if to != p {
+					add(at, Step{Op: OpSend, A: p, B: to})
+				}
+			}
+		}
+		add(at, Step{Op: OpCheckpoint, A: r % n, B: -1})
+	}
+	if !supervise {
+		for r := 0; r < rounds; r++ {
+			round(r, time.Duration(r)*roundGap)
+		}
+		return sc, nil
+	}
+	half := rounds / 2
+	for r := 0; r < half; r++ {
+		round(r, time.Duration(r)*roundGap)
+	}
+	victim := rand.New(rand.NewSource(seed)).Intn(n)
+	crashAt := time.Duration(half) * roundGap
+	add(crashAt, Step{Op: OpCrash, A: victim, B: -1})
+	add(crashAt, Step{Op: OpAwaitRecovery, A: -1, B: -1})
+	for r := half; r < rounds; r++ {
+		round(r, time.Duration(r+1)*roundGap)
+	}
+	add(time.Duration(rounds+1)*roundGap, Step{Op: OpSettle, A: -1, B: -1})
+	sc.Expect.Recovered = []int{victim}
+	return sc, nil
+}

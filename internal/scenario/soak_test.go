@@ -12,7 +12,7 @@ import (
 // seed alone.
 func TestGenerateDeterministic(t *testing.T) {
 	run := func() string {
-		res, err := Run(Generate(42, 30*time.Second))
+		res, err := Run(Generate(42, 30*time.Second), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func TestSoak(t *testing.T) {
 	total := time.Duration(0)
 	for seed := int64(1); seed <= runs; seed++ {
 		sc := Generate(seed, span)
-		res, err := Run(sc)
+		res, err := Run(sc, nil, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
