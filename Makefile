@@ -39,12 +39,16 @@ bench-test:
 # cores, with the test that reads the violation trace while four sessions
 # write it. So does what the session worker finds queued when it drains a
 # commit group (a close mid-drain, a retirement after a partial group):
-# those tests run again on one core and on two.
+# those tests run again on one core and on two. The scenario corpus must
+# NOT vary: each file, supervised ones included, runs twice per
+# TestCorpus pass, 17 passes on one, two and eight cores — at least 50
+# runs per file, every pair byte-identical.
 race: vet
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/shard
 	$(GO) test -race -count=5 -cpu=1,2,8 -run 'LifecycleChurn|TransitionsAfterDrain|DurableCreateCollisions|ViolationTraceConcurrentReads' ./internal/service
 	$(GO) test -race -count=3 -cpu=1,2 -short -run 'CrashPointDifferential|GroupCommit' ./internal/service
+	$(GO) test -race -count=17 -cpu=1,2,8 -run TestCorpus ./internal/scenario
 
 vet:
 	$(GO) vet ./...
@@ -63,10 +67,12 @@ chaos:
 # heartbeat failure detection, autonomous recovery with retries and
 # escalation, and the no-false-positive guarantee under injected delay.
 # The rdtsim half runs `-supervise`, a generated scenario on the virtual
-# clock whose seeded victim must be recovered with the same verdict on
-# every run.
+# clock whose seeded victim must be recovered with the same transcript on
+# every run. examples/recovery then drives the real-clock supervisor
+# through the rdt facade.
 chaos-supervise:
 	$(GO) test -race -run 'Supervis' ./internal/cluster/ ./cmd/rdtsim/
+	$(GO) run ./examples/recovery
 
 # Service smoke: boot a real rdtserved daemon and drive it end to end
 # over HTTP under the race detector — including 20 concurrent sessions

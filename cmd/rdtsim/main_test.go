@@ -251,15 +251,16 @@ func TestRunChaosSuperviseMode(t *testing.T) {
 	}
 }
 
-// TestRunChaosSuperviseDeterministic: failure detection crosses real
-// goroutine scheduling, so supervised runs agree on outcomes — the
-// process recovered and the verdict — not on every byte.
+// TestRunChaosSuperviseDeterministic: the supervisor runs on the
+// scenario's virtual clock, so a supervised chaos run — detection,
+// drain, recovery and replay — prints the same transcript every time.
 func TestRunChaosSuperviseDeterministic(t *testing.T) {
 	args := []string{
 		"-protocol", "bhmr", "-n", "4", "-rounds", "20", "-seed", "7", "-supervise",
-		"-faults", "drop=0.1,dup=0.1,reorder=0.15,err=0.05,delay=2ms",
+		"-faults", "drop=0.1,dup=0.1,reorder=0.15,err=0.05,delay=2ms", "-transcript",
 	}
 	want := fmt.Sprintf("recovered=[%d]", supervisedVictim(7, 4))
+	var first string
 	for i := 0; i < 3; i++ {
 		var out bytes.Buffer
 		if err := run(args, &out); err != nil {
@@ -267,6 +268,11 @@ func TestRunChaosSuperviseDeterministic(t *testing.T) {
 		}
 		if !strings.Contains(out.String(), want) || !strings.Contains(out.String(), "verdict=rdt") {
 			t.Fatalf("run %d: want %s and verdict=rdt:\n%s", i, want, out.String())
+		}
+		if i == 0 {
+			first = out.String()
+		} else if out.String() != first {
+			t.Fatalf("run %d differs from run 0:\n--- run 0 ---\n%s\n--- run %d ---\n%s", i, first, i, out.String())
 		}
 	}
 }

@@ -190,7 +190,8 @@ func (c *Cluster) QuiesceCtx(ctx context.Context) error {
 }
 
 // Settle blocks until no operation is queued or executing on any node —
-// including the cascade a delivery's Handler generates. Unlike Quiesce
+// including the cascade a delivery's Handler generates, and the exit of
+// a node goroutine the supervisor fail-stopped. Unlike Quiesce
 // it does not wait for in-flight frames, so under a virtual-clock
 // transport (where frames park on clock timers between Advance calls) it
 // is the barrier between two timer firings: everything the last firing
@@ -235,10 +236,16 @@ func (c *Cluster) StopLossy(ctx context.Context) (*model.Pattern, []model.LostMe
 	// Best-effort drain: a timeout here just means more messages land in
 	// the lost set.
 	_ = c.QuiesceCtx(ctx)
+	return c.finishLossy()
+}
+
+// finishLossy is the second half of StopLossy, after beginStop and the
+// drain: tear down and finalize, classifying what is still in flight as
+// lost.
+func (c *Cluster) finishLossy() (*model.Pattern, []model.LostMessage, error) {
 	if err := c.teardown(); err != nil {
 		return nil, nil, err
 	}
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p, lost, err := c.builder.FinalizeLossy()

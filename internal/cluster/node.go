@@ -152,33 +152,53 @@ func (n *Node) Status() (Status, error) {
 // The protocol instance and everything already persisted survive —
 // exactly the state a real process recovers from stable storage. Crash
 // is the failure half of the crash/recovery loop; Cluster.Restart and
-// Cluster.Recover are the repair halves.
+// Cluster.Recover are the repair halves. It returns once the process's
+// current operation, if any, has finished.
 func (n *Node) Crash() error {
+	done, err := n.failStop()
+	if err == nil {
+		<-done
+	}
+	return err
+}
+
+// failStop is Crash without the wait: the node is marked crashed and its
+// backlog discarded at once, and the returned channel closes when the
+// goroutine has finished its current operation and exited. The
+// supervisor uses it from clock callbacks, which must not block on a
+// wedged handler.
+func (n *Node) failStop() (<-chan struct{}, error) {
 	if n.c.isStopped() {
-		return ErrStopped
+		return nil, ErrStopped
 	}
 	n.mu.Lock()
 	if n.crashed {
 		n.mu.Unlock()
-		return ErrCrashed
+		return nil, ErrCrashed
 	}
 	n.crashed = true
 	mb, done := n.mailbox, n.done
 	n.mu.Unlock()
 
+	// The goroutine's exit counts as active work, so Settle waits until
+	// a fail-stopped node has finished its last operation.
+	n.c.active.add(1)
+	go func() {
+		<-done
+		n.c.active.done()
+	}()
 	dropped := mb.crash()
-	<-done
 	for _, o := range dropped {
 		// Every queued item held one outstanding and one active count; a
 		// dropped query also has a caller blocked on its reply channel.
-		n.c.active.done()
 		n.c.outstanding.done()
+		n.c.active.done()
 		if o.query != nil {
 			close(o.query)
 		}
 	}
 	n.c.noteCrash(n.proc, len(dropped))
-	return nil
+	return done, nil
 }
 
 // restart brings a crashed node back with a fresh mailbox; the protocol
@@ -214,8 +234,8 @@ func (n *Node) enqueue(o op) error {
 	n.c.outstanding.add(1)
 	n.c.active.add(1)
 	if !mb.put(o) {
-		n.c.active.done()
 		n.c.outstanding.done()
+		n.c.active.done()
 		return ErrStopped
 	}
 	return nil
@@ -237,8 +257,8 @@ func (n *Node) onFrame(f transport.Frame) {
 	// active count starts only now, when the frame becomes a queued op.
 	n.c.active.add(1)
 	if !mb.put(o) {
-		n.c.active.done()
 		n.c.outstanding.done() // dropped: crash or shutdown
+		n.c.active.done()
 	}
 }
 
@@ -254,8 +274,10 @@ func (n *Node) loop(mb *mailbox, done chan struct{}) {
 }
 
 func (n *Node) execute(o op) {
-	defer n.c.outstanding.done()
+	// Release outstanding before active: once Settle sees no active
+	// work, Quiesce's count already reflects every executed operation.
 	defer n.c.active.done()
+	defer n.c.outstanding.done()
 	switch o.kind {
 	case opSend:
 		n.doSend(o.to, o.payload)

@@ -30,6 +30,13 @@ func (p *pending) add(delta int) {
 
 func (p *pending) done() { p.add(-1) }
 
+// idle reports whether the count is zero.
+func (p *pending) idle() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.count <= 0
+}
+
 // wait blocks until the count reaches zero.
 func (p *pending) wait() {
 	p.mu.Lock()

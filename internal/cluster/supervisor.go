@@ -1,14 +1,15 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"github.com/rdt-go/rdt/internal/model"
 	"github.com/rdt-go/rdt/internal/obs"
 	"github.com/rdt-go/rdt/internal/storage"
 	"github.com/rdt-go/rdt/internal/transport"
@@ -32,7 +33,7 @@ const (
 
 // SupervisorConfig parameterizes Supervise.
 type SupervisorConfig struct {
-	// Interval is the heartbeat probe period. Each tick, the supervisor
+	// Interval is the heartbeat probe period. Each probe, the supervisor
 	// enqueues a liveness probe into every node's mailbox; the node
 	// goroutine acks it in order with its other operations, so the ack
 	// gap measures the event loop's actual responsiveness. Default 10ms.
@@ -67,9 +68,9 @@ type SupervisorConfig struct {
 	MaxBackoff time.Duration
 	// Seed makes the jitter schedule reproducible. Zero seeds from 1.
 	Seed int64
-	// DrainTimeout bounds the lossy stop's quiescence wait when a
-	// failover begins; expiring just classifies more messages as lost.
-	// Default 5s.
+	// DrainTimeout bounds, in Clock time, the lossy stop's quiescence
+	// wait when a failover begins; expiring just classifies more
+	// messages as lost. Default 5s.
 	DrainTimeout time.Duration
 
 	// Options, if non-nil, supplies the RecoverOptions of each recovery
@@ -82,7 +83,8 @@ type SupervisorConfig struct {
 	Options func(incarnation, attempt int) RecoverOptions
 	// OnRecover, if non-nil, is called after every successful autonomous
 	// recovery; the new incarnation is already running and supervised.
-	// It runs on the supervisor goroutine and must not block for long.
+	// OnRecover and OnEscalate run inside the supervisor's clock
+	// callback: they must not block, advance the clock, or call Stop.
 	OnRecover func(*RecoverResult)
 	// OnEscalate, if non-nil, is called once when MaxAttempts recovery
 	// attempts for one failure have all failed, with the last attempt's
@@ -90,9 +92,9 @@ type SupervisorConfig struct {
 	// and repairing it now needs an operator.
 	OnEscalate func(error)
 
-	// Clock drives the probe ticker, the gap measurements, and the retry
-	// backoff. Nil means the wall clock; a vtime.Virtual lets scenarios
-	// compress minutes of suspicion windows into an Advance call.
+	// Clock drives the probes, the gap measurements, the drain deadline
+	// and the retry backoff. Nil means the wall clock; a vtime.Virtual
+	// runs the whole failover inside its Advance calls.
 	Clock vtime.Clock
 }
 
@@ -137,29 +139,55 @@ func (cfg SupervisorConfig) withDefaults() SupervisorConfig {
 // observed heartbeat gaps and suspects when the current gap becomes
 // implausible under that distribution — so a uniformly slow (loaded,
 // delay-injected) but live node keeps raising its own expected gap and
-// is never suspected, while a crashed or wedged one is. On confirmation
-// the suspect is fail-stopped (Crash), the incarnation is stopped
-// tolerating loss, and recovery is attempted with bounded retries,
-// exponential backoff, and seeded jitter; exhausted retries escalate.
+// is never suspected, while a crashed or wedged one is.
+//
+// The supervisor is a state machine driven by its clock: each probe,
+// drain check and retry is one clock callback that re-arms itself, and
+// a failure moves it through watch → fail-stop → drain → attempt (→
+// backoff → attempt) → watch, or escalates once MaxAttempts attempts
+// have failed. No step blocks, so under a virtual clock the whole
+// failover runs inside Advance calls.
 //
 // The supervisor owns failover: do not call Stop, Recover, or Restart on
 // a supervised cluster directly — call Supervisor.Stop first, then
 // operate on Supervisor.Cluster().
 type Supervisor struct {
-	cfg   SupervisorConfig
-	clock vtime.Clock
-	rng   *rand.Rand // monitor goroutine only
-	stop  chan struct{}
-	done  chan struct{}
+	cfg      SupervisorConfig
+	clock    vtime.Clock
+	loop     *vtime.Loop
+	done     chan struct{}
+	doneOnce sync.Once
 
-	mu       sync.Mutex
-	c        *Cluster
-	inc      int // incarnation number of c, starting at 1
-	tracks   []*beatTrack
-	stopOnce sync.Once
+	// Only steps (and Supervise) write c, inc and tracks, so steps read
+	// them without mu; mu orders them for everyone else.
+	mu     sync.Mutex
+	c      *Cluster
+	inc    int // incarnation number of c, starting at 1
+	tracks []*beatTrack
+
+	// Failover state, touched only by steps (which never overlap).
+	phase    phase
+	rng      *rand.Rand
+	exiting  []<-chan struct{} // goroutines of fail-stopped suspects
+	crashed  []int
+	drainEnd time.Time
+	pattern  *model.Pattern
+	lost     []model.LostMessage
+	attempt  int
+	backoff  time.Duration
 
 	ins supInstruments
 }
+
+// phase is where a supervisor's failover stands.
+type phase int
+
+const (
+	watching    phase = iota // probing every Interval
+	failStopped              // suspects crashed; waiting for their goroutines to exit
+	draining                 // incarnation stopping; waiting for in-flight work
+	recovering               // attempting recovery, backing off between attempts
+)
 
 // Supervise attaches a supervisor to a running cluster and starts
 // monitoring. The cluster must have been built with LogPayloads (the
@@ -169,14 +197,10 @@ func Supervise(c *Cluster, cfg SupervisorConfig) (*Supervisor, error) {
 	if c == nil {
 		return nil, errors.New("cluster: supervise: nil cluster")
 	}
-	c.mu.Lock()
-	logging := c.payloads != nil
-	stopped := c.stopped
-	c.mu.Unlock()
-	if stopped {
+	if c.isStopped() {
 		return nil, ErrStopped
 	}
-	if !logging {
+	if c.payloads == nil { // set once by New
 		return nil, errors.New("cluster: supervise requires LogPayloads")
 	}
 	cfg = cfg.withDefaults()
@@ -184,7 +208,6 @@ func Supervise(c *Cluster, cfg SupervisorConfig) (*Supervisor, error) {
 		cfg:   cfg,
 		clock: vtime.Or(cfg.Clock),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 		inc:   1,
 		ins: supInstruments{
@@ -195,11 +218,7 @@ func Supervise(c *Cluster, cfg SupervisorConfig) (*Supervisor, error) {
 		},
 	}
 	s.adopt(c)
-	// Arm the probe ticker before the goroutine starts: under a virtual
-	// clock the supervisor must be registered the moment Supervise
-	// returns, or an immediate Advance would pass it by.
-	ticker := s.clock.NewTicker(cfg.Interval)
-	go s.monitor(ticker)
+	s.loop = vtime.Repeat(s.clock, cfg.Interval, s.step)
 	return s, nil
 }
 
@@ -220,27 +239,42 @@ func (s *Supervisor) Incarnation() int {
 	return s.inc
 }
 
-// Stop halts monitoring and waits for the monitor goroutine to exit. It
-// does not stop the cluster: stop the supervisor first, then drive
-// Cluster() through its normal shutdown. Stop is idempotent.
+// Stop halts monitoring: it cancels the pending step and waits for a
+// running one to return. It does not stop the cluster: stop the
+// supervisor first, then drive Cluster() through its normal shutdown.
+// A failover that Stop cuts short after the old incarnation began
+// stopping is torn down here instead. Stop is idempotent.
 func (s *Supervisor) Stop() {
-	s.stopOnce.Do(func() { close(s.stop) })
-	<-s.done
+	s.loop.Stop()
+	s.mu.Lock() // against a concurrent Stop; no step runs any more
+	abandoned := s.phase == draining
+	s.phase = watching
+	s.mu.Unlock()
+	if abandoned {
+		_, _, _ = s.c.finishLossy() // nobody is left to recover from it
+	}
+	s.end()
 }
 
-// Done is closed when the monitor goroutine has exited — after Stop, an
-// external cluster shutdown, or an escalation.
+// Done is closed when supervision has ended — after Stop, an external
+// cluster shutdown, or an escalation.
 func (s *Supervisor) Done() <-chan struct{} { return s.done }
 
+// end closes Done; its -1 return ends the step chain.
+func (s *Supervisor) end() time.Duration {
+	s.doneOnce.Do(func() { close(s.done) })
+	return -1
+}
+
 // ReportUnreachable feeds an external unreachability signal for a
-// process of the current incarnation: the next tick confirms it as a
+// process of the current incarnation: the next probe confirms it as a
 // suspicion without waiting for the accrual detector. Out-of-range
 // process ids are ignored.
 func (s *Supervisor) ReportUnreachable(proc int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if proc >= 0 && proc < len(s.tracks) {
-		s.tracks[proc].markUnreachable()
+		s.tracks[proc].unreachable.Store(true)
 	}
 }
 
@@ -253,7 +287,7 @@ func (s *Supervisor) ReportUnreachable(proc int) {
 func (s *Supervisor) OnGiveUp(f transport.Frame, err error) { s.ReportUnreachable(f.To) }
 
 // adopt installs a (new) incarnation: fresh per-process gap windows,
-// primed with the probe interval so φ is defined from the first tick.
+// primed with the probe interval so φ is defined from the first probe.
 func (s *Supervisor) adopt(c *Cluster) {
 	tracks := make([]*beatTrack, c.cfg.N)
 	now := s.clock.Now()
@@ -269,135 +303,115 @@ func (s *Supervisor) adopt(c *Cluster) {
 	s.mu.Unlock()
 }
 
-// monitor is the supervision loop: probe, evaluate, fail over.
-func (s *Supervisor) monitor(ticker vtime.Ticker) {
-	defer close(s.done)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C():
-		}
-		suspects, external := s.tick()
+// step is one firing of the supervisor's clock. It advances the failover
+// as far as it can without blocking and returns the delay to the next
+// step, or -1 when supervision ends.
+func (s *Supervisor) step() time.Duration {
+	c := s.c
+	if s.phase == watching {
+		suspects, external := s.probe(c)
 		if external {
-			return // the owner stopped the cluster; nothing to supervise
+			return s.end() // the owner stopped the cluster; nothing to supervise
 		}
-		if len(suspects) > 0 && !s.failover(suspects) {
-			return // escalated, externally stopped, or supervisor stopped
+		if len(suspects) == 0 {
+			return s.cfg.Interval
 		}
+		// Enforce fail-stop: a suspect that is merely wedged or
+		// partitioned is crashed so the recovery-line computation sees
+		// the same fault model for every failure kind. A wedged handler
+		// keeps its goroutine until it returns; later steps wait that out
+		// (a forever-stuck goroutine cannot be reaped in-process).
+		for _, proc := range suspects {
+			done, err := c.nodes[proc].failStop()
+			if errors.Is(err, ErrStopped) {
+				return s.end()
+			}
+			if err == nil { // ErrCrashed: already down, which is what we want
+				s.exiting = append(s.exiting, done)
+			}
+		}
+		// The probe's acks and the suspects' exits run on node
+		// goroutines; the next step sees them settled.
+		s.phase = failStopped
+		return s.cfg.Interval
 	}
+	if s.phase == failStopped {
+		for ; len(s.exiting) > 0; s.exiting = s.exiting[1:] {
+			select {
+			case <-s.exiting[0]:
+			default:
+				return s.cfg.Interval
+			}
+		}
+		s.crashed = c.Crashed()
+		if c.beginStop() != nil {
+			return s.end() // stopped by its owner mid-failover
+		}
+		s.drainEnd = s.clock.Now().Add(s.cfg.DrainTimeout)
+		s.phase = draining
+	}
+	if s.phase == draining {
+		// The drain is measured on the supervisor's clock: in-flight
+		// frames may be parked on that same clock, so waiting for them
+		// inside a step could never end.
+		if !c.outstanding.idle() && s.clock.Now().Before(s.drainEnd) {
+			return s.cfg.Interval
+		}
+		s.phase = recovering
+		var err error
+		if s.pattern, s.lost, err = c.finishLossy(); err != nil {
+			return s.escalate(fmt.Errorf("stop for recovery: %w", err))
+		}
+		s.attempt, s.backoff = 0, s.cfg.Backoff
+	}
+	s.attempt++
+	res, err := c.recoverFrom(s.pattern, s.lost, s.crashed, s.options(s.inc+1, s.attempt))
+	if err == nil {
+		s.adopt(res.Cluster)
+		s.phase, s.pattern, s.lost = watching, nil, nil
+		s.ins.recovery("ok")
+		if s.cfg.OnRecover != nil {
+			s.cfg.OnRecover(res)
+		}
+		return s.cfg.Interval
+	}
+	s.ins.recovery("retry")
+	if s.attempt == s.cfg.MaxAttempts {
+		return s.escalate(err)
+	}
+	d := s.jitter(s.backoff)
+	if s.backoff < s.cfg.MaxBackoff {
+		s.backoff = min(2*s.backoff, s.cfg.MaxBackoff)
+	}
+	return d
 }
 
-// suspect is one confirmed suspicion of the current tick.
-type suspect struct {
-	proc   int
-	reason string
-	gap    time.Duration
-}
-
-// tick probes every node and evaluates the accrual detector, returning
-// the confirmed suspicions. external reports that the cluster was
-// stopped by its owner.
-func (s *Supervisor) tick() (suspects []suspect, external bool) {
-	s.mu.Lock()
-	c, tracks := s.c, s.tracks
-	s.mu.Unlock()
-
+// probe enqueues a heartbeat into every node and evaluates the accrual
+// detector, returning the processes confirmed suspect. external reports
+// that the cluster was stopped by its owner.
+func (s *Supervisor) probe(c *Cluster) (suspects []int, external bool) {
 	now := s.clock.Now()
-	for proc := 0; proc < c.cfg.N; proc++ {
-		track := tracks[proc]
-		hist := s.ins.heartbeatGap
+	hist := s.ins.heartbeatGap
+	for proc, track := range s.tracks {
 		err := c.nodes[proc].ping(func() { track.beat(s.clock.Now(), hist) })
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrCrashed):
-			gap := track.gapSince(now)
-			s.ins.suspicion(proc, SuspectCrash, gap)
-			suspects = append(suspects, suspect{proc, SuspectCrash, gap})
-			continue
-		case errors.Is(err, ErrStopped):
+		if errors.Is(err, ErrStopped) {
 			return nil, true
 		}
-		if track.takeUnreachable() {
-			gap := track.gapSince(now)
-			s.ins.suspicion(proc, SuspectUnreachable, gap)
-			suspects = append(suspects, suspect{proc, SuspectUnreachable, gap})
-			continue
+		reason, gap := "", track.gapSince(now)
+		switch {
+		case errors.Is(err, ErrCrashed):
+			reason = SuspectCrash
+		case track.unreachable.Swap(false):
+			reason = SuspectUnreachable
+		case track.check(now, s.cfg.MinGap, s.cfg.Phi, s.cfg.ConfirmTicks):
+			reason = SuspectTimeout
 		}
-		if gap, confirmed := track.check(now, s.cfg.MinGap, s.cfg.Phi, s.cfg.ConfirmTicks); confirmed {
-			s.ins.suspicion(proc, SuspectTimeout, gap)
-			suspects = append(suspects, suspect{proc, SuspectTimeout, gap})
+		if reason != "" {
+			s.ins.suspicion(proc, reason, gap)
+			suspects = append(suspects, proc)
 		}
 	}
 	return suspects, false
-}
-
-// failover converts the suspicions into fail-stops and drives the
-// autonomous recovery with bounded, jittered retries. It reports whether
-// supervision continues (a new incarnation is adopted).
-func (s *Supervisor) failover(suspects []suspect) bool {
-	s.mu.Lock()
-	c := s.c
-	incarnation := s.inc
-	s.mu.Unlock()
-
-	// Enforce fail-stop: a suspect that is merely wedged or partitioned
-	// is crashed so the recovery-line computation sees the same fault
-	// model for every failure kind. Crash waits for the node's current
-	// operation to return — a wedged handler must eventually unblock for
-	// the failover to proceed (a forever-stuck goroutine cannot be
-	// reaped in-process).
-	for _, sp := range suspects {
-		err := c.nodes[sp.proc].Crash()
-		if errors.Is(err, ErrStopped) {
-			return false
-		}
-		// ErrCrashed: already down, which is what we want.
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
-	pattern, lost, crashed, err := c.stopForRecovery(ctx)
-	cancel()
-	if err != nil {
-		if errors.Is(err, ErrStopped) {
-			return false
-		}
-		s.escalate(fmt.Errorf("stop for recovery: %w", err))
-		return false
-	}
-
-	backoff := s.cfg.Backoff
-	var lastErr error
-	for attempt := 1; attempt <= s.cfg.MaxAttempts; attempt++ {
-		res, err := c.recoverFrom(pattern, lost, crashed, s.options(incarnation+1, attempt))
-		if err == nil {
-			s.adopt(res.Cluster)
-			s.ins.recovery("ok")
-			if s.cfg.OnRecover != nil {
-				s.cfg.OnRecover(res)
-			}
-			return true
-		}
-		lastErr = err
-		s.ins.recovery("retry")
-		if attempt == s.cfg.MaxAttempts {
-			break
-		}
-		select {
-		case <-s.clock.After(s.jitter(backoff)):
-		case <-s.stop:
-			return false
-		}
-		if backoff < s.cfg.MaxBackoff {
-			backoff *= 2
-			if backoff > s.cfg.MaxBackoff {
-				backoff = s.cfg.MaxBackoff
-			}
-		}
-	}
-	s.escalate(lastErr)
-	return false
 }
 
 // options builds one attempt's RecoverOptions.
@@ -409,13 +423,14 @@ func (s *Supervisor) options(incarnation, attempt int) RecoverOptions {
 	return RecoverOptions{Store: storage.NewMemory()}
 }
 
-// escalate records that autonomous recovery is out of attempts and hands
-// the failure to the operator callback.
-func (s *Supervisor) escalate(err error) {
+// escalate records that autonomous recovery is out of attempts, hands
+// the failure to the operator callback, and ends supervision.
+func (s *Supervisor) escalate(err error) time.Duration {
 	s.ins.escalation(err)
 	if s.cfg.OnEscalate != nil {
 		s.cfg.OnEscalate(err)
 	}
+	return s.end()
 }
 
 // jitter returns d plus up to 50% seeded random extra.
@@ -432,8 +447,8 @@ type beatTrack struct {
 	win         []float64 // seconds
 	n, idx      int
 	sum, sumSq  float64
-	over        int // consecutive over-threshold evaluations
-	unreachable bool
+	over        int         // consecutive over-threshold evaluations
+	unreachable atomic.Bool // latched external unreachability report
 }
 
 // newBeatTrack primes the window with the probe interval so the
@@ -486,35 +501,19 @@ func (t *beatTrack) gapSince(now time.Time) time.Duration {
 	return now.Sub(t.last)
 }
 
-// markUnreachable latches an external unreachability report.
-func (t *beatTrack) markUnreachable() {
-	t.mu.Lock()
-	t.unreachable = true
-	t.mu.Unlock()
-}
-
-// takeUnreachable consumes the latch.
-func (t *beatTrack) takeUnreachable() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	u := t.unreachable
-	t.unreachable = false
-	return u
-}
-
-// check evaluates the detector at one tick: suspicion requires the gap
+// check evaluates the detector at one probe: suspicion requires the gap
 // to clear the floor AND φ to clear the threshold on ConfirmTicks
 // consecutive evaluations.
-func (t *beatTrack) check(now time.Time, minGap time.Duration, phi float64, confirm int) (time.Duration, bool) {
+func (t *beatTrack) check(now time.Time, minGap time.Duration, phi float64, confirm int) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	gap := now.Sub(t.last)
 	if gap < minGap || t.phiOf(gap.Seconds()) < phi {
 		t.over = 0
-		return gap, false
+		return false
 	}
 	t.over++
-	return gap, t.over >= confirm
+	return t.over >= confirm
 }
 
 // phiOf is the suspicion level of a gap under the windowed distribution:

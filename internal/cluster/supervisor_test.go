@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -29,11 +30,10 @@ func injectCrash(t *testing.T, c *cluster.Cluster, seed int64) int {
 	return victim
 }
 
-// pump advances a virtual clock in fixed steps until cond holds, with a
-// tiny real yield per step so goroutines the advance woke (the monitor
-// draining its tick) get scheduled. It replaces the wall-clock poll
-// loops this file used to have: the waiting is now virtual, so the test
-// burns real time only on actual work.
+// pump advances a virtual clock in fixed steps until cond holds. The
+// supervisor's steps run inside each Advance, but over a real-clock
+// transport nothing settles the node goroutines that ack its probes, so
+// each step ends with a tiny real yield to let them run.
 func pump(t *testing.T, v *vtime.Virtual, step time.Duration, cond func() bool, what string) {
 	t.Helper()
 	const maxSteps = 100000
@@ -289,9 +289,11 @@ func TestSupervisorNoFalsePositivesUnderDelay(t *testing.T) {
 	const n = 3
 	v := vtime.NewVirtual(time.Time{})
 	reg := obs.NewRegistry()
-	faulty := transport.WithFaults(transport.NewLocal(time.Millisecond), transport.FaultConfig{
+	local := transport.NewLocalWith(transport.LocalConfig{MaxDelay: time.Millisecond, Seed: 7, Clock: v})
+	faulty := transport.WithFaults(local, transport.FaultConfig{
 		Seed:    7,
 		Default: transport.FaultProbs{Reorder: 0.8, MaxExtraDelay: 15 * time.Millisecond},
+		Clock:   v,
 	})
 	counts := newDeliveryCount()
 	c, err := cluster.New(cluster.Config{
@@ -329,11 +331,12 @@ func TestSupervisorNoFalsePositivesUnderDelay(t *testing.T) {
 			}
 			want[string(payload)] = true
 		}
-		// Many virtual probe ticks per round, a sliver of real time for
-		// the (real-clock) transport to move the messages.
-		v.Advance(10 * time.Millisecond)
-		time.Sleep(time.Millisecond)
+		// Several probes per round, with the cluster settled between
+		// any two firings: the delayed frames and the probes share the
+		// virtual clock.
+		v.AdvanceUntilIdle(10*time.Millisecond, c.Settle)
 	}
+	v.AdvanceUntilIdle(100*time.Millisecond, c.Settle)
 	c.Quiesce()
 	sup.Stop()
 
@@ -348,6 +351,62 @@ func TestSupervisorNoFalsePositivesUnderDelay(t *testing.T) {
 	counts.assertExactlyOnce(t, want)
 	if _, err := c.Stop(); err != nil {
 		t.Fatalf("stop: %v", err)
+	}
+}
+
+// TestSupervisorStopMidFailover: a Stop that cuts a failover short while
+// the old incarnation drains must tear that incarnation down itself —
+// after beginStop nobody else can.
+func TestSupervisorStopMidFailover(t *testing.T) {
+	v := vtime.NewVirtual(time.Time{})
+	local := transport.NewLocalWith(transport.LocalConfig{Clock: v})
+	release := make(chan struct{})
+	c, err := cluster.New(cluster.Config{
+		N:         2,
+		Protocol:  core.KindBHMR,
+		Transport: local,
+		Handler: func(node *cluster.Node, from int, payload []byte) {
+			<-release // P0 wedges on its delivery, so the drain cannot end
+		},
+		LogPayloads: true,
+	})
+	if err != nil {
+		t.Fatalf("new: %v", err)
+	}
+	sup, err := cluster.Supervise(c, cluster.SupervisorConfig{
+		Interval:     10 * time.Millisecond,
+		DrainTimeout: time.Second,
+		Clock:        v,
+		OnRecover:    func(*cluster.RecoverResult) { t.Error("recovery after Stop") },
+	})
+	if err != nil {
+		t.Fatalf("supervise: %v", err)
+	}
+	if err := c.Node(1).Send(0, []byte{1}); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if _, err := c.Node(1).Status(); err != nil { // the frame is on the clock
+		t.Fatalf("status: %v", err)
+	}
+	v.Advance(time.Millisecond) // delivered: P0 is wedged
+	if err := c.Node(1).Crash(); err != nil {
+		t.Fatalf("crash: %v", err)
+	}
+	v.Advance(10 * time.Millisecond) // probe: P1 suspected and fail-stopped
+	v.Advance(10 * time.Millisecond) // the old incarnation begins stopping
+	if err := c.Node(0).Checkpoint(); !errors.Is(err, cluster.ErrStopped) {
+		t.Fatalf("checkpoint during the drain: err = %v, want ErrStopped", err)
+	}
+	close(release)
+	sup.Stop()
+	if err := local.Send(transport.Frame{From: 1, To: 0}); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("transport after Stop: err = %v, want ErrClosed", err)
+	}
+	if v.Pending() != 0 {
+		t.Fatalf("%d timers pending after Stop", v.Pending())
+	}
+	if got := sup.Incarnation(); got != 1 {
+		t.Fatalf("incarnation = %d, want 1", got)
 	}
 }
 

@@ -124,8 +124,8 @@ func WithProfiling() ServerOption {
 	return func(c *serverConfig) { c.profiling = true }
 }
 
-// WithClock drives the server's periodic work (the profiling sampler's
-// ticker) from clock instead of the real one; tests pass a
+// WithClock drives the server's periodic work (the profiling sampler)
+// from clock instead of the real one; tests pass a
 // vtime.Virtual to step the cadence deterministically.
 func WithClock(clock vtime.Clock) ServerOption {
 	return func(c *serverConfig) { c.clock = clock }

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime/metrics"
-	"sync"
 	"time"
 
 	"github.com/rdt-go/rdt/internal/vtime"
@@ -61,9 +60,8 @@ func StartRuntimeGauges(reg *Registry, interval time.Duration) (stop func()) {
 
 // StartRuntimeGaugesOn is StartRuntimeGauges on an explicit clock (nil
 // for the real one): a vtime.Virtual makes the sampling cadence part of
-// a deterministic schedule. The ticker is armed before the sampling
-// goroutine starts, so a virtual advance issued right after the call
-// cannot miss it.
+// a deterministic schedule, each sample running inside the Advance that
+// reaches it.
 func StartRuntimeGaugesOn(clock vtime.Clock, reg *Registry, interval time.Duration) (stop func()) {
 	if reg == nil {
 		return func() {}
@@ -76,21 +74,10 @@ func StartRuntimeGaugesOn(clock vtime.Clock, reg *Registry, interval time.Durati
 		samples[i].Name = runtimeSamples[i].name
 	}
 	sampleRuntime(reg, samples) // populate before the first tick
-	done := make(chan struct{})
-	tick := vtime.Or(clock).NewTicker(interval)
-	go func() {
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C():
-				sampleRuntime(reg, samples)
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
+	return vtime.Repeat(vtime.Or(clock), interval, func() time.Duration {
+		sampleRuntime(reg, samples)
+		return interval
+	}).Stop
 }
 
 // mountPprof mounts the net/http/pprof handlers on the mux under

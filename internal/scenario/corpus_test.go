@@ -10,9 +10,9 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden transcripts")
 
-// TestCorpus runs every seed scenario in corpus/ and checks its
-// expectations; unsupervised scenarios additionally run twice and must
-// produce byte-identical transcripts.
+// TestCorpus runs every seed scenario in corpus/ twice, checks its
+// expectations, and requires byte-identical transcripts — supervised
+// scenarios included.
 func TestCorpus(t *testing.T) {
 	files, err := filepath.Glob("corpus/*.rdts")
 	if err != nil {
@@ -36,51 +36,52 @@ func TestCorpus(t *testing.T) {
 			if !res.Passed() {
 				t.Fatalf("expectations failed: %v\ntranscript:\n%s", res.Failures, res.Transcript)
 			}
-			if !sc.Supervise {
-				sc2, _ := ParseFile(file)
-				res2, err := Run(sc2, nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Transcript != res2.Transcript {
-					t.Fatal("transcript not reproducible across runs")
-				}
+			sc2, _ := ParseFile(file)
+			res2, err := Run(sc2, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Transcript != res2.Transcript {
+				t.Fatal("transcript not reproducible across runs")
 			}
 		})
 	}
 }
 
-// TestGoldenTranscript pins the exact transcript of one corpus scenario:
-// any change to scheduling, fault injection, or checker behavior that
-// shifts the deterministic replay shows up as a byte diff here. Refresh
-// with: go test ./internal/scenario -run TestGolden -update
+// TestGoldenTranscript pins the exact transcripts of two corpus
+// scenarios, one unsupervised and one supervised: any change to
+// scheduling, fault injection, failure detection or checker behavior
+// that shifts the deterministic replay shows up as a byte diff here.
+// Refresh with: go test ./internal/scenario -run TestGolden -update
 func TestGoldenTranscript(t *testing.T) {
-	const (
-		src    = "corpus/figure1-zigzag.rdts"
-		golden = "testdata/figure1-zigzag.golden"
-	)
-	sc, err := ParseFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(sc, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(res.Transcript), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if res.Transcript != string(want) {
-		t.Fatalf("transcript drifted from golden:\n--- want ---\n%s\n--- have ---\n%s", want, res.Transcript)
+	for _, name := range []string{"figure1-zigzag", "supervised-failover"} {
+		t.Run(name, func(t *testing.T) {
+			src := "corpus/" + name + ".rdts"
+			golden := "testdata/" + name + ".golden"
+			sc, err := ParseFile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(sc, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *updateGolden {
+				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, []byte(res.Transcript), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("missing golden (run with -update to create): %v", err)
+			}
+			if res.Transcript != string(want) {
+				t.Fatalf("transcript drifted from golden:\n--- want ---\n%s\n--- have ---\n%s", want, res.Transcript)
+			}
+		})
 	}
 }

@@ -44,8 +44,7 @@ type Result struct {
 	// SimTime is how much virtual time the run covered.
 	SimTime time.Duration
 	// Transcript is the deterministic run log: one line per directive
-	// and (in unsupervised runs) per delivery, byte-identical across
-	// runs of the same file.
+	// and per delivery, byte-identical across runs of the same file.
 	Transcript string
 	// Failures lists every violated 'expect' assertion; empty means the
 	// scenario passed.
@@ -197,10 +196,8 @@ func (r *runner) onRecover(res *cluster.RecoverResult) {
 func (r *runner) onDeliver(n *cluster.Node, from int, payload []byte) {
 	r.mu.Lock()
 	r.delivered++
-	if !r.sc.Supervise {
-		r.lines = append(r.lines, fmt.Sprintf("t=%v deliver %d<-%d %s",
-			r.v.Now().Sub(r.start), n.Proc(), from, payload))
-	}
+	r.lines = append(r.lines, fmt.Sprintf("t=%v deliver %d<-%d %s",
+		r.v.Now().Sub(r.start), n.Proc(), from, payload))
 	r.mu.Unlock()
 }
 
@@ -243,8 +240,8 @@ func (r *runner) advance(dt time.Duration) {
 }
 
 // drain keeps advancing until the timer heap is empty (bounded — a
-// supervised run's probe ticker re-arms forever, so one window is the
-// whole drain there).
+// supervised run's probes re-arm forever, so one window is the whole
+// drain there).
 func (r *runner) drain() {
 	if r.sup != nil {
 		r.advance(r.sc.Drain)
@@ -472,14 +469,13 @@ func (r *runner) recoverNow() error {
 	return nil
 }
 
-// awaitRecovery pumps virtual time until the supervisor completes a
-// failover (the incarnation number moves past the last one awaited).
-// The supervisor goroutine runs on the scheduler's time, so each pump
-// pairs a virtual advance with a real yield; a real deadline bounds the
-// wait.
+// awaitRecovery advances virtual time, settling the cluster between
+// firings, until the supervisor completes a failover (the incarnation
+// number moves past the last one awaited). The supervisor runs inside
+// the clock's callbacks, so the wait is bounded in virtual time alone.
 func (r *runner) awaitRecovery() error {
-	deadline := time.Now().Add(30 * time.Second)
-	for {
+	const step, limit = 10 * time.Millisecond, time.Minute
+	for waited := time.Duration(0); ; waited += step {
 		select {
 		case <-r.sup.Done():
 			return fmt.Errorf("await-recovery: supervisor escalated and stopped")
@@ -492,11 +488,10 @@ func (r *runner) awaitRecovery() error {
 			r.stepf("recovered incarnation=%d", inc)
 			return nil
 		}
-		if time.Now().After(deadline) {
+		if waited >= limit {
 			return fmt.Errorf("await-recovery: no failover after %v virtual", r.v.Now().Sub(r.start))
 		}
-		r.v.Advance(10 * time.Millisecond)
-		time.Sleep(200 * time.Microsecond)
+		r.advance(step)
 	}
 }
 

@@ -147,9 +147,9 @@ expect verdict rdt
 expect recovered 1
 `
 
-// TestRunSupervised: the supervisor detects the crash via its virtual
-// probe ticker, fails over to a new incarnation, and the scenario's
-// outcome-level expectations hold.
+// TestRunSupervised: the supervisor detects the crash from its probes on
+// the virtual clock, fails over to a new incarnation, the scenario's
+// expectations hold, and a second run prints the same transcript.
 func TestRunSupervised(t *testing.T) {
 	sc, err := Parse(strings.NewReader(supervised))
 	if err != nil {
@@ -162,5 +162,13 @@ func TestRunSupervised(t *testing.T) {
 	if !res.Passed() {
 		t.Fatalf("expectations failed: %v\ntranscript:\n%s", res.Failures, res.Transcript)
 	}
-	t.Logf("recovered=%v verdict=%s delivered=%d", res.Recovered, res.Verdict, res.Delivered)
+	// The failover runs inside the clock's callbacks, so a second run
+	// replays it byte for byte.
+	res2, err := Run(sc, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Transcript != res2.Transcript {
+		t.Fatalf("supervised transcript not reproducible:\n--- first ---\n%s\n--- second ---\n%s", res.Transcript, res2.Transcript)
+	}
 }

@@ -46,9 +46,9 @@
 // backoff, supervision probes — runs on one vtime.Virtual clock, fired
 // in (deadline, registration) order, and the executor quiesces the
 // cluster between any two firings (Cluster.Settle), so exactly one
-// operation is in flight at a time. Supervised runs are deterministic
-// at the outcome level (which process recovered, the final verdict);
-// unsupervised runs produce byte-identical transcripts.
+// operation is in flight at a time. The supervisor is driven by the
+// same clock's callbacks, so supervised runs, like every other, produce
+// byte-identical transcripts.
 package scenario
 
 import (

@@ -61,7 +61,7 @@ type Config struct {
 	// events; either may be nil.
 	Registry *obs.Registry
 	Tracer   *obs.Tracer
-	// Clock drives the janitor's sweep ticker and the idle cut, plus
+	// Clock drives the janitor's sweeps and the idle cut, plus
 	// session created/last-active stamps. Nil means the real clock;
 	// tests pass a vtime.Virtual to make idle eviction deterministic.
 	Clock vtime.Clock
@@ -145,10 +145,8 @@ type Service struct {
 	slots map[string]slot
 
 	workers   sync.WaitGroup
-	janitor   sync.WaitGroup
-	stop      chan struct{}
+	janitor   *vtime.Loop // idle sweeps; nil without an idle timeout
 	draining  atomic.Bool
-	drainOne  sync.Once
 	unlockOne sync.Once
 
 	// unlock releases the data-dir lock (durable services only).
@@ -203,7 +201,6 @@ func New(cfg Config) (*Service, error) {
 		cfg:           cfg,
 		clock:         vtime.Or(cfg.Clock),
 		slots:         make(map[string]slot),
-		stop:          make(chan struct{}),
 		mSessions:     cfg.Registry.Gauge("rdt_service_sessions"),
 		mCreated:      cfg.Registry.Counter("rdt_service_sessions_created_total"),
 		mIngested:     cfg.Registry.Counter("rdt_service_events_ingested_total"),
@@ -233,12 +230,10 @@ func New(cfg Config) (*Service, error) {
 		s.unlock = unlock
 	}
 	if cfg.IdleTimeout > 0 {
-		// Arm the ticker here, not in the goroutine: under a virtual
-		// clock the janitor must be registered the moment New returns, or
-		// an immediate Advance would pass it by.
-		t := s.clock.NewTicker(cfg.SweepInterval)
-		s.janitor.Add(1)
-		go s.runJanitor(t)
+		s.janitor = vtime.Repeat(s.clock, cfg.SweepInterval, func() time.Duration {
+			s.sweep()
+			return cfg.SweepInterval
+		})
 	}
 	return s, nil
 }
@@ -546,19 +541,6 @@ func (s *Service) SessionCount() int { return len(s.liveSessions()) }
 // Draining reports whether Drain has begun.
 func (s *Service) Draining() bool { return s.draining.Load() }
 
-func (s *Service) runJanitor(t vtime.Ticker) {
-	defer s.janitor.Done()
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C():
-			s.sweep()
-		}
-	}
-}
-
 // sweep evicts every session untouched for longer than the idle
 // timeout.
 func (s *Service) sweep() {
@@ -575,11 +557,10 @@ func (s *Service) sweep() {
 // deadline — for the workers to apply what was already acknowledged.
 // Sessions remain queryable afterwards. Idempotent.
 func (s *Service) Drain(ctx context.Context) error {
-	s.drainOne.Do(func() {
-		s.draining.Store(true)
-		close(s.stop)
-	})
-	s.janitor.Wait()
+	s.draining.Store(true)
+	if s.janitor != nil {
+		s.janitor.Stop()
+	}
 	for _, sess := range s.liveSessions() {
 		sess.closeQueue()
 	}

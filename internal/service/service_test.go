@@ -397,13 +397,12 @@ func TestIdleEviction(t *testing.T) {
 	if _, err := svc.Session("idle"); err != nil {
 		t.Fatalf("evicted before the idle timeout: %v", err)
 	}
-	// Past the timeout the janitor's own ticker does the eviction; the
-	// janitor goroutine runs on the scheduler, so wait for it.
+	// Past the timeout the janitor's own sweep does the eviction, inside
+	// the Advance that reaches it.
 	v.Advance(2 * time.Minute)
-	waitFor(t, func() bool {
-		_, err := svc.Session("idle")
-		return errors.Is(err, ErrNoSession)
-	})
+	if _, err := svc.Session("idle"); !errors.Is(err, ErrNoSession) {
+		t.Fatalf("session after the idle sweep: err = %v, want ErrNoSession", err)
+	}
 	if got := reg.Snapshot().CounterValue("rdt_service_sessions_evicted_total", "reason", "idle"); got != 1 {
 		t.Fatalf("evicted{idle} = %d, want 1", got)
 	}

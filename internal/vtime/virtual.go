@@ -9,25 +9,15 @@ import (
 // Virtual is a deterministic Clock: time stands still until Advance (or
 // AdvanceUntilIdle) moves it, and due timers fire in (deadline,
 // registration) order — two timers never fire in different orders on two
-// runs. AfterFunc callbacks run synchronously inside the advancing call,
-// one at a time, which is what makes schedules built on them (transport
-// delivery, retry backoff) fully deterministic.
-//
-// Waiter accounting makes advancing race-free against Sleep: when a
-// sleeper's timer fires, the clock counts the goroutine as waking until
-// its Sleep call has actually returned, and the advancing goroutine
-// waits that count out before firing the next timer. BlockUntil
-// additionally lets a test wait until a known number of goroutines are
-// parked in Sleep before advancing at all.
+// runs. Callbacks run synchronously inside the advancing call, one at a
+// time, so every schedule built on them (transport delivery, retry
+// backoff, supervision probes, idle sweeps) is fully deterministic:
+// nothing the clock drives runs beside the goroutine that advances it.
 type Virtual struct {
-	mu   sync.Mutex
-	cond *sync.Cond // broadcast on sleeper/waking transitions
-
-	now      time.Time
-	seq      uint64
-	timers   vheap
-	sleepers int // goroutines inside Sleep (parked or waking)
-	waking   int // fired sleepers whose Sleep has not returned yet
+	mu     sync.Mutex
+	now    time.Time
+	seq    uint64
+	timers vheap
 
 	// advMu serializes advancing so concurrent Advance calls cannot
 	// interleave their firing sequences. Timer callbacks run holding it:
@@ -42,9 +32,7 @@ func NewVirtual(start time.Time) *Virtual {
 	if start.IsZero() {
 		start = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 	}
-	v := &Virtual{now: start}
-	v.cond = sync.NewCond(&v.mu)
-	return v
+	return &Virtual{now: start}
 }
 
 var _ Clock = (*Virtual)(nil)
@@ -59,79 +47,23 @@ func (v *Virtual) Now() time.Time {
 // Since returns Now().Sub(t).
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
-// Sleep blocks until the clock has been advanced d past the current
-// virtual time. Nonpositive d returns immediately.
-func (v *Virtual) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	ch := make(chan time.Time, 1)
-	v.mu.Lock()
-	v.schedule(d, &vtimer{ch: ch, sleeper: true})
-	v.sleepers++
-	v.cond.Broadcast()
-	v.mu.Unlock()
-	<-ch
-	v.mu.Lock()
-	v.sleepers--
-	v.waking--
-	v.cond.Broadcast()
-	v.mu.Unlock()
-}
-
-// After returns a channel receiving the virtual time once d has elapsed.
-func (v *Virtual) After(d time.Duration) <-chan time.Time { return v.NewTimer(d).C() }
-
-// NewTimer returns a single-shot virtual timer firing after d.
-func (v *Virtual) NewTimer(d time.Duration) Timer {
-	t := &vtimer{ch: make(chan time.Time, 1)}
-	v.mu.Lock()
-	v.schedule(d, t)
-	v.mu.Unlock()
-	return t
-}
-
-// NewTicker returns a virtual ticker firing every d. Ticks that find the
-// buffer full are dropped, so a consumer that falls behind coalesces
-// them, like time.Ticker's.
-func (v *Virtual) NewTicker(d time.Duration) Ticker {
-	if d <= 0 {
-		panic("vtime: non-positive ticker period")
-	}
-	t := &vtimer{ch: make(chan time.Time, 1), period: d}
-	v.mu.Lock()
-	v.schedule(d, t)
-	v.mu.Unlock()
-	return vticker{t}
-}
-
 // AfterFunc schedules fn to run once d has elapsed. fn runs synchronously
 // inside the Advance call that reaches its deadline — deterministic, and
 // therefore forbidden to advance the clock itself.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
-	t := &vtimer{fn: fn}
-	v.mu.Lock()
-	v.schedule(d, t)
-	v.mu.Unlock()
-	return t
-}
-
-// schedule arms t for d from now and pushes it. Callers hold v.mu.
-func (v *Virtual) schedule(d time.Duration, t *vtimer) {
 	if d < 0 {
 		d = 0
 	}
-	t.v = v
-	t.when = v.now.Add(d)
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	v.seq++
-	t.seq = v.seq
-	t.idx = -1
+	t := &vtimer{v: v, when: v.now.Add(d), seq: v.seq, fn: fn}
 	heap.Push(&v.timers, t)
+	return t
 }
 
 // Advance moves the clock forward by d, firing every timer due in the
-// window in (deadline, registration) order, one at a time. Between
-// firings it waits for woken sleepers to return from Sleep. d must be
+// window in (deadline, registration) order, one at a time. d must be
 // nonnegative.
 func (v *Virtual) Advance(d time.Duration) {
 	if d < 0 {
@@ -146,43 +78,29 @@ func (v *Virtual) Advance(d time.Duration) {
 
 // AdvanceUntilIdle advances the clock, firing due timers one at a time,
 // until no timer remains due within limit of the starting time (limit <=
-// 0 drains the heap completely). After each firing it waits out the
-// waiter accounting — every woken Sleep must have returned — and then
-// calls settle (if non-nil), the caller's own quiescence barrier, so all
-// work one timer triggered, and any timers that work scheduled, are
-// registered before the next timer fires. With limit > 0 the clock ends
-// exactly at start+limit. It returns the virtual time advanced.
+// 0 drains the heap completely). Before each firing it calls settle (if
+// non-nil), the caller's own quiescence barrier, so all work one timer
+// triggered, and any timers that work scheduled, are registered before
+// the next timer fires. With limit > 0 the clock ends exactly at
+// start+limit. It returns the virtual time advanced.
 func (v *Virtual) AdvanceUntilIdle(limit time.Duration, settle func()) time.Duration {
 	v.advMu.Lock()
 	defer v.advMu.Unlock()
 	v.mu.Lock()
+	defer v.mu.Unlock()
 	start := v.now
-	var target time.Time
-	bounded := limit > 0
-	if bounded {
-		target = start.Add(limit)
-	}
-	v.advanceLocked(target, !bounded, settle)
-	d := v.now.Sub(start)
-	v.mu.Unlock()
-	return d
+	v.advanceLocked(start.Add(limit), limit <= 0, settle)
+	return v.now.Sub(start)
 }
 
 // advanceLocked is the shared firing loop. Callers hold v.advMu and
 // v.mu; the lock is dropped around callbacks and settle.
 func (v *Virtual) advanceLocked(target time.Time, unbounded bool, settle func()) {
 	for {
-		for v.waking > 0 {
-			v.cond.Wait()
-		}
 		if settle != nil {
 			v.mu.Unlock()
 			settle()
 			v.mu.Lock()
-			continueWaiting := v.waking > 0
-			if continueWaiting {
-				continue
-			}
 		}
 		t := v.timers.peek()
 		if t == nil || (!unbounded && t.when.After(target)) {
@@ -192,41 +110,16 @@ func (v *Virtual) advanceLocked(target time.Time, unbounded bool, settle func())
 			v.now = t.when
 		}
 		heap.Remove(&v.timers, t.idx)
-		v.fireLocked(t)
+		v.mu.Unlock()
+		t.fn()
+		v.mu.Lock()
 	}
 	if !unbounded && v.now.Before(target) {
 		v.now = target
 	}
 }
 
-// fireLocked delivers one due timer. Callers hold v.mu; it is dropped
-// around callback execution.
-func (v *Virtual) fireLocked(t *vtimer) {
-	if t.period > 0 {
-		// Re-arm the ticker relative to its own deadline, keeping the
-		// cadence independent of when the tick is consumed.
-		t.when = t.when.Add(t.period)
-		v.seq++
-		t.seq = v.seq
-		heap.Push(&v.timers, t)
-	}
-	if t.fn != nil {
-		fn := t.fn
-		v.mu.Unlock()
-		fn()
-		v.mu.Lock()
-		return
-	}
-	if t.sleeper {
-		v.waking++
-	}
-	select {
-	case t.ch <- v.now:
-	default: // coalesce: the previous firing was never consumed
-	}
-}
-
-// Pending returns the number of armed timers (tickers count once).
+// Pending returns the number of armed timers.
 func (v *Virtual) Pending() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -244,40 +137,14 @@ func (v *Virtual) NextDeadline() (time.Time, bool) {
 	return t.when, true
 }
 
-// Sleepers returns the number of goroutines currently inside Sleep.
-func (v *Virtual) Sleepers() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.sleepers
-}
-
-// BlockUntil waits until at least n goroutines are parked in Sleep — the
-// race-free handshake for tests that advance a clock other goroutines
-// are about to sleep on.
-func (v *Virtual) BlockUntil(n int) {
-	v.mu.Lock()
-	for v.sleepers < n {
-		v.cond.Wait()
-	}
-	v.mu.Unlock()
-}
-
 // vtimer is one armed (or fired) timer of a Virtual clock.
 type vtimer struct {
-	v       *Virtual
-	when    time.Time
-	seq     uint64
-	idx     int // heap index; -1 when not armed
-	ch      chan time.Time
-	fn      func()
-	period  time.Duration
-	sleeper bool
+	v    *Virtual
+	when time.Time
+	seq  uint64
+	idx  int // heap index; -1 when not armed
+	fn   func()
 }
-
-var _ Timer = (*vtimer)(nil)
-
-// C returns the firing channel (nil for AfterFunc timers).
-func (t *vtimer) C() <-chan time.Time { return t.ch }
 
 // Stop disarms the timer, reporting whether it prevented a firing.
 func (t *vtimer) Stop() bool {
@@ -287,36 +154,8 @@ func (t *vtimer) Stop() bool {
 		return false
 	}
 	heap.Remove(&t.v.timers, t.idx)
-	t.idx = -1
 	return true
 }
-
-// Reset rearms the timer for d from the clock's now, reporting whether
-// it was still armed.
-func (t *vtimer) Reset(d time.Duration) bool {
-	t.v.mu.Lock()
-	defer t.v.mu.Unlock()
-	active := t.idx >= 0
-	if active {
-		heap.Remove(&t.v.timers, t.idx)
-	}
-	if d < 0 {
-		d = 0
-	}
-	t.when = t.v.now.Add(d)
-	t.v.seq++
-	t.seq = t.v.seq
-	heap.Push(&t.v.timers, t)
-	return active
-}
-
-// vticker adapts a periodic vtimer to the Ticker interface.
-type vticker struct{ t *vtimer }
-
-var _ Ticker = vticker{}
-
-func (tk vticker) C() <-chan time.Time { return tk.t.ch }
-func (tk vticker) Stop()               { tk.t.Stop() }
 
 // vheap orders timers by (deadline, registration sequence).
 type vheap []*vtimer

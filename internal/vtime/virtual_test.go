@@ -11,25 +11,15 @@ import (
 func TestRealClockBasics(t *testing.T) {
 	c := Real()
 	start := c.Now()
-	c.Sleep(time.Millisecond)
-	if c.Since(start) <= 0 {
-		t.Fatal("Since did not move")
-	}
-	tm := c.NewTimer(time.Millisecond)
-	<-tm.C()
-	if tm.Stop() {
-		t.Error("Stop after firing reported true")
-	}
-	tk := c.NewTicker(time.Millisecond)
-	<-tk.C()
-	tk.Stop()
 	done := make(chan struct{})
 	c.AfterFunc(time.Millisecond, func() { close(done) })
 	<-done
-	select {
-	case <-c.After(time.Millisecond):
-	case <-time.After(5 * time.Second):
-		t.Fatal("After never fired")
+	if c.Since(start) <= 0 {
+		t.Fatal("Since did not move")
+	}
+	tm := c.AfterFunc(time.Hour, func() { t.Error("stopped callback ran") })
+	if !tm.Stop() {
+		t.Error("Stop of a pending timer reported false")
 	}
 }
 
@@ -118,6 +108,8 @@ func TestVirtualAfterFuncCascade(t *testing.T) {
 	}
 }
 
+// TestVirtualTimerStopReset: a stopped timer never fires, and the way to
+// reset one is to arm a fresh callback — which fires at its own deadline.
 func TestVirtualTimerStopReset(t *testing.T) {
 	v := NewVirtual(time.Time{})
 	ran := false
@@ -132,127 +124,82 @@ func TestVirtualTimerStopReset(t *testing.T) {
 	if ran {
 		t.Fatal("stopped callback ran")
 	}
-	if tm.Reset(time.Second) {
-		t.Fatal("Reset of stopped timer reported active")
+	start := v.Now()
+	var at time.Duration
+	v.AfterFunc(time.Second, func() { at = v.Since(start) })
+	v.Advance(3 * time.Second)
+	if at != time.Second {
+		t.Fatalf("re-armed callback ran at +%v, want +1s", at)
 	}
-	v.Advance(time.Second)
-	if !ran {
-		t.Fatal("reset callback did not run")
+	fired := v.AfterFunc(0, func() {})
+	v.Advance(0)
+	if fired.Stop() {
+		t.Fatal("Stop after firing reported true")
+	}
+}
+
+// TestVirtualRearmingCallback is the periodic cadence every clock-driven
+// component uses: a callback that re-arms itself fires at exactly
+// start + k·d through one Advance, and a Stop from inside the callback
+// leaves nothing pending.
+func TestVirtualRearmingCallback(t *testing.T) {
+	const d = 10 * time.Millisecond
+	v := NewVirtual(time.Time{})
+	start := v.Now()
+	var at []time.Duration
+	var tm Timer
+	var tick func()
+	tick = func() {
+		at = append(at, v.Since(start))
+		tm = v.AfterFunc(d, tick)
+		if len(at) == 10 {
+			if !tm.Stop() {
+				t.Error("Stop of the re-armed timer reported false")
+			}
+		}
+	}
+	tm = v.AfterFunc(d, tick)
+	v.Advance(10 * d)
+	if len(at) != 10 {
+		t.Fatalf("fired %d times, want 10", len(at))
+	}
+	for k, got := range at {
+		if want := time.Duration(k+1) * d; got != want {
+			t.Fatalf("firing %d at +%v, want +%v", k, got, want)
+		}
+	}
+	v.Advance(10 * d)
+	if len(at) != 10 || v.Pending() != 0 {
+		t.Fatalf("after Stop: %d firings, %d timers pending", len(at), v.Pending())
+	}
+}
+
+// TestRepeat: a Loop runs its steps at the delays they return, ends when
+// a step returns a negative delay, and Stop cancels the pending step.
+func TestRepeat(t *testing.T) {
+	v := NewVirtual(time.Time{})
+	start := v.Now()
+	var at []time.Duration
+	Repeat(v, time.Second, func() time.Duration {
+		at = append(at, v.Since(start))
+		if len(at) == 3 {
+			return -1
+		}
+		return time.Duration(len(at)) * time.Second
+	})
+	v.AdvanceUntilIdle(0, nil)
+	if len(at) != 3 || at[0] != time.Second || at[1] != 2*time.Second || at[2] != 4*time.Second {
+		t.Fatalf("steps at %v, want [1s 2s 4s]", at)
 	}
 
-	// Reset of a pending channel timer pushes the deadline out.
-	tm2 := v.NewTimer(time.Second)
-	if !tm2.Reset(3 * time.Second) {
-		t.Fatal("Reset of armed timer reported inactive")
-	}
+	steps := 0
+	l := Repeat(v, time.Second, func() time.Duration { steps++; return time.Second })
 	v.Advance(2 * time.Second)
-	select {
-	case <-tm2.C():
-		t.Fatal("timer fired before reset deadline")
-	default:
-	}
-	v.Advance(time.Second)
-	select {
-	case ts := <-tm2.C():
-		if !ts.Equal(v.Now()) {
-			t.Fatalf("fired with %v, now %v", ts, v.Now())
-		}
-	default:
-		t.Fatal("timer did not fire at reset deadline")
-	}
-}
-
-func TestVirtualTicker(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	tk := v.NewTicker(time.Second)
-	var ticks []time.Time
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case ts := <-tk.C():
-				ticks = append(ticks, ts)
-			case <-done:
-				return
-			}
-		}
-	}()
-	// Advance one period at a time so the consumer keeps up and no tick
-	// coalesces; AdvanceUntilIdle with a ticker would spin forever, so
-	// bounded Advance is the right call here.
-	for i := 0; i < 5; i++ {
-		v.Advance(time.Second)
-		// Yield until the consumer drained the tick.
-		for {
-			v.mu.Lock()
-			drained := len(tk.(vticker).t.ch) == 0
-			v.mu.Unlock()
-			if drained {
-				break
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	close(done)
-	wg.Wait()
-	tk.Stop()
-	if len(ticks) != 5 {
-		t.Fatalf("got %d ticks, want 5", len(ticks))
-	}
-	for i, ts := range ticks {
-		want := NewVirtual(time.Time{}).Now().Add(time.Duration(i+1) * time.Second)
-		if !ts.Equal(want) {
-			t.Fatalf("tick %d at %v, want %v", i, ts, want)
-		}
-	}
-	if v.Pending() != 0 {
-		t.Fatalf("stopped ticker left %d timers pending", v.Pending())
-	}
-}
-
-func TestVirtualTickerCoalesces(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	tk := v.NewTicker(time.Second)
-	defer tk.Stop()
-	v.Advance(10 * time.Second) // nobody consuming: ticks coalesce
-	if got := len(tk.(vticker).t.ch); got != 1 {
-		t.Fatalf("buffered ticks = %d, want 1", got)
-	}
-}
-
-// TestVirtualSleepRace is the concurrent Advance-vs-Sleep race test: many
-// goroutines sleeping while another advances. BlockUntil removes the
-// register-vs-advance race; waiter accounting guarantees every sleeper
-// observes a fully advanced clock. Run under -race.
-func TestVirtualSleepRace(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	const sleepers = 16
-	var done atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < sleepers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			start := v.Now()
-			d := time.Duration(i+1) * time.Second
-			v.Sleep(d)
-			if got := v.Since(start); got < d {
-				t.Errorf("sleeper %d woke after %v, wanted >= %v", i, got, d)
-			}
-			done.Add(1)
-		}(i)
-	}
-	v.BlockUntil(sleepers)
-	v.Advance(sleepers * time.Second)
-	wg.Wait()
-	if done.Load() != sleepers {
-		t.Fatalf("%d sleepers finished, want %d", done.Load(), sleepers)
-	}
-	if v.Sleepers() != 0 {
-		t.Fatalf("%d sleepers still registered", v.Sleepers())
+	l.Stop()
+	l.Stop() // idempotent
+	v.Advance(time.Minute)
+	if steps != 2 || v.Pending() != 0 {
+		t.Fatalf("stopped loop: %d steps, %d timers pending; want 2, 0", steps, v.Pending())
 	}
 }
 
@@ -333,20 +280,11 @@ func TestVirtualNextDeadline(t *testing.T) {
 	if _, ok := v.NextDeadline(); ok {
 		t.Fatal("empty clock reported a deadline")
 	}
-	v.NewTimer(5 * time.Second)
-	v.NewTimer(2 * time.Second)
+	v.AfterFunc(5*time.Second, func() {})
+	v.AfterFunc(2*time.Second, func() {})
 	when, ok := v.NextDeadline()
 	if !ok || !when.Equal(v.Now().Add(2*time.Second)) {
 		t.Fatalf("NextDeadline = %v, %v", when, ok)
-	}
-}
-
-func TestVirtualSleepZero(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	v.Sleep(0)  // must not block
-	v.Sleep(-1) // must not block
-	if v.Pending() != 0 {
-		t.Fatal("nonpositive Sleep left a timer")
 	}
 }
 
@@ -374,5 +312,34 @@ func TestVirtualDeterministicInterleaving(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("transcripts diverge at %d: %q vs %q", i, a[i], b[i])
 		}
+	}
+}
+
+// TestRepeatStopWaitsForStep: on the real clock each step runs on its
+// own goroutine; Stop must return only once a running step has finished,
+// and no step may start after it.
+func TestRepeatStopWaitsForStep(t *testing.T) {
+	var steps, running atomic.Int32
+	entered := make(chan struct{}, 1)
+	l := Repeat(Real(), time.Millisecond, func() time.Duration {
+		running.Add(1)
+		defer running.Add(-1)
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		time.Sleep(2 * time.Millisecond) // a slow step, so Stop finds one running
+		steps.Add(1)
+		return 0
+	})
+	<-entered
+	l.Stop()
+	if running.Load() != 0 {
+		t.Fatal("Stop returned while a step was running")
+	}
+	n := steps.Load()
+	time.Sleep(10 * time.Millisecond)
+	if got := steps.Load(); got != n {
+		t.Fatalf("%d steps ran after Stop", got-n)
 	}
 }

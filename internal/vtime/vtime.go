@@ -1,17 +1,23 @@
 // Package vtime abstracts the flow of time so every timing-dependent
 // layer of the system — transport delivery delays, retry backoff,
-// heartbeat probes, idle eviction, profiling tickers — can run either on
+// heartbeat probes, idle eviction, runtime sampling — can run either on
 // the wall clock or on a deterministic virtual clock that compresses
 // hours of schedule into milliseconds of CPU.
 //
-// The Clock interface mirrors the subset of package time the codebase
-// uses. Real() returns the wall-clock implementation; NewVirtual returns
-// a clock whose time only moves when Advance (or AdvanceUntilIdle) is
-// called, firing due timers in timestamp order. Scenario execution
-// (internal/scenario) and deflaked timing tests are built on Virtual.
+// Timers are callbacks: the only way to wait on a Clock is AfterFunc,
+// and a periodic action is a callback that re-arms itself (Repeat).
+// Real() returns the wall-clock implementation; NewVirtual returns a
+// clock whose time only moves when Advance (or AdvanceUntilIdle) is
+// called, firing due callbacks one at a time in timestamp order — so
+// nothing a clock drives runs beside the advancing goroutine. Scenario
+// execution (internal/scenario) and deflaked timing tests are built on
+// Virtual.
 package vtime
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // Clock is the time source of a component. Implementations must be safe
 // for concurrent use.
@@ -20,41 +26,17 @@ type Clock interface {
 	Now() time.Time
 	// Since returns Now().Sub(t).
 	Since(t time.Time) time.Duration
-	// Sleep blocks the calling goroutine for d of this clock's time.
-	// Nonpositive d returns immediately.
-	Sleep(d time.Duration)
-	// After returns a channel that receives the clock's time once d has
-	// elapsed. The timer cannot be stopped; prefer NewTimer when the
-	// wait may be abandoned.
-	After(d time.Duration) <-chan time.Time
-	// NewTimer returns a timer that fires once after d.
-	NewTimer(d time.Duration) Timer
-	// NewTicker returns a ticker that fires every d. d must be positive.
-	NewTicker(d time.Duration) Ticker
 	// AfterFunc schedules fn to run once d has elapsed. On the real
 	// clock fn runs on its own goroutine; on a virtual clock it runs
 	// synchronously inside Advance, in deadline order — the property
-	// deterministic scenario execution is built on. The returned timer's
-	// C is nil.
+	// deterministic scenario execution is built on.
 	AfterFunc(d time.Duration, fn func()) Timer
 }
 
-// Timer is a single-shot timer. C returns the firing channel (nil for
-// AfterFunc timers). Stop reports whether it prevented the firing; a
-// stopped AfterFunc timer's callback will not run. Reset rearms the
-// timer for d from the clock's now and reports whether the timer was
-// still pending.
+// Timer is an armed AfterFunc. Stop reports whether it prevented the
+// firing; a stopped timer's callback will not run.
 type Timer interface {
-	C() <-chan time.Time
 	Stop() bool
-	Reset(d time.Duration) bool
-}
-
-// Ticker is a repeating timer. Ticks that find the channel's buffer full
-// are dropped, like time.Ticker's.
-type Ticker interface {
-	C() <-chan time.Time
-	Stop()
 }
 
 // Real returns the wall-clock implementation, backed by package time.
@@ -72,24 +54,62 @@ func Or(c Clock) Clock {
 
 type realClock struct{}
 
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) Since(t time.Time) time.Duration        { return time.Since(t) }
-func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-func (realClock) NewTimer(d time.Duration) Timer   { return realTimer{time.NewTimer(d)} }
-func (realClock) NewTicker(d time.Duration) Ticker { return realTicker{time.NewTicker(d)} }
+func (realClock) Now() time.Time                  { return time.Now() }
+func (realClock) Since(t time.Time) time.Duration { return time.Since(t) }
 func (realClock) AfterFunc(d time.Duration, fn func()) Timer {
-	return realTimer{time.AfterFunc(d, fn)}
+	return time.AfterFunc(d, fn)
 }
 
-type realTimer struct{ t *time.Timer }
+// Loop is a chain of AfterFunc callbacks: the periodic (or
+// variably-delayed) action of one component. Only one step is armed at
+// a time, so steps never overlap.
+type Loop struct {
+	mu      sync.Mutex
+	timer   Timer
+	stopped bool
+	running sync.WaitGroup // the step in progress, if any
+}
 
-func (r realTimer) C() <-chan time.Time        { return r.t.C }
-func (r realTimer) Stop() bool                 { return r.t.Stop() }
-func (r realTimer) Reset(d time.Duration) bool { return r.t.Reset(d) }
+// Repeat runs step once d has elapsed on c, and again after each delay
+// step returns, until step returns a negative delay or Stop is called.
+// The first step is armed before Repeat returns, so an Advance issued
+// right after the call cannot pass it by.
+func Repeat(c Clock, d time.Duration, step func() time.Duration) *Loop {
+	l := &Loop{}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.arm(c, d, step)
+	return l
+}
 
-type realTicker struct{ t *time.Ticker }
+// arm schedules the next step. Callers hold l.mu.
+func (l *Loop) arm(c Clock, d time.Duration, step func() time.Duration) {
+	l.timer = c.AfterFunc(d, func() {
+		l.mu.Lock()
+		if l.stopped {
+			l.mu.Unlock()
+			return
+		}
+		l.running.Add(1)
+		defer l.running.Done()
+		l.mu.Unlock()
+		next := step()
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if next < 0 {
+			l.stopped = true
+		} else if !l.stopped {
+			l.arm(c, next, step)
+		}
+	})
+}
 
-func (r realTicker) C() <-chan time.Time { return r.t.C }
-func (r realTicker) Stop()               { r.t.Stop() }
+// Stop cancels the pending step and waits for a running one to return.
+// It is idempotent. A step must not call Stop on its own loop.
+func (l *Loop) Stop() {
+	l.mu.Lock()
+	l.stopped = true
+	l.timer.Stop()
+	l.mu.Unlock()
+	l.running.Wait()
+}
