@@ -114,8 +114,9 @@ soak-smoke:
 # decoder surfaces (cluster wire messages, trace JSON, service events,
 # WAL records fed to the one event reader, WAL files fed back through
 # the scanner, scenario files fed to the parser, checker snapshots fed
-# to the decoder and then driven on), and one event stream fed to every
-# consumer that judges one, which must all accept the same prefix.
+# to the decoder and then driven on), one event stream fed to every
+# consumer that judges one, which must all accept the same prefix, and
+# one small pattern held to the useless and minimum-checkpoint oracles.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeMsg' -fuzztime 10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz 'FuzzLoad' -fuzztime 10s ./internal/trace/
@@ -125,6 +126,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzParse' -fuzztime 10s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeIncremental' -fuzztime 10s ./internal/rgraph/
+	$(GO) test -run '^$$' -fuzz 'FuzzConsistencyOracles' -fuzztime 10s ./internal/rgraph/
 
 # Durability smoke: boot rdtserved with -data-dir, ingest a known
 # stream, kill -9, restart on the same directory, and require the

@@ -55,7 +55,7 @@ func run(args []string, out io.Writer) error {
 		dot         = fs.Bool("dot", false, "emit the pattern as Graphviz DOT instead of analyzing it")
 		rdot        = fs.Bool("rdot", false, "emit the rollback-dependency graph as Graphviz DOT instead of analyzing it")
 		ascii       = fs.Bool("ascii", false, "also print the pattern as an ASCII space-time diagram")
-		useless     = fs.Bool("useless", false, "also list useless checkpoints (requires the O(M²) chain closure)")
+		useless     = fs.Bool("useless", false, "also list useless checkpoints (those on a zigzag cycle, read off the R-graph)")
 		fig1        = fs.Bool("figure1", false, "analyze the built-in Figure 1 fixture instead of a file")
 		maxViol     = fs.Int("violations", 10, "maximum RDT violations to list")
 		metricsAddr = fs.String("metrics-addr", "", "serve Prometheus /metrics, /debug/events, and /debug/vars for the analyzed pattern on this address (:0 picks a port)")
@@ -177,7 +177,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *useless {
-		chains, err := rgraph.NewChains(p)
+		g, err := rgraph.Build(p)
 		if err != nil {
 			return err
 		}
@@ -185,7 +185,7 @@ func run(args []string, out io.Writer) error {
 		for i := 0; i < p.N; i++ {
 			for x := 0; x <= p.LastIndex(model.ProcID(i)); x++ {
 				id := model.CkptID{Proc: model.ProcID(i), Index: x}
-				if chains.Useless(id) {
+				if g.Useless(id) {
 					fmt.Fprintf(out, "useless checkpoint: %v (on a zigzag cycle)\n", id)
 					count++
 				}

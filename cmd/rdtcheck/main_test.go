@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/rdt-go/rdt/internal/rgraph"
 	"github.com/rdt-go/rdt/internal/trace"
 )
 
@@ -166,6 +168,40 @@ func TestCheckASCIIAndUseless(t *testing.T) {
 	}
 	if !strings.Contains(text, "useless checkpoints: 0") {
 		t.Errorf("useless summary missing:\n%s", text)
+	}
+}
+
+// TestUselessOnZCycle pins -useless on a trace with a Z-cycle through
+// C{0,1} (m1 sent after it, m0 sent in the interval m1 is delivered in,
+// and delivered before it) and a same-interval cycle between P1 and P2.
+// The R-graph has all of C{0,1}, C{0,2}, C{1,1} and C{2,1} on cycles;
+// only C{0,1} is useless, and no consistent global checkpoint holds it.
+func TestUselessOnZCycle(t *testing.T) {
+	const path = "../../internal/trace/testdata/zcycle.json"
+	var out bytes.Buffer
+	if err := run([]string{"-useless", "-min", "1,1", path}, &out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	want := `pattern: 3 processes, 4 messages, checkpoints: 3 initial + 2 basic + 0 forced + 3 final
+RDT property: false (28/35 rollback dependencies trackable)
+  violation: C{0,1} ~> C{2,1} untrackable
+  violation: C{0,1} ~> C{2,2} untrackable
+  violation: C{0,2} ~> C{0,1} untrackable
+  violation: C{0,2} ~> C{2,1} untrackable
+  violation: C{0,2} ~> C{2,2} untrackable
+  violation: C{2,1} ~> C{0,1} untrackable
+  violation: C{2,1} ~> C{0,2} untrackable
+recorded dependency vectors: consistent with offline recomputation
+useless checkpoint: C{0,1} (on a zigzag cycle)
+useless checkpoints: 1
+minimum consistent global checkpoint containing C{1,1}: {2,1,1}
+`
+	if got := out.String(); got != want {
+		t.Errorf("output:\n%s\nwant:\n%s", got, want)
+	}
+	err := run([]string{"-min", "0,1", path}, &out)
+	if !errors.Is(err, rgraph.ErrNoConsistentGlobal) {
+		t.Errorf("-min 0,1 on the useless checkpoint: %v, want ErrNoConsistentGlobal", err)
 	}
 }
 

@@ -6,12 +6,14 @@ package experiments
 //	BenchmarkFigOverlappingGroups   — E2, Figure 8
 //	BenchmarkFigClientServer        — E3, Figure 9
 //	BenchmarkTableReductionVsFDAS   — E4, headline reduction table
+//	BenchmarkMinGlobalAgreement     — E6, Corollary 4.5 agreement table
 //	BenchmarkDominoEffect           — E7, rollback depth with/without coordination
 //	BenchmarkAblationVariants       — E8, BHMR family ablation
+//	BenchmarkGuarantees             — E11, guarantee spectrum and useless checkpoints
 //
 // E5 (BenchmarkTablePiggybackSize) measures the protocols themselves and
-// lives in internal/core; E6 (BenchmarkMinGlobalCheckpoint) measures the
-// offline analysis and lives in internal/rgraph. These run the same
+// lives in internal/core; E6's oracle also has a layer row,
+// BenchmarkMinGlobalCheckpoint in internal/rgraph. These run the same
 // harness as cmd/rdtexperiments (reduced grid) and surface the headline
 // values as custom metrics, so `go test -bench` regenerates every number
 // of EXPERIMENTS.md in miniature.
@@ -67,6 +69,24 @@ func BenchmarkAblationVariants(b *testing.B) {
 	cfg := Quick()
 	for i := 0; i < b.N; i++ {
 		if _, err := Ablation(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkMinGlobalAgreement(b *testing.B) {
+	cfg := Quick()
+	for i := 0; i < b.N; i++ {
+		if _, err := MinGlobalAgreement(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkGuarantees(b *testing.B) {
+	cfg := Quick()
+	for i := 0; i < b.N; i++ {
+		if _, err := Guarantees(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -318,25 +318,22 @@ func MinGlobalAgreement(cfg Config) (*stats.Table, error) {
 
 // MinGlobalCheck counts the annotated checkpoints of a pattern and how
 // many have a dependency vector equal to the brute-force minimum
-// consistent global checkpoint containing them.
+// consistent global checkpoint containing them, a fixpoint over messages.
 func MinGlobalCheck(p *model.Pattern) (total, agree int, err error) {
-	for i := 0; i < p.N; i++ {
-		for x := range p.Checkpoints[i] {
-			ck := &p.Checkpoints[i][x]
-			if ck.TDV == nil {
-				continue
-			}
-			total++
-			min, err := rgraph.MinConsistentContaining(p, ck.ID())
-			if err != nil {
-				return total, agree, err
-			}
-			if min.Equal(model.GlobalCheckpoint(ck.TDV)) {
-				agree++
-			}
+	err = rgraph.MinConsistentSweep(p, func(c model.CkptID, min model.GlobalCheckpoint) error {
+		tdv := p.Checkpoints[c.Proc][c.Index].TDV
+		switch {
+		case tdv == nil:
+			return nil
+		case min == nil:
+			return fmt.Errorf("%w: raising P%d past pinned checkpoint", rgraph.ErrNoConsistentGlobal, c.Proc)
+		case min.Equal(model.GlobalCheckpoint(tdv)):
+			agree++
 		}
-	}
-	return total, agree, nil
+		total++
+		return nil
+	})
+	return total, agree, err
 }
 
 // crashPlan builds a recovery manager over the pattern's checkpoints and
@@ -499,9 +496,8 @@ func ConditionAttribution(cfg Config) (*stats.Table, error) {
 // the run satisfies RDT, and how many checkpoints are useless (belong to
 // no consistent global checkpoint), for the uncoordinated baseline, the
 // index-based BCS protocol (Z-cycle freedom only), the paper's protocol
-// and FDAS. It runs on a fifth of the horizon because the useless-checkpoint
-// oracle's chain closure holds up to one M-bit row per message, M²/8
-// bytes for M messages, built in one pass over the continuation pairs.
+// and FDAS, from one R-graph per run. It runs on a fifth of the horizon
+// only because its CSV is a golden.
 func Guarantees(cfg Config) (*stats.Table, error) {
 	type outcome struct {
 		forced       float64
@@ -526,25 +522,26 @@ func Guarantees(cfg Config) (*stats.Table, error) {
 			return outcome{}, err
 		}
 		out := outcome{forced: res.Stats.ForcedPerMessage()}
+		p := res.Pattern
+		g, err := rgraph.Build(p)
+		if err != nil {
+			return outcome{}, err
+		}
 		a := analyzers.Get().(*rgraph.Analyzer)
-		rep, err := a.CheckRDT(res.Pattern, 1)
+		tdvs, err := a.ComputeTDVs(p)
 		analyzers.Put(a)
 		if err != nil {
 			return outcome{}, err
 		}
+		rep := rgraph.CheckRDTGraph(g, tdvs, 1)
 		out.rdt = rep.RDT
 		if rep.RPathPairs > 0 {
 			out.trackable = 100 * float64(rep.TrackablePairs) / float64(rep.RPathPairs)
 			out.hasTrackable = true
 		}
-		chains, err := rgraph.NewChains(res.Pattern)
-		if err != nil {
-			return outcome{}, err
-		}
-		p := res.Pattern
 		for i := 0; i < p.N; i++ {
 			for x := range p.Checkpoints[i] {
-				if chains.Useless(model.CkptID{Proc: model.ProcID(i), Index: x}) {
+				if g.Useless(model.CkptID{Proc: model.ProcID(i), Index: x}) {
 					out.useless++
 				}
 			}

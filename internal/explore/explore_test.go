@@ -145,7 +145,7 @@ func TestExhaustiveBCSZigzagFreedom(t *testing.T) {
 		useless := 0
 		for i := 0; i < p.N; i++ {
 			for x := range p.Checkpoints[i] {
-				if chains.Useless(model.CkptID{Proc: model.ProcID(i), Index: x}) {
+				if id := (model.CkptID{Proc: model.ProcID(i), Index: x}); chains.ZigzagNX(id, id) {
 					useless++
 				}
 			}

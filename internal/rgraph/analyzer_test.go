@@ -36,10 +36,11 @@ func TestAnalyzerReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: fresh check: %v", seed, err)
 		}
-		gotRep, err := a.CheckRDT(p, 8)
+		g, err := Build(p)
 		if err != nil {
-			t.Fatalf("seed %d: reused check: %v", seed, err)
+			t.Fatalf("seed %d: build: %v", seed, err)
 		}
+		gotRep := CheckRDTGraph(g, got, 8)
 		if wantRep.RDT != gotRep.RDT ||
 			wantRep.RPathPairs != gotRep.RPathPairs ||
 			wantRep.TrackablePairs != gotRep.TrackablePairs ||

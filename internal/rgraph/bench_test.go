@@ -35,7 +35,7 @@ func minGlobalFixture(b *testing.B) *model.Pattern {
 }
 
 // BenchmarkMinGlobalCheckpoint is E6: Corollary 4.5 on-the-fly against
-// the brute-force computation.
+// the brute-force computation, for one checkpoint and swept over all.
 func BenchmarkMinGlobalCheckpoint(b *testing.B) {
 	p := minGlobalFixture(b)
 	target := model.CkptID{Proc: 2, Index: len(p.Checkpoints[2]) / 2}
@@ -58,6 +58,23 @@ func BenchmarkMinGlobalCheckpoint(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	b.Run("sweep", func(b *testing.B) {
+		// Every checkpoint of the fixture, one fixpoint per process, as
+		// E6 runs it; reported per checkpoint to compare with the rows
+		// above.
+		for i := 0; i < b.N; i++ {
+			err := rgraph.MinConsistentSweep(p, func(c model.CkptID, min model.GlobalCheckpoint) error {
+				if min == nil {
+					return fmt.Errorf("%v has no minimum", c)
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*p.NumCheckpoints()), "ns/ckpt")
 	})
 }
 

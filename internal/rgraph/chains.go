@@ -183,7 +183,7 @@ func (c *Chains) hasChain(a, b model.CkptID, reach []bitset) bool {
 // (interval > a.Index) and whose last message is delivered *before* b
 // (interval <= b.Index). A set of checkpoints extends to a consistent
 // global checkpoint iff no member has a zigzag path to another member
-// (including itself).
+// (including itself): ZigzagNX(a, a) says a is useless.
 func (c *Chains) ZigzagNX(a, b model.CkptID) bool {
 	for _, i := range c.bySender[a.Proc] {
 		if c.p.Messages[i].SendInterval <= a.Index {
@@ -198,10 +198,6 @@ func (c *Chains) ZigzagNX(a, b model.CkptID) bool {
 	}
 	return false
 }
-
-// Useless reports whether the checkpoint lies on a zigzag cycle, in which
-// case it can belong to no consistent global checkpoint.
-func (c *Chains) Useless(a model.CkptID) bool { return c.ZigzagNX(a, a) }
 
 // CanExtend reports whether the given set of checkpoints can be extended to
 // a consistent global checkpoint (Netzer–Xu): no zigzag path may connect

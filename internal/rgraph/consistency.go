@@ -64,20 +64,104 @@ func MinConsistentContaining(p *model.Pattern, set ...model.CkptID) (model.Globa
 	if err != nil {
 		return nil, err
 	}
-	for changed := true; changed; {
-		changed = false
-		for i := range p.Messages {
-			m := &p.Messages[i]
-			if m.DeliverInterval <= g[m.To] && m.SendInterval > g[m.From] {
-				if pinned[m.From] && m.SendInterval > pinnedIndex(set, m.From) {
-					return nil, fmt.Errorf("%w: raising P%d past pinned checkpoint", ErrNoConsistentGlobal, m.From)
-				}
-				g[m.From] = m.SendInterval
-				changed = true
+	f := newMinFixpoint(p)
+	f.reset()
+	copy(f.g, g)
+	if k, ok := f.run(pinned); !ok {
+		return nil, fmt.Errorf("%w: raising P%d past pinned checkpoint", ErrNoConsistentGlobal, k)
+	}
+	return f.g, nil
+}
+
+// MinConsistentSweep calls fn for every checkpoint, process by process in
+// index order, with the minimum consistent global checkpoint containing
+// it (reused by the next call), or nil when the checkpoint is useless. It
+// stops at fn's first error. The unpinned fixpoint is monotone in x, so
+// one serves a whole process: C_{i,x} has a minimum iff it keeps g[i] = x.
+func MinConsistentSweep(p *model.Pattern, fn func(c model.CkptID, min model.GlobalCheckpoint) error) error {
+	f := newMinFixpoint(p)
+	for i := range p.Checkpoints {
+		f.reset()
+		for x := range p.Checkpoints[i] {
+			f.raise(model.ProcID(i), x)
+			f.run(nil)
+			min := f.g
+			if f.g[i] != x {
+				min = nil
+			}
+			if err := fn(model.CkptID{Proc: model.ProcID(i), Index: x}, min); err != nil {
+				return err
 			}
 		}
 	}
-	return g, nil
+	return nil
+}
+
+// minFixpoint is a worklist of the processes whose entry rose; each scans
+// its deliveries interval by interval from where it last stopped. Entries
+// only rise, so a run reads each delivery once: O(M + N), not rounds × M.
+type minFixpoint struct {
+	msgs       []model.Message
+	first      []int   // bucket of (j, interval 0); j's buckets end at first[j+1]
+	head, link []int32 // 1 + a bucket's last message / a message's predecessor
+	done       []int   // per receiver, how many of its buckets are applied
+	g          model.GlobalCheckpoint
+	work       []model.ProcID
+}
+
+// newMinFixpoint links each delivery into its (receiver, interval) bucket;
+// intervals a valid pattern cannot have are clamped into range.
+func newMinFixpoint(p *model.Pattern) *minFixpoint {
+	f := &minFixpoint{
+		msgs:  p.Messages,
+		first: make([]int, p.N+1),
+		link:  make([]int32, len(p.Messages)),
+		done:  make([]int, p.N),
+		g:     make(model.GlobalCheckpoint, p.N),
+	}
+	for j, cs := range p.Checkpoints {
+		f.first[j+1] = f.first[j] + len(cs) + 1
+	}
+	f.head = make([]int32, f.first[p.N])
+	for i := range p.Messages {
+		m := &p.Messages[i]
+		b := f.first[m.To] + min(max(m.DeliverInterval, 0), len(p.Checkpoints[m.To]))
+		f.link[i], f.head[b] = f.head[b], int32(i+1)
+	}
+	return f
+}
+
+// reset zeroes g and queues every process, with no delivery applied.
+func (f *minFixpoint) reset() {
+	clear(f.g)
+	clear(f.done)
+	for k := range f.g {
+		f.raise(model.ProcID(k), 0)
+	}
+}
+
+func (f *minFixpoint) raise(k model.ProcID, x int) {
+	f.g[k] = max(f.g[k], x)
+	f.work = append(f.work, k)
+}
+
+// run applies deliveries until no orphan remains or a pinned entry must rise.
+func (f *minFixpoint) run(pinned []bool) (model.ProcID, bool) {
+	for len(f.work) > 0 {
+		j := f.work[len(f.work)-1]
+		f.work = f.work[:len(f.work)-1]
+		for ; f.done[j] <= f.g[j] && f.first[j]+f.done[j] < f.first[j+1]; f.done[j]++ {
+			for i := f.head[f.first[j]+f.done[j]]; i != 0; i = f.link[i-1] {
+				if m := &f.msgs[i-1]; m.SendInterval > f.g[m.From] {
+					if pinned != nil && pinned[m.From] {
+						return m.From, false
+					}
+					f.raise(m.From, m.SendInterval)
+				}
+			}
+		}
+	}
+	return 0, true
 }
 
 // MaxConsistentContaining computes the maximum consistent global checkpoint
@@ -158,15 +242,6 @@ func pinSet(p *model.Pattern, set []model.CkptID) (pinned []bool, g model.Global
 		g[c.Proc] = c.Index
 	}
 	return pinned, g, nil
-}
-
-func pinnedIndex(set []model.CkptID, proc model.ProcID) int {
-	for _, c := range set {
-		if c.Proc == proc {
-			return c.Index
-		}
-	}
-	return -1
 }
 
 func checkGlobal(p *model.Pattern, g model.GlobalCheckpoint) error {

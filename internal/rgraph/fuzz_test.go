@@ -2,6 +2,7 @@ package rgraph
 
 import (
 	"bytes"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -86,5 +87,57 @@ func FuzzDecodeIncremental(f *testing.F) {
 		if !bytes.Equal(again.AppendBinary(nil), enc) {
 			t.Fatal("re-encoding is not a fixed point")
 		}
+	})
+}
+
+// FuzzConsistencyOracles decodes bytes into a small pattern and holds it
+// to checkConsistencyOracles. The first byte picks 2 to 4 processes;
+// each of at most 32 more is one event: its low two bits choose a send
+// (0, 1), a delivery of a message in flight (2) or a checkpoint (3), and
+// the rest pick the process, receiver or message. Whatever is still in
+// flight is delivered at the end.
+func FuzzConsistencyOracles(f *testing.F) {
+	// Two processes: 1 -> 0, checkpoint 0, 0 -> 1 delivered before 1
+	// checkpoints is a Z-cycle through C{0,1}; with the checkpoint of 0
+	// after both messages, the cycle stays inside I_{0,1} and I_{1,1}
+	// and nothing is useless. The third is a causal chain over four
+	// processes.
+	f.Add([]byte{0, 0b101, 0b010, 0b011, 0b000, 0b010, 0b111})
+	f.Add([]byte{0, 0b101, 0b010, 0b000, 0b010, 0b011, 0b111})
+	f.Add([]byte{2, 0, 4, 8, 2, 2, 2, 3, 7, 11, 1, 5, 9, 2, 6, 10, 3, 7, 11})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 2 + int(data[0]%3)
+		b := model.NewBuilder(n)
+		var inflight []int
+		for _, e := range data[1:min(len(data), 33)] {
+			arg := int(e >> 2)
+			switch op := e & 3; {
+			case op < 2:
+				from := model.ProcID(arg % n)
+				to := model.ProcID((arg/n)%(n-1)+1+int(from)) % model.ProcID(n)
+				inflight = append(inflight, b.Send(from, to))
+			case op == 2 && len(inflight) > 0:
+				k := arg % len(inflight)
+				if err := b.Deliver(inflight[k]); err != nil {
+					t.Fatal(err)
+				}
+				inflight = append(inflight[:k], inflight[k+1:]...)
+			case op == 3:
+				b.Checkpoint(model.ProcID(arg%n), model.KindBasic, nil)
+			}
+		}
+		for _, h := range inflight {
+			if err := b.Deliver(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, err := b.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkConsistencyOracles(t, p, rand.New(rand.NewSource(int64(len(data)))), 16)
 	})
 }

@@ -133,10 +133,14 @@ func (g *Graph) ReachableCount(a model.CkptID) int {
 	return g.reach[g.id(a.Proc, a.Index)].count()
 }
 
-// OnCycle reports whether the checkpoint lies on an R-graph cycle. A
-// checkpoint on a cycle can never belong to any consistent global
-// checkpoint (it is "useless").
-func (g *Graph) OnCycle(a model.CkptID) bool { return g.HasRPath(a, a) }
+// Useless reports whether the checkpoint is on a zigzag cycle, so in no
+// consistent global checkpoint. In Wang's R-graph form of Netzer–Xu,
+// C_{i,x} is useless iff an R-path leads from C_{i,x+1} back to C_{i,x}.
+// Being on an R-graph cycle (HasRPath(c, c)) is weaker: such a cycle may
+// use only messages of c's own interval.
+func (g *Graph) Useless(a model.CkptID) bool {
+	return a.Index < g.p.LastIndex(a.Proc) && g.reach[g.id(a.Proc, a.Index+1)].get(g.id(a.Proc, a.Index))
+}
 
 func (g *Graph) id(i model.ProcID, x int) int { return g.offset[i] + x }
 
@@ -312,8 +316,8 @@ func (g *Graph) RollbackClosure(targets ...model.CkptID) []model.CkptID {
 }
 
 // DOT renders the R-graph as a Graphviz digraph, with one cluster per
-// process and the checkpoints that lie on cycles (useless checkpoints)
-// highlighted.
+// process and the checkpoints that lie on cycles (every useless
+// checkpoint among them) highlighted.
 func (g *Graph) DOT() string {
 	var b strings.Builder
 	b.WriteString("digraph rgraph {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n")
@@ -323,7 +327,7 @@ func (g *Graph) DOT() string {
 		for x := range p.Checkpoints[i] {
 			id := model.CkptID{Proc: model.ProcID(i), Index: x}
 			attrs := ""
-			if g.OnCycle(id) {
+			if g.HasRPath(id, id) {
 				attrs = ", style=filled, fillcolor=salmon"
 			}
 			fmt.Fprintf(&b, "    r%d_%d [label=\"C(%d,%d)\"%s];\n", i, x, i, x, attrs)

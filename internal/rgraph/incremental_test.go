@@ -81,7 +81,7 @@ func streamPattern(t *testing.T, p *model.Pattern) *Incremental {
 func checkPattern(t *testing.T, label string, p *model.Pattern) {
 	t.Helper()
 	inc := streamPattern(t, p)
-	batch, err := NewAnalyzer().CheckRDT(p, 32)
+	batch, err := CheckRDT(p, 32)
 	if err != nil {
 		t.Fatalf("%s: batch check: %v", label, err)
 	}
@@ -352,7 +352,7 @@ func (l *lockstep) comparePrefix() {
 	if err != nil {
 		l.t.Fatalf("snapshot: %v", err)
 	}
-	batch, err := NewAnalyzer().CheckRDT(snap, 32)
+	batch, err := CheckRDT(snap, 32)
 	if err != nil {
 		l.t.Fatalf("batch check on snapshot: %v", err)
 	}
@@ -372,7 +372,7 @@ func (l *lockstep) finish(rng *rand.Rand) *Report {
 	}
 	l.inc.Seal()
 	l.checkClosure()
-	batch, err := NewAnalyzer().CheckRDT(p, 32)
+	batch, err := CheckRDT(p, 32)
 	if err != nil {
 		l.t.Fatal(err)
 	}

@@ -1,6 +1,10 @@
 package rgraph
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/rdt-go/rdt/internal/model"
+)
 
 // closureOracle is the closure Incremental kept before the interval
 // vectors: one growable bitset per node over all nodes, restored under
@@ -116,4 +120,39 @@ func (d *dynbits) merge(src dynbits, v int32) bool {
 		changed = true
 	}
 	return changed
+}
+
+// minConsistentOracle is the least fixpoint MinConsistentContaining ran
+// before the worklist: rounds over every message, raising the sender's
+// entry of each orphan, until a round changes nothing. Knowing nothing of
+// delivery order or of the other checkpoints of the pinned process is
+// what makes it a reference for minFixpoint and MinConsistentSweep.
+func minConsistentOracle(p *model.Pattern, set ...model.CkptID) (model.GlobalCheckpoint, error) {
+	pinned, g, err := pinSet(p, set)
+	if err != nil {
+		return nil, err
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := range p.Messages {
+			m := &p.Messages[i]
+			if m.DeliverInterval <= g[m.To] && m.SendInterval > g[m.From] {
+				if pinned[m.From] && m.SendInterval > pinnedIndex(set, m.From) {
+					return nil, fmt.Errorf("%w: raising P%d past pinned checkpoint", ErrNoConsistentGlobal, m.From)
+				}
+				g[m.From] = m.SendInterval
+				changed = true
+			}
+		}
+	}
+	return g, nil
+}
+
+func pinnedIndex(set []model.CkptID, proc model.ProcID) int {
+	for _, c := range set {
+		if c.Proc == proc {
+			return c.Index
+		}
+	}
+	return -1
 }

@@ -153,14 +153,14 @@ func TestPropertyUselessIffUnpinnable(t *testing.T) {
 		for i := 0; i < f.p.N; i++ {
 			for x := range f.p.Checkpoints[i] {
 				id := model.CkptID{Proc: model.ProcID(i), Index: x}
-				useless := f.chains.Useless(id)
+				useless := f.chains.ZigzagNX(id, id)
 				_, err := MinConsistentContaining(f.p, id)
 				if useless != (err != nil) {
 					t.Fatalf("seed %d: %v useless=%v but min-pin err=%v", seed, id, useless, err)
 				}
 				if useless {
 					sawUseless = true
-					if !f.g.OnCycle(id) {
+					if !f.g.HasRPath(id, id) {
 						t.Fatalf("seed %d: %v useless but not on an R-graph cycle", seed, id)
 					}
 				}

@@ -74,7 +74,7 @@ func TestFigure1HasNoCycles(t *testing.T) {
 	for i := 0; i < p.N; i++ {
 		for x := range p.Checkpoints[i] {
 			id := ck(model.ProcID(i), x)
-			if g.OnCycle(id) {
+			if g.HasRPath(id, id) {
 				t.Errorf("%v unexpectedly on a cycle", id)
 			}
 		}
@@ -342,7 +342,7 @@ func TestZigzagNXAndExtensibility(t *testing.T) {
 	}
 	for i := 0; i < p.N; i++ {
 		for x := range p.Checkpoints[i] {
-			if c.Useless(ck(model.ProcID(i), x)) {
+			if id := ck(model.ProcID(i), x); c.ZigzagNX(id, id) {
 				t.Errorf("C{%d,%d} reported useless in an acyclic figure", i, x)
 			}
 		}

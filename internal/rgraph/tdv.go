@@ -31,13 +31,12 @@ func (t *TDVTable) Trackable(a, b model.CkptID) bool {
 
 // Analyzer computes the offline analyses while reusing its replay scratch
 // (event lists, send stamps, running vectors) across calls. The experiment
-// grid runs thousands of patterns through ComputeTDVs and CheckRDT; a
-// per-worker Analyzer removes the per-pattern allocation churn of those
-// calls. An Analyzer is not safe for concurrent use: give each goroutine
-// its own.
+// grid runs thousands of patterns through ComputeTDVs; a per-worker
+// Analyzer removes the per-pattern allocation churn of those calls. An
+// Analyzer is not safe for concurrent use: give each goroutine its own.
 //
-// Results (TDVTable, Report) are freshly allocated and stay valid after
-// further calls; only the internal scratch is reused.
+// A returned TDVTable is freshly allocated and stays valid after further
+// calls; only the internal scratch is reused.
 type Analyzer struct {
 	events  []event   // backing arena for the per-process event lists
 	perProc [][]event // event lists, sorted by per-process sequence
@@ -102,19 +101,6 @@ func (a *Analyzer) ComputeTDVs(p *model.Pattern) (*TDVTable, error) {
 		return nil, err
 	}
 	return table, nil
-}
-
-// CheckRDT is the package-level CheckRDT with scratch reuse.
-func (a *Analyzer) CheckRDT(p *model.Pattern, maxViolations int) (*Report, error) {
-	g, err := Build(p)
-	if err != nil {
-		return nil, err
-	}
-	tdvs, err := a.ComputeTDVs(p)
-	if err != nil {
-		return nil, err
-	}
-	return checkRDT(g, tdvs, maxViolations), nil
 }
 
 // currentVectors returns n zeroed running vectors of length n backed by the

@@ -245,7 +245,7 @@ func TestBCSIsZCycleFreeButNotRDT(t *testing.T) {
 			for i := 0; i < p.N; i++ {
 				for x := range p.Checkpoints[i] {
 					id := model.CkptID{Proc: model.ProcID(i), Index: x}
-					if chains.Useless(id) {
+					if chains.ZigzagNX(id, id) {
 						t.Fatalf("%s/seed%d: BCS produced useless checkpoint %v", env, seed, id)
 					}
 				}
@@ -279,7 +279,7 @@ func TestNoneProducesUselessCheckpoints(t *testing.T) {
 		p := res.Pattern
 		for i := 0; i < p.N && !found; i++ {
 			for x := range p.Checkpoints[i] {
-				if chains.Useless(model.CkptID{Proc: model.ProcID(i), Index: x}) {
+				if id := (model.CkptID{Proc: model.ProcID(i), Index: x}); chains.ZigzagNX(id, id) {
 					found = true
 					break
 				}
