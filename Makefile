@@ -127,6 +127,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParse' -fuzztime 10s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeIncremental' -fuzztime 10s ./internal/rgraph/
 	$(GO) test -run '^$$' -fuzz 'FuzzConsistencyOracles' -fuzztime 10s ./internal/rgraph/
+	$(GO) test -run '^$$' -fuzz 'FuzzIncrementalOracle' -fuzztime 10s ./internal/rgraph/
 
 # Durability smoke: boot rdtserved with -data-dir, ingest a known
 # stream, kill -9, restart on the same directory, and require the

@@ -15,12 +15,12 @@ import (
 // snapshot rung. AppendBinary emits only the
 // primitive state — running vectors, in-flight stamps, interval
 // bookkeeping, node table, and the R-graph edge list (direct
-// predecessors in insertion order). The closure vectors (minReach) and
-// the violation accounting are derived state and are not stored:
-// DecodeIncremental re-inserts the edges through addEdge, which lowers
-// the vectors back to where they were and, because every node's taken
-// flag and recorded vector are restored first, re-judges every
-// untrackable pair exactly once, at about the cost the original
+// predecessors in insertion order). The closure vectors (minReach), the
+// reach counters and the violation accounting are derived state and are
+// not stored: DecodeIncremental re-inserts the edges through addEdge,
+// which lowers the vectors back to where they were and, because every
+// node's taken flag and recorded vector are restored first, re-judges
+// every untrackable pair exactly once, at about the cost the original
 // insertions had. So a corrupt image cannot plant a closure or a count
 // that disagrees with its edges, and a decoded checker is behaviorally
 // indistinguishable from one that consumed the original event stream.
@@ -61,7 +61,7 @@ func (inc *Incremental) AppendBinary(buf []byte) []byte {
 		buf = binenc.AppendInt(buf, int(pe.from))
 		buf = binenc.AppendInt(buf, int(pe.to))
 		buf = binenc.AppendInt(buf, pe.sendInterval)
-		buf = appendVec(buf, pe.stamp)
+		buf = appendVec(buf, inc.stamp(pe.slot))
 	}
 	for i := 0; i < inc.n; i++ {
 		buf = binenc.AppendInt(buf, inc.nextIndex[i])
@@ -73,7 +73,7 @@ func (inc *Incremental) AppendBinary(buf []byte) []byte {
 		buf = binenc.AppendInt(buf, int(inc.nodeIndex[v]))
 		buf = binenc.AppendBool(buf, inc.taken[v])
 		if inc.taken[v] {
-			for _, x := range inc.tdvs[v] {
+			for _, x := range inc.vec(int32(v)) {
 				buf = binenc.AppendInt(buf, x)
 			}
 		}
@@ -117,20 +117,26 @@ func DecodeIncremental(data []byte) (*Incremental, error) {
 		ids:       make([][]int32, n),
 		nextIndex: make([]int, n),
 		events:    make([]int, n),
+		noRow:     newNoRow(n),
+		reach:     make([]int32, n*n),
+		vecShift:  vecShiftFor(n),
 	}
 	for i := 0; i < n; i++ {
-		inc.cur[i] = readVec(r, n)
+		inc.cur[i] = vclock.NewVec(n)
+		readInto(r, inc.cur[i])
 	}
 	inc.nextMsg = r.IntMax(maxDecodeCount)
 	flightCount := r.IntMax(r.Remaining() / n) // each entry holds an n-entry stamp
+	stamp := make([]int, n)
 	for k := 0; k < flightCount && r.Err() == nil; k++ {
 		h := r.Int()
 		pe := pendingEdge{
 			from:         model.ProcID(r.IntMax(n - 1)),
 			to:           model.ProcID(r.IntMax(n - 1)),
 			sendInterval: r.Int(),
-			stamp:        readVec(r, n),
 		}
+		readInto(r, stamp)
+		pe.slot = inc.putStamp(stamp)
 		if _, dup := inc.flight[h]; dup {
 			return nil, fmt.Errorf("decode checker: duplicate in-flight handle %d", h)
 		}
@@ -163,7 +169,7 @@ func DecodeIncremental(data []byte) (*Incremental, error) {
 		nv := inc.newNode(model.ProcID(proc), index)
 		if taken {
 			inc.taken[nv] = true
-			inc.tdvs[nv] = readVec(r, n)
+			readInto(r, inc.vec(nv))
 		}
 	}
 	if err := r.Err(); err != nil {
@@ -196,10 +202,8 @@ func DecodeIncremental(data []byte) (*Incremental, error) {
 	return inc, nil
 }
 
-func readVec(r *binenc.Reader, n int) vclock.Vec {
-	v := vclock.NewVec(n)
+func readInto(r *binenc.Reader, v []int) {
 	for i := range v {
 		v[i] = r.Int()
 	}
-	return v
 }

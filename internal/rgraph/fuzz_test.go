@@ -3,6 +3,7 @@ package rgraph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -87,6 +88,73 @@ func FuzzDecodeIncremental(f *testing.F) {
 		if !bytes.Equal(again.AppendBinary(nil), enc) {
 			t.Fatal("re-encoding is not a fixed point")
 		}
+	})
+}
+
+// FuzzIncrementalOracle decodes bytes into an event stream and runs it
+// through the lockstep harness, so after every event the reach counters
+// meet the search close used to run, the interval vectors meet the
+// bitset closure and Report meets the binary-search one. Beside it runs
+// a shadow of every running vector that clones each send's stamp: a
+// delivery must leave the checker's vector equal to the shadow's,
+// whichever stamp-slab slot the message's stamp was put in. The first
+// byte picks 2 to 6 processes; each of at most 96 more is one event: its
+// low two bits choose a send (0, 1), a delivery of a message in flight
+// (2) or a checkpoint (3), and the rest pick the process, receiver or
+// message. The run ends with everything in flight delivered, sealed and
+// held to the batch checker.
+func FuzzIncrementalOracle(f *testing.F) {
+	f.Add([]byte{0, 0b101, 0b010, 0b011, 0b000, 0b010, 0b111})
+	// Three processes: a send, its delivery, a second send that takes the
+	// freed slot, a checkpoint, and its delivery.
+	f.Add([]byte{1, 0b0100, 0b0010, 0b1000, 0b0011, 0b0110, 0b0010})
+	f.Add([]byte{4, 0, 4, 8, 12, 16, 2, 2, 3, 7, 1, 5, 9, 2, 6, 10, 2, 3, 11, 15, 2, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 2 + int(data[0]%5)
+		l := newLockstep(t, n, &closureOracle{})
+		shadow := make([][]int, n) // running vectors, stamps cloned
+		for i := range shadow {
+			shadow[i] = make([]int, n)
+			shadow[i][i] = 1
+		}
+		type sent struct {
+			to    model.ProcID
+			stamp []int
+		}
+		stamps := make(map[int]sent) // by builder handle
+		for _, e := range data[1:min(len(data), 97)] {
+			arg := int(e >> 2)
+			switch op := e & 3; {
+			case op < 2:
+				from := model.ProcID(arg % n)
+				to := model.ProcID((arg/n)%(n-1)+1+int(from)) % model.ProcID(n)
+				l.send(from, to)
+				stamps[l.inFlight[len(l.inFlight)-1]] = sent{to, slices.Clone(shadow[from])}
+			case op == 2 && len(l.inFlight) > 0:
+				k := arg % len(l.inFlight)
+				m := stamps[l.inFlight[k]]
+				delete(stamps, l.inFlight[k])
+				l.deliver(k)
+				for x, v := range m.stamp {
+					shadow[m.to][x] = max(shadow[m.to][x], v)
+				}
+			case op == 3:
+				i := model.ProcID(arg % n)
+				l.checkpoint(i)
+				shadow[i][i]++
+			default:
+				continue
+			}
+			for i := range shadow {
+				if got := l.inc.Current(model.ProcID(i)); !slices.Equal(got, shadow[i]) {
+					t.Fatalf("running vector of process %d is %v, the cloned-stamp shadow says %v", i, got, shadow[i])
+				}
+			}
+		}
+		l.finish(rand.New(rand.NewSource(int64(len(data)))))
 	})
 }
 

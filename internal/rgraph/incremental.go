@@ -3,7 +3,7 @@ package rgraph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 
 	"github.com/rdt-go/rdt/internal/model"
 	"github.com/rdt-go/rdt/internal/vclock"
@@ -43,8 +43,13 @@ type Incremental struct {
 	sealed bool
 
 	cur     []vclock.Vec        // running dependency vector per process
-	flight  map[int]pendingEdge // in-flight message -> send stamp and future R-graph edge
+	flight  map[int]pendingEdge // in-flight message -> stamp slot and future R-graph edge
 	nextMsg int
+	// Send stamps: slot s is stamps[s*n:][:n], and free holds the slots
+	// of delivered messages, so a send copies into the slab instead of
+	// cloning.
+	stamps []int
+	free   []int
 
 	// R-graph over interval nodes. ids[i][x] is the node of C_{i,x};
 	// per process the allocated indexes always cover 0..nextIndex[i],
@@ -56,8 +61,13 @@ type Incremental struct {
 	nodeProc  []int32
 	nodeIndex []int32
 	taken     []bool
-	tdvs      [][]int   // recorded vector per taken node
 	preds     [][]int32 // direct predecessors, deduplicated
+	// Recorded vectors, by node: node v's is vec(v), a slot of chunk
+	// v>>vecShift that newNode allocates, valid once taken[v]. Every
+	// chunk holds 2^vecShift nodes but the first, which starts at one
+	// and doubles, so a node needs no slice header of its own.
+	vecChunks [][]int
+	vecShift  int
 
 	// Transitive closure. Every process's nodes form a chain C_{j,y} ->
 	// C_{j,y+1}, so what node u reaches in process j is a suffix of j's
@@ -67,6 +77,13 @@ type Incremental struct {
 	// (an earlier node reaches whatever a later one does), and so is
 	// every entry of the recorded vectors (a running vector only grows).
 	minReach []int32
+	noRow    []int32 // n times noReach: the row a new node starts with
+	// reach[k*n+j] counts the nodes of process k that reach some node of
+	// process j. By the first invariant they are a prefix of k's chain,
+	// and since every finite entry of column j names a node of j's chain,
+	// whose last node is its pending one, they are exactly the nodes of
+	// k that reach j's pending node.
+	reach []int32
 
 	// Monotone violation accounting over closed checkpoints.
 	violations  int
@@ -80,10 +97,17 @@ type Incremental struct {
 // noReach marks a process in which a node reaches no checkpoint.
 const noReach = math.MaxInt32
 
+// vecChunkInts sizes a chunk of recorded vectors, in ints, rounded down
+// to a power-of-two number of vectors (one vector if n is larger): a
+// session holds at most one chunk's worth of unused slots, fewer bytes
+// than the per-node slice headers the chunks replace once it has a few
+// hundred checkpoints.
+const vecChunkInts = 512
+
 type pendingEdge struct {
 	from, to     model.ProcID
 	sendInterval int
-	stamp        vclock.Vec // from's running vector at the send
+	slot         int // stamp slot: from's running vector at the send
 }
 
 // NewIncremental returns a checker for n processes, each starting with
@@ -100,12 +124,14 @@ func NewIncremental(n int) (*Incremental, error) {
 		ids:       make([][]int32, n),
 		nextIndex: make([]int, n),
 		events:    make([]int, n),
+		noRow:     newNoRow(n),
+		reach:     make([]int32, n*n),
+		vecShift:  vecShiftFor(n),
 	}
 	for i := 0; i < n; i++ {
 		inc.cur[i] = vclock.NewVec(n)
 		initial := inc.newNode(model.ProcID(i), 0)
-		inc.taken[initial] = true
-		inc.tdvs[initial] = make([]int, n) // C_{i,0} depends on nothing
+		inc.taken[initial] = true // C_{i,0} depends on nothing: its slot is zero
 		inc.cur[i][i] = 1
 		inc.nextIndex[i] = 1
 		pending := inc.newNode(model.ProcID(i), 1)
@@ -157,14 +183,16 @@ func (inc *Incremental) TDVAt(c model.CkptID) []int {
 	if !inc.taken[v] {
 		return nil
 	}
-	return inc.tdvs[v]
+	return inc.vec(v)
 }
 
 // Checkpoint closes the open interval of process i: the pending node
 // becomes the checkpoint C_{i,x}, its dependency vector is recorded, and
 // every R-path already ending at it is judged. It returns the checkpoint
-// identifier and the recorded vector (a copy the caller may keep, e.g.
-// to annotate the pattern a parallel Builder accumulates).
+// identifier and the recorded vector. The vector is a read-only view of
+// the checker's own record, the one TDVAt returns: it never changes, so
+// a caller may keep it, but must not modify it. Builder.Checkpoint copies
+// it, so it can annotate the pattern a parallel Builder accumulates.
 func (inc *Incremental) Checkpoint(i model.ProcID) (model.CkptID, []int, error) {
 	if inc.sealed {
 		return model.CkptID{}, nil, fmt.Errorf("rgraph: incremental checker is sealed")
@@ -180,23 +208,20 @@ func (inc *Incremental) close(i model.ProcID) (model.CkptID, []int) {
 	idx := inc.nextIndex[i]
 	v := inc.ids[i][idx]
 
-	tdv := make([]int, inc.n)
+	tdv := inc.vec(v)
 	copy(tdv, inc.cur[i])
 	inc.taken[v] = true
-	inc.tdvs[v] = tdv
 	inc.cur[i][i] = idx + 1
 
 	// Every R-path into C_{i,idx} is now judgeable, and no later event
 	// can add one whose detection this scan would miss: an edge insertion
 	// that makes v newly reachable runs through grow, which checks the
-	// pair then. Column i is non-decreasing along each chain, so the
-	// sources in process k are the indexes below hit, and of those the
-	// vector just recorded vouches for 0..tdv[k] (capped at hit so that
-	// the +1 cannot overflow on a vector that came out of a snapshot).
-	for k, col := range inc.ids {
-		hit := sort.Search(len(col), func(x int) bool {
-			return inc.minReach[int(col[x])*inc.n+int(i)] > int32(idx)
-		})
+	// pair then. v is the last node of i's chain, so the sources in
+	// process k are its first reach[k*n+i] nodes, and of those the vector
+	// just recorded vouches for 0..tdv[k] (capped at hit so that the +1
+	// cannot overflow on a vector that came out of a snapshot).
+	for k := 0; k < inc.n; k++ {
+		hit := int(inc.reach[k*inc.n+int(i)])
 		for x := min(tdv[k], hit) + 1; x < hit; x++ {
 			inc.violate(k, x, int(i), idx)
 		}
@@ -207,6 +232,18 @@ func (inc *Incremental) close(i model.ProcID) (model.CkptID, []int) {
 	pending := inc.newNode(i, idx+1)
 	inc.addEdge(v, pending)
 	return model.CkptID{Proc: i, Index: idx}, tdv
+}
+
+// vecShiftFor returns the log2 of the largest power-of-two number of
+// n-entry vectors that fits in vecChunkInts, or 0.
+func vecShiftFor(n int) int {
+	return max(0, bits.Len(uint(vecChunkInts/n))-1)
+}
+
+// vec returns node v's vector slot.
+func (inc *Incremental) vec(v int32) []int {
+	lo := (int(v) & (1<<inc.vecShift - 1)) * inc.n
+	return inc.vecChunks[int(v)>>inc.vecShift][lo : lo+inc.n : lo+inc.n]
 }
 
 // Send records that process from sent a message to process to in from's
@@ -225,10 +262,26 @@ func (inc *Incremental) Send(from, to model.ProcID) (int, error) {
 	}
 	h := inc.nextMsg
 	inc.nextMsg++
-	inc.flight[h] = pendingEdge{from: from, to: to, sendInterval: inc.nextIndex[from], stamp: inc.cur[from].Clone()}
+	inc.flight[h] = pendingEdge{from: from, to: to, sendInterval: inc.nextIndex[from], slot: inc.putStamp(inc.cur[from])}
 	inc.events[from]++
 	return h, nil
 }
+
+// putStamp copies v into a free stamp slot, or into a new one at the end
+// of the slab, and returns the slot.
+func (inc *Incremental) putStamp(v []int) int {
+	if k := len(inc.free) - 1; k >= 0 {
+		slot := inc.free[k]
+		inc.free = inc.free[:k]
+		copy(inc.stamp(slot), v)
+		return slot
+	}
+	inc.stamps = append(inc.stamps, v...)
+	return len(inc.stamps)/inc.n - 1
+}
+
+// stamp returns the vector in a stamp slot.
+func (inc *Incremental) stamp(slot int) []int { return inc.stamps[slot*inc.n:][:inc.n] }
 
 // Deliver records the delivery of a previously sent message: the
 // receiver's running vector absorbs the send-time stamp, and the message
@@ -244,7 +297,8 @@ func (inc *Incremental) Deliver(handle int) error {
 	}
 	delete(inc.flight, handle)
 
-	inc.cur[pe.to].MaxInto(pe.stamp)
+	inc.cur[pe.to].MaxInto(inc.stamp(pe.slot))
+	inc.free = append(inc.free, pe.slot)
 	inc.events[pe.to]++
 	u := inc.ids[pe.from][pe.sendInterval]
 	v := inc.ids[pe.to][inc.nextIndex[pe.to]]
@@ -264,6 +318,7 @@ func (inc *Incremental) Seal() {
 		return
 	}
 	clear(inc.flight)
+	inc.stamps, inc.free = nil, nil
 	for i := 0; i < inc.n; i++ {
 		if inc.events[i] > 0 {
 			inc.close(model.ProcID(i))
@@ -296,28 +351,54 @@ func (inc *Incremental) Report(maxViolations int) *Report {
 	if maxViolations <= 0 {
 		maxViolations = 16
 	}
+	n := inc.n
 	rep := &Report{RDT: true}
 	// last[j] is the last index of process j in the seal-now pattern:
 	// every closed checkpoint exists there, and so does the pending one
 	// of an interval that contains an event (Seal would close it).
-	last := make([]int, inc.n)
+	last := make([]int, 3*n)
+	seen, at := last[n:2*n], last[2*n:]
+	last = last[:n]
 	for j := range last {
 		last[j] = inc.nextIndex[j] - 1
 		if inc.events[j] > 0 {
 			last[j]++
 		}
 	}
+	// entry returns entry k of C_{j,y}'s vector, or MaxInt past j's last
+	// index.
+	entry := func(j, y, k int) int {
+		if y > last[j] {
+			return math.MaxInt
+		}
+		return inc.vectorAt(j, y)[k]
+	}
 	for k, col := range inc.ids {
+		// seen[j] is a cut in process j (-1: none yet), at[j] its
+		// vector's entry k. For each x it becomes the first index at or
+		// past the range start lo whose vector has seen C_{k,x}. Neither
+		// lo nor that first index decreases in x (the two invariants), so
+		// seen[j] only moves forward, jumping to lo or stepping along j's
+		// chain.
+		for j := range seen {
+			seen[j] = -1
+		}
 		for x := 0; x <= last[k]; x++ {
-			for j, m := range inc.minReach[int(col[x])*inc.n:][:inc.n] {
+			for j, m := range inc.minReach[int(col[x])*n:][:n] {
 				lo := int(m)
 				if lo > last[j] {
 					continue
 				}
-				// C_{k,x} reaches C_{j,lo..last[j]}, whose vectors are
-				// non-decreasing in the index: the untrackable targets are
-				// those before the first one that has seen C_{k,x}.
-				cut := lo + sort.Search(last[j]+1-lo, func(d int) bool { return inc.vectorAt(j, lo+d)[k] >= x })
+				if seen[j] < lo {
+					seen[j], at[j] = lo, entry(j, lo, k)
+				}
+				for at[j] < x {
+					seen[j]++
+					at[j] = entry(j, seen[j], k)
+				}
+				// C_{k,x} reaches C_{j,lo..last[j]}: the untrackable
+				// targets are those before the first one that has seen it.
+				cut := seen[j]
 				rep.RPathPairs += last[j] + 1 - lo
 				rep.TrackablePairs += last[j] + 1 - cut
 				if cut > lo {
@@ -339,7 +420,7 @@ func (inc *Incremental) Report(maxViolations int) *Report {
 // the recorded one if it is closed, else j's running vector.
 func (inc *Incremental) vectorAt(j, y int) []int {
 	if y < inc.nextIndex[j] {
-		return inc.tdvs[inc.ids[j][y]]
+		return inc.vec(inc.ids[j][y])
 	}
 	return inc.cur[j]
 }
@@ -382,13 +463,31 @@ func (inc *Incremental) newNode(i model.ProcID, x int) int32 {
 	inc.nodeProc = append(inc.nodeProc, int32(i))
 	inc.nodeIndex = append(inc.nodeIndex, int32(x))
 	inc.taken = append(inc.taken, false)
-	inc.tdvs = append(inc.tdvs, nil)
-	inc.preds = append(inc.preds, nil)
-	for k := 0; k < inc.n; k++ {
-		inc.minReach = append(inc.minReach, noReach)
+	switch c, slot := int(v)>>inc.vecShift, int(v)&(1<<inc.vecShift-1); {
+	case slot == 0 && c == 0:
+		inc.vecChunks = append(inc.vecChunks, make([]int, inc.n))
+	case slot == 0:
+		inc.vecChunks = append(inc.vecChunks, make([]int, inc.n<<inc.vecShift))
+	case c == 0 && slot*inc.n == len(inc.vecChunks[0]):
+		// The first chunk doubles in place until it is full size; views
+		// of the vectors recorded in the old array stay valid, since a
+		// recorded vector is never written again.
+		grown := make([]int, 2*slot*inc.n)
+		copy(grown, inc.vecChunks[0])
+		inc.vecChunks[0] = grown
 	}
+	inc.preds = append(inc.preds, nil)
+	inc.minReach = append(inc.minReach, inc.noRow...)
 	inc.ids[i] = append(inc.ids[i], v)
 	return v
+}
+
+func newNoRow(n int) []int32 {
+	row := make([]int32, n)
+	for k := range row {
+		row[k] = noReach
+	}
+	return row
 }
 
 // addEdge inserts u -> v and restores the transitive closure, judging
@@ -422,8 +521,9 @@ func (inc *Incremental) addEdge(u, v int32) {
 	inc.work = work
 }
 
-// grow lowers minReach[p] to what v and minReach[v] offer, judges the
-// newly reachable closed targets, and reports whether anything dropped.
+// grow lowers minReach[p] to what v and minReach[v] offer, counts p in
+// reach where an entry leaves noReach, judges the newly reachable closed
+// targets, and reports whether anything dropped.
 func (inc *Incremental) grow(p, v int32) bool {
 	inc.growVisits++
 	n := inc.n
@@ -441,11 +541,14 @@ func (inc *Incremental) grow(p, v int32) bool {
 		}
 		dst[k] = m
 		changed = true
+		if old == noReach {
+			inc.reach[pProc*n+k]++
+		}
 		// New closed targets are C_{k,m} up to the old bound; recorded
 		// vectors are non-decreasing along the chain, so the untrackable
 		// ones are a prefix — one compare on RDT traffic.
 		col, end := inc.ids[k], min(int(old), inc.nextIndex[k])
-		for y := int(m); y < end && inc.tdvs[col[y]][pProc] < pIdx; y++ {
+		for y := int(m); y < end && inc.vec(col[y])[pProc] < pIdx; y++ {
 			inc.violate(pProc, pIdx, k, y)
 		}
 	}

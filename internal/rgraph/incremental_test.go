@@ -18,22 +18,8 @@ import (
 // violation list (whose head is the "first violation").
 func compareReports(t *testing.T, label string, batch, inc *Report) {
 	t.Helper()
-	if batch.RDT != inc.RDT {
-		t.Fatalf("%s: verdict mismatch: batch RDT=%v, incremental RDT=%v", label, batch.RDT, inc.RDT)
-	}
-	if batch.RPathPairs != inc.RPathPairs || batch.TrackablePairs != inc.TrackablePairs {
-		t.Fatalf("%s: pair counts mismatch: batch %d/%d, incremental %d/%d",
-			label, batch.TrackablePairs, batch.RPathPairs, inc.TrackablePairs, inc.RPathPairs)
-	}
-	if len(batch.Violations) != len(inc.Violations) {
-		t.Fatalf("%s: violation list length mismatch: batch %v, incremental %v",
-			label, batch.Violations, inc.Violations)
-	}
-	for i := range batch.Violations {
-		if batch.Violations[i] != inc.Violations[i] {
-			t.Fatalf("%s: violation %d mismatch: batch %v, incremental %v",
-				label, i, batch.Violations[i], inc.Violations[i])
-		}
+	if err := diffReports(batch, inc); err != nil {
+		t.Fatalf("%s: batch and incremental reports differ: %v", label, err)
 	}
 }
 
@@ -49,6 +35,11 @@ func streamPattern(t *testing.T, p *model.Pattern) *Incremental {
 	a.prepare(p)
 	handles := make([]int, len(p.Messages))
 	if err := a.run(func(e event) {
+		defer func() {
+			if err := checkReach(inc); err != nil {
+				t.Fatal(err)
+			}
+		}()
 		switch e.kind {
 		case evCheckpoint:
 			if e.index == 0 {
@@ -87,6 +78,12 @@ func checkPattern(t *testing.T, label string, p *model.Pattern) {
 	}
 	irep := inc.Report(32)
 	compareReports(t, label, batch, irep)
+	if err := checkReportOracle(inc); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if err := checkDecoded(inc); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
 	if got, want := inc.Violations(), batch.RPathPairs-batch.TrackablePairs; got != want {
 		t.Fatalf("%s: online violation count %d, batch says %d", label, got, want)
 	}
@@ -274,8 +271,10 @@ func TestIncrementalDifferentialRandom(t *testing.T) {
 }
 
 // lockstep feeds one event stream to a Builder and an Incremental, and
-// after every event holds the checker's interval vectors against the
-// bitset closure oracle when it has one.
+// after every event holds the checker's reach counters to the search
+// close used to run and, when it has the bitset closure oracle, its
+// interval vectors to the oracle and its report to the binary-search
+// one.
 type lockstep struct {
 	t        *testing.T
 	b        *model.Builder
@@ -298,12 +297,18 @@ func newLockstep(t *testing.T, n int, oracle *closureOracle) *lockstep {
 
 func (l *lockstep) checkClosure() {
 	l.t.Helper()
+	if err := checkReach(l.inc); err != nil {
+		l.t.Fatal(err)
+	}
 	if l.oracle == nil {
 		return
 	}
 	l.oracle.sync(l.inc)
 	if err := l.oracle.check(l.inc); err != nil {
 		l.t.Fatalf("closure diverged from the bitset oracle: %v", err)
+	}
+	if err := checkReportOracle(l.inc); err != nil {
+		l.t.Fatal(err)
 	}
 }
 
@@ -357,6 +362,12 @@ func (l *lockstep) comparePrefix() {
 		l.t.Fatalf("batch check on snapshot: %v", err)
 	}
 	compareReports(l.t, "prefix", batch, l.inc.Report(32))
+	if err := checkReportOracle(l.inc); err != nil {
+		l.t.Fatalf("prefix: %v", err)
+	}
+	if err := checkDecoded(l.inc); err != nil {
+		l.t.Fatalf("prefix: %v", err)
+	}
 }
 
 // finish delivers what is in flight in random order, seals, and holds
@@ -377,6 +388,12 @@ func (l *lockstep) finish(rng *rand.Rand) *Report {
 		l.t.Fatal(err)
 	}
 	compareReports(l.t, "final", batch, l.inc.Report(32))
+	if err := checkReportOracle(l.inc); err != nil {
+		l.t.Fatalf("final: %v", err)
+	}
+	if err := checkDecoded(l.inc); err != nil {
+		l.t.Fatalf("final: %v", err)
+	}
 	if got, want := l.inc.Violations(), batch.RPathPairs-batch.TrackablePairs; got != want {
 		l.t.Fatalf("online violation count %d, batch says %d", got, want)
 	}

@@ -2,9 +2,123 @@ package rgraph
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"github.com/rdt-go/rdt/internal/model"
 )
+
+// searchReach is how close found its sources before the reach counters:
+// a binary search over process k's chain for the first node whose
+// column-j entry lies past j's pending node, which by the first
+// monotonicity invariant is the count of k's nodes that reach j.
+func searchReach(inc *Incremental, k, j int) int {
+	col := inc.ids[k]
+	return sort.Search(len(col), func(x int) bool {
+		return inc.minReach[int(col[x])*inc.n+j] > int32(inc.nextIndex[j])
+	})
+}
+
+// checkReach holds every reach counter to searchReach.
+func checkReach(inc *Incremental) error {
+	for k := 0; k < inc.n; k++ {
+		for j := 0; j < inc.n; j++ {
+			if got, want := int(inc.reach[k*inc.n+j]), searchReach(inc, k, j); got != want {
+				return fmt.Errorf("reach[%d*n+%d] = %d, the search over minReach finds %d", k, j, got, want)
+			}
+		}
+	}
+	return nil
+}
+
+// reportOracle is Report as it was before the forward pointers: each
+// range's trackable cut found by a binary search of the target's chain
+// (second invariant), O(V·n·log V).
+func reportOracle(inc *Incremental, maxViolations int) *Report {
+	if maxViolations <= 0 {
+		maxViolations = 16
+	}
+	rep := &Report{RDT: true}
+	last := make([]int, inc.n)
+	for j := range last {
+		last[j] = inc.nextIndex[j] - 1
+		if inc.events[j] > 0 {
+			last[j]++
+		}
+	}
+	for k, col := range inc.ids {
+		for x := 0; x <= last[k]; x++ {
+			for j, m := range inc.minReach[int(col[x])*inc.n:][:inc.n] {
+				lo := int(m)
+				if lo > last[j] {
+					continue
+				}
+				cut := lo + sort.Search(last[j]+1-lo, func(d int) bool { return inc.vectorAt(j, lo+d)[k] >= x })
+				rep.RPathPairs += last[j] + 1 - lo
+				rep.TrackablePairs += last[j] + 1 - cut
+				if cut > lo {
+					rep.RDT = false
+				}
+				for y := lo; y < cut && len(rep.Violations) < maxViolations; y++ {
+					rep.Violations = append(rep.Violations, Violation{
+						From: model.CkptID{Proc: model.ProcID(k), Index: x},
+						To:   model.CkptID{Proc: model.ProcID(j), Index: y},
+					})
+				}
+			}
+		}
+	}
+	return rep
+}
+
+// diffReports says how got differs from want: verdict, pair counts, or
+// the violation list, element by element.
+func diffReports(want, got *Report) error {
+	if want.RDT != got.RDT {
+		return fmt.Errorf("verdict mismatch: want RDT=%v, got RDT=%v", want.RDT, got.RDT)
+	}
+	if want.RPathPairs != got.RPathPairs || want.TrackablePairs != got.TrackablePairs {
+		return fmt.Errorf("pair counts mismatch: want %d/%d, got %d/%d",
+			want.TrackablePairs, want.RPathPairs, got.TrackablePairs, got.RPathPairs)
+	}
+	if len(want.Violations) != len(got.Violations) {
+		return fmt.Errorf("violation list length mismatch: want %v, got %v", want.Violations, got.Violations)
+	}
+	for i := range want.Violations {
+		if want.Violations[i] != got.Violations[i] {
+			return fmt.Errorf("violation %d mismatch: want %v, got %v", i, want.Violations[i], got.Violations[i])
+		}
+	}
+	return nil
+}
+
+// checkReportOracle holds Report to reportOracle, capped and uncapped.
+func checkReportOracle(inc *Incremental) error {
+	for _, limit := range []int{0, 32, math.MaxInt} {
+		if err := diffReports(reportOracle(inc, limit), inc.Report(limit)); err != nil {
+			return fmt.Errorf("Report(%d) against the binary-search report: %w", limit, err)
+		}
+	}
+	return nil
+}
+
+// checkDecoded rebuilds inc from its bytes and holds the copy's reach
+// counters and reports to inc's.
+func checkDecoded(inc *Incremental) error {
+	dec, err := DecodeIncremental(inc.AppendBinary(nil))
+	if err != nil {
+		return fmt.Errorf("decode: %w", err)
+	}
+	if err := checkReach(dec); err != nil {
+		return fmt.Errorf("decoded checker: %w", err)
+	}
+	for _, limit := range []int{32, math.MaxInt} {
+		if err := diffReports(inc.Report(limit), dec.Report(limit)); err != nil {
+			return fmt.Errorf("decoded checker's Report(%d): %w", limit, err)
+		}
+	}
+	return nil
+}
 
 // closureOracle is the closure Incremental kept before the interval
 // vectors: one growable bitset per node over all nodes, restored under

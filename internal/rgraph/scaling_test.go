@@ -14,14 +14,17 @@ import (
 
 const scalingProcs = 8
 
-// trafficEvents generates count events the way the repo benchmark does
-// (bench/gen.go): stream.NewTraffic("random", 8, seed) as is
-// ("unprotected": basic checkpoints only, violates RDT heavily), or
-// passed through eight BHMR instances that add the forced checkpoints
-// which make it RDT ("bhmr").
-func trafficEvents(tb testing.TB, family string, seed int64, count int) []service.Event {
+// widths is the process-count axis of the checker's benchmarks.
+var widths = []int{scalingProcs, 32, 128}
+
+// trafficEvents generates count events over n processes the way the repo
+// benchmark does at n = 8 (bench/gen.go): stream.NewTraffic("random", n,
+// seed) as is ("unprotected": basic checkpoints only, violates RDT
+// heavily), or passed through n BHMR instances that add the forced
+// checkpoints which make it RDT ("bhmr").
+func trafficEvents(tb testing.TB, family string, n int, seed int64, count int) []service.Event {
 	tb.Helper()
-	tr, err := stream.NewTraffic("random", scalingProcs, seed)
+	tr, err := stream.NewTraffic("random", n, seed)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -29,9 +32,9 @@ func trafficEvents(tb testing.TB, family string, seed int64, count int) []servic
 		return tr.Next(make([]service.Event, 0, count), count)
 	}
 	var out []service.Event
-	insts := make([]core.Instance, scalingProcs)
+	insts := make([]core.Instance, n)
 	for i := range insts {
-		insts[i], err = core.New(core.KindBHMR, i, scalingProcs, func(rec core.CheckpointRecord) {
+		insts[i], err = core.New(core.KindBHMR, i, n, func(rec core.CheckpointRecord) {
 			if rec.Kind != model.KindInitial {
 				out = append(out, service.Event{Op: service.OpCheckpoint, Proc: rec.Proc})
 			}
@@ -74,8 +77,8 @@ type feeder struct {
 	handles map[int]int
 }
 
-func newFeeder(tb testing.TB) *feeder {
-	inc, err := rgraph.NewIncremental(scalingProcs)
+func newFeeder(tb testing.TB, n int) *feeder {
+	inc, err := rgraph.NewIncremental(n)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -110,8 +113,8 @@ var oracleScaling = flag.Bool("oracle-scaling", false,
 // did — and the closure must be n entries per node.
 func TestIncrementalScalingGuard(t *testing.T) {
 	const first, total = 1 << 10, 1 << 15
-	events := trafficEvents(t, "bhmr", 1, total)
-	f := newFeeder(t)
+	events := trafficEvents(t, "bhmr", scalingProcs, 1, total)
+	f := newFeeder(t, scalingProcs)
 	var oracle *rgraph.ClosureOracle
 	if *oracleScaling {
 		oracle = &rgraph.ClosureOracle{}
@@ -151,20 +154,37 @@ func TestIncrementalScalingGuard(t *testing.T) {
 	}
 }
 
+// TestIncrementalAllocs pins the checker's allocations without a clock:
+// a 2^15-event BHMR session, fed through the benchmark's feeder, makes
+// fewer than one heap object per two events. Send stamps and recorded
+// vectors come from slabs and chunks, so what is left is mostly a
+// predecessor list per checkpoint and the growth of slices and maps.
+func TestIncrementalAllocs(t *testing.T) {
+	const total = 1 << 15
+	events := trafficEvents(t, "bhmr", scalingProcs, 1, total)
+	allocs := testing.AllocsPerRun(2, func() { newFeeder(t, scalingProcs).apply(t, events) })
+	t.Logf("%.0f allocations for %d events (%.2f per event)", allocs, total, allocs/total)
+	if allocs >= total/2 {
+		t.Errorf("%.0f allocations for a %d-event session, want under %d", allocs, total, total/2)
+	}
+}
+
 // BenchmarkIncrementalApply is the checker's layer benchmark: ns per
-// event to apply a whole session of the given length, on both traffic
-// families.
+// event to apply a whole session of the given length and width, on both
+// traffic families.
 func BenchmarkIncrementalApply(b *testing.B) {
 	for _, family := range []string{"bhmr", "unprotected"} {
-		for _, lg := range []int{10, 13, 15} {
-			events := trafficEvents(b, family, 1, 1<<lg)
-			b.Run(fmt.Sprintf("%s/2e%d", family, lg), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					newFeeder(b).apply(b, events)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N<<lg), "ns/event")
-			})
+		for _, n := range widths {
+			for _, lg := range []int{10, 13, 15} {
+				events := trafficEvents(b, family, n, 1, 1<<lg)
+				b.Run(fmt.Sprintf("%s/n=%d/2e%d", family, n, lg), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						newFeeder(b, n).apply(b, events)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N<<lg), "ns/event")
+				})
+			}
 		}
 	}
 }
@@ -172,17 +192,19 @@ func BenchmarkIncrementalApply(b *testing.B) {
 var benchSink int
 
 // BenchmarkIncrementalReport times the seal-now report of an open
-// 2^13-event session.
+// 2^13-event session of each width.
 func BenchmarkIncrementalReport(b *testing.B) {
 	for _, family := range []string{"bhmr", "unprotected"} {
-		f := newFeeder(b)
-		f.apply(b, trafficEvents(b, family, 1, 1<<13))
-		b.Run(family, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchSink += f.inc.Report(16).RPathPairs
-			}
-		})
+		for _, n := range widths {
+			f := newFeeder(b, n)
+			f.apply(b, trafficEvents(b, family, n, 1, 1<<13))
+			b.Run(fmt.Sprintf("%s/n=%d", family, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					benchSink += f.inc.Report(16).RPathPairs
+				}
+			})
+		}
 	}
 }
 
@@ -191,8 +213,8 @@ func BenchmarkIncrementalReport(b *testing.B) {
 // cost of reactivating or importing a session.
 func BenchmarkDecodeIncremental(b *testing.B) {
 	for _, family := range []string{"bhmr", "unprotected"} {
-		f := newFeeder(b)
-		f.apply(b, trafficEvents(b, family, 1, 1<<13))
+		f := newFeeder(b, scalingProcs)
+		f.apply(b, trafficEvents(b, family, scalingProcs, 1, 1<<13))
 		enc := f.inc.AppendBinary(nil)
 		b.Run(family, func(b *testing.B) {
 			b.ReportAllocs()

@@ -324,6 +324,12 @@ func (s *Service) loadSession(id string) (*Session, loadStats, error) {
 	}
 
 	start := time.Now()
+	walPath := filepath.Join(dir, "wal.log")
+	// The log holds each record behind a varint length no longer than the
+	// WAL's frame header, so the file's size is room for all of it.
+	if fi, err := os.Stat(walPath); err == nil {
+		sess.log = make([]byte, 0, fi.Size())
+	}
 	// The session is unpublished, so no lock is needed; apply errors on
 	// replay are deterministic re-poisonings, not replay failures.
 	st := imageState{prodSeq: make(map[string]uint64)}
@@ -332,13 +338,12 @@ func (s *Service) loadSession(id string) (*Session, loadStats, error) {
 		sess.applyBatchLocked(rec)
 		st.add(rec)
 		ls.records++
-		s.mWALReplayRecords.Inc()
 	})
+	s.mWALReplayRecords.Add(ls.records)
 	if err != nil {
 		return nil, ls, fmt.Errorf("load %q: %w", id, err)
 	}
 	sess.observe()
-	walPath := filepath.Join(dir, "wal.log")
 	if torn {
 		if err := wal.Truncate(walPath, end); err != nil {
 			return nil, ls, fmt.Errorf("load %q: %w", id, err)

@@ -84,8 +84,10 @@ type Session struct {
 	failErr error // first apply error; poisons further ingestion
 	dur     *durableSession
 	inc     *rgraph.Incremental
-	msgs    map[int]int    // client message id -> checker handle, in flight
-	usedMsg map[int]bool   // every client message id ever sent
+	// msgs maps every client message id ever sent to its checker handle
+	// while it is in flight, and to delivered once it is not: an id is
+	// never reused, delivered ones included.
+	msgs    map[int]int
 	applied int64          // events applied
 	viol    violationStage // the current group's violations; the worker's alone
 	// log is every mutating batch in arrival order, each one its record
@@ -126,7 +128,6 @@ func newSession(svc *Service, id string, n int) (*Session, error) {
 		created:    svc.clock.Now(),
 		inc:        inc,
 		msgs:       make(map[int]int),
-		usedMsg:    make(map[int]bool),
 	}
 	s.touch()
 	return s, nil
@@ -418,6 +419,10 @@ func (s *Session) applyLocked(ev *event) error {
 	return nil
 }
 
+// delivered is the tombstone Session.msgs holds for a delivered message:
+// the checker's handles are never negative.
+const delivered = -1
+
 // applyOneLocked keeps the service's own rules — client message ids and
 // the checkpoint cap — and leaves every other one to the checker.
 func (s *Session) applyOneLocked(ev *event) error {
@@ -429,25 +434,24 @@ func (s *Session) applyOneLocked(ev *event) error {
 		_, _, err := s.inc.Checkpoint(model.ProcID(ev.proc))
 		return err
 	case opSend:
-		if s.usedMsg[ev.msg] {
+		if _, used := s.msgs[ev.msg]; used {
 			return fmt.Errorf("send: message id %d already used", ev.msg)
 		}
 		h, err := s.inc.Send(model.ProcID(ev.proc), model.ProcID(ev.peer))
 		if err != nil {
 			return err
 		}
-		s.usedMsg[ev.msg] = true
 		s.msgs[ev.msg] = h
 		return nil
 	default: // opDeliver: a record holds no other op
 		h, ok := s.msgs[ev.msg]
-		if !ok {
+		if !ok || h == delivered {
 			return fmt.Errorf("deliver: message id %d unknown or already delivered", ev.msg)
 		}
 		if err := s.inc.Deliver(h); err != nil {
 			return err
 		}
-		delete(s.msgs, ev.msg)
+		s.msgs[ev.msg] = delivered
 		return nil
 	}
 }
