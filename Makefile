@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X github.com/rdt-go/rdt/internal/version.Version=$(VERSION) \
            -X github.com/rdt-go/rdt/internal/version.Commit=$(COMMIT)
 
-.PHONY: all build test bench-test race vet chaos chaos-supervise serve-smoke trace-smoke soak-smoke fuzz-smoke durability-smoke load-smoke shard-smoke check bench clean
+.PHONY: all build test bench-test race vet chaos chaos-supervise serve-smoke trace-smoke soak-smoke fuzz-smoke durability-smoke load-smoke shard-smoke examples-smoke check bench clean
 
 all: test
 
@@ -156,8 +156,16 @@ load-smoke:
 shard-smoke:
 	./scripts/shard_smoke.sh
 
+# Examples smoke: run every program under examples/; each must exit 0.
+# They build the facade's config literals, so an edit there has to keep
+# them working, not only compiling.
+examples-smoke:
+	for ex in examples/*/; do \
+		$(GO) run ./$$ex >/dev/null || { echo "examples-smoke: $$ex failed" >&2; exit 1; }; \
+	done
+
 # Everything a change must pass before review.
-check: test bench-test race chaos chaos-supervise soak-smoke load-smoke shard-smoke
+check: test bench-test race chaos chaos-supervise soak-smoke load-smoke shard-smoke examples-smoke
 
 # The yardstick: build the daemons from this checkout and run every
 # bench/ workload briefly, checking each served verdict against batch

@@ -133,11 +133,7 @@ func run(args []string, out io.Writer) error {
 		tracer := obs.NewTracer(obs.DefaultTracerCapacity)
 		replayPattern(reg, tracer, p, len(report.Violations))
 		if *metricsAddr != "" {
-			var opts []obs.ServerOption
-			if *pprof {
-				opts = append(opts, obs.WithProfiling())
-			}
-			srv, err := obs.Serve(*metricsAddr, reg, tracer, opts...)
+			srv, err := obs.Serve(*metricsAddr, reg, tracer, *pprof)
 			if err != nil {
 				return err
 			}

@@ -63,11 +63,7 @@ func run(args []string, out io.Writer) error {
 	// the tally is exact under any -jobs value).
 	cfg.Obs = obs.NewRegistry()
 	if *metricsAddr != "" {
-		var opts []obs.ServerOption
-		if *pprof {
-			opts = append(opts, obs.WithProfiling())
-		}
-		srv, err := obs.Serve(*metricsAddr, cfg.Obs, nil, opts...)
+		srv, err := obs.Serve(*metricsAddr, cfg.Obs, nil, *pprof)
 		if err != nil {
 			return err
 		}

@@ -165,7 +165,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *pprofAddr != "" {
 		// Profiling lives on its own listener so the API address can stay
 		// exposed while pprof stays private.
-		psrv, err := obs.Serve(*pprofAddr, nil, nil, obs.WithProfiling())
+		psrv, err := obs.Serve(*pprofAddr, svc.Config().Registry, nil, true)
 		if err != nil {
 			return err
 		}

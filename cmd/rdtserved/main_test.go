@@ -311,7 +311,8 @@ func (s *syncBuffer) String() string {
 
 // TestServeProfilingListener boots the daemon with -pprof-addr and
 // checks that the separate profiling listener serves the pprof index
-// while the API listener does not expose it.
+// while the API listener does not expose it, and that the runtime
+// gauges reach the API's /metrics.
 func TestServeProfilingListener(t *testing.T) {
 	addrCh := make(chan string, 1)
 	prev := serving
@@ -355,6 +356,20 @@ func TestServeProfilingListener(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
 		t.Error("API listener exposes /debug/pprof/; profiling should stay on its own address")
+	}
+	// The runtime gauges land in the daemon's registry, so the API's
+	// /metrics carries them; they are sampled before the listener starts.
+	resp, err = http.Get("http://" + apiAddr + "/metrics")
+	if err != nil {
+		t.Fatalf("api metrics: %v", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("api metrics: %v", err)
+	}
+	if !strings.Contains(string(body), "rdt_go_goroutines ") {
+		t.Errorf("API /metrics has no rdt_go_goroutines gauge with -pprof-addr set:\n%s", body)
 	}
 
 	cancel()

@@ -4,13 +4,15 @@
 // a bounds-checked reader that latches the first error, so decoders
 // read an entire structure and check Err once. Untrusted inputs (WAL
 // records, snapshot files) are decoded through the Reader, which never
-// panics and never reads past the buffer.
+// panics and never reads past the buffer. It also owns the CRC32C frame
+// a WAL record and an RDTSTRM1 frame share.
 package binenc
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 )
 
@@ -208,4 +210,35 @@ func (r *Reader) Done() error {
 		r.fail("trailing bytes")
 	}
 	return r.err
+}
+
+// FrameHeaderSize is the overhead of one CRC32C frame, the unit of both
+// a WAL record and an RDTSTRM1 frame:
+//
+//	4 bytes  payload length, little endian
+//	4 bytes  CRC32C (Castagnoli) of the payload, little endian
+//	n bytes  payload
+//
+// Each reader bounds the length with its own limit before it reads the
+// payload.
+const FrameHeaderSize = 8
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// AppendFrame appends payload framed with its length and checksum.
+func AppendFrame(buf, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
+	return append(buf, payload...)
+}
+
+// ParseFrameHeader returns the payload length and checksum a frame
+// header carries; hdr holds at least FrameHeaderSize bytes.
+func ParseFrameHeader(hdr []byte) (length int, sum uint32) {
+	return int(binary.LittleEndian.Uint32(hdr[:4])), binary.LittleEndian.Uint32(hdr[4:8])
+}
+
+// FrameSum is the checksum a frame header carries for payload.
+func FrameSum(payload []byte) uint32 {
+	return crc32.Checksum(payload, castagnoli)
 }

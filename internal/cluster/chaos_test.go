@@ -159,8 +159,8 @@ func TestChaosExactlyOnceAndRDT(t *testing.T) {
 // degrade that to a timeout, and StopLossy must report the message lost.
 func TestChaosWithoutReliableTimesOut(t *testing.T) {
 	faulty := transport.WithFaults(transport.NewLocal(0), transport.FaultConfig{
-		Seed:  3,
-		Links: map[transport.Link]transport.FaultProbs{{From: 0, To: 1}: {Drop: 1}},
+		Seed:    3,
+		Default: transport.FaultProbs{Drop: 1},
 	})
 	c, err := cluster.New(cluster.Config{N: 2, Protocol: core.KindBHMR, Transport: faulty})
 	if err != nil {

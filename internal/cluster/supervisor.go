@@ -31,41 +31,44 @@ const (
 	SuspectUnreachable = "unreachable"
 )
 
+// The detector and retry constants every Supervisor runs with.
+const (
+	// beatWindow is the number of recent heartbeat gaps the accrual
+	// detector keeps per process — the sample the expected-gap
+	// distribution is estimated from.
+	beatWindow = 64
+	// phiThreshold is the suspicion threshold, φ-accrual style:
+	// suspicion fires when the current gap's upper-tail probability
+	// under the observed gap distribution drops below 10^-phiThreshold.
+	phiThreshold = 8
+	// minGapIntervals floors, in probe intervals, the gap below which
+	// suspicion never fires, whatever φ says — the guard against false
+	// positives from scheduler hiccups and load bursts the window has
+	// not absorbed yet. The floor is 20×Interval.
+	minGapIntervals = 20
+	// confirmTicks is the number of consecutive over-threshold
+	// evaluations that confirm a timeout suspicion. Crash detection
+	// confirms immediately — ErrCrashed is definitive.
+	confirmTicks = 2
+	// maxAttempts bounds the autonomous recovery attempts per detected
+	// failure; when they are exhausted the supervisor escalates and
+	// stops.
+	maxAttempts = 3
+	// firstBackoff is the delay before the second attempt; it doubles
+	// per attempt up to maxBackoff, with up to 50% seeded jitter.
+	firstBackoff = 25 * time.Millisecond
+	maxBackoff   = time.Second
+)
+
 // SupervisorConfig parameterizes Supervise.
 type SupervisorConfig struct {
 	// Interval is the heartbeat probe period. Each probe, the supervisor
 	// enqueues a liveness probe into every node's mailbox; the node
 	// goroutine acks it in order with its other operations, so the ack
-	// gap measures the event loop's actual responsiveness. Default 10ms.
+	// gap measures the event loop's actual responsiveness. It also sets
+	// the gap below which no timeout is suspected: 20×Interval.
+	// Default 10ms.
 	Interval time.Duration
-	// Window is the number of recent heartbeat gaps the accrual detector
-	// keeps per process — the sample the expected-gap distribution is
-	// estimated from. Default 64.
-	Window int
-	// Phi is the suspicion threshold, φ-accrual style: suspicion fires
-	// when the current gap's upper-tail probability under the observed
-	// gap distribution drops below 10^-Phi. Larger is more conservative.
-	// Default 8.
-	Phi float64
-	// MinGap floors the gap below which suspicion never fires, whatever
-	// φ says — the guard against false positives from scheduler hiccups
-	// and load bursts the window has not absorbed yet. Default
-	// 20×Interval.
-	MinGap time.Duration
-	// ConfirmTicks is the number of consecutive over-threshold
-	// evaluations that confirm a timeout suspicion. Crash detection
-	// confirms immediately — ErrCrashed is definitive. Default 2.
-	ConfirmTicks int
-
-	// MaxAttempts bounds the autonomous recovery attempts per detected
-	// failure; when they are exhausted the supervisor escalates and
-	// stops. Default 3.
-	MaxAttempts int
-	// Backoff is the delay before the second attempt; it doubles per
-	// attempt up to MaxBackoff, with up to 50% seeded jitter. Defaults
-	// 25ms / 1s.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
 	// Seed makes the jitter schedule reproducible. Zero seeds from 1.
 	Seed int64
 	// DrainTimeout bounds, in Clock time, the lossy stop's quiescence
@@ -86,8 +89,8 @@ type SupervisorConfig struct {
 	// OnRecover and OnEscalate run inside the supervisor's clock
 	// callback: they must not block, advance the clock, or call Stop.
 	OnRecover func(*RecoverResult)
-	// OnEscalate, if non-nil, is called once when MaxAttempts recovery
-	// attempts for one failure have all failed, with the last attempt's
+	// OnEscalate, if non-nil, is called once when all the recovery
+	// attempts for one failure have failed, with the last attempt's
 	// error. The supervisor stops after escalating: the cluster is down
 	// and repairing it now needs an operator.
 	OnEscalate func(error)
@@ -96,41 +99,6 @@ type SupervisorConfig struct {
 	// and the retry backoff. Nil means the wall clock; a vtime.Virtual
 	// runs the whole failover inside its Advance calls.
 	Clock vtime.Clock
-}
-
-// withDefaults fills the zero fields.
-func (cfg SupervisorConfig) withDefaults() SupervisorConfig {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 10 * time.Millisecond
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 64
-	}
-	if cfg.Phi <= 0 {
-		cfg.Phi = 8
-	}
-	if cfg.MinGap <= 0 {
-		cfg.MinGap = 20 * cfg.Interval
-	}
-	if cfg.ConfirmTicks <= 0 {
-		cfg.ConfirmTicks = 2
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 25 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = time.Second
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 5 * time.Second
-	}
-	return cfg
 }
 
 // Supervisor watches a cluster through periodic heartbeat probes and
@@ -144,7 +112,7 @@ func (cfg SupervisorConfig) withDefaults() SupervisorConfig {
 // The supervisor is a state machine driven by its clock: each probe,
 // drain check and retry is one clock callback that re-arms itself, and
 // a failure moves it through watch → fail-stop → drain → attempt (→
-// backoff → attempt) → watch, or escalates once MaxAttempts attempts
+// backoff → attempt) → watch, or escalates once maxAttempts attempts
 // have failed. No step blocks, so under a virtual clock the whole
 // failover runs inside Advance calls.
 //
@@ -203,7 +171,15 @@ func Supervise(c *Cluster, cfg SupervisorConfig) (*Supervisor, error) {
 	if c.payloads == nil { // set once by New
 		return nil, errors.New("cluster: supervise requires LogPayloads")
 	}
-	cfg = cfg.withDefaults()
+	if cfg.Interval <= 0 {
+		cfg.Interval = 10 * time.Millisecond
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	if cfg.DrainTimeout <= 0 {
+		cfg.DrainTimeout = 5 * time.Second
+	}
 	s := &Supervisor{
 		cfg:   cfg,
 		clock: vtime.Or(cfg.Clock),
@@ -292,7 +268,7 @@ func (s *Supervisor) adopt(c *Cluster) {
 	tracks := make([]*beatTrack, c.cfg.N)
 	now := s.clock.Now()
 	for i := range tracks {
-		tracks[i] = newBeatTrack(now, s.cfg.Window, s.cfg.Interval)
+		tracks[i] = newBeatTrack(now, s.cfg.Interval)
 	}
 	s.mu.Lock()
 	if s.c != nil {
@@ -362,7 +338,7 @@ func (s *Supervisor) step() time.Duration {
 		if s.pattern, s.lost, err = c.finishLossy(); err != nil {
 			return s.escalate(fmt.Errorf("stop for recovery: %w", err))
 		}
-		s.attempt, s.backoff = 0, s.cfg.Backoff
+		s.attempt, s.backoff = 0, firstBackoff
 	}
 	s.attempt++
 	res, err := c.recoverFrom(s.pattern, s.lost, s.crashed, s.options(s.inc+1, s.attempt))
@@ -376,13 +352,11 @@ func (s *Supervisor) step() time.Duration {
 		return s.cfg.Interval
 	}
 	s.ins.recovery("retry")
-	if s.attempt == s.cfg.MaxAttempts {
+	if s.attempt == maxAttempts {
 		return s.escalate(err)
 	}
 	d := s.jitter(s.backoff)
-	if s.backoff < s.cfg.MaxBackoff {
-		s.backoff = min(2*s.backoff, s.cfg.MaxBackoff)
-	}
+	s.backoff = min(2*s.backoff, maxBackoff)
 	return d
 }
 
@@ -403,7 +377,7 @@ func (s *Supervisor) probe(c *Cluster) (suspects []int, external bool) {
 			reason = SuspectCrash
 		case track.unreachable.Swap(false):
 			reason = SuspectUnreachable
-		case track.check(now, s.cfg.MinGap, s.cfg.Phi, s.cfg.ConfirmTicks):
+		case track.check(now, minGapIntervals*s.cfg.Interval):
 			reason = SuspectTimeout
 		}
 		if reason != "" {
@@ -454,8 +428,8 @@ type beatTrack struct {
 // newBeatTrack primes the window with the probe interval so the
 // distribution is defined before real samples arrive; the prior washes
 // out of the sliding window as beats come in.
-func newBeatTrack(now time.Time, window int, interval time.Duration) *beatTrack {
-	t := &beatTrack{last: now, win: make([]float64, window)}
+func newBeatTrack(now time.Time, interval time.Duration) *beatTrack {
+	t := &beatTrack{last: now, win: make([]float64, beatWindow)}
 	prior := interval.Seconds()
 	for i := 0; i < 4; i++ {
 		t.observe(prior)
@@ -502,18 +476,18 @@ func (t *beatTrack) gapSince(now time.Time) time.Duration {
 }
 
 // check evaluates the detector at one probe: suspicion requires the gap
-// to clear the floor AND φ to clear the threshold on ConfirmTicks
+// to clear the floor AND φ to clear the threshold on confirmTicks
 // consecutive evaluations.
-func (t *beatTrack) check(now time.Time, minGap time.Duration, phi float64, confirm int) bool {
+func (t *beatTrack) check(now time.Time, minGap time.Duration) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	gap := now.Sub(t.last)
-	if gap < minGap || t.phiOf(gap.Seconds()) < phi {
+	if gap < minGap || t.phiOf(gap.Seconds()) < phiThreshold {
 		t.over = 0
 		return false
 	}
 	t.over++
-	return t.over >= confirm
+	return t.over >= confirmTicks
 }
 
 // phiOf is the suspicion level of a gap under the windowed distribution:

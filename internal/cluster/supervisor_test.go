@@ -77,15 +77,13 @@ func TestSupervisedChaosSelfHeals(t *testing.T) {
 
 			recovered := make(chan *cluster.RecoverResult, 1)
 			sup, err := cluster.Supervise(c1, cluster.SupervisorConfig{
-				Interval: 2 * time.Millisecond,
 				// The failure this test injects is a crash, detected via
-				// ErrCrashed regardless of gap size; a generous MinGap
+				// ErrCrashed regardless of gap size; a probe interval of
+				// 50ms puts the timeout floor (20 intervals) at 1s, which
 				// keeps scheduler stalls on loaded CI runners from
 				// triggering a spurious timeout failover of the healthy
 				// second incarnation.
-				MinGap:       time.Second,
-				MaxAttempts:  3,
-				Backoff:      2 * time.Millisecond,
+				Interval:     50 * time.Millisecond,
 				Seed:         seed,
 				DrainTimeout: 10 * time.Second,
 				Options: func(incarnation, attempt int) cluster.RecoverOptions {
@@ -228,10 +226,6 @@ func TestSupervisorDetectsStalledNode(t *testing.T) {
 	recovered := make(chan *cluster.RecoverResult, 1)
 	sup, err := cluster.Supervise(c1, cluster.SupervisorConfig{
 		Interval:     3 * time.Millisecond,
-		MinGap:       60 * time.Millisecond,
-		Phi:          5,
-		ConfirmTicks: 2,
-		Backoff:      time.Millisecond,
 		DrainTimeout: 5 * time.Second,
 		Clock:        v,
 		OnRecover:    func(res *cluster.RecoverResult) { recovered <- res },
@@ -308,10 +302,8 @@ func TestSupervisorNoFalsePositivesUnderDelay(t *testing.T) {
 		t.Fatalf("new: %v", err)
 	}
 	sup, err := cluster.Supervise(c, cluster.SupervisorConfig{
-		Interval:     3 * time.Millisecond,
-		MinGap:       150 * time.Millisecond,
-		ConfirmTicks: 2,
-		Clock:        v,
+		Interval: 3 * time.Millisecond,
+		Clock:    v,
 		OnRecover: func(*cluster.RecoverResult) {
 			t.Error("unexpected autonomous recovery of a healthy cluster")
 		},
@@ -432,9 +424,7 @@ func TestSupervisorRetriesThenRecovers(t *testing.T) {
 	var attempts []int
 	recovered := make(chan *cluster.RecoverResult, 1)
 	sup, err := cluster.Supervise(c1, cluster.SupervisorConfig{
-		Interval:    2 * time.Millisecond,
-		MaxAttempts: 3,
-		Backoff:     time.Millisecond,
+		Interval: 2 * time.Millisecond,
 		Options: func(incarnation, attempt int) cluster.RecoverOptions {
 			mu.Lock()
 			attempts = append(attempts, attempt)
@@ -484,7 +474,8 @@ func TestSupervisorRetriesThenRecovers(t *testing.T) {
 }
 
 // TestSupervisorEscalates: when every attempt fails, the supervisor must
-// burn exactly MaxAttempts, escalate with the last error, and stop.
+// burn exactly its MaxRecoveryAttempts, escalate with the last error,
+// and stop.
 func TestSupervisorEscalates(t *testing.T) {
 	const n = 2
 	reg := obs.NewRegistry()
@@ -504,9 +495,7 @@ func TestSupervisorEscalates(t *testing.T) {
 	}
 	escalated := make(chan error, 1)
 	sup, err := cluster.Supervise(c1, cluster.SupervisorConfig{
-		Interval:    2 * time.Millisecond,
-		MaxAttempts: 2,
-		Backoff:     time.Millisecond,
+		Interval: 2 * time.Millisecond,
 		Options: func(incarnation, attempt int) cluster.RecoverOptions {
 			broken := transport.NewLocal(0)
 			broken.Close()
@@ -536,8 +525,8 @@ func TestSupervisorEscalates(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("supervisor did not stop after escalating")
 	}
-	if got := reg.Counter("rdt_supervisor_recoveries_total", "outcome", "retry").Value(); got != 2 {
-		t.Errorf("recoveries{retry} = %d, want 2 (MaxAttempts)", got)
+	if got := reg.Counter("rdt_supervisor_recoveries_total", "outcome", "retry").Value(); got != cluster.MaxRecoveryAttempts {
+		t.Errorf("recoveries{retry} = %d, want %d", got, cluster.MaxRecoveryAttempts)
 	}
 	if got := reg.Counter("rdt_supervisor_recoveries_total", "outcome", "escalated").Value(); got != 1 {
 		t.Errorf("recoveries{escalated} = %d, want 1", got)

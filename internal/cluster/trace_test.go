@@ -91,7 +91,7 @@ func TestClusterCausalTracing(t *testing.T) {
 
 	// The recorder's Chrome export is valid JSON over exactly these spans.
 	var buf bytes.Buffer
-	if err := fl.WriteChromeTrace(&buf); err != nil {
+	if err := obs.WriteChromeTrace(&buf, fl.Spans()); err != nil {
 		t.Fatalf("chrome trace: %v", err)
 	}
 	var doc struct {

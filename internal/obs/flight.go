@@ -246,9 +246,3 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 	_, err := io.WriteString(w, "]}\n")
 	return err
 }
-
-// WriteChromeTrace renders the recorder's retained spans. Safe on a nil
-// receiver (empty trace).
-func (f *FlightRecorder) WriteChromeTrace(w io.Writer) error {
-	return WriteChromeTrace(w, f.Spans())
-}

@@ -10,8 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-
-	"github.com/rdt-go/rdt/internal/vtime"
+	"time"
 )
 
 // WritePrometheus renders the registry in the Prometheus text
@@ -96,8 +95,7 @@ func formatFloat(v float64) string {
 //	/metrics         — Prometheus text exposition of the registry
 //	/debug/events    — JSON tail of the tracer ring (?n=100)
 //	/debug/vars      — the standard expvar dump (cmdline, memstats)
-//	/debug/timeline  — Chrome trace-event JSON (with WithFlight)
-//	/debug/pprof/    — live profiling (with WithProfiling)
+//	/debug/pprof/    — live profiling (when Serve is asked for it)
 //
 // Either the registry or the tracer may be nil; the corresponding
 // endpoint then serves empty output.
@@ -107,43 +105,12 @@ type Server struct {
 	stop func()
 }
 
-// ServerOption configures optional endpoints of Serve.
-type ServerOption func(*serverConfig)
-
-type serverConfig struct {
-	profiling bool
-	clock     vtime.Clock
-	flight    *FlightRecorder
-}
-
-// WithProfiling mounts the net/http/pprof handlers under /debug/pprof/
-// and samples runtime/metrics gauges (goroutines, heap bytes, GC
-// cycles and pause time) into the registry once a second for the
-// server's lifetime.
-func WithProfiling() ServerOption {
-	return func(c *serverConfig) { c.profiling = true }
-}
-
-// WithClock drives the server's periodic work (the profiling sampler)
-// from clock instead of the real one; tests pass a
-// vtime.Virtual to step the cadence deterministically.
-func WithClock(clock vtime.Clock) ServerOption {
-	return func(c *serverConfig) { c.clock = clock }
-}
-
-// WithFlight serves the flight recorder's spans as Chrome trace-event
-// JSON at /debug/timeline.
-func WithFlight(f *FlightRecorder) ServerOption {
-	return func(c *serverConfig) { c.flight = f }
-}
-
 // Serve starts an HTTP introspection server on addr (e.g. ":9090" or
-// ":0" for an ephemeral port).
-func Serve(addr string, reg *Registry, tr *Tracer, opts ...ServerOption) (*Server, error) {
-	var cfg serverConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+// ":0" for an ephemeral port). With profiling, it also mounts the
+// net/http/pprof handlers under /debug/pprof/ and samples the runtime
+// gauges (StartRuntimeGaugesOn) into reg once a second for the server's
+// lifetime.
+func Serve(addr string, reg *Registry, tr *Tracer, profiling bool) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
@@ -153,12 +120,9 @@ func Serve(addr string, reg *Registry, tr *Tracer, opts ...ServerOption) (*Serve
 	mux.Handle("/debug/events", EventsHandler(tr))
 	mux.Handle("/debug/vars", expvar.Handler())
 	s := &Server{ln: ln, srv: &http.Server{Handler: mux}, stop: func() {}}
-	if cfg.flight != nil {
-		mux.Handle("/debug/timeline", TimelineHandler(cfg.flight))
-	}
-	if cfg.profiling {
+	if profiling {
 		mountPprof(mux)
-		s.stop = StartRuntimeGaugesOn(cfg.clock, reg, 0)
+		s.stop = StartRuntimeGaugesOn(nil, reg, time.Second)
 	}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
@@ -191,15 +155,6 @@ func MetricsHandler(reg *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WritePrometheus(w)
-	})
-}
-
-// TimelineHandler serves the flight recorder's retained spans as Chrome
-// trace-event JSON, loadable in Perfetto.
-func TimelineHandler(f *FlightRecorder) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = f.WriteChromeTrace(w)
 	})
 }
 

@@ -81,7 +81,7 @@ func TestServeEndpoints(t *testing.T) {
 	tr.Record(Event{Type: EventForcedCheckpoint, Proc: 3, Predicate: "C2"})
 	tr.Record(Event{Type: EventRollback, Proc: 1, Value: 2})
 
-	srv, err := Serve(":0", reg, tr)
+	srv, err := Serve(":0", reg, tr, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestEventJSONTypes(t *testing.T) {
 func TestServerShutdown(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("up_total").Inc()
-	srv, err := Serve(":0", reg, nil)
+	srv, err := Serve(":0", reg, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

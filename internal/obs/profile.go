@@ -46,28 +46,20 @@ func sampleRuntime(reg *Registry, samples []metrics.Sample) {
 	}
 }
 
-// StartRuntimeGauges samples goroutine count, heap size, and GC
-// activity from runtime/metrics into the registry every interval
-// (default 1s) until the returned stop function is called. The gauges:
+// StartRuntimeGaugesOn samples goroutine count, heap size, and GC
+// activity from runtime/metrics into the registry every interval of
+// clock (nil for the real one) until the returned stop function is
+// called; a nil registry samples nothing. A vtime.Virtual makes the
+// sampling cadence part of a deterministic schedule, each sample
+// running inside the Advance that reaches it. The gauges:
 //
 //	rdt_go_goroutines          live goroutines
 //	rdt_go_heap_objects_bytes  bytes of live heap objects
 //	rdt_go_gc_cycles_total     completed GC cycles
 //	rdt_go_gc_pause_us_total   estimated cumulative GC pause (µs)
-func StartRuntimeGauges(reg *Registry, interval time.Duration) (stop func()) {
-	return StartRuntimeGaugesOn(nil, reg, interval)
-}
-
-// StartRuntimeGaugesOn is StartRuntimeGauges on an explicit clock (nil
-// for the real one): a vtime.Virtual makes the sampling cadence part of
-// a deterministic schedule, each sample running inside the Advance that
-// reaches it.
 func StartRuntimeGaugesOn(clock vtime.Clock, reg *Registry, interval time.Duration) (stop func()) {
 	if reg == nil {
 		return func() {}
-	}
-	if interval <= 0 {
-		interval = time.Second
 	}
 	samples := make([]metrics.Sample, len(runtimeSamples))
 	for i := range samples {

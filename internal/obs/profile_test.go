@@ -54,6 +54,6 @@ func TestRuntimeGaugesStopIdempotent(t *testing.T) {
 
 // TestRuntimeGaugesNilRegistry: a nil registry is a no-op sampler.
 func TestRuntimeGaugesNilRegistry(t *testing.T) {
-	stop := StartRuntimeGauges(nil, time.Second)
+	stop := StartRuntimeGaugesOn(nil, nil, time.Second)
 	stop()
 }

@@ -311,7 +311,7 @@ func (s *Service) loadSession(id string) (*Session, loadStats, error) {
 	if err := json.Unmarshal(metaRaw, &meta); err != nil {
 		return nil, ls, fmt.Errorf("load %q: meta: %w", id, err)
 	}
-	if meta.N < 1 || meta.N > s.cfg.MaxProcs {
+	if meta.N < 1 || meta.N > DefaultMaxProcs {
 		return nil, ls, fmt.Errorf("load %q: meta: process count %d out of range", id, meta.N)
 	}
 

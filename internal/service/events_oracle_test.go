@@ -265,13 +265,13 @@ func (a *api) oracleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if r.ContentLength > a.svc.cfg.MaxBody {
+	if r.ContentLength > DefaultMaxBody {
 		a.svc.reject(reasonInvalid, 1)
 		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("request body %d bytes exceeds limit %d", r.ContentLength, a.svc.cfg.MaxBody))
+			fmt.Errorf("request body %d bytes exceeds limit %d", r.ContentLength, DefaultMaxBody))
 		return
 	}
-	events, err := oracleDecode(http.MaxBytesReader(w, r.Body, a.svc.cfg.MaxBody), a.svc.cfg.MaxBatch)
+	events, err := oracleDecode(http.MaxBytesReader(w, r.Body, DefaultMaxBody), DefaultMaxBatch)
 	if err != nil {
 		a.svc.reject(reasonInvalid, 1)
 		var tooBig *http.MaxBytesError

@@ -187,15 +187,15 @@ func (a *api) ingest(w http.ResponseWriter, r *http.Request) {
 	}
 	// A declared oversize is refused before reading a byte; a lying
 	// Content-Length still hits MaxBytesReader below.
-	if r.ContentLength > a.svc.cfg.MaxBody {
+	if r.ContentLength > DefaultMaxBody {
 		a.svc.reject(reasonInvalid, 1)
 		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("request body %d bytes exceeds limit %d", r.ContentLength, a.svc.cfg.MaxBody))
+			fmt.Errorf("request body %d bytes exceeds limit %d", r.ContentLength, DefaultMaxBody))
 		return
 	}
 	// The decode builds the batch's record, every event shape-checked, so
 	// admission only enqueues it.
-	rec, err := decodeBatch(http.MaxBytesReader(w, r.Body, a.svc.cfg.MaxBody), a.svc.cfg.MaxBatch)
+	rec, err := decodeBatch(http.MaxBytesReader(w, r.Body, DefaultMaxBody), DefaultMaxBatch)
 	if err != nil {
 		a.svc.reject(reasonInvalid, 1)
 		var tooBig *http.MaxBytesError

@@ -95,7 +95,7 @@ func TestIngestHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; alloc counts are noise there")
 	}
-	svc, _ := testService(t, Config{QueueDepth: 1024})
+	svc, _ := testService(t, Config{})
 	sess := mustCreate(t, svc, "allocs", 8)
 	gate := make(chan struct{})
 	defer close(gate)
@@ -127,14 +127,13 @@ func TestIngestHandlerAllocs(t *testing.T) {
 // under the reasons, that the handler before the scanner did when fed by
 // the encoding/json oracle and Enqueue (oracleIngest).
 func TestIngestRejectionsUnchanged(t *testing.T) {
-	cfg := Config{MaxBatch: 4, MaxBody: 512}
 	type side struct {
 		reg *obs.Registry
 		h   http.Handler
 	}
 	var sides [2]side
 	for i := range sides {
-		svc, reg := testService(t, cfg)
+		svc, reg := testService(t, Config{})
 		mustCreate(t, svc, "s", 2)
 		sealed := mustCreate(t, svc, "sealed", 2)
 		if err := sealed.Seal(context.Background()); err != nil {
@@ -151,6 +150,9 @@ func TestIngestRejectionsUnchanged(t *testing.T) {
 	checkpoints := func(n int) string {
 		return "[" + strings.TrimSuffix(strings.Repeat(`{"op":"checkpoint","proc":0},`, n), ",") + "]"
 	}
+	// Past DefaultMaxBody with a single event, so the body limit and not
+	// the batch limit refuses it however far the decoder reads.
+	oversize := strings.Repeat(" ", DefaultMaxBody) + checkpoints(1)
 	for _, tc := range []struct {
 		name, session, body string
 		undeclared          bool // no Content-Length: MaxBytesReader finds the oversize
@@ -160,9 +162,9 @@ func TestIngestRejectionsUnchanged(t *testing.T) {
 		{"empty", "s", ``, false},
 		{"blank", "s", " \n\t", false},
 		{"empty batch", "s", `[]`, false},
-		{"over MaxBatch", "s", checkpoints(5), false},
-		{"over MaxBody", "s", checkpoints(30), false},
-		{"over MaxBody undeclared", "s", checkpoints(30), true},
+		{"over DefaultMaxBatch", "s", checkpoints(DefaultMaxBatch + 1), false},
+		{"over DefaultMaxBody", "s", oversize, false},
+		{"over DefaultMaxBody undeclared", "s", oversize, true},
 		{"bad kind", "s", `{"op":"checkpoint","proc":0,"kind":"initial"}`, false},
 		{"bad op in a batch", "s", `[{"op":"checkpoint","proc":0},{"op":"reset","proc":0}]`, false},
 		{"negative id", "s", `{"op":"send","proc":0,"peer":1,"msg":-1}`, false},
@@ -203,17 +205,17 @@ func rejections(reg *obs.Registry) map[string]int64 {
 }
 
 func TestIngestBodyLimit(t *testing.T) {
-	c, _, _ := newTestServer(t, Config{MaxBody: 512, MaxBatch: 10000})
+	c, svc, _ := newTestServer(t, Config{})
 	c.expect("POST", "/v1/sessions", createRequest{ID: "big", N: 2}, http.StatusCreated, nil)
 
-	// An honest oversized body: rejected up front via Content-Length.
-	huge := make([]Event, 0, 2048)
-	for i := 0; i < 2048; i++ {
-		huge = append(huge, Event{Op: OpCheckpoint, Proc: 0})
-	}
-	resp, _ := c.do("POST", "/v1/sessions/big/events", huge)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	// An honest oversized body: rejected up front via Content-Length,
+	// before a byte of it is read. (In process: over a real connection
+	// the server's close after an unread body lingers for half a second.)
+	req := httptest.NewRequest(http.MethodPost, "/v1/sessions/big/events", strings.NewReader(strings.Repeat(" ", DefaultMaxBody+1)))
+	w := httptest.NewRecorder()
+	NewHandler(svc).ServeHTTP(w, req)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", w.Code)
 	}
 
 	// A body under the limit still ingests.
@@ -222,7 +224,7 @@ func TestIngestBodyLimit(t *testing.T) {
 	// A reader that exceeds the limit without declaring it (chunked
 	// transfer) is caught by MaxBytesReader mid-read.
 	events, _, err := DecodeEventsPooled(http.MaxBytesReader(nil,
-		readCloser{strings.NewReader(strings.Repeat(" ", 600) + `{"op":"checkpoint","proc":0}`)}, 512), 10)
+		readCloser{strings.NewReader(strings.Repeat(" ", DefaultMaxBody) + `{"op":"checkpoint","proc":0}`)}, DefaultMaxBody), DefaultMaxBatch)
 	var tooBig *http.MaxBytesError
 	if !errors.As(err, &tooBig) {
 		t.Fatalf("undeclared oversize: events=%v err=%v, want MaxBytesError", events, err)
@@ -266,7 +268,7 @@ func TestEnqueueSeqDedupAndGaps(t *testing.T) {
 	// A rejected frame must not advance the sequence: park the worker,
 	// fill the queue, and watch a backpressured frame retry cleanly.
 	gate := make(chan struct{})
-	svc2, _ := testService(t, Config{QueueDepth: 1})
+	svc2, _ := testService(t, Config{})
 	s2, err := svc2.CreateSession("s2", 2)
 	if err != nil {
 		t.Fatalf("create s2: %v", err)
@@ -275,18 +277,21 @@ func TestEnqueueSeqDedupAndGaps(t *testing.T) {
 		t.Fatalf("gate batch: %v", err)
 	}
 	waitFor(t, func() bool { return len(s2.queue) == 0 })
-	if _, err := s2.EnqueueSeq("p", 1, ck, false, nil); err != nil { // fills the slot
-		t.Fatalf("seq 1: %v", err)
+	const full = DefaultQueueDepth
+	for seq := uint64(1); seq <= full; seq++ { // fills every slot
+		if _, err := s2.EnqueueSeq("p", seq, ck, false, nil); err != nil {
+			t.Fatalf("seq %d: %v", seq, err)
+		}
 	}
-	if _, err := s2.EnqueueSeq("p", 2, ck, false, nil); !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("seq 2 against a full queue: %v, want ErrBackpressure", err)
+	if _, err := s2.EnqueueSeq("p", full+1, ck, false, nil); !errors.Is(err, ErrBackpressure) {
+		t.Fatalf("seq %d against a full queue: %v, want ErrBackpressure", full+1, err)
 	}
-	if got := s2.ProducerSeq("p"); got != 1 {
+	if got := s2.ProducerSeq("p"); got != full {
 		t.Fatalf("backpressured frame advanced seq to %d", got)
 	}
 	close(gate)
-	if dup, err := retrySeq(s2, "p", 2, ck); dup || err != nil {
-		t.Fatalf("seq 2 retry: dup=%v err=%v", dup, err)
+	if dup, err := retrySeq(s2, "p", full+1, ck); dup || err != nil {
+		t.Fatalf("seq %d retry: dup=%v err=%v", full+1, dup, err)
 	}
 }
 

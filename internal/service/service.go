@@ -17,41 +17,38 @@ import (
 	"github.com/rdt-go/rdt/internal/vtime"
 )
 
-// Defaults for the zero Config.
+// Limits every Service runs with; only MaxCheckpoints is settable, and
+// DefaultMaxCheckpoints is its zero-Config default.
 const (
-	DefaultQueueDepth     = 256
-	DefaultMaxBatch       = 512
-	DefaultMaxBody        = 1 << 20 // 1 MiB per ingest request
+	// DefaultQueueDepth bounds each session's ingestion queue, in
+	// batches; a full queue is backpressure.
+	DefaultQueueDepth = 256
+	// DefaultMaxBatch bounds the events per ingest request or EVENTS
+	// frame.
+	DefaultMaxBatch = 512
+	// DefaultMaxBody bounds the ingest request body, in bytes.
+	DefaultMaxBody        = 1 << 20
 	DefaultMaxCheckpoints = 1 << 16
-	DefaultMaxViolations  = 16
-	DefaultMaxProcs       = 1024
-	DefaultSweepInterval  = 30 * time.Second
+	// DefaultMaxViolations is the number of violations a verdict lists
+	// unless the caller asks for another.
+	DefaultMaxViolations = 16
+	// DefaultMaxProcs bounds the process count of a session.
+	DefaultMaxProcs = 1024
+	// DefaultSweepInterval is how often the janitor looks for idle
+	// sessions.
+	DefaultSweepInterval = 30 * time.Second
 )
 
-// Config tunes a Service. The zero value is usable: every limit falls
+// Config tunes a Service. The zero value is usable: MaxCheckpoints falls
 // back to its default and idle eviction is off.
 type Config struct {
-	// QueueDepth bounds each session's ingestion queue, in batches; a
-	// full queue is backpressure.
-	QueueDepth int
-	// MaxBatch bounds the events per ingest request.
-	MaxBatch int
-	// MaxBody bounds the ingest request body, in bytes.
-	MaxBody int64
 	// MaxCheckpoints bounds the closed checkpoints per session; beyond
 	// it, checkpoint events fail and the client must seal.
 	MaxCheckpoints int
-	// MaxViolations is the default number of violations listed in a
-	// verdict.
-	MaxViolations int
-	// MaxProcs bounds the process count of a session.
-	MaxProcs int
 	// IdleTimeout evicts sessions untouched for this long; 0 disables
 	// idle eviction. With DataDir set, idle eviction is passivation: the
 	// session's state stays on disk and the next touch reactivates it.
 	IdleTimeout time.Duration
-	// SweepInterval is how often the janitor looks for idle sessions.
-	SweepInterval time.Duration
 	// DataDir enables durability: every session keeps a write-ahead log
 	// under DataDir/sessions/<id>/ and survives restarts (call Recover
 	// after New). Empty means in-memory only, with behavior identical to
@@ -65,31 +62,6 @@ type Config struct {
 	// session created/last-active stamps. Nil means the real clock;
 	// tests pass a vtime.Virtual to make idle eviction deterministic.
 	Clock vtime.Clock
-}
-
-func (c Config) withDefaults() Config {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = DefaultQueueDepth
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = DefaultMaxBody
-	}
-	if c.MaxCheckpoints <= 0 {
-		c.MaxCheckpoints = DefaultMaxCheckpoints
-	}
-	if c.MaxViolations <= 0 {
-		c.MaxViolations = DefaultMaxViolations
-	}
-	if c.MaxProcs <= 0 {
-		c.MaxProcs = DefaultMaxProcs
-	}
-	if c.SweepInterval <= 0 {
-		c.SweepInterval = DefaultSweepInterval
-	}
-	return c
 }
 
 // Rejection reasons for the rdt_service_events_rejected_total counter.
@@ -196,7 +168,9 @@ type slot struct {
 // daemon pointed at the same root fails here instead of corrupting
 // WALs.
 func New(cfg Config) (*Service, error) {
-	cfg = cfg.withDefaults()
+	if cfg.MaxCheckpoints <= 0 {
+		cfg.MaxCheckpoints = DefaultMaxCheckpoints
+	}
 	s := &Service{
 		cfg:           cfg,
 		clock:         vtime.Or(cfg.Clock),
@@ -230,9 +204,9 @@ func New(cfg Config) (*Service, error) {
 		s.unlock = unlock
 	}
 	if cfg.IdleTimeout > 0 {
-		s.janitor = vtime.Repeat(s.clock, cfg.SweepInterval, func() time.Duration {
+		s.janitor = vtime.Repeat(s.clock, DefaultSweepInterval, func() time.Duration {
 			s.sweep()
-			return cfg.SweepInterval
+			return DefaultSweepInterval
 		})
 	}
 	return s, nil
@@ -329,8 +303,8 @@ func (s *Service) CreateSession(id string, n int) (*Session, error) {
 	if s.draining.Load() {
 		return nil, ErrDraining
 	}
-	if n < 1 || n > s.cfg.MaxProcs {
-		return nil, fmt.Errorf("process count %d out of range [1,%d]", n, s.cfg.MaxProcs)
+	if n < 1 || n > DefaultMaxProcs {
+		return nil, fmt.Errorf("process count %d out of range [1,%d]", n, DefaultMaxProcs)
 	}
 	if id == "" {
 		id = randomID()

@@ -186,7 +186,7 @@ func TestSessionVerdictMatchesBatch(t *testing.T) {
 	if err := rgraph.VerifyRecordedTDVs(p); err != nil {
 		t.Fatalf("recorded TDVs: %v", err)
 	}
-	rep, err := rgraph.CheckRDT(p, svc.Config().MaxViolations)
+	rep, err := rgraph.CheckRDT(p, DefaultMaxViolations)
 	if err != nil {
 		t.Fatalf("batch check: %v", err)
 	}
@@ -343,29 +343,31 @@ func TestSessionLine(t *testing.T) {
 }
 
 func TestBackpressure(t *testing.T) {
-	svc, reg := testService(t, Config{QueueDepth: 1})
+	svc, reg := testService(t, Config{})
 	sess := mustCreate(t, svc, "slow", 2)
 
-	// Park the worker on a gate, fill the single queue slot, and watch
-	// the next enqueue bounce.
+	// Park the worker on a gate, fill every queue slot, and watch the
+	// next enqueue bounce.
 	gate := make(chan struct{})
 	if err := sess.enqueue(batch{gate: gate}); err != nil {
 		t.Fatalf("gate batch: %v", err)
 	}
 	waitFor(t, func() bool { return len(sess.queue) == 0 }) // worker picked the gate up
-	if err := sess.Enqueue([]Event{{Op: OpCheckpoint, Proc: 0}}); err != nil {
-		t.Fatalf("first batch should fit: %v", err)
+	for i := 0; i < DefaultQueueDepth; i++ {
+		if err := sess.Enqueue([]Event{{Op: OpCheckpoint, Proc: 0}}); err != nil {
+			t.Fatalf("batch %d should fit: %v", i, err)
+		}
 	}
 	if err := sess.Enqueue([]Event{{Op: OpCheckpoint, Proc: 1}}); !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("second batch: %v, want ErrBackpressure", err)
+		t.Fatalf("batch past the queue depth: %v, want ErrBackpressure", err)
 	}
 	close(gate)
 	waitFor(t, func() bool { return len(sess.queue) == 0 }) // room for the barrier
 	if err := flush(t, sess); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	if v := sess.Verdict(0); v.EventsApplied != 1 {
-		t.Fatalf("applied %d events, want 1", v.EventsApplied)
+	if v := sess.Verdict(0); v.EventsApplied != DefaultQueueDepth {
+		t.Fatalf("applied %d events, want %d", v.EventsApplied, DefaultQueueDepth)
 	}
 	if got := reg.Snapshot().CounterValue("rdt_service_events_rejected_total", "reason", "backpressure"); got < 1 {
 		t.Fatalf("rejected{backpressure} = %d, want >= 1", got)
@@ -388,7 +390,7 @@ func waitFor(t *testing.T, cond func() bool) {
 
 func TestIdleEviction(t *testing.T) {
 	v := vtime.NewVirtual(time.Time{})
-	svc, reg := testService(t, Config{IdleTimeout: time.Minute, SweepInterval: 15 * time.Second, Clock: v})
+	svc, reg := testService(t, Config{IdleTimeout: time.Minute, Clock: v})
 	mustCreate(t, svc, "idle", 2)
 	// A sweep before the timeout must keep the session (sweep called
 	// directly: the cut logic is what's under test here).
@@ -746,7 +748,7 @@ func TestHTTPBadBodies(t *testing.T) {
 }
 
 func TestHTTPBackpressureStatus(t *testing.T) {
-	c, svc, _ := newTestServer(t, Config{QueueDepth: 1})
+	c, svc, _ := newTestServer(t, Config{})
 	c.expect("POST", "/v1/sessions", createRequest{ID: "bp", N: 2}, http.StatusCreated, nil)
 	sess, err := svc.Session("bp")
 	if err != nil {
@@ -758,6 +760,12 @@ func TestHTTPBackpressureStatus(t *testing.T) {
 		t.Fatalf("gate: %v", err)
 	}
 	waitFor(t, func() bool { return len(sess.queue) == 0 })
+	// Every slot but one fills in process; the last one over HTTP.
+	for i := 1; i < DefaultQueueDepth; i++ {
+		if err := sess.Enqueue([]Event{{Op: OpCheckpoint, Proc: 0}}); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
 	c.expect("POST", "/v1/sessions/bp/events", Event{Op: OpCheckpoint, Proc: 0}, http.StatusAccepted, nil)
 
 	resp, _ := c.do("POST", "/v1/sessions/bp/events", Event{Op: OpCheckpoint, Proc: 1})
@@ -849,8 +857,8 @@ func TestHTTPDifferentialRandom(t *testing.T) {
 // TestHTTPViolationsParam pins the ?violations= cap on both endpoints
 // that take it: a decimal integer or nothing, never a prefix of one.
 func TestHTTPViolationsParam(t *testing.T) {
-	const serviceDefault = 4
-	c, _, _ := newTestServer(t, Config{MaxViolations: serviceDefault})
+	const serviceDefault = DefaultMaxViolations
+	c, _, _ := newTestServer(t, Config{})
 	c.expect("POST", "/v1/sessions", createRequest{ID: "v", N: 2}, http.StatusCreated, nil)
 	// Each round is the two-process zigzag: an untrackable pair per
 	// round and more across rounds.

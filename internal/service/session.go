@@ -123,7 +123,7 @@ func newSession(svc *Service, id string, n int) (*Session, error) {
 		ID:         id,
 		N:          n,
 		svc:        svc,
-		queue:      make(chan batch, svc.cfg.QueueDepth),
+		queue:      make(chan batch, DefaultQueueDepth),
 		workerDone: make(chan struct{}),
 		created:    svc.clock.Now(),
 		inc:        inc,
@@ -685,7 +685,7 @@ type Verdict struct {
 // default).
 func (s *Session) Verdict(maxViolations int) *Verdict {
 	if maxViolations <= 0 {
-		maxViolations = s.svc.cfg.MaxViolations
+		maxViolations = DefaultMaxViolations
 	}
 	s.touch()
 	s.mu.Lock()
@@ -812,7 +812,7 @@ func (s *Session) Snapshot() (*model.Pattern, []model.LostMessage, error) {
 // callers can render them (DOT, JSON).
 func (s *Session) Explain(maxViolations int) (*model.Pattern, []*rgraph.Witness, error) {
 	if maxViolations <= 0 {
-		maxViolations = s.svc.cfg.MaxViolations
+		maxViolations = DefaultMaxViolations
 	}
 	s.touch()
 	s.mu.Lock()

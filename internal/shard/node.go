@@ -15,6 +15,10 @@ import (
 	"github.com/rdt-go/rdt/internal/service"
 )
 
+// peerTimeout bounds every HTTP call a node or the router makes to a
+// member: exports, imports, drops, ring pushes and fan-out reads.
+const peerTimeout = 30 * time.Second
+
 // NodeConfig configures one daemon's shard agent.
 type NodeConfig struct {
 	// Self is this daemon's member name; it must appear in every ring
@@ -25,9 +29,6 @@ type NodeConfig struct {
 	Service *service.Service
 	// Registry receives the rdt_shard_* metrics; may be nil.
 	Registry *obs.Registry
-	// Client issues the node's peer HTTP calls (exports, imports,
-	// drops). Defaults to a 30s-timeout client.
-	Client *http.Client
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -78,15 +79,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Service.Config().DataDir == "" {
 		return nil, errors.New("shard: sharding requires a durable service (-data-dir): handoff ships session directories")
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
 	reg := cfg.Registry
 	n := &Node{
 		self:    cfg.Self,
 		svc:     cfg.Service,
-		client:  client,
+		client:  &http.Client{Timeout: peerTimeout},
 		logf:    cfg.Logf,
 		pulls:   make(map[string]chan struct{}),
 		shipped: make(map[string]time.Time),

@@ -25,8 +25,6 @@ type RouterConfig struct {
 	VNodes int
 	// Registry receives the rdt_router_* metrics; may be nil.
 	Registry *obs.Registry
-	// Client issues config pushes and fan-out reads.
-	Client *http.Client
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -71,13 +69,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
 	reg := cfg.Registry
 	rt := &Router{
-		client: client,
+		client: &http.Client{Timeout: peerTimeout},
 		logf:   cfg.Logf,
 		vnodes: ring.VNodes,
 		ring:   ring,

@@ -37,14 +37,10 @@ type Config struct {
 	Duration float64
 
 	// BasicMean is the mean of the uniform distribution of the intervals
-	// between basic-checkpoint attempts; BasicSpread is its half-width
-	// relative to the mean (0.5 means U[0.5·mean, 1.5·mean]).
-	BasicMean   float64
-	BasicSpread float64
-	// KeepEmptyBasic makes processes take a basic checkpoint even when no
-	// event occurred since their last checkpoint. By default such
-	// redundant checkpoints are skipped.
-	KeepEmptyBasic bool
+	// between basic-checkpoint attempts, U[(1-basicSpread)·mean,
+	// (1+basicSpread)·mean]. An attempt is skipped when its process has
+	// had no event since its last checkpoint.
+	BasicMean float64
 
 	// DelayMin and DelayMax bound the uniform message transmission delay.
 	DelayMin, DelayMax float64
@@ -64,20 +60,23 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
+// basicSpread is the half-width of the basic-checkpoint interval
+// distribution relative to its mean: U[0.5·mean, 1.5·mean].
+const basicSpread = 0.5
+
 // DefaultConfig returns a configuration with the baseline parameters used
 // by the experiments: 8 processes, unit-mean send gaps assumed by the
 // workloads, message delays U[0.1, 1.0], basic checkpoints every ~10 time
 // units.
 func DefaultConfig(protocol core.Kind, seed int64) Config {
 	return Config{
-		N:           8,
-		Protocol:    protocol,
-		Seed:        seed,
-		Duration:    1000,
-		BasicMean:   10,
-		BasicSpread: 0.5,
-		DelayMin:    0.1,
-		DelayMax:    1.0,
+		N:         8,
+		Protocol:  protocol,
+		Seed:      seed,
+		Duration:  1000,
+		BasicMean: 10,
+		DelayMin:  0.1,
+		DelayMax:  1.0,
 	}
 }
 
@@ -90,8 +89,6 @@ func (c *Config) Validate() error {
 		return errors.New("config: duration must be positive")
 	case c.BasicMean <= 0:
 		return errors.New("config: basic checkpoint mean must be positive")
-	case c.BasicSpread < 0 || c.BasicSpread >= 1:
-		return errors.New("config: basic spread must be in [0,1)")
 	case c.DelayMin < 0 || c.DelayMax < c.DelayMin:
 		return errors.New("config: delays must satisfy 0 <= min <= max")
 	}
@@ -376,7 +373,7 @@ func (e *Engine) sink(rec core.CheckpointRecord) {
 }
 
 func (e *Engine) scheduleBasic(proc int) {
-	gap := e.Uniform(e.cfg.BasicMean*(1-e.cfg.BasicSpread), e.cfg.BasicMean*(1+e.cfg.BasicSpread))
+	gap := e.Uniform(e.cfg.BasicMean*(1-basicSpread), e.cfg.BasicMean*(1+basicSpread))
 	item := e.q.push(e.now + gap)
 	item.kind, item.from = itemBasic, proc
 }
@@ -386,7 +383,7 @@ func (e *Engine) basicTick(proc int) {
 	if !e.Active() {
 		return
 	}
-	if e.cfg.KeepEmptyBasic || e.builder.EventsSinceCheckpoint(model.ProcID(proc)) > 0 {
+	if e.builder.EventsSinceCheckpoint(model.ProcID(proc)) > 0 {
 		e.insts[proc].TakeBasicCheckpoint()
 	}
 	e.scheduleBasic(proc)

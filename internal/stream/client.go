@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/rdt-go/rdt/internal/binenc"
-	"github.com/rdt-go/rdt/internal/obs"
 	"github.com/rdt-go/rdt/internal/service"
 )
 
@@ -22,14 +21,6 @@ var ErrGoodbye = errors.New("stream: server said goodbye")
 
 // Option configures a Client.
 type Option func(*Client)
-
-// WithRegistry points client-side metrics (ack round-trip time on
-// rdt_stream_ack_rtt_seconds) at reg.
-func WithRegistry(reg *obs.Registry) Option {
-	return func(c *Client) {
-		c.hRTT = reg.Histogram("rdt_stream_ack_rtt_seconds", obs.MicroLatencyBuckets)
-	}
-}
 
 // WithAckObserver installs a callback invoked for every acked frame
 // with the frame's event count and its send-to-ack round trip — the
@@ -43,7 +34,6 @@ func WithAckObserver(fn func(events int, rtt time.Duration)) Option {
 // concurrent use; a connection multiplexes any number of channels.
 type Client struct {
 	fc     *frameConn
-	hRTT   *obs.Histogram
 	ackObs func(int, time.Duration)
 
 	// Window and MaxFrame are the server's advertised limits (HELLO).
@@ -86,14 +76,14 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		_ = tc.SetNoDelay(true)
 	}
 	c := &Client{
-		fc:         newFrameConn(conn, DefaultMaxFrame),
+		fc:         newFrameConn(conn),
 		chans:      make(map[uint64]*Chan),
 		readerDone: make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(c)
 	}
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	if _, err := conn.Write([]byte(Magic)); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("stream: handshake: %w", err)
@@ -449,10 +439,8 @@ func (ch *Chan) ack(seq uint64, credit int, c *Client) {
 	for s, rec := range ch.inflight {
 		if s <= seq {
 			delete(ch.inflight, s)
-			rtt := now.Sub(rec.sentAt)
-			c.hRTT.Observe(rtt.Seconds())
 			if c.ackObs != nil {
-				c.ackObs(len(rec.events), rtt)
+				c.ackObs(len(rec.events), now.Sub(rec.sentAt))
 			}
 		}
 	}

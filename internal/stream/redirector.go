@@ -70,7 +70,7 @@ func (rd *Redirector) acceptLoop() {
 // hangs up — which a Pool does right after its first redirect.
 func (rd *Redirector) serveConn(c net.Conn) {
 	defer c.Close() //nolint:errcheck
-	fc := newFrameConn(c, DefaultMaxFrame)
+	fc := newFrameConn(c)
 	_ = c.SetDeadline(time.Now().Add(30 * time.Second))
 	var magic [len(Magic)]byte
 	if _, err := io.ReadFull(fc.r, magic[:]); err != nil || string(magic[:]) != Magic {

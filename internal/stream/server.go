@@ -14,8 +14,8 @@ import (
 	"github.com/rdt-go/rdt/internal/service"
 )
 
-// Config tunes a stream Server. Service is required; everything else
-// falls back to a default.
+// Config tunes a stream Server. Service is required. Every server
+// announces DefaultWindow and DefaultMaxFrame in HELLO.
 type Config struct {
 	// Service receives the frames' event bytes as they are, through the
 	// Session admission and apply path the HTTP ingest uses, so
@@ -23,29 +23,6 @@ type Config struct {
 	Service *service.Service
 	// Registry receives the rdt_stream_* metrics; may be nil.
 	Registry *obs.Registry
-	// MaxFrame bounds one frame payload, in bytes. Oversized frames are
-	// rejected with a clean protocol error before any allocation.
-	MaxFrame int
-	// Window is the per-channel credit window, in events: the most a
-	// client may have sent but unacked. It bounds the server's
-	// per-channel memory and is the backpressure mechanism — an
-	// overloaded server simply acks (and thus replenishes) late.
-	Window int
-	// HandshakeTimeout bounds the wait for the client magic.
-	HandshakeTimeout time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.Window <= 0 {
-		c.Window = DefaultWindow
-	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 10 * time.Second
-	}
-	return c
 }
 
 // Server accepts RDTSTRM1 connections and feeds the checking service.
@@ -75,7 +52,6 @@ func Serve(addr string, cfg Config) (*Server, error) {
 	if cfg.Service == nil {
 		return nil, errors.New("stream: Config.Service is required")
 	}
-	cfg = cfg.withDefaults()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("stream: listen %s: %w", addr, err)
@@ -236,7 +212,7 @@ func newServerConn(s *Server, c net.Conn) *serverConn {
 	}
 	return &serverConn{
 		srv:      s,
-		fc:       newFrameConn(c, s.cfg.MaxFrame),
+		fc:       newFrameConn(c),
 		acks:     make(chan ackNote, 4096),
 		closedCh: make(chan struct{}),
 		chans:    make(map[uint64]*serverChan),
@@ -288,7 +264,7 @@ func (sc *serverConn) serve() {
 }
 
 func (sc *serverConn) handshake() error {
-	_ = sc.fc.c.SetReadDeadline(time.Now().Add(sc.srv.cfg.HandshakeTimeout))
+	_ = sc.fc.c.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	var magic [len(Magic)]byte
 	if _, err := io.ReadFull(sc.fc.r, magic[:]); err != nil {
 		return fmt.Errorf("reading magic: %v", err)
@@ -300,8 +276,8 @@ func (sc *serverConn) handshake() error {
 	var buf []byte
 	buf = append(buf, frameHello)
 	buf = binenc.AppendInt(buf, Version)
-	buf = binenc.AppendInt(buf, sc.srv.cfg.Window)
-	buf = binenc.AppendInt(buf, sc.srv.cfg.MaxFrame)
+	buf = binenc.AppendInt(buf, DefaultWindow)
+	buf = binenc.AppendInt(buf, DefaultMaxFrame)
 	return sc.fc.writeFrame(buf)
 }
 
@@ -398,7 +374,7 @@ func (sc *serverConn) handleOpen(r *binenc.Reader) bool {
 	buf = binenc.AppendString(buf, id)
 	buf = binenc.AppendInt(buf, sess.N)
 	buf = binenc.AppendUvarint(buf, sess.ProducerSeq(producer)+1)
-	buf = binenc.AppendInt(buf, sc.srv.cfg.Window)
+	buf = binenc.AppendInt(buf, DefaultWindow)
 	if err := sc.fc.writeFrame(buf); err != nil {
 		return false
 	}
@@ -410,10 +386,9 @@ func (sc *serverConn) handleEvents(r *binenc.Reader) bool {
 	start := time.Now()
 	id := r.Uvarint()
 	seq := r.Uvarint()
-	maxBatch := sc.srv.cfg.Service.Config().MaxBatch
 	count := r.Int()
-	if r.Err() == nil && (count == 0 || count > maxBatch) {
-		sc.abort(CodeBatchTooBig, fmt.Sprintf("events frame carries %d events, limit %d", count, maxBatch))
+	if r.Err() == nil && (count == 0 || count > service.DefaultMaxBatch) {
+		sc.abort(CodeBatchTooBig, fmt.Sprintf("events frame carries %d events, limit %d", count, service.DefaultMaxBatch))
 		return false
 	}
 	ch, ok := sc.chans[id]

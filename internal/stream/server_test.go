@@ -3,8 +3,12 @@ package stream
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -141,7 +145,7 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 	if _, err := conn.Write([]byte(Magic)); err != nil {
 		t.Fatalf("magic: %v", err)
 	}
-	fc := newFrameConn(conn, DefaultMaxFrame)
+	fc := newFrameConn(conn)
 	payload, err := fc.readFrame()
 	if err != nil || payload[0] != frameHello {
 		t.Fatalf("hello: %v (%v)", err, payload)
@@ -183,9 +187,10 @@ func (rc *rawConn) expectError() int {
 }
 
 func TestStreamOversizedFrameRejected(t *testing.T) {
-	_, srv := startServer(t, service.Config{}, Config{MaxFrame: 4096})
+	_, srv := startServer(t, service.Config{}, Config{})
 	rc := dialRaw(t, srv.Addr())
-	// Header claiming a 16 MiB payload; nothing follows.
+	// Header claiming a 16 MiB payload, past DefaultMaxFrame; nothing
+	// follows.
 	hdr := []byte{0, 0, 0, 1, 0, 0, 0, 0}
 	if _, err := rc.fc.c.Write(hdr); err != nil {
 		t.Fatalf("write: %v", err)
@@ -199,23 +204,72 @@ func TestStreamOversizedFrameRejected(t *testing.T) {
 	}
 }
 
-func TestStreamBatchLimitRejected(t *testing.T) {
-	_, srv := startServer(t, service.Config{MaxBatch: 8}, Config{})
-	rc := dialRaw(t, srv.Addr())
-	ch := rc.open("s", 2, "p")
-	var buf []byte
-	buf = append(buf, frameEvents)
-	buf = binenc.AppendUvarint(buf, ch)
-	buf = binenc.AppendUvarint(buf, 1)
-	buf = binenc.AppendInt(buf, 9) // one past the service's MaxBatch
-	for i := 0; i < 9; i++ {
-		buf, _ = service.AppendEvent(buf, &service.Event{Op: service.OpCheckpoint})
+// TestBatchLimitOnBothWires: the JSON and RDTSTRM1 wires take
+// service.DefaultMaxBatch events in one request or frame and refuse one
+// more, the JSON wire with 400 and the stream with a batch-too-big
+// abort.
+func TestBatchLimitOnBothWires(t *testing.T) {
+	svc, srv := startServer(t, service.Config{}, Config{})
+	api := httptest.NewServer(service.NewHandler(svc))
+	t.Cleanup(api.Close)
+	checkpoints := func(n int) string {
+		return "[" + strings.TrimSuffix(strings.Repeat(`{"op":"checkpoint","proc":0},`, n), ",") + "]"
 	}
-	if err := rc.fc.writeFrame(buf); err != nil {
-		t.Fatalf("write: %v", err)
+	for _, tc := range []struct {
+		events int
+		status int // JSON wire
+		code   int // stream wire: 0 means acked
+	}{
+		{service.DefaultMaxBatch, http.StatusAccepted, 0},
+		{service.DefaultMaxBatch + 1, http.StatusBadRequest, CodeBatchTooBig},
+	} {
+		id := fmt.Sprintf("json-%d", tc.events)
+		if _, err := svc.CreateSession(id, 2); err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		resp, err := http.Post(api.URL+"/v1/sessions/"+id+"/events", "application/json", strings.NewReader(checkpoints(tc.events)))
+		if err != nil {
+			t.Fatalf("POST %d events: %v", tc.events, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("JSON, %d events: status %d, want %d", tc.events, resp.StatusCode, tc.status)
+		}
+
+		rc := dialRaw(t, srv.Addr())
+		ch := rc.open(fmt.Sprintf("stream-%d", tc.events), 2, "p")
+		var buf []byte
+		buf = append(buf, frameEvents)
+		buf = binenc.AppendUvarint(buf, ch)
+		buf = binenc.AppendUvarint(buf, 1)
+		buf = binenc.AppendInt(buf, tc.events)
+		for i := 0; i < tc.events; i++ {
+			buf, _ = service.AppendEvent(buf, &service.Event{Op: service.OpCheckpoint})
+		}
+		if err := rc.fc.writeFrame(buf); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if code := rc.expectAckOrError(); code != tc.code {
+			t.Errorf("stream, %d events: error code %d, want %d", tc.events, code, tc.code)
+		}
 	}
-	if code := rc.expectError(); code != CodeBatchTooBig {
-		t.Fatalf("error code %d, want batch-too-big", code)
+}
+
+// expectAckOrError reads frames until an ACK (0) or an ERROR (its code)
+// arrives, failing if the connection closes first.
+func (rc *rawConn) expectAckOrError() int {
+	rc.t.Helper()
+	for {
+		payload, err := rc.fc.readFrame()
+		if err != nil {
+			rc.t.Fatalf("waiting for an ack or error frame: %v", err)
+		}
+		switch payload[0] {
+		case frameAck:
+			return 0
+		case frameError:
+			return binenc.NewReader(payload[1:]).Int()
+		}
 	}
 }
 
@@ -317,7 +371,7 @@ func TestStreamDupReplayAppliesOnce(t *testing.T) {
 }
 
 func TestStreamCreditWindowBlocksAndRecovers(t *testing.T) {
-	_, srv := startServer(t, service.Config{}, Config{Window: 32})
+	_, srv := startServer(t, service.Config{}, Config{})
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -328,10 +382,12 @@ func TestStreamCreditWindowBlocksAndRecovers(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	tr, _ := NewTraffic("pairs", 2, 3)
-	// 40 batches of 16 events through a 32-event window: every second
-	// send must wait for an ack. Liveness is the assertion.
-	for i := 0; i < 40; i++ {
-		if err := ch.Send(tr.Next(nil, 16)); err != nil {
+	// Twice the window and then some, in the largest batches: the sends
+	// past the first window's worth must wait for acks. Liveness is the
+	// assertion.
+	const batch = service.DefaultMaxBatch
+	for i := 0; i < 2*DefaultWindow/batch+8; i++ {
+		if err := ch.Send(tr.Next(nil, batch)); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}

@@ -32,13 +32,14 @@
 package stream
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"sync"
+	"time"
+
+	"github.com/rdt-go/rdt/internal/binenc"
 )
 
 // Magic is the 8-byte string a client writes before any frame.
@@ -47,13 +48,22 @@ const Magic = "RDTSTRM1"
 // Version is the protocol revision announced in HELLO.
 const Version = 1
 
-// Defaults for the zero Config.
+// Limits every Server announces in HELLO.
 const (
-	// DefaultMaxFrame bounds one frame payload, in bytes.
+	// DefaultMaxFrame bounds one frame payload, in bytes. Oversized
+	// frames are rejected with a clean protocol error before any
+	// allocation.
 	DefaultMaxFrame = 1 << 20
-	// DefaultWindow is the per-channel credit window, in events.
+	// DefaultWindow is the per-channel credit window, in events: the most
+	// a client may have sent but unacked. It bounds the server's
+	// per-channel memory and is the backpressure mechanism — an
+	// overloaded server simply acks (and thus replenishes) late.
 	DefaultWindow = 1 << 14
 )
+
+// handshakeTimeout bounds the wait for the other side's half of the
+// handshake: the client magic on a server, HELLO on a client.
+const handshakeTimeout = 10 * time.Second
 
 // Frame types. Client-to-server types have the high bit clear.
 const (
@@ -132,29 +142,24 @@ func MovedTo(err error) (addr string, ok bool) {
 	return "", false
 }
 
-const frameHeaderSize = 8
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// frameConn is the shared framing layer: buffered reads with a bounds
-// check before any allocation, and mutex-serialized buffered writes
-// (acks, errors, and opens interleave from different goroutines).
+// frameConn is the shared framing layer (binenc's CRC32C frame):
+// buffered reads with a bounds check before any allocation, and
+// mutex-serialized writes (acks, errors, and opens interleave from
+// different goroutines), each frame built in one reused buffer and
+// sent with one Write.
 type frameConn struct {
 	c    net.Conn
 	r    io.Reader
 	rbuf []byte // reused frame payload buffer
-	rhdr [frameHeaderSize]byte
+	rhdr [binenc.FrameHeaderSize]byte
 
 	wmu  sync.Mutex
-	whdr [frameHeaderSize]byte
+	wbuf []byte // reused header+payload buffer
 	max  int
 }
 
-func newFrameConn(c net.Conn, maxFrame int) *frameConn {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
-	}
-	return &frameConn{c: c, r: c, max: maxFrame}
+func newFrameConn(c net.Conn) *frameConn {
+	return &frameConn{c: c, r: c, max: DefaultMaxFrame}
 }
 
 // errFrameTooBig distinguishes the oversized-length case so the server
@@ -174,8 +179,7 @@ func (fc *frameConn) readFrame() ([]byte, error) {
 	if _, err := io.ReadFull(fc.r, fc.rhdr[:]); err != nil {
 		return nil, err
 	}
-	length := int(binary.LittleEndian.Uint32(fc.rhdr[:4]))
-	want := binary.LittleEndian.Uint32(fc.rhdr[4:])
+	length, want := binenc.ParseFrameHeader(fc.rhdr[:])
 	if length == 0 || length > fc.max {
 		return nil, errFrameTooBig{length, fc.max}
 	}
@@ -186,7 +190,7 @@ func (fc *frameConn) readFrame() ([]byte, error) {
 	if _, err := io.ReadFull(fc.r, payload); err != nil {
 		return nil, err
 	}
-	if crc32.Checksum(payload, crcTable) != want {
+	if binenc.FrameSum(payload) != want {
 		return nil, errBadCRC
 	}
 	return payload, nil
@@ -196,12 +200,8 @@ func (fc *frameConn) readFrame() ([]byte, error) {
 func (fc *frameConn) writeFrame(payload []byte) error {
 	fc.wmu.Lock()
 	defer fc.wmu.Unlock()
-	binary.LittleEndian.PutUint32(fc.whdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(fc.whdr[4:], crc32.Checksum(payload, crcTable))
-	if _, err := fc.c.Write(fc.whdr[:]); err != nil {
-		return err
-	}
-	_, err := fc.c.Write(payload)
+	fc.wbuf = binenc.AppendFrame(fc.wbuf[:0], payload)
+	_, err := fc.c.Write(fc.wbuf)
 	return err
 }
 

@@ -1,16 +1,20 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"github.com/rdt-go/rdt/internal/binenc"
 	"github.com/rdt-go/rdt/internal/service"
+	"github.com/rdt-go/rdt/internal/wal"
 )
 
 // pipeConns returns two ends of a real TCP connection (net.Pipe has no
@@ -41,8 +45,8 @@ func pipeConns(t *testing.T) (client, server net.Conn) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	c, s := pipeConns(t)
-	w := newFrameConn(c, 0)
-	r := newFrameConn(s, 0)
+	w := newFrameConn(c)
+	r := newFrameConn(s)
 	payloads := [][]byte{
 		{0x01},
 		[]byte("hello frames"),
@@ -69,7 +73,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameBadCRC(t *testing.T) {
 	c, s := pipeConns(t)
-	r := newFrameConn(s, 0)
+	r := newFrameConn(s)
 	// Hand-build a frame with a wrong checksum.
 	hdr := []byte{3, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef}
 	if _, err := c.Write(append(hdr, 'a', 'b', 'c')); err != nil {
@@ -82,7 +86,7 @@ func TestFrameBadCRC(t *testing.T) {
 
 func TestFrameTooBigRejectedWithoutReading(t *testing.T) {
 	c, s := pipeConns(t)
-	r := newFrameConn(s, 1024)
+	r := newFrameConn(s)
 	// Claimed length far beyond the limit; no payload follows — the
 	// reader must fail on the header alone, not try to allocate or read.
 	hdr := []byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0}
@@ -96,6 +100,58 @@ func TestFrameTooBigRejectedWithoutReading(t *testing.T) {
 	}
 	if cap(r.rbuf) != 0 {
 		t.Fatalf("reader allocated %d bytes for an oversized frame", cap(r.rbuf))
+	}
+}
+
+// TestFrameIsWALRecord: an RDTSTRM1 frame and a WAL record are the same
+// bytes, so a frame a frameConn wrote scans as a WAL record, and a
+// record the WAL appended reads back as a frame.
+func TestFrameIsWALRecord(t *testing.T) {
+	payload := []byte("one frame, two owners")
+	framed := binenc.FrameHeaderSize + len(payload)
+
+	c, s := pipeConns(t)
+	if err := newFrameConn(c).writeFrame(payload); err != nil {
+		t.Fatalf("write frame: %v", err)
+	}
+	frame := make([]byte, framed)
+	if _, err := io.ReadFull(s, frame); err != nil {
+		t.Fatalf("read frame bytes: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, frame, 0o644); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	var scanned [][]byte
+	end, torn, err := wal.ScanFrom(path, 0, func(p []byte) error {
+		scanned = append(scanned, append([]byte(nil), p...))
+		return nil
+	})
+	if err != nil || torn || end != int64(framed) || len(scanned) != 1 || !bytes.Equal(scanned[0], payload) {
+		t.Fatalf("frame scanned as %q end %d torn %v err %v", scanned, end, torn, err)
+	}
+
+	path = filepath.Join(t.TempDir(), "wal.log")
+	l, err := wal.OpenAppend(path)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if err := l.Append(payload); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	record, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if _, err := c.Write(record); err != nil {
+		t.Fatalf("write record bytes: %v", err)
+	}
+	got, err := newFrameConn(s).readFrame()
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("record read back as %q, %v", got, err)
 	}
 }
 
@@ -122,23 +178,23 @@ func TestStreamWireGolden(t *testing.T) {
 			return
 		}
 		defer c.Close() //nolint:errcheck
-		fc := newFrameConn(c, 0)
+		fc := newFrameConn(c)
 		if _, err := io.ReadFull(c, make([]byte, len(Magic))); err != nil {
 			return
 		}
 		hello := binenc.AppendInt(binenc.AppendInt(binenc.AppendInt([]byte{frameHello}, Version), DefaultWindow), DefaultMaxFrame)
 		_ = fc.writeFrame(hello)
 		for range golden {
-			frame := make([]byte, frameHeaderSize)
+			frame := make([]byte, binenc.FrameHeaderSize)
 			if _, err := io.ReadFull(c, frame); err != nil {
 				return
 			}
 			frame = append(frame, make([]byte, binary.LittleEndian.Uint32(frame))...)
-			if _, err := io.ReadFull(c, frame[frameHeaderSize:]); err != nil {
+			if _, err := io.ReadFull(c, frame[binenc.FrameHeaderSize:]); err != nil {
 				return
 			}
 			frames <- frame
-			if frame[frameHeaderSize] == frameOpen {
+			if frame[binenc.FrameHeaderSize] == frameOpen {
 				ok := binenc.AppendString(binenc.AppendUvarint([]byte{frameOpenOK}, 1), "golden")
 				ok = binenc.AppendInt(binenc.AppendUvarint(binenc.AppendInt(ok, 3), 1), DefaultWindow)
 				_ = fc.writeFrame(ok)

@@ -43,8 +43,7 @@ type FaultProbs struct {
 // enables reordering or duplication without setting one.
 const DefaultMaxExtraDelay = 3 * time.Millisecond
 
-// Link addresses one directed sender→receiver channel for per-link fault
-// overrides.
+// Link addresses one directed sender→receiver channel.
 type Link struct {
 	From, To int
 }
@@ -53,11 +52,8 @@ type Link struct {
 type FaultConfig struct {
 	// Seed makes the fault schedule reproducible. Zero seeds from 1.
 	Seed int64
-	// Default is the fault mix applied to every link without an
-	// override.
+	// Default is the fault mix applied to every link.
 	Default FaultProbs
-	// Links overrides the mix per directed link.
-	Links map[Link]FaultProbs
 
 	// Obs, if non-nil, receives rdt_faults_injected_total{kind=...}.
 	Obs *obs.Registry
@@ -179,14 +175,6 @@ func (t *Faulty) inject(kind string, f Frame) {
 	})
 }
 
-// probsFor returns the fault mix of one directed link.
-func (t *Faulty) probsFor(from, to int) FaultProbs {
-	if p, ok := t.cfg.Links[Link{from, to}]; ok {
-		return p
-	}
-	return t.cfg.Default
-}
-
 // Register implements Transport: delivery is not perturbed (faults are
 // injected at the sender, where the wire is).
 func (t *Faulty) Register(proc int, h Handler) error {
@@ -207,7 +195,7 @@ func (t *Faulty) Send(f Frame) error {
 		t.mu.Unlock()
 		return nil
 	}
-	p := t.probsFor(f.From, f.To)
+	p := t.cfg.Default
 	if p.SendError > 0 && t.rng.Float64() < p.SendError {
 		t.inject(FaultSendError, f)
 		t.mu.Unlock()

@@ -129,31 +129,6 @@ func TestFaultyReorderDeliversEverything(t *testing.T) {
 	}
 }
 
-func TestFaultyPerLinkOverrides(t *testing.T) {
-	tr := WithFaults(NewLocal(0), FaultConfig{
-		Seed:  1,
-		Links: map[Link]FaultProbs{{From: 0, To: 1}: {Drop: 1}},
-	})
-	defer tr.Close()
-	var to1, to2 collector
-	if err := tr.Register(1, to1.handler); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	if err := tr.Register(2, to2.handler); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	if err := tr.Send(Frame{From: 0, To: 1}); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	if err := tr.Send(Frame{From: 0, To: 2}); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	to2.waitFor(t, 1)
-	if to1.count() != 0 {
-		t.Error("frame survived the per-link 100% drop")
-	}
-}
-
 func TestFaultyDeterministicSchedule(t *testing.T) {
 	run := func(seed int64) map[string]int64 {
 		tr := WithFaults(NewLocal(0), FaultConfig{

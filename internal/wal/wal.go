@@ -4,7 +4,8 @@
 // scanner that stops at — and a truncator that removes — any torn or
 // corrupt tail.
 //
-// The frame of one record is
+// The frame of one record is binenc's CRC32C frame, the one RDTSTRM1
+// speaks on the wire:
 //
 //	4 bytes  payload length, little endian
 //	4 bytes  CRC32C (Castagnoli) of the payload
@@ -20,28 +21,25 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 
+	"github.com/rdt-go/rdt/internal/binenc"
 	"github.com/rdt-go/rdt/internal/storage"
 )
 
 const (
 	// HeaderSize is the frame overhead of one record (length + CRC): a
 	// record with an n-byte payload occupies HeaderSize+n bytes of log.
-	HeaderSize = 8
+	HeaderSize = binenc.FrameHeaderSize
 	// MaxRecord bounds one record payload. A length field beyond it is
 	// treated as corruption, so a flipped bit in the length cannot make
 	// the scanner attempt a multi-gigabyte allocation.
 	MaxRecord = 16 << 20
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrRecordSize is returned by Append for empty or oversized payloads.
 var ErrRecordSize = errors.New("wal: record payload size out of range")
@@ -100,10 +98,7 @@ func (l *Log) Append(payload []byte) error {
 	if len(payload) == 0 || len(payload) > MaxRecord {
 		return fmt.Errorf("%w: %d bytes", ErrRecordSize, len(payload))
 	}
-	l.buf = l.buf[:0]
-	l.buf = binary.LittleEndian.AppendUint32(l.buf, uint32(len(payload)))
-	l.buf = binary.LittleEndian.AppendUint32(l.buf, crc32.Checksum(payload, crcTable))
-	l.buf = append(l.buf, payload...)
+	l.buf = binenc.AppendFrame(l.buf[:0], payload)
 	n, err := l.f.Write(l.buf)
 	l.off += int64(n)
 	if err != nil {
@@ -162,8 +157,8 @@ func ScanFrom(path string, from int64, fn func(payload []byte) error) (end int64
 		if _, err := f.ReadAt(header[:], off); err != nil {
 			return off, true, nil
 		}
-		length := int64(binary.LittleEndian.Uint32(header[:4]))
-		want := binary.LittleEndian.Uint32(header[4:])
+		n, want := binenc.ParseFrameHeader(header[:])
+		length := int64(n)
 		if length == 0 || length > MaxRecord || off+HeaderSize+length > size {
 			return off, true, nil
 		}
@@ -174,7 +169,7 @@ func ScanFrom(path string, from int64, fn func(payload []byte) error) (end int64
 		if _, err := f.ReadAt(payload, off+HeaderSize); err != nil {
 			return off, true, nil
 		}
-		if crc32.Checksum(payload, crcTable) != want {
+		if binenc.FrameSum(payload) != want {
 			return off, true, nil
 		}
 		off += HeaderSize + length

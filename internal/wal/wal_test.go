@@ -2,13 +2,13 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/rdt-go/rdt/internal/binenc"
 )
 
 func appendAll(t *testing.T, l *Log, payloads ...[]byte) {
@@ -170,10 +170,8 @@ func TestScanCRCCoversPayload(t *testing.T) {
 	// length is plausible.
 	path := filepath.Join(t.TempDir(), "wal.log")
 	payload := []byte("payload")
-	var frame []byte
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable)+1)
-	frame = append(frame, payload...)
+	frame := binenc.AppendFrame(nil, payload)
+	frame[4] ^= 1 // the CRC's low byte
 	if err := os.WriteFile(path, frame, 0o644); err != nil {
 		t.Fatalf("write: %v", err)
 	}

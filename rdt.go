@@ -244,5 +244,5 @@ func NewEventTracer(capacity int) *obs.Tracer { return obs.NewTracer(capacity) }
 // (Prometheus text format), /debug/events (JSON tail) and /debug/vars
 // (expvar). Either argument may be nil.
 func ServeObs(addr string, reg *obs.Registry, tr *obs.Tracer) (*obs.Server, error) {
-	return obs.Serve(addr, reg, tr)
+	return obs.Serve(addr, reg, tr, false)
 }
