@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X github.com/rdt-go/rdt/internal/version.Version=$(VERSION) \
            -X github.com/rdt-go/rdt/internal/version.Commit=$(COMMIT)
 
-.PHONY: all build test bench-test race vet chaos chaos-supervise serve-smoke trace-smoke soak-smoke fuzz-smoke durability-smoke load-smoke shard-smoke examples-smoke check bench clean
+.PHONY: all build test grid-check bench-test race vet chaos chaos-supervise serve-smoke trace-smoke soak-smoke fuzz-smoke durability-smoke load-smoke shard-smoke examples-smoke check bench clean
 
 all: test
 
@@ -25,6 +25,17 @@ build:
 test:
 	$(GO) build ./...
 	$(GO) test ./...
+
+# Grid check: regenerate the paper-scale grid's CSVs into a temporary
+# directory and compare each with its committed copy under results/.
+# Tier-1 pins only the reduced grid (quick_csv.sha256); this is the
+# paper-scale golden, a few seconds on two cores.
+grid-check:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run ./cmd/rdtexperiments -csv "$$dir" >/dev/null && \
+	for f in "$$dir"/*.csv; do cmp "$$f" "results/$$(basename "$$f")" || exit 1; done && \
+	for f in results/*.csv; do test -f "$$dir/$$(basename "$$f")" || { echo "grid-check: no $$f generated" >&2; exit 1; }; done && \
+	echo "grid-check: $$(ls "$$dir" | wc -l) CSVs identical to results/"
 
 # The benchmark is a nested module (bench/go.mod), invisible to
 # `go test ./...` from the root: its own tests run here.
@@ -165,7 +176,7 @@ examples-smoke:
 	done
 
 # Everything a change must pass before review.
-check: test bench-test race chaos chaos-supervise soak-smoke load-smoke shard-smoke examples-smoke
+check: test grid-check bench-test race chaos chaos-supervise soak-smoke load-smoke shard-smoke examples-smoke
 
 # The yardstick: build the daemons from this checkout and run every
 # bench/ workload briefly, checking each served verdict against batch

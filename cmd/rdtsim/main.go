@@ -330,24 +330,30 @@ func replicate(out io.Writer, cfg sim.Config, env string, seeds int) error {
 }
 
 // compareAll runs every protocol on the same workload and seed and prints
-// a comparison table. All runs share the registry and tracer (may be
-// nil), with series distinguished by their protocol label.
+// a comparison table. The schedule is recorded once and every protocol
+// replays it. All replays share the registry and tracer (may be nil),
+// with series distinguished by their protocol label.
 func compareAll(out io.Writer, env string, n int, duration, basic float64, seed int64, reg *obs.Registry, tracer *obs.Tracer) error {
 	fmt.Fprintf(out, "workload=%s n=%d duration=%g basic=%g seed=%d\n", env, n, duration, basic, seed)
 	fmt.Fprintf(out, "%-8s %9s %9s %9s %9s %10s %6s\n",
 		"protocol", "messages", "basic", "forced", "R=f/b", "piggyback", "RDT")
-	for _, kind := range core.Kinds() {
-		w, err := workload.ByName(env)
-		if err != nil {
-			return err
-		}
-		cfg := sim.DefaultConfig(kind, seed)
-		cfg.N = n
-		cfg.Duration = duration
-		cfg.BasicMean = basic
-		cfg.Obs = reg
-		cfg.Tracer = tracer
-		res, err := sim.Run(cfg, w)
+	w, err := workload.ByName(env)
+	if err != nil {
+		return err
+	}
+	kinds := core.Kinds()
+	cfg := sim.DefaultConfig(kinds[0], seed)
+	cfg.N = n
+	cfg.Duration = duration
+	cfg.BasicMean = basic
+	cfg.Obs = reg
+	cfg.Tracer = tracer
+	s, err := sim.Record(cfg, w)
+	if err != nil {
+		return err
+	}
+	for _, kind := range kinds {
+		res, err := s.Run(kind, nil)
 		if err != nil {
 			return err
 		}

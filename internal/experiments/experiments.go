@@ -9,9 +9,10 @@
 // the same code.
 //
 // Every experiment fans its (environment, protocol, mean, seed) grid
-// across the worker pool of runGrid. Cell seeds depend only on the cell's
-// own coordinates and aggregation happens in a fixed order, so results
-// are byte-identical for every Config.Jobs value.
+// across the worker pool of runGrid, which simulates each schedule once
+// and replays every protocol of the grid over it. Cell seeds depend only
+// on the cell's own coordinates and aggregation happens in a fixed order,
+// so results are byte-identical for every Config.Jobs value.
 package experiments
 
 import (
@@ -22,6 +23,7 @@ import (
 	"github.com/rdt-go/rdt/internal/obs"
 	"github.com/rdt-go/rdt/internal/recovery"
 	"github.com/rdt-go/rdt/internal/rgraph"
+	"github.com/rdt-go/rdt/internal/sim"
 	"github.com/rdt-go/rdt/internal/stats"
 	"github.com/rdt-go/rdt/internal/storage"
 )
@@ -103,11 +105,7 @@ func FigureR(cfg Config, env string) (*stats.Series, error) {
 			}
 		}
 	}
-	vals, err := runGrid(cfg, len(cells), func(i int) (float64, error) {
-		res, err := runCell(cfg, cells[i])
-		if err != nil {
-			return 0, err
-		}
+	vals, err := runGrid(cfg, cells, func(_ int, res *sim.Result) (float64, error) {
 		return res.Stats.ForcedPerBasic(), nil
 	})
 	if err != nil {
@@ -143,11 +141,7 @@ func ReductionVsFDAS(cfg Config) (*stats.Table, error) {
 			}
 		}
 	}
-	vals, err := runGrid(cfg, len(cells), func(i int) (float64, error) {
-		res, err := runCell(cfg, cells[i])
-		if err != nil {
-			return 0, err
-		}
+	vals, err := runGrid(cfg, cells, func(_ int, res *sim.Result) (float64, error) {
 		return res.Stats.ForcedPerBasic(), nil
 	})
 	if err != nil {
@@ -215,11 +209,7 @@ func Domino(cfg Config) (*stats.Table, error) {
 			}
 		}
 	}
-	vals, err := runGrid(cfg, len(cells), func(i int) (float64, error) {
-		res, err := runCell(cfg, cells[i])
-		if err != nil {
-			return 0, err
-		}
+	vals, err := runGrid(cfg, cells, func(_ int, res *sim.Result) (float64, error) {
 		plan, err := crashPlan(res.Pattern)
 		if err != nil {
 			return 0, err
@@ -260,11 +250,7 @@ func Ablation(cfg Config) (*stats.Table, error) {
 			}
 		}
 	}
-	vals, err := runGrid(cfg, len(cells), func(i int) (float64, error) {
-		res, err := runCell(cfg, cells[i])
-		if err != nil {
-			return 0, err
-		}
+	vals, err := runGrid(cfg, cells, func(_ int, res *sim.Result) (float64, error) {
 		return res.Stats.ForcedPerMessage(), nil
 	})
 	if err != nil {
@@ -294,11 +280,11 @@ func Ablation(cfg Config) (*stats.Table, error) {
 func MinGlobalAgreement(cfg Config) (*stats.Table, error) {
 	type counts struct{ total, agree int }
 	envs := Environments()
-	vals, err := runGrid(cfg, len(envs), func(i int) (counts, error) {
-		res, err := runCell(cfg, cell{env: envs[i], kind: core.KindBHMR, mean: cfg.mid(), seed: 77})
-		if err != nil {
-			return counts{}, err
-		}
+	cells := make([]cell, len(envs))
+	for i, env := range envs {
+		cells[i] = cell{env: env, kind: core.KindBHMR, mean: cfg.mid(), seed: 77}
+	}
+	vals, err := runGrid(cfg, cells, func(_ int, res *sim.Result) (counts, error) {
 		total, agree, err := MinGlobalCheck(res.Pattern)
 		return counts{total: total, agree: agree}, err
 	})
@@ -389,11 +375,7 @@ func DelaySensitivity(cfg Config) (*stats.Series, error) {
 			}
 		}
 	}
-	vals, err := runGrid(cfg, len(cells), func(i int) (float64, error) {
-		res, err := runCell(cfg, cells[i])
-		if err != nil {
-			return 0, err
-		}
+	vals, err := runGrid(cfg, cells, func(_ int, res *sim.Result) (float64, error) {
 		return res.Stats.ForcedPerBasic(), nil
 	})
 	if err != nil {
@@ -434,12 +416,12 @@ func ConditionAttribution(cfg Config) (*stats.Table, error) {
 			cells = append(cells, cell{env: env, kind: core.KindBHMR, mean: cfg.mid(), seed: int64(700*seed + 29)})
 		}
 	}
-	vals, err := runGrid(cfg, len(cells), func(i int) (attribution, error) {
-		// The monitor mutates the cell-local counters; the simulation is
-		// single-threaded, so no synchronization is needed.
-		var att attribution
-		c := cells[i]
-		c.monitor = func(inst core.Instance, _ int, pb core.Piggyback) {
+	// Each monitor mutates its own cell's counters; a replay is
+	// single-threaded, so no synchronization is needed.
+	atts := make([]attribution, len(cells))
+	for i := range cells {
+		att := &atts[i]
+		cells[i].monitor = func(inst core.Instance, _ int, pb core.Piggyback) {
 			ev, ok := inst.(conditionEvaluator)
 			if !ok {
 				return
@@ -459,10 +441,9 @@ func ConditionAttribution(cfg Config) (*stats.Table, error) {
 				att.saved++
 			}
 		}
-		if _, err := runCell(cfg, c); err != nil {
-			return attribution{}, err
-		}
-		return att, nil
+	}
+	vals, err := runGrid(cfg, cells, func(i int, _ *sim.Result) (attribution, error) {
+		return atts[i], nil
 	})
 	if err != nil {
 		return nil, err
@@ -516,11 +497,7 @@ func Guarantees(cfg Config) (*stats.Table, error) {
 			})
 		}
 	}
-	vals, err := runGrid(cfg, len(cells), func(i int) (outcome, error) {
-		res, err := runCell(cfg, cells[i])
-		if err != nil {
-			return outcome{}, err
-		}
+	vals, err := runGrid(cfg, cells, func(_ int, res *sim.Result) (outcome, error) {
 		out := outcome{forced: res.Stats.ForcedPerMessage()}
 		p := res.Pattern
 		g, err := rgraph.Build(p)

@@ -28,13 +28,27 @@ type cell struct {
 	// positive (the asynchrony ablation).
 	delayMin, delayMax float64
 	// monitor is attached to the simulation when non-nil. It is invoked
-	// only from the cell's own simulation, so it may mutate cell-local
-	// state without synchronization.
+	// only from the cell's own replay, so it may mutate cell-local state
+	// without synchronization.
 	monitor func(inst core.Instance, from int, pb core.Piggyback)
 }
 
-// runCell executes one simulation of the grid.
-func runCell(cfg Config, c cell) (*sim.Result, error) {
+// scheduleKey is what a cell's schedule depends on: cells that differ
+// only in protocol (and monitor) share one simulated schedule.
+type scheduleKey struct {
+	env                          string
+	mean                         float64
+	seed                         int64
+	duration, delayMin, delayMax float64
+}
+
+func (c cell) schedule() scheduleKey {
+	return scheduleKey{env: c.env, mean: c.mean, seed: c.seed, duration: c.duration, delayMin: c.delayMin, delayMax: c.delayMax}
+}
+
+// record simulates the schedule a cell shares with the cells of the
+// same key.
+func record(cfg Config, c cell) (*sim.Schedule, error) {
 	w, err := workload.ByName(c.env)
 	if err != nil {
 		return nil, err
@@ -50,77 +64,124 @@ func runCell(cfg Config, c cell) (*sim.Result, error) {
 		sc.DelayMin = c.delayMin
 		sc.DelayMax = c.delayMax
 	}
-	sc.Monitor = c.monitor
 	sc.Obs = cfg.Obs
-	return sim.Run(sc, w)
+	return sim.Record(sc, w)
 }
 
-// runGrid evaluates fn for every index 0..n-1 across a pool of cfg.Jobs
-// worker goroutines and returns the results in index order.
+// bySchedule groups cell indices by schedule key. Each group lists its
+// cells in index order, and the groups are ordered by their first cell.
+func bySchedule(cells []cell) [][]int {
+	var groups [][]int
+	index := make(map[scheduleKey]int)
+	for i, c := range cells {
+		k := c.schedule()
+		g, ok := index[k]
+		if !ok {
+			g = len(groups)
+			index[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return groups
+}
+
+// runGrid evaluates fn on the simulation result of every cell across a
+// pool of cfg.Jobs worker goroutines and returns the values in cell
+// order. The unit of work is a schedule: a worker records it once and
+// replays each of its cells' protocols over it, calling fn as soon as a
+// replay returns, so it holds one schedule and one result at a time.
 //
 // Determinism contract: every cell derives its seed from its own indices,
-// each result is written into its pre-assigned slot, and callers aggregate
+// each value is written into its pre-assigned slot, and callers aggregate
 // the returned slice in a fixed order — so the output is byte-identical
-// whatever the worker count, including the sequential Jobs <= 1 fast path.
+// whatever the worker count, including the sequential Jobs <= 1 path.
 //
 // The grid-progress counter rdt_experiment_runs_total is incremented once
-// per completed cell (the counter is atomic, so concurrent workers cannot
-// lose updates). On error the first failure in index order is returned and
-// workers stop claiming new cells.
-func runGrid[T any](cfg Config, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
+// per completed cell, that is per protocol run (the counter is atomic, so
+// concurrent workers cannot lose updates). On error the failure with the
+// lowest cell index is returned: after a failure at cell i, workers skip
+// every cell above i, and still run the ones below it.
+func runGrid[T any](cfg Config, cells []cell, fn func(i int, res *sim.Result) (T, error)) ([]T, error) {
+	out := make([]T, len(cells))
+	errs := make([]error, len(cells))
 	runs := cfg.Obs.Counter("rdt_experiment_runs_total")
+	groups := bySchedule(cells)
+
+	// failed is the lowest failing cell index so far, len(cells) if none.
+	var failed atomic.Int64
+	failed.Store(int64(len(cells)))
+	fail := func(i int, err error) {
+		errs[i] = err
+		for {
+			cur := failed.Load()
+			if int64(i) >= cur || failed.CompareAndSwap(cur, int64(i)) {
+				return
+			}
+		}
+	}
+	work := func(group []int) {
+		if int64(group[0]) >= failed.Load() {
+			return
+		}
+		s, err := record(cfg, cells[group[0]])
+		if err != nil {
+			fail(group[0], err)
+			return
+		}
+		defer s.Release()
+		for _, i := range group {
+			if int64(i) >= failed.Load() {
+				return
+			}
+			c := cells[i]
+			res, err := s.Run(c.kind, c.monitor)
+			var v T
+			if err == nil {
+				v, err = fn(i, res)
+			}
+			if err != nil {
+				fail(i, err)
+				return
+			}
+			out[i] = v
+			runs.Inc()
+		}
+	}
 
 	workers := cfg.Jobs
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
+	if workers > len(groups) {
+		workers = len(groups)
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			v, err := fn(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-			runs.Inc()
+		for _, g := range groups {
+			work(g)
 		}
-		return out, nil
-	}
-
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
-	errs := make([]error, n)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
+	} else {
+		var (
+			next atomic.Int64
+			wg   sync.WaitGroup
+		)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					g := int(next.Add(1)) - 1
+					if g >= len(groups) {
+						return
+					}
+					work(groups[g])
 				}
-				v, err := fn(i)
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-				out[i] = v
-				runs.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			}()
 		}
+		wg.Wait()
+	}
+	if i := failed.Load(); i < int64(len(cells)) {
+		return nil, errs[i]
 	}
 	return out, nil
 }

@@ -3,9 +3,12 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
+	"github.com/rdt-go/rdt/internal/core"
 	"github.com/rdt-go/rdt/internal/obs"
+	"github.com/rdt-go/rdt/internal/sim"
 )
 
 // TestGridDeterminism is the regression test for the parallel grid's
@@ -67,32 +70,67 @@ func TestGridCountsCompletedCells(t *testing.T) {
 	}
 }
 
+// smallGrid is a cheap grid whose schedules interleave in cell order:
+// cell i runs protocol kinds[i/3%2] on schedule (env i/6, seed i%3), so
+// every schedule's cells are three indices apart.
+func smallGrid() (Config, []cell) {
+	cfg := Quick()
+	cfg.Duration = 30
+	kinds := []core.Kind{core.KindBHMR, core.KindFDAS}
+	var cells []cell
+	for _, env := range Environments() {
+		for _, kind := range kinds {
+			for seed := 0; seed < 3; seed++ {
+				cells = append(cells, cell{env: env, kind: kind, mean: 4, seed: int64(seed)})
+			}
+		}
+	}
+	return cfg, cells
+}
+
 // TestGridError: a failing cell aborts the grid with its error, on both
-// the sequential and the parallel path.
+// the sequential and the parallel path, and of several failures the one
+// with the lowest cell index is reported, even when a schedule claimed
+// earlier fails at a higher one. A schedule that cannot be recorded fails
+// at its first cell.
 func TestGridError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, jobs := range []int{1, 4} {
-		cfg := Quick()
+		cfg, cells := smallGrid()
 		cfg.Jobs = jobs
-		_, err := runGrid(cfg, 16, func(i int) (int, error) {
-			if i == 7 {
+		// Cell 9 is the second cell of schedule {6, 9}; cell 7 is the
+		// first of {7, 10}, claimed after it.
+		_, err := runGrid(cfg, cells, func(i int, _ *sim.Result) (int, error) {
+			if i == 9 || i == 7 || i == 12 {
 				return 0, fmt.Errorf("cell %d: %w", i, boom)
 			}
 			return i, nil
 		})
-		if !errors.Is(err, boom) {
-			t.Errorf("jobs=%d: error = %v, want boom", jobs, err)
+		if !errors.Is(err, boom) || err.Error() != "cell 7: boom" {
+			t.Errorf("jobs=%d: error = %v, want cell 7: boom", jobs, err)
+		}
+
+		cells[4].env = "nowhere"
+		cells[1].env = "nowhere"
+		_, err = runGrid(cfg, cells, func(i int, _ *sim.Result) (int, error) { return i, nil })
+		if err == nil || !strings.Contains(err.Error(), "nowhere") {
+			t.Errorf("jobs=%d: unknown environment: error = %v", jobs, err)
 		}
 	}
 }
 
-// TestGridOrder: results land in their pre-assigned slots whatever the
-// worker count.
+// TestGridOrder: every cell gets its own protocol's result, and the
+// values land in their pre-assigned slots whatever the worker count.
 func TestGridOrder(t *testing.T) {
 	for _, jobs := range []int{1, 3, 16} {
-		cfg := Quick()
+		cfg, cells := smallGrid()
 		cfg.Jobs = jobs
-		vals, err := runGrid(cfg, 50, func(i int) (int, error) { return i * i, nil })
+		vals, err := runGrid(cfg, cells, func(i int, res *sim.Result) (int, error) {
+			if res.Protocol != cells[i].kind || res.Workload != cells[i].env {
+				return 0, fmt.Errorf("cell %d (%v/%s) got a %v/%s result", i, cells[i].kind, cells[i].env, res.Protocol, res.Workload)
+			}
+			return i * i, nil
+		})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}

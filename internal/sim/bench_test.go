@@ -8,9 +8,21 @@ import (
 	"github.com/rdt-go/rdt/internal/workload"
 )
 
-// BenchmarkSimulationRun measures one sim.Run. Run i uses seed i mod
+// paperKinds are the eight protocols of the paper-scale grid's figures.
+var paperKinds = []core.Kind{
+	core.KindBHMR, core.KindBHMRNoSimple, core.KindBHMRCausalOnly,
+	core.KindFDAS, core.KindFDI, core.KindNRAS, core.KindCBR, core.KindCAS,
+}
+
+// BenchmarkSimulationRun measures one protocol run. Run i uses seed i mod
 // benchSeeds, so ns/op and allocs/op average over the same runs whatever
 // b.N is. The groups cell is one run of the paper-scale grid.
+//
+// The schedule cells run the eight paper protocols over paper-scale
+// random schedules (n = 8, 1500 time units, basic mean 8), one protocol
+// per op: schedule-x1 records a schedule for every run, as sim.Run does,
+// and schedule-x8 records one and replays it for all eight, as the grid
+// does, so the pair prices the sharing.
 func BenchmarkSimulationRun(b *testing.B) {
 	const benchSeeds = 8
 	cells := []struct {
@@ -33,6 +45,33 @@ func BenchmarkSimulationRun(b *testing.B) {
 				cfg := sim.DefaultConfig(c.kind, int64(i%benchSeeds))
 				cfg.Duration = c.duration
 				if _, err := sim.Run(cfg, c.workload()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, share := range []int{1, len(paperKinds)} {
+		name := "schedule-x1"
+		if share > 1 {
+			name = "schedule-x8"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var s *sim.Schedule
+			for i := 0; i < b.N; i++ {
+				if i%share == 0 {
+					if s != nil {
+						s.Release()
+					}
+					cfg := sim.DefaultConfig(core.KindBHMR, int64(i/len(paperKinds)%benchSeeds))
+					cfg.Duration = 1500
+					cfg.BasicMean = 8
+					var err error
+					if s, err = sim.Record(cfg, &workload.Random{MeanGap: 1}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := s.Run(paperKinds[i%len(paperKinds)], nil); err != nil {
 					b.Fatal(err)
 				}
 			}

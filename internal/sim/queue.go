@@ -1,13 +1,11 @@
 package sim
 
-import "github.com/rdt-go/rdt/internal/core"
-
 // itemKind selects the action of a scheduled event. Every kind is typed,
 // so scheduling an event allocates nothing.
 type itemKind int8
 
 const (
-	itemArrive itemKind = iota + 1 // a message reaches process to
+	itemArrive itemKind = iota + 1 // the message in slot handle reaches process to
 	itemBasic                      // a basic-checkpoint attempt of process from
 	itemWake                       // the workload's OnWake(from, handle)
 )
@@ -15,8 +13,7 @@ const (
 // eventItem is the action of one scheduled event.
 type eventItem struct {
 	kind             itemKind
-	handle, from, to int // handle is the message, or the tag of a wake-up
-	pb               core.Piggyback
+	handle, from, to int // handle is the message's in-flight slot, or the tag of a wake-up
 	payload          any
 }
 
@@ -39,7 +36,7 @@ func (k eventKey) before(o eventKey) bool {
 // holds no pointers, so sifting it costs no write barriers, and slab slots
 // are recycled through a free list, so a run allocates only while its
 // number of pending events grows. Items are filled and read in place; a
-// free slot may keep a dead piggyback until it is reused, and reset drops
+// free slot may keep a dead payload until it is reused, and reset drops
 // them all.
 type eventQueue struct {
 	heap  []eventKey

@@ -8,7 +8,10 @@
 //
 // Runs are fully deterministic for a given Config (single-threaded event
 // loop, one seeded random source, stable tie-breaking), which makes the
-// experiments and the property-based tests reproducible.
+// experiments and the property-based tests reproducible. A run is two
+// steps: Record simulates the schedule, which no protocol can change, and
+// Schedule.Run replays one protocol over it, so a sweep over protocols
+// simulates each schedule once.
 package sim
 
 import (
@@ -53,7 +56,8 @@ type Config struct {
 	// Obs, if non-nil, receives the run's metrics (messages, deliveries,
 	// per-predicate forced checkpoints), labeled by protocol so
 	// comparison sweeps share one registry. It does not perturb the
-	// simulation's determinism.
+	// simulation's determinism. The message and delivery counters are
+	// added to once, when the run ends.
 	Obs *obs.Registry
 	// Tracer, if non-nil, records the run's structured events into its
 	// bounded ring.
@@ -131,83 +135,255 @@ type Result struct {
 	WireBytesPerMessage int
 }
 
-// Run executes one simulation and returns its recorded pattern.
+// Run executes one simulation and returns its recorded pattern: it
+// records the schedule and replays cfg.Protocol over it.
 func Run(cfg Config, w Workload) (*Result, error) {
+	s, err := Record(cfg, w)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Release()
+	return s.Run(cfg.Protocol, cfg.Monitor)
+}
+
+// Schedule is the protocol-independent part of a run: every send,
+// arrival and basic-checkpoint attempt, in the order the engine executed
+// them. A protocol adds forced checkpoints but never changes which
+// messages are sent, when they arrive or when a basic checkpoint is
+// attempted, so one schedule serves every protocol. A Schedule is never
+// modified between Record and Release, so replays may run concurrently.
+type Schedule struct {
+	n        int
+	workload string
+	ops      []op
+	// slots is the number of in-flight slots the sends used, the size of
+	// a replay's piggyback table.
+	slots  int
+	reg    *obs.Registry
+	tracer *obs.Tracer
+}
+
+// opKind selects what one step of a schedule does.
+type opKind uint8
+
+const (
+	opSend   opKind = iota + 1 // proc sends to peer; the message holds slot until it arrives
+	opArrive                   // the message in slot, from peer, reaches proc
+	opBasic                    // a basic-checkpoint attempt of proc
+)
+
+// op is one step of a schedule.
+type op struct {
+	kind       opKind
+	proc, peer int32
+	slot       int32
+}
+
+// Record simulates the schedule of a run: the workload, the event queue,
+// the channel delays and the basic-checkpoint timers. It runs no
+// protocol: cfg.Protocol and cfg.Monitor are left to the replays, and
+// cfg.Obs and cfg.Tracer receive every replay's metrics and events.
+// Release the schedule after its last replay, so a later Record reuses
+// its memory.
+//
+// The recording is exact because nothing the engine does depends on the
+// protocol: every random draw and every scheduled event is the same
+// whichever protocol runs. The one protocol-dependent branch, skipping a
+// basic-checkpoint attempt when its process had no event since its last
+// checkpoint (basic or forced), draws nothing and schedules the next
+// attempt either way, so the replay takes it.
+func Record(cfg Config, w Workload) (*Schedule, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := newEngine(cfg, w)
-	defer e.release()
-	sink := e.sink
-	for i := 0; i < cfg.N; i++ {
-		inst, err := core.New(cfg.Protocol, i, cfg.N, sink)
-		if err != nil {
-			return nil, err
-		}
-		e.insts = append(e.insts, inst)
+	s, _ := schedules.Get().(*Schedule)
+	if s == nil {
+		s = &Schedule{}
 	}
+	e := newEngine(cfg, w, s.ops[:0])
+	defer e.release()
 	w.Start(e)
 	for i := 0; i < cfg.N; i++ {
 		e.scheduleBasic(i)
 	}
 	e.loop()
-	pattern, err := e.builder.Finalize()
+	*s = Schedule{
+		n:        cfg.N,
+		workload: w.Name(),
+		ops:      e.ops,
+		slots:    int(e.slots),
+		reg:      cfg.Obs,
+		tracer:   cfg.Tracer,
+	}
+	return s, nil
+}
+
+// schedules recycles schedules, tapes included, from Release to Record.
+var schedules sync.Pool
+
+// Release hands the schedule's memory to a later Record. The schedule
+// must not be replayed after it; results of earlier replays stay valid.
+func (s *Schedule) Release() {
+	*s = Schedule{ops: s.ops[:0]}
+	schedules.Put(s)
+}
+
+// Run replays the schedule with every process running the given
+// protocol and returns the recorded pattern, as Run of the recorded
+// configuration with that protocol and monitor would. This is the only
+// place the protocol is called: at a send, its piggyback and optional
+// forced checkpoint; at an arrival, the monitor and then the protocol;
+// at a basic-checkpoint attempt, the checkpoint unless the process had
+// no event since its last one.
+func (s *Schedule) Run(kind core.Kind, monitor func(inst core.Instance, from int, pb core.Piggyback)) (*Result, error) {
+	r := newReplay(s)
+	defer r.release()
+	sink := r.sink
+	for i := 0; i < s.n; i++ {
+		inst, err := core.New(kind, i, s.n, sink)
+		if err != nil {
+			return nil, err
+		}
+		r.insts = append(r.insts, inst)
+	}
+	if s.reg != nil || s.tracer != nil {
+		r.obs = newReplayObs(s.reg, s.tracer, kind)
+	}
+	b, tracer := r.builder, s.tracer
+	for _, o := range s.ops {
+		switch o.kind {
+		case opSend:
+			from, to := int(o.proc), int(o.peer)
+			inst := r.insts[from]
+			pb, forceAfter := inst.OnSend(to)
+			handle := b.Send(model.ProcID(from), model.ProcID(to))
+			if tracer != nil {
+				tracer.Record(obs.Event{Type: obs.EventSend, Proc: from, Peer: to, Value: handle})
+			}
+			if forceAfter {
+				inst.CheckpointAfterSend()
+			}
+			r.flights[o.slot] = flight{handle: handle, pb: pb}
+		case opArrive:
+			to, from := int(o.proc), int(o.peer)
+			f := &r.flights[o.slot]
+			inst := r.insts[to]
+			if monitor != nil {
+				monitor(inst, from, f.pb)
+			}
+			inst.OnArrival(from, f.pb)
+			if err := b.Deliver(f.handle); err != nil {
+				// Deliver can only fail on a corrupted handle, which would
+				// be a bug of the schedule; surface it loudly.
+				panic(fmt.Sprintf("sim: %v", err))
+			}
+			if tracer != nil {
+				tracer.Record(obs.Event{Type: obs.EventDeliver, Proc: to, Peer: from, Value: f.handle})
+			}
+		case opBasic:
+			if b.EventsSinceCheckpoint(model.ProcID(o.proc)) > 0 {
+				r.insts[o.proc].TakeBasicCheckpoint()
+			}
+		}
+	}
+	pattern, err := b.Finalize()
 	if err != nil {
-		return nil, fmt.Errorf("run %v/%s: %w", cfg.Protocol, w.Name(), err)
+		return nil, fmt.Errorf("run %v/%s: %w", kind, s.workload, err)
+	}
+	if o := r.obs; o != nil {
+		// Every message sent has arrived: the schedule ends when its
+		// queue is empty.
+		o.messages.Add(int64(len(pattern.Messages)))
+		o.deliveries.Add(int64(len(pattern.Messages)))
 	}
 	return &Result{
 		Pattern:             pattern,
 		Stats:               pattern.Stats(),
-		Protocol:            cfg.Protocol,
-		Workload:            w.Name(),
-		WireBytesPerMessage: e.insts[0].WireSize(),
+		Protocol:            kind,
+		Workload:            s.workload,
+		WireBytesPerMessage: r.insts[0].WireSize(),
 	}, nil
 }
 
-// Engine is the event loop handed to workloads. It is valid only during
-// the run it is handed to: Run recycles it for later runs.
-type Engine struct {
-	cfg     Config
-	rng     *rand.Rand
-	now     float64
-	q       eventQueue
+// replay is the protocol side of one run: the instances, the builder
+// recording the pattern, and the piggyback of every in-flight message by
+// slot.
+type replay struct {
 	builder *model.Builder
 	insts   []core.Instance
-	w       Workload
-	obs     *engineObs // nil when observability is off
+	flights []flight
+	obs     *replayObs // nil when observability is off
 }
 
-// engines recycles engines across runs: a run's event slab and builder
-// buffers serve the next one, since Finalize copies what it returns.
-var engines sync.Pool
+// flight is a message in transit: its builder handle and its piggyback.
+type flight struct {
+	handle int
+	pb     core.Piggyback
+}
 
-func newEngine(cfg Config, w Workload) *Engine {
-	e, _ := engines.Get().(*Engine)
-	if e == nil {
-		e = &Engine{rng: rand.New(rand.NewSource(cfg.Seed)), builder: model.NewBuilder(cfg.N)}
+// replays recycles replay state across runs: the builder buffers and the
+// piggyback table serve the next run, since Finalize copies what it
+// returns.
+var replays sync.Pool
+
+func newReplay(s *Schedule) *replay {
+	r, _ := replays.Get().(*replay)
+	if r == nil {
+		r = &replay{builder: model.NewBuilder(s.n)}
 	} else {
-		e.rng.Seed(cfg.Seed)
-		e.builder.Reset(cfg.N)
+		r.builder.Reset(s.n)
 	}
-	e.cfg, e.w, e.now = cfg, w, 0
-	e.q.reset()
-	if cfg.Obs != nil || cfg.Tracer != nil {
-		e.obs = newEngineObs(cfg.Obs, cfg.Tracer, cfg.Protocol)
+	if cap(r.flights) < s.slots {
+		r.flights = make([]flight, s.slots)
 	}
-	return e
+	r.flights = r.flights[:s.slots]
+	return r
 }
 
-// release drops the run's references and returns the engine to the pool.
-func (e *Engine) release() {
-	clear(e.insts)
-	e.insts = e.insts[:0]
-	e.cfg, e.w, e.obs = Config{}, nil, nil
-	engines.Put(e)
+// release drops the run's references and returns the state to the pool.
+func (r *replay) release() {
+	clear(r.insts)
+	clear(r.flights)
+	r.insts, r.obs = r.insts[:0], nil
+	replays.Put(r)
 }
 
-// engineObs bundles the pre-created series of one run, labeled by
+// sink records protocol checkpoints into the trace. Initial checkpoints
+// are pre-recorded by the builder and skipped here (their dependency
+// vector is trivially all-zero). The record's vector is a copy the
+// protocol made for the sink, so the builder keeps it as it is.
+func (r *replay) sink(rec core.CheckpointRecord) {
+	if rec.Kind == model.KindInitial {
+		return
+	}
+	r.builder.CheckpointOwned(model.ProcID(rec.Proc), rec.Kind, rec.TDV)
+	o := r.obs
+	if o == nil {
+		return
+	}
+	switch rec.Kind {
+	case model.KindBasic:
+		o.basic.Inc()
+		if o.tracer != nil {
+			o.tracer.Record(obs.Event{Type: obs.EventBasicCheckpoint, Proc: rec.Proc, Value: rec.Index})
+		}
+	case model.KindForced:
+		o.forced.Inc()
+		o.forcedBy(rec.Predicate).Inc()
+		if o.tracer != nil {
+			o.tracer.Record(obs.Event{
+				Type:      obs.EventForcedCheckpoint,
+				Proc:      rec.Proc,
+				Predicate: rec.Predicate,
+				Value:     rec.Index,
+			})
+		}
+	}
+}
+
+// replayObs bundles the pre-created series of one replay, labeled by
 // protocol so sweeps over several protocols share a registry.
-type engineObs struct {
+type replayObs struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
 	proto  string
@@ -217,13 +393,13 @@ type engineObs struct {
 	basic      *obs.Counter
 	forced     *obs.Counter
 	// byPredicate caches rdt_forced_checkpoints_total{protocol,predicate}
-	// per predicate. The engine is single-threaded, so a plain map does.
+	// per predicate. A replay is single-threaded, so a plain map does.
 	byPredicate map[string]*obs.Counter
 }
 
-func newEngineObs(reg *obs.Registry, tr *obs.Tracer, protocol core.Kind) *engineObs {
+func newReplayObs(reg *obs.Registry, tr *obs.Tracer, protocol core.Kind) *replayObs {
 	proto := protocol.String()
-	return &engineObs{
+	return &replayObs{
 		reg:         reg,
 		tracer:      tr,
 		proto:       proto,
@@ -238,13 +414,54 @@ func newEngineObs(reg *obs.Registry, tr *obs.Tracer, protocol core.Kind) *engine
 // forcedBy returns the forced-checkpoint series of one predicate. The
 // registry is asked the first time the predicate fires; after that a
 // forced checkpoint formats no series key and takes no registry lock.
-func (o *engineObs) forcedBy(predicate string) *obs.Counter {
+func (o *replayObs) forcedBy(predicate string) *obs.Counter {
 	c, ok := o.byPredicate[predicate]
 	if !ok {
 		c = o.reg.Counter("rdt_forced_checkpoints_total", "protocol", o.proto, "predicate", predicate)
 		o.byPredicate[predicate] = c
 	}
 	return c
+}
+
+// Engine is the event loop handed to workloads. It records the schedule
+// of one run and calls no protocol. It is valid only during the
+// recording it is handed to: Record recycles it for later ones.
+type Engine struct {
+	cfg Config
+	rng *rand.Rand
+	now float64
+	q   eventQueue
+	w   Workload
+
+	ops   []op    // the schedule recorded so far
+	free  []int32 // in-flight slots released by arrivals
+	slots int32   // in-flight slots ever taken
+}
+
+// engines recycles engines across recordings: a recording's event slab
+// and slot list serve the next one.
+var engines sync.Pool
+
+// newEngine takes an engine from the pool for a recording that appends to
+// the tape ops.
+func newEngine(cfg Config, w Workload, ops []op) *Engine {
+	e, _ := engines.Get().(*Engine)
+	if e == nil {
+		e = &Engine{rng: rand.New(rand.NewSource(cfg.Seed))}
+	} else {
+		e.rng.Seed(cfg.Seed)
+	}
+	e.cfg, e.w, e.now, e.ops = cfg, w, 0, ops
+	e.q.reset()
+	e.free, e.slots = e.free[:0], 0
+	return e
+}
+
+// release drops the recording's references and returns the engine to the
+// pool.
+func (e *Engine) release() {
+	e.cfg, e.w, e.ops = Config{}, nil, nil
+	engines.Put(e)
 }
 
 // N returns the number of processes.
@@ -280,7 +497,7 @@ func (e *Engine) loop() {
 		// anything, which may reuse the slot.
 		switch item.kind {
 		case itemArrive:
-			e.arrive(item.handle, item.from, item.to, item.pb, item.payload)
+			e.arrive(int32(item.handle), item.from, item.to, item.payload)
 		case itemBasic:
 			e.basicTick(item.from)
 		case itemWake:
@@ -298,78 +515,30 @@ func (e *Engine) Wake(delay float64, proc, tag int) {
 }
 
 // Send emits an application message from one process to another: the
-// protocol contributes its piggyback, the send is recorded, and the
-// arrival is scheduled after a random channel delay.
+// send is recorded with an in-flight slot, and the arrival is scheduled
+// after a random channel delay.
 func (e *Engine) Send(from, to int, payload any) {
-	inst := e.insts[from]
-	pb, forceAfter := inst.OnSend(to)
-	handle := e.builder.Send(model.ProcID(from), model.ProcID(to))
-	if o := e.obs; o != nil {
-		o.messages.Inc()
-		if o.tracer != nil {
-			o.tracer.Record(obs.Event{Type: obs.EventSend, Proc: from, Peer: to, Value: handle})
-		}
+	var slot int32
+	if n := len(e.free); n > 0 {
+		slot = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		slot = e.slots
+		e.slots++
 	}
-	if forceAfter {
-		inst.CheckpointAfterSend()
-	}
+	e.ops = append(e.ops, op{kind: opSend, proc: int32(from), peer: int32(to), slot: slot})
 	delay := e.Uniform(e.cfg.DelayMin, e.cfg.DelayMax)
 	item := e.q.push(e.now + delay)
-	item.kind, item.handle, item.from, item.to = itemArrive, handle, from, to
-	item.pb, item.payload = pb, payload
+	item.kind, item.handle, item.from, item.to = itemArrive, int(slot), from, to
+	item.payload = payload
 }
 
-func (e *Engine) arrive(handle, from, to int, pb core.Piggyback, payload any) {
-	inst := e.insts[to]
-	if e.cfg.Monitor != nil {
-		e.cfg.Monitor(inst, from, pb)
-	}
-	inst.OnArrival(from, pb)
-	if err := e.builder.Deliver(handle); err != nil {
-		// Deliver can only fail on a corrupted handle, which would be an
-		// engine bug; surface it loudly during development.
-		panic(fmt.Sprintf("sim: %v", err))
-	}
-	if o := e.obs; o != nil {
-		o.deliveries.Inc()
-		if o.tracer != nil {
-			o.tracer.Record(obs.Event{Type: obs.EventDeliver, Proc: to, Peer: from, Value: handle})
-		}
-	}
+// arrive records the arrival of the message in slot, releases the slot
+// and hands the message to the workload.
+func (e *Engine) arrive(slot int32, from, to int, payload any) {
+	e.ops = append(e.ops, op{kind: opArrive, proc: int32(to), peer: int32(from), slot: slot})
+	e.free = append(e.free, slot)
 	e.w.OnDeliver(e, Delivery{From: from, To: to, Payload: payload})
-}
-
-// sink records protocol checkpoints into the trace. Initial checkpoints
-// are pre-recorded by the builder and skipped here (their dependency
-// vector is trivially all-zero). The record's vector is a copy the
-// protocol made for the sink, so the builder keeps it as it is.
-func (e *Engine) sink(rec core.CheckpointRecord) {
-	if rec.Kind == model.KindInitial {
-		return
-	}
-	e.builder.CheckpointOwned(model.ProcID(rec.Proc), rec.Kind, rec.TDV)
-	o := e.obs
-	if o == nil {
-		return
-	}
-	switch rec.Kind {
-	case model.KindBasic:
-		o.basic.Inc()
-		if o.tracer != nil {
-			o.tracer.Record(obs.Event{Type: obs.EventBasicCheckpoint, Proc: rec.Proc, Value: rec.Index})
-		}
-	case model.KindForced:
-		o.forced.Inc()
-		o.forcedBy(rec.Predicate).Inc()
-		if o.tracer != nil {
-			o.tracer.Record(obs.Event{
-				Type:      obs.EventForcedCheckpoint,
-				Proc:      rec.Proc,
-				Predicate: rec.Predicate,
-				Value:     rec.Index,
-			})
-		}
-	}
 }
 
 func (e *Engine) scheduleBasic(proc int) {
@@ -378,13 +547,13 @@ func (e *Engine) scheduleBasic(proc int) {
 	item.kind, item.from = itemBasic, proc
 }
 
-// basicTick is one basic-checkpoint attempt of a process.
+// basicTick is one basic-checkpoint attempt of a process. Whether the
+// attempt is skipped depends on the protocol's forced checkpoints, so
+// the replay decides it.
 func (e *Engine) basicTick(proc int) {
 	if !e.Active() {
 		return
 	}
-	if e.builder.EventsSinceCheckpoint(model.ProcID(proc)) > 0 {
-		e.insts[proc].TakeBasicCheckpoint()
-	}
+	e.ops = append(e.ops, op{kind: opBasic, proc: int32(proc)})
 	e.scheduleBasic(proc)
 }

@@ -201,7 +201,7 @@ func newTestRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) 
 func TestEngineEventOrdering(t *testing.T) {
 	cfg := shortConfig(core.KindNone, 1)
 	log := &wakeLog{}
-	e := &Engine{cfg: cfg, rng: newTestRand(1), builder: model.NewBuilder(cfg.N), w: log}
+	e := &Engine{cfg: cfg, rng: newTestRand(1), w: log}
 	e.Wake(2.0, 0, 3)
 	e.Wake(1.0, 0, 1)
 	e.Wake(1.0, 0, 2) // same instant, later insertion
@@ -285,14 +285,14 @@ func TestForcedCheckpointAllocs(t *testing.T) {
 	if len(predicates) == 0 {
 		t.Fatal("the CBR run forced no checkpoint")
 	}
-	e := &Engine{cfg: cfg, builder: model.NewBuilder(cfg.N), obs: newEngineObs(reg, nil, cfg.Protocol)}
+	r := &replay{builder: model.NewBuilder(cfg.N), obs: newReplayObs(reg, nil, cfg.Protocol)}
 	for _, pred := range predicates {
 		before := reg.Snapshot().CounterValue("rdt_forced_checkpoints_total", "protocol", "cbr", "predicate", pred)
 		rec := core.CheckpointRecord{Proc: 1, Kind: model.KindForced, TDV: make([]int, cfg.N), Predicate: pred}
 		const runs = 1000
 		// AllocsPerRun averages over its runs, so the occasional growth of
 		// the builder's checkpoint list rounds away.
-		if allocs := testing.AllocsPerRun(runs, func() { e.sink(rec) }); allocs > 0 {
+		if allocs := testing.AllocsPerRun(runs, func() { r.sink(rec) }); allocs > 0 {
 			t.Errorf("predicate %s: %.2f allocations per forced checkpoint, want 0", pred, allocs)
 		}
 		// AllocsPerRun makes one warm-up call before its runs.
