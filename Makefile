@@ -49,8 +49,9 @@ bench-test:
 # after-Drain and create-collision tests run again on one, two and eight
 # cores, with the test that reads the violation trace while four sessions
 # write it. So does what the session worker finds queued when it drains a
-# commit group (a close mid-drain, a retirement after a partial group):
-# those tests run again on one core and on two. The scenario corpus must
+# commit group (a close mid-drain, a retirement after a partial group),
+# and what the queries find while it logs and syncs without the session
+# lock: those tests run again on one core and on two. The scenario corpus must
 # NOT vary: each file, supervised ones included, runs twice per
 # TestCorpus pass, 17 passes on one, two and eight cores — at least 50
 # runs per file, every pair byte-identical.
@@ -58,7 +59,7 @@ race: vet
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/shard
 	$(GO) test -race -count=5 -cpu=1,2,8 -run 'LifecycleChurn|TransitionsAfterDrain|DurableCreateCollisions|ViolationTraceConcurrentReads' ./internal/service
-	$(GO) test -race -count=3 -cpu=1,2 -short -run 'CrashPointDifferential|GroupCommit' ./internal/service
+	$(GO) test -race -count=3 -cpu=1,2 -short -run 'CrashPointDifferential|GroupCommit|QueriesNeverWaitOnPersistence' ./internal/service
 	$(GO) test -race -count=17 -cpu=1,2,8 -run TestCorpus ./internal/scenario
 
 vet:

@@ -25,7 +25,6 @@ import (
 	"github.com/rdt-go/rdt/internal/rgraph"
 	"github.com/rdt-go/rdt/internal/sim"
 	"github.com/rdt-go/rdt/internal/stats"
-	"github.com/rdt-go/rdt/internal/storage"
 )
 
 // Config scales an experiment run.
@@ -322,30 +321,26 @@ func MinGlobalCheck(p *model.Pattern) (total, agree int, err error) {
 	return total, agree, err
 }
 
-// crashPlan builds a recovery manager over the pattern's checkpoints and
-// computes the recovery plan for a crash of process 0.
+// crashPlan computes the recovery plan for a crash of process 0 from the
+// vectors recorded with the pattern's checkpoints: each process restarts
+// from its latest checkpoint that has one (a final checkpoint may not),
+// and a checkpoint recorded without a vector counts as depending on
+// nothing.
 func crashPlan(p *model.Pattern) (*recovery.Plan, error) {
-	store := storage.NewMemory()
-	for i := 0; i < p.N; i++ {
-		for x := range p.Checkpoints[i] {
-			ck := &p.Checkpoints[i][x]
-			tdv := ck.TDV
-			if tdv == nil {
-				if ck.Kind == model.KindFinal {
-					continue
-				}
-				tdv = make([]int, p.N)
-			}
-			if err := store.Put(storage.Checkpoint{Proc: i, Index: x, Kind: ck.Kind, TDV: tdv}); err != nil {
-				return nil, err
-			}
+	bounds := make(model.GlobalCheckpoint, p.N)
+	for i, cks := range p.Checkpoints {
+		bounds[i] = len(cks) - 1
+		if last := &cks[len(cks)-1]; last.Kind == model.KindFinal && last.TDV == nil {
+			bounds[i]--
 		}
 	}
-	mgr, err := recovery.NewManager(store, p.N)
-	if err != nil {
-		return nil, err
-	}
-	return mgr.AfterCrash(0)
+	zero := make([]int, p.N)
+	return recovery.Line(bounds, func(proc, index int) ([]int, error) {
+		if tdv := p.Checkpoints[proc][index].TDV; tdv != nil {
+			return tdv, nil
+		}
+		return zero, nil
+	})
 }
 
 func kindNames(kinds []core.Kind) []string {

@@ -78,21 +78,6 @@ func (m *Manager) Observe(reg *obs.Registry, tr *obs.Tracer) *Manager {
 	return m
 }
 
-// observePlan accounts for one recovery-line computation.
-func (m *Manager) observePlan(p *Plan) {
-	if m.obs == nil && m.tracer == nil {
-		return
-	}
-	m.obs.Counter("rdt_recoveries_total").Inc()
-	perProc := m.obs.Histogram("rdt_rollback_depth", obs.DepthBuckets, "scope", "process")
-	for proc, d := range p.Depth {
-		perProc.Observe(float64(d))
-		m.tracer.Record(obs.Event{Type: obs.EventRollback, Proc: proc, Value: d})
-	}
-	m.obs.Histogram("rdt_rollback_depth", obs.DepthBuckets, "scope", "total").
-		Observe(float64(p.TotalRollback()))
-}
-
 // Latest returns the per-process latest usable stored checkpoint
 // indexes. A corrupt latest checkpoint — typically the one being written
 // when the machine died — is quarantined (moved aside, preserved where
@@ -146,28 +131,36 @@ func (m *Manager) noteQuarantine(proc, index int, cause error) {
 	})
 }
 
-// LineFrom computes the recovery line dominated by the given bounds, using
-// only the dependency vectors stored with the checkpoints. Every process
-// must have stored checkpoints (at least the initial one) at every index
-// the fixpoint visits — which the runtime guarantees, since it persists
-// all of them.
-func (m *Manager) LineFrom(bounds model.GlobalCheckpoint) (*Plan, error) {
-	if len(bounds) != m.n {
-		return nil, fmt.Errorf("recovery: bounds have %d entries, want %d", len(bounds), m.n)
-	}
+// Line computes the recovery line dominated by bounds from the
+// dependency vectors recorded with the checkpoints alone: vectorAt
+// returns TDV_{proc,index}, and is asked for every index the fixpoint
+// visits, each process walking down from its bound. This is the one
+// recovery-line fixpoint; Manager reads the vectors from a checkpoint
+// store, a served session from its on-line checker.
+func Line(bounds model.GlobalCheckpoint, vectorAt func(proc, index int) ([]int, error)) (*Plan, error) {
+	n := len(bounds)
 	g := bounds.Clone()
-	tdv := make([][]int, m.n) // current TDV_{l,g[l]}
-	for l := 0; l < m.n; l++ {
-		v, err := m.vectorAt(l, g[l])
+	tdv := make([][]int, n) // current TDV_{l,g[l]}
+	at := func(l int) error {
+		v, err := vectorAt(l, g[l])
 		if err != nil {
-			return nil, err
+			return err
+		}
+		if len(v) != n {
+			return fmt.Errorf("recovery: checkpoint C{%d,%d} has TDV of length %d, want %d", l, g[l], len(v), n)
 		}
 		tdv[l] = v
+		return nil
+	}
+	for l := 0; l < n; l++ {
+		if err := at(l); err != nil {
+			return nil, err
+		}
 	}
 	for changed := true; changed; {
 		changed = false
-		for l := 0; l < m.n; l++ {
-			for k := 0; k < m.n; k++ {
+		for l := 0; l < n; l++ {
+			for k := 0; k < n; k++ {
 				if k == l || tdv[l][k] <= g[k] {
 					continue
 				}
@@ -179,21 +172,51 @@ func (m *Manager) LineFrom(bounds model.GlobalCheckpoint) (*Plan, error) {
 					return nil, fmt.Errorf("recovery: process %d cannot roll back below its initial checkpoint", l)
 				}
 				g[l]--
-				v, err := m.vectorAt(l, g[l])
-				if err != nil {
+				if err := at(l); err != nil {
 					return nil, err
 				}
-				tdv[l] = v
 				changed = true
 			}
 		}
 	}
-	plan := &Plan{
-		Line:   g,
-		Bounds: bounds.Clone(),
-		Depth:  rollbackDepth(bounds, g),
+	depth := make([]int, n)
+	for i := range bounds {
+		depth[i] = bounds[i] - g[i]
 	}
-	m.observePlan(plan)
+	return &Plan{Line: g, Bounds: bounds.Clone(), Depth: depth}, nil
+}
+
+// Observe accounts for one recovery-line computation: it bumps the
+// recovery counter and reports the per-process rollback depths
+// (histogram and rollback events). Either of reg and tr may be nil.
+func Observe(reg *obs.Registry, tr *obs.Tracer, p *Plan) {
+	if reg == nil && tr == nil {
+		return
+	}
+	reg.Counter("rdt_recoveries_total").Inc()
+	perProc := reg.Histogram("rdt_rollback_depth", obs.DepthBuckets, "scope", "process")
+	for proc, d := range p.Depth {
+		perProc.Observe(float64(d))
+		tr.Record(obs.Event{Type: obs.EventRollback, Proc: proc, Value: d})
+	}
+	reg.Histogram("rdt_rollback_depth", obs.DepthBuckets, "scope", "total").
+		Observe(float64(p.TotalRollback()))
+}
+
+// LineFrom computes the recovery line dominated by the given bounds (see
+// Line) from the vectors in the manager's store. Every process must
+// have stored checkpoints (at least the initial one) at every index the
+// fixpoint visits — which the runtime guarantees, since it persists all
+// of them.
+func (m *Manager) LineFrom(bounds model.GlobalCheckpoint) (*Plan, error) {
+	if len(bounds) != m.n {
+		return nil, fmt.Errorf("recovery: bounds have %d entries, want %d", len(bounds), m.n)
+	}
+	plan, err := Line(bounds, m.vectorAt)
+	if err != nil {
+		return nil, err
+	}
+	Observe(m.obs, m.tracer, plan)
 	return plan, nil
 }
 
@@ -248,19 +271,7 @@ func (m *Manager) vectorAt(proc, index int) ([]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("recovery: checkpoint C{%d,%d}: %w", proc, index, err)
 	}
-	if len(cp.TDV) != m.n {
-		return nil, fmt.Errorf("recovery: checkpoint C{%d,%d} has TDV of length %d, want %d",
-			proc, index, len(cp.TDV), m.n)
-	}
 	return cp.TDV, nil
-}
-
-func rollbackDepth(bounds, line model.GlobalCheckpoint) []int {
-	depth := make([]int, len(bounds))
-	for i := range bounds {
-		depth[i] = bounds[i] - line[i]
-	}
-	return depth
 }
 
 // ReplayMessage is one in-transit message to re-send after a rollback.

@@ -215,16 +215,6 @@ func RecoveryLine(p *model.Pattern, bounds model.GlobalCheckpoint) (model.Global
 	return g, nil
 }
 
-// RollbackDepth returns, per process, how many checkpoint intervals are
-// lost when rolling back from bounds to line (the domino-effect metric).
-func RollbackDepth(bounds, line model.GlobalCheckpoint) []int {
-	depth := make([]int, len(bounds))
-	for i := range bounds {
-		depth[i] = bounds[i] - line[i]
-	}
-	return depth
-}
-
 func pinSet(p *model.Pattern, set []model.CkptID) (pinned []bool, g model.GlobalCheckpoint, err error) {
 	if len(set) == 0 {
 		return nil, nil, errors.New("empty checkpoint set")

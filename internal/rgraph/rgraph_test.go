@@ -316,9 +316,8 @@ func TestRecoveryLineFigure1(t *testing.T) {
 	if !line.DominatedBy(last) {
 		t.Errorf("line %v exceeds bounds", line)
 	}
-	depth := RollbackDepth(last, line)
-	for i, d := range depth {
-		if d < 0 {
+	for i := range last {
+		if d := last[i] - line[i]; d < 0 {
 			t.Errorf("negative rollback depth %d for process %d", d, i)
 		}
 	}

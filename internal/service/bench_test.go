@@ -73,6 +73,77 @@ func BenchmarkDurableIngest(b *testing.B) {
 	}
 }
 
+// BenchmarkQueueHop is one batch's trip through a session with one batch
+// in flight: EnqueueEncoded (a stream frame's admission), the worker's
+// commit — on a durable session its WAL append and fsync — and apply, and
+// the notify the caller waits on. An op is one batch. Sessions of 8
+// processes rotate every 4096 events outside the timer, so apply costs
+// what it does in a small session. ns/event is ns/batch over the batch's
+// events.
+func BenchmarkQueueHop(b *testing.B) {
+	const procs, perSession = 8, 4096
+	events := genWorkload(rand.New(rand.NewSource(1)), procs, perSession)
+	for _, mode := range []string{"mem", "durable"} {
+		for _, size := range []int{1, 64, 512} {
+			var frames [][]byte // perSession is a multiple of every size
+			for rest := events; len(rest) > 0; rest = rest[size:] {
+				var raw []byte
+				for k := range rest[:size] {
+					var err error
+					if raw, err = AppendEvent(raw, &rest[k]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				frames = append(frames, raw)
+			}
+			b.Run(fmt.Sprintf("%s/batch%d", mode, size), func(b *testing.B) {
+				var cfg Config
+				if mode == "durable" {
+					cfg.DataDir = b.TempDir()
+				}
+				svc, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer func() {
+					if err := svc.Drain(context.Background()); err != nil {
+						b.Error(err)
+					}
+				}()
+				done := make(chan error, 1)
+				notify := func(err error) { done <- err }
+				var sess *Session
+				next, sessions := len(frames), 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if next == len(frames) {
+						b.StopTimer()
+						if sess != nil {
+							svc.Evict(sess.ID, "explicit")
+							<-sess.workerDone
+						}
+						if sess, err = svc.CreateSession(fmt.Sprintf("hop-%d", sessions), procs); err != nil {
+							b.Fatal(err)
+						}
+						next, sessions = 0, sessions+1
+						b.StartTimer()
+					}
+					if _, err := sess.EnqueueEncoded("p", uint64(next+1), size, frames[next], false, notify); err != nil {
+						b.Fatal(err)
+					}
+					if err := <-done; err != nil {
+						b.Fatal(err)
+					}
+					next++
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/batch")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/event")
+			})
+		}
+	}
+}
+
 // BenchmarkIngestViolating is a memory session's commit path on
 // unprotected traffic — 2048-event sessions of 8 processes in 128-event
 // batches, the mem-rotate shape, queued whole and flushed — with the

@@ -52,20 +52,23 @@ const reasonDegraded = "degraded"
 const StateDegraded = "degraded"
 
 // Test hooks for crash-point injection: when non-nil they run in
-// Session.commit while the session lock is held. Logged runs once per
-// group, after its records were appended and before the fsync; Appended
-// and Applied run once per logged batch, just before and just after it
-// is applied — so with the fsync behind them and the group's later
-// records on disk unapplied. The durability tests copy the session
-// directory inside them — a faithful image of kill -9 at that instant.
+// Session.commit, on the worker. Logged runs once per group, after its
+// records were appended and before the fsync, without the session lock;
+// Appended and Applied run under it once per logged batch, just before
+// and just after it is applied — so with the fsync behind them and the
+// group's later records on disk unapplied. The durability tests copy the
+// session directory inside them: the worker, the directory's only
+// writer, is parked there, so the copy is a faithful image of kill -9 at
+// that instant.
 var (
 	testHookLogged   func(sessionID string)
 	testHookAppended func(sessionID string)
 	testHookApplied  func(sessionID string)
 )
 
-// durableSession is the persistence side of a Session, guarded by the
-// session mutex.
+// durableSession is the persistence side of a Session. Only the worker
+// writes it; degraded and degradedErr change under the session mutex,
+// which the queries reading them take.
 type durableSession struct {
 	dir         string
 	wal         *wal.Log

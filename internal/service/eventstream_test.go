@@ -13,7 +13,6 @@ import (
 	"github.com/rdt-go/rdt/internal/recovery"
 	"github.com/rdt-go/rdt/internal/rgraph"
 	"github.com/rdt-go/rdt/internal/service"
-	"github.com/rdt-go/rdt/internal/storage"
 	"github.com/rdt-go/rdt/internal/trace"
 )
 
@@ -301,22 +300,13 @@ func patternOutcome(t *testing.T, accepted int, p *model.Pattern) outcome {
 // checkerOutcome judges the checker as a session does: the seal-now
 // report, and the recovery line its recorded vectors give.
 func checkerOutcome(t *testing.T, accepted int, inc *rgraph.Incremental) outcome {
-	store := storage.NewMemory()
 	bounds := make(model.GlobalCheckpoint, inc.N())
 	for i := range bounds {
 		bounds[i] = inc.NextIndex(model.ProcID(i)) - 1
-		for x := 0; x <= bounds[i]; x++ {
-			tdv := inc.TDVAt(model.CkptID{Proc: model.ProcID(i), Index: x})
-			if err := store.Put(storage.Checkpoint{Proc: i, Index: x, TDV: tdv}); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
-	mgr, err := recovery.NewManager(store, inc.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := mgr.LineFrom(bounds)
+	plan, err := recovery.Line(bounds, func(proc, index int) ([]int, error) {
+		return inc.TDVAt(model.CkptID{Proc: model.ProcID(proc), Index: index}), nil
+	})
 	if err != nil {
 		t.Fatalf("recovery line: %v", err)
 	}

@@ -279,3 +279,96 @@ func TestGroupCommitCloseMidDrain(t *testing.T) {
 		svc.Evict(id, "explicit")
 	}
 }
+
+// TestGroupCommitConcurrentQueries holds the single-writer rule under
+// the race detector: four readers loop over every query that takes the
+// session lock while two producers feed a durable session whose groups,
+// gated as enqueueGroup gates them, hold several batches. The worker
+// logs and syncs without the lock, so anything it writes there that a
+// query reads is a race. Each reader also checks that the log is never
+// behind the applied count it saw last.
+func TestGroupCommitConcurrentQueries(t *testing.T) {
+	svc, reg := newDurableService(t.TempDir())
+	defer drainNow(t, svc)
+	sess := mustCreate(t, svc, "busy", 2)
+	rounds, perProducer := 40, 4
+	if testing.Short() {
+		rounds = 10
+	}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	defer func() {
+		close(stop)
+		readers.Wait()
+	}()
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				applied := sess.Verdict(0).EventsApplied
+				sess.Info()
+				if _, err := sess.Line(); err != nil {
+					t.Errorf("line: %v", err)
+					return
+				}
+				if _, _, err := sess.Snapshot(); err != nil {
+					t.Errorf("snapshot: %v", err)
+					return
+				}
+				if logged := sess.durableState().events; logged < applied {
+					t.Errorf("the log holds %d events, %d were applied before", logged, applied)
+					return
+				}
+			}
+		}()
+	}
+
+	total := 0
+	for round := 0; round < rounds; round++ {
+		gate := make(chan struct{})
+		if err := sess.enqueue(batch{gate: gate}); err != nil {
+			t.Fatalf("gate batch: %v", err)
+		}
+		var producers sync.WaitGroup
+		for p := 0; p < 2; p++ {
+			producers.Add(1)
+			go func(p int) {
+				defer producers.Done()
+				for k := 0; k < perProducer; k++ {
+					msg := (round*perProducer+k)*2 + p
+					events := []Event{
+						{Op: OpSend, Proc: p, Peer: 1 - p, Msg: msg},
+						{Op: OpDeliver, Msg: msg},
+						{Op: OpCheckpoint, Proc: p},
+					}
+					if err := sess.Enqueue(events); err != nil {
+						t.Errorf("producer %d: %v", p, err)
+						return
+					}
+				}
+			}(p)
+		}
+		producers.Wait()
+		total += 2 * perProducer * 3
+		close(gate)
+		if err := flush(t, sess); err != nil {
+			t.Fatalf("round %d: flush: %v", round, err)
+		}
+	}
+
+	if v := sess.Verdict(0); v.EventsApplied != int64(total) || v.State != StateActive {
+		t.Fatalf("state %q with %d events applied, want active with %d", v.State, v.EventsApplied, total)
+	}
+	snap := reg.Snapshot()
+	if syncs, appends := snap.CounterValue("rdt_wal_syncs_total"), snap.CounterValue("rdt_wal_appends_total"); syncs != int64(rounds) || appends != int64(2*perProducer*rounds) {
+		t.Fatalf("%d records under %d fsyncs, want %d under %d: the groups were not real",
+			appends, syncs, 2*perProducer*rounds, rounds)
+	}
+}

@@ -450,6 +450,59 @@ func TestEnqueueNeverWaitsOnPersistence(t *testing.T) {
 	close(release)
 }
 
+// TestQueriesNeverWaitOnPersistence parks the worker between a group's
+// WAL append and its fsync and requires every query to return
+// regardless, with the state before the group: only apply holds the
+// session lock, so no read waits on the disk.
+func TestQueriesNeverWaitOnPersistence(t *testing.T) {
+	svc, _ := newDurableService(t.TempDir())
+	sess := mustCreate(t, svc, "parked", 2)
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	testHookLogged = func(string) {
+		once.Do(func() {
+			close(parked)
+			<-release
+		})
+	}
+	defer func() {
+		drainNow(t, svc) // the worker reads the hook until it has exited
+		testHookLogged = nil
+	}()
+
+	if err := sess.Enqueue([]Event{{Op: OpCheckpoint, Proc: 0}}); err != nil {
+		t.Fatalf("enqueue: %v", err)
+	}
+	<-parked
+	for _, q := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Verdict", func() error {
+			if v := sess.Verdict(0); v.EventsApplied != 0 {
+				return fmt.Errorf("%d events applied before their fsync", v.EventsApplied)
+			}
+			return nil
+		}},
+		{"Info", func() error { sess.Info(); return nil }},
+		{"Line", func() error { _, err := sess.Line(); return err }},
+		{"Snapshot", func() error { _, _, err := sess.Snapshot(); return err }},
+		{"Explain", func() error { _, _, err := sess.Explain(0); return err }},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- q.run() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s while the worker is parked: %v", q.name, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Errorf("%s waited on a worker parked before its fsync", q.name)
+		}
+	}
+	close(release)
+}
+
 // TestStateOfDirMatchesLoad: on kill -9 images taken at the crash seams,
 // the counting peek ImportSession compares copies with reports the
 // watermarks and event count a full load of the same image restores —

@@ -13,7 +13,6 @@ import (
 	"github.com/rdt-go/rdt/internal/obs"
 	"github.com/rdt-go/rdt/internal/recovery"
 	"github.com/rdt-go/rdt/internal/rgraph"
-	"github.com/rdt-go/rdt/internal/storage"
 )
 
 // Sentinel errors of the session state machine; the HTTP layer maps
@@ -65,10 +64,11 @@ type Session struct {
 	lastActive atomic.Int64 // unix nanoseconds of the last API touch
 	dropDisk   atomic.Bool  // explicit delete: the worker removes the directory
 
-	// Admission state, apart from mu: the worker holds mu across the WAL
-	// fsync, and enqueue must never wait behind that. qmu guards closed,
-	// the queue's send/close and strmSeq; adm is the worker's last
-	// published view of sealed/failErr/degraded (nil: none of them).
+	// Admission state, apart from mu: enqueue must never wait behind an
+	// apply, nor a stream connection's one read loop behind one session's
+	// worker. qmu guards closed, the queue's send/close and strmSeq; adm
+	// is the worker's last published view of sealed/failErr/degraded
+	// (nil: none of them).
 	qmu    sync.Mutex
 	closed bool // queue closed; no further enqueues
 	adm    atomic.Pointer[admission]
@@ -80,6 +80,9 @@ type Session struct {
 	// restart, and handoff.
 	strmSeq map[string]uint64
 
+	// mu guards what follows against the queries. The worker is its only
+	// writer and takes it for apply alone, so it reads these fields
+	// without the lock, and no query waits on a WAL append or fsync.
 	mu      sync.Mutex
 	failErr error // first apply error; poisons further ingestion
 	dur     *durableSession
@@ -93,7 +96,8 @@ type Session struct {
 	// log is every mutating batch in arrival order, each one its record
 	// — the WAL record payload — behind a length prefix: the pattern's
 	// only stored form. Its first `applied` events are exactly the events
-	// the checker accepted.
+	// the checker accepted. A record joins it at apply, after its fsync,
+	// so on a durable session it is always a prefix of the synced WAL.
 	log []byte
 }
 
@@ -250,16 +254,20 @@ func (s *Session) run() {
 
 // groupEvents bounds a durable commit group: the group ends at the batch
 // that brings this many events together, which bounds how long one
-// group holds the session lock.
+// group holds the session lock for its apply.
 const groupEvents = 4096
 
 // commit handles one group — the batch the worker received and, on a
 // durable session, whatever is already queued behind it — with
 // write-ahead ordering and one fsync. Log: every mutating batch's record,
-// encoded at admission, is appended to the log and to the WAL. Sync: one
-// wal.Sync covers those records. Apply: each batch goes through
-// applyBatchLocked in queue order. Then, after the unlock, report the
-// group's violations and notify in queue order. Nothing waits for a group to fill — an empty queue gives a
+// encoded at admission, is appended to the WAL. Sync: one wal.Sync covers
+// those records. Apply, the only stage under the session lock: each
+// mutating record joins the in-memory log and each batch goes through
+// applyBatchLocked, in queue order. Then, after the unlock, report the
+// group's violations and notify in queue order. The worker is the only
+// writer of what mu guards, so log and sync read that state unlocked and
+// no query waits on the disk; the in-memory log is always a prefix of the
+// synced WAL. Nothing waits for a group to fill — an empty queue gives a
 // group of one. A group exists to share an fsync, so a memory session's
 // are all of one: batching there would only hold early acks back for
 // later applies. A group ends at a seal, before a gated batch (handed
@@ -269,7 +277,7 @@ const groupEvents = 4096
 //	(a) no batch is applied or acked before the fsync covering its record
 //	    returned; an append or sync failure degrades the session, and
 //	    every mutating batch of the group reports ErrDegraded, is NOT
-//	    applied and leaves the log, whose watermarks stay the WAL's;
+//	    applied and never joins the log, whose watermarks stay the WAL's;
 //	(b) acks leave in queue order;
 //	(c) when a batch poisons the session the later records of its group
 //	    are already logged: applyLocked rejects them here as it does on
@@ -278,7 +286,6 @@ const groupEvents = 4096
 func (s *Session) commit(first batch) (next batch, held bool) {
 	var buf [8]queued // most groups fit: no allocation, nothing kept between groups
 	group := append(buf[:0], queued{batch: first})
-	s.mu.Lock()
 	d := s.dur
 	var start time.Time
 	if d != nil {
@@ -288,18 +295,15 @@ func (s *Session) commit(first batch) (next batch, held bool) {
 	// Log. mutates is judged against the state before the group: sealed
 	// cannot change inside one, failErr can — see (c).
 	var logErr error
-	mark, records, bytes, events := len(s.log), 0, 0, 0
+	records, bytes, events := 0, 0, 0
 drain:
 	for i := 0; ; i++ {
 		q := &group[i]
 		q.mutates = (q.count > 0 && !s.inc.Sealed() && s.failErr == nil) || (q.seal && !s.inc.Sealed())
-		if q.mutates && (d == nil || !d.degraded) {
-			s.log = binenc.AppendBytes(s.log, q.raw)
+		if q.mutates && d != nil && !d.degraded {
 			records, bytes, events = records+1, bytes+len(q.raw), events+q.count
-			if d != nil {
-				if logErr = d.wal.Append(q.raw); logErr != nil {
-					break
-				}
+			if logErr = d.wal.Append(q.raw); logErr != nil {
+				break
 			}
 		}
 		if d == nil || q.seal || events >= groupEvents {
@@ -321,17 +325,11 @@ drain:
 	}
 
 	// Sync.
-	if d != nil && records > 0 {
-		if logErr == nil {
-			if testHookLogged != nil {
-				testHookLogged(s.ID)
-			}
-			logErr = d.wal.Sync()
+	if records > 0 && logErr == nil {
+		if testHookLogged != nil {
+			testHookLogged(s.ID)
 		}
-		if logErr != nil {
-			s.degradeLocked(logErr)
-			s.log = s.log[:mark]
-		} else {
+		if logErr = d.wal.Sync(); logErr == nil {
 			s.svc.mWALAppends.Add(int64(records))
 			s.svc.mWALAppendBytes.Add(int64(bytes))
 			s.svc.mWALSyncs.Inc()
@@ -344,6 +342,10 @@ drain:
 	// batch reports the failure — barriers (Flush, Seal) too, so async
 	// producers learn their earlier batches were dropped. Only here are
 	// events counted as ingested: a replay applies them again.
+	s.mu.Lock()
+	if logErr != nil {
+		s.degradeLocked(logErr)
+	}
 	var degraded error
 	if d != nil && d.degraded {
 		degraded = fmt.Errorf("%w: %v", ErrDegraded, d.degradedErr)
@@ -353,6 +355,9 @@ drain:
 		q := &group[i]
 		if degraded == nil || !q.mutates {
 			logged := q.mutates && d != nil // it has a record in the WAL
+			if q.mutates {
+				s.log = binenc.AppendBytes(s.log, q.raw)
+			}
 			if logged && testHookAppended != nil {
 				testHookAppended(s.ID)
 			}
@@ -458,8 +463,8 @@ func (s *Session) applyOneLocked(ev *event) error {
 
 // enqueue places a batch on the queue without ever blocking: a full
 // queue is backpressure the caller reports to the client, and it never
-// takes mu — the worker holds that across disk I/O — only qmu, which
-// makes the close in closeQueue safe against the non-blocking send.
+// takes mu — the worker holds that for each group's apply — only qmu,
+// which makes the close in closeQueue safe against the non-blocking send.
 // The sealed/failed/degraded checks read the worker's published view;
 // a batch that slips past a concurrent change is rejected at apply time.
 func (s *Session) enqueue(b batch) error {
@@ -830,52 +835,22 @@ func (s *Session) Explain(maxViolations int) (*model.Pattern, []*rgraph.Witness,
 
 // Line computes the recovery line from the session's closed
 // checkpoints: each process is bounded by its latest taken checkpoint
-// and the stored dependency vectors drive the fixpoint, exactly as
-// recovery.Manager does over a real checkpoint store.
+// and the dependency vectors the checker recorded drive the fixpoint
+// (recovery.Line), which is all a rollback system reads from its store.
 func (s *Session) Line() (*recovery.Plan, error) {
 	s.touch()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	mgr, err := recovery.NewManager(incStore{inc: s.inc}, s.N)
-	if err != nil {
-		return nil, err
-	}
-	mgr.Observe(s.svc.cfg.Registry, s.svc.cfg.Tracer)
 	bounds := make(model.GlobalCheckpoint, s.N)
 	for i := range bounds {
 		bounds[i] = s.inc.NextIndex(model.ProcID(i)) - 1
 	}
-	return mgr.LineFrom(bounds)
-}
-
-// incStore adapts the incremental checker's recorded dependency vectors
-// to the storage.Store interface the recovery manager reads (it only
-// calls Get and Indexes; writes are rejected).
-type incStore struct {
-	inc *rgraph.Incremental
-}
-
-var _ storage.Store = incStore{}
-
-func (st incStore) Get(proc, index int) (storage.Checkpoint, error) {
-	tdv := st.inc.TDVAt(model.CkptID{Proc: model.ProcID(proc), Index: index})
-	if tdv == nil {
-		return storage.Checkpoint{}, fmt.Errorf("process %d index %d: %w", proc, index, storage.ErrNotFound)
+	plan, err := recovery.Line(bounds, func(proc, index int) ([]int, error) {
+		return s.inc.TDVAt(model.CkptID{Proc: model.ProcID(proc), Index: index}), nil
+	})
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
-	return storage.Checkpoint{Proc: proc, Index: index, TDV: tdv}, nil
+	recovery.Observe(s.svc.cfg.Registry, s.svc.cfg.Tracer, plan)
+	return plan, nil
 }
-
-func (st incStore) Latest(proc int) (storage.Checkpoint, error) {
-	return st.Get(proc, st.inc.NextIndex(model.ProcID(proc))-1)
-}
-
-func (st incStore) Indexes(proc int) ([]int, error) {
-	out := make([]int, st.inc.NextIndex(model.ProcID(proc)))
-	for i := range out {
-		out[i] = i
-	}
-	return out, nil
-}
-
-func (st incStore) Put(storage.Checkpoint) error { return errors.New("session store is read-only") }
-func (st incStore) Delete(int, int) error        { return errors.New("session store is read-only") }
