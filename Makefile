@@ -127,8 +127,10 @@ soak-smoke:
 # WAL records fed to the one event reader, WAL files fed back through
 # the scanner, scenario files fed to the parser, checker snapshots fed
 # to the decoder and then driven on), one event stream fed to every
-# consumer that judges one, which must all accept the same prefix, and
-# one small pattern held to the useless and minimum-checkpoint oracles.
+# consumer that judges one, which must all accept the same prefix, one
+# small pattern held to the useless and minimum-checkpoint oracles, and
+# one builder op stream (decoded snapshots included) whose finalized
+# patterns must pass the full Validate.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeMsg' -fuzztime 10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz 'FuzzLoad' -fuzztime 10s ./internal/trace/
@@ -140,6 +142,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeIncremental' -fuzztime 10s ./internal/rgraph/
 	$(GO) test -run '^$$' -fuzz 'FuzzConsistencyOracles' -fuzztime 10s ./internal/rgraph/
 	$(GO) test -run '^$$' -fuzz 'FuzzIncrementalOracle' -fuzztime 10s ./internal/rgraph/
+	$(GO) test -run '^$$' -fuzz 'FuzzBuilderFinalize' -fuzztime 10s ./internal/model/
 
 # Durability smoke: boot rdtserved with -data-dir, ingest a known
 # stream, kill -9, restart on the same directory, and require the

@@ -12,6 +12,7 @@ import "github.com/rdt-go/rdt/internal/vclock"
 type arena struct {
 	ints  []int
 	bools []bool
+	words []uint64
 	mats  []vclock.Matrix
 }
 
@@ -29,17 +30,13 @@ func (a *arena) vec(src vclock.Vec) vclock.Vec {
 	return v
 }
 
-func (a *arena) boolSlice(n int) []bool {
+func (a *arena) flags(src vclock.Bools) vclock.Bools {
+	n := len(src)
 	if len(a.bools) < n {
 		a.bools = make([]bool, arenaCopies*n)
 	}
 	b := a.bools[:n:n]
 	a.bools = a.bools[n:]
-	return b
-}
-
-func (a *arena) flags(src vclock.Bools) vclock.Bools {
-	b := a.boolSlice(len(src))
 	copy(b, src)
 	return b
 }
@@ -50,6 +47,11 @@ func (a *arena) matrix(src *vclock.Matrix) *vclock.Matrix {
 	}
 	m := &a.mats[0]
 	a.mats = a.mats[1:]
-	n := src.N()
-	return src.CloneInto(m, a.boolSlice(n*n))
+	n := vclock.MatrixWords(src.N())
+	if len(a.words) < n {
+		a.words = make([]uint64, arenaCopies*n)
+	}
+	w := a.words[:n:n]
+	a.words = a.words[n:]
+	return src.CloneInto(m, w)
 }

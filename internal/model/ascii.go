@@ -18,89 +18,61 @@ import (
 // rdtcheck CLI); width grows linearly with the number of events.
 func (p *Pattern) ASCII() string {
 	type ev struct {
-		proc ProcID
-		seq  int
-		text string
-		msg  int // message id for sends; -1 otherwise
+		seq, col   int
+		text       string
+		send, recv int // the message id sent or delivered; -1 if none
 	}
-	var evs []ev
-	for i := range p.Checkpoints {
-		for x := range p.Checkpoints[i] {
-			ck := &p.Checkpoints[i][x]
-			evs = append(evs, ev{proc: ck.Proc, seq: ck.Seq, text: fmt.Sprintf("[%d]", x), msg: -1})
+	lanes := make([][]ev, p.N)
+	for i, cs := range p.Checkpoints {
+		for x := range cs {
+			lanes[i] = append(lanes[i], ev{seq: cs[x].Seq, text: fmt.Sprintf("[%d]", x), send: -1, recv: -1})
 		}
 	}
-	for i := range p.Messages {
-		m := &p.Messages[i]
-		evs = append(evs, ev{proc: m.From, seq: m.SendSeq, text: fmt.Sprintf("s%d", m.ID), msg: m.ID})
-		evs = append(evs, ev{proc: m.To, seq: m.DeliverSeq, text: fmt.Sprintf("d%d", m.ID), msg: -1})
+	for _, m := range p.Messages {
+		lanes[m.From] = append(lanes[m.From], ev{seq: m.SendSeq, text: fmt.Sprintf("s%d", m.ID), send: m.ID, recv: -1})
+		lanes[m.To] = append(lanes[m.To], ev{seq: m.DeliverSeq, text: fmt.Sprintf("d%d", m.ID), send: -1, recv: m.ID})
+	}
+	for _, lane := range lanes {
+		sort.Slice(lane, func(a, b int) bool { return lane[a].seq < lane[b].seq })
 	}
 
 	// Assign columns in a causally consistent order: per-process order by
 	// seq, deliveries only after their send. Repeatedly emit the runnable
 	// prefix of each process.
-	perProc := make([][]ev, p.N)
-	for _, e := range evs {
-		perProc[e.proc] = append(perProc[e.proc], e)
-	}
-	for i := range perProc {
-		lane := perProc[i]
-		sort.Slice(lane, func(a, b int) bool { return lane[a].seq < lane[b].seq })
-	}
-	var (
-		pos      = make([]int, p.N)
-		sent     = make(map[int]bool, len(p.Messages))
-		sendOf   = make(map[int]int, len(p.Messages)) // message id -> sender
-		column   = make(map[[2]int]int)               // (proc, seq) -> column
-		colWidth []int
-		col      int
-	)
-	for i := range p.Messages {
-		sendOf[p.Messages[i].ID] = int(p.Messages[i].From)
-	}
-	remaining := len(evs)
-	for remaining > 0 {
-		progressed := false
-		for i := 0; i < p.N; i++ {
-			for pos[i] < len(perProc[i]) {
-				e := perProc[i][pos[i]]
-				if strings.HasPrefix(e.text, "d") {
-					var id int
-					fmt.Sscanf(e.text, "d%d", &id)
-					if !sent[id] {
-						break
-					}
+	pos := make([]int, p.N)
+	sent := make(map[int]bool, len(p.Messages))
+	var widths []int
+	for progressed := true; progressed; {
+		progressed = false
+		for i, lane := range lanes {
+			for ; pos[i] < len(lane) && (lane[pos[i]].recv < 0 || sent[lane[pos[i]].recv]); pos[i]++ {
+				e := &lane[pos[i]]
+				if e.send >= 0 {
+					sent[e.send] = true
 				}
-				if e.msg >= 0 {
-					sent[e.msg] = true
-				}
-				column[[2]int{i, e.seq}] = col
-				colWidth = append(colWidth, len(e.text))
-				col++
-				pos[i]++
-				remaining--
+				e.col = len(widths)
+				widths = append(widths, len(e.text))
 				progressed = true
 			}
 		}
-		if !progressed {
+	}
+	for i, lane := range lanes {
+		if pos[i] < len(lane) {
 			return "(pattern admits no causally consistent order)"
 		}
 	}
 
 	var b strings.Builder
-	for i := 0; i < p.N; i++ {
+	for i, lane := range lanes {
 		fmt.Fprintf(&b, "P%-2d ", i)
 		next := 0
-		for c := 0; c < col; c++ {
-			cell := strings.Repeat("-", colWidth[c]+1)
-			if next < len(perProc[i]) {
-				e := perProc[i][next]
-				if column[[2]int{i, e.seq}] == c {
-					cell = e.text + "-"
-					next++
-				}
+		for c, w := range widths {
+			if next < len(lane) && lane[next].col == c {
+				b.WriteString(lane[next].text + "-")
+				next++
+			} else {
+				b.WriteString(strings.Repeat("-", w+1))
 			}
-			b.WriteString(cell)
 		}
 		b.WriteByte('\n')
 	}

@@ -138,21 +138,21 @@ func (b *Builder) InFlight() int { return b.inFlight }
 // every event belongs to a closed interval, as the model assumes. Messages
 // still in flight make Finalize fail — channels are reliable, so a finite
 // run must deliver everything it sent.
+//
+// The builder's counters set every index, seq and interval, so of
+// Validate's checks Finalize runs only the three its caller can fail — at
+// least one process, TDV lengths, no self-send — in Validate's order and
+// with its errors.
 func (b *Builder) Finalize() (*Pattern, error) {
 	if b.inFlight > 0 {
 		return nil, fmt.Errorf("finalize: %d messages still in flight", b.inFlight)
 	}
+	if b.n <= 0 {
+		return nil, fmt.Errorf("finalize: %w", errNoProcesses)
+	}
 	for i := 0; i < b.n; i++ {
 		if b.EventsSinceCheckpoint(ProcID(i)) > 0 {
 			b.Checkpoint(ProcID(i), KindFinal, nil)
-		}
-	}
-	// The table is in id order already; only messages FinalizeLossy
-	// dropped are left out.
-	msgs := make([]Message, 0, len(b.msgs)-b.lost)
-	for _, m := range b.msgs {
-		if m.DeliverSeq != seqLost {
-			msgs = append(msgs, m)
 		}
 	}
 	total := 0
@@ -162,14 +162,28 @@ func (b *Builder) Finalize() (*Pattern, error) {
 	all := make([]Checkpoint, 0, total)
 	ckpts := make([][]Checkpoint, b.n)
 	for i, c := range b.ckpts {
+		for x := range c {
+			if err := c[x].checkTDV(b.n); err != nil {
+				return nil, fmt.Errorf("finalize: %w", err)
+			}
+		}
 		all = append(all, c...)
 		ckpts[i] = all[len(all)-len(c) : len(all) : len(all)]
 	}
-	p := &Pattern{N: b.n, Checkpoints: ckpts, Messages: msgs}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("finalize: %w", err)
+	// The table is in id order already; only messages FinalizeLossy
+	// dropped are left out.
+	msgs := make([]Message, 0, len(b.msgs)-b.lost)
+	for i := range b.msgs {
+		m := &b.msgs[i]
+		if m.DeliverSeq == seqLost {
+			continue
+		}
+		if err := m.checkNotSelf(); err != nil {
+			return nil, fmt.Errorf("finalize: %w", err)
+		}
+		msgs = append(msgs, *m)
 	}
-	return p, nil
+	return &Pattern{N: b.n, Checkpoints: ckpts, Messages: msgs}, nil
 }
 
 // LostMessage records a send whose delivery never happened — a frame

@@ -1,8 +1,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -47,9 +48,8 @@ func (p *Pattern) dot(witness []int, endpoints []CkptID) string {
 		}
 		b.WriteString("  }\n")
 	}
-	msgs := make([]Message, len(p.Messages))
-	copy(msgs, p.Messages)
-	sort.Slice(msgs, func(a, c int) bool { return msgs[a].ID < msgs[c].ID })
+	msgs := slices.Clone(p.Messages)
+	slices.SortFunc(msgs, func(a, c Message) int { return cmp.Compare(a.ID, c.ID) })
 	for i := range msgs {
 		m := &msgs[i]
 		style := "color=blue"
@@ -61,16 +61,8 @@ func (p *Pattern) dot(witness []int, endpoints []CkptID) string {
 		// Draw from the checkpoint that ends the send interval to the
 		// checkpoint that ends the delivery interval — the R-graph edge.
 		fmt.Fprintf(&b, "  c%d_%d -> c%d_%d [label=\"m%d\", %s];\n",
-			m.From, p.clampIndex(m.From, m.SendInterval), m.To, p.clampIndex(m.To, m.DeliverInterval), m.ID, style)
+			m.From, min(m.SendInterval, p.LastIndex(m.From)), m.To, min(m.DeliverInterval, p.LastIndex(m.To)), m.ID, style)
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-func (p *Pattern) clampIndex(i ProcID, x int) int {
-	last := p.LastIndex(i)
-	if x > last {
-		return last
-	}
-	return x
 }

@@ -2,6 +2,8 @@ package model
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"github.com/rdt-go/rdt/internal/binenc"
 )
@@ -75,10 +77,11 @@ func (b *Builder) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// DecodeBuilder reconstructs a builder from AppendBinary output. The
-// input is validated structurally (counts, process ranges), so corrupt
-// snapshot bytes fail cleanly instead of yielding a builder that
-// panics later.
+// DecodeBuilder reconstructs a builder from AppendBinary output. It is the
+// one constructor that takes state its own calls did not record, so it
+// checks what Finalize leaves to the counters (checkRecorded): corrupt
+// bytes fail here instead of yielding a builder that panics or finalizes
+// an invalid pattern later.
 func DecodeBuilder(data []byte) (*Builder, error) {
 	r := binenc.NewReader(data)
 	r.Expect(builderMagic)
@@ -95,7 +98,7 @@ func DecodeBuilder(data []byte) (*Builder, error) {
 		ckpts: make([][]Checkpoint, n),
 	}
 	for i := range b.seq {
-		b.seq[i] = r.Int()
+		b.seq[i] = r.IntMax(maxDecodeSeq)
 	}
 	for i := 0; i < n; i++ {
 		cnt := r.IntMax(maxDecodeN)
@@ -166,7 +169,49 @@ func DecodeBuilder(data []byte) (*Builder, error) {
 	b.growTable(nextID)
 	b.inFlight = inFlight
 	b.lost = nextID - delivered - inFlight
+	if err := b.checkRecorded(); err != nil {
+		return nil, fmt.Errorf("decode builder: %w", err)
+	}
 	return b, nil
+}
+
+// maxDecodeSeq bounds a decoded seq counter, so that no run of further
+// events can wrap it around.
+const maxDecodeSeq = math.MaxInt >> 1
+
+// checkRecorded refuses state that no sequence of builder calls records.
+// It validates the run as it would go on — every in-flight message
+// delivered, then every process checkpointed — which holds exactly when
+// the checkpoint seqs increase from an initial checkpoint, every endpoint
+// (in-flight sends included) lies inside the interval it names, no two
+// endpoints of a process share a seq, and every seq counter is beyond the
+// seqs of its process. TDV lengths and self-sends are left to Finalize.
+func (b *Builder) checkRecorded() error {
+	next := slices.Clone(b.seq)
+	var msgs []Message
+	for _, m := range b.msgs {
+		if m.DeliverSeq == seqLost || m.From == m.To {
+			continue
+		}
+		if m.DeliverSeq == seqInFlight {
+			m.DeliverInterval, m.DeliverSeq = len(b.ckpts[m.To]), next[m.To]
+			next[m.To]++
+		}
+		msgs = append(msgs, m)
+	}
+	ckpts := make([][]Checkpoint, b.n)
+	for i, cs := range b.ckpts {
+		for _, ck := range cs {
+			ck.TDV = nil
+			ckpts[i] = append(ckpts[i], ck)
+		}
+		ckpts[i] = append(ckpts[i], Checkpoint{Proc: ProcID(i), Index: len(cs), Seq: next[i]})
+	}
+	p := &Pattern{N: b.n, Checkpoints: ckpts, Messages: msgs}
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("the run continued: %w", err)
+	}
+	return nil
 }
 
 // place puts a decoded message into its id's entry of the table, unless

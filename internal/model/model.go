@@ -23,6 +23,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -227,17 +228,7 @@ func (g GlobalCheckpoint) Clone() GlobalCheckpoint {
 
 // Equal reports whether two global checkpoints select the same local
 // checkpoints.
-func (g GlobalCheckpoint) Equal(other GlobalCheckpoint) bool {
-	if len(g) != len(other) {
-		return false
-	}
-	for i := range g {
-		if g[i] != other[i] {
-			return false
-		}
-	}
-	return true
-}
+func (g GlobalCheckpoint) Equal(other GlobalCheckpoint) bool { return slices.Equal(g, other) }
 
 // DominatedBy reports whether g <= other componentwise.
 func (g GlobalCheckpoint) DominatedBy(other GlobalCheckpoint) bool {

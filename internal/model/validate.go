@@ -21,9 +21,15 @@ var ErrInvalidPattern = errors.New("invalid pattern")
 //     sequence numbers: an event with sequence s in interval x must satisfy
 //     Seq(C_{i,x-1}) < s and, if C_{i,x} exists, s < Seq(C_{i,x});
 //   - message IDs are unique, and no message goes to its own sender.
+//
+// It is the check for patterns that may come from anywhere: trace.Load
+// (JSON traces, rdtcheck's input), Prefix, the rgraph analyses'
+// constructors, DecodeBuilder (on the run it decodes) and the tests.
+// Builder.Finalize does not call it: the builder's counters make all but
+// three of these checks hold by construction (DESIGN.md §7).
 func (p *Pattern) Validate() error {
 	if p.N <= 0 {
-		return fmt.Errorf("%w: no processes", ErrInvalidPattern)
+		return errNoProcesses
 	}
 	if len(p.Checkpoints) != p.N {
 		return fmt.Errorf("%w: %d checkpoint rows for %d processes", ErrInvalidPattern, len(p.Checkpoints), p.N)
@@ -43,8 +49,8 @@ func (p *Pattern) Validate() error {
 			if x > 0 && ck.Seq <= cs[x-1].Seq {
 				return fmt.Errorf("%w: process %d checkpoints %d,%d have non-increasing seq", ErrInvalidPattern, i, x-1, x)
 			}
-			if ck.TDV != nil && len(ck.TDV) != p.N {
-				return fmt.Errorf("%w: checkpoint %v TDV has length %d, want %d", ErrInvalidPattern, ck.ID(), len(ck.TDV), p.N)
+			if err := ck.checkTDV(p.N); err != nil {
+				return err
 			}
 		}
 		if cs[0].Kind != KindInitial {
@@ -65,8 +71,8 @@ func (p *Pattern) Validate() error {
 		if err := p.checkProc(m.To); err != nil {
 			return fmt.Errorf("message %d to: %w", m.ID, err)
 		}
-		if m.From == m.To {
-			return fmt.Errorf("%w: message %d from process %d to itself", ErrInvalidPattern, m.ID, m.From)
+		if err := m.checkNotSelf(); err != nil {
+			return err
 		}
 	}
 
@@ -145,6 +151,24 @@ func (p *Pattern) checkEndpoint(what string, id int, proc ProcID, seq, interval 
 	if interval < len(cs) && seq >= cs[interval].Seq {
 		return fmt.Errorf("%w: %s of message %d (seq %d) not before C{%d,%d} (seq %d)",
 			ErrInvalidPattern, what, id, seq, proc, interval, cs[interval].Seq)
+	}
+	return nil
+}
+
+// errNoProcesses, checkTDV and checkNotSelf are the checks Builder.Finalize
+// shares with Validate: the only ones a builder's caller can fail.
+var errNoProcesses = fmt.Errorf("%w: no processes", ErrInvalidPattern)
+
+func (ck *Checkpoint) checkTDV(n int) error {
+	if ck.TDV != nil && len(ck.TDV) != n {
+		return fmt.Errorf("%w: checkpoint %v TDV has length %d, want %d", ErrInvalidPattern, ck.ID(), len(ck.TDV), n)
+	}
+	return nil
+}
+
+func (m *Message) checkNotSelf() error {
+	if m.From == m.To {
+		return fmt.Errorf("%w: message %d from process %d to itself", ErrInvalidPattern, m.ID, m.From)
 	}
 	return nil
 }

@@ -220,8 +220,8 @@ func walSize(t *testing.T, sessDir string) int64 {
 
 // TestCrashPointDifferential is the heart of the durability story:
 // across 500+ seeded runs it crashes a durable session at a seeded
-// point (a directory copy under the session lock is a faithful kill -9
-// image), restarts from the image, feeds the not-yet-applied suffix,
+// point (a directory copy taken while the worker, the directory's only
+// writer, is parked in a hook is a faithful kill -9 image), restarts from the image, feeds the not-yet-applied suffix,
 // and requires the verdict, recovery line, and witness output to be
 // bit-identical to an uninterrupted reference run — which itself
 // matches the batch checker. feed queues several batches at a time, so
@@ -257,8 +257,9 @@ func TestCrashPointDifferential(t *testing.T) {
 			crashDir := filepath.Join(root, "crash")
 			svc, _ := newDurableService(liveDir)
 
-			// The hooks run on the worker goroutine with the session lock
-			// held; the copy they take is exactly what kill -9 would leave.
+			// The hooks run on the worker goroutine, the directory's only
+			// writer (Logged without the session lock, Appended and Applied
+			// with it); the copy they take is exactly what kill -9 would leave.
 			var hookMu sync.Mutex
 			fired := 0
 			captured := false
@@ -271,7 +272,7 @@ func TestCrashPointDifferential(t *testing.T) {
 				defer hookMu.Unlock()
 				if fired++; fired == trigger && !captured {
 					captured = true
-					appliedAtCrash = sess.applied // every hook runs under the session lock
+					appliedAtCrash = sess.applied // race-free: the hook runs on the worker, the field's only writer
 					copyDir(t, liveSess, crashSess)
 					return true
 				}

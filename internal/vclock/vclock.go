@@ -1,12 +1,13 @@
 // Package vclock provides the dependency-tracking data structures used by
 // the checkpointing protocols and analyses: integer transitive dependency
 // vectors (TDV), boolean vectors (the protocol's simple and sent_to arrays)
-// and boolean matrices (the protocol's causal matrix), with exactly the
-// merge rules the protocol of Figure 6 performs on message arrival.
+// and bit-packed boolean matrices (the protocol's causal matrix), with
+// exactly the merge rules the protocol of Figure 6 performs on message arrival.
 package vclock
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -21,11 +22,7 @@ type Vec []int
 func NewVec(n int) Vec { return make(Vec, n) }
 
 // Clone returns a copy of the vector.
-func (v Vec) Clone() Vec {
-	out := make(Vec, len(v))
-	copy(out, v)
-	return out
-}
+func (v Vec) Clone() Vec { return append(Vec{}, v...) }
 
 // MaxInto sets v to the componentwise maximum of v and other.
 func (v Vec) MaxInto(other Vec) {
@@ -37,17 +34,7 @@ func (v Vec) MaxInto(other Vec) {
 }
 
 // Equal reports componentwise equality.
-func (v Vec) Equal(other Vec) bool {
-	if len(v) != len(other) {
-		return false
-	}
-	for k := range v {
-		if v[k] != other[k] {
-			return false
-		}
-	}
-	return true
-}
+func (v Vec) Equal(other Vec) bool { return slices.Equal(v, other) }
 
 // DominatedBy reports whether v <= other componentwise.
 func (v Vec) DominatedBy(other Vec) bool {
@@ -78,28 +65,13 @@ type Bools []bool
 func NewBools(n int) Bools { return make(Bools, n) }
 
 // Clone returns a copy of the vector.
-func (b Bools) Clone() Bools {
-	out := make(Bools, len(b))
-	copy(out, b)
-	return out
-}
+func (b Bools) Clone() Bools { return append(Bools{}, b...) }
 
 // Reset sets every entry to false.
-func (b Bools) Reset() {
-	for k := range b {
-		b[k] = false
-	}
-}
+func (b Bools) Reset() { clear(b) }
 
 // Any reports whether at least one entry is true.
-func (b Bools) Any() bool {
-	for _, x := range b {
-		if x {
-			return true
-		}
-	}
-	return false
-}
+func (b Bools) Any() bool { return slices.Contains(b, true) }
 
 // Count returns the number of true entries.
 func (b Bools) Count() int {
@@ -127,16 +99,19 @@ func (b Bools) String() string {
 
 // Matrix is a square boolean matrix; cell (k,l) of process i's causal matrix
 // is true when, to i's knowledge, there is an on-line trackable R-path from
-// C_{k,TDV_i[k]} to C_{l,TDV_i[l]}.
+// C_{k,TDV_i[k]} to C_{l,TDV_i[l]}. Each row is packed into stride 64-bit
+// words, cell (k,l) at bit l%64 of word l/64, so the row merges of a
+// message arrival are word operations. Bits past column n-1 stay zero.
 type Matrix struct {
-	n     int
-	cells []bool
+	n, stride int
+	words     []uint64
 }
 
+// MatrixWords returns the number of words an n x n matrix occupies.
+func MatrixWords(n int) int { return n * ((n + 63) / 64) }
+
 // NewMatrix returns an n x n all-false matrix.
-func NewMatrix(n int) *Matrix {
-	return &Matrix{n: n, cells: make([]bool, n*n)}
-}
+func NewMatrix(n int) *Matrix { return new(Matrix).Reuse(n) }
 
 // IdentityMatrix returns an n x n matrix with a true diagonal, the initial
 // value of the protocol's causal matrix.
@@ -151,52 +126,49 @@ func IdentityMatrix(n int) *Matrix {
 // N returns the dimension of the matrix.
 func (m *Matrix) N() int { return m.n }
 
+func (m *Matrix) row(r int) []uint64 { return m.words[r*m.stride : (r+1)*m.stride] }
+
 // At returns cell (row, col).
-func (m *Matrix) At(row, col int) bool { return m.cells[row*m.n+col] }
+func (m *Matrix) At(row, col int) bool {
+	return m.words[row*m.stride+col>>6]&(1<<(col&63)) != 0
+}
 
 // Set assigns cell (row, col).
-func (m *Matrix) Set(row, col int, v bool) { m.cells[row*m.n+col] = v }
+func (m *Matrix) Set(row, col int, v bool) {
+	if v {
+		m.words[row*m.stride+col>>6] |= 1 << (col & 63)
+	} else {
+		m.words[row*m.stride+col>>6] &^= 1 << (col & 63)
+	}
+}
 
 // Clone returns a deep copy of the matrix.
 func (m *Matrix) Clone() *Matrix {
-	out := &Matrix{n: m.n, cells: make([]bool, len(m.cells))}
-	copy(out.cells, m.cells)
-	return out
+	return m.CloneInto(new(Matrix), make([]uint64, len(m.words)))
 }
 
 // CloneInto makes dst a copy of m whose cells live in the given buffer,
-// which must hold n*n entries, and returns dst. It is Clone for callers
-// that carve matrices from storage of their own.
-func (m *Matrix) CloneInto(dst *Matrix, cells []bool) *Matrix {
-	copy(cells, m.cells)
-	*dst = Matrix{n: m.n, cells: cells[:len(m.cells):len(m.cells)]}
+// which must hold MatrixWords(n) words, and returns dst. It is Clone for
+// callers that carve matrices from storage of their own.
+func (m *Matrix) CloneInto(dst *Matrix, words []uint64) *Matrix {
+	copy(words, m.words)
+	*dst = Matrix{n: m.n, stride: m.stride, words: words[:len(m.words):len(m.words)]}
 	return dst
 }
 
 // Equal reports cellwise equality.
 func (m *Matrix) Equal(other *Matrix) bool {
-	if m.n != other.n {
-		return false
-	}
-	for i := range m.cells {
-		if m.cells[i] != other.cells[i] {
-			return false
-		}
-	}
-	return true
+	return m.n == other.n && slices.Equal(m.words, other.words)
 }
 
 // CopyRow overwrites row of m with the same row of src.
-func (m *Matrix) CopyRow(row int, src *Matrix) {
-	copy(m.cells[row*m.n:(row+1)*m.n], src.cells[row*src.n:(row+1)*src.n])
-}
+func (m *Matrix) CopyRow(row int, src *Matrix) { copy(m.row(row), src.row(row)) }
 
 // OrRow ORs the given row of src into the same row of m.
 func (m *Matrix) OrRow(row int, src *Matrix) {
-	dst := m.cells[row*m.n : (row+1)*m.n]
-	s := src.cells[row*src.n : (row+1)*src.n]
-	for k := range dst {
-		dst[k] = dst[k] || s[k]
+	d, s := m.row(row), src.row(row)
+	for k := range d {
+		d[k] |= s[k]
 	}
 }
 
@@ -204,21 +176,23 @@ func (m *Matrix) OrRow(row int, src *Matrix) {
 // m[l][dstCol] |= m[l][srcCol]. This is the transitive-closure column update
 // the protocol performs after a delivery from the sender's column.
 func (m *Matrix) OrColInto(dstCol, srcCol int) {
-	for l := 0; l < m.n; l++ {
-		if m.cells[l*m.n+srcCol] {
-			m.cells[l*m.n+dstCol] = true
+	sw, sb := srcCol>>6, uint64(1)<<(srcCol&63)
+	dw, db := dstCol>>6, uint64(1)<<(dstCol&63)
+	for base := 0; base < len(m.words); base += m.stride {
+		if m.words[base+sw]&sb != 0 {
+			m.words[base+dw] |= db
 		}
 	}
 }
 
 // ClearRowExcept sets every entry of the row to false except the given
-// column (used by take_checkpoint, which resets causal_i[i][j] for j != i).
+// column (used by take_checkpoint, which resets causal_i[i][j] for j != i);
+// keep -1 clears the whole row.
 func (m *Matrix) ClearRowExcept(row, keep int) {
-	base := row * m.n
-	for c := 0; c < m.n; c++ {
-		if c != keep {
-			m.cells[base+c] = false
-		}
+	kept := keep >= 0 && m.At(row, keep)
+	clear(m.row(row))
+	if kept {
+		m.Set(row, keep, true)
 	}
 }
 
@@ -257,97 +231,77 @@ func CheckDims(n int, v Vec) error {
 	return nil
 }
 
-// CloneCells returns a copy of the matrix cells in row-major order, for
-// wire encoding.
-func (m *Matrix) CloneCells() []bool {
-	out := make([]bool, len(m.cells))
-	copy(out, m.cells)
-	return out
-}
-
-// MatrixFromCells rebuilds a matrix from row-major cells produced by
-// CloneCells.
-func MatrixFromCells(n int, cells []bool) (*Matrix, error) {
-	if len(cells) != n*n {
-		return nil, fmt.Errorf("matrix cells: got %d, want %d", len(cells), n*n)
-	}
-	m := NewMatrix(n)
-	copy(m.cells, cells)
-	return m, nil
-}
-
 // Reuse reinitializes the matrix in place to an n x n all-false matrix,
-// growing its cell buffer only when needed, and returns it; a nil receiver
+// growing its word buffer only when needed, and returns it; a nil receiver
 // yields a fresh matrix. It is the allocation-free counterpart of
 // NewMatrix for decode scratch that is reused across messages.
 func (m *Matrix) Reuse(n int) *Matrix {
 	if m == nil {
-		return NewMatrix(n)
+		m = new(Matrix)
 	}
-	need := n * n
-	if cap(m.cells) < need {
-		m.cells = make([]bool, need)
-	} else {
-		m.cells = m.cells[:need]
-		for i := range m.cells {
-			m.cells[i] = false
-		}
+	w := MatrixWords(n)
+	if cap(m.words) < w {
+		m.words = make([]uint64, w)
 	}
-	m.n = n
+	m.n, m.stride, m.words = n, (n+63)/64, m.words[:w]
+	clear(m.words)
 	return m
 }
 
 // AppendBits appends the matrix cells to buf, bit-packed in row-major
-// order (LSB-first within each byte), and returns the extended buffer.
+// order (cell (r,c) is bit r*n+c, LSB-first within each byte), and returns
+// the extended buffer.
 func (m *Matrix) AppendBits(buf []byte) []byte {
-	return appendPackedBools(buf, m.cells)
+	return appendPacked(buf, m.n*m.n, func(i int) bool { return m.At(i/m.n, i%m.n) })
 }
 
 // LoadBits fills the matrix cells from bit-packed row-major data produced
 // by AppendBits; bits must hold at least ceil(n*n/8) bytes.
 func (m *Matrix) LoadBits(bits []byte) error {
-	return loadPackedBools(m.cells, bits)
+	return loadPacked(bits, m.n*m.n, func(i int, v bool) { m.Set(i/m.n, i%m.n, v) })
 }
 
 // AppendBits appends the boolean vector to buf, bit-packed LSB-first, and
 // returns the extended buffer.
 func (b Bools) AppendBits(buf []byte) []byte {
-	return appendPackedBools(buf, b)
+	return appendPacked(buf, len(b), func(i int) bool { return b[i] })
 }
 
 // LoadBits fills the vector from bit-packed data produced by AppendBits;
 // bits must hold at least ceil(len(b)/8) bytes.
 func (b Bools) LoadBits(bits []byte) error {
-	return loadPackedBools(b, bits)
+	return loadPacked(bits, len(b), func(i int, v bool) { b[i] = v })
 }
 
 // PackedLen returns the number of bytes a bit-packed vector of n booleans
 // occupies on the wire.
 func PackedLen(n int) int { return (n + 7) / 8 }
 
-func appendPackedBools(buf []byte, cells []bool) []byte {
+// appendPacked appends the n bits bit(0), bit(1), ... to buf, LSB-first
+// within each byte.
+func appendPacked(buf []byte, n int, bit func(i int) bool) []byte {
 	var cur byte
-	for i, v := range cells {
-		if v {
-			cur |= 1 << (uint(i) & 7)
+	for i := 0; i < n; i++ {
+		if bit(i) {
+			cur |= 1 << (i & 7)
 		}
 		if i&7 == 7 {
-			buf = append(buf, cur)
-			cur = 0
+			buf, cur = append(buf, cur), 0
 		}
 	}
-	if len(cells)&7 != 0 {
+	if n&7 != 0 {
 		buf = append(buf, cur)
 	}
 	return buf
 }
 
-func loadPackedBools(cells []bool, bits []byte) error {
-	if len(bits) < PackedLen(len(cells)) {
-		return fmt.Errorf("packed bools: got %d bytes, need %d", len(bits), PackedLen(len(cells)))
+// loadPacked calls set for each of the n bits appendPacked wrote to bits.
+func loadPacked(bits []byte, n int, set func(i int, v bool)) error {
+	if len(bits) < PackedLen(n) {
+		return fmt.Errorf("packed bools: got %d bytes, need %d", len(bits), PackedLen(n))
 	}
-	for i := range cells {
-		cells[i] = bits[i>>3]&(1<<(uint(i)&7)) != 0
+	for i := 0; i < n; i++ {
+		set(i, bits[i>>3]&(1<<(i&7)) != 0)
 	}
 	return nil
 }

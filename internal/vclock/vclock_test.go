@@ -1,8 +1,11 @@
 package vclock
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -290,22 +293,203 @@ func TestVecReflectEquality(t *testing.T) {
 	}
 }
 
-func TestMatrixCellsRoundTrip(t *testing.T) {
-	m := IdentityMatrix(3)
-	m.Set(0, 2, true)
-	cells := m.CloneCells()
-	cells[1] = true // mutating the copy must not touch the matrix
-	if m.At(0, 1) {
-		t.Error("CloneCells aliases the matrix")
+// boolMatrix is the causal matrix as it was before rows were packed into
+// words: one bool per cell, row-major. It is the oracle of
+// TestMatrixMatchesBoolOracle.
+type boolMatrix struct {
+	n     int
+	cells []bool
+}
+
+func newBoolMatrix(n int) *boolMatrix { return &boolMatrix{n: n, cells: make([]bool, n*n)} }
+
+func (m *boolMatrix) At(row, col int) bool     { return m.cells[row*m.n+col] }
+func (m *boolMatrix) Set(row, col int, v bool) { m.cells[row*m.n+col] = v }
+
+func (m *boolMatrix) CloneInto(dst *boolMatrix, cells []bool) *boolMatrix {
+	copy(cells, m.cells)
+	*dst = boolMatrix{n: m.n, cells: cells[:len(m.cells):len(m.cells)]}
+	return dst
+}
+
+func (m *boolMatrix) Equal(other *boolMatrix) bool {
+	return m.n == other.n && reflect.DeepEqual(m.cells, other.cells)
+}
+
+func (m *boolMatrix) CopyRow(row int, src *boolMatrix) {
+	copy(m.cells[row*m.n:(row+1)*m.n], src.cells[row*src.n:(row+1)*src.n])
+}
+
+func (m *boolMatrix) OrRow(row int, src *boolMatrix) {
+	dst := m.cells[row*m.n : (row+1)*m.n]
+	s := src.cells[row*src.n : (row+1)*src.n]
+	for k := range dst {
+		dst[k] = dst[k] || s[k]
 	}
-	back, err := MatrixFromCells(3, m.CloneCells())
-	if err != nil {
-		t.Fatalf("from cells: %v", err)
+}
+
+func (m *boolMatrix) OrColInto(dstCol, srcCol int) {
+	for l := 0; l < m.n; l++ {
+		if m.cells[l*m.n+srcCol] {
+			m.cells[l*m.n+dstCol] = true
+		}
 	}
-	if !back.Equal(m) {
-		t.Error("round trip lost cells")
+}
+
+func (m *boolMatrix) ClearRowExcept(row, keep int) {
+	for c := 0; c < m.n; c++ {
+		if c != keep {
+			m.cells[row*m.n+c] = false
+		}
 	}
-	if _, err := MatrixFromCells(3, make([]bool, 5)); err == nil {
-		t.Error("wrong cell count accepted")
+}
+
+func (m *boolMatrix) ClearDiagonal() {
+	for k := 0; k < m.n; k++ {
+		m.Set(k, k, false)
+	}
+}
+
+func (m *boolMatrix) Reuse(n int) *boolMatrix {
+	if m == nil {
+		return newBoolMatrix(n)
+	}
+	m.n, m.cells = n, append(m.cells[:0], make([]bool, n*n)...)
+	return m
+}
+
+func (m *boolMatrix) String() string {
+	return Bools(m.cells).String()
+}
+
+func (m *boolMatrix) AppendBits(buf []byte) []byte {
+	var cur byte
+	for i, v := range m.cells {
+		if v {
+			cur |= 1 << (uint(i) & 7)
+		}
+		if i&7 == 7 {
+			buf = append(buf, cur)
+			cur = 0
+		}
+	}
+	if len(m.cells)&7 != 0 {
+		buf = append(buf, cur)
+	}
+	return buf
+}
+
+func (m *boolMatrix) LoadBits(bits []byte) error {
+	if len(bits) < PackedLen(len(m.cells)) {
+		return fmt.Errorf("packed bools: got %d bytes, need %d", len(bits), PackedLen(len(m.cells)))
+	}
+	for i := range m.cells {
+		m.cells[i] = bits[i>>3]&(1<<(uint(i)&7)) != 0
+	}
+	return nil
+}
+
+// rowsString renders a matrix string without its row breaks, the form
+// boolMatrix.String gives.
+func rowsString(m *Matrix) string { return strings.ReplaceAll(m.String(), "\n", "") }
+
+// TestMatrixMatchesBoolOracle drives word matrices and bool matrices
+// through the same random operations, at widths around the word and byte
+// boundaries, and requires the same cells, equality and wire bytes after
+// every step.
+func TestMatrixMatchesBoolOracle(t *testing.T) {
+	var scratch *Matrix // reused across widths, like a codec's decode scratch
+	var oscratch *boolMatrix
+	for _, n := range []int{1, 2, 7, 8, 63, 64, 65, 130, 8, 1} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		ms := []*Matrix{NewMatrix(n), IdentityMatrix(n)}
+		os := []*boolMatrix{newBoolMatrix(n), newBoolMatrix(n)}
+		for k := 0; k < n; k++ {
+			os[1].Set(k, k, true)
+		}
+		for c := 0; c < n*n; c++ { // half the cells of the first pair set
+			if rng.Intn(2) == 0 {
+				ms[0].Set(c/n, c%n, true)
+				os[0].Set(c/n, c%n, true)
+			}
+		}
+		for step := 0; step < 400; step++ {
+			a, b := rng.Intn(2), rng.Intn(2)
+			row, col := rng.Intn(n), rng.Intn(n)
+			var op string
+			switch rng.Intn(10) {
+			case 0, 1:
+				op = "Set"
+				v := rng.Intn(3) > 0
+				ms[a].Set(row, col, v)
+				os[a].Set(row, col, v)
+			case 2:
+				op = "CopyRow"
+				ms[a].CopyRow(row, ms[b])
+				os[a].CopyRow(row, os[b])
+			case 3:
+				op = "OrRow"
+				ms[a].OrRow(row, ms[b])
+				os[a].OrRow(row, os[b])
+			case 4:
+				op = "OrColInto"
+				src := rng.Intn(n)
+				ms[a].OrColInto(col, src)
+				os[a].OrColInto(col, src)
+			case 5:
+				op = "ClearRowExcept"
+				keep := rng.Intn(n+1) - 1
+				ms[a].ClearRowExcept(row, keep)
+				os[a].ClearRowExcept(row, keep)
+			case 6:
+				op = "ClearDiagonal"
+				ms[a].ClearDiagonal()
+				os[a].ClearDiagonal()
+			case 7:
+				op = "Reuse"
+				ms[a] = ms[a].Reuse(n)
+				os[a] = os[a].Reuse(n)
+			case 8:
+				op = "CloneInto"
+				spare := rng.Intn(3)
+				ms[a] = ms[b].CloneInto(new(Matrix), make([]uint64, MatrixWords(n)+spare))
+				os[a] = os[b].CloneInto(new(boolMatrix), make([]bool, n*n+spare))
+				if a != b { // the copy must not alias its source
+					ms[a].Set(row, col, !ms[a].At(row, col))
+					os[a].Set(row, col, !os[a].At(row, col))
+				}
+			default:
+				op = "At"
+			}
+			for i := range ms {
+				if got, want := ms[i].At(row, col), os[i].At(row, col); got != want {
+					t.Fatalf("n=%d step %d %s: At(%d,%d) = %v, oracle %v", n, step, op, row, col, got, want)
+				}
+				if got, want := rowsString(ms[i]), os[i].String(); got != want {
+					t.Fatalf("n=%d step %d %s: matrix %d\n%s\noracle\n%s", n, step, op, i, got, want)
+				}
+				bits := ms[i].AppendBits([]byte{0xA5})
+				if want := os[i].AppendBits([]byte{0xA5}); !bytes.Equal(bits, want) {
+					t.Fatalf("n=%d step %d %s: AppendBits %x, oracle %x", n, step, op, bits, want)
+				}
+				scratch = scratch.Reuse(n)
+				oscratch = oscratch.Reuse(n)
+				if err := scratch.LoadBits(bits[1:]); err != nil {
+					t.Fatalf("n=%d step %d %s: LoadBits: %v", n, step, op, err)
+				}
+				if err := oscratch.LoadBits(bits[1:]); err != nil {
+					t.Fatal(err)
+				}
+				if !scratch.Equal(ms[i]) || !oscratch.Equal(os[i]) {
+					t.Fatalf("n=%d step %d %s: LoadBits round trip lost cells", n, step, op)
+				}
+			}
+			if got, want := ms[0].Equal(ms[1]), os[0].Equal(os[1]); got != want {
+				t.Fatalf("n=%d step %d %s: Equal = %v, oracle %v", n, step, op, got, want)
+			}
+		}
+		if err := NewMatrix(n).LoadBits(make([]byte, PackedLen(n*n)-1)); err == nil {
+			t.Errorf("n=%d: LoadBits accepted a short buffer", n)
+		}
 	}
 }
