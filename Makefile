@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X github.com/rdt-go/rdt/internal/version.Version=$(VERSION) \
            -X github.com/rdt-go/rdt/internal/version.Commit=$(COMMIT)
 
-.PHONY: all build test grid-check bench-test race vet chaos chaos-supervise serve-smoke trace-smoke soak-smoke fuzz-smoke durability-smoke load-smoke shard-smoke examples-smoke check bench clean
+.PHONY: all build test grid-check bench-test bench-smoke race vet chaos chaos-supervise serve-smoke trace-smoke soak-smoke fuzz-smoke durability-smoke load-smoke shard-smoke examples-smoke check bench clean
 
 all: test
 
@@ -41,6 +41,11 @@ grid-check:
 # `go test ./...` from the root: its own tests run here.
 bench-test:
 	cd bench && $(GO) test .
+
+# Bench smoke: every micro-benchmark under internal/ once, so a benchmark
+# that panics or fails fails the gate. The timings are not read.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # Tier-2: vet + race-enabled tests across the module, then the shard
 # package again: its kill-point interleavings differ from run to run.
@@ -180,7 +185,7 @@ examples-smoke:
 	done
 
 # Everything a change must pass before review.
-check: test grid-check bench-test race chaos chaos-supervise soak-smoke load-smoke shard-smoke examples-smoke
+check: test grid-check bench-test bench-smoke race chaos chaos-supervise soak-smoke load-smoke shard-smoke examples-smoke
 
 # The yardstick: build the daemons from this checkout and run every
 # bench/ workload briefly, checking each served verdict against batch

@@ -77,13 +77,14 @@ func NewChains(p *model.Pattern) (*Chains, error) {
 }
 
 // closure computes the reflexive-transitive closure rows of the graph
-// with edges a -> succ[a]. The chain graph has cycles: a zigzag chain
-// can return to an earlier interval of the process it started on. (A
-// causal one cannot in a run that happened, but a trace file need not
-// be one.) An iterative Tarjan walk emits the strongly connected
-// components sinks first, so when a component is emitted the rows of
-// everything it reaches outside itself are final: its row is its
-// members' bits OR those rows, computed once and shared by its members.
+// with edges a -> succ[a]; it serves both chain graphs and the R-graph
+// (Build). The chain graph has cycles: a zigzag chain can return to an
+// earlier interval of the process it started on. (A causal one cannot in
+// a run that happened, but a trace file need not be one.) An iterative
+// Tarjan walk emits the strongly connected components sinks first, so
+// when a component is emitted the rows of everything it reaches outside
+// itself are final: its row is its members' bits OR those rows, computed
+// once and shared by its members.
 func closure(succ [][]int) []bitset {
 	n := len(succ)
 	rows := make([]bitset, n) // nil until the node's component is emitted

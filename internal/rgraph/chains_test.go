@@ -55,14 +55,31 @@ func closureFixpoint(adj [][]int, n int) []bitset {
 	return rows
 }
 
-// checkClosures compares every row of both closures of NewChains with the
-// fixpoint oracle's, and returns how many messages share their chain row
-// with another (members of one multi-message component).
+// checkClosures compares every row of both closures of NewChains, and
+// every R-graph reach row of Build, diagonal included, with the fixpoint
+// oracle's, and returns how many messages share their chain row with
+// another (members of one multi-message component).
 func checkClosures(t *testing.T, name string, p *model.Pattern) (shared int) {
 	t.Helper()
 	c, err := NewChains(p)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
+	}
+	g, err := Build(p)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	// An R-path has length at least one: v's row is the OR of its
+	// successors' reflexive rows.
+	reflexive := closureFixpoint(g.adj, g.nodes)
+	for v := range g.nodes {
+		want := newBitset(g.nodes)
+		for _, w := range g.adj[v] {
+			want.or(reflexive[w])
+		}
+		if !slices.Equal(g.reach[v], want) {
+			t.Fatalf("%s: R-graph reach row of node %d (%v) differs from the fixpoint", name, v, g.ckpt(v))
+		}
 	}
 	chainAdj, causalAdj := pairContinuations(p)
 	for _, cl := range []struct {

@@ -177,20 +177,7 @@ func MaxConsistentContaining(p *model.Pattern, set ...model.CkptID) (model.Globa
 			g[k] = p.LastIndex(model.ProcID(k))
 		}
 	}
-	for changed := true; changed; {
-		changed = false
-		for i := range p.Messages {
-			m := &p.Messages[i]
-			if m.SendInterval > g[m.From] && m.DeliverInterval <= g[m.To] {
-				if pinned[m.To] {
-					return nil, fmt.Errorf("%w: lowering P%d below pinned checkpoint", ErrNoConsistentGlobal, m.To)
-				}
-				g[m.To] = m.DeliverInterval - 1
-				changed = true
-			}
-		}
-	}
-	return g, nil
+	return lower(p, g, pinned)
 }
 
 // RecoveryLine computes the maximum consistent global checkpoint dominated
@@ -201,12 +188,21 @@ func RecoveryLine(p *model.Pattern, bounds model.GlobalCheckpoint) (model.Global
 	if err := checkGlobal(p, bounds); err != nil {
 		return nil, err
 	}
-	g := bounds.Clone()
+	return lower(p, bounds.Clone(), nil)
+}
+
+// lower is the greatest fixpoint below g: it lowers receiver entries in
+// place until no orphan remains, and fails with ErrNoConsistentGlobal
+// when a pinned entry would have to move (nil pins none).
+func lower(p *model.Pattern, g model.GlobalCheckpoint, pinned []bool) (model.GlobalCheckpoint, error) {
 	for changed := true; changed; {
 		changed = false
 		for i := range p.Messages {
 			m := &p.Messages[i]
 			if m.SendInterval > g[m.From] && m.DeliverInterval <= g[m.To] {
+				if pinned != nil && pinned[m.To] {
+					return nil, fmt.Errorf("%w: lowering P%d below pinned checkpoint", ErrNoConsistentGlobal, m.To)
+				}
 				g[m.To] = m.DeliverInterval - 1
 				changed = true
 			}

@@ -13,6 +13,7 @@ package rgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -27,10 +28,10 @@ import (
 // rolling process j back past C'.
 type Graph struct {
 	p      *model.Pattern
-	offset []int   // node id of C_{i,0}
-	nodes  int     // total node count
-	adj    [][]int // adjacency lists (deduplicated)
-	reach  []bitset
+	offset []int    // node id of C_{i,0}
+	nodes  int      // total node count
+	adj    [][]int  // adjacency lists (deduplicated)
+	reach  []bitset // nodes reachable by a path of length >= 1
 }
 
 // Build constructs the R-graph of the pattern and precomputes its
@@ -92,7 +93,16 @@ func Build(p *model.Pattern) (*Graph, error) {
 		g.adj[dedup[start][0]] = targets[start:end]
 		start = end
 	}
-	g.computeReach()
+	// closure's rows are reflexive; an R-path has length at least one.
+	// A node no successor reaches back is on no cycle (Validate refuses
+	// self-sends, so there are no self-loops): it is a component of its
+	// own, its row is not shared, and its diagonal bit goes.
+	g.reach = closure(g.adj)
+	for v, succ := range g.adj {
+		if !slices.ContainsFunc(succ, func(w int) bool { return g.reach[w].get(v) }) {
+			g.reach[v].clear(v)
+		}
+	}
 	return g, nil
 }
 
@@ -152,146 +162,6 @@ func (g *Graph) ckpt(id int) model.CkptID {
 		}
 	}
 	return model.CkptID{}
-}
-
-// computeReach computes, for every node, the set of nodes reachable by a
-// path of length >= 1, via Tarjan SCC condensation followed by a reverse
-// topological sweep with bitset rows. Within a non-trivial SCC every member
-// reaches every member (including itself).
-func (g *Graph) computeReach() {
-	sccOf, order := g.tarjan() // order: SCC ids in reverse topological order
-	numSCC := len(order)
-
-	members := make([][]int, numSCC)
-	for v := 0; v < g.nodes; v++ {
-		members[sccOf[v]] = append(members[sccOf[v]], v)
-	}
-	cyclic := make([]bool, numSCC)
-	for v := 0; v < g.nodes; v++ {
-		for _, w := range g.adj[v] {
-			if sccOf[v] == sccOf[w] {
-				cyclic[sccOf[v]] = true
-			}
-		}
-	}
-	for s := 0; s < numSCC; s++ {
-		if len(members[s]) > 1 {
-			cyclic[s] = true
-		}
-	}
-
-	sccReach := make([]bitset, numSCC)
-	// Tarjan assigns SCC ids such that every edge goes from a higher id to a
-	// lower-or-equal id; processing ids in increasing order therefore visits
-	// successors before predecessors.
-	for s := 0; s < numSCC; s++ {
-		row := newBitset(g.nodes)
-		for _, v := range members[s] {
-			for _, w := range g.adj[v] {
-				t := sccOf[w]
-				if t == s {
-					continue
-				}
-				for _, u := range members[t] {
-					row.set(u)
-				}
-				row.or(sccReach[t])
-			}
-		}
-		if cyclic[s] {
-			for _, v := range members[s] {
-				row.set(v)
-			}
-		}
-		sccReach[s] = row
-	}
-
-	g.reach = make([]bitset, g.nodes)
-	for v := 0; v < g.nodes; v++ {
-		g.reach[v] = sccReach[sccOf[v]]
-	}
-}
-
-// tarjan computes strongly connected components iteratively. It returns the
-// SCC id of every node and the list of SCC ids; ids are assigned in reverse
-// topological order (an edge u->w with sccOf[u] != sccOf[w] always has
-// sccOf[u] > sccOf[w]).
-func (g *Graph) tarjan() (sccOf []int, order []int) {
-	const unvisited = -1
-	var (
-		index   = make([]int, g.nodes)
-		lowlink = make([]int, g.nodes)
-		onStack = make([]bool, g.nodes)
-		stack   []int
-		next    int
-		numSCC  int
-	)
-	sccOf = make([]int, g.nodes)
-	for v := range index {
-		index[v] = unvisited
-		sccOf[v] = unvisited
-	}
-
-	type frame struct {
-		v  int
-		ei int // next adjacency index to explore
-	}
-	for root := 0; root < g.nodes; root++ {
-		if index[root] != unvisited {
-			continue
-		}
-		frames := []frame{{v: root}}
-		index[root] = next
-		lowlink[root] = next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.ei < len(g.adj[f.v]) {
-				w := g.adj[f.v][f.ei]
-				f.ei++
-				if index[w] == unvisited {
-					index[w] = next
-					lowlink[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w})
-				} else if onStack[w] && index[w] < lowlink[f.v] {
-					lowlink[f.v] = index[w]
-				}
-				continue
-			}
-			// All successors explored: maybe emit an SCC, then pop.
-			if lowlink[f.v] == index[f.v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					sccOf[w] = numSCC
-					if w == f.v {
-						break
-					}
-				}
-				numSCC++
-			}
-			v := f.v
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := &frames[len(frames)-1]
-				if lowlink[v] < lowlink[parent.v] {
-					lowlink[parent.v] = lowlink[v]
-				}
-			}
-		}
-	}
-	order = make([]int, numSCC)
-	for s := range order {
-		order[s] = s
-	}
-	return sccOf, order
 }
 
 // RollbackClosure returns every checkpoint that must also be discarded

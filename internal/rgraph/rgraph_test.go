@@ -2,6 +2,7 @@ package rgraph
 
 import (
 	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -567,6 +568,23 @@ func TestRGraphDOT(t *testing.T) {
 	}
 	if strings.Contains(dot, "salmon") {
 		t.Error("acyclic figure rendered cycle highlights")
+	}
+
+	// zcycle.json has cycles: its DOT, four highlighted nodes, is pinned
+	// byte for byte.
+	p, err := trace.LoadFile("../trace/testdata/zcycle.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, err = Build(p); err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	want, err := os.ReadFile("testdata/zcycle_rgraph.dot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.DOT(); got != string(want) {
+		t.Errorf("zcycle R-graph DOT differs from testdata/zcycle_rgraph.dot:\n%s", got)
 	}
 }
 

@@ -236,18 +236,7 @@ func Explain(p *model.Pattern, maxViolations int) (*Report, []*Witness, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if rep.RDT {
-		return rep, nil, nil
-	}
-	e, err := NewExplainer(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	ws, err := e.ExplainAll(rep.Violations)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep, ws, nil
+	return explainReport(p, rep)
 }
 
 // Explain extracts minimal witnesses for the incremental checker's
@@ -257,7 +246,12 @@ func Explain(p *model.Pattern, maxViolations int) (*Report, []*Witness, error) {
 // a service session materializes it from its event log. The report is
 // the seal-now Report(maxViolations).
 func (inc *Incremental) Explain(p *model.Pattern, maxViolations int) (*Report, []*Witness, error) {
-	rep := inc.Report(maxViolations)
+	return explainReport(p, inc.Report(maxViolations))
+}
+
+// explainReport extracts one minimal witness per violation of the
+// report; an RDT report has none.
+func explainReport(p *model.Pattern, rep *Report) (*Report, []*Witness, error) {
 	if rep.RDT {
 		return rep, nil, nil
 	}
