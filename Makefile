@@ -43,9 +43,10 @@ bench-test:
 	cd bench && $(GO) test .
 
 # Bench smoke: every micro-benchmark under internal/ once, so a benchmark
-# that panics or fails fails the gate. The timings are not read.
+# that panics or fails fails the gate. The timings and allocation counts
+# are printed for the log, not read.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/...
 
 # Tier-2: vet + race-enabled tests across the module, then the shard
 # package again: its kill-point interleavings differ from run to run.
@@ -98,13 +99,13 @@ serve-smoke:
 	$(GO) test -race -count=1 -run 'TestServeSmoke' ./cmd/rdtserved/
 
 # Trace smoke: exercise the observability surface end to end under the
-# race detector (flight recorder, causal spans, witness explain, golden
-# timelines), then drive the real binaries: a simulation run writes a
-# Chrome trace-event timeline and the checker explains the Figure 1
-# violation with a highlighted witness.
+# race detector (event tracer, Chrome trace export, witness explain,
+# golden timelines), then drive the real binaries: a simulation run
+# writes a Chrome trace-event timeline and the checker explains the
+# Figure 1 violation with a highlighted witness.
 trace-smoke:
-	$(GO) test -race -count=1 -run 'Trace|Explain|Timeline|Witness|Flight|Span' \
-		./internal/obs/ ./internal/cluster/ ./internal/trace/ \
+	$(GO) test -race -count=1 -run 'Trace|Explain|Timeline|Witness' \
+		./internal/obs/ ./internal/trace/ \
 		./internal/rgraph/ ./internal/service/ ./cmd/rdtsim/ ./cmd/rdtcheck/
 	$(GO) run -ldflags "$(LDFLAGS)" ./cmd/rdtsim -protocol bhmr -workload ring \
 		-n 4 -duration 60 -trace-out $(or $(TMPDIR),/tmp)/rdt-timeline.json

@@ -57,13 +57,6 @@ type Config struct {
 	// checkpoints with their triggering predicate, transport send errors)
 	// into its bounded ring.
 	Tracer *obs.Tracer
-	// Flight, if non-nil, turns on causal tracing: every send, delivery,
-	// forced-checkpoint decision, checkpoint write, and recovery step
-	// records a span into the flight recorder, and the trace context
-	// (trace id + sending span) rides the message piggyback so delivery
-	// spans parent to the send that caused them across processes. Nil
-	// keeps the codec and OnSend hot paths allocation-free.
-	Flight *obs.FlightRecorder
 
 	// OnError, if non-nil, receives asynchronous runtime errors that have
 	// no caller to return to: transport send failures from a node
@@ -119,10 +112,8 @@ func New(cfg Config) (*Cluster, error) {
 	if c.trans == nil {
 		c.trans = transport.NewLocal(transport.DefaultLocalDelay)
 	}
-	if cfg.Obs != nil || cfg.Tracer != nil || cfg.Flight != nil {
-		c.ins = newInstruments(cfg.Obs, cfg.Tracer, cfg.Flight, cfg.Protocol)
-	}
 	if cfg.Obs != nil || cfg.Tracer != nil {
+		c.ins = newInstruments(cfg.Obs, cfg.Tracer, cfg.Protocol)
 		c.trans = transport.WithObs(c.trans, cfg.Obs, cfg.Tracer)
 	}
 	if cfg.LogPayloads {
@@ -363,12 +354,6 @@ func (c *Cluster) recordCheckpoint(rec core.CheckpointRecord) {
 		c.mu.Unlock()
 	}
 	c.ins.checkpoint(rec)
-	var fl *obs.FlightRecorder
-	var ckStart time.Time
-	if c.ins != nil && c.ins.flight != nil && rec.Kind != model.KindInitial {
-		fl = c.ins.flight
-		ckStart = time.Now()
-	}
 	var state []byte
 	if c.cfg.Snapshot != nil {
 		state = c.cfg.Snapshot(rec.Proc)
@@ -386,25 +371,6 @@ func (c *Cluster) recordCheckpoint(rec core.CheckpointRecord) {
 	}); err != nil {
 		c.ins.storeError(rec.Proc, err)
 		c.reportError(fmt.Errorf("cluster: persist checkpoint (%d,%d): %w", rec.Proc, rec.Index, err))
-	}
-	if fl != nil {
-		// The checkpoint span covers the state snapshot plus the store
-		// round trip; forced checkpoints carry the visible predicate that
-		// fired and parent to the span whose operation forced them (the
-		// delivering or sending span of this node's goroutine).
-		kind, detail := obs.SpanCheckpoint, rec.Kind.String()
-		if rec.Kind == model.KindForced {
-			kind, detail = obs.SpanForced, rec.Predicate
-		}
-		var trace, parent uint64
-		if n := c.nodes[rec.Proc]; n != nil {
-			trace, parent = n.curTrace, n.curSpan
-		}
-		fl.Record(obs.Span{
-			TraceID: trace, ID: fl.NextID(), Parent: parent, Kind: kind,
-			Proc: rec.Proc, Start: ckStart.UnixMicro(),
-			Dur: time.Since(ckStart).Microseconds(), Detail: detail,
-		})
 	}
 }
 

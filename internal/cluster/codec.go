@@ -15,7 +15,7 @@ import (
 // hot path of the cluster runtime used to run through encoding/gob,
 // which dominated the per-message allocation count):
 //
-//	magic 'R', version 0x02
+//	magic 'R', version 0x03
 //	uvarint from          — sending process
 //	uvarint handle        — trace handle
 //	uvarint sn            — BCS checkpoint sequence number
@@ -24,20 +24,17 @@ import (
 //	uvarint len(simple)   — simple array, bit-packed LSB-first
 //	uvarint n             — causal-matrix dimension (0 = no matrix),
 //	                        n*n cells bit-packed row-major LSB-first
-//	uvarint trace         — causal trace id (0 = tracing off)
-//	uvarint span          — sender's span id (0 = tracing off)
 //
-// The trailing trace context is what ties a delivery span to the send
-// span that caused it across processes. With tracing off both values
-// are zero — two bytes on the wire and no allocations, keeping the
-// codec inside its AllocsPerRun budgets.
+// A frame is this header plus the protocol's piggyback and nothing
+// else. Version 0x02 frames, which carried a trace context after the
+// matrix, are refused.
 //
 // All header fields are non-negative by construction; the decoder
 // validates every length against the bytes actually remaining, so
 // arbitrary input can never provoke a huge allocation or a panic.
 const (
 	wireMagic   = 'R'
-	wireVersion = 0x02
+	wireVersion = 0x03
 
 	// maxWireMatrixDim bounds the causal-matrix dimension a frame may
 	// declare; real systems are orders of magnitude smaller.
@@ -51,23 +48,8 @@ var encodeBufs = sync.Pool{
 	New: func() any { b := make([]byte, 0, 512); return &b },
 }
 
-// traceCtx is the causal trace context piggybacked on every frame: the
-// trace the message belongs to and the send span that produced it. The
-// zero value means tracing is off.
-type traceCtx struct {
-	trace uint64
-	span  uint64
-}
-
-// encodeMsg serializes a message and its piggyback without trace
-// context (tracing off).
+// encodeMsg serializes a message and its piggyback.
 func encodeMsg(from, handle int, payload []byte, pb core.Piggyback) ([]byte, error) {
-	return encodeMsgTrace(from, handle, payload, pb, traceCtx{})
-}
-
-// encodeMsgTrace serializes a message, its piggyback, and the causal
-// trace context.
-func encodeMsgTrace(from, handle int, payload []byte, pb core.Piggyback, tc traceCtx) ([]byte, error) {
 	if from < 0 || handle < 0 || pb.SN < 0 {
 		return nil, fmt.Errorf("encode message: negative header field (from=%d handle=%d sn=%d)", from, handle, pb.SN)
 	}
@@ -91,8 +73,6 @@ func encodeMsgTrace(from, handle int, payload []byte, pb core.Piggyback, tc trac
 	} else {
 		buf = binenc.AppendInt(buf, 0)
 	}
-	buf = binenc.AppendUvarint(buf, tc.trace)
-	buf = binenc.AppendUvarint(buf, tc.span)
 	out := make([]byte, len(buf))
 	copy(out, buf)
 	*bp = buf[:0]
@@ -109,11 +89,6 @@ type pbScratch struct {
 	tdv    vclock.Vec
 	simple vclock.Bools
 	causal *vclock.Matrix
-
-	// tc is the trace context of the last decoded frame — an output,
-	// not reusable storage; the node goroutine reads it right after
-	// decodeMsgInto returns.
-	tc traceCtx
 }
 
 // decodeMsg deserializes a wire message into freshly allocated storage.
@@ -161,13 +136,11 @@ func decodeMsgInto(data []byte, s *pbScratch) (from, handle int, payload []byte,
 			err = pb.Causal.LoadBits(bits)
 		}
 	}
-	tc := traceCtx{trace: r.Uvarint(), span: r.Uvarint()}
 	if err == nil {
 		err = r.Done()
 	}
 	if err != nil {
 		return 0, 0, nil, core.Piggyback{}, fmt.Errorf("decode message: %w", err)
 	}
-	s.tc = tc
 	return from, handle, payload, pb, nil
 }

@@ -129,9 +129,10 @@ func TestDecodeMsgIntoMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestWireGolden pins the frame bytes: three frames captured from the
-// encoder before it moved onto internal/binenc must still be produced,
-// byte for byte, and decode back to their fields.
+// TestWireGolden pins the v0x03 frame bytes: the frames the v0x02
+// encoder produced, minus the two trailing trace-context uvarints and
+// with version byte 0x03, must be produced byte for byte and decode
+// back to their fields.
 func TestWireGolden(t *testing.T) {
 	m := vclock.NewMatrix(3)
 	for _, cell := range [][2]int{{0, 0}, {0, 2}, {1, 1}, {2, 0}, {2, 2}} {
@@ -142,21 +143,19 @@ func TestWireGolden(t *testing.T) {
 		from, handle int
 		payload      string
 		pb           core.Piggyback
-		tc           traceCtx
 		hex          string
 	}{
-		{"no piggyback", 1, 7, "hi", core.Piggyback{}, traceCtx{},
-			"52020107000268690000000000"},
+		{"no piggyback", 1, 7, "hi", core.Piggyback{},
+			"5203010700026869000000"},
 		{"tdv+simple", 2, 300, "tdv",
-			core.Piggyback{TDV: vclock.Vec{3, 0, 300, 1}, Simple: vclock.Bools{true, false, true, true}}, traceCtx{},
-			"520202ac020003746476040300ac0201040d000000"},
-		{"causal matrix+trace context", 0, 1 << 20, "",
+			core.Piggyback{TDV: vclock.Vec{3, 0, 300, 1}, Simple: vclock.Bools{true, false, true, true}},
+			"520302ac020003746476040300ac0201040d00"},
+		{"causal matrix", 0, 1 << 20, "",
 			core.Piggyback{SN: 5, TDV: vclock.Vec{1, 2, 70000}, Simple: vclock.Bools{false, true, false}, Causal: m},
-			traceCtx{trace: 0x1234, span: 77},
-			"5202008080400500030102f0a2040302035501b4244d"},
+			"5203008080400500030102f0a2040302035501"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			frame, err := encodeMsgTrace(c.from, c.handle, []byte(c.payload), c.pb, c.tc)
+			frame, err := encodeMsg(c.from, c.handle, []byte(c.payload), c.pb)
 			if err != nil {
 				t.Fatalf("encode: %v", err)
 			}
@@ -168,8 +167,8 @@ func TestWireGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if from != c.from || handle != c.handle || string(payload) != c.payload || s.tc != c.tc {
-				t.Errorf("header = %d %d %q %+v", from, handle, payload, s.tc)
+			if from != c.from || handle != c.handle || string(payload) != c.payload {
+				t.Errorf("header = %d %d %q", from, handle, payload)
 			}
 			if pb.SN != c.pb.SN || !pb.TDV.Equal(c.pb.TDV) || pb.Simple.String() != c.pb.Simple.String() {
 				t.Errorf("piggyback = %+v, want %+v", pb, c.pb)
@@ -183,17 +182,21 @@ func TestWireGolden(t *testing.T) {
 
 // TestDecodeRejectsOversizedLengths feeds length fields no frame can
 // back: each must fail without allocating for it. A simple length of
-// MaxInt used to overflow the packed-size arithmetic and panic.
+// MaxInt used to overflow the packed-size arithmetic and panic. A v0x02
+// frame, which carried a trace context after the piggyback, is refused
+// too.
 func TestDecodeRejectsOversizedLengths(t *testing.T) {
 	header := []byte{wireMagic, wireVersion, 0, 0, 0, 0} // from, handle, sn, empty payload
 	huge := binenc.AppendUvarint(nil, math.MaxInt)
-	for name, tail := range map[string][]byte{
-		"tdv":    huge,
-		"simple": append([]byte{0}, huge...),
-		"matrix": append([]byte{0, 0}, binenc.AppendInt(nil, maxWireMatrixDim+1)...),
+	v2, _ := hex.DecodeString("52020107000268690000000000")
+	for name, frame := range map[string][]byte{
+		"tdv":          append(header[:len(header):len(header)], huge...),
+		"simple":       append(append(header[:len(header):len(header)], 0), huge...),
+		"matrix":       append(append(header[:len(header):len(header)], 0, 0), binenc.AppendInt(nil, maxWireMatrixDim+1)...),
+		"v0x02 golden": v2,
 	} {
-		if _, _, _, _, err := decodeMsg(append(header[:len(header):len(header)], tail...)); err == nil {
-			t.Errorf("%s length beyond the frame accepted", name)
+		if _, _, _, _, err := decodeMsg(frame); err == nil {
+			t.Errorf("%s frame accepted", name)
 		}
 	}
 }

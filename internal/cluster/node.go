@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -28,13 +27,6 @@ type Node struct {
 	// dec is the piggyback decode scratch: the node goroutine is the only
 	// decoder for this node, so delivered frames reuse one set of buffers.
 	dec pbScratch
-
-	// curTrace and curSpan are the active causal-trace context of the node
-	// goroutine, set around OnSend/OnArrival so checkpoint spans recorded
-	// by the protocol sink parent to the operation that forced them. Only
-	// the node goroutine touches them; both are zero outside an operation.
-	curTrace uint64
-	curSpan  uint64
 
 	// mu guards the crash/restart lifecycle: mailbox and done are
 	// replaced on restart, crashed gates the operation entry points.
@@ -311,23 +303,10 @@ func (n *Node) doSend(to int, payload []byte) {
 			Type: obs.EventSend, Proc: n.proc, Peer: to, Value: handle,
 		})
 	}
-	// With causal tracing on, the send opens a new trace: the span id
-	// doubles as the trace id and rides the frame so the delivery span on
-	// the other side can parent to it.
-	var tc traceCtx
-	var fl *obs.FlightRecorder
-	var spanStart time.Time
-	if ins := n.c.ins; ins != nil && ins.flight != nil {
-		fl = ins.flight
-		id := fl.NextID()
-		tc = traceCtx{trace: id, span: id}
-		n.curTrace, n.curSpan = tc.trace, tc.span
-		spanStart = time.Now()
-	}
 	if forceAfter {
 		n.inst.CheckpointAfterSend()
 	}
-	data, err := encodeMsgTrace(n.proc, handle, payload, pb, tc)
+	data, err := encodeMsg(n.proc, handle, payload, pb)
 	if err != nil {
 		// Encoding our own structures cannot fail in practice; losing the
 		// message would corrupt the trace, so fail loudly.
@@ -341,38 +320,12 @@ func (n *Node) doSend(to int, payload []byte) {
 		n.c.outstanding.done()
 		n.c.reportError(fmt.Errorf("transport send P%d->P%d: %w", n.proc, to, err))
 	}
-	if fl != nil {
-		fl.Record(obs.Span{
-			TraceID: tc.trace, ID: tc.span, Kind: obs.SpanSend,
-			Proc: n.proc, Peer: to,
-			Start: spanStart.UnixMicro(), Dur: time.Since(spanStart).Microseconds(),
-			Detail: "m" + strconv.Itoa(handle),
-		})
-		n.curTrace, n.curSpan = 0, 0
-	}
 }
 
 func (n *Node) doDeliver(frame []byte) {
 	from, handle, payload, pb, err := decodeMsgInto(frame, &n.dec)
 	if err != nil {
 		panic(fmt.Sprintf("cluster: %v", err))
-	}
-	// With causal tracing on, the delivery span joins the sender's trace
-	// and parents to its send span — the cross-process causal edge. The
-	// context is installed before OnArrival so a checkpoint the protocol
-	// forces before delivery parents to this span.
-	var fl *obs.FlightRecorder
-	var span obs.Span
-	var spanStart time.Time
-	if ins := n.c.ins; ins != nil && ins.flight != nil {
-		fl = ins.flight
-		span = obs.Span{
-			TraceID: n.dec.tc.trace, ID: fl.NextID(), Parent: n.dec.tc.span,
-			Kind: obs.SpanDeliver, Proc: n.proc, Peer: from,
-			Detail: "m" + strconv.Itoa(handle),
-		}
-		n.curTrace, n.curSpan = span.TraceID, span.ID
-		spanStart = time.Now()
 	}
 	n.inst.OnArrival(from, pb)
 	if err := n.c.recordDeliver(handle); err != nil {
@@ -386,12 +339,6 @@ func (n *Node) doDeliver(frame []byte) {
 	}
 	if n.c.cfg.Handler != nil {
 		n.c.cfg.Handler(n, from, payload)
-	}
-	if fl != nil {
-		span.Start = spanStart.UnixMicro()
-		span.Dur = time.Since(spanStart).Microseconds()
-		fl.Record(span)
-		n.curTrace, n.curSpan = 0, 0
 	}
 }
 

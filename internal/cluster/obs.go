@@ -16,7 +16,6 @@ import (
 type instruments struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
-	flight *obs.FlightRecorder
 	proto  string
 
 	sends          *obs.Counter
@@ -41,14 +40,13 @@ type instruments struct {
 	forcedBy sync.Map
 }
 
-// newInstruments creates the cluster's series. reg, tr, and fl may each
-// be nil (the corresponding series are nil and no-op).
-func newInstruments(reg *obs.Registry, tr *obs.Tracer, fl *obs.FlightRecorder, protocol core.Kind) *instruments {
+// newInstruments creates the cluster's series. reg and tr may each be
+// nil (the corresponding series are nil and no-op).
+func newInstruments(reg *obs.Registry, tr *obs.Tracer, protocol core.Kind) *instruments {
 	proto := protocol.String()
 	return &instruments{
 		reg:             reg,
 		tracer:          tr,
-		flight:          fl,
 		proto:           proto,
 		sends:           reg.Counter("rdt_cluster_sends_total", "protocol", proto),
 		deliveries:      reg.Counter("rdt_cluster_deliveries_total", "protocol", proto),

@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/rdt-go/rdt/internal/model"
-	"github.com/rdt-go/rdt/internal/obs"
 	"github.com/rdt-go/rdt/internal/recovery"
 	"github.com/rdt-go/rdt/internal/storage"
 	"github.com/rdt-go/rdt/internal/transport"
@@ -128,7 +126,6 @@ func (c *Cluster) stopForRecovery(ctx context.Context) (*model.Pattern, []model.
 // store), which consumes the old history; retries should hand each
 // attempt a fresh store, as the supervisor's default options do.
 func (c *Cluster) recoverFrom(pattern *model.Pattern, lost []model.LostMessage, crashed []int, opts RecoverOptions) (*RecoverResult, error) {
-	recStart := time.Now()
 	mgr, err := recovery.NewManager(c.store, c.cfg.N)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: recover: %w", err)
@@ -195,33 +192,6 @@ func (c *Cluster) recoverFrom(pattern *model.Pattern, lost []model.LostMessage, 
 		return nil, fmt.Errorf("cluster: recover: %w", err)
 	}
 	c.ins.recovery(len(replay))
-	if ins := c.ins; ins != nil && ins.flight != nil {
-		// The recovery span covers line computation through the new
-		// incarnation's start; it runs on no process, so it gets the
-		// synthetic track after the last real one. Each rolled-back
-		// process contributes a child span naming the checkpoint it
-		// resumes from.
-		fl := ins.flight
-		recID := fl.NextID()
-		end := time.Now()
-		fl.Record(obs.Span{
-			TraceID: recID, ID: recID, Kind: obs.SpanRecovery,
-			Proc: c.cfg.N, Start: recStart.UnixMicro(),
-			Dur:    end.Sub(recStart).Microseconds(),
-			Detail: fmt.Sprintf("crashed=%v replayed=%d", crashed, len(replay)),
-		})
-		for proc, depth := range plan.Depth {
-			if depth <= 0 {
-				continue
-			}
-			fl.Record(obs.Span{
-				TraceID: recID, ID: fl.NextID(), Parent: recID, Kind: obs.SpanRollback,
-				Proc: proc, Start: recStart.UnixMicro(),
-				Dur:    end.Sub(recStart).Microseconds(),
-				Detail: fmt.Sprintf("rollback to C{%d,%d} (depth %d)", proc, plan.Line[proc], depth),
-			})
-		}
-	}
 	return &RecoverResult{
 		Cluster:  next,
 		Plan:     plan,

@@ -171,3 +171,36 @@ func TestEventTypeStrings(t *testing.T) {
 		}
 	}
 }
+
+func TestTracerDropAccounting(t *testing.T) {
+	reg := NewRegistry()
+	tr := NewTracer(4)
+	tr.ObserveDrops(reg)
+	for i := 0; i < 4; i++ {
+		tr.Record(Event{Type: EventSend, Proc: i})
+	}
+	if tr.Dropped() != 0 {
+		t.Fatalf("dropped %d before overflow", tr.Dropped())
+	}
+	for i := 0; i < 10; i++ {
+		tr.Record(Event{Type: EventDeliver, Proc: i})
+	}
+	if got := tr.Dropped(); got != 10 {
+		t.Fatalf("dropped %d events, want 10", got)
+	}
+	if got := reg.Snapshot().CounterValue("rdt_obs_events_dropped_total"); got != 10 {
+		t.Fatalf("rdt_obs_events_dropped_total = %d, want 10", got)
+	}
+	// The ring still holds the newest 4 events, gapless.
+	tail := tr.Tail(0)
+	if len(tail) != 4 || tail[0].Seq != 11 || tail[3].Seq != 14 {
+		t.Fatalf("tail after overflow: %+v", tail)
+	}
+	// Nil tracer: everything is a no-op.
+	var nilTr *Tracer
+	nilTr.ObserveDrops(reg)
+	nilTr.Record(Event{})
+	if nilTr.Dropped() != 0 {
+		t.Fatalf("nil tracer dropped %d", nilTr.Dropped())
+	}
+}

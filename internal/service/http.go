@@ -22,8 +22,8 @@ import (
 //	POST   /v1/sessions              create a session      {"n": 3, "id": "optional"}
 //	GET    /v1/sessions              list sessions
 //	POST   /v1/sessions/{id}/events  ingest events         202, or 429 + Retry-After
-//	GET    /v1/sessions/{id}/verdict live RDT verdict      ?flush=1&violations=N
-//	GET    /v1/sessions/{id}/explain violation witnesses   ?violations=N&dot=1
+//	GET    /v1/sessions/{id}/verdict live RDT verdict      ?flush=1&violations=N (N <= MaxViolations)
+//	GET    /v1/sessions/{id}/explain violation witnesses   ?violations=N&dot=1 (N <= MaxViolations)
 //	GET    /v1/sessions/{id}/timeline Chrome trace-event timeline of the pattern
 //	GET    /v1/sessions/{id}/line    recovery-line query
 //	GET    /v1/sessions/{id}/trace   pattern-so-far dump   (rdtcheck - compatible)
@@ -238,13 +238,17 @@ func (a *api) verdict(w http.ResponseWriter, r *http.Request) {
 
 // violationsParam parses the optional ?violations= cap on the listed
 // violations. Absent (or not positive) means the service default;
-// anything but a decimal integer is answered with 400 and ok false.
+// anything but a decimal integer, or one above MaxViolations, is
+// answered with 400 and ok false.
 func violationsParam(w http.ResponseWriter, q url.Values) (n int, ok bool) {
 	v := q.Get("violations")
 	if v == "" {
 		return 0, true
 	}
 	n, err := strconv.Atoi(v)
+	if err == nil && n > MaxViolations {
+		err = fmt.Errorf("%d is above the maximum %d", n, MaxViolations)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad violations: %w", err))
 		return 0, false

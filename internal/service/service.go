@@ -32,6 +32,10 @@ const (
 	// DefaultMaxViolations is the number of violations a verdict lists
 	// unless the caller asks for another.
 	DefaultMaxViolations = 16
+	// MaxViolations is the most violations a verdict or explanation may
+	// be asked to list (?violations=); each listed pair of an
+	// explanation costs one witness search under the session's lock.
+	MaxViolations = 1024
 	// DefaultMaxProcs bounds the process count of a session.
 	DefaultMaxProcs = 1024
 	// DefaultSweepInterval is how often the janitor looks for idle

@@ -855,7 +855,8 @@ func TestHTTPDifferentialRandom(t *testing.T) {
 }
 
 // TestHTTPViolationsParam pins the ?violations= cap on both endpoints
-// that take it: a decimal integer or nothing, never a prefix of one.
+// that take it: a decimal integer or nothing, never a prefix of one,
+// and never above MaxViolations.
 func TestHTTPViolationsParam(t *testing.T) {
 	const serviceDefault = DefaultMaxViolations
 	c, _, _ := newTestServer(t, Config{})
@@ -890,6 +891,8 @@ func TestHTTPViolationsParam(t *testing.T) {
 		{"?violations=3", http.StatusOK, 3},
 		{"?violations=-1", http.StatusOK, serviceDefault},
 		{"", http.StatusOK, serviceDefault},
+		{fmt.Sprintf("?violations=%d", MaxViolations), http.StatusOK, len(all.Violations)},
+		{fmt.Sprintf("?violations=%d", MaxViolations+1), http.StatusBadRequest, 0},
 	} {
 		var v Verdict
 		var ex explainResponse

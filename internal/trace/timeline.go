@@ -8,15 +8,14 @@ import (
 	"github.com/rdt-go/rdt/internal/obs"
 )
 
-// Timeline converts a pattern into flight-recorder spans on a logical
-// clock: timestamps are the recorded per-process event sequence
-// positions (scaled to keep spans visibly apart), so the same pattern
-// always yields byte-identical Chrome trace output — the determinism
-// the golden tests pin down. Each message becomes a send span and a
-// deliver span sharing a trace id, the delivery parented to the send
-// (the causal link Perfetto draws as a flow); each non-initial
-// checkpoint becomes a checkpoint span, forced checkpoints marked by
-// kind.
+// Timeline converts a pattern into spans on a logical clock: timestamps
+// are the recorded per-process event sequence positions (scaled to keep
+// spans visibly apart), so the same pattern always yields byte-identical
+// Chrome trace output — the determinism the golden tests pin down. Each
+// message becomes a send span and a deliver span sharing a trace id, the
+// delivery parented to the send (the causal link Perfetto draws as a
+// flow); each non-initial checkpoint becomes a checkpoint span, forced
+// checkpoints marked by kind.
 func Timeline(p *model.Pattern) []obs.Span {
 	const tick = 10 // logical µs per local event, so dur=tick/2 spans never touch
 	msgs := make([]model.Message, len(p.Messages))
