@@ -60,13 +60,16 @@ bench-smoke:
 # lock: those tests run again on one core and on two. The scenario corpus must
 # NOT vary: each file, supervised ones included, runs twice per
 # TestCorpus pass, 17 passes on one, two and eight cores — at least 50
-# runs per file, every pair byte-identical.
+# runs per file, every pair byte-identical. The stream wire's tests run
+# again on one, two and eight cores: how session workers, the ack writer
+# and the connection's reader interleave is the scheduler's choice.
 race: vet
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/shard
 	$(GO) test -race -count=5 -cpu=1,2,8 -run 'LifecycleChurn|TransitionsAfterDrain|DurableCreateCollisions|ViolationTraceConcurrentReads' ./internal/service
 	$(GO) test -race -count=3 -cpu=1,2 -short -run 'CrashPointDifferential|GroupCommit|QueriesNeverWaitOnPersistence' ./internal/service
 	$(GO) test -race -count=17 -cpu=1,2,8 -run TestCorpus ./internal/scenario
+	$(GO) test -race -count=5 -cpu=1,2,8 ./internal/stream
 
 vet:
 	$(GO) vet ./...

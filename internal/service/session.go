@@ -542,8 +542,8 @@ func (s *Session) ProducerSeq(producer string) uint64 {
 }
 
 // ErrSeqGap means a producer skipped ahead of its accepted sequence —
-// frames were lost in a way TCP ordering cannot explain, so the
-// connection is broken by protocol.
+// frames were lost in a way TCP ordering cannot explain, so the stream
+// wire fails the producer's channel.
 var ErrSeqGap = errors.New("sequence gap")
 
 // EnqueueSeq enqueues one stream frame with at-least-once dedup: seq

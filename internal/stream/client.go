@@ -476,36 +476,29 @@ func (c *Client) readLoop() {
 			}
 		case frameError:
 			code := r.Int()
-			id := r.Uvarint()
-			detail := r.String()
+			scope := r.Uvarint()
+			perr := &ProtocolError{Code: code, Detail: r.String()}
 			if r.Done() != nil {
 				c.fatal(fmt.Errorf("%w: malformed error frame", ErrConnClosed))
 				return
 			}
-			perr := &ProtocolError{Code: code, Detail: detail}
-			if id == 0 {
-				// Channel 0 scopes the error to the connection — which,
-				// given the server answers in order, means the oldest
-				// pending open if one exists, the whole connection if not.
-				c.mu.Lock()
-				var res chan openResult
-				if len(c.pending) > 0 {
-					res = c.pending[0].res
-					c.pending = c.pending[1:]
-				}
-				c.mu.Unlock()
-				if res != nil {
-					res <- openResult{err: perr}
-					continue
-				}
+			c.mu.Lock()
+			ch := c.chans[scope]
+			var res chan openResult
+			if scope == 0 && len(c.pending) > 0 {
+				// The server answers OPENs in order: scope 0 is the oldest.
+				res = c.pending[0].res
+				c.pending = c.pending[1:]
+			}
+			c.mu.Unlock()
+			switch {
+			case res != nil:
+				res <- openResult{err: perr}
+			case ch != nil:
+				ch.fail(perr)
+			case scope == connScope || scope == 0:
 				c.fatal(perr)
 				return
-			}
-			c.mu.Lock()
-			ch := c.chans[id]
-			c.mu.Unlock()
-			if ch != nil {
-				ch.fail(perr)
 			}
 		case frameGoodbye:
 			c.mu.Lock()

@@ -112,10 +112,12 @@ func (p *Pool) Open(id string, n int, producer string) (*Chan, string, error) {
 		case err == nil:
 			return ch, addr, nil
 		case errors.Is(err, ErrConnClosed) || errors.Is(err, ErrGoodbye) || c.Err() != nil:
-			// The shared connection died under the open — another
-			// channel's protocol abort, a server restart, or a raced
-			// goodbye. The raw transport error may not wrap ErrConnClosed,
-			// so also trust the connection's own post-mortem. Redial.
+			// The shared connection died under the open — a
+			// connection-scoped abort, a server restart, or a raced
+			// goodbye; another channel's failure, a seq gap included, is
+			// scoped to that channel and never reaches an open. The raw
+			// transport error may not wrap ErrConnClosed, so also trust
+			// the connection's own post-mortem. Redial.
 			p.drop(addr, c)
 			lastErr = err
 			addr = p.pick()
@@ -148,10 +150,10 @@ func (p *Pool) Resume(old *Chan) (*Chan, string, error) {
 		lastErr = err
 		var pe *ProtocolError
 		// Moved and draining obviously warrant another hop. A sequence
-		// gap during the replay means the owner's copy moved (or was
-		// superseded) between the OPENOK and the replayed frame — also
-		// transient under churn: the next attempt re-reads the resume
-		// point. Anything else is a real protocol failure.
+		// gap fails only the replaying channel; it means the owner's copy
+		// moved (or was superseded) between the OPENOK and the replayed
+		// frame — also transient under churn: the next attempt re-reads
+		// the resume point. Anything else is a real protocol failure.
 		if errors.As(err, &pe) && pe.Code != CodeMoved && pe.Code != CodeDraining && pe.Code != CodeSeqGap {
 			return nil, "", err
 		}

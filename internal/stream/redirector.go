@@ -76,12 +76,7 @@ func (rd *Redirector) serveConn(c net.Conn) {
 	if _, err := io.ReadFull(fc.r, magic[:]); err != nil || string(magic[:]) != Magic {
 		return
 	}
-	var buf []byte
-	buf = append(buf, frameHello)
-	buf = binenc.AppendInt(buf, Version)
-	buf = binenc.AppendInt(buf, DefaultWindow)
-	buf = binenc.AppendInt(buf, DefaultMaxFrame)
-	if err := fc.writeFrame(buf); err != nil {
+	if err := fc.writeHello(); err != nil {
 		return
 	}
 	for {
@@ -92,30 +87,21 @@ func (rd *Redirector) serveConn(c net.Conn) {
 		}
 		r := binenc.NewReader(payload)
 		if typ := r.Byte(); typ != frameOpen {
-			rd.sendError(fc, CodeSession, "redirector: only OPEN is served here")
+			_ = fc.writeError(connScope, CodeSession, "redirector: only OPEN is served here")
 			return
 		}
 		id := r.String()
 		r.Int()        // n: unused, the owner validates it
 		_ = r.String() // producer
 		if err := r.Done(); err != nil {
-			rd.sendError(fc, CodeMalformed, "open: "+err.Error())
+			_ = fc.writeError(connScope, CodeMalformed, "open: "+err.Error())
 			return
 		}
 		addr, ok := rd.owner(id)
 		if !ok {
-			rd.sendError(fc, CodeSession, fmt.Sprintf("session %q: owner has no stream wire", id))
+			_ = fc.writeError(0, CodeSession, fmt.Sprintf("session %q: owner has no stream wire", id))
 			continue
 		}
-		rd.sendError(fc, CodeMoved, addr)
+		_ = fc.writeError(0, CodeMoved, addr)
 	}
-}
-
-func (rd *Redirector) sendError(fc *frameConn, code int, detail string) {
-	var buf []byte
-	buf = append(buf, frameError)
-	buf = binenc.AppendInt(buf, code)
-	buf = binenc.AppendUvarint(buf, 0)
-	buf = binenc.AppendString(buf, detail)
-	_ = fc.writeFrame(buf)
 }

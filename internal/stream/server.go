@@ -42,6 +42,7 @@ type Server struct {
 	mEvents       *obs.Counter
 	mDups         *obs.Counter
 	mBackpressure *obs.Counter
+	mAckFrames    *obs.Counter
 	hApply        *obs.Histogram
 	// rdt_stream_frames_total{type}, one series per frame type.
 	mFramesOpen, mFramesEvents, mFramesSeal, mFramesClose *obs.Counter
@@ -68,6 +69,7 @@ func Serve(addr string, cfg Config) (*Server, error) {
 		mEvents:       reg.Counter("rdt_stream_events_total"),
 		mDups:         reg.Counter("rdt_stream_dup_frames_total"),
 		mBackpressure: reg.Counter("rdt_stream_backpressure_waits_total"),
+		mAckFrames:    reg.Counter("rdt_stream_ack_frames_total"),
 		// Stream latencies live in the µs-to-ms band; the decade-wide
 		// LatencyBuckets would flatten them into two bars.
 		hApply: reg.Histogram("rdt_stream_batch_apply_seconds", obs.MicroLatencyBuckets),
@@ -149,7 +151,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		for _, sc := range conns {
-			sc.close()
+			sc.close("shutdown")
 		}
 		s.wg.Wait()
 		return fmt.Errorf("stream: shutdown: %w", ctx.Err())
@@ -167,31 +169,32 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	for _, sc := range conns {
-		sc.close()
+		sc.close("shutdown")
 	}
 	s.wg.Wait()
 	return err
 }
 
-// ackNote is one completion the session worker reports back to the
-// connection: frame seq of channel ch applied (or failed), events many
-// events' credit to return.
-type ackNote struct {
-	ch     uint64
+// ackEntry is one channel's apply completions not yet acked: the
+// highest applied seq, the credit they return and the first failure.
+type ackEntry struct {
 	seq    uint64
-	events int
+	credit int
 	err    error
-	start  time.Time
 }
 
 // serverConn is one accepted connection: a reader goroutine decoding
-// and enqueueing frames, and an ack goroutine coalescing apply
-// completions into ACK frames.
+// and enqueueing frames, and an ack goroutine writing the ack table.
 type serverConn struct {
 	srv *Server
 	fc  *frameConn
 
-	acks     chan ackNote
+	// acks holds at most one entry per channel, so session workers merge
+	// into it without ever blocking; ackWake (cap 1) tells ackLoop it
+	// is not empty.
+	ackMu    sync.Mutex
+	acks     map[uint64]ackEntry
+	ackWake  chan struct{}
 	closedCh chan struct{}
 	closed   sync.Once
 
@@ -213,14 +216,18 @@ func newServerConn(s *Server, c net.Conn) *serverConn {
 	return &serverConn{
 		srv:      s,
 		fc:       newFrameConn(c),
-		acks:     make(chan ackNote, 4096),
+		acks:     make(map[uint64]ackEntry),
+		ackWake:  make(chan struct{}, 1),
 		closedCh: make(chan struct{}),
 		chans:    make(map[uint64]*serverChan),
 	}
 }
 
-func (sc *serverConn) close() {
+// close hangs up once, counting why: an abort's code, "write-error",
+// "peer" (the client hung up) or "shutdown".
+func (sc *serverConn) close(reason string) {
 	sc.closed.Do(func() {
+		sc.srv.cfg.Registry.Counter("rdt_stream_conn_closes_total", "reason", reason).Inc()
 		close(sc.closedCh)
 		_ = sc.fc.Close()
 	})
@@ -235,19 +242,22 @@ func (sc *serverConn) goodbye() {
 // abort reports a connection-fatal protocol error and hangs up.
 func (sc *serverConn) abort(code int, detail string) {
 	sc.srv.protoErrors(code).Inc()
-	var buf []byte
-	buf = append(buf, frameError)
-	buf = binenc.AppendInt(buf, code)
-	buf = binenc.AppendUvarint(buf, 0)
-	buf = binenc.AppendString(buf, detail)
-	_ = sc.fc.writeFrame(buf)
-	sc.close()
+	_ = sc.fc.writeError(connScope, code, detail)
+	sc.close(codeString(code))
+}
+
+// chanError reports a failure in scope, a channel or (0) the oldest
+// pending open; the connection lives on.
+func (sc *serverConn) chanError(scope uint64, code int, detail string) {
+	sc.srv.protoErrors(code).Inc()
+	if err := sc.fc.writeError(scope, code, detail); err != nil {
+		sc.close("write-error")
+	}
 }
 
 func (sc *serverConn) serve() {
 	defer sc.srv.wg.Done()
 	defer sc.srv.dropConn(sc)
-	defer sc.close()
 
 	if err := sc.handshake(); err != nil {
 		sc.abort(CodeHandshake, err.Error())
@@ -259,7 +269,7 @@ func (sc *serverConn) serve() {
 		sc.ackLoop()
 	}()
 	sc.readLoop()
-	sc.close()
+	sc.close("peer") // unless an abort, a failed write or a shutdown closed it first
 	<-ackDone
 }
 
@@ -273,12 +283,7 @@ func (sc *serverConn) handshake() error {
 		return fmt.Errorf("bad magic %q", magic)
 	}
 	_ = sc.fc.c.SetReadDeadline(time.Time{})
-	var buf []byte
-	buf = append(buf, frameHello)
-	buf = binenc.AppendInt(buf, Version)
-	buf = binenc.AppendInt(buf, DefaultWindow)
-	buf = binenc.AppendInt(buf, DefaultMaxFrame)
-	return sc.fc.writeFrame(buf)
+	return sc.fc.writeHello()
 }
 
 func (sc *serverConn) readLoop() {
@@ -314,17 +319,6 @@ func (sc *serverConn) readLoop() {
 			return
 		}
 	}
-}
-
-// chanError reports a channel-scoped failure; the connection lives on.
-func (sc *serverConn) chanError(ch uint64, code int, detail string) {
-	sc.srv.protoErrors(code).Inc()
-	var buf []byte
-	buf = append(buf, frameError)
-	buf = binenc.AppendInt(buf, code)
-	buf = binenc.AppendUvarint(buf, ch)
-	buf = binenc.AppendString(buf, detail)
-	_ = sc.fc.writeFrame(buf)
 }
 
 func (sc *serverConn) handleOpen(r *binenc.Reader) bool {
@@ -376,6 +370,7 @@ func (sc *serverConn) handleOpen(r *binenc.Reader) bool {
 	buf = binenc.AppendUvarint(buf, sess.ProducerSeq(producer)+1)
 	buf = binenc.AppendInt(buf, DefaultWindow)
 	if err := sc.fc.writeFrame(buf); err != nil {
+		sc.close("write-error")
 		return false
 	}
 	return true
@@ -463,8 +458,8 @@ func (sc *serverConn) submit(ch *serverChan, seq uint64, count int, events []byt
 			sc.abort(CodeMalformed, "events frame: "+err.Error())
 			return false
 		case errors.Is(err, service.ErrSeqGap):
-			sc.abort(CodeSeqGap, err.Error())
-			return false
+			sc.chanError(ch.id, CodeSeqGap, err.Error())
+			return true
 		case errors.Is(err, service.ErrClosed):
 			// The session object went away under the channel — evicted, or
 			// passivated for a shard handoff. Re-resolve through the service:
@@ -507,80 +502,61 @@ func (sc *serverConn) sleep(backoff *time.Duration) bool {
 	return true
 }
 
-// notifyFunc builds the apply-completion callback for one frame: it
-// posts the ack note carrying credit events of window back. It runs on
-// the session worker goroutine and must not block: a full ack channel (a
-// client not reading acks while pushing thousands of frames) closes the
-// connection rather than stalling the session worker.
+// notifyFunc builds the apply-completion callback for one frame. It
+// runs on the session worker and merges the frame into the channel's
+// ack table entry, which never blocks and never drops.
 func (sc *serverConn) notifyFunc(ch, seq uint64, credit int, start time.Time) func(error) {
 	return func(err error) {
+		sc.srv.hApply.Observe(time.Since(start).Seconds())
+		sc.ackMu.Lock()
+		e := sc.acks[ch]
+		if err == nil {
+			e.seq = max(e.seq, seq)
+			e.credit += credit
+		} else if e.err == nil {
+			e.err = err
+		}
+		sc.acks[ch] = e
+		sc.ackMu.Unlock()
 		select {
-		case sc.acks <- ackNote{ch: ch, seq: seq, events: credit, err: err, start: start}:
-		case <-sc.closedCh:
+		case sc.ackWake <- struct{}{}:
 		default:
-			sc.close()
 		}
 	}
 }
 
-// ackLoop coalesces apply completions into cumulative ACK frames: all
-// notes immediately available are merged per channel before writing, so
-// a burst of small batches costs one frame, not hundreds.
+// ackLoop swaps the ack table out and writes each channel's cumulative
+// ACK, then its first failure, so a burst of small batches costs one
+// frame, not hundreds.
 func (sc *serverConn) ackLoop() {
-	type agg struct {
-		seq    uint64
-		credit int
-	}
-	pending := make(map[uint64]*agg)
-	var order []uint64
-	collect := func(n ackNote) {
-		sc.srv.hApply.Observe(time.Since(n.start).Seconds())
-		if n.err != nil {
-			sc.chanError(n.ch, CodeSession, n.err.Error())
-			return
-		}
-		a := pending[n.ch]
-		if a == nil {
-			a = &agg{}
-			pending[n.ch] = a
-			order = append(order, n.ch)
-		}
-		if n.seq > a.seq {
-			a.seq = n.seq
-		}
-		a.credit += n.events
-	}
+	spare := make(map[uint64]ackEntry)
 	var buf []byte
 	for {
 		select {
 		case <-sc.closedCh:
 			return
-		case n := <-sc.acks:
-			collect(n)
+		case <-sc.ackWake:
 		}
-	drain:
-		for {
-			select {
-			case n := <-sc.acks:
-				collect(n)
-			default:
-				break drain
+		sc.ackMu.Lock()
+		acks := sc.acks
+		sc.acks = spare
+		sc.ackMu.Unlock()
+		for ch, e := range acks {
+			if e.seq > 0 || e.credit > 0 {
+				buf = binenc.AppendUvarint(append(buf[:0], frameAck), ch)
+				buf = binenc.AppendInt(binenc.AppendUvarint(buf, e.seq), e.credit)
+				sc.srv.mAckFrames.Inc()
+				if err := sc.fc.writeFrame(buf); err != nil {
+					sc.close("write-error")
+					return
+				}
+			}
+			if e.err != nil {
+				sc.chanError(ch, CodeSession, e.err.Error())
 			}
 		}
-		for _, ch := range order {
-			a := pending[ch]
-			buf = buf[:0]
-			buf = append(buf, frameAck)
-			buf = binenc.AppendUvarint(buf, ch)
-			buf = binenc.AppendUvarint(buf, a.seq)
-			buf = binenc.AppendInt(buf, a.credit)
-			if err := sc.fc.writeFrame(buf); err != nil {
-				sc.close()
-				return
-			}
-			delete(pending, ch)
-		}
-		order = order[:0]
+		clear(acks)
+		spare = acks
 	}
 }
 

@@ -141,6 +141,12 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
+	return handshakeRaw(t, conn)
+}
+
+// handshakeRaw writes the magic on conn and reads the server's HELLO.
+func handshakeRaw(t *testing.T, conn net.Conn) *rawConn {
+	t.Helper()
 	t.Cleanup(func() { conn.Close() }) //nolint:errcheck
 	if _, err := conn.Write([]byte(Magic)); err != nil {
 		t.Fatalf("magic: %v", err)
@@ -170,6 +176,16 @@ func (rc *rawConn) open(id string, n int, producer string) uint64 {
 	return binenc.NewReader(payload[1:]).Uvarint()
 }
 
+// eventsFrame builds channel ch's EVENTS frame seq holding count
+// checkpoints of process 0.
+func eventsFrame(ch, seq uint64, count int) []byte {
+	buf := binenc.AppendInt(binenc.AppendUvarint(binenc.AppendUvarint([]byte{frameEvents}, ch), seq), count)
+	for i := 0; i < count; i++ {
+		buf, _ = service.AppendEvent(buf, &service.Event{Op: service.OpCheckpoint})
+	}
+	return buf
+}
+
 // expectError reads frames until an ERROR arrives and returns its code,
 // failing if the connection closes first.
 func (rc *rawConn) expectError() int {
@@ -187,7 +203,8 @@ func (rc *rawConn) expectError() int {
 }
 
 func TestStreamOversizedFrameRejected(t *testing.T) {
-	_, srv := startServer(t, service.Config{}, Config{})
+	reg := obs.NewRegistry()
+	_, srv := startServer(t, service.Config{}, Config{Registry: reg})
 	rc := dialRaw(t, srv.Addr())
 	// Header claiming a 16 MiB payload, past DefaultMaxFrame; nothing
 	// follows.
@@ -201,6 +218,9 @@ func TestStreamOversizedFrameRejected(t *testing.T) {
 	// The server hangs up after a connection-fatal error.
 	if _, err := rc.fc.readFrame(); !errors.Is(err, io.EOF) {
 		t.Fatalf("after abort: %v, want EOF", err)
+	}
+	if got := reg.Counter("rdt_stream_conn_closes_total", "reason", "frame-too-big").Value(); got != 1 {
+		t.Errorf("closes{reason=frame-too-big} = %d, want 1", got)
 	}
 }
 
@@ -238,15 +258,7 @@ func TestBatchLimitOnBothWires(t *testing.T) {
 
 		rc := dialRaw(t, srv.Addr())
 		ch := rc.open(fmt.Sprintf("stream-%d", tc.events), 2, "p")
-		var buf []byte
-		buf = append(buf, frameEvents)
-		buf = binenc.AppendUvarint(buf, ch)
-		buf = binenc.AppendUvarint(buf, 1)
-		buf = binenc.AppendInt(buf, tc.events)
-		for i := 0; i < tc.events; i++ {
-			buf, _ = service.AppendEvent(buf, &service.Event{Op: service.OpCheckpoint})
-		}
-		if err := rc.fc.writeFrame(buf); err != nil {
+		if err := rc.fc.writeFrame(eventsFrame(ch, 1, tc.events)); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		if code := rc.expectAckOrError(); code != tc.code {
@@ -273,21 +285,99 @@ func (rc *rawConn) expectAckOrError() int {
 	}
 }
 
-func TestStreamSeqGapAborts(t *testing.T) {
+// TestStreamSeqGapFailsOnlyItsChannel: a seq gap fails the channel
+// that skipped ahead, not an open sent behind it on the same
+// connection, and not the connection.
+func TestStreamSeqGapFailsOnlyItsChannel(t *testing.T) {
 	_, srv := startServer(t, service.Config{}, Config{})
-	rc := dialRaw(t, srv.Addr())
-	ch := rc.open("s", 2, "p")
-	var buf []byte
-	buf = append(buf, frameEvents)
-	buf = binenc.AppendUvarint(buf, ch)
-	buf = binenc.AppendUvarint(buf, 5) // skips 1..4
-	buf = binenc.AppendInt(buf, 1)
-	buf, _ = service.AppendEvent(buf, &service.Event{Op: service.OpCheckpoint})
-	if err := rc.fc.writeFrame(buf); err != nil {
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close() //nolint:errcheck
+	gapped, err := c.Open("gapped", 2, "p")
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	// Seq 5 skips 1..4. The server reads frames in order, so it finds
+	// the gap before it answers the open that follows.
+	if err := c.fc.writeFrame(eventsFrame(gapped.ID, 5, 1)); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if code := rc.expectError(); code != CodeSeqGap {
-		t.Fatalf("error code %d, want seq-gap", code)
+	ch, err := c.Open("fresh", 2, "p")
+	if err != nil {
+		t.Fatalf("open behind another channel's gap: %v", err)
+	}
+	var perr *ProtocolError
+	if err := gapped.Err(); !errors.As(err, &perr) || perr.Code != CodeSeqGap {
+		t.Fatalf("gapped channel: %v, want seq-gap", err)
+	}
+	if err := ch.Send(testBatch(2)); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := ch.Flush(ctx); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatalf("connection failed: %v", err)
+	}
+}
+
+// TestStreamAckTableNeverCloses: a client that writes without reading
+// stalls the server's ack writer on its first ACK (net.Pipe has no
+// buffer), while the session keeps applying. The completions merge into
+// the connection's ack table instead of closing the connection: all
+// 5000 one-event frames land, and reading afterwards yields cumulative
+// ACKs up to seq 5000 that return 5000 events of credit.
+func TestStreamAckTableNeverCloses(t *testing.T) {
+	reg := obs.NewRegistry()
+	svc, srv := startServer(t, service.Config{}, Config{Registry: reg})
+	client, server := net.Pipe()
+	sc := newServerConn(srv, server)
+	srv.wg.Add(1)
+	go sc.serve()
+	rc := handshakeRaw(t, client)
+	ch := rc.open("stalled", 2, "p")
+	const frames = 5000
+	for seq := uint64(1); seq <= frames; seq++ {
+		if err := rc.fc.writeFrame(eventsFrame(ch, seq, 1)); err != nil {
+			t.Fatalf("frame %d: %v", seq, err)
+		}
+	}
+	// CLOSE has no answer, and net.Pipe's write returns once the server
+	// has read it, after it enqueued every frame before it.
+	if err := rc.fc.writeFrame(binenc.AppendUvarint([]byte{frameClose}, ch)); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	sess, err := svc.Session("stalled")
+	if err != nil {
+		t.Fatalf("session: %v", err)
+	}
+	if v := flushVerdict(t, sess); v.EventsApplied != frames {
+		t.Fatalf("applied %d events, want %d", v.EventsApplied, frames)
+	}
+	var seq uint64
+	credit, acks := 0, int64(0)
+	for seq < frames {
+		payload, err := rc.fc.readFrame()
+		if err != nil {
+			t.Fatalf("after seq %d: %v", seq, err)
+		}
+		r := binenc.NewReader(payload)
+		if typ := r.Byte(); typ != frameAck || r.Uvarint() != ch {
+			t.Fatalf("frame % x, want an ACK on channel %d", payload, ch)
+		}
+		seq = r.Uvarint()
+		credit += r.Int()
+		acks++
+	}
+	if seq != frames || credit != frames {
+		t.Fatalf("acked seq %d with %d credit, want %d and %d", seq, credit, frames, frames)
+	}
+	if got := reg.Counter("rdt_stream_ack_frames_total").Value(); got != acks {
+		t.Errorf("rdt_stream_ack_frames_total = %d, want the %d ACKs read", got, acks)
 	}
 }
 
@@ -399,7 +489,8 @@ func TestStreamCreditWindowBlocksAndRecovers(t *testing.T) {
 }
 
 func TestStreamGracefulDrain(t *testing.T) {
-	_, srv := startServer(t, service.Config{}, Config{})
+	reg := obs.NewRegistry()
+	_, srv := startServer(t, service.Config{}, Config{Registry: reg})
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -441,5 +532,12 @@ func TestStreamGracefulDrain(t *testing.T) {
 	_ = c.Close()
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+	// The client hung up on its own: the drain forced nothing closed.
+	if got := reg.Counter("rdt_stream_conn_closes_total", "reason", "peer").Value(); got != 1 {
+		t.Errorf("closes{reason=peer} = %d, want 1", got)
+	}
+	if got := reg.Counter("rdt_stream_conn_closes_total", "reason", "shutdown").Value(); got != 0 {
+		t.Errorf("closes{reason=shutdown} = %d, want 0", got)
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -45,8 +46,9 @@ import (
 // Magic is the 8-byte string a client writes before any frame.
 const Magic = "RDTSTRM1"
 
-// Version is the protocol revision announced in HELLO.
-const Version = 1
+// Version is the protocol revision announced in HELLO. Version 2 gave
+// every ERROR frame an explicit scope.
+const Version = 2
 
 // Limits every Server announces in HELLO.
 const (
@@ -74,21 +76,25 @@ const (
 	frameHello   = 0x81 // version, window, maxFrame
 	frameOpenOK  = 0x82 // chan, id string, n, nextSeq, window
 	frameAck     = 0x83 // chan, seq, credit
-	frameError   = 0x84 // code, chan (0 = connection), detail string
+	frameError   = 0x84 // code, scope, detail string
 	frameGoodbye = 0x85 // server draining
 )
 
+// An ERROR frame's scope is the channel it fails, 0 for the answer to
+// the oldest pending OPEN, or connScope for the whole connection, which
+// the server then closes.
+const connScope = math.MaxUint64
+
 // Protocol error codes carried by ERROR frames.
 const (
-	CodeMalformed    = 1 // unparseable frame, bad CRC, bad event encoding
-	CodeFrameTooBig  = 2 // frame length beyond the advertised maximum
-	CodeUnknownChan  = 3 // frame names a channel that was never opened
-	CodeSession      = 4 // the session rejected the operation (detail says why)
-	CodeSeqGap       = 5 // producer skipped ahead of its accepted sequence
-	CodeDraining     = 6 // server is shutting down; no new channels
-	CodeHandshake    = 7 // bad magic or handshake violation
-	CodeBatchTooBig  = 8 // events frame beyond the service's batch limit
-	CodeUnauthorized = 9 // reserved
+	CodeMalformed   = 1 // unparseable frame, bad CRC, bad event encoding
+	CodeFrameTooBig = 2 // frame length beyond the advertised maximum
+	CodeUnknownChan = 3 // frame names a channel that was never opened
+	CodeSession     = 4 // the session rejected the operation (detail says why)
+	CodeSeqGap      = 5 // producer skipped ahead of its accepted sequence
+	CodeDraining    = 6 // server is shutting down; no new channels
+	CodeHandshake   = 7 // bad magic or handshake violation
+	CodeBatchTooBig = 8 // events frame beyond the service's batch limit
 	// CodeMoved is the stream wire's 307: the session lives on another
 	// cluster member, whose stream address rides in the error detail.
 	// Clients reconnect there and resume from the OPENOK sequence point.
@@ -203,6 +209,19 @@ func (fc *frameConn) writeFrame(payload []byte) error {
 	fc.wbuf = binenc.AppendFrame(fc.wbuf[:0], payload)
 	_, err := fc.c.Write(fc.wbuf)
 	return err
+}
+
+// writeHello sends the HELLO that answers a client's magic.
+func (fc *frameConn) writeHello() error {
+	buf := binenc.AppendInt([]byte{frameHello}, Version)
+	return fc.writeFrame(binenc.AppendInt(binenc.AppendInt(buf, DefaultWindow), DefaultMaxFrame))
+}
+
+// writeError sends one ERROR frame in scope; it is the wire's only
+// ERROR encoder.
+func (fc *frameConn) writeError(scope uint64, code int, detail string) error {
+	buf := binenc.AppendInt([]byte{frameError}, code)
+	return fc.writeFrame(binenc.AppendString(binenc.AppendUvarint(buf, scope), detail))
 }
 
 func (fc *frameConn) Close() error { return fc.c.Close() }

@@ -182,8 +182,7 @@ func TestStreamWireGolden(t *testing.T) {
 		if _, err := io.ReadFull(c, make([]byte, len(Magic))); err != nil {
 			return
 		}
-		hello := binenc.AppendInt(binenc.AppendInt(binenc.AppendInt([]byte{frameHello}, Version), DefaultWindow), DefaultMaxFrame)
-		_ = fc.writeFrame(hello)
+		_ = fc.writeHello()
 		for range golden {
 			frame := make([]byte, binenc.FrameHeaderSize)
 			if _, err := io.ReadFull(c, frame); err != nil {
@@ -226,6 +225,55 @@ func TestStreamWireGolden(t *testing.T) {
 	for _, g := range golden {
 		if got := hex.EncodeToString(<-frames); got != g.hex {
 			t.Errorf("%s frame\n  got  %s\n  want %s", g.name, got, g.hex)
+		}
+	}
+}
+
+// TestStreamServerWireGolden pins the server's frames of version 2:
+// HELLO, a cumulative ACK, and an ERROR in each of its three scopes.
+func TestStreamServerWireGolden(t *testing.T) {
+	golden := []struct{ name, hex string }{
+		{"HELLO", "080000006d5863bf8102808001808040"},
+		{"ACK", "040000003f713d2f83010102"},
+		{"open refusal (scope 0)", "36000000576efc058404003273657373696f6e2022676f6c64656e222068617320332070726f6365737365732c206f70656e2061736b656420666f722032"},
+		{"channel error (scope 1)", "31000000cac94a2f8405012d73657175656e6365206761703a2070726f6475636572202270222073656e742073657120352061667465722031"},
+		{"connection abort (connScope)", "29000000df55e81d8403ffffffffffffffffff011c7365616c20666f7220756e6f70656e6564206368616e6e656c203432"},
+	}
+	_, srv := startServer(t, service.Config{}, Config{})
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close() //nolint:errcheck
+	fc := newFrameConn(conn)
+	if _, err := conn.Write([]byte(Magic)); err != nil {
+		t.Fatalf("magic: %v", err)
+	}
+	open := func(n int) []byte {
+		return binenc.AppendString(binenc.AppendInt(binenc.AppendString([]byte{frameOpen}, "golden"), n), "p")
+	}
+	// Each request is answered before the next is written, and each
+	// answer after the first OPENOK is one row of the table.
+	requests := [][]byte{nil, open(3), eventsFrame(1, 1, 2), open(2), eventsFrame(1, 5, 1),
+		binenc.AppendUvarint(binenc.AppendUvarint([]byte{frameSeal}, 42), 1)}
+	var got []string
+	for i, req := range requests {
+		if req != nil {
+			if err := fc.writeFrame(req); err != nil {
+				t.Fatalf("request %d: %v", i, err)
+			}
+		}
+		payload, err := fc.readFrame()
+		if err != nil {
+			t.Fatalf("answer %d: %v", i, err)
+		}
+		if payload[0] != frameOpenOK {
+			got = append(got, hex.EncodeToString(binenc.AppendFrame(nil, payload)))
+		}
+	}
+	for i, g := range golden {
+		if got[i] != g.hex {
+			t.Errorf("%s frame\n  got  %s\n  want %s", g.name, got[i], g.hex)
 		}
 	}
 }
