@@ -16,12 +16,20 @@ import (
 // and MinConsistentSweep and MinConsistentContaining to the round-robin
 // fixpoint, for every checkpoint and for that many pinned pairs drawn
 // from rng. A checkpoint must also be useless exactly when it has no
-// minimum. It returns the number of useless checkpoints.
+// minimum. The batch RDT check is held to its pair loop on the way. It
+// returns the number of useless checkpoints.
 func checkConsistencyOracles(t testing.TB, p *model.Pattern, rng *rand.Rand, pairs int) int {
 	t.Helper()
 	g, err := Build(p)
 	if err != nil {
 		t.Fatalf("build: %v", err)
+	}
+	tdvs, err := ComputeTDVs(p)
+	if err != nil {
+		t.Fatalf("tdvs: %v", err)
+	}
+	if err := checkRDTOracle(g, tdvs); err != nil {
+		t.Fatalf("%v\n%s", err, p.ASCII())
 	}
 	chains, err := NewChains(p)
 	if err != nil {

@@ -12,9 +12,9 @@
 package rgraph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"github.com/rdt-go/rdt/internal/model"
@@ -41,6 +41,11 @@ func Build(p *model.Pattern) (*Graph, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("rgraph: %w", err)
 	}
+	return build(p)
+}
+
+// build is Build on a pattern the caller has validated.
+func build(p *model.Pattern) (*Graph, error) {
 	g := &Graph{p: p, offset: make([]int, p.N)}
 	for i := 0; i < p.N; i++ {
 		g.offset[i] = g.nodes
@@ -62,11 +67,8 @@ func Build(p *model.Pattern) (*Graph, error) {
 		}
 		edges = append(edges, [2]int{g.id(m.From, m.SendInterval), g.id(m.To, m.DeliverInterval)})
 	}
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a][0] != edges[b][0] {
-			return edges[a][0] < edges[b][0]
-		}
-		return edges[a][1] < edges[b][1]
+	slices.SortFunc(edges, func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 	})
 	// Sorted order groups each node's successors and makes duplicates
 	// (parallel messages between one interval pair) adjacent.

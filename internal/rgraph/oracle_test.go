@@ -270,3 +270,48 @@ func pinnedIndex(set []model.CkptID, proc model.ProcID) int {
 	}
 	return -1
 }
+
+// checkRDTPairs is checkRDT as it was before the word scan: every
+// ordered checkpoint pair, one reach bit and one TDV entry each, C²
+// steps in (i, x, j, y) order.
+func checkRDTPairs(g *Graph, tdvs *TDVTable, maxViolations int) *Report {
+	if maxViolations <= 0 {
+		maxViolations = 16
+	}
+	p := g.Pattern()
+	rep := &Report{RDT: true}
+	for i := 0; i < p.N; i++ {
+		for x := range p.Checkpoints[i] {
+			a := model.CkptID{Proc: model.ProcID(i), Index: x}
+			for j := 0; j < p.N; j++ {
+				for y := range p.Checkpoints[j] {
+					b := model.CkptID{Proc: model.ProcID(j), Index: y}
+					if !g.HasRPath(a, b) {
+						continue
+					}
+					rep.RPathPairs++
+					if tdvs.Trackable(a, b) {
+						rep.TrackablePairs++
+						continue
+					}
+					rep.RDT = false
+					if len(rep.Violations) < maxViolations {
+						rep.Violations = append(rep.Violations, Violation{From: a, To: b})
+					}
+				}
+			}
+		}
+	}
+	return rep
+}
+
+// checkRDTOracle holds checkRDT to checkRDTPairs at several violation
+// caps, the smallest ones cutting a run of violations inside one word.
+func checkRDTOracle(g *Graph, tdvs *TDVTable) error {
+	for _, limit := range []int{1, 3, 16, 1024} {
+		if err := diffReports(checkRDTPairs(g, tdvs, limit), checkRDT(g, tdvs, limit)); err != nil {
+			return fmt.Errorf("checkRDT(%d) against the pair loop: %w", limit, err)
+		}
+	}
+	return nil
+}

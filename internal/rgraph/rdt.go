@@ -2,6 +2,7 @@ package rgraph
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/rdt-go/rdt/internal/model"
 )
@@ -42,11 +43,14 @@ type Report struct {
 // TDV_{to}[from.Proc] >= from.Index on the offline dependency vectors.
 // maxViolations caps the number of reported violations (<= 0 means 16).
 func CheckRDT(p *model.Pattern, maxViolations int) (*Report, error) {
-	g, err := Build(p)
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("rgraph: %w", err)
+	}
+	g, err := build(p)
 	if err != nil {
 		return nil, err
 	}
-	tdvs, err := ComputeTDVs(p)
+	tdvs, err := NewAnalyzer().computeTDVs(p)
 	if err != nil {
 		return nil, err
 	}
@@ -58,34 +62,78 @@ func CheckRDTGraph(g *Graph, tdvs *TDVTable, maxViolations int) *Report {
 	return checkRDT(g, tdvs, maxViolations)
 }
 
+// checkRDT scans the closure rows a word at a time instead of testing
+// pairs. C_{i,x} -> b is untrackable iff TDV_b[i] < x, so for a fixed
+// source process i the untrackable targets of C_{i,x} are the nodes
+// whose entry i is below x: a set U that only grows with x. The nodes
+// are bucketed by entry i once per process; for x = 0, 1, ... the row of
+// C_{i,x} is and-ed with U, and then bucket x joins U. Node ids run in
+// (process, index) order, so the set bits of row & U are the violations
+// in the (i, x, j, y) order of a pair-by-pair enumeration. The cost is
+// ⌈C/64⌉ words per source plus n·C bucket steps, instead of C² pair
+// tests.
 func checkRDT(g *Graph, tdvs *TDVTable, maxViolations int) *Report {
 	if maxViolations <= 0 {
 		maxViolations = 16
 	}
 	p := g.Pattern()
 	rep := &Report{RDT: true}
+	longest := 0
 	for i := 0; i < p.N; i++ {
-		for x := range p.Checkpoints[i] {
-			a := model.CkptID{Proc: model.ProcID(i), Index: x}
-			for j := 0; j < p.N; j++ {
-				for y := range p.Checkpoints[j] {
-					b := model.CkptID{Proc: model.ProcID(j), Index: y}
-					if !g.HasRPath(a, b) {
-						continue
-					}
-					rep.RPathPairs++
-					if tdvs.Trackable(a, b) {
-						rep.TrackablePairs++
-						continue
-					}
-					rep.RDT = false
-					if len(rep.Violations) < maxViolations {
-						rep.Violations = append(rep.Violations, Violation{From: a, To: b})
-					}
+		longest = max(longest, len(p.Checkpoints[i]))
+	}
+	// order holds every node id sorted by entry i of its TDV (a counting
+	// sort); bucket x is order[bucket[x]:bucket[x+1]]. Entry i of a
+	// vector is 0, the node's own index on process i, or an interval in
+	// which i sent a message, and Build refuses sends in the open
+	// interval, so it is below i's checkpoint count.
+	order := make([]int, g.nodes)
+	arena := make([]int, longest+2)
+	untracked := newBitset(g.nodes)
+	untrackable := 0
+	for i := 0; i < p.N; i++ {
+		sources := len(p.Checkpoints[i])
+		bucket := arena[:sources+2]
+		clear(bucket)
+		for j := 0; j < p.N; j++ {
+			for _, v := range tdvs.vecs[j] {
+				bucket[v[i]+2]++
+			}
+		}
+		for x := 2; x < len(bucket); x++ {
+			bucket[x] += bucket[x-1]
+		}
+		for j := 0; j < p.N; j++ {
+			for y, v := range tdvs.vecs[j] {
+				order[bucket[v[i]+1]] = g.offset[j] + y
+				bucket[v[i]+1]++
+			}
+		}
+		clear(untracked)
+		for x := 0; x < sources; x++ {
+			from := model.CkptID{Proc: model.ProcID(i), Index: x}
+			for w, row := range g.reach[g.offset[i]+x] {
+				if row == 0 {
+					continue
 				}
+				rep.RPathPairs += bits.OnesCount64(row)
+				bad := row & untracked[w]
+				if bad == 0 {
+					continue
+				}
+				rep.RDT = false
+				untrackable += bits.OnesCount64(bad)
+				for ; bad != 0 && len(rep.Violations) < maxViolations; bad &= bad - 1 {
+					to := g.ckpt(w<<6 + bits.TrailingZeros64(bad))
+					rep.Violations = append(rep.Violations, Violation{From: from, To: to})
+				}
+			}
+			for _, b := range order[bucket[x]:bucket[x+1]] {
+				untracked.set(b)
 			}
 		}
 	}
+	rep.TrackablePairs = rep.RPathPairs - untrackable
 	return rep
 }
 

@@ -1,8 +1,9 @@
 package rgraph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/rdt-go/rdt/internal/model"
 	"github.com/rdt-go/rdt/internal/vclock"
@@ -63,6 +64,11 @@ func (a *Analyzer) ComputeTDVs(p *model.Pattern) (*TDVTable, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("compute tdvs: %w", err)
 	}
+	return a.computeTDVs(p)
+}
+
+// computeTDVs is ComputeTDVs on a pattern the caller has validated.
+func (a *Analyzer) computeTDVs(p *model.Pattern) (*TDVTable, error) {
 	a.prepare(p)
 	n := p.N
 
@@ -178,8 +184,7 @@ func (a *Analyzer) prepare(p *model.Pattern) {
 		a.perProc[m.To] = append(a.perProc[m.To], event{kind: evDeliver, proc: m.To, seq: m.DeliverSeq, msgIdx: i})
 	}
 	for i := range a.perProc {
-		evs := a.perProc[i]
-		sort.Slice(evs, func(x, y int) bool { return evs[x].seq < evs[y].seq })
+		slices.SortFunc(a.perProc[i], func(x, y event) int { return cmp.Compare(x.seq, y.seq) })
 	}
 
 	for i := range a.pos {

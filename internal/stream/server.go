@@ -138,8 +138,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	_ = s.ln.Close()
+	// A goodbye waits for the connection's write lock, which an ack
+	// write to a client that stopped reading holds with no deadline. Sent
+	// off this goroutine, it cannot outlive ctx: the forced close below
+	// fails the stuck write, and then the goodbye.
 	for _, sc := range conns {
-		sc.goodbye()
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			sc.goodbye()
+		}()
 	}
 	done := make(chan struct{})
 	go func() {

@@ -541,3 +541,43 @@ func TestStreamGracefulDrain(t *testing.T) {
 		t.Errorf("closes{reason=shutdown} = %d, want 0", got)
 	}
 }
+
+// TestStreamShutdownHonorsDeadline: a client that stops reading holds
+// the server's writes (net.Pipe has no buffer), so the goodbye can never
+// be written. Shutdown must still return ctx's error once the deadline
+// passes, and count the forced close as a shutdown.
+func TestStreamShutdownHonorsDeadline(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, srv := startServer(t, service.Config{}, Config{Registry: reg})
+	client, server := net.Pipe()
+	sc := newServerConn(srv, server)
+	srv.mu.Lock()
+	srv.conns[sc] = struct{}{}
+	srv.mu.Unlock()
+	srv.mConns.Add(1)
+	srv.wg.Add(1)
+	go sc.serve()
+	rc := handshakeRaw(t, client)
+	ch := rc.open("deaf", 2, "p")
+	for seq := uint64(1); seq <= 10; seq++ {
+		if err := rc.fc.writeFrame(eventsFrame(ch, seq, 1)); err != nil {
+			t.Fatalf("frame %d: %v", seq, err)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- srv.Shutdown(ctx) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("shutdown: %v, want the context's deadline error", err)
+		}
+	case <-time.After(1500 * time.Millisecond):
+		t.Fatal("shutdown outlived its 500ms deadline by a second")
+	}
+	if got := reg.Counter("rdt_stream_conn_closes_total", "reason", "shutdown").Value(); got != 1 {
+		t.Errorf("closes{reason=shutdown} = %d, want 1", got)
+	}
+}
