@@ -153,11 +153,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  violation: %v\n", v)
 	}
 	if *explain && len(report.Violations) > 0 {
-		explainer, err := rgraph.NewExplainer(p)
-		if err != nil {
-			return err
-		}
-		witnesses, err := explainer.ExplainAll(report.Violations)
+		witnesses, err := rgraph.ExplainReport(p, report)
 		if err != nil {
 			return err
 		}

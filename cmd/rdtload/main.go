@@ -51,7 +51,6 @@ type loadConfig struct {
 	addr     string
 	httpAddr string
 	sessions int
-	conns    int
 	procs    int
 	events   int
 	batch    int
@@ -69,7 +68,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fs.StringVar(&cfg.addr, "addr", "", "rdtserved stream ingest address; a comma-separated list drives a sharded cluster, following MOVED redirects (mode stream)")
 	fs.StringVar(&cfg.httpAddr, "http", "", "rdtserved HTTP API address, comma-separated for a cluster (mode json ingest; any mode: seal + verdict digests)")
 	fs.IntVar(&cfg.sessions, "sessions", 4, "concurrent sessions to drive")
-	fs.IntVar(&cfg.conns, "conns", 2, "stream connections to multiplex sessions over")
 	fs.IntVar(&cfg.procs, "procs", 8, "processes per session")
 	fs.IntVar(&cfg.events, "events", 100000, "events per session")
 	fs.IntVar(&cfg.batch, "batch", 256, "events per batch")
@@ -97,15 +95,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown mode %q (stream or json)", cfg.mode)
 	}
-	if cfg.sessions < 1 || cfg.conns < 1 || cfg.batch < 1 || cfg.events < 1 {
-		return fmt.Errorf("sessions, conns, batch, and events must be positive")
+	if cfg.sessions < 1 || cfg.batch < 1 || cfg.events < 1 {
+		return fmt.Errorf("sessions, batch, and events must be positive")
 	}
 	if cfg.digest && cfg.httpAddr == "" {
 		return fmt.Errorf("-digest needs -http")
 	}
 
-	fmt.Fprintf(out, "rdtload: mode=%s sessions=%d conns=%d procs=%d batch=%d shape=%s events=%d\n",
-		cfg.mode, cfg.sessions, cfg.conns, cfg.procs, cfg.batch, cfg.shape, cfg.sessions*cfg.events)
+	fmt.Fprintf(out, "rdtload: mode=%s sessions=%d procs=%d batch=%d shape=%s events=%d\n",
+		cfg.mode, cfg.sessions, cfg.procs, cfg.batch, cfg.shape, cfg.sessions*cfg.events)
 
 	streamAddrs := splitList(cfg.addr)
 	httpAddrs := splitList(cfg.httpAddr)
@@ -113,12 +111,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	start := time.Now()
 	var err error
 	var perDaemon map[string]int
-	switch {
-	case cfg.mode == "stream" && len(streamAddrs) > 1:
-		perDaemon, err = driveStreamCluster(ctx, cfg, streamAddrs, &lat)
-	case cfg.mode == "stream":
-		err = driveStream(ctx, cfg, &lat)
-	default:
+	var resumes int
+	if cfg.mode == "stream" {
+		perDaemon, resumes, err = driveStream(ctx, cfg, streamAddrs, &lat)
+	} else {
 		perDaemon, err = driveJSON(ctx, cfg, httpAddrs, &lat)
 	}
 	if err != nil {
@@ -135,6 +131,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		lat.quantile(0.50).Round(time.Microsecond), lat.quantile(0.90).Round(time.Microsecond),
 		lat.quantile(0.99).Round(time.Microsecond), lat.quantile(0.999).Round(time.Microsecond),
 		lat.max.Round(time.Microsecond))
+	if cfg.mode == "stream" {
+		fmt.Fprintf(out, "rdtload: resumes %d\n", resumes)
+	}
 	if len(perDaemon) > 1 {
 		addrs := make([]string, 0, len(perDaemon))
 		for a := range perDaemon {
@@ -166,82 +165,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// driveStream pushes every session's traffic over cfg.conns shared
-// binary stream connections, one channel per session.
-func driveStream(ctx context.Context, cfg loadConfig, lat *hist) error {
-	clients := make([]*stream.Client, cfg.conns)
-	hists := make([]hist, cfg.conns) // written by each client's reader goroutine
-	for i := range clients {
-		i := i
-		c, err := stream.Dial(cfg.addr, stream.WithAckObserver(func(events int, rtt time.Duration) {
-			hists[i].record(rtt)
-		}))
-		if err != nil {
-			return err
-		}
-		defer c.Close() //nolint:errcheck
-		clients[i] = c
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, cfg.sessions)
-	for s := 0; s < cfg.sessions; s++ {
-		s := s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs <- driveStreamSession(ctx, cfg, clients[s%cfg.conns], s)
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for i := range hists {
-		lat.merge(&hists[i])
-	}
-	return nil
-}
-
-func driveStreamSession(ctx context.Context, cfg loadConfig, c *stream.Client, s int) error {
-	id := fmt.Sprintf("%s%d", cfg.prefix, s)
-	ch, err := c.Open(id, cfg.procs, "rdtload")
-	if err != nil {
-		return fmt.Errorf("session %s: open: %w", id, err)
-	}
-	tr, err := stream.NewTraffic(cfg.shape, cfg.procs, cfg.seed+int64(s))
-	if err != nil {
-		return err
-	}
-	var batch []service.Event
-	for sent := 0; sent < cfg.events; {
-		n := min(cfg.batch, cfg.events-sent)
-		batch = tr.Next(batch[:0], n)
-		if err := ch.Send(batch); err != nil {
-			return fmt.Errorf("session %s: send: %w", id, err)
-		}
-		// The channel retains the batch until acked; hand over ownership
-		// by starting the next batch fresh once the window is deep.
-		batch = nil
-		sent += n
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-	}
-	if cfg.seal {
-		if err := ch.Seal(); err != nil {
-			return fmt.Errorf("session %s: seal: %w", id, err)
-		}
-	}
-	if err := ch.Flush(ctx); err != nil {
-		return fmt.Errorf("session %s: flush: %w", id, err)
-	}
-	return nil
 }
 
 // driveJSON pushes the same traffic through the HTTP/JSON API, one
@@ -282,14 +205,17 @@ func driveJSON(ctx context.Context, cfg loadConfig, bases []string, lat *hist) (
 	return perDaemon, nil
 }
 
-// driveStreamCluster drives a sharded cluster over the binary wire:
-// one pooled connection per member, opens entering at any endpoint and
-// following MOVED to the owner, and — when a rebalance moves a session
-// mid-stream — resume-and-replay on the new owner, so the handoff
-// costs a reconnect but never an event.
-func driveStreamCluster(ctx context.Context, cfg loadConfig, addrs []string, lat *hist) (map[string]int, error) {
-	var mu sync.Mutex // guards lat and perDaemon: ack observers run per-connection
+// driveStream drives one daemon or a sharded cluster over the binary
+// wire, one channel per session: one pooled connection per daemon,
+// opens entering at any endpoint and following MOVED to the owner, and
+// — when a rebalance moves a session mid-stream or a connection fails —
+// resume-and-replay on the current owner, so a handoff costs a
+// reconnect but never an event. It returns the events each daemon took
+// and how many resumes that took.
+func driveStream(ctx context.Context, cfg loadConfig, addrs []string, lat *hist) (map[string]int, int, error) {
+	var mu sync.Mutex // guards lat, perDaemon and resumes: ack observers run per-connection
 	perDaemon := make(map[string]int)
+	resumes := 0
 	pool := stream.NewPool(addrs, stream.WithAckObserver(func(events int, rtt time.Duration) {
 		mu.Lock()
 		lat.record(rtt)
@@ -297,9 +223,10 @@ func driveStreamCluster(ctx context.Context, cfg loadConfig, addrs []string, lat
 	}))
 	defer pool.Close() //nolint:errcheck
 
-	count := func(addr string, n int) {
+	count := func(addr string, events, resumed int) {
 		mu.Lock()
-		perDaemon[addr] += n
+		perDaemon[addr] += events
+		resumes += resumed
 		mu.Unlock()
 	}
 	var wg sync.WaitGroup
@@ -309,20 +236,20 @@ func driveStreamCluster(ctx context.Context, cfg loadConfig, addrs []string, lat
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs <- driveClusterSession(ctx, cfg, pool, s, count)
+			errs <- driveStreamSession(ctx, cfg, pool, s, count)
 		}()
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
-	return perDaemon, nil
+	return perDaemon, resumes, nil
 }
 
-func driveClusterSession(ctx context.Context, cfg loadConfig, pool *stream.Pool, s int, count func(addr string, n int)) error {
+func driveStreamSession(ctx context.Context, cfg loadConfig, pool *stream.Pool, s int, count func(addr string, events, resumed int)) error {
 	id := fmt.Sprintf("%s%d", cfg.prefix, s)
 	ch, addr, err := pool.Open(id, cfg.procs, "rdtload")
 	if err != nil {
@@ -332,18 +259,16 @@ func driveClusterSession(ctx context.Context, cfg loadConfig, pool *stream.Pool,
 	if err != nil {
 		return err
 	}
-	// resumed re-opens on the current owner after a failure. recorded
-	// tells whether the failed frame made it into the old channel's
-	// unacked set — then Resume already replayed it — or died before
-	// being recorded, in which case the caller sends it again.
-	resumed := func(old *stream.Chan, op string) error {
+	// resume re-opens the failed channel on the current owner, which
+	// replays the frames it left unacked.
+	resume := func(what string) error {
 		var rerr error
 		for attempt := 0; attempt < 10; attempt++ {
 			var fresh *stream.Chan
 			var faddr string
-			fresh, faddr, rerr = pool.Resume(old)
-			if rerr == nil {
+			if fresh, faddr, rerr = pool.Resume(ch); rerr == nil {
 				ch, addr = fresh, faddr
+				count(addr, 0, 1)
 				return nil
 			}
 			if ctx.Err() != nil {
@@ -353,67 +278,50 @@ func driveClusterSession(ctx context.Context, cfg loadConfig, pool *stream.Pool,
 			// flight between members; give it a beat and re-resolve.
 			time.Sleep(50 * time.Millisecond)
 		}
-		return fmt.Errorf("session %s: %s: resume: %w", id, op, rerr)
+		return fmt.Errorf("session %s: %s: resume: %w", id, what, rerr)
 	}
-	for sent := 0; sent < cfg.events; {
-		n := min(cfg.batch, cfg.events-sent)
-		batch := tr.Next(nil, n)
+	// retry runs op on the current channel until it succeeds, resuming
+	// after each failure. A frame the failed channel recorded in its
+	// unacked set was replayed by the resume, so it is not sent again;
+	// one that died before being recorded is, and a Flush, which records
+	// nothing, always runs again.
+	retry := func(what string, op func(*stream.Chan) error) error {
 		for {
 			pre := ch.NextSeq()
-			err := ch.Send(batch)
+			err := op(ch)
 			if err == nil {
-				break
+				return nil
 			}
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
 			recorded := ch.NextSeq() > pre
-			if rerr := resumed(ch, "send"); rerr != nil {
-				return rerr
+			if err := resume(what); err != nil {
+				return err
 			}
 			if recorded {
-				break // Resume replayed it on the new owner
+				return nil
 			}
 		}
-		count(addr, n)
+	}
+	for sent := 0; sent < cfg.events; {
+		n := min(cfg.batch, cfg.events-sent)
+		batch := tr.Next(nil, n) // the channel keeps it until acked
+		if err := retry("send", func(ch *stream.Chan) error { return ch.Send(batch) }); err != nil {
+			return err
+		}
+		count(addr, n, 0)
 		sent += n
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 	}
 	if cfg.seal {
-		for {
-			pre := ch.NextSeq()
-			err := ch.Seal()
-			if err == nil {
-				break
-			}
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			recorded := ch.NextSeq() > pre
-			if rerr := resumed(ch, "seal"); rerr != nil {
-				return rerr
-			}
-			if recorded {
-				break
-			}
+		if err := retry("seal", (*stream.Chan).Seal); err != nil {
+			return err
 		}
 	}
-	for {
-		err := ch.Flush(ctx)
-		if err == nil {
-			return nil
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		// The channel failed while draining acks (the session moved or
-		// the owner died); resume replays whatever is still unacked.
-		if rerr := resumed(ch, "flush"); rerr != nil {
-			return rerr
-		}
-	}
+	return retry("flush", func(ch *stream.Chan) error { return ch.Flush(ctx) })
 }
 
 func driveJSONSession(ctx context.Context, cfg loadConfig, hc *http.Client, base string, s int, lat *hist) error {

@@ -500,12 +500,11 @@ func Guarantees(cfg Config) (*stats.Table, error) {
 			return outcome{}, err
 		}
 		a := analyzers.Get().(*rgraph.Analyzer)
-		tdvs, err := a.ComputeTDVs(p)
+		rep, err := rgraph.CheckRDTGraph(g, a, 1)
 		analyzers.Put(a)
 		if err != nil {
 			return outcome{}, err
 		}
-		rep := rgraph.CheckRDTGraph(g, tdvs, 1)
 		out.rdt = rep.RDT
 		if rep.RPathPairs > 0 {
 			out.trackable = 100 * float64(rep.TrackablePairs) / float64(rep.RPathPairs)

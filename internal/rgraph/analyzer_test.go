@@ -40,7 +40,7 @@ func TestAnalyzerReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: build: %v", seed, err)
 		}
-		gotRep := CheckRDTGraph(g, got, 8)
+		gotRep := checkRDT(g, got, 8)
 		if wantRep.RDT != gotRep.RDT ||
 			wantRep.RPathPairs != gotRep.RPathPairs ||
 			wantRep.TrackablePairs != gotRep.TrackablePairs ||

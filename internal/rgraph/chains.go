@@ -26,39 +26,47 @@ type Chains struct {
 	byReceiver [][]int
 }
 
-// NewChains builds the chain-closure structures. A message's
-// continuations are the messages its receiver sends from the delivery's
-// interval on (chain) or after the delivery (causal); ordered by send,
-// both are a suffix of the receiver's sends, so the continuation graph
-// needs no edge list. Each closure is one pass over it: O(E·M/64) time
-// for E continuation pairs, and at most M rows of M bits. That still
-// makes it an analysis for test- and experiment-sized traces, not for
-// the hot path.
+// NewChains builds the chain-closure structures over the suffixes
+// continuations lists, so the continuation graph needs no edge list.
+// Each closure is one pass over it: O(E·M/64) time for E continuation
+// pairs, and at most M rows of M bits. That still makes it an analysis for test- and
+// experiment-sized traces, not for the hot path.
 func NewChains(p *model.Pattern) (*Chains, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("chains: %w", err)
 	}
-	mcount := len(p.Messages)
-	c := &Chains{
-		p:          p,
-		bySender:   make([][]int, p.N),
-		byReceiver: make([][]int, p.N),
-	}
+	c := &Chains{p: p, byReceiver: make([][]int, p.N)}
 	for i := range p.Messages {
-		m := &p.Messages[i]
-		c.bySender[m.From] = append(c.bySender[m.From], i)
-		c.byReceiver[m.To] = append(c.byReceiver[m.To], i)
+		c.byReceiver[p.Messages[i].To] = append(c.byReceiver[p.Messages[i].To], i)
+	}
+	var chainSucc, causalSucc [][]int
+	c.bySender, chainSucc, causalSucc = continuations(p)
+	c.chainReach = closure(chainSucc)
+	c.causalReach = closure(causalSucc)
+	return c, nil
+}
+
+// continuations is the chain-continuation relation (Definition 3.1), the
+// one both the chain closures and the witness search walk. bySender[i]
+// lists the messages process i sends, in send order. A message's chain
+// successors are the messages its receiver sends from the delivery's
+// interval on, its causal successors those sent after the delivery;
+// ordered by send, both are a suffix of the receiver's sends, so each is
+// a subslice of bySender found by one binary search.
+func continuations(p *model.Pattern) (bySender, chainSucc, causalSucc [][]int) {
+	bySender = make([][]int, p.N)
+	for i := range p.Messages {
+		bySender[p.Messages[i].From] = append(bySender[p.Messages[i].From], i)
 	}
 	sendSeq := func(a, b int) int { return cmp.Compare(p.Messages[a].SendSeq, p.Messages[b].SendSeq) }
-	for _, sends := range c.bySender {
+	for _, sends := range bySender {
 		slices.SortFunc(sends, sendSeq)
 	}
-
-	chainSucc := make([][]int, mcount)
-	causalSucc := make([][]int, mcount)
+	chainSucc = make([][]int, len(p.Messages))
+	causalSucc = make([][]int, len(p.Messages))
 	for a := range p.Messages {
 		ma := &p.Messages[a]
-		sends := c.bySender[ma.To]
+		sends := bySender[ma.To]
 		// Chain condition: deliver(ma) in I_{k,s}, send(mb) in I_{k,t},
 		// s <= t. Send intervals grow with the send's seq.
 		chainSucc[a] = sends[sort.Search(len(sends), func(k int) bool {
@@ -71,9 +79,7 @@ func NewChains(p *model.Pattern) (*Chains, error) {
 			return p.Messages[sends[k]].SendSeq > ma.DeliverSeq
 		}):]
 	}
-	c.chainReach = closure(chainSucc)
-	c.causalReach = closure(causalSucc)
-	return c, nil
+	return bySender, chainSucc, causalSucc
 }
 
 // closure computes the reflexive-transitive closure rows of the graph

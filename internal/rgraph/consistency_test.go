@@ -16,7 +16,8 @@ import (
 // and MinConsistentSweep and MinConsistentContaining to the round-robin
 // fixpoint, for every checkpoint and for that many pinned pairs drawn
 // from rng. A checkpoint must also be useless exactly when it has no
-// minimum. The batch RDT check is held to its pair loop on the way. It
+// minimum. The batch RDT check is held to its pair loop on the way, and
+// the witnesses of its violations to the pair-adjacency search. It
 // returns the number of useless checkpoints.
 func checkConsistencyOracles(t testing.TB, p *model.Pattern, rng *rand.Rand, pairs int) int {
 	t.Helper()
@@ -29,6 +30,9 @@ func checkConsistencyOracles(t testing.TB, p *model.Pattern, rng *rand.Rand, pai
 		t.Fatalf("tdvs: %v", err)
 	}
 	if err := checkRDTOracle(g, tdvs); err != nil {
+		t.Fatalf("%v\n%s", err, p.ASCII())
+	}
+	if err := checkWitnessOracle(p, checkRDT(g, tdvs, 64)); err != nil {
 		t.Fatalf("%v\n%s", err, p.ASCII())
 	}
 	chains, err := NewChains(p)

@@ -315,3 +315,73 @@ func checkRDTOracle(g *Graph, tdvs *TDVTable) error {
 	}
 	return nil
 }
+
+// explainPairs is the witness search as it was before the suffix scan:
+// a BFS over the stored adjacency of every ordered message pair
+// (pairContinuations' chainAdj), roots and successors in slice-position
+// order. On patterns whose senders' messages are stored in send order it
+// must find the same chain as explainer.explain.
+func explainPairs(p *model.Pattern, chainAdj [][]int, v Violation) (*Witness, error) {
+	msgs := p.Messages
+	goal := func(b int) bool { return msgs[b].To == v.To.Proc && msgs[b].DeliverInterval <= v.To.Index }
+	seen := make([]bool, len(msgs))
+	pred := make([]int, len(msgs))
+	var queue []int
+	found := -1
+	for a := range msgs {
+		if msgs[a].From != v.From.Proc || msgs[a].SendInterval < v.From.Index {
+			continue
+		}
+		seen[a], pred[a] = true, -1
+		if goal(a) {
+			found = a
+			break
+		}
+		queue = append(queue, a)
+	}
+	for head := 0; found < 0 && head < len(queue); head++ {
+		a := queue[head]
+		for _, b := range chainAdj[a] {
+			if seen[b] {
+				continue
+			}
+			seen[b], pred[b] = true, a
+			if goal(b) {
+				found = b
+				break
+			}
+			queue = append(queue, b)
+		}
+	}
+	if found < 0 {
+		return nil, fmt.Errorf("explain %v: no message chain realizes the R-path", v)
+	}
+	var chain []int
+	for at := found; at >= 0; at = pred[at] {
+		chain = append([]int{at}, chain...)
+	}
+	return newWitness(p, v, chain), nil
+}
+
+// checkWitnessOracle holds ExplainReport to explainPairs on every
+// violation of rep, witness string for witness string.
+func checkWitnessOracle(p *model.Pattern, rep *Report) error {
+	ws, err := ExplainReport(p, rep)
+	if err != nil {
+		return err
+	}
+	if rep.RDT {
+		return nil
+	}
+	chainAdj, _ := pairContinuations(p)
+	for i, v := range rep.Violations {
+		want, err := explainPairs(p, chainAdj, v)
+		if err != nil {
+			return err
+		}
+		if got := ws[i].String(); got != want.String() {
+			return fmt.Errorf("witness %d differs from the pair-adjacency search:\n  got  %s\n  want %s", i, got, want)
+		}
+	}
+	return nil
+}

@@ -129,7 +129,7 @@ func TestPropertyRDTCheckersAgree(t *testing.T) {
 	sawViolation := false
 	for seed := int64(1); seed <= propertySeeds; seed++ {
 		f := buildFixture(t, seed)
-		byGraph := CheckRDTGraph(f.g, f.tdvs, 1)
+		byGraph := checkRDT(f.g, f.tdvs, 1)
 		byChains := f.chains.CheckRDTByChains(1)
 		if byGraph.RDT != byChains.RDT {
 			t.Fatalf("seed %d: graph checker says RDT=%v, chain checker says %v",

@@ -50,16 +50,17 @@ func CheckRDT(p *model.Pattern, maxViolations int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	tdvs, err := NewAnalyzer().computeTDVs(p)
+	return CheckRDTGraph(g, NewAnalyzer(), maxViolations)
+}
+
+// CheckRDTGraph is CheckRDT on an already-built graph: a computes the
+// TDVs of g.Pattern(), which Build validated, without validating again.
+func CheckRDTGraph(g *Graph, a *Analyzer, maxViolations int) (*Report, error) {
+	tdvs, err := a.computeTDVs(g.Pattern())
 	if err != nil {
 		return nil, err
 	}
 	return checkRDT(g, tdvs, maxViolations), nil
-}
-
-// CheckRDTGraph is CheckRDT on an already-built graph and TDV table.
-func CheckRDTGraph(g *Graph, tdvs *TDVTable, maxViolations int) *Report {
-	return checkRDT(g, tdvs, maxViolations)
 }
 
 // checkRDT scans the closure rows a word at a time instead of testing

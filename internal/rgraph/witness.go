@@ -2,6 +2,8 @@ package rgraph
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 
 	"github.com/rdt-go/rdt/internal/model"
@@ -86,111 +88,93 @@ func (w *Witness) String() string {
 	return b.String()
 }
 
-// Explainer extracts minimal witnesses for the violations of a pattern.
-// Construction is O(M^2) over the messages; each Explain
-// call is a breadth-first search, O(M + edges).
-type Explainer struct {
-	p *model.Pattern
-	// adj is the chain-continuation relation between message positions:
-	// adj[a] lists the b with To(a) == From(b) and
-	// DeliverInterval(a) <= SendInterval(b), ascending, so the search
-	// order — and with it the reported witness — is deterministic.
-	adj      [][]int32
-	bySender [][]int32
+// explainer extracts minimal witnesses for the violations of a pattern
+// by a breadth-first search over continuations' suffixes. The messages a
+// search has discovered among a process's sends are always a suffix of
+// them, from low[q] on, so a scan of a successor suffix stops at low[q]
+// and then lowers it: each message is scanned at most once, O(M + n) per
+// witness.
+type explainer struct {
+	p        *model.Pattern
+	bySender [][]int
+	succ     [][]int // chain successors, suffixes of bySender
 
-	dist []int32 // BFS scratch: -1 unvisited, else chain length so far
-	pred []int32 // BFS scratch: previous message position, -1 for roots
-	work []int32 // BFS scratch: queue
+	low  []int // BFS scratch: start of the discovered suffix per process
+	pred []int // BFS scratch: previous message position, -1 for roots
+	work []int // BFS scratch: queue
 }
 
-// NewExplainer builds the witness extractor for a validated pattern.
-func NewExplainer(p *model.Pattern) (*Explainer, error) {
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("explainer: %w", err)
+// newExplainer builds the witness extractor for a validated pattern.
+func newExplainer(p *model.Pattern) *explainer {
+	e := &explainer{
+		p:    p,
+		low:  make([]int, p.N),
+		pred: make([]int, len(p.Messages)),
+		work: make([]int, 0, len(p.Messages)),
 	}
-	mcount := len(p.Messages)
-	e := &Explainer{
-		p:        p,
-		adj:      make([][]int32, mcount),
-		bySender: make([][]int32, p.N),
-		dist:     make([]int32, mcount),
-		pred:     make([]int32, mcount),
-		work:     make([]int32, 0, mcount),
-	}
-	for a := 0; a < mcount; a++ {
-		e.bySender[p.Messages[a].From] = append(e.bySender[p.Messages[a].From], int32(a))
-		ma := &p.Messages[a]
-		for b := 0; b < mcount; b++ {
-			mb := &p.Messages[b]
-			if ma.To == mb.From && ma.DeliverInterval <= mb.SendInterval {
-				e.adj[a] = append(e.adj[a], int32(b))
-			}
-		}
-	}
-	return e, nil
+	e.bySender, e.succ, _ = continuations(p)
+	return e
 }
 
-// Explain returns a minimal witness for the violation: the chain with
+// explain returns a minimal witness for the violation: the chain with
 // the fewest messages among those realizing the R-path, ties broken by
-// message position so repeated calls return the same chain. It fails if
-// no chain realizes the pair — i.e. if v is not actually an R-path
-// between distinct processes of this pattern.
-func (e *Explainer) Explain(v Violation) (*Witness, error) {
+// send order, so the witness depends on the pattern's events and not on
+// how its messages are ordered in the slice. It fails if no chain
+// realizes the pair — i.e. if v is not actually an R-path between
+// distinct processes of this pattern.
+func (e *explainer) explain(v Violation) (*Witness, error) {
 	if v.From.Proc == v.To.Proc && v.From.Index <= v.To.Index {
 		return nil, fmt.Errorf("explain %v: same-process forward R-paths are always trackable — not a violation", v)
 	}
 	msgs := e.p.Messages
-	for i := range e.dist {
-		e.dist[i] = -1
+	for q := range e.low {
+		e.low[q] = len(e.bySender[q])
 	}
 	queue := e.work[:0]
-	goal := int32(-1)
-	// Roots: messages sent by From.Proc at or after checkpoint From (the
-	// R-graph edge out of C_{i,x'} exists for every send in I_{i,x'},
-	// x' >= x). Positions ascend, so the root order is deterministic.
-	for _, a := range e.bySender[v.From.Proc] {
-		if msgs[a].SendInterval < v.From.Index {
-			continue
-		}
-		e.dist[a] = 1
-		e.pred[a] = -1
-		if e.isGoal(a, v.To) {
-			goal = a
-			break
-		}
-		queue = append(queue, a)
-	}
-	for head := 0; goal < 0 && head < len(queue); head++ {
-		a := queue[head]
-		for _, b := range e.adj[a] {
-			if e.dist[b] >= 0 {
-				continue
-			}
-			e.dist[b] = e.dist[a] + 1
-			e.pred[b] = a
-			if e.isGoal(b, v.To) {
+	goal := -1
+	// discover queues q's sends from lo up to the discovered suffix, in
+	// send order, as continuations of from.
+	discover := func(q model.ProcID, lo, from int) {
+		sends := e.bySender[q]
+		for _, b := range sends[lo:max(lo, e.low[q])] {
+			e.pred[b] = from
+			if m := &msgs[b]; m.To == v.To.Proc && m.DeliverInterval <= v.To.Index {
 				goal = b
-				break
+				return
 			}
 			queue = append(queue, b)
 		}
+		e.low[q] = min(lo, e.low[q])
+	}
+	// Roots: messages sent by From.Proc at or after checkpoint From (the
+	// R-graph edge out of C_{i,x'} exists for every send in I_{i,x'},
+	// x' >= x).
+	roots := e.bySender[v.From.Proc]
+	discover(v.From.Proc, sort.Search(len(roots), func(k int) bool {
+		return msgs[roots[k]].SendInterval >= v.From.Index
+	}), -1)
+	for head := 0; goal < 0 && head < len(queue); head++ {
+		a := queue[head]
+		q := msgs[a].To
+		discover(q, len(e.bySender[q])-len(e.succ[a]), a)
 	}
 	e.work = queue[:0]
 	if goal < 0 {
 		return nil, fmt.Errorf("explain %v: no message chain realizes the R-path", v)
 	}
-
-	// Walk predecessors back to the root, then reverse into hops.
-	chain := make([]int32, 0, e.dist[goal])
+	var chain []int
 	for at := goal; at >= 0; at = e.pred[at] {
 		chain = append(chain, at)
 	}
-	for l, r := 0, len(chain)-1; l < r; l, r = l+1, r-1 {
-		chain[l], chain[r] = chain[r], chain[l]
-	}
+	slices.Reverse(chain)
+	return newWitness(e.p, v, chain), nil
+}
+
+// newWitness renders the chain of message positions as the witness of v.
+func newWitness(p *model.Pattern, v Violation, chain []int) *Witness {
 	w := &Witness{Violation: v, Hops: make([]Hop, len(chain))}
 	for i, pos := range chain {
-		m := &msgs[pos]
+		m := &p.Messages[pos]
 		w.Hops[i] = Hop{
 			MsgID:           m.ID,
 			From:            m.From,
@@ -201,32 +185,12 @@ func (e *Explainer) Explain(v Violation) (*Witness, error) {
 			DeliverSeq:      m.DeliverSeq,
 			CausalToNext:    true,
 		}
-		if i > 0 && msgs[chain[i-1]].DeliverSeq >= m.SendSeq {
+		if i > 0 && p.Messages[chain[i-1]].DeliverSeq >= m.SendSeq {
 			w.Hops[i-1].CausalToNext = false
 			w.NonCausal++
 		}
 	}
-	return w, nil
-}
-
-// isGoal reports whether the message closes a chain into checkpoint b:
-// delivered to b's process in an interval at or before b.
-func (e *Explainer) isGoal(pos int32, b model.CkptID) bool {
-	m := &e.p.Messages[pos]
-	return m.To == b.Proc && m.DeliverInterval <= b.Index
-}
-
-// ExplainAll extracts one minimal witness per violation.
-func (e *Explainer) ExplainAll(violations []Violation) ([]*Witness, error) {
-	out := make([]*Witness, 0, len(violations))
-	for _, v := range violations {
-		w, err := e.Explain(v)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, w)
-	}
-	return out, nil
+	return w
 }
 
 // Explain runs the batch RDT check and extracts one minimal witness per
@@ -236,34 +200,35 @@ func Explain(p *model.Pattern, maxViolations int) (*Report, []*Witness, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return explainReport(p, rep)
-}
-
-// Explain extracts minimal witnesses for the incremental checker's
-// current violations, on demand. The checker does not retain message
-// metadata (its hot path keeps only dependency and closure vectors), so
-// the caller supplies the pattern snapshot of the same event stream —
-// a service session materializes it from its event log. The report is
-// the seal-now Report(maxViolations).
-func (inc *Incremental) Explain(p *model.Pattern, maxViolations int) (*Report, []*Witness, error) {
-	return explainReport(p, inc.Report(maxViolations))
-}
-
-// explainReport extracts one minimal witness per violation of the
-// report; an RDT report has none.
-func explainReport(p *model.Pattern, rep *Report) (*Report, []*Witness, error) {
-	if rep.RDT {
-		return rep, nil, nil
-	}
-	e, err := NewExplainer(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	ws, err := e.ExplainAll(rep.Violations)
+	ws, err := ExplainReport(p, rep)
 	if err != nil {
 		return nil, nil, err
 	}
 	return rep, ws, nil
+}
+
+// ExplainReport extracts one minimal witness per violation of a report
+// the caller already has — the batch CheckRDT's, or the incremental
+// checker's Report, which keeps no message metadata, so the caller
+// supplies the pattern of the same event stream (a service session
+// materializes it from its event log). An RDT report has no witnesses.
+func ExplainReport(p *model.Pattern, rep *Report) ([]*Witness, error) {
+	if rep.RDT {
+		return nil, nil
+	}
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("explainer: %w", err)
+	}
+	e := newExplainer(p)
+	out := make([]*Witness, 0, len(rep.Violations))
+	for _, v := range rep.Violations {
+		w, err := e.explain(v)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, w)
+	}
+	return out, nil
 }
 
 // VerifyWitness independently re-checks a witness against the pattern,

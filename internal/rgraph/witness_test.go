@@ -1,10 +1,15 @@
 package rgraph
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 
+	"github.com/rdt-go/rdt/internal/core"
 	"github.com/rdt-go/rdt/internal/model"
+	"github.com/rdt-go/rdt/internal/sim"
 	"github.com/rdt-go/rdt/internal/trace"
+	"github.com/rdt-go/rdt/internal/workload"
 )
 
 // TestExplainFigure1: the paper's own example. (C_{k,1}, C_{i,2}) is an
@@ -59,15 +64,12 @@ func TestExplainRejectsTrackablePairs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("figure 1: %v", err)
 	}
-	e, err := NewExplainer(p)
-	if err != nil {
-		t.Fatalf("explainer: %v", err)
-	}
+	e := newExplainer(p)
 	samePair := Violation{
 		From: model.CkptID{Proc: trace.Pi, Index: 0},
 		To:   model.CkptID{Proc: trace.Pi, Index: 2},
 	}
-	if _, err := e.Explain(samePair); err == nil {
+	if _, err := e.explain(samePair); err == nil {
 		t.Fatalf("same-process pair must not be explainable")
 	}
 	// No message chain runs from C_{i,3}'s sends back into I_{k,1}.
@@ -75,7 +77,7 @@ func TestExplainRejectsTrackablePairs(t *testing.T) {
 		From: model.CkptID{Proc: trace.Pk, Index: 2},
 		To:   model.CkptID{Proc: trace.Pi, Index: 1},
 	}
-	if _, err := e.Explain(noPath); err == nil {
+	if _, err := e.explain(noPath); err == nil {
 		t.Fatalf("chainless pair must not be explainable")
 	}
 }
@@ -182,7 +184,8 @@ func TestIncrementalExplain(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		p := randomPattern(t, seed, 3+int(seed%3), 50)
 		inc := streamPattern(t, p)
-		irep, iws, err := inc.Explain(p, 32)
+		irep := inc.Report(32)
+		iws, err := ExplainReport(p, irep)
 		if err != nil {
 			t.Fatalf("seed %d: incremental explain: %v", seed, err)
 		}
@@ -200,5 +203,99 @@ func TestIncrementalExplain(t *testing.T) {
 					seed, i, iws[i], bws[i])
 			}
 		}
+	}
+}
+
+// TestExplainMatchesPairOracle: on the TestExplainProperty corpus the
+// suffix search returns the stored-adjacency search's witnesses, byte
+// for byte.
+func TestExplainMatchesPairOracle(t *testing.T) {
+	for seed := int64(1); seed <= 500; seed++ {
+		p := randomPattern(t, seed, 3+int(seed%3), 50)
+		rep, err := CheckRDT(p, 64)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := checkWitnessOracle(p, rep); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestExplainMatchesPairOracleOnGridPatterns: the uncoordinated runs of
+// the Guarantees table, whose zigzag cycles give long searches through
+// many processes.
+func TestExplainMatchesPairOracleOnGridPatterns(t *testing.T) {
+	w, err := workload.ByName("random")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []int64{17, 817} {
+		cfg := sim.DefaultConfig(core.KindNone, seed)
+		cfg.Duration = 300
+		cfg.BasicMean = 8
+		res, err := sim.Run(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := CheckRDT(res.Pattern, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.RDT {
+			t.Fatalf("seed %d: the uncoordinated grid run satisfies RDT", seed)
+		}
+		if err := checkWitnessOracle(res.Pattern, rep); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestExplainIgnoresMessageOrder: a witness depends on the pattern's
+// events, not on the order of p.Messages. Shuffling the slice leaves
+// every witness of the property corpus byte-identical.
+func TestExplainIgnoresMessageOrder(t *testing.T) {
+	for seed := int64(1); seed <= 500; seed++ {
+		p := randomPattern(t, seed, 3+int(seed%3), 50)
+		rep, want, err := Explain(p, 64)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		shuffled := *p
+		shuffled.Messages = append([]model.Message(nil), p.Messages...)
+		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled.Messages), func(i, j int) {
+			shuffled.Messages[i], shuffled.Messages[j] = shuffled.Messages[j], shuffled.Messages[i]
+		})
+		got, err := ExplainReport(&shuffled, rep)
+		if err != nil {
+			t.Fatalf("seed %d: shuffled: %v", seed, err)
+		}
+		for i := range want {
+			if got[i].String() != want[i].String() {
+				t.Fatalf("seed %d: witness %d changed with the message order:\n  shuffled %v\n  stored   %v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestExplainerHeapIsLinear pins the explainer's construction to linear
+// memory without a clock: on unprotected 8-process patterns its heap
+// bytes per message at 2^15 events stay within 1.5x of those at 2^12. A
+// stored message adjacency grows with the number of messages per
+// process, eight times over that span.
+func TestExplainerHeapIsLinear(t *testing.T) {
+	perMessage := func(events int) float64 {
+		p := randomPattern(t, 1, 8, events)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e := newExplainer(p)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(e)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(p.Messages))
+	}
+	small, large := perMessage(1<<12), perMessage(1<<15)
+	t.Logf("explainer heap: %.1f B/message at 2^12 events, %.1f at 2^15", small, large)
+	if large > 1.5*small {
+		t.Errorf("explainer heap per message grew from %.1f B at 2^12 events to %.1f B at 2^15", small, large)
 	}
 }

@@ -209,6 +209,59 @@ func BenchmarkIngestViolating(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionQueries times the queries that hold Session.mu on a
+// violating memory session: unprotected traffic of 8 processes at two
+// lengths, applied in 512-event batches and flushed, then Verdict and
+// Explain with 16 violations each.
+func BenchmarkSessionQueries(b *testing.B) {
+	const perBatch = 512
+	for _, size := range []int{1 << 13, 1 << 16} {
+		svc, err := New(Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sess, err := svc.CreateSession("bench", 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events := genWorkload(rand.New(rand.NewSource(1)), 8, size)
+		for rest := events; len(rest) > 0; rest = rest[min(perBatch, len(rest)):] {
+			rec, err := encodeRecord(rest[:min(perBatch, len(rest))], false, "", 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := sess.enqueue(batch{record: rec}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := sess.Flush(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		if sess.Verdict(1).RDT {
+			b.Fatal("unprotected traffic satisfies RDT")
+		}
+		for _, q := range []struct {
+			name  string
+			query func() error
+		}{
+			{"verdict", func() error { sess.Verdict(16); return nil }},
+			{"explain", func() error { _, _, err := sess.Explain(16); return err }},
+		} {
+			b.Run(fmt.Sprintf("%s/events=%d", q.name, size), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := q.query(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		if err := svc.Drain(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDecodeEvents is the JSON ingest decode of one body shaped as
 // bench's json-rotate posts them — 128 events of 8 processes — from the
 // body to the record admission enqueues: the one-pass scanner

@@ -826,7 +826,7 @@ func (s *Session) Explain(maxViolations int) (*model.Pattern, []*rgraph.Witness,
 	if err != nil {
 		return nil, nil, err
 	}
-	_, ws, err := s.inc.Explain(p, maxViolations)
+	ws, err := rgraph.ExplainReport(p, s.inc.Report(maxViolations))
 	if err != nil {
 		return nil, nil, err
 	}

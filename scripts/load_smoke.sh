@@ -2,11 +2,14 @@
 # load_smoke.sh — boot a real rdtserved with both ingest wires and race
 # rdtload over each: the JSON API versus the RDTSTRM1 binary stream.
 #
-# Two assertions:
+# Three assertions:
 #   1. Parity: identical seeded traffic through either wire must produce
 #      identical verdicts (rdtload's digest canonicalizes the per-session
 #      verdict documents and hashes them in session order).
 #   2. Liveness: both wires report nonzero throughput.
+#   3. No resumes: one healthy daemon never closes a stream connection,
+#      so the stream leg must not have resumed a channel. A server-side
+#      close fails the smoke instead of being replayed away.
 #
 # Both throughput numbers are printed, but how fast either wire is gets
 # measured by `bash bench/run.sh` (mem-rotate, json-rotate), not here.
@@ -52,7 +55,7 @@ if [ -z "$HTTP_ADDR" ] || [ -z "$STREAM_ADDR" ]; then
 fi
 echo "http=$HTTP_ADDR stream=$STREAM_ADDR"
 
-COMMON=(-sessions 8 -conns 2 -procs 4 -events "$EVENTS" -batch "$BATCH" -shape random -seed 7)
+COMMON=(-sessions 8 -procs 4 -events "$EVENTS" -batch "$BATCH" -shape random -seed 7)
 
 echo "== rdtload: JSON ingest =="
 "$WORK/rdtload" -mode json -http "$HTTP_ADDR" -prefix smoke-json- "${COMMON[@]}" | tee "$WORK/json.out"
@@ -64,6 +67,7 @@ json_rate="$(awk '/throughput/ {print $3; exit}' "$WORK/json.out")"
 stream_rate="$(awk '/throughput/ {print $3; exit}' "$WORK/stream.out")"
 json_digest="$(awk '/verdict digest/ {print $4; exit}' "$WORK/json.out")"
 stream_digest="$(awk '/verdict digest/ {print $4; exit}' "$WORK/stream.out")"
+stream_resumes="$(awk '/rdtload: resumes/ {print $3; exit}' "$WORK/stream.out")"
 
 echo "== results =="
 echo "json:   $json_rate events/sec"
@@ -72,6 +76,11 @@ echo "stream: $stream_rate events/sec"
 if [ -z "$json_rate" ] || [ -z "$stream_rate" ] || \
    ! awk "BEGIN{exit !($json_rate > 0 && $stream_rate > 0)}"; then
   echo "expected nonzero throughput on both wires" >&2
+  exit 1
+fi
+
+if [ "$stream_resumes" != "0" ]; then
+  echo "the stream leg resumed ${stream_resumes:-?} channels on a single daemon; want 0" >&2
   exit 1
 fi
 

@@ -5,7 +5,7 @@
 # displaced session is handed off live (passivate, ship, reactivate)
 # while its producer keeps streaming.
 #
-# Three assertions:
+# Four assertions:
 #   1. Parity: the cluster's verdict digest over the seeded workload is
 #      bit-identical to a single unsharded rdtserved's digest over the
 #      same traffic — zero lost, zero duplicated events through both
@@ -14,6 +14,9 @@
 #   2. Drain: the removed member ends the run holding no sessions.
 #   3. Spread: the newly-joined member ends the run owning at least one
 #      of the driven sessions.
+#   4. No resumes on the reference: a single daemon never closes a
+#      stream connection, so a resume there is a server-side close that
+#      the replay would otherwise hide.
 #
 # Knobs: SHARD_SMOKE_SESSIONS (default 150) and SHARD_SMOKE_EVENTS
 # (events per session, default 8000): at the ~850 k events/s a
@@ -98,7 +101,7 @@ done
 ROUTER="$(sed -n 's/^rdtrouterd: listening on \([0-9.:]*\)$/\1/p' "$WORK/router.log")"
 echo "router: http=$ROUTER"
 
-COMMON=(-sessions "$SESSIONS" -conns 2 -procs 4 -events "$EVENTS" -batch "$BATCH" -shape random -seed 11 -prefix shard-)
+COMMON=(-sessions "$SESSIONS" -procs 4 -events "$EVENTS" -batch "$BATCH" -shape random -seed 11 -prefix shard-)
 
 echo "== rdtload against the cluster (rebalance mid-ingest) =="
 "$WORK/rdtload" -mode stream -addr "$A_STREAM,$B_STREAM,$C_STREAM" -http "$ROUTER" \
@@ -169,8 +172,13 @@ REF_STREAM="$(sed -n 's/^rdtserved: stream ingest on \([0-9.:]*\)$/\1/p' "$WORK/
 "$WORK/rdtload" -mode stream -addr "$REF_STREAM" -http "$REF_HTTP" \
   "${COMMON[@]}" | tee "$WORK/ref.out"
 ref_digest="$(awk '/verdict digest/ {print $4; exit}' "$WORK/ref.out")"
+ref_resumes="$(awk '/rdtload: resumes/ {print $3; exit}' "$WORK/ref.out")"
 
 echo "== results =="
+if [ "$ref_resumes" != "0" ]; then
+  echo "the reference leg resumed ${ref_resumes:-?} channels on a single daemon; want 0" >&2
+  exit 1
+fi
 if [ -z "$cluster_digest" ] || [ "$cluster_digest" != "$ref_digest" ]; then
   echo "VERDICT DIGEST MISMATCH: cluster diverged from the unsharded reference" >&2
   echo "  cluster: $cluster_digest" >&2
