@@ -72,14 +72,14 @@ func run() error {
 
 	// The debugger can restore any checkpoint pair inside [min, max]; show
 	// which checkpoints of process 4 are compatible with the breakpoint.
-	chains, err := rdt.NewChains(p)
+	g, err := rdt.BuildRGraph(p)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("checkpoints of P4 that can share a consistent global state with %v:\n  ", target)
 	for x := 0; x < len(p.Checkpoints[4]); x++ {
 		other := rdt.CkptID{Proc: 4, Index: x}
-		if chains.CanExtend([]rdt.CkptID{target, other}) {
+		if g.CanExtend([]rdt.CkptID{target, other}) {
 			fmt.Printf("C{4,%d} ", x)
 		}
 	}

@@ -5,6 +5,7 @@ package rgraph_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/rdt-go/rdt/internal/core"
@@ -16,7 +17,7 @@ import (
 
 // simulatedPattern runs BHMR under random traffic and returns the
 // annotated pattern.
-func simulatedPattern(b *testing.B, seed int64, n int, duration float64) *model.Pattern {
+func simulatedPattern(b testing.TB, seed int64, n int, duration float64) *model.Pattern {
 	b.Helper()
 	cfg := sim.DefaultConfig(core.KindBHMR, seed)
 	cfg.N = n
@@ -137,11 +138,13 @@ func BenchmarkNewChains(b *testing.B) {
 }
 
 // BenchmarkRGraphScaling measures the offline analyses as trace size
-// grows (nodes here are checkpoints of the R-graph).
+// grows (nodes here are checkpoints of the R-graph), up to near 2^16
+// checkpoints, the daemon's session cap.
 func BenchmarkRGraphScaling(b *testing.B) {
-	for _, duration := range []float64{100, 400, 1600} {
+	for _, duration := range []float64{100, 400, 1600, 12800} {
 		p := simulatedPattern(b, 47, 8, duration)
 		b.Run(fmt.Sprintf("build/ckpts=%d", p.NumCheckpoints()), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := rgraph.Build(p); err != nil {
 					b.Fatal(err)
@@ -149,11 +152,35 @@ func BenchmarkRGraphScaling(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("checkRDT/ckpts=%d", p.NumCheckpoints()), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := rgraph.CheckRDT(p, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// TestCheckRDTHeapIsLinear pins the batch check's memory to O(C·n)
+// without a clock: on BHMR runs of 8 processes, CheckRDT's heap bytes per
+// checkpoint at about 2^15 checkpoints stay within 1.5x of those at about
+// 2^12. A C x C closure grows eightfold per checkpoint over that span.
+func TestCheckRDTHeapIsLinear(t *testing.T) {
+	perCheckpoint := func(duration float64) float64 {
+		p := simulatedPattern(t, 47, 8, duration)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := rgraph.CheckRDT(p, 1); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		b := float64(after.TotalAlloc-before.TotalAlloc) / float64(p.NumCheckpoints())
+		t.Logf("%d checkpoints: %.0f B per checkpoint", p.NumCheckpoints(), b)
+		return b
+	}
+	small, large := perCheckpoint(980), perCheckpoint(7800)
+	if large > 1.5*small {
+		t.Errorf("CheckRDT allocates %.0f B per checkpoint at ~2^15 checkpoints, %.0f B at ~2^12: not linear", large, small)
 	}
 }

@@ -82,23 +82,53 @@ func continuations(p *model.Pattern) (bySender, chainSucc, causalSucc [][]int) {
 	return bySender, chainSucc, causalSucc
 }
 
-// closure computes the reflexive-transitive closure rows of the graph
-// with edges a -> succ[a]; it serves both chain graphs and the R-graph
-// (Build). The chain graph has cycles: a zigzag chain can return to an
-// earlier interval of the process it started on. (A causal one cannot in
-// a run that happened, but a trace file need not be one.) An iterative
-// Tarjan walk emits the strongly connected components sinks first, so
-// when a component is emitted the rows of everything it reaches outside
-// itself are final: its row is its members' bits OR those rows, computed
-// once and shared by its members.
+// closure computes the reflexive-transitive closure rows of the chain
+// graph with edges a -> succ[a]. It has cycles: a zigzag chain can
+// return to an earlier interval of the process it started on. (A causal
+// one cannot in a run that happened, but a trace file need not be one.)
+// Components come sinks first, so when a component comes the rows of
+// everything it reaches outside itself are final: its row is its
+// members' bits OR those rows, computed once and shared by its members.
 func closure(succ [][]int) []bitset {
+	rows := make([]bitset, len(succ))
+	orred := make([]int, len(succ)) // 1 + last component that OR'ed a component's row
+	comps := 0
+	sccs(succ, func(members, comp []int) {
+		row := newBitset(len(succ))
+		for _, m := range members {
+			row.set(m)
+		}
+		for _, m := range members {
+			for _, w := range succ[m] {
+				if comp[w] >= 0 && orred[comp[w]] != comps+1 {
+					orred[comp[w]] = comps + 1
+					row.or(rows[w])
+				}
+			}
+		}
+		for _, m := range members {
+			rows[m] = row
+		}
+		comps++
+	})
+	return rows
+}
+
+// sccs calls emit once per strongly connected component of the graph
+// with edges a -> succ[a], sinks first: an iterative Tarjan walk. Emitted
+// components are numbered 0, 1, ... in order; comp[v] is v's number from
+// its component's emission on and -1 before it, so during emit a
+// successor w of a member is itself a member iff comp[w] < 0. Both the
+// chain closures and the R-graph's reach vectors (build) are one walk.
+func sccs(succ [][]int, emit func(members, comp []int)) {
 	n := len(succ)
-	rows := make([]bitset, n) // nil until the node's component is emitted
-	comp := make([]int, n)    // component of a node with a row
-	orred := make([]int, n)   // 1 + last component that OR'ed a component's row
-	index := make([]int, n)   // 1 + DFS discovery order; 0 is unvisited
+	comp := make([]int, n)
+	index := make([]int, n) // 1 + DFS discovery order; 0 is unvisited
 	low := make([]int, n)
-	var open []int // Tarjan's stack: visited nodes without a row
+	for v := range comp {
+		comp[v] = -1
+	}
+	var open []int // Tarjan's stack: visited nodes not yet emitted
 	type frame struct{ v, next int }
 	var path []frame // the DFS recursion, unrolled
 	visited, comps := 0, 0
@@ -122,7 +152,7 @@ func closure(succ [][]int) []bitset {
 				switch {
 				case index[w] == 0:
 					visit(w)
-				case rows[w] == nil: // on the stack: same component
+				case comp[w] < 0: // on the stack: same component
 					low[v] = min(low[v], index[w])
 				}
 				continue
@@ -141,25 +171,13 @@ func closure(succ [][]int) []bitset {
 			}
 			members := open[k:]
 			open = open[:k]
-			row := newBitset(n)
+			emit(members, comp)
 			for _, m := range members {
-				row.set(m)
-			}
-			for _, m := range members {
-				for _, w := range succ[m] {
-					if rows[w] != nil && orred[comp[w]] != comps+1 {
-						orred[comp[w]] = comps + 1
-						row.or(rows[w])
-					}
-				}
-			}
-			for _, m := range members {
-				rows[m], comp[m] = row, comps
+				comp[m] = comps
 			}
 			comps++
 		}
 	}
-	return rows
 }
 
 // HasChain reports whether a message chain (causal or not) connects a to b:

@@ -69,16 +69,23 @@ func checkClosures(t *testing.T, name string, p *model.Pattern) (shared int) {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	// An R-path has length at least one: v's row is the OR of its
-	// successors' reflexive rows.
+	// An R-path has length at least one: what v reaches is the OR of its
+	// successors' reflexive rows. Both the reach vectors and the bitset
+	// rows of the oracles must say so.
 	reflexive := closureFixpoint(g.adj, g.nodes)
+	rows := reachRows(g)
 	for v := range g.nodes {
 		want := newBitset(g.nodes)
 		for _, w := range g.adj[v] {
 			want.or(reflexive[w])
 		}
-		if !slices.Equal(g.reach[v], want) {
+		if !slices.Equal(rows[v], want) {
 			t.Fatalf("%s: R-graph reach row of node %d (%v) differs from the fixpoint", name, v, g.ckpt(v))
+		}
+		for w := range g.nodes {
+			if got := g.HasRPath(g.ckpt(v), g.ckpt(w)); got != want.get(w) {
+				t.Fatalf("%s: HasRPath(%v, %v) = %v, the fixpoint says %v", name, g.ckpt(v), g.ckpt(w), got, !got)
+			}
 		}
 	}
 	chainAdj, causalAdj := pairContinuations(p)

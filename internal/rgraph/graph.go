@@ -12,9 +12,7 @@
 package rgraph
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"strings"
 
 	"github.com/rdt-go/rdt/internal/model"
@@ -28,10 +26,14 @@ import (
 // rolling process j back past C'.
 type Graph struct {
 	p      *model.Pattern
-	offset []int    // node id of C_{i,0}
-	nodes  int      // total node count
-	adj    [][]int  // adjacency lists (deduplicated)
-	reach  []bitset // nodes reachable by a path of length >= 1
+	offset []int   // node id of C_{i,0}
+	nodes  int     // total node count
+	adj    [][]int // adjacency lists (ascending, deduplicated)
+	// reach[v*N+j] is the first index of process j an R-path from node v
+	// reaches, or j's checkpoint count if none does. An R-path that
+	// reaches C_{j,y} goes on along j's chain, so it reaches exactly the
+	// checkpoints of j from that index on.
+	reach []int32
 }
 
 // Build constructs the R-graph of the pattern and precomputes its
@@ -51,12 +53,6 @@ func build(p *model.Pattern) (*Graph, error) {
 		g.offset[i] = g.nodes
 		g.nodes += len(p.Checkpoints[i])
 	}
-	edges := make([][2]int, 0, g.nodes+len(p.Messages))
-	for i := 0; i < p.N; i++ {
-		for x := 1; x < len(p.Checkpoints[i]); x++ {
-			edges = append(edges, [2]int{g.id(model.ProcID(i), x-1), g.id(model.ProcID(i), x)})
-		}
-	}
 	for i := range p.Messages {
 		m := &p.Messages[i]
 		if m.SendInterval > p.LastIndex(m.From) {
@@ -65,46 +61,82 @@ func build(p *model.Pattern) (*Graph, error) {
 		if m.DeliverInterval > p.LastIndex(m.To) {
 			return nil, fmt.Errorf("rgraph: message %d delivered in open interval %d of process %d", m.ID, m.DeliverInterval, m.To)
 		}
-		edges = append(edges, [2]int{g.id(m.From, m.SendInterval), g.id(m.To, m.DeliverInterval)})
 	}
-	slices.SortFunc(edges, func(a, b [2]int) int {
-		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
-	})
-	// Sorted order groups each node's successors and makes duplicates
-	// (parallel messages between one interval pair) adjacent.
-	dedup := edges[:0]
-	var prev [2]int
-	for i, e := range edges {
-		if i > 0 && e == prev {
-			continue
+	edges := func(f func(u, v int)) {
+		for i := 0; i < p.N; i++ {
+			for v := g.offset[i] + 1; v < g.offset[i]+len(p.Checkpoints[i]); v++ {
+				f(v-1, v)
+			}
 		}
-		prev = e
-		dedup = append(dedup, e)
+		for i := range p.Messages {
+			m := &p.Messages[i]
+			f(g.id(m.From, m.SendInterval), g.id(m.To, m.DeliverInterval))
+		}
+	}
+	// Two counting passes, by target and then stably by source, leave each
+	// node's targets ascending, with the duplicates (parallel messages
+	// between one interval pair) adjacent.
+	in, out := make([]int, g.nodes+1), make([]int, g.nodes+1)
+	edges(func(u, v int) { out[u+1]++; in[v+1]++ })
+	for v := 1; v <= g.nodes; v++ {
+		in[v] += in[v-1]
+		out[v] += out[v-1]
+	}
+	sources := make([]int, in[g.nodes])
+	edges(func(u, v int) { sources[in[v]] = u; in[v]++ })
+	targets := make([]int, len(sources))
+	for v, lo := 0, 0; v < g.nodes; v++ {
+		for _, u := range sources[lo:in[v]] {
+			targets[out[u]] = v
+			out[u]++
+		}
+		lo = in[v]
 	}
 	// The adjacency lists share one arena, sliced per source node.
-	targets := make([]int, len(dedup))
-	for i, e := range dedup {
-		targets[i] = e[1]
-	}
 	g.adj = make([][]int, g.nodes)
-	for start := 0; start < len(dedup); {
-		end := start
-		for end < len(dedup) && dedup[end][0] == dedup[start][0] {
-			end++
+	for u, lo, w := 0, 0, 0; u < g.nodes; u++ {
+		from := w
+		for _, v := range targets[lo:out[u]] {
+			if w == from || targets[w-1] != v {
+				targets[w] = v
+				w++
+			}
 		}
-		g.adj[dedup[start][0]] = targets[start:end]
-		start = end
+		lo = out[u]
+		g.adj[u] = targets[from:w:w]
 	}
-	// closure's rows are reflexive; an R-path has length at least one.
-	// A node no successor reaches back is on no cycle (Validate refuses
-	// self-sends, so there are no self-loops): it is a component of its
-	// own, its row is not shared, and its diagonal bit goes.
-	g.reach = closure(g.adj)
-	for v, succ := range g.adj {
-		if !slices.ContainsFunc(succ, func(w int) bool { return g.reach[w].get(v) }) {
-			g.reach[v].clear(v)
+	// Components come sinks first, so the vectors of the successors
+	// outside a component are final when it comes. A successor inside it
+	// lies on a cycle through every member, so the members all reach
+	// exactly what the component's successors do.
+	n := p.N
+	g.reach = make([]int32, g.nodes*n)
+	owner := make([]int32, g.nodes) // the process of a node
+	for i := 1; i < n; i++ {
+		for v := g.offset[i]; v < g.offset[i]+len(p.Checkpoints[i]); v++ {
+			owner[v] = int32(i)
 		}
 	}
+	vec := make([]int32, n)
+	sccs(g.adj, func(members, comp []int) {
+		for j := range vec {
+			vec[j] = int32(len(p.Checkpoints[j]))
+		}
+		for _, u := range members {
+			for _, v := range g.adj[u] {
+				j := owner[v]
+				vec[j] = min(vec[j], int32(v-g.offset[j]))
+				if comp[v] >= 0 {
+					for k, r := range g.reach[v*n : v*n+n] {
+						vec[k] = min(vec[k], r)
+					}
+				}
+			}
+		}
+		for _, u := range members {
+			copy(g.reach[u*n:], vec)
+		}
+	})
 	return g, nil
 }
 
@@ -127,7 +159,7 @@ func (g *Graph) NumEdges() int {
 // least one) from checkpoint a to checkpoint b. Note that HasRPath(c, c) is
 // true exactly when c lies on a cycle of the R-graph.
 func (g *Graph) HasRPath(a, b model.CkptID) bool {
-	return g.reach[g.id(a.Proc, a.Index)].get(g.id(b.Proc, b.Index))
+	return int(g.reachOf(a)[b.Proc]) <= b.Index
 }
 
 // Successors returns the direct successors of a checkpoint in the R-graph.
@@ -142,7 +174,11 @@ func (g *Graph) Successors(a model.CkptID) []model.CkptID {
 // ReachableCount returns the number of checkpoints reachable from a by an
 // R-path of length at least one.
 func (g *Graph) ReachableCount(a model.CkptID) int {
-	return g.reach[g.id(a.Proc, a.Index)].count()
+	total := 0
+	for j, r := range g.reachOf(a) {
+		total += len(g.p.Checkpoints[j]) - int(r)
+	}
+	return total
 }
 
 // Useless reports whether the checkpoint is on a zigzag cycle, so in no
@@ -151,10 +187,35 @@ func (g *Graph) ReachableCount(a model.CkptID) int {
 // Being on an R-graph cycle (HasRPath(c, c)) is weaker: such a cycle may
 // use only messages of c's own interval.
 func (g *Graph) Useless(a model.CkptID) bool {
-	return a.Index < g.p.LastIndex(a.Proc) && g.reach[g.id(a.Proc, a.Index+1)].get(g.id(a.Proc, a.Index))
+	return a.Index < g.p.LastIndex(a.Proc) && g.HasRPath(model.CkptID{Proc: a.Proc, Index: a.Index + 1}, a)
+}
+
+// CanExtend reports whether the given set of checkpoints can be extended
+// to a consistent global checkpoint (Netzer–Xu): it holds at most one
+// checkpoint per process, and no zigzag path connects any member to any
+// member, itself included. In Wang's R-graph form, a zigzag path leads
+// from C_{i,x} to b iff an R-path leads from C_{i,x+1} to b.
+func (g *Graph) CanExtend(set []model.CkptID) bool {
+	for _, a := range set {
+		next := model.CkptID{Proc: a.Proc, Index: a.Index + 1}
+		zigzags := a.Index < g.p.LastIndex(a.Proc) // no zigzag path leaves a last checkpoint
+		for _, b := range set {
+			if b.Proc == a.Proc && b.Index != a.Index || zigzags && g.HasRPath(next, b) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func (g *Graph) id(i model.ProcID, x int) int { return g.offset[i] + x }
+
+// reachOf returns a's reach vector: entry j is the first index of process
+// j an R-path from a reaches.
+func (g *Graph) reachOf(a model.CkptID) []int32 {
+	v := g.id(a.Proc, a.Index) * g.p.N
+	return g.reach[v : v+g.p.N]
+}
 
 func (g *Graph) ckpt(id int) model.CkptID {
 	// Binary search over offsets would be overkill: N is small.
@@ -172,16 +233,21 @@ func (g *Graph) ckpt(id int) model.CkptID {
 // R-graph (that is the operational meaning of an R-path, Section 3.1).
 // The result is sorted by process, then index.
 func (g *Graph) RollbackClosure(targets ...model.CkptID) []model.CkptID {
-	doomed := newBitset(g.nodes)
+	from := make([]int, g.p.N) // the first index of each process reached
+	for j := range from {
+		from[j] = len(g.p.Checkpoints[j])
+	}
+	doomed := make([]bool, g.nodes)
 	for _, c := range targets {
-		id := g.id(c.Proc, c.Index)
-		doomed.set(id)
-		doomed.or(g.reach[id])
+		doomed[g.id(c.Proc, c.Index)] = true
+		for j, r := range g.reachOf(c) {
+			from[j] = min(from[j], int(r))
+		}
 	}
 	var out []model.CkptID
 	for v := 0; v < g.nodes; v++ {
-		if doomed.get(v) {
-			out = append(out, g.ckpt(v))
+		if c := g.ckpt(v); doomed[v] || c.Index >= from[c.Proc] {
+			out = append(out, c)
 		}
 	}
 	return out

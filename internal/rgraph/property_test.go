@@ -316,3 +316,37 @@ func TestPropertyPrefixAtRecoveryLinePreservesAnnotations(t *testing.T) {
 		}
 	}
 }
+
+// TestGraphCanExtendMatchesChains: Wang's R-graph rule gives the
+// Netzer–Xu answer of the chain closure on sets of one to three
+// checkpoints of distinct processes, and two checkpoints of one process
+// never extend to a global checkpoint.
+func TestGraphCanExtendMatchesChains(t *testing.T) {
+	extendable, not := 0, 0
+	for seed := int64(1); seed <= propertySeeds; seed++ {
+		f := buildFixture(t, seed)
+		rng := rand.New(rand.NewSource(seed))
+		for k := 0; k < 200; k++ {
+			procs := rng.Perm(f.p.N)[:1+rng.Intn(3)]
+			set := make([]model.CkptID, len(procs))
+			for s, i := range procs {
+				set[s] = model.CkptID{Proc: model.ProcID(i), Index: rng.Intn(len(f.p.Checkpoints[i]))}
+			}
+			got := f.g.CanExtend(set)
+			if want := f.chains.CanExtend(set); got != want {
+				t.Fatalf("seed %d: Graph.CanExtend(%v) = %v, Chains.CanExtend says %v\n%s", seed, set, got, want, f.p.ASCII())
+			}
+			if got {
+				extendable++
+			} else {
+				not++
+			}
+		}
+		if len(f.p.Checkpoints[0]) > 1 && f.g.CanExtend([]model.CkptID{{Proc: 0, Index: 0}, {Proc: 0, Index: 1}}) {
+			t.Fatalf("seed %d: C{0,0} and C{0,1} extend to one global checkpoint", seed)
+		}
+	}
+	if extendable == 0 || not == 0 {
+		t.Fatalf("degenerate corpus: %d sets extend, %d do not", extendable, not)
+	}
+}

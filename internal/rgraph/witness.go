@@ -212,12 +212,11 @@ func Explain(p *model.Pattern, maxViolations int) (*Report, []*Witness, error) {
 // checker's Report, which keeps no message metadata, so the caller
 // supplies the pattern of the same event stream (a service session
 // materializes it from its event log). An RDT report has no witnesses.
+// p must be a pattern Validate accepts, and it is not validated again:
+// every caller holds one already (CheckRDT's input, or a builder's).
 func ExplainReport(p *model.Pattern, rep *Report) ([]*Witness, error) {
 	if rep.RDT {
 		return nil, nil
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("explainer: %w", err)
 	}
 	e := newExplainer(p)
 	out := make([]*Witness, 0, len(rep.Violations))

@@ -58,9 +58,9 @@ func NewPatternBuilder(n int) *model.Builder { return model.NewBuilder(n) }
 // Figure1 returns the reference pattern of Figure 1 of the paper.
 func Figure1() (*Pattern, error) { return trace.Figure1() }
 
-// NewChains builds the message-chain (zigzag/causal) analysis of a
-// pattern.
-func NewChains(p *Pattern) (*rgraph.Chains, error) { return rgraph.NewChains(p) }
+// BuildRGraph builds the rollback-dependency graph of a pattern, with its
+// reachability: R-paths, useless checkpoints and Netzer–Xu extensibility.
+func BuildRGraph(p *Pattern) (*rgraph.Graph, error) { return rgraph.Build(p) }
 
 // CheckRDT verifies the Rollback-Dependency Trackability property of a
 // pattern, reporting up to maxViolations untrackable R-paths (<= 0 for a

@@ -85,16 +85,17 @@ func TestPublicPatternBuilder(t *testing.T) {
 	if err := b.Deliver(m); err != nil {
 		t.Fatalf("deliver: %v", err)
 	}
+	b.Checkpoint(1, rdt.KindBasic, nil) // the R-graph takes closed intervals only
 	p, err := b.Finalize()
 	if err != nil {
 		t.Fatalf("finalize: %v", err)
 	}
-	chains, err := rdt.NewChains(p)
+	g, err := rdt.BuildRGraph(p)
 	if err != nil {
-		t.Fatalf("chains: %v", err)
+		t.Fatalf("rgraph: %v", err)
 	}
-	if !chains.HasCausalChain(rdt.CkptID{Proc: 0, Index: 1}, rdt.CkptID{Proc: 1, Index: 1}) {
-		t.Error("causal chain missing")
+	if !g.HasRPath(rdt.CkptID{Proc: 0, Index: 1}, rdt.CkptID{Proc: 1, Index: 1}) {
+		t.Error("R-path of the message missing")
 	}
 }
 
