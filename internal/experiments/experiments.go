@@ -495,12 +495,8 @@ func Guarantees(cfg Config) (*stats.Table, error) {
 	vals, err := runGrid(cfg, cells, func(_ int, res *sim.Result) (outcome, error) {
 		out := outcome{forced: res.Stats.ForcedPerMessage()}
 		p := res.Pattern
-		g, err := rgraph.Build(p)
-		if err != nil {
-			return outcome{}, err
-		}
 		a := analyzers.Get().(*rgraph.Analyzer)
-		rep, err := rgraph.CheckRDTGraph(g, a, 1)
+		rep, g, err := a.CheckRDT(p, 1)
 		analyzers.Put(a)
 		if err != nil {
 			return outcome{}, err
