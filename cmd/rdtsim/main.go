@@ -304,7 +304,8 @@ func printEvents(out io.Writer, tracer *obs.Tracer, n int) {
 }
 
 // replicate runs the configuration over consecutive seeds and reports the
-// sampling distribution of the overhead ratio.
+// sampling distribution of the overhead ratio. It reads only checkpoint
+// counts, so its replays build no pattern.
 func replicate(out io.Writer, cfg sim.Config, env string, seeds int) error {
 	var rs, fpm stats.Sample
 	for k := 0; k < seeds; k++ {
@@ -314,12 +315,17 @@ func replicate(out io.Writer, cfg sim.Config, env string, seeds int) error {
 		}
 		run := cfg
 		run.Seed = cfg.Seed + int64(k)
-		res, err := sim.Run(run, w)
+		s, err := sim.Record(run, w)
 		if err != nil {
 			return err
 		}
-		rs = append(rs, res.Stats.ForcedPerBasic())
-		fpm = append(fpm, res.Stats.ForcedPerMessage())
+		st, err := s.Count(run.Protocol, run.Monitor)
+		s.Release()
+		if err != nil {
+			return err
+		}
+		rs = append(rs, st.ForcedPerBasic())
+		fpm = append(fpm, st.ForcedPerMessage())
 	}
 	fmt.Fprintf(out, "protocol=%v workload=%s n=%d duration=%g seeds=%d..%d\n",
 		cfg.Protocol, env, cfg.N, cfg.Duration, cfg.Seed, cfg.Seed+int64(seeds)-1)

@@ -2,13 +2,11 @@ package core
 
 import "github.com/rdt-go/rdt/internal/vclock"
 
-// arena carves the copies an instance hands out — the vector of every
-// checkpoint record, the vectors and matrix of every piggyback snapshot —
-// from chunks it allocates, so that one copy costs a slice of a chunk
-// instead of an allocation of its own. Nothing carved is written again,
-// and a chunk lives as long as anything carved from it, so records and
-// snapshots use separate arenas: a pattern that keeps every checkpoint's
-// vector does not keep the snapshots' chunks alive.
+// arena carves the copies an instance hands out — the vectors and matrix
+// of every piggyback snapshot — from chunks it allocates, so that one
+// copy costs a slice of a chunk instead of an allocation of its own.
+// Nothing carved is written again, and a chunk lives as long as anything
+// carved from it.
 type arena struct {
 	ints  []int
 	bools []bool

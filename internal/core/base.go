@@ -33,9 +33,8 @@ type base struct {
 	pbSnap   Piggyback
 	pbSnapOK bool
 
-	// recs and snaps hold the copies handed out in checkpoint records and
-	// in piggyback snapshots.
-	recs, snaps arena
+	// snaps holds the copies handed out in piggyback snapshots.
+	snaps arena
 }
 
 func newBase(kind Kind, proc, n int, sink Sink) base {
@@ -62,8 +61,8 @@ func (b *base) afterFirstSend() bool { return b.sentTo.Any() }
 
 // record performs the protocol-independent part of take_checkpoint: it
 // resets sent_to, announces the checkpoint (whose index is the current
-// interval index) with a copy of the dependency vector, and advances
-// TDV[proc] to the new interval.
+// interval index) with the dependency vector, lent for the sink call,
+// and advances TDV[proc] to the new interval.
 func (b *base) record(kind model.CheckpointKind) {
 	b.recordPred(kind, "")
 }
@@ -86,7 +85,7 @@ func (b *base) recordPred(kind model.CheckpointKind, predicate string) {
 			Proc:      b.proc,
 			Index:     b.tdv[b.proc],
 			Kind:      kind,
-			TDV:       b.recs.vec(b.tdv),
+			TDV:       b.tdv,
 			Predicate: predicate,
 		})
 	}

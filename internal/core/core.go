@@ -168,8 +168,10 @@ type CheckpointRecord struct {
 	Proc  int
 	Index int
 	Kind  model.CheckpointKind
-	// TDV is the vector recorded with the checkpoint: a copy made for
-	// the sink that nothing writes again, so the sink may keep it.
+	// TDV is the vector recorded with the checkpoint. It is the
+	// instance's own vector, lent for the length of the Sink call: the
+	// instance writes it again afterwards, so a sink that keeps it keeps
+	// a copy.
 	TDV vclock.Vec
 
 	// Predicate names the visible condition that fired, for forced
@@ -181,7 +183,8 @@ type CheckpointRecord struct {
 }
 
 // Sink receives checkpoint records in the order they are taken. It may be
-// nil when the embedder does not record traces.
+// nil when the embedder does not record traces. A sink that keeps a
+// record's TDV past the call copies it.
 type Sink func(CheckpointRecord)
 
 // Instance is the per-process protocol state machine. Instances are not

@@ -7,12 +7,16 @@ import (
 	"github.com/rdt-go/rdt/internal/vclock"
 )
 
-// recorder collects checkpoint records from an instance.
+// recorder collects checkpoint records from an instance. A record's
+// vector is lent for the sink call, so the recorder keeps a copy.
 type recorder struct {
 	recs []CheckpointRecord
 }
 
-func (r *recorder) sink(rec CheckpointRecord) { r.recs = append(r.recs, rec) }
+func (r *recorder) sink(rec CheckpointRecord) {
+	rec.TDV = rec.TDV.Clone()
+	r.recs = append(r.recs, rec)
+}
 
 func newInst(t *testing.T, k Kind, proc, n int) (Instance, *recorder) {
 	t.Helper()

@@ -9,10 +9,12 @@
 // the same code.
 //
 // Every experiment fans its (environment, protocol, mean, seed) grid
-// across the worker pool of runGrid, which simulates each schedule once
-// and replays every protocol of the grid over it. Cell seeds depend only
-// on the cell's own coordinates and aggregation happens in a fixed order,
-// so results are byte-identical for every Config.Jobs value.
+// across the worker pool of replayGrid, which simulates each schedule
+// once and replays every protocol of the grid over it. The experiments
+// that read only checkpoint counts replay with countGrid, which builds
+// no pattern; the ones that analyze the pattern use runGrid. Cell seeds
+// depend only on the cell's own coordinates and aggregation happens in a
+// fixed order, so results are byte-identical for every Config.Jobs value.
 package experiments
 
 import (
@@ -43,7 +45,7 @@ type Config struct {
 
 	// Jobs is the number of worker goroutines the grid of simulations is
 	// fanned across; 0 or negative means runtime.GOMAXPROCS(0). Output is
-	// byte-identical for every value (see runGrid).
+	// byte-identical for every value (see replayGrid).
 	Jobs int
 
 	// Obs, if non-nil, receives the metrics of every simulation of the
@@ -104,8 +106,8 @@ func FigureR(cfg Config, env string) (*stats.Series, error) {
 			}
 		}
 	}
-	vals, err := runGrid(cfg, cells, func(_ int, res *sim.Result) (float64, error) {
-		return res.Stats.ForcedPerBasic(), nil
+	vals, err := countGrid(cfg, cells, func(_ int, st model.Stats) float64 {
+		return st.ForcedPerBasic()
 	})
 	if err != nil {
 		return nil, fmt.Errorf("figure %s: %w", env, err)
@@ -140,8 +142,8 @@ func ReductionVsFDAS(cfg Config) (*stats.Table, error) {
 			}
 		}
 	}
-	vals, err := runGrid(cfg, cells, func(_ int, res *sim.Result) (float64, error) {
-		return res.Stats.ForcedPerBasic(), nil
+	vals, err := countGrid(cfg, cells, func(_ int, st model.Stats) float64 {
+		return st.ForcedPerBasic()
 	})
 	if err != nil {
 		return nil, err
@@ -249,8 +251,8 @@ func Ablation(cfg Config) (*stats.Table, error) {
 			}
 		}
 	}
-	vals, err := runGrid(cfg, cells, func(_ int, res *sim.Result) (float64, error) {
-		return res.Stats.ForcedPerMessage(), nil
+	vals, err := countGrid(cfg, cells, func(_ int, st model.Stats) float64 {
+		return st.ForcedPerMessage()
 	})
 	if err != nil {
 		return nil, err
@@ -370,8 +372,8 @@ func DelaySensitivity(cfg Config) (*stats.Series, error) {
 			}
 		}
 	}
-	vals, err := runGrid(cfg, cells, func(_ int, res *sim.Result) (float64, error) {
-		return res.Stats.ForcedPerBasic(), nil
+	vals, err := countGrid(cfg, cells, func(_ int, st model.Stats) float64 {
+		return st.ForcedPerBasic()
 	})
 	if err != nil {
 		return nil, err
@@ -437,8 +439,8 @@ func ConditionAttribution(cfg Config) (*stats.Table, error) {
 			}
 		}
 	}
-	vals, err := runGrid(cfg, cells, func(i int, _ *sim.Result) (attribution, error) {
-		return atts[i], nil
+	vals, err := countGrid(cfg, cells, func(i int, _ model.Stats) attribution {
+		return atts[i]
 	})
 	if err != nil {
 		return nil, err

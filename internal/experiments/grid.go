@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"github.com/rdt-go/rdt/internal/core"
+	"github.com/rdt-go/rdt/internal/model"
 	"github.com/rdt-go/rdt/internal/rgraph"
 	"github.com/rdt-go/rdt/internal/sim"
 	"github.com/rdt-go/rdt/internal/workload"
@@ -86,11 +87,39 @@ func bySchedule(cells []cell) [][]int {
 	return groups
 }
 
-// runGrid evaluates fn on the simulation result of every cell across a
-// pool of cfg.Jobs worker goroutines and returns the values in cell
-// order. The unit of work is a schedule: a worker records it once and
-// replays each of its cells' protocols over it, calling fn as soon as a
-// replay returns, so it holds one schedule and one result at a time.
+// runGrid evaluates fn on the simulation result of every cell, each
+// cell's protocol replayed with sim.Schedule.Run; see replayGrid.
+func runGrid[T any](cfg Config, cells []cell, fn func(i int, res *sim.Result) (T, error)) ([]T, error) {
+	return replayGrid(cfg, cells, func(i int, s *sim.Schedule) (T, error) {
+		res, err := s.Run(cells[i].kind, cells[i].monitor)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		return fn(i, res)
+	})
+}
+
+// countGrid evaluates fn on the statistics of every cell's run, each
+// cell's protocol replayed with sim.Schedule.Count, which builds no
+// pattern. It serves the experiments that read only checkpoint counts,
+// or their cells' monitors; see replayGrid.
+func countGrid[T any](cfg Config, cells []cell, fn func(i int, st model.Stats) T) ([]T, error) {
+	return replayGrid(cfg, cells, func(i int, s *sim.Schedule) (T, error) {
+		st, err := s.Count(cells[i].kind, cells[i].monitor)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		return fn(i, st), nil
+	})
+}
+
+// replayGrid evaluates replay on every cell across a pool of cfg.Jobs
+// worker goroutines and returns the values in cell order. The unit of
+// work is a schedule: a worker records it once and replays each of its
+// cells' protocols over it, as soon as the previous replay's value is
+// taken, so it holds one schedule and one result at a time.
 //
 // Determinism contract: every cell derives its seed from its own indices,
 // each value is written into its pre-assigned slot, and callers aggregate
@@ -102,7 +131,7 @@ func bySchedule(cells []cell) [][]int {
 // concurrent workers cannot lose updates). On error the failure with the
 // lowest cell index is returned: after a failure at cell i, workers skip
 // every cell above i, and still run the ones below it.
-func runGrid[T any](cfg Config, cells []cell, fn func(i int, res *sim.Result) (T, error)) ([]T, error) {
+func replayGrid[T any](cfg Config, cells []cell, replay func(i int, s *sim.Schedule) (T, error)) ([]T, error) {
 	out := make([]T, len(cells))
 	errs := make([]error, len(cells))
 	runs := cfg.Obs.Counter("rdt_experiment_runs_total")
@@ -134,12 +163,7 @@ func runGrid[T any](cfg Config, cells []cell, fn func(i int, res *sim.Result) (T
 			if int64(i) >= failed.Load() {
 				return
 			}
-			c := cells[i]
-			res, err := s.Run(c.kind, c.monitor)
-			var v T
-			if err == nil {
-				v, err = fn(i, res)
-			}
+			v, err := replay(i, s)
 			if err != nil {
 				fail(i, err)
 				return

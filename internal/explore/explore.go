@@ -186,7 +186,7 @@ func (e *explorer) replay() (*model.Pattern, error) {
 			if rec.Kind == model.KindInitial {
 				return
 			}
-			builder.CheckpointOwned(model.ProcID(rec.Proc), rec.Kind, rec.TDV)
+			builder.Checkpoint(model.ProcID(rec.Proc), rec.Kind, rec.TDV)
 		})
 		if err != nil {
 			return nil, err

@@ -236,6 +236,7 @@ func BenchmarkFinalize(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const n = 8
 	bl := NewBuilder(n)
+	tdv := make([]int, n)
 	var inflight []int
 	for s := 0; s < 17000; s++ {
 		switch r := rng.Float64(); {
@@ -250,7 +251,7 @@ func BenchmarkFinalize(b *testing.B) {
 			inflight[k] = inflight[len(inflight)-1]
 			inflight = inflight[:len(inflight)-1]
 		default:
-			bl.CheckpointOwned(ProcID(rng.Intn(n)), KindBasic, make([]int, n))
+			bl.Checkpoint(ProcID(rng.Intn(n)), KindBasic, tdv)
 		}
 	}
 	for _, h := range inflight {

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/rdt-go/rdt/internal/core"
@@ -10,11 +11,14 @@ import (
 
 // TestRunAllocs: a paper-scale run allocates per run, not per event. The
 // event queue and the builder reuse their buffers, sends schedule no
-// closure, a released schedule's tape serves the next recording, and the
-// protocols carve checkpoint vectors and piggyback snapshots from chunks,
-// so a BHMR run in the random environment makes far fewer allocations
-// than it sends messages. So does recording its schedule alone, and so
-// does each protocol's replay of the recorded schedule.
+// closure, a released schedule's tape serves the next recording, the
+// builder copies checkpoint vectors into chunks and the protocols carve
+// piggyback snapshots from chunks, so a BHMR run in the random
+// environment makes far fewer allocations than it sends messages. So
+// does recording its schedule alone, and so does each protocol's replay
+// of the recorded schedule, building or counting. A counting replay
+// builds no pattern, so it allocates at most half the bytes of the
+// building one.
 func TestRunAllocs(t *testing.T) {
 	cfg := sim.DefaultConfig(core.KindBHMR, 1)
 	messages := 0
@@ -47,13 +51,39 @@ func TestRunAllocs(t *testing.T) {
 		t.Errorf("record: %.0f allocations for %d messages, want under %.0f", allocs, messages, budget)
 	}
 	for _, kind := range core.Kinds() {
-		allocs := testing.AllocsPerRun(3, func() {
+		run := func() {
 			if _, err := s.Run(kind, nil); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs > budget {
+		}
+		count := func() {
+			if _, err := s.Count(kind, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(3, run); allocs > budget {
 			t.Errorf("replay of %v: %.0f allocations for %d messages, want under %.0f", kind, allocs, messages, budget)
 		}
+		if allocs := testing.AllocsPerRun(3, count); allocs > budget {
+			t.Errorf("counting replay of %v: %.0f allocations for %d messages, want under %.0f", kind, allocs, messages, budget)
+		}
+		runBytes, countBytes := allocBytes(3, run), allocBytes(3, count)
+		t.Logf("%v: counting replay %d bytes, building replay %d (%.2f)", kind, countBytes, runBytes, float64(countBytes)/float64(runBytes))
+		if 2*countBytes > runBytes {
+			t.Errorf("%v: a counting replay allocates %d bytes, a building one %d, want at most half", kind, countBytes, runBytes)
+		}
 	}
+}
+
+// allocBytes returns the bytes f allocates per call, averaged over runs
+// calls after a warm-up call.
+func allocBytes(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

@@ -23,8 +23,24 @@ var paperKinds = []core.Kind{
 // per op: schedule-x1 records a schedule for every run, as sim.Run does,
 // and schedule-x8 records one and replays it for all eight, as the grid
 // does, so the pair prices the sharing.
+//
+// Each row has a -count twin that replays with Schedule.Count instead of
+// Schedule.Run: the same protocol calls, no pattern built, as the grid's
+// count-only experiments replay.
 func BenchmarkSimulationRun(b *testing.B) {
 	const benchSeeds = 8
+	// replay runs one protocol over s, building its pattern or counting.
+	replay := func(b *testing.B, s *sim.Schedule, kind core.Kind, count bool) {
+		var err error
+		if count {
+			_, err = s.Count(kind, nil)
+		} else {
+			_, err = s.Run(kind, nil)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 	cells := []struct {
 		name     string
 		kind     core.Kind
@@ -38,43 +54,50 @@ func BenchmarkSimulationRun(b *testing.B) {
 			return w
 		}},
 	}
-	for _, c := range cells {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cfg := sim.DefaultConfig(c.kind, int64(i%benchSeeds))
-				cfg.Duration = c.duration
-				if _, err := sim.Run(cfg, c.workload()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	for _, share := range []int{1, len(paperKinds)} {
-		name := "schedule-x1"
-		if share > 1 {
-			name = "schedule-x8"
+	for _, count := range []bool{false, true} {
+		suffix := ""
+		if count {
+			suffix = "-count"
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var s *sim.Schedule
-			for i := 0; i < b.N; i++ {
-				if i%share == 0 {
-					if s != nil {
-						s.Release()
-					}
-					cfg := sim.DefaultConfig(core.KindBHMR, int64(i/len(paperKinds)%benchSeeds))
-					cfg.Duration = 1500
-					cfg.BasicMean = 8
-					var err error
-					if s, err = sim.Record(cfg, &workload.Random{MeanGap: 1}); err != nil {
+		for _, c := range cells {
+			b.Run(c.name+suffix, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					cfg := sim.DefaultConfig(c.kind, int64(i%benchSeeds))
+					cfg.Duration = c.duration
+					s, err := sim.Record(cfg, c.workload())
+					if err != nil {
 						b.Fatal(err)
 					}
+					replay(b, s, c.kind, count)
+					s.Release()
 				}
-				if _, err := s.Run(paperKinds[i%len(paperKinds)], nil); err != nil {
-					b.Fatal(err)
-				}
+			})
+		}
+		for _, share := range []int{1, len(paperKinds)} {
+			name := "schedule-x1"
+			if share > 1 {
+				name = "schedule-x8"
 			}
-		})
+			b.Run(name+suffix, func(b *testing.B) {
+				b.ReportAllocs()
+				var s *sim.Schedule
+				for i := 0; i < b.N; i++ {
+					if i%share == 0 {
+						if s != nil {
+							s.Release()
+						}
+						cfg := sim.DefaultConfig(core.KindBHMR, int64(i/len(paperKinds)%benchSeeds))
+						cfg.Duration = 1500
+						cfg.BasicMean = 8
+						var err error
+						if s, err = sim.Record(cfg, &workload.Random{MeanGap: 1}); err != nil {
+							b.Fatal(err)
+						}
+					}
+					replay(b, s, paperKinds[i%len(paperKinds)], count)
+				}
+			})
+		}
 	}
 }

@@ -24,7 +24,7 @@ func liveRun(cfg Config, w Workload) (*Result, error) {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), w: w}
-	l := &replay{builder: model.NewBuilder(cfg.N)}
+	l := &replay{builder: model.NewBuilder(cfg.N), events: make([]int, cfg.N)}
 	for i := 0; i < cfg.N; i++ {
 		inst, err := core.New(cfg.Protocol, i, cfg.N, l.sink)
 		if err != nil {

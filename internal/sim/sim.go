@@ -11,7 +11,8 @@
 // experiments and the property-based tests reproducible. A run is two
 // steps: Record simulates the schedule, which no protocol can change, and
 // Schedule.Run replays one protocol over it, so a sweep over protocols
-// simulates each schedule once.
+// simulates each schedule once. Schedule.Count is the replay that only
+// counts checkpoints and messages: it builds no pattern.
 package sim
 
 import (
@@ -215,6 +216,10 @@ func Record(cfg Config, w Workload) (*Schedule, error) {
 		reg:      cfg.Obs,
 		tracer:   cfg.Tracer,
 	}
+	if e.err != nil {
+		s.Release()
+		return nil, e.err
+	}
 	return s, nil
 }
 
@@ -230,19 +235,57 @@ func (s *Schedule) Release() {
 
 // Run replays the schedule with every process running the given
 // protocol and returns the recorded pattern, as Run of the recorded
-// configuration with that protocol and monitor would. This is the only
-// place the protocol is called: at a send, its piggyback and optional
-// forced checkpoint; at an arrival, the monitor and then the protocol;
-// at a basic-checkpoint attempt, the checkpoint unless the process had
-// no event since its last one.
+// configuration with that protocol and monitor would.
 func (s *Schedule) Run(kind core.Kind, monitor func(inst core.Instance, from int, pb core.Piggyback)) (*Result, error) {
-	r := newReplay(s)
+	r := newReplay(s, true)
 	defer r.release()
+	if err := r.run(s, kind, monitor); err != nil {
+		return nil, err
+	}
+	pattern, err := r.builder.Finalize()
+	if err != nil {
+		return nil, fmt.Errorf("run %v/%s: %w", kind, s.workload, err)
+	}
+	return &Result{
+		Pattern:             pattern,
+		Stats:               pattern.Stats(),
+		Protocol:            kind,
+		Workload:            s.workload,
+		WireBytesPerMessage: r.insts[0].WireSize(),
+	}, nil
+}
+
+// Count replays the schedule as Run does, with the same protocol calls,
+// monitor calls, metrics and trace events, but builds no pattern: it
+// returns only the statistics of the pattern Run would return.
+func (s *Schedule) Count(kind core.Kind, monitor func(inst core.Instance, from int, pb core.Piggyback)) (model.Stats, error) {
+	r := newReplay(s, false)
+	defer r.release()
+	if err := r.run(s, kind, monitor); err != nil {
+		return model.Stats{}, err
+	}
+	st := model.Stats{Processes: s.n, Messages: r.sent, Initial: s.n}
+	for i, inst := range r.insts {
+		st.Basic += inst.Basic()
+		st.Forced += inst.Forced()
+		if r.events[i] > 0 {
+			st.Final++ // Finalize closes the interval
+		}
+	}
+	return st, nil
+}
+
+// run replays the schedule into r, recording the pattern when r has a
+// builder. This is the only place the protocol is called: at a send,
+// its piggyback and optional forced checkpoint; at an arrival, the
+// monitor and then the protocol; at a basic-checkpoint attempt, the
+// checkpoint unless the process had no event since its last one.
+func (r *replay) run(s *Schedule, kind core.Kind, monitor func(inst core.Instance, from int, pb core.Piggyback)) error {
 	sink := r.sink
 	for i := 0; i < s.n; i++ {
 		inst, err := core.New(kind, i, s.n, sink)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		r.insts = append(r.insts, inst)
 	}
@@ -256,7 +299,14 @@ func (s *Schedule) Run(kind core.Kind, monitor func(inst core.Instance, from int
 			from, to := int(o.proc), int(o.peer)
 			inst := r.insts[from]
 			pb, forceAfter := inst.OnSend(to)
-			handle := b.Send(model.ProcID(from), model.ProcID(to))
+			// Message ids are dense from 0, so the builder's handle is
+			// the number of earlier sends.
+			handle := r.sent
+			r.sent++
+			r.events[from]++
+			if b != nil {
+				b.Send(model.ProcID(from), model.ProcID(to))
+			}
 			if tracer != nil {
 				tracer.Record(obs.Event{Type: obs.EventSend, Proc: from, Peer: to, Value: handle})
 			}
@@ -272,45 +322,40 @@ func (s *Schedule) Run(kind core.Kind, monitor func(inst core.Instance, from int
 				monitor(inst, from, f.pb)
 			}
 			inst.OnArrival(from, f.pb)
-			if err := b.Deliver(f.handle); err != nil {
-				// Deliver can only fail on a corrupted handle, which would
-				// be a bug of the schedule; surface it loudly.
-				panic(fmt.Sprintf("sim: %v", err))
+			r.events[to]++
+			if b != nil {
+				if err := b.Deliver(f.handle); err != nil {
+					// Deliver can only fail on a corrupted handle, which
+					// would be a bug of the schedule; surface it loudly.
+					panic(fmt.Sprintf("sim: %v", err))
+				}
 			}
 			if tracer != nil {
 				tracer.Record(obs.Event{Type: obs.EventDeliver, Proc: to, Peer: from, Value: f.handle})
 			}
 		case opBasic:
-			if b.EventsSinceCheckpoint(model.ProcID(o.proc)) > 0 {
+			if r.events[o.proc] > 0 {
 				r.insts[o.proc].TakeBasicCheckpoint()
 			}
 		}
 	}
-	pattern, err := b.Finalize()
-	if err != nil {
-		return nil, fmt.Errorf("run %v/%s: %w", kind, s.workload, err)
-	}
 	if o := r.obs; o != nil {
 		// Every message sent has arrived: the schedule ends when its
 		// queue is empty.
-		o.messages.Add(int64(len(pattern.Messages)))
-		o.deliveries.Add(int64(len(pattern.Messages)))
+		o.messages.Add(int64(r.sent))
+		o.deliveries.Add(int64(r.sent))
 	}
-	return &Result{
-		Pattern:             pattern,
-		Stats:               pattern.Stats(),
-		Protocol:            kind,
-		Workload:            s.workload,
-		WireBytesPerMessage: r.insts[0].WireSize(),
-	}, nil
+	return nil
 }
 
 // replay is the protocol side of one run: the instances, the builder
-// recording the pattern, and the piggyback of every in-flight message by
-// slot.
+// recording the pattern, the events of every process since its last
+// checkpoint, and the piggyback of every in-flight message by slot.
 type replay struct {
-	builder *model.Builder
+	builder *model.Builder // nil when the replay only counts
 	insts   []core.Instance
+	events  []int // sends and deliveries per process since its last checkpoint
+	sent    int   // messages sent so far
 	flights []flight
 	obs     *replayObs // nil when observability is off
 }
@@ -321,18 +366,29 @@ type flight struct {
 	pb     core.Piggyback
 }
 
-// replays recycles replay state across runs: the builder buffers and the
-// piggyback table serve the next run, since Finalize copies what it
-// returns.
+// replays recycles replay state across runs: the piggyback table and
+// the counters serve the next run.
 var replays sync.Pool
 
-func newReplay(s *Schedule) *replay {
+// builders recycles the builders of Run's replays. Their buffers serve
+// the next run, since Finalize copies what it returns and the builder's
+// vector chunk hands each piece out once.
+var builders sync.Pool
+
+func newReplay(s *Schedule, build bool) *replay {
 	r, _ := replays.Get().(*replay)
 	if r == nil {
-		r = &replay{builder: model.NewBuilder(s.n)}
-	} else {
-		r.builder.Reset(s.n)
+		r = &replay{}
 	}
+	if build {
+		if b, _ := builders.Get().(*model.Builder); b != nil {
+			b.Reset(s.n)
+			r.builder = b
+		} else {
+			r.builder = model.NewBuilder(s.n)
+		}
+	}
+	r.events = append(r.events[:0], make([]int, s.n)...)
 	if cap(r.flights) < s.slots {
 		r.flights = make([]flight, s.slots)
 	}
@@ -340,23 +396,29 @@ func newReplay(s *Schedule) *replay {
 	return r
 }
 
-// release drops the run's references and returns the state to the pool.
+// release drops the run's references and returns the state to the pools.
 func (r *replay) release() {
+	if r.builder != nil {
+		builders.Put(r.builder)
+	}
 	clear(r.insts)
 	clear(r.flights)
-	r.insts, r.obs = r.insts[:0], nil
+	r.builder, r.insts, r.sent, r.obs = nil, r.insts[:0], 0, nil
 	replays.Put(r)
 }
 
 // sink records protocol checkpoints into the trace. Initial checkpoints
 // are pre-recorded by the builder and skipped here (their dependency
-// vector is trivially all-zero). The record's vector is a copy the
-// protocol made for the sink, so the builder keeps it as it is.
+// vector is trivially all-zero). The record's vector is lent for the
+// call, so the builder copies it.
 func (r *replay) sink(rec core.CheckpointRecord) {
 	if rec.Kind == model.KindInitial {
 		return
 	}
-	r.builder.CheckpointOwned(model.ProcID(rec.Proc), rec.Kind, rec.TDV)
+	r.events[rec.Proc] = 0
+	if b := r.builder; b != nil {
+		b.Checkpoint(model.ProcID(rec.Proc), rec.Kind, rec.TDV)
+	}
 	o := r.obs
 	if o == nil {
 		return
@@ -436,6 +498,9 @@ type Engine struct {
 	ops   []op    // the schedule recorded so far
 	free  []int32 // in-flight slots released by arrivals
 	slots int32   // in-flight slots ever taken
+	// err is the workload's first illegal send, which fails the
+	// recording.
+	err error
 }
 
 // engines recycles engines across recordings: a recording's event slab
@@ -453,7 +518,7 @@ func newEngine(cfg Config, w Workload, ops []op) *Engine {
 	}
 	e.cfg, e.w, e.now, e.ops = cfg, w, 0, ops
 	e.q.reset()
-	e.free, e.slots = e.free[:0], 0
+	e.free, e.slots, e.err = e.free[:0], 0, nil
 	return e
 }
 
@@ -518,6 +583,9 @@ func (e *Engine) Wake(delay float64, proc, tag int) {
 // send is recorded with an in-flight slot, and the arrival is scheduled
 // after a random channel delay.
 func (e *Engine) Send(from, to int, payload any) {
+	if from == to && e.err == nil {
+		e.err = fmt.Errorf("sim: %s sent a message from P%d to itself", e.w.Name(), from)
+	}
 	var slot int32
 	if n := len(e.free); n > 0 {
 		slot = e.free[n-1]

@@ -167,6 +167,23 @@ func TestMonitorHookSeesEveryArrival(t *testing.T) {
 	}
 }
 
+// selfSender sends one message from process 0 to itself.
+type selfSender struct{}
+
+func (selfSender) Name() string                { return "self" }
+func (selfSender) Start(e *Engine)             { e.Send(0, 0, nil) }
+func (selfSender) OnWake(*Engine, int, int)    {}
+func (selfSender) OnDeliver(*Engine, Delivery) {}
+
+// TestRecordRefusesSelfSend: a message from a process to itself fails
+// the recording, so no replay, counting or building, ever sees one.
+func TestRecordRefusesSelfSend(t *testing.T) {
+	if s, err := Record(shortConfig(core.KindBHMR, 1), selfSender{}); err == nil {
+		s.Release()
+		t.Fatal("recorded a self-send")
+	}
+}
+
 func TestWireBytesReported(t *testing.T) {
 	res, err := Run(shortConfig(core.KindFDAS, 3), &pingpong{gap: 0.5})
 	if err != nil {
@@ -266,9 +283,10 @@ func TestEngineAccessors(t *testing.T) {
 }
 
 // TestForcedCheckpointAllocs: with a registry attached, recording a forced
-// checkpoint allocates nothing. The builder keeps the record's vector
-// instead of copying it, and the per-predicate series is resolved on the
-// predicate's first checkpoint, not formatted and looked up on every one.
+// checkpoint allocates nothing. The builder copies the record's vector
+// into a chunk that holds many, and the per-predicate series is resolved
+// on the predicate's first checkpoint, not formatted and looked up on
+// every one.
 func TestForcedCheckpointAllocs(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := shortConfig(core.KindCBR, 3)
@@ -285,13 +303,13 @@ func TestForcedCheckpointAllocs(t *testing.T) {
 	if len(predicates) == 0 {
 		t.Fatal("the CBR run forced no checkpoint")
 	}
-	r := &replay{builder: model.NewBuilder(cfg.N), obs: newReplayObs(reg, nil, cfg.Protocol)}
+	r := &replay{builder: model.NewBuilder(cfg.N), events: make([]int, cfg.N), obs: newReplayObs(reg, nil, cfg.Protocol)}
 	for _, pred := range predicates {
 		before := reg.Snapshot().CounterValue("rdt_forced_checkpoints_total", "protocol", "cbr", "predicate", pred)
 		rec := core.CheckpointRecord{Proc: 1, Kind: model.KindForced, TDV: make([]int, cfg.N), Predicate: pred}
 		const runs = 1000
 		// AllocsPerRun averages over its runs, so the occasional growth of
-		// the builder's checkpoint list rounds away.
+		// the builder's checkpoint list and its vector chunks rounds away.
 		if allocs := testing.AllocsPerRun(runs, func() { r.sink(rec) }); allocs > 0 {
 			t.Errorf("predicate %s: %.2f allocations per forced checkpoint, want 0", pred, allocs)
 		}
