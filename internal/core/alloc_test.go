@@ -32,6 +32,31 @@ func TestOnSendAllocBudget(t *testing.T) {
 	}
 }
 
+// TestSendIntoAllocBudget: SendInto writes into the caller's piggyback,
+// so a send allocates nothing for any protocol, even when the state
+// changed since the previous send.
+func TestSendIntoAllocBudget(t *testing.T) {
+	const n = 8
+	for _, kind := range Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			inst, err := New(kind, 0, n, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := shapedPiggyback(kind, n)
+			avg := testing.AllocsPerRun(200, func() {
+				inst.TakeBasicCheckpoint()
+				if inst.SendInto(1, &dst) {
+					inst.CheckpointAfterSend()
+				}
+			})
+			if avg > 0 {
+				t.Errorf("SendInto allocates %.2f objects/op, want 0", avg)
+			}
+		})
+	}
+}
+
 // TestOnSendSnapshotInvalidation verifies the cache is dropped on every
 // state mutation: snapshots taken before and after a checkpoint or a
 // delivery must differ, and earlier snapshots must stay intact.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/rdt-go/rdt/internal/core"
+	"github.com/rdt-go/rdt/internal/model"
 	"github.com/rdt-go/rdt/internal/sim"
 	"github.com/rdt-go/rdt/internal/workload"
 )
@@ -18,7 +19,10 @@ import (
 // does recording its schedule alone, and so does each protocol's replay
 // of the recorded schedule, building or counting. A counting replay
 // builds no pattern, so it allocates at most half the bytes of the
-// building one.
+// building one. It writes every piggyback into the replay's pooled slot
+// table, so after warm-up it allocates its instances and nothing per
+// message: the same fixed budget holds for every protocol at four times
+// the messages.
 func TestRunAllocs(t *testing.T) {
 	cfg := sim.DefaultConfig(core.KindBHMR, 1)
 	messages := 0
@@ -72,6 +76,29 @@ func TestRunAllocs(t *testing.T) {
 		if 2*countBytes > runBytes {
 			t.Errorf("%v: a counting replay allocates %d bytes, a building one %d, want at most half", kind, countBytes, runBytes)
 		}
+	}
+
+	const countBudget = 32 << 10
+	for _, duration := range []float64{1500, 6000} {
+		cfg := sim.DefaultConfig(core.KindBHMR, 1)
+		cfg.Duration, cfg.BasicMean = duration, 8
+		s, err := sim.Record(cfg, &workload.Random{MeanGap: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range core.Kinds() {
+			var st model.Stats
+			bytes := allocBytes(3, func() {
+				if st, err = s.Count(kind, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%v at duration %.0f: counting replay %d bytes for %d messages", kind, duration, bytes, st.Messages)
+			if bytes > countBudget {
+				t.Errorf("%v at duration %.0f: a counting replay allocates %d bytes for %d messages, want at most %d whatever the message count", kind, duration, bytes, st.Messages, countBudget)
+			}
+		}
+		s.Release()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/rdt-go/rdt/internal/core"
+	"github.com/rdt-go/rdt/internal/model"
 	"github.com/rdt-go/rdt/internal/sim"
 	"github.com/rdt-go/rdt/internal/workload"
 )
@@ -99,5 +100,38 @@ func BenchmarkSimulationRun(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkScheduleCount is the per-protocol row of the counting replay:
+// Count of each paper protocol over one fixed paper-scale schedule
+// (n = 8, 1500 time units, basic mean 8, seed 1) of the random and
+// groups environments, one replay per op, with the time per message
+// sent.
+func BenchmarkScheduleCount(b *testing.B) {
+	for _, env := range []string{"random", "groups"} {
+		w, err := workload.ByName(env)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := sim.DefaultConfig(core.KindBHMR, 1)
+		cfg.Duration, cfg.BasicMean = 1500, 8
+		s, err := sim.Record(cfg, w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, kind := range paperKinds {
+			b.Run(env+"/"+kind.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				var st model.Stats
+				for i := 0; i < b.N; i++ {
+					if st, err = s.Count(kind, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*st.Messages), "ns/message")
+			})
+		}
+		s.Release()
 	}
 }

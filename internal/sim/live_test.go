@@ -18,7 +18,10 @@ var LiveRun = liveRun
 // basic-checkpoint attempt is skipped by looking at the live builder. It
 // drives the same *Engine, since workloads hold one, but never calls the
 // engine's basicTick, and it reads only the sends off the engine's tape.
-// It is the oracle of TestReplayMatchesLiveRun.
+// It takes each piggyback from OnSend, an immutable snapshot it keeps in
+// flight, where the replay has SendInto write the slot it owns, so it
+// shares no piggyback storage with the replay. It is the oracle of
+// TestReplayMatchesLiveRun.
 func liveRun(cfg Config, w Workload) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -25,6 +25,7 @@ import (
 	"github.com/rdt-go/rdt/internal/core"
 	"github.com/rdt-go/rdt/internal/model"
 	"github.com/rdt-go/rdt/internal/obs"
+	"github.com/rdt-go/rdt/internal/vclock"
 )
 
 // Config parameterizes one simulation run.
@@ -51,7 +52,9 @@ type Config struct {
 
 	// Monitor, when non-nil, is invoked for every message arrival before
 	// the protocol processes it — the hook used by the predicate-hierarchy
-	// tests.
+	// tests. The piggyback is lent for the length of the call: the replay
+	// writes its buffers again for a later message, so a monitor that
+	// keeps it keeps a Clone.
 	Monitor func(inst core.Instance, from int, pb core.Piggyback)
 
 	// Obs, if non-nil, receives the run's metrics (messages, deliveries,
@@ -235,7 +238,8 @@ func (s *Schedule) Release() {
 
 // Run replays the schedule with every process running the given
 // protocol and returns the recorded pattern, as Run of the recorded
-// configuration with that protocol and monitor would.
+// configuration with that protocol and monitor would. The monitor's
+// piggyback is lent for the call, as Config.Monitor says.
 func (s *Schedule) Run(kind core.Kind, monitor func(inst core.Instance, from int, pb core.Piggyback)) (*Result, error) {
 	r := newReplay(s, true)
 	defer r.release()
@@ -257,7 +261,8 @@ func (s *Schedule) Run(kind core.Kind, monitor func(inst core.Instance, from int
 
 // Count replays the schedule as Run does, with the same protocol calls,
 // monitor calls, metrics and trace events, but builds no pattern: it
-// returns only the statistics of the pattern Run would return.
+// returns only the statistics of the pattern Run would return. The
+// monitor's piggyback is lent for the call, as Config.Monitor says.
 func (s *Schedule) Count(kind core.Kind, monitor func(inst core.Instance, from int, pb core.Piggyback)) (model.Stats, error) {
 	r := newReplay(s, false)
 	defer r.release()
@@ -277,8 +282,9 @@ func (s *Schedule) Count(kind core.Kind, monitor func(inst core.Instance, from i
 
 // run replays the schedule into r, recording the pattern when r has a
 // builder. This is the only place the protocol is called: at a send,
-// its piggyback and optional forced checkpoint; at an arrival, the
-// monitor and then the protocol; at a basic-checkpoint attempt, the
+// its piggyback, written into the message's slot, and optional forced
+// checkpoint; at an arrival, the monitor and then the protocol, both
+// handed the slot's piggyback; at a basic-checkpoint attempt, the
 // checkpoint unless the process had no event since its last one.
 func (r *replay) run(s *Schedule, kind core.Kind, monitor func(inst core.Instance, from int, pb core.Piggyback)) error {
 	sink := r.sink
@@ -292,13 +298,15 @@ func (r *replay) run(s *Schedule, kind core.Kind, monitor func(inst core.Instanc
 	if s.reg != nil || s.tracer != nil {
 		r.obs = newReplayObs(s.reg, s.tracer, kind)
 	}
+	r.shape(kind, s.n)
 	b, tracer := r.builder, s.tracer
 	for _, o := range s.ops {
 		switch o.kind {
 		case opSend:
 			from, to := int(o.proc), int(o.peer)
 			inst := r.insts[from]
-			pb, forceAfter := inst.OnSend(to)
+			f := &r.flights[o.slot]
+			forceAfter := inst.SendInto(to, &f.pb)
 			// Message ids are dense from 0, so the builder's handle is
 			// the number of earlier sends.
 			handle := r.sent
@@ -313,7 +321,7 @@ func (r *replay) run(s *Schedule, kind core.Kind, monitor func(inst core.Instanc
 			if forceAfter {
 				inst.CheckpointAfterSend()
 			}
-			r.flights[o.slot] = flight{handle: handle, pb: pb}
+			f.handle = handle
 		case opArrive:
 			to, from := int(o.proc), int(o.peer)
 			f := &r.flights[o.slot]
@@ -356,11 +364,24 @@ type replay struct {
 	insts   []core.Instance
 	events  []int // sends and deliveries per process since its last checkpoint
 	sent    int   // messages sent so far
+	// flights is the in-flight table: a send writes its sender's state
+	// into its slot's piggyback with SendInto, and the arrival lends that
+	// piggyback to the monitor and the protocol. A slot's buffers serve
+	// one message after another, which is safe because Record never
+	// takes a slot again before the arrival of the message holding it.
 	flights []flight
-	obs     *replayObs // nil when observability is off
+	// The buffers of the slots' piggybacks, slot i owning the i-th piece
+	// of each: its vector, causal matrix header and words, and simple
+	// array.
+	tdvs   []int
+	mats   []vclock.Matrix
+	words  []uint64
+	simple []bool
+	obs    *replayObs // nil when observability is off
 }
 
-// flight is a message in transit: its builder handle and its piggyback.
+// flight is a message in transit: its builder handle and its piggyback,
+// whose buffers belong to the replay.
 type flight struct {
 	handle int
 	pb     core.Piggyback
@@ -389,20 +410,51 @@ func newReplay(s *Schedule, build bool) *replay {
 		}
 	}
 	r.events = append(r.events[:0], make([]int, s.n)...)
-	if cap(r.flights) < s.slots {
-		r.flights = make([]flight, s.slots)
-	}
-	r.flights = r.flights[:s.slots]
+	r.flights = resize(r.flights, s.slots)
 	return r
 }
 
+// shape points the piggyback of every slot at the slot's buffers, with
+// the fields protocol kind carries, growing the buffers to n processes.
+func (r *replay) shape(kind core.Kind, n int) {
+	simple, causal := kind.Carries()
+	slots, w := len(r.flights), vclock.MatrixWords(n)
+	r.tdvs = resize(r.tdvs, slots*n)
+	if simple {
+		r.simple = resize(r.simple, slots*n)
+	}
+	if causal {
+		r.mats, r.words = resize(r.mats, slots), resize(r.words, slots*w)
+	}
+	for i := range r.flights {
+		pb := core.Piggyback{TDV: r.tdvs[i*n : (i+1)*n : (i+1)*n]}
+		if simple {
+			pb.Simple = r.simple[i*n : (i+1)*n : (i+1)*n]
+		}
+		if causal {
+			pb.Causal = r.mats[i].Bind(n, r.words[i*w:(i+1)*w])
+		}
+		r.flights[i].pb = pb
+	}
+}
+
+// resize returns s with length n, reallocated only when its capacity is
+// short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // release drops the run's references and returns the state to the pools.
+// The slots' piggybacks point only at the replay's own buffers, so they
+// stay.
 func (r *replay) release() {
 	if r.builder != nil {
 		builders.Put(r.builder)
 	}
 	clear(r.insts)
-	clear(r.flights)
 	r.builder, r.insts, r.sent, r.obs = nil, r.insts[:0], 0, nil
 	replays.Put(r)
 }

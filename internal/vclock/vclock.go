@@ -144,16 +144,28 @@ func (m *Matrix) Set(row, col int, v bool) {
 
 // Clone returns a deep copy of the matrix.
 func (m *Matrix) Clone() *Matrix {
-	return m.CloneInto(new(Matrix), make([]uint64, len(m.words)))
+	c := new(Matrix).Bind(m.n, make([]uint64, len(m.words)))
+	c.CopyFrom(m)
+	return c
 }
 
-// CloneInto makes dst a copy of m whose cells live in the given buffer,
-// which must hold MatrixWords(n) words, and returns dst. It is Clone for
-// callers that carve matrices from storage of their own.
-func (m *Matrix) CloneInto(dst *Matrix, words []uint64) *Matrix {
-	copy(words, m.words)
-	*dst = Matrix{n: m.n, stride: m.stride, words: words[:len(m.words):len(m.words)]}
-	return dst
+// Bind makes m an n x n matrix whose cells live in words, which must
+// hold MatrixWords(n) words, and returns m. The cells are whatever the
+// words hold until CopyFrom overwrites them: Bind is for callers that
+// carve matrices from storage of their own.
+func (m *Matrix) Bind(n int, words []uint64) *Matrix {
+	w := MatrixWords(n)
+	m.n, m.stride, m.words = n, (n+63)/64, words[:w:w]
+	return m
+}
+
+// CopyFrom overwrites m's cells with those of src, which must have the
+// same dimension.
+func (m *Matrix) CopyFrom(src *Matrix) {
+	if m.n != src.n {
+		panic(fmt.Sprintf("vclock: copy of a %dx%d matrix into a %dx%d one", src.n, src.n, m.n, m.n))
+	}
+	copy(m.words, src.words)
 }
 
 // Equal reports cellwise equality.

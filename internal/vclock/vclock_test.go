@@ -306,11 +306,12 @@ func newBoolMatrix(n int) *boolMatrix { return &boolMatrix{n: n, cells: make([]b
 func (m *boolMatrix) At(row, col int) bool     { return m.cells[row*m.n+col] }
 func (m *boolMatrix) Set(row, col int, v bool) { m.cells[row*m.n+col] = v }
 
-func (m *boolMatrix) CloneInto(dst *boolMatrix, cells []bool) *boolMatrix {
-	copy(cells, m.cells)
-	*dst = boolMatrix{n: m.n, cells: cells[:len(m.cells):len(m.cells)]}
-	return dst
+func (m *boolMatrix) Bind(n int, cells []bool) *boolMatrix {
+	m.n, m.cells = n, cells[:n*n:n*n]
+	return m
 }
+
+func (m *boolMatrix) CopyFrom(src *boolMatrix) { copy(m.cells, src.cells) }
 
 func (m *boolMatrix) Equal(other *boolMatrix) bool {
 	return m.n == other.n && reflect.DeepEqual(m.cells, other.cells)
@@ -450,10 +451,21 @@ func TestMatrixMatchesBoolOracle(t *testing.T) {
 				ms[a] = ms[a].Reuse(n)
 				os[a] = os[a].Reuse(n)
 			case 8:
-				op = "CloneInto"
+				op = "Bind+CopyFrom"
+				// Bound over stale words, which CopyFrom must overwrite.
 				spare := rng.Intn(3)
-				ms[a] = ms[b].CloneInto(new(Matrix), make([]uint64, MatrixWords(n)+spare))
-				os[a] = os[b].CloneInto(new(boolMatrix), make([]bool, n*n+spare))
+				words := make([]uint64, MatrixWords(n)+spare)
+				for i := range words {
+					words[i] = rng.Uint64()
+				}
+				cells := make([]bool, n*n+spare)
+				for i := range cells {
+					cells[i] = rng.Intn(2) == 0
+				}
+				mb, ob := new(Matrix).Bind(n, words), new(boolMatrix).Bind(n, cells)
+				mb.CopyFrom(ms[b])
+				ob.CopyFrom(os[b])
+				ms[a], os[a] = mb, ob
 				if a != b { // the copy must not alias its source
 					ms[a].Set(row, col, !ms[a].At(row, col))
 					os[a].Set(row, col, !os[a].At(row, col))
