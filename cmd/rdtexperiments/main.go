@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	rdtexperiments            # paper-scale run (about 1.6 s on 2 cores)
+//	rdtexperiments            # paper-scale run (about 1.1 s on 2 cores)
 //	rdtexperiments -quick     # reduced grid for smoke testing
 //	rdtexperiments -csv out/  # also write CSV files
 package main
