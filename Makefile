@@ -139,7 +139,8 @@ soak-smoke:
 # consumer that judges one, which must all accept the same prefix, one
 # small pattern held to the useless and minimum-checkpoint oracles, and
 # one builder op stream (decoded snapshots included) whose finalized
-# patterns must pass the full Validate.
+# patterns must pass the full Validate, and one simulator tape that is
+# refused or replays under every protocol into a pattern that passes it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeMsg' -fuzztime 10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz 'FuzzLoad' -fuzztime 10s ./internal/trace/
@@ -152,6 +153,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzConsistencyOracles' -fuzztime 10s ./internal/rgraph/
 	$(GO) test -run '^$$' -fuzz 'FuzzIncrementalOracle' -fuzztime 10s ./internal/rgraph/
 	$(GO) test -run '^$$' -fuzz 'FuzzBuilderFinalize' -fuzztime 10s ./internal/model/
+	$(GO) test -run '^$$' -fuzz 'FuzzNewSchedule' -fuzztime 10s ./internal/sim/
 
 # Durability smoke: boot rdtserved with -data-dir, ingest a known
 # stream, kill -9, restart on the same directory, and require the

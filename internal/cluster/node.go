@@ -27,6 +27,9 @@ type Node struct {
 	// dec is the piggyback decode scratch: the node goroutine is the only
 	// decoder for this node, so delivered frames reuse one set of buffers.
 	dec pbScratch
+	// enc is the piggyback every send writes with SendInto and encodes
+	// into its frame; like dec, only the node goroutine uses it.
+	enc core.Piggyback
 
 	// mu guards the crash/restart lifecycle: mailbox and done are
 	// replaced on restart, crashed gates the operation entry points.
@@ -81,6 +84,7 @@ func newNode(c *Cluster, proc int) (*Node, error) {
 		return nil, err
 	}
 	n.inst = inst
+	n.enc = c.cfg.Protocol.NewPiggyback(c.cfg.N)
 	return n, nil
 }
 
@@ -294,7 +298,7 @@ func (n *Node) execute(o op) {
 }
 
 func (n *Node) doSend(to int, payload []byte) {
-	pb, forceAfter := n.inst.OnSend(to)
+	forceAfter := n.inst.SendInto(to, &n.enc)
 	handle := n.c.recordSend(n.proc, to, payload)
 	if ins := n.c.ins; ins != nil {
 		ins.sends.Inc()
@@ -306,7 +310,7 @@ func (n *Node) doSend(to int, payload []byte) {
 	if forceAfter {
 		n.inst.CheckpointAfterSend()
 	}
-	data, err := encodeMsg(n.proc, handle, payload, pb)
+	data, err := encodeMsg(n.proc, handle, payload, n.enc)
 	if err != nil {
 		// Encoding our own structures cannot fail in practice; losing the
 		// message would corrupt the trace, so fail loudly.

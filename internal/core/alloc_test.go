@@ -43,7 +43,7 @@ func TestSendIntoAllocBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dst := shapedPiggyback(kind, n)
+			dst := kind.NewPiggyback(n)
 			avg := testing.AllocsPerRun(200, func() {
 				inst.TakeBasicCheckpoint()
 				if inst.SendInto(1, &dst) {

@@ -144,6 +144,20 @@ func (k Kind) Carries() (simple, causal bool) {
 	}
 }
 
+// NewPiggyback returns a piggyback shaped for protocol k in a system of
+// n processes (the fields Carries reports), storage for SendInto.
+func (k Kind) NewPiggyback(n int) Piggyback {
+	pb := Piggyback{TDV: vclock.NewVec(n)}
+	simple, causal := k.Carries()
+	if simple {
+		pb.Simple = vclock.NewBools(n)
+	}
+	if causal {
+		pb.Causal = vclock.NewMatrix(n)
+	}
+	return pb
+}
+
 // Piggyback is the control information attached to an application message.
 // Fields not used by a protocol are nil.
 type Piggyback struct {

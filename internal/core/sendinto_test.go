@@ -4,23 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"github.com/rdt-go/rdt/internal/vclock"
 )
-
-// shapedPiggyback returns a piggyback shaped for protocol k in a system
-// of n processes, the storage a caller of SendInto owns.
-func shapedPiggyback(k Kind, n int) Piggyback {
-	pb := Piggyback{TDV: vclock.NewVec(n)}
-	simple, causal := k.Carries()
-	if simple {
-		pb.Simple = vclock.NewBools(n)
-	}
-	if causal {
-		pb.Causal = vclock.NewMatrix(n)
-	}
-	return pb
-}
 
 // scribble overwrites every buffer of pb with random contents, as a
 // caller reusing it for its next message would.
@@ -65,7 +49,7 @@ func TestSendIntoMatchesOnSend(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			dst := shapedPiggyback(kind, n)
+			dst := kind.NewPiggyback(n)
 			var flying []message
 			for step := 0; step < steps; step++ {
 				switch r := rng.Intn(10); {

@@ -5,6 +5,7 @@ import (
 
 	"github.com/rdt-go/rdt/internal/core"
 	"github.com/rdt-go/rdt/internal/model"
+	"github.com/rdt-go/rdt/internal/sim"
 )
 
 // BenchmarkExhaustiveExploration measures the explorer's schedule
@@ -16,7 +17,7 @@ func BenchmarkExhaustiveExploration(b *testing.B) {
 	}
 	execs := 0
 	for i := 0; i < b.N; i++ {
-		res, err := Run(core.KindBHMR, scripts, func([]Choice, *model.Pattern) error { return nil })
+		res, err := Run(core.KindBHMR, scripts, func([]sim.Op, *model.Pattern) error { return nil })
 		if err != nil {
 			b.Fatal(err)
 		}

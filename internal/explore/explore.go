@@ -6,6 +6,10 @@
 // schedule space, the explorer covers it, so protocol properties (RDT,
 // Z-cycle freedom, correct dependency vectors) are verified for *every*
 // execution of the scenario, not just the sampled ones.
+//
+// Each complete interleaving is a simulator tape (sim.Op) that the
+// simulator's own loop replays, sim.Schedule.Run: a scripted checkpoint
+// is a basic-checkpoint attempt under the simulator's rule.
 package explore
 
 import (
@@ -14,6 +18,7 @@ import (
 
 	"github.com/rdt-go/rdt/internal/core"
 	"github.com/rdt-go/rdt/internal/model"
+	"github.com/rdt-go/rdt/internal/sim"
 )
 
 // OpKind classifies a scripted action.
@@ -36,16 +41,11 @@ type Op struct {
 // Send returns a scripted send to the given process.
 func Send(to int) Op { return Op{Kind: OpSend, To: to} }
 
-// Checkpoint returns a scripted basic checkpoint.
+// Checkpoint returns a scripted basic-checkpoint attempt. As in the
+// simulator, it is skipped when its process had no send or delivery since
+// its last checkpoint: at the start of a script, right after another
+// checkpoint, or under CAS right after the one that follows every send.
 func Checkpoint() Op { return Op{Kind: OpCheckpoint} }
-
-// Choice is one step of a schedule: either the next scripted action of
-// process Proc, or the delivery of message Msg.
-type Choice struct {
-	Deliver bool
-	Proc    int // for script steps
-	Msg     int // message id, for deliveries
-}
 
 // Result summarizes an exhaustive exploration.
 type Result struct {
@@ -53,11 +53,14 @@ type Result struct {
 	Executions int
 }
 
-// Check inspects one complete execution: the schedule that produced it and
-// the finalized pattern the protocol left behind (with all forced
-// checkpoints and dependency-vector annotations). Returning an error
-// aborts the exploration with that error, wrapped with the schedule.
-type Check func(schedule []Choice, p *model.Pattern) error
+// Check inspects one complete execution: the tape of the schedule that
+// produced it, in which a send's slot is its message's index, and the
+// finalized pattern the protocol left behind (with all forced checkpoints
+// and dependency-vector annotations). The tape is lent for the call: the
+// explorer rewrites it for the next execution, so a check that keeps it
+// keeps a copy. Returning an error aborts the exploration with that
+// error, wrapped with the schedule.
+type Check func(schedule []sim.Op, p *model.Pattern) error
 
 // ErrTooManyExecutions guards against accidentally unbounded scenarios.
 var ErrTooManyExecutions = errors.New("scenario exceeds the execution budget")
@@ -67,47 +70,24 @@ const maxExecutions = 2_000_000
 
 // Run enumerates every interleaving of the scripts (one per process) with
 // every admissible delivery order, replays the protocol over each, and
-// calls check on every complete execution.
+// calls check on every complete execution. A scenario whose tapes
+// sim.NewSchedule refuses fails at its first execution.
 func Run(kind core.Kind, scripts [][]Op, check Check) (*Result, error) {
-	n := len(scripts)
-	if n < 2 {
-		return nil, fmt.Errorf("explore: need at least 2 processes, have %d", n)
-	}
-	for i, script := range scripts {
-		for _, op := range script {
-			if op.Kind == OpSend && (op.To < 0 || op.To >= n || op.To == i) {
-				return nil, fmt.Errorf("explore: process %d has a send to invalid destination %d", i, op.To)
-			}
-		}
-	}
-	e := &explorer{
-		kind:    kind,
-		scripts: scripts,
-		n:       n,
-		pos:     make([]int, n),
-		check:   check,
-	}
+	e := &explorer{kind: kind, scripts: scripts, pos: make([]int, len(scripts)), check: check}
 	if err := e.dfs(); err != nil {
 		return nil, err
 	}
 	return &Result{Executions: e.executions}, nil
 }
 
-// pendingMsg is a sent, not yet delivered message during enumeration.
-type pendingMsg struct {
-	id int
-	to int
-}
-
 type explorer struct {
 	kind    core.Kind
 	scripts [][]Op
-	n       int
 
-	pos        []int // next script index per process
-	pending    []pendingMsg
-	nextMsg    int
-	schedule   []Choice
+	pos        []int    // next script index per process
+	sends      []sim.Op // every send so far, by slot: a message's index
+	arrived    []bool   // by slot, whether the message has arrived
+	tape       []sim.Op
 	executions int
 	check      Check
 }
@@ -116,43 +96,46 @@ func (e *explorer) dfs() error {
 	progressed := false
 
 	// Option A: advance any process's script.
-	for i := 0; i < e.n; i++ {
-		if e.pos[i] >= len(e.scripts[i]) {
+	for i, script := range e.scripts {
+		if e.pos[i] >= len(script) {
 			continue
 		}
 		progressed = true
-		op := e.scripts[i][e.pos[i]]
+		op, sent := script[e.pos[i]], len(e.sends)
 		e.pos[i]++
-		e.schedule = append(e.schedule, Choice{Proc: i})
-		if op.Kind == OpSend {
-			e.pending = append(e.pending, pendingMsg{id: e.nextMsg, to: op.To})
-			e.nextMsg++
+		// Any other kind stays unknown, and NewSchedule refuses the tape.
+		step := sim.Op{Proc: int32(i)}
+		switch op.Kind {
+		case OpSend:
+			// Clamped, an out-of-range destination stays out of range.
+			to := int32(max(min(op.To, len(e.scripts)), -1))
+			step = sim.Op{Kind: sim.OpSend, Proc: int32(i), Peer: to, Slot: int32(sent)}
+			e.sends, e.arrived = append(e.sends, step), append(e.arrived, false)
+		case OpCheckpoint:
+			step.Kind = sim.OpBasic
 		}
+		e.tape = append(e.tape, step)
 		err := e.dfs()
 		// Undo.
-		if op.Kind == OpSend {
-			e.pending = e.pending[:len(e.pending)-1]
-			e.nextMsg--
-		}
-		e.schedule = e.schedule[:len(e.schedule)-1]
+		e.sends, e.arrived = e.sends[:sent], e.arrived[:sent]
+		e.tape = e.tape[:len(e.tape)-1]
 		e.pos[i]--
 		if err != nil {
 			return err
 		}
 	}
 
-	// Option B: deliver any pending message.
-	for k := 0; k < len(e.pending); k++ {
+	// Option B: deliver any message in flight.
+	for slot, send := range e.sends {
+		if e.arrived[slot] {
+			continue
+		}
 		progressed = true
-		msg := e.pending[k]
-		e.pending = append(e.pending[:k:k], e.pending[k+1:]...)
-		e.schedule = append(e.schedule, Choice{Deliver: true, Msg: msg.id})
+		e.arrived[slot] = true
+		e.tape = append(e.tape, sim.Op{Kind: sim.OpArrive, Proc: send.Peer, Peer: send.Proc, Slot: send.Slot})
 		err := e.dfs()
-		e.schedule = e.schedule[:len(e.schedule)-1]
-		// Undo: reinsert at position k.
-		e.pending = append(e.pending, pendingMsg{})
-		copy(e.pending[k+1:], e.pending[k:])
-		e.pending[k] = msg
+		e.tape = e.tape[:len(e.tape)-1]
+		e.arrived[slot] = false
 		if err != nil {
 			return err
 		}
@@ -166,74 +149,17 @@ func (e *explorer) dfs() error {
 	if e.executions > maxExecutions {
 		return fmt.Errorf("explore: %w (over %d)", ErrTooManyExecutions, maxExecutions)
 	}
-	p, err := e.replay()
+	s, err := sim.NewSchedule(len(e.scripts), e.tape)
 	if err != nil {
-		return fmt.Errorf("explore: schedule %v: %w", e.schedule, err)
+		return fmt.Errorf("explore: schedule %v: %w", e.tape, err)
 	}
-	if err := e.check(e.schedule, p); err != nil {
-		return fmt.Errorf("explore: schedule %v: %w", e.schedule, err)
+	res, err := s.Run(e.kind, nil)
+	s.Release()
+	if err != nil {
+		return fmt.Errorf("explore: schedule %v: %w", e.tape, err)
+	}
+	if err := e.check(e.tape, res.Pattern); err != nil {
+		return fmt.Errorf("explore: schedule %v: %w", e.tape, err)
 	}
 	return nil
-}
-
-// replay executes the current schedule against fresh protocol instances
-// and returns the finalized pattern.
-func (e *explorer) replay() (*model.Pattern, error) {
-	builder := model.NewBuilder(e.n)
-	insts := make([]core.Instance, e.n)
-	for i := 0; i < e.n; i++ {
-		inst, err := core.New(e.kind, i, e.n, func(rec core.CheckpointRecord) {
-			if rec.Kind == model.KindInitial {
-				return
-			}
-			builder.Checkpoint(model.ProcID(rec.Proc), rec.Kind, rec.TDV)
-		})
-		if err != nil {
-			return nil, err
-		}
-		insts[i] = inst
-	}
-
-	type flight struct {
-		from   int
-		to     int
-		handle int
-		pb     core.Piggyback
-	}
-	var (
-		pos     = make([]int, e.n)
-		flights = make(map[int]flight)
-		nextMsg int
-	)
-	for _, c := range e.schedule {
-		if c.Deliver {
-			f, ok := flights[c.Msg]
-			if !ok {
-				return nil, fmt.Errorf("replay: delivery of unknown message %d", c.Msg)
-			}
-			delete(flights, c.Msg)
-			insts[f.to].OnArrival(f.from, f.pb)
-			if err := builder.Deliver(f.handle); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		op := e.scripts[c.Proc][pos[c.Proc]]
-		pos[c.Proc]++
-		switch op.Kind {
-		case OpSend:
-			pb, forceAfter := insts[c.Proc].OnSend(op.To)
-			handle := builder.Send(model.ProcID(c.Proc), model.ProcID(op.To))
-			if forceAfter {
-				insts[c.Proc].CheckpointAfterSend()
-			}
-			flights[nextMsg] = flight{from: c.Proc, to: op.To, handle: handle, pb: pb}
-			nextMsg++
-		case OpCheckpoint:
-			insts[c.Proc].TakeBasicCheckpoint()
-		default:
-			return nil, fmt.Errorf("replay: unknown op kind %d", op.Kind)
-		}
-	}
-	return builder.Finalize()
 }

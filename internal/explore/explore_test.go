@@ -8,6 +8,7 @@ import (
 	"github.com/rdt-go/rdt/internal/core"
 	"github.com/rdt-go/rdt/internal/model"
 	"github.com/rdt-go/rdt/internal/rgraph"
+	"github.com/rdt-go/rdt/internal/sim"
 )
 
 // twoProcScenario: P0 sends twice around a checkpoint, P1 answers once and
@@ -47,7 +48,7 @@ func TestEnumerationCountsAndValidity(t *testing.T) {
 	// for every protocol (the choice tree is protocol-independent).
 	counts := make(map[core.Kind]int)
 	for _, kind := range []core.Kind{core.KindNone, core.KindBHMR} {
-		res, err := Run(kind, twoProcScenario(), func(_ []Choice, p *model.Pattern) error {
+		res, err := Run(kind, twoProcScenario(), func(_ []sim.Op, p *model.Pattern) error {
 			if err := p.Validate(); err != nil {
 				return err
 			}
@@ -69,6 +70,55 @@ func TestEnumerationCountsAndValidity(t *testing.T) {
 	}
 }
 
+// TestExploredTotals pins, for every protocol on both scenarios, the
+// number of executions and the basic and forced checkpoints summed over
+// them. The choice tree is the same for every protocol. A scripted
+// checkpoint is skipped when its process had no event since its last
+// checkpoint, so CAS, which checkpoints right after every send, takes
+// fewer basic checkpoints than the scripts attempt; every other protocol
+// takes them all, since each scripted checkpoint follows a send.
+func TestExploredTotals(t *testing.T) {
+	type totals struct{ executions, basic, forced int }
+	want := map[string]map[core.Kind]totals{
+		"2proc": {
+			core.KindNone: {448, 896, 0}, core.KindBCS: {448, 896, 133},
+			core.KindBHMR: {448, 896, 18}, core.KindBHMRNoSimple: {448, 896, 63},
+			core.KindBHMRCausalOnly: {448, 896, 538}, core.KindFDAS: {448, 896, 538},
+			core.KindFDI: {448, 896, 715}, core.KindNRAS: {448, 896, 541},
+			core.KindCBR: {448, 896, 802}, core.KindCAS: {448, 289, 1344},
+		},
+		"3proc": {
+			core.KindNone: {420, 420, 0}, core.KindBCS: {420, 420, 0},
+			core.KindBHMR: {420, 420, 833}, core.KindBHMRNoSimple: {420, 420, 833},
+			core.KindBHMRCausalOnly: {420, 420, 833}, core.KindFDAS: {420, 420, 833},
+			core.KindFDI: {420, 420, 833}, core.KindNRAS: {420, 420, 833},
+			core.KindCBR: {420, 420, 833}, core.KindCAS: {420, 147, 1260},
+		},
+	}
+	scenarios := map[string][][]Op{
+		"2proc": twoProcScenario(),
+		"3proc": threeProcScenario(),
+	}
+	for name, scripts := range scenarios {
+		for _, kind := range core.Kinds() {
+			var got totals
+			res, err := Run(kind, scripts, func(_ []sim.Op, p *model.Pattern) error {
+				st := p.Stats()
+				got.basic += st.Basic
+				got.forced += st.Forced
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s/%v: %v", name, kind, err)
+			}
+			got.executions = res.Executions
+			if got != want[name][kind] {
+				t.Errorf("%s/%v: got %+v, want %+v", name, kind, got, want[name][kind])
+			}
+		}
+	}
+}
+
 // TestExhaustiveRDT is the exhaustive soundness theorem for small
 // scenarios: over EVERY schedule of both scenarios, every RDT protocol
 // yields a pattern with no untrackable rollback dependency and correct
@@ -85,7 +135,7 @@ func TestExhaustiveRDT(t *testing.T) {
 	for name, scripts := range scenarios {
 		for _, kind := range kinds {
 			t.Run(name+"/"+kind.String(), func(t *testing.T) {
-				res, err := Run(kind, scripts, func(_ []Choice, p *model.Pattern) error {
+				res, err := Run(kind, scripts, func(_ []sim.Op, p *model.Pattern) error {
 					rep, err := rgraph.CheckRDT(p, 1)
 					if err != nil {
 						return err
@@ -110,7 +160,7 @@ func TestExhaustiveRDT(t *testing.T) {
 // every checkpoint of the paper's protocol is the minimum consistent
 // global checkpoint containing it.
 func TestExhaustiveCorollary45(t *testing.T) {
-	_, err := Run(core.KindBHMR, twoProcScenario(), func(_ []Choice, p *model.Pattern) error {
+	_, err := Run(core.KindBHMR, twoProcScenario(), func(_ []sim.Op, p *model.Pattern) error {
 		for i := 0; i < p.N; i++ {
 			for x := range p.Checkpoints[i] {
 				ck := &p.Checkpoints[i][x]
@@ -152,7 +202,7 @@ func TestExhaustiveBCSZigzagFreedom(t *testing.T) {
 		}
 		return useless, nil
 	}
-	if _, err := Run(core.KindBCS, twoProcScenario(), func(_ []Choice, p *model.Pattern) error {
+	if _, err := Run(core.KindBCS, twoProcScenario(), func(_ []sim.Op, p *model.Pattern) error {
 		useless, err := countUseless(p)
 		if err != nil {
 			return err
@@ -166,7 +216,7 @@ func TestExhaustiveBCSZigzagFreedom(t *testing.T) {
 	}
 
 	sawUseless := false
-	if _, err := Run(core.KindNone, twoProcScenario(), func(_ []Choice, p *model.Pattern) error {
+	if _, err := Run(core.KindNone, twoProcScenario(), func(_ []sim.Op, p *model.Pattern) error {
 		useless, err := countUseless(p)
 		if err != nil {
 			return err
@@ -191,7 +241,7 @@ func TestExhaustiveBCSZigzagFreedom(t *testing.T) {
 func TestExhaustiveBHMRNeverWorseThanFDAS(t *testing.T) {
 	forcedTotal := func(kind core.Kind) int {
 		total := 0
-		if _, err := Run(kind, twoProcScenario(), func(_ []Choice, p *model.Pattern) error {
+		if _, err := Run(kind, twoProcScenario(), func(_ []sim.Op, p *model.Pattern) error {
 			total += p.Stats().Forced
 			return nil
 		}); err != nil {
@@ -210,7 +260,7 @@ func TestExhaustiveBHMRNeverWorseThanFDAS(t *testing.T) {
 // that produced the counterexample.
 func TestCheckErrorsAbortWithSchedule(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Run(core.KindBHMR, threeProcScenario(), func(_ []Choice, _ *model.Pattern) error {
+	_, err := Run(core.KindBHMR, threeProcScenario(), func(_ []sim.Op, _ *model.Pattern) error {
 		return boom
 	})
 	if !errors.Is(err, boom) {
@@ -230,7 +280,7 @@ func TestExhaustiveRDTDeep(t *testing.T) {
 		{Send(2), Checkpoint()},
 		{Send(0), Checkpoint()},
 	}
-	res, err := Run(core.KindBHMR, scripts, func(_ []Choice, p *model.Pattern) error {
+	res, err := Run(core.KindBHMR, scripts, func(_ []sim.Op, p *model.Pattern) error {
 		rep, err := rgraph.CheckRDT(p, 1)
 		if err != nil {
 			return err

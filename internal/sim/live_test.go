@@ -45,10 +45,10 @@ func liveRun(cfg Config, w Workload) (*Result, error) {
 	sends := func() {
 		for ; done < len(e.ops); done++ {
 			o := e.ops[done]
-			if o.kind != opSend {
+			if o.Kind != OpSend {
 				continue
 			}
-			from, to := int(o.proc), int(o.peer)
+			from, to := int(o.Proc), int(o.Peer)
 			inst := l.insts[from]
 			pb, forceAfter := inst.OnSend(to)
 			handle := l.builder.Send(model.ProcID(from), model.ProcID(to))
@@ -59,7 +59,7 @@ func liveRun(cfg Config, w Workload) (*Result, error) {
 			if forceAfter {
 				inst.CheckpointAfterSend()
 			}
-			flights[o.slot] = flight{handle: handle, pb: pb}
+			flights[o.Slot] = flight{handle: handle, pb: pb}
 		}
 	}
 

@@ -12,7 +12,8 @@
 // steps: Record simulates the schedule, which no protocol can change, and
 // Schedule.Run replays one protocol over it, so a sweep over protocols
 // simulates each schedule once. Schedule.Count is the replay that only
-// counts checkpoints and messages: it builds no pattern.
+// counts checkpoints and messages: it builds no pattern. NewSchedule
+// builds a schedule from a tape of Ops without the engine.
 package sim
 
 import (
@@ -155,11 +156,11 @@ func Run(cfg Config, w Workload) (*Result, error) {
 // them. A protocol adds forced checkpoints but never changes which
 // messages are sent, when they arrive or when a basic checkpoint is
 // attempted, so one schedule serves every protocol. A Schedule is never
-// modified between Record and Release, so replays may run concurrently.
+// modified before its Release, so replays may run concurrently.
 type Schedule struct {
 	n        int
 	workload string
-	ops      []op
+	ops      []Op
 	// slots is the number of in-flight slots the sends used, the size of
 	// a replay's piggyback table.
 	slots  int
@@ -167,20 +168,20 @@ type Schedule struct {
 	tracer *obs.Tracer
 }
 
-// opKind selects what one step of a schedule does.
-type opKind uint8
+// OpKind selects what one step of a schedule does.
+type OpKind uint8
 
 const (
-	opSend   opKind = iota + 1 // proc sends to peer; the message holds slot until it arrives
-	opArrive                   // the message in slot, from peer, reaches proc
-	opBasic                    // a basic-checkpoint attempt of proc
+	OpSend   OpKind = iota + 1 // Proc sends to Peer; the message holds Slot until it arrives
+	OpArrive                   // the message in Slot, from Peer, reaches Proc
+	OpBasic                    // a basic-checkpoint attempt of Proc
 )
 
-// op is one step of a schedule.
-type op struct {
-	kind       opKind
-	proc, peer int32
-	slot       int32
+// Op is one step of a schedule's tape; a basic attempt uses only Proc.
+type Op struct {
+	Kind       OpKind
+	Proc, Peer int32
+	Slot       int32
 }
 
 // Record simulates the schedule of a run: the workload, the event queue,
@@ -200,10 +201,7 @@ func Record(cfg Config, w Workload) (*Schedule, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s, _ := schedules.Get().(*Schedule)
-	if s == nil {
-		s = &Schedule{}
-	}
+	s := schedules.Get().(*Schedule)
 	e := newEngine(cfg, w, s.ops[:0])
 	defer e.release()
 	w.Start(e)
@@ -226,11 +224,66 @@ func Record(cfg Config, w Workload) (*Schedule, error) {
 	return s, nil
 }
 
-// schedules recycles schedules, tapes included, from Release to Record.
-var schedules sync.Pool
+// NewSchedule builds the schedule of n processes whose tape is ops,
+// without the event engine. It copies ops, and Release recycles the copy
+// as it does a recorded tape. The tape must hold what Record's tapes hold
+// by construction, or NewSchedule refuses it: every process is in range
+// and no process sends to itself; a slot, in [0, len(ops)), is taken
+// again only after the arrival of the message holding it; an arrival
+// comes from the sender of the message in its slot, to that message's
+// receiver; and every send arrives.
+func NewSchedule(n int, ops []Op) (*Schedule, error) {
+	if n < 2 {
+		return nil, fmt.Errorf("sim: schedule: need at least 2 processes, have %d", n)
+	}
+	// held[slot] is 1 + the index of the send holding slot, 0 when free.
+	held := make([]int, len(ops))
+	slots, inFlight := 0, 0
+	for i, o := range ops {
+		switch {
+		case o.Kind < OpSend || o.Kind > OpBasic:
+			return nil, fmt.Errorf("sim: schedule op %d: unknown kind %d", i, o.Kind)
+		case o.Proc < 0 || int(o.Proc) >= n:
+			return nil, fmt.Errorf("sim: schedule op %d: process %d out of range [0,%d)", i, o.Proc, n)
+		case o.Kind == OpBasic:
+			continue
+		case o.Peer < 0 || int(o.Peer) >= n:
+			return nil, fmt.Errorf("sim: schedule op %d: peer %d out of range [0,%d)", i, o.Peer, n)
+		case o.Slot < 0 || int(o.Slot) >= len(ops):
+			return nil, fmt.Errorf("sim: schedule op %d: slot %d out of range [0,%d)", i, o.Slot, len(ops))
+		case o.Kind == OpSend && o.Peer == o.Proc:
+			return nil, fmt.Errorf("sim: schedule op %d: P%d sends to itself", i, o.Proc)
+		}
+		h := &held[o.Slot]
+		switch {
+		case o.Kind == OpSend && *h != 0:
+			return nil, fmt.Errorf("sim: schedule op %d: slot %d taken again before the arrival of op %d's message", i, o.Slot, *h-1)
+		case o.Kind == OpSend:
+			*h = i + 1
+			slots = max(slots, int(o.Slot)+1)
+			inFlight++
+		case *h == 0:
+			return nil, fmt.Errorf("sim: schedule op %d: arrival in empty slot %d", i, o.Slot)
+		case ops[*h-1].Proc != o.Peer || ops[*h-1].Peer != o.Proc:
+			return nil, fmt.Errorf("sim: schedule op %d: arrival P%d->P%d of op %d's message P%d->P%d", i, o.Peer, o.Proc, *h-1, ops[*h-1].Proc, ops[*h-1].Peer)
+		default:
+			*h = 0
+			inFlight--
+		}
+	}
+	if inFlight > 0 {
+		return nil, fmt.Errorf("sim: schedule: %d sends never arrive", inFlight)
+	}
+	s := schedules.Get().(*Schedule)
+	*s = Schedule{n: n, ops: append(s.ops[:0], ops...), slots: slots}
+	return s, nil
+}
 
-// Release hands the schedule's memory to a later Record. The schedule
-// must not be replayed after it; results of earlier replays stay valid.
+// schedules recycles released schedules, tapes included.
+var schedules = sync.Pool{New: func() any { return new(Schedule) }}
+
+// Release hands the schedule's memory to a later Record or NewSchedule:
+// it must not be replayed after it. Earlier replays' results stay valid.
 func (s *Schedule) Release() {
 	*s = Schedule{ops: s.ops[:0]}
 	schedules.Put(s)
@@ -301,11 +354,11 @@ func (r *replay) run(s *Schedule, kind core.Kind, monitor func(inst core.Instanc
 	r.shape(kind, s.n)
 	b, tracer := r.builder, s.tracer
 	for _, o := range s.ops {
-		switch o.kind {
-		case opSend:
-			from, to := int(o.proc), int(o.peer)
+		switch o.Kind {
+		case OpSend:
+			from, to := int(o.Proc), int(o.Peer)
 			inst := r.insts[from]
-			f := &r.flights[o.slot]
+			f := &r.flights[o.Slot]
 			forceAfter := inst.SendInto(to, &f.pb)
 			// Message ids are dense from 0, so the builder's handle is
 			// the number of earlier sends.
@@ -322,9 +375,9 @@ func (r *replay) run(s *Schedule, kind core.Kind, monitor func(inst core.Instanc
 				inst.CheckpointAfterSend()
 			}
 			f.handle = handle
-		case opArrive:
-			to, from := int(o.proc), int(o.peer)
-			f := &r.flights[o.slot]
+		case OpArrive:
+			to, from := int(o.Proc), int(o.Peer)
+			f := &r.flights[o.Slot]
 			inst := r.insts[to]
 			if monitor != nil {
 				monitor(inst, from, f.pb)
@@ -341,9 +394,9 @@ func (r *replay) run(s *Schedule, kind core.Kind, monitor func(inst core.Instanc
 			if tracer != nil {
 				tracer.Record(obs.Event{Type: obs.EventDeliver, Proc: to, Peer: from, Value: f.handle})
 			}
-		case opBasic:
-			if r.events[o.proc] > 0 {
-				r.insts[o.proc].TakeBasicCheckpoint()
+		case OpBasic:
+			if r.events[o.Proc] > 0 {
+				r.insts[o.Proc].TakeBasicCheckpoint()
 			}
 		}
 	}
@@ -367,8 +420,8 @@ type replay struct {
 	// flights is the in-flight table: a send writes its sender's state
 	// into its slot's piggyback with SendInto, and the arrival lends that
 	// piggyback to the monitor and the protocol. A slot's buffers serve
-	// one message after another, which is safe because Record never
-	// takes a slot again before the arrival of the message holding it.
+	// one message after another, which is safe because no schedule takes
+	// a slot again before the arrival of the message holding it.
 	flights []flight
 	// The buffers of the slots' piggybacks, slot i owning the i-th piece
 	// of each: its vector, causal matrix header and words, and simple
@@ -547,7 +600,7 @@ type Engine struct {
 	q   eventQueue
 	w   Workload
 
-	ops   []op    // the schedule recorded so far
+	ops   []Op    // the schedule recorded so far
 	free  []int32 // in-flight slots released by arrivals
 	slots int32   // in-flight slots ever taken
 	// err is the workload's first illegal send, which fails the
@@ -561,7 +614,7 @@ var engines sync.Pool
 
 // newEngine takes an engine from the pool for a recording that appends to
 // the tape ops.
-func newEngine(cfg Config, w Workload, ops []op) *Engine {
+func newEngine(cfg Config, w Workload, ops []Op) *Engine {
 	e, _ := engines.Get().(*Engine)
 	if e == nil {
 		e = &Engine{rng: rand.New(rand.NewSource(cfg.Seed))}
@@ -646,7 +699,7 @@ func (e *Engine) Send(from, to int, payload any) {
 		slot = e.slots
 		e.slots++
 	}
-	e.ops = append(e.ops, op{kind: opSend, proc: int32(from), peer: int32(to), slot: slot})
+	e.ops = append(e.ops, Op{Kind: OpSend, Proc: int32(from), Peer: int32(to), Slot: slot})
 	delay := e.Uniform(e.cfg.DelayMin, e.cfg.DelayMax)
 	item := e.q.push(e.now + delay)
 	item.kind, item.handle, item.from, item.to = itemArrive, int(slot), from, to
@@ -656,7 +709,7 @@ func (e *Engine) Send(from, to int, payload any) {
 // arrive records the arrival of the message in slot, releases the slot
 // and hands the message to the workload.
 func (e *Engine) arrive(slot int32, from, to int, payload any) {
-	e.ops = append(e.ops, op{kind: opArrive, proc: int32(to), peer: int32(from), slot: slot})
+	e.ops = append(e.ops, Op{Kind: OpArrive, Proc: int32(to), Peer: int32(from), Slot: slot})
 	e.free = append(e.free, slot)
 	e.w.OnDeliver(e, Delivery{From: from, To: to, Payload: payload})
 }
@@ -674,6 +727,6 @@ func (e *Engine) basicTick(proc int) {
 	if !e.Active() {
 		return
 	}
-	e.ops = append(e.ops, op{kind: opBasic, proc: int32(proc)})
+	e.ops = append(e.ops, Op{Kind: OpBasic, Proc: int32(proc)})
 	e.scheduleBasic(proc)
 }

@@ -206,14 +206,16 @@ func WorkloadByName(name string) (sim.Workload, error) { return workload.ByName(
 type (
 	// ScenarioOp is one scripted action of an exploration scenario.
 	ScenarioOp = explore.Op
-	// ScheduleChoice is one step of an explored schedule.
-	ScheduleChoice = explore.Choice
+	// ScheduleChoice is one step of an explored schedule's tape.
+	ScheduleChoice = sim.Op
 )
 
 // ScenarioSend returns a scripted send to the given process.
 func ScenarioSend(to int) ScenarioOp { return explore.Send(to) }
 
-// ScenarioCheckpoint returns a scripted basic checkpoint.
+// ScenarioCheckpoint returns a scripted basic-checkpoint attempt. As in
+// the simulator, it is skipped when the process had no send or delivery
+// since its last checkpoint.
 func ScenarioCheckpoint() ScenarioOp { return explore.Checkpoint() }
 
 // Explore enumerates every interleaving of the per-process scripts with
