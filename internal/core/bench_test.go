@@ -6,11 +6,12 @@ import (
 )
 
 // protocolWidths is the process-count axis of the per-event protocol
-// benchmarks.
-var protocolWidths = []int{8, 32, 128}
+// benchmarks; at n = 65 a causal-matrix row spans two words.
+var protocolWidths = []int{8, 32, 65, 128}
 
 // BenchmarkProtocolArrival measures the per-delivery cost of each
-// protocol's condition evaluation plus control merge at n = 8, 32 and 128.
+// protocol's condition evaluation plus control merge at n = 8, 32, 65
+// and 128.
 func BenchmarkProtocolArrival(b *testing.B) {
 	for _, kind := range Kinds() {
 		for _, n := range protocolWidths {
@@ -34,7 +35,7 @@ func BenchmarkProtocolArrival(b *testing.B) {
 }
 
 // BenchmarkProtocolSend measures the per-send cost of each protocol at
-// n = 8, 32 and 128 when the control state changed since the previous
+// n = 8, 32, 65 and 128 when the control state changed since the previous
 // send, as it has after every delivery: sent_to plus a fresh piggyback
 // snapshot (the vector and, for BHMR, the simple array and causal matrix).
 func BenchmarkProtocolSend(b *testing.B) {

@@ -164,22 +164,22 @@ func (b *bhmr) c2prime(pb Piggyback) bool {
 }
 
 // merge applies the control-variable update of Figure 6 after the
-// (possibly forced) checkpoint and before the delivery.
+// (possibly forced) checkpoint and before the delivery. A row whose
+// piggybacked index is older than this process's is left alone; otherwise
+// the piggybacked row is copied (newer index) or ORed in (same index) by
+// one masked row operation, and the simple entry is copied or ANDed.
 func (b *bhmr) merge(from int, pb Piggyback) {
-	for k := range b.tdv {
-		switch {
-		case pb.TDV[k] > b.tdv[k]:
-			b.tdv[k] = pb.TDV[k]
-			if b.simple != nil {
-				b.simple[k] = pb.Simple[k]
-			}
-			b.causal.CopyRow(k, pb.Causal)
-		case pb.TDV[k] == b.tdv[k]:
-			if b.simple != nil {
-				b.simple[k] = b.simple[k] && pb.Simple[k]
-			}
-			b.causal.OrRow(k, pb.Causal)
+	for k, own := range b.tdv {
+		in := pb.TDV[k]
+		if in < own {
+			continue
 		}
+		same := in == own
+		b.tdv[k] = in
+		if b.simple != nil {
+			b.simple[k] = bit(pb.Simple[k])&(bit(b.simple[k])|bit(!same)) != 0
+		}
+		b.causal.MergeRow(k, pb.Causal, same)
 	}
 	b.causal.Set(from, b.proc, true)
 	b.causal.OrColInto(b.proc, from)
@@ -222,4 +222,13 @@ func (b *bhmr) Evaluate(pb Piggyback) Predicates {
 		NewDependency: b.newDependency(pb),
 		Closing:       pb.TDV[b.proc] == b.tdv[b.proc],
 	}
+}
+
+// bit is 1 for true and 0 for false, so merge can combine flags without
+// a branch per flag.
+func bit(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/rdt-go/rdt/internal/vclock"
@@ -126,5 +129,131 @@ func TestTakeCheckpointResetsOwnRowOnly(t *testing.T) {
 	}
 	if !bh.simple[0] {
 		t.Error("simple[self] must stay true")
+	}
+}
+
+// cellArrival is Figure 6's arrival at process proc written cell by cell,
+// as merge was before it moved whole words: the forced checkpoint, when
+// OnArrival reported one, then the merge of the piggyback from process
+// from into tdv, simple (nil for variants A and B) and causal. It is the
+// oracle of TestMergeMatchesCellOracle.
+func cellArrival(kind Kind, proc, from int, forced bool, tdv vclock.Vec, simple vclock.Bools, causal *vclock.Matrix, pb Piggyback) {
+	n := len(tdv)
+	if forced {
+		for j := range simple {
+			if j != proc {
+				simple[j] = false
+			}
+		}
+		for l := 0; l < n; l++ {
+			if l != proc || kind == KindBHMRCausalOnly {
+				causal.Set(proc, l, false)
+			}
+		}
+		tdv[proc]++
+	}
+	for k := 0; k < n; k++ {
+		switch {
+		case pb.TDV[k] > tdv[k]:
+			tdv[k] = pb.TDV[k]
+			if simple != nil {
+				simple[k] = pb.Simple[k]
+			}
+			for l := 0; l < n; l++ {
+				causal.Set(k, l, pb.Causal.At(k, l))
+			}
+		case pb.TDV[k] == tdv[k]:
+			if simple != nil {
+				simple[k] = simple[k] && pb.Simple[k]
+			}
+			for l := 0; l < n; l++ {
+				causal.Set(k, l, causal.At(k, l) || pb.Causal.At(k, l))
+			}
+		}
+	}
+	causal.Set(from, proc, true)
+	for l := 0; l < n; l++ {
+		if causal.At(l, from) {
+			causal.Set(l, proc, true)
+		}
+	}
+	if kind == KindBHMRCausalOnly {
+		for k := 0; k < n; k++ {
+			causal.Set(k, k, false)
+		}
+	}
+}
+
+// TestMergeMatchesCellOracle drives a system of n processes of each BHMR
+// kind through random sends, basic checkpoints and arrivals in random
+// order, at widths where a causal-matrix row is part of a word, one word,
+// and two or three words. After every arrival the receiver's tdv, simple
+// and causal must equal what cellArrival makes of their values before it,
+// and over the run the piggybacked entries must have been older, equal
+// and newer than the receiver's.
+func TestMergeMatchesCellOracle(t *testing.T) {
+	for _, kind := range []Kind{KindBHMR, KindBHMRNoSimple, KindBHMRCausalOnly} {
+		for _, n := range []int{5, 8, 64, 65, 130} {
+			t.Run(fmt.Sprintf("%v/n=%d", kind, n), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(n)))
+				insts := make([]*bhmr, n)
+				for i := range insts {
+					inst, err := New(kind, i, n, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					insts[i] = inst.(*bhmr)
+				}
+				type message struct {
+					from, to int
+					pb       Piggyback
+				}
+				var inFlight []message
+				var older, equal, newer int
+				for arrivals := 0; arrivals < 300; {
+					switch r := rng.Intn(10); {
+					case r < 5 || len(inFlight) == 0:
+						from, to := rng.Intn(n), rng.Intn(n-1)
+						if to >= from {
+							to++
+						}
+						pb := kind.NewPiggyback(n)
+						if insts[from].SendInto(to, &pb) {
+							insts[from].CheckpointAfterSend()
+						}
+						inFlight = append(inFlight, message{from, to, pb})
+					case r < 9:
+						i := rng.Intn(len(inFlight))
+						m := inFlight[i]
+						inFlight[i] = inFlight[len(inFlight)-1]
+						inFlight = inFlight[:len(inFlight)-1]
+						b := insts[m.to]
+						tdv, simple, causal := b.tdv.Clone(), slices.Clone(b.simple), b.causal.Clone()
+						for k := range tdv {
+							switch {
+							case m.pb.TDV[k] < tdv[k]:
+								older++
+							case m.pb.TDV[k] == tdv[k]:
+								equal++
+							default:
+								newer++
+							}
+						}
+						forced := b.OnArrival(m.from, m.pb)
+						cellArrival(kind, m.to, m.from, forced, tdv, simple, causal, m.pb)
+						if !b.tdv.Equal(tdv) || !slices.Equal(b.simple, simple) || !b.causal.Equal(causal) {
+							t.Fatalf("arrival %d, P%d -> P%d (forced %v):\ntdv    %v, oracle %v\nsimple %v, oracle %v\ncausal\n%v\noracle\n%v",
+								arrivals, m.from, m.to, forced, b.tdv, tdv, b.simple, simple, b.causal, causal)
+						}
+						arrivals++
+					default:
+						insts[rng.Intn(n)].TakeBasicCheckpoint()
+					}
+				}
+				if older == 0 || equal == 0 || newer == 0 {
+					t.Errorf("piggybacked entries: %d older, %d equal, %d newer; want each case", older, equal, newer)
+				}
+			})
+		}
 	}
 }

@@ -101,6 +101,9 @@ func liveRun(cfg Config, w Workload) (*Result, error) {
 		}
 		sends()
 	}
+	if l.obs != nil {
+		l.obs.flush()
+	}
 	pattern, err := l.builder.Finalize()
 	if err != nil {
 		return nil, err

@@ -61,8 +61,8 @@ type Config struct {
 	// Obs, if non-nil, receives the run's metrics (messages, deliveries,
 	// per-predicate forced checkpoints), labeled by protocol so
 	// comparison sweeps share one registry. It does not perturb the
-	// simulation's determinism. The message and delivery counters are
-	// added to once, when the run ends.
+	// simulation's determinism. The counters are added to once, when the
+	// run ends; the tracer records each event as it happens.
 	Obs *obs.Registry
 	// Tracer, if non-nil, records the run's structured events into its
 	// bounded ring.
@@ -405,6 +405,7 @@ func (r *replay) run(s *Schedule, kind core.Kind, monitor func(inst core.Instanc
 		// queue is empty.
 		o.messages.Add(int64(r.sent))
 		o.deliveries.Add(int64(r.sent))
+		o.flush()
 	}
 	return nil
 }
@@ -512,10 +513,10 @@ func (r *replay) release() {
 	replays.Put(r)
 }
 
-// sink records protocol checkpoints into the trace. Initial checkpoints
-// are pre-recorded by the builder and skipped here (their dependency
-// vector is trivially all-zero). The record's vector is lent for the
-// call, so the builder copies it.
+// sink records protocol checkpoints into the trace and tallies them for
+// the metrics. Initial checkpoints are pre-recorded by the builder and
+// skipped here (their dependency vector is trivially all-zero). The
+// record's vector is lent for the call, so the builder copies it.
 func (r *replay) sink(rec core.CheckpointRecord) {
 	if rec.Kind == model.KindInitial {
 		return
@@ -530,13 +531,12 @@ func (r *replay) sink(rec core.CheckpointRecord) {
 	}
 	switch rec.Kind {
 	case model.KindBasic:
-		o.basic.Inc()
+		o.basicN++
 		if o.tracer != nil {
 			o.tracer.Record(obs.Event{Type: obs.EventBasicCheckpoint, Proc: rec.Proc, Value: rec.Index})
 		}
 	case model.KindForced:
-		o.forced.Inc()
-		o.forcedBy(rec.Predicate).Inc()
+		o.tally(rec.Predicate)
 		if o.tracer != nil {
 			o.tracer.Record(obs.Event{
 				Type:      obs.EventForcedCheckpoint,
@@ -549,7 +549,10 @@ func (r *replay) sink(rec core.CheckpointRecord) {
 }
 
 // replayObs bundles the pre-created series of one replay, labeled by
-// protocol so sweeps over several protocols share a registry.
+// protocol so sweeps over several protocols share a registry, and the
+// replay's checkpoint tallies. Concurrent replays share the series, so a
+// replay counts into plain tallies and adds them to the series once, in
+// flush.
 type replayObs struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
@@ -559,35 +562,54 @@ type replayObs struct {
 	deliveries *obs.Counter
 	basic      *obs.Counter
 	forced     *obs.Counter
-	// byPredicate caches rdt_forced_checkpoints_total{protocol,predicate}
-	// per predicate. A replay is single-threaded, so a plain map does.
-	byPredicate map[string]*obs.Counter
+
+	basicN int64
+	// forcedBy tallies the forced checkpoints per predicate. A protocol
+	// fires at most a handful of predicates, so a linear scan finds one.
+	forcedBy []predicateTally
+}
+
+type predicateTally struct {
+	predicate string
+	n         int64
 }
 
 func newReplayObs(reg *obs.Registry, tr *obs.Tracer, protocol core.Kind) *replayObs {
 	proto := protocol.String()
 	return &replayObs{
-		reg:         reg,
-		tracer:      tr,
-		proto:       proto,
-		messages:    reg.Counter("rdt_sim_messages_total", "protocol", proto),
-		deliveries:  reg.Counter("rdt_sim_deliveries_total", "protocol", proto),
-		basic:       reg.Counter("rdt_checkpoints_total", "protocol", proto, "kind", "basic"),
-		forced:      reg.Counter("rdt_checkpoints_total", "protocol", proto, "kind", "forced"),
-		byPredicate: make(map[string]*obs.Counter),
+		reg:        reg,
+		tracer:     tr,
+		proto:      proto,
+		messages:   reg.Counter("rdt_sim_messages_total", "protocol", proto),
+		deliveries: reg.Counter("rdt_sim_deliveries_total", "protocol", proto),
+		basic:      reg.Counter("rdt_checkpoints_total", "protocol", proto, "kind", "basic"),
+		forced:     reg.Counter("rdt_checkpoints_total", "protocol", proto, "kind", "forced"),
 	}
 }
 
-// forcedBy returns the forced-checkpoint series of one predicate. The
-// registry is asked the first time the predicate fires; after that a
-// forced checkpoint formats no series key and takes no registry lock.
-func (o *replayObs) forcedBy(predicate string) *obs.Counter {
-	c, ok := o.byPredicate[predicate]
-	if !ok {
-		c = o.reg.Counter("rdt_forced_checkpoints_total", "protocol", o.proto, "predicate", predicate)
-		o.byPredicate[predicate] = c
+// tally counts one forced checkpoint of predicate.
+func (o *replayObs) tally(predicate string) {
+	for i := range o.forcedBy {
+		if o.forcedBy[i].predicate == predicate {
+			o.forcedBy[i].n++
+			return
+		}
 	}
-	return c
+	o.forcedBy = append(o.forcedBy, predicateTally{predicate: predicate, n: 1})
+}
+
+// flush adds the replay's checkpoint tallies to their series:
+// rdt_checkpoints_total by kind and rdt_forced_checkpoints_total by
+// predicate. The registry is asked for a predicate's series only here,
+// so a checkpoint formats no series key and takes no registry lock.
+func (o *replayObs) flush() {
+	o.basic.Add(o.basicN)
+	var forced int64
+	for _, t := range o.forcedBy {
+		o.reg.Counter("rdt_forced_checkpoints_total", "protocol", o.proto, "predicate", t.predicate).Add(t.n)
+		forced += t.n
+	}
+	o.forced.Add(forced)
 }
 
 // Engine is the event loop handed to workloads. It records the schedule

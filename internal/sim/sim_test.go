@@ -284,9 +284,10 @@ func TestEngineAccessors(t *testing.T) {
 
 // TestForcedCheckpointAllocs: with a registry attached, recording a forced
 // checkpoint allocates nothing. The builder copies the record's vector
-// into a chunk that holds many, and the per-predicate series is resolved
-// on the predicate's first checkpoint, not formatted and looked up on
-// every one.
+// into a chunk that holds many, and the per-predicate count is a tally of
+// the replay's own, added to the series once, when the replay flushes:
+// no series key is formatted and looked up per checkpoint, and the
+// series advance by the whole tally at the flush, not before.
 func TestForcedCheckpointAllocs(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := shortConfig(core.KindCBR, 3)
@@ -303,20 +304,38 @@ func TestForcedCheckpointAllocs(t *testing.T) {
 	if len(predicates) == 0 {
 		t.Fatal("the CBR run forced no checkpoint")
 	}
-	r := &replay{builder: model.NewBuilder(cfg.N), events: make([]int, cfg.N), obs: newReplayObs(reg, nil, cfg.Protocol)}
+	series := func(pred string) int64 {
+		return reg.Snapshot().CounterValue("rdt_forced_checkpoints_total", "protocol", "cbr", "predicate", pred)
+	}
+	forced := func() int64 {
+		return reg.Snapshot().CounterValue("rdt_checkpoints_total", "kind", "forced", "protocol", "cbr")
+	}
+	before := map[string]int64{}
 	for _, pred := range predicates {
-		before := reg.Snapshot().CounterValue("rdt_forced_checkpoints_total", "protocol", "cbr", "predicate", pred)
+		before[pred] = series(pred)
+	}
+	forcedBefore := forced()
+	r := &replay{builder: model.NewBuilder(cfg.N), events: make([]int, cfg.N), obs: newReplayObs(reg, nil, cfg.Protocol)}
+	const runs = 1000
+	for _, pred := range predicates {
 		rec := core.CheckpointRecord{Proc: 1, Kind: model.KindForced, TDV: make([]int, cfg.N), Predicate: pred}
-		const runs = 1000
 		// AllocsPerRun averages over its runs, so the occasional growth of
 		// the builder's checkpoint list and its vector chunks rounds away.
 		if allocs := testing.AllocsPerRun(runs, func() { r.sink(rec) }); allocs > 0 {
 			t.Errorf("predicate %s: %.2f allocations per forced checkpoint, want 0", pred, allocs)
 		}
-		// AllocsPerRun makes one warm-up call before its runs.
-		after := reg.Snapshot().CounterValue("rdt_forced_checkpoints_total", "protocol", "cbr", "predicate", pred)
-		if after-before != runs+1 {
-			t.Errorf("predicate %s: series advanced by %d, want %d", pred, after-before, runs+1)
+		if after := series(pred); after != before[pred] {
+			t.Errorf("predicate %s: series advanced by %d before the flush, want 0", pred, after-before[pred])
 		}
+	}
+	r.obs.flush()
+	for _, pred := range predicates {
+		// AllocsPerRun makes one warm-up call before its runs.
+		if got := series(pred) - before[pred]; got != runs+1 {
+			t.Errorf("predicate %s: series advanced by %d, want %d", pred, got, runs+1)
+		}
+	}
+	if got, want := forced()-forcedBefore, int64(len(predicates)*(runs+1)); got != want {
+		t.Errorf("forced checkpoints advanced by %d, want %d", got, want)
 	}
 }

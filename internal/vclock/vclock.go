@@ -173,27 +173,28 @@ func (m *Matrix) Equal(other *Matrix) bool {
 	return m.n == other.n && slices.Equal(m.words, other.words)
 }
 
-// CopyRow overwrites row of m with the same row of src.
-func (m *Matrix) CopyRow(row int, src *Matrix) { copy(m.row(row), src.row(row)) }
-
-// OrRow ORs the given row of src into the same row of m.
-func (m *Matrix) OrRow(row int, src *Matrix) {
-	d, s := m.row(row), src.row(row)
-	for k := range d {
-		d[k] |= s[k]
+// MergeRow sets the given row of m to the same row of src, ORed with
+// m's own row when keep is set: keep false copies src's row, keep true
+// ORs it in. It is one masked operation per word either way.
+func (m *Matrix) MergeRow(row int, src *Matrix, keep bool) {
+	var mask uint64
+	if keep {
+		mask = ^uint64(0)
+	}
+	for i, end := row*m.stride, (row+1)*m.stride; i < end; i++ {
+		m.words[i] = m.words[i]&mask | src.words[i]
 	}
 }
 
 // OrColInto ORs column srcCol into column dstCol: for every row l,
 // m[l][dstCol] |= m[l][srcCol]. This is the transitive-closure column update
-// the protocol performs after a delivery from the sender's column.
+// the protocol performs after a delivery from the sender's column. Each
+// row moves the source bit to the destination by shifts, without a branch.
 func (m *Matrix) OrColInto(dstCol, srcCol int) {
-	sw, sb := srcCol>>6, uint64(1)<<(srcCol&63)
-	dw, db := dstCol>>6, uint64(1)<<(dstCol&63)
+	sw, ss := srcCol>>6, uint(srcCol&63)
+	dw, ds := dstCol>>6, uint(dstCol&63)
 	for base := 0; base < len(m.words); base += m.stride {
-		if m.words[base+sw]&sb != 0 {
-			m.words[base+dw] |= db
-		}
+		m.words[base+dw] |= (m.words[base+sw] >> ss & 1) << ds
 	}
 }
 

@@ -185,16 +185,16 @@ func TestMatrixRowOps(t *testing.T) {
 
 	dst := NewMatrix(3)
 	dst.Set(1, 1, true)
-	dst.OrRow(1, src)
+	dst.MergeRow(1, src, true)
 	if !dst.At(1, 0) || !dst.At(1, 1) || !dst.At(1, 2) {
-		t.Errorf("OrRow wrong: %v", dst)
+		t.Errorf("MergeRow keep wrong: %v", dst)
 	}
 
 	dst2 := NewMatrix(3)
 	dst2.Set(1, 1, true)
-	dst2.CopyRow(1, src)
+	dst2.MergeRow(1, src, false)
 	if dst2.At(1, 1) || !dst2.At(1, 0) || !dst2.At(1, 2) {
-		t.Errorf("CopyRow wrong: %v", dst2)
+		t.Errorf("MergeRow copy wrong: %v", dst2)
 	}
 }
 
@@ -256,7 +256,7 @@ func TestQuickOrRowMonotone(t *testing.T) {
 		}
 		row := r.Intn(n)
 		merged := a.Clone()
-		merged.OrRow(row, b)
+		merged.MergeRow(row, b, true)
 		// Every bit of a survives; every bit of b's row appears.
 		for c := 0; c < n; c++ {
 			if a.At(row, c) && !merged.At(row, c) {
@@ -397,12 +397,26 @@ func rowsString(m *Matrix) string { return strings.ReplaceAll(m.String(), "\n", 
 // TestMatrixMatchesBoolOracle drives word matrices and bool matrices
 // through the same random operations, at widths around the word and byte
 // boundaries, and requires the same cells, equality and wire bytes after
-// every step.
+// every step. Half the rows and columns it picks sit at a word's edge,
+// and refills keep the matrices from filling up with ones, so column
+// operations across words see differing bits.
 func TestMatrixMatchesBoolOracle(t *testing.T) {
 	var scratch *Matrix // reused across widths, like a codec's decode scratch
 	var oscratch *boolMatrix
 	for _, n := range []int{1, 2, 7, 8, 63, 64, 65, 130, 8, 1} {
 		rng := rand.New(rand.NewSource(int64(n)))
+		var edges []int
+		for _, c := range []int{0, 63, 64, 127, 128, n - 1} {
+			if c < n {
+				edges = append(edges, c)
+			}
+		}
+		pick := func() int {
+			if rng.Intn(2) == 0 {
+				return edges[rng.Intn(len(edges))]
+			}
+			return rng.Intn(n)
+		}
 		ms := []*Matrix{NewMatrix(n), IdentityMatrix(n)}
 		os := []*boolMatrix{newBoolMatrix(n), newBoolMatrix(n)}
 		for k := 0; k < n; k++ {
@@ -416,25 +430,25 @@ func TestMatrixMatchesBoolOracle(t *testing.T) {
 		}
 		for step := 0; step < 400; step++ {
 			a, b := rng.Intn(2), rng.Intn(2)
-			row, col := rng.Intn(n), rng.Intn(n)
+			row, col := pick(), pick()
 			var op string
-			switch rng.Intn(10) {
+			switch rng.Intn(11) {
 			case 0, 1:
 				op = "Set"
 				v := rng.Intn(3) > 0
 				ms[a].Set(row, col, v)
 				os[a].Set(row, col, v)
 			case 2:
-				op = "CopyRow"
-				ms[a].CopyRow(row, ms[b])
+				op = "MergeRow copy"
+				ms[a].MergeRow(row, ms[b], false)
 				os[a].CopyRow(row, os[b])
 			case 3:
-				op = "OrRow"
-				ms[a].OrRow(row, ms[b])
+				op = "MergeRow keep"
+				ms[a].MergeRow(row, ms[b], true)
 				os[a].OrRow(row, os[b])
 			case 4:
 				op = "OrColInto"
-				src := rng.Intn(n)
+				src := pick()
 				ms[a].OrColInto(col, src)
 				os[a].OrColInto(col, src)
 			case 5:
@@ -469,6 +483,13 @@ func TestMatrixMatchesBoolOracle(t *testing.T) {
 				if a != b { // the copy must not alias its source
 					ms[a].Set(row, col, !ms[a].At(row, col))
 					os[a].Set(row, col, !os[a].At(row, col))
+				}
+			case 9:
+				op = "Refill"
+				for c := 0; c < n*n; c++ {
+					v := rng.Intn(2) == 0
+					ms[a].Set(c/n, c%n, v)
+					os[a].Set(c/n, c%n, v)
 				}
 			default:
 				op = "At"

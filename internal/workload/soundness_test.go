@@ -46,20 +46,42 @@ func TestRDTProtocolsAreSoundInAllEnvironments(t *testing.T) {
 			for seed := int64(1); seed <= 2; seed++ {
 				name := fmt.Sprintf("%v/%s/seed%d", kind, env, seed)
 				t.Run(name, func(t *testing.T) {
-					res := mustRun(t, soundnessConfig(kind, seed), env)
-					rep, err := rgraph.CheckRDT(res.Pattern, 4)
-					if err != nil {
-						t.Fatalf("check: %v", err)
-					}
-					if !rep.RDT {
-						t.Fatalf("RDT violated: %v", rep.Violations)
-					}
-					if err := rgraph.VerifyRecordedTDVs(res.Pattern); err != nil {
-						t.Fatalf("recorded TDVs wrong: %v", err)
-					}
+					checkSound(t, mustRun(t, soundnessConfig(kind, seed), env))
 				})
 			}
 		}
+	}
+}
+
+// TestBHMRFamilyIsSoundOnWideRows runs the BHMR family where a row of the
+// causal matrix spans two and three words (n = 65 and 130), which neither
+// the suite above (n = 5) nor the experiment grid (n = 8) reaches: the
+// word operations of a delivery there cross word boundaries.
+func TestBHMRFamilyIsSoundOnWideRows(t *testing.T) {
+	for _, kind := range []core.Kind{core.KindBHMR, core.KindBHMRNoSimple, core.KindBHMRCausalOnly} {
+		for _, n := range []int{65, 130} {
+			t.Run(fmt.Sprintf("%v/n=%d", kind, n), func(t *testing.T) {
+				cfg := soundnessConfig(kind, 1)
+				cfg.N, cfg.Duration = n, 30
+				checkSound(t, mustRun(t, cfg, "random"))
+			})
+		}
+	}
+}
+
+// checkSound requires a run's pattern to be RDT and its recorded
+// dependency vectors to equal the offline ones.
+func checkSound(t *testing.T, res *sim.Result) {
+	t.Helper()
+	rep, err := rgraph.CheckRDT(res.Pattern, 4)
+	if err != nil {
+		t.Fatalf("check: %v", err)
+	}
+	if !rep.RDT {
+		t.Fatalf("RDT violated: %v", rep.Violations)
+	}
+	if err := rgraph.VerifyRecordedTDVs(res.Pattern); err != nil {
+		t.Fatalf("recorded TDVs wrong: %v", err)
 	}
 }
 
